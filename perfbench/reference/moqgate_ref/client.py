@@ -1,0 +1,392 @@
+"""Client roles: publisher, analyzer, subscriber — plus latency accounting.
+
+* :class:`PublisherClient` paces frames onto per-group streams at their
+  capture instants (epoch + capture timestamp).
+* :class:`AnalyzerClient` subscribes with the analyze role, receives frames
+  live, runs each category's detector when a group completes, and sends one
+  APPROVE naming the approved subset (nothing when the subset is empty).
+  A detector that throws fails closed: its category is withheld.
+* :class:`SubscriberClient` subscribes plain (live frames) or with the
+  filter role (gated bursts) and records per-group arrival times without
+  decoding any frame payloads.
+* :func:`compute_playback` replays recorded arrivals against a fixed-rate
+  playout clock to find stalls; :func:`predict_latency_bound` gives the
+  worst-case end-to-end latency a filtered subscriber should ever see.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .analysis import DetectorRegistry, Verdict, default_registry
+from .eventlog import EventLog
+from .framing import (
+    GroupStreamParser,
+    encode_frame_chunk,
+    encode_group_header,
+)
+from .media import Group, decode_frame_payload, encode_frame_payload
+from .transport import DisconnectedError, RecvStream, Session, SimNetwork
+from .wire import (
+    Approve,
+    Subscribe,
+    analyze_parameter,
+    encode_message,
+    filter_parameter,
+)
+
+__all__ = [
+    "LatencyRecord",
+    "PlaybackStats",
+    "PublisherClient",
+    "AnalyzerClient",
+    "SubscriberClient",
+    "compute_playback",
+    "LatencyModel",
+    "predict_latency_bound",
+]
+
+
+@dataclass(frozen=True)
+class LatencyRecord:
+    """Arrival bookkeeping for one group at one client."""
+
+    group_id: int
+    first_arrival_ms: float
+    complete_arrival_ms: float
+    frame_count: int
+
+
+@dataclass(frozen=True)
+class PlaybackStats:
+    """Result of replaying arrivals against a fixed-rate playout clock."""
+
+    start_ms: float | None
+    stalls: tuple[tuple[float, float], ...]  # (scheduled time, stall length)
+    total_stall_ms: float
+
+
+class PublisherClient:
+    """Sends pre-generated groups, one stream per group, frame by frame."""
+
+    def __init__(
+        self,
+        net: SimNetwork,
+        session: Session,
+        track: str,
+        groups: list[Group],
+        epoch_ms: float = 0.0,
+        log: EventLog | None = None,
+        name: str = "publisher",
+    ) -> None:
+        self.net = net
+        self.session = session
+        self.track = track
+        self.groups = list(groups)
+        self.epoch_ms = epoch_ms
+        self.name = name
+        self.log = log if log is not None else EventLog(lambda: net.now)
+
+    def start(self) -> None:
+        """Schedule every frame send at epoch + capture timestamp."""
+        for group in self.groups:
+            holder: dict[str, object] = {}
+            for idx in range(len(group.frames)):
+                self.net.at(
+                    self.epoch_ms + group.frames[idx].capture_ts,
+                    lambda group=group, idx=idx, holder=holder: self._send_frame(
+                        group, idx, holder
+                    ),
+                )
+
+    def _send_frame(self, group: Group, idx: int, holder: dict) -> None:
+        frame = group.frames[idx]
+        chunk = encode_frame_chunk(encode_frame_payload(frame))
+        if idx == 0:
+            holder["stream"] = self.session.open_stream()
+            chunk = (
+                encode_group_header(self.track, group.group_id, len(group.frames))
+                + chunk
+            )
+        stream = holder["stream"]
+        try:
+            if idx == len(group.frames) - 1:
+                stream.end(chunk)
+            else:
+                stream.send(chunk)
+        except DisconnectedError:
+            self.log.emit(self.name, "publish_failed", group_id=group.group_id)
+            return
+        self.log.emit(
+            self.name,
+            "frame_sent",
+            group_id=group.group_id,
+            frame_index=frame.frame_index,
+        )
+
+
+class _GroupAssembly:
+    """Per-stream reassembly scratchpad shared by the receiving clients."""
+
+    def __init__(self) -> None:
+        self.parser = GroupStreamParser()
+        self.first_arrival: float | None = None
+        self.payloads: list[bytes] = []
+
+
+class AnalyzerClient:
+    """Receives frames live, analyzes each completed group, sends approvals."""
+
+    def __init__(
+        self,
+        net: SimNetwork,
+        session: Session,
+        track: str,
+        categories: tuple[int, ...],
+        subscribe_id: int,
+        registry: DetectorRegistry | None = None,
+        analysis_time_ms: float = 0.0,
+        gop_duration_ms: float | None = None,
+        log: EventLog | None = None,
+        name: str = "analyzer",
+    ) -> None:
+        self.net = net
+        self.session = session
+        self.track = track
+        self.categories = tuple(categories)
+        self.subscribe_id = subscribe_id
+        self.registry = registry if registry is not None else default_registry()
+        self.analysis_time_ms = analysis_time_ms
+        self.gop_duration_ms = gop_duration_ms
+        self.name = name
+        self.log = log if log is not None else EventLog(lambda: net.now)
+        self.records: dict[int, LatencyRecord] = {}
+        self.verdicts: dict[int, Verdict] = {}
+        self._states: dict[int, object] = {}
+        session.set_on_stream(self._on_stream)
+
+    @property
+    def realtime_ok(self) -> bool:
+        """Whether analysis keeps up with the stream: each group must be
+        analyzed in less time than it takes to play."""
+        if self.gop_duration_ms is None:
+            return True
+        return self.analysis_time_ms < self.gop_duration_ms
+
+    def start(self) -> None:
+        if not self.realtime_ok:
+            self.log.emit(
+                self.name,
+                "realtime_violation",
+                analysis_time_ms=self.analysis_time_ms,
+                gop_duration_ms=self.gop_duration_ms,
+            )
+        msg = Subscribe(
+            self.subscribe_id, self.track, 0, (analyze_parameter(self.categories),)
+        )
+        self.session.send_control(encode_message(msg))
+
+    def _on_stream(self, rs: RecvStream) -> None:
+        assembly = _GroupAssembly()
+        rs.set_on_data(lambda data, fin: self._on_data(assembly, data, fin))
+
+    def _on_data(self, assembly: _GroupAssembly, data: bytes, fin: bool) -> None:
+        payloads = assembly.parser.feed(data, fin)
+        if payloads and assembly.first_arrival is None:
+            assembly.first_arrival = self.net.now
+        assembly.payloads.extend(payloads)
+        if not fin:
+            return
+        group_id = assembly.parser.group_id
+        assert group_id is not None and assembly.first_arrival is not None
+        record = LatencyRecord(
+            group_id, assembly.first_arrival, self.net.now, len(assembly.payloads)
+        )
+        self.records[group_id] = record
+        self._analyze(group_id, assembly.payloads)
+
+    def _analyze(self, group_id: int, payloads: list[bytes]) -> None:
+        frames = tuple(decode_frame_payload(p) for p in payloads)
+        duration = frames[-1].capture_ts - frames[0].capture_ts
+        group = Group(group_id, frames, duration)
+        approved: list[int] = []
+        rejected: list[int] = []
+        for category in self.categories:
+            detector = self.registry.detector(category)
+            state = self._states.get(category, detector.initial_state())
+            try:
+                risk, new_state = detector.analyze_group(group, state)
+            except Exception as exc:  # fail closed: withhold the category
+                self.log.emit(
+                    self.name,
+                    "detector_error",
+                    group_id=group_id,
+                    category=int(category),
+                    error=str(exc),
+                )
+                rejected.append(category)
+                continue
+            self._states[category] = new_state
+            (rejected if risk else approved).append(category)
+        verdict = Verdict(group_id, tuple(approved), tuple(rejected))
+        self.verdicts[group_id] = verdict
+        self.log.emit(
+            self.name,
+            "group_analyzed",
+            group_id=group_id,
+            approved=[int(c) for c in approved],
+            rejected=[int(c) for c in rejected],
+        )
+        if approved:
+            msg = Approve(self.subscribe_id, group_id, tuple(approved))
+            self.net.after(self.analysis_time_ms, lambda: self._send_approve(msg))
+
+    def _send_approve(self, msg: Approve) -> None:
+        try:
+            self.session.send_control(encode_message(msg))
+        except DisconnectedError:
+            self.log.emit(self.name, "approve_failed", group_id=msg.group_id)
+            return
+        self.log.emit(
+            self.name,
+            "approve_sent",
+            group_id=msg.group_id,
+            categories=[int(c) for c in msg.categories],
+        )
+
+
+class SubscriberClient:
+    """Plain (live) or filtered (gated) subscriber with arrival records.
+
+    Frame payloads are counted, never decoded — the subscriber's timing
+    must not depend on content.
+    """
+
+    def __init__(
+        self,
+        net: SimNetwork,
+        session: Session,
+        track: str,
+        subscribe_id: int,
+        filter_categories: tuple[int, ...] | None = None,
+        log: EventLog | None = None,
+        name: str = "subscriber",
+    ) -> None:
+        self.net = net
+        self.session = session
+        self.track = track
+        self.subscribe_id = subscribe_id
+        self.filter_categories = (
+            tuple(filter_categories) if filter_categories else None
+        )
+        self.name = name
+        self.log = log if log is not None else EventLog(lambda: net.now)
+        self.records: dict[int, LatencyRecord] = {}
+        self._arrival_order: list[int] = []
+        session.set_on_stream(self._on_stream)
+
+    def start(self) -> None:
+        params = ()
+        if self.filter_categories is not None:
+            params = (filter_parameter(self.filter_categories),)
+        msg = Subscribe(self.subscribe_id, self.track, 0, params)
+        self.session.send_control(encode_message(msg))
+
+    def _on_stream(self, rs: RecvStream) -> None:
+        assembly = _GroupAssembly()
+        rs.set_on_data(lambda data, fin: self._on_data(assembly, data, fin))
+
+    def _on_data(self, assembly: _GroupAssembly, data: bytes, fin: bool) -> None:
+        payloads = assembly.parser.feed(data, fin)
+        if payloads and assembly.first_arrival is None:
+            assembly.first_arrival = self.net.now
+        assembly.payloads.extend(payloads)
+        if not fin:
+            return
+        group_id = assembly.parser.group_id
+        assert group_id is not None and assembly.first_arrival is not None
+        record = LatencyRecord(
+            group_id, assembly.first_arrival, self.net.now, len(assembly.payloads)
+        )
+        self.records[group_id] = record
+        self._arrival_order.append(group_id)
+        self.log.emit(
+            self.name,
+            "group_received",
+            group_id=group_id,
+            frame_count=record.frame_count,
+        )
+
+    def delivered_group_ids(self) -> list[int]:
+        """Group ids in the order their streams completed."""
+        return list(self._arrival_order)
+
+    def latency_records(self) -> list[LatencyRecord]:
+        return [self.records[gid] for gid in self._arrival_order]
+
+
+def compute_playback(
+    records: list[LatencyRecord] | tuple[LatencyRecord, ...],
+    gop_duration_ms: float,
+    startup_buffer_ms: float,
+) -> PlaybackStats:
+    """Replay group arrivals against a fixed-rate playout clock.
+
+    Playback starts one startup buffer after the first group completes.
+    Each subsequent received group is due one group duration after the
+    previous one started playing; a group that completes after its due time
+    stalls playback by the difference and shifts the schedule.
+    """
+    records = list(records)
+    if not records:
+        return PlaybackStats(None, (), 0.0)
+    cursor = records[0].complete_arrival_ms + startup_buffer_ms
+    start = cursor
+    stalls: list[tuple[float, float]] = []
+    for record in records[1:]:
+        cursor += gop_duration_ms
+        if record.complete_arrival_ms > cursor:
+            stalls.append((cursor, record.complete_arrival_ms - cursor))
+            cursor = record.complete_arrival_ms
+    return PlaybackStats(start, tuple(stalls), sum(gap for _, gap in stalls))
+
+
+@dataclass(frozen=True)
+class LatencyModel:
+    """Network/timing inputs for the end-to-end latency bound.
+
+    ``analyzer_links_ms`` holds one ``(downlink, approve uplink)`` pair per
+    analyzer whose approval can gate the subscriber (any analyzer sharing at
+    least one category with the subscriber's filter set).
+    """
+
+    gop_duration_ms: float
+    publisher_uplink_ms: float
+    analyzer_links_ms: tuple[tuple[float, float], ...]
+    subscriber_downlink_ms: float
+    analysis_time_ms: float = 0.0
+
+
+def predict_latency_bound(model: LatencyModel) -> float:
+    """Worst-case delay from a group's first capture to its gated delivery.
+
+    The last frame is captured one full group duration after the first
+    (rounded up), then crosses the publisher uplink; the whole group must
+    reach the slowest relevant analyzer, whose approval crosses the slowest
+    approve path back; the burst then crosses the subscriber downlink.  The
+    two maxima are taken independently, so the bound stays valid (if
+    slightly loose) when the slowest receive and send paths belong to
+    different analyzers.
+    """
+    if not model.analyzer_links_ms:
+        raise ValueError("at least one analyzer path is required")
+    worst_downlink = max(down for down, _ in model.analyzer_links_ms)
+    worst_uplink = max(up for _, up in model.analyzer_links_ms)
+    return (
+        model.gop_duration_ms
+        + model.publisher_uplink_ms
+        + worst_downlink
+        + worst_uplink
+        + model.analysis_time_ms
+        + model.subscriber_downlink_ms
+    )

@@ -1,0 +1,1063 @@
+"""Scenario-driven end-to-end harness.
+
+A scenario (JSON) describes one publisher, a relay, and a set of clients
+with per-link delays.  ``run_scenario`` replays it on the simulated network
+and produces a :class:`Report` with per-group latency records, delivery and
+skip lists, playback stall analysis, latency-bound comparisons, and a list
+of named pass/fail checks.  Reports are deterministic: the same scenario
+always renders to byte-identical JSON.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+import random
+from dataclasses import dataclass
+from importlib import resources
+from pathlib import Path
+from typing import Any, Iterable, Mapping
+
+from .analysis import StrobeConfig, default_registry, predict_risky_groups
+from .client import (
+    AnalyzerClient,
+    LatencyModel,
+    LatencyRecord,
+    PublisherClient,
+    SubscriberClient,
+    compute_playback,
+    predict_latency_bound,
+)
+from .eventlog import EventLog
+from .media import Constant, Group, Ramp, SourceConfig, Strobe, generate_groups
+from .relay import RelayCore, RelayServer
+from .transport import Link, SimNetwork, SimTimeoutError, derive_seed
+from .wire import Category, category_code, category_name
+
+__all__ = [
+    "ClientSpec",
+    "DelayDraws",
+    "LinkSpec",
+    "Report",
+    "Scenario",
+    "ScenarioError",
+    "ScenarioTimeoutError",
+    "bundled_scenario_names",
+    "bundled_scenario_path",
+    "load_scenario",
+    "predict_bounds",
+    "run_scenario",
+    "scenario_from_dict",
+    "uncovered_filter_categories",
+]
+
+#: Tolerance when comparing measured latencies against the predicted bound.
+BOUND_EPSILON_MS = 2.0
+
+_STUB_CATEGORIES = (Category.SMOKING, Category.ALCOHOL)
+
+
+class ScenarioError(ValueError):
+    """A scenario file is malformed or internally inconsistent."""
+
+
+class ScenarioTimeoutError(RuntimeError):
+    """The virtual-time budget ran out; carries the partial report."""
+
+    def __init__(self, message: str, report: "Report") -> None:
+        super().__init__(message)
+        self.report = report
+
+
+# ---------------------------------------------------------------------------
+# scenario model
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class LinkSpec:
+    to_relay_ms: float = 0.0
+    from_relay_ms: float = 0.0
+    jitter_ms: float = 0.0
+
+    def as_dict(self) -> dict[str, float]:
+        return {
+            "to_relay_ms": self.to_relay_ms,
+            "from_relay_ms": self.from_relay_ms,
+            "jitter_ms": self.jitter_ms,
+        }
+
+
+@dataclass(frozen=True)
+class ClientSpec:
+    name: str
+    analyze: tuple[int, ...] = ()
+    filter: tuple[int, ...] = ()
+    analysis_time_ms: float = 0.0
+    detector: StrobeConfig = StrobeConfig()
+    link: LinkSpec = LinkSpec()
+
+
+@dataclass(frozen=True)
+class DelayDraws:
+    count: int
+    seed: int
+    min_ms: int
+    max_ms: int
+
+
+@dataclass(frozen=True)
+class Checks:
+    added_latency_band_ms: tuple[float, float] | None = None
+
+
+@dataclass(frozen=True)
+class Scenario:
+    name: str
+    track: str
+    source: SourceConfig
+    publisher_link: LinkSpec
+    clients: tuple[ClientSpec, ...]
+    seed: int = 0
+    publish_epoch_ms: float = 0.0
+    duration_ms: float = 600_000.0
+    retention_groups: int = 64
+    playback_buffer_groups: float = 1.0
+    stub_verdicts: tuple[tuple[int, bool], ...] = ()
+    checks: Checks = Checks()
+    delay_draws: DelayDraws | None = None
+
+    def stub_verdict(self, category: int) -> bool:
+        for code, verdict in self.stub_verdicts:
+            if code == category:
+                return verdict
+        return True
+
+
+# ---------------------------------------------------------------------------
+# loading / validation
+# ---------------------------------------------------------------------------
+
+
+def _require_keys(data: Mapping, allowed: set[str], required: set[str], where: str) -> None:
+    if not isinstance(data, Mapping):
+        raise ScenarioError(f"{where}: expected an object, got {type(data).__name__}")
+    unknown = set(data) - allowed
+    if unknown:
+        raise ScenarioError(f"{where}: unknown keys {sorted(unknown)}")
+    missing = required - set(data)
+    if missing:
+        raise ScenarioError(f"{where}: missing keys {sorted(missing)}")
+
+
+def _number(value: Any, where: str, minimum: float | None = None) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(f"{where}: expected a number, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ScenarioError(f"{where}: must be >= {minimum}, got {value}")
+    return float(value)
+
+
+def _integer(value: Any, where: str, minimum: int | None = None) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioError(f"{where}: expected an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ScenarioError(f"{where}: must be >= {minimum}, got {value}")
+    return value
+
+
+def _parse_link(data: Any, where: str) -> LinkSpec:
+    _require_keys(data, {"to_relay_ms", "from_relay_ms", "jitter_ms"}, set(), where)
+    return LinkSpec(
+        to_relay_ms=_number(data.get("to_relay_ms", 0.0), f"{where}.to_relay_ms", 0.0),
+        from_relay_ms=_number(data.get("from_relay_ms", 0.0), f"{where}.from_relay_ms", 0.0),
+        jitter_ms=_number(data.get("jitter_ms", 0.0), f"{where}.jitter_ms", 0.0),
+    )
+
+
+def _parse_categories(values: Any, where: str) -> tuple[int, ...]:
+    if not isinstance(values, list) or not values:
+        raise ScenarioError(f"{where}: expected a non-empty list of category names")
+    codes: list[int] = []
+    for value in values:
+        try:
+            code = category_code(value)
+        except ValueError as exc:
+            raise ScenarioError(f"{where}: {exc}") from None
+        if code in codes:
+            raise ScenarioError(f"{where}: duplicate category {value!r}")
+        codes.append(int(code))
+    return tuple(codes)
+
+
+_DETECTOR_FIELDS = {f.name for f in dataclasses.fields(StrobeConfig)}
+
+
+def _parse_detector(base: StrobeConfig, overrides: Any, where: str) -> StrobeConfig:
+    _require_keys(overrides, _DETECTOR_FIELDS, set(), where)
+    try:
+        return dataclasses.replace(base, **dict(overrides))
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{where}: {exc}") from None
+
+
+_SEGMENT_FIELDS = {
+    "constant": ({"level", "duration_ms"}, Constant),
+    "strobe": ({"low", "high", "flash_hz", "duration_ms"}, Strobe),
+    "ramp": ({"start_level", "end_level", "duration_ms"}, Ramp),
+}
+
+
+def _parse_source(data: Any, where: str) -> SourceConfig:
+    _require_keys(
+        data,
+        {"width", "height", "fps", "gop_duration_ms", "segments"},
+        {"width", "height", "fps", "gop_duration_ms", "segments"},
+        where,
+    )
+    segments = data["segments"]
+    if not isinstance(segments, list) or not segments:
+        raise ScenarioError(f"{where}.segments: expected a non-empty list")
+    parsed = []
+    for i, seg in enumerate(segments):
+        seg_where = f"{where}.segments[{i}]"
+        if not isinstance(seg, Mapping) or "kind" not in seg:
+            raise ScenarioError(f"{seg_where}: expected an object with a 'kind'")
+        kind = seg["kind"]
+        if kind not in _SEGMENT_FIELDS:
+            raise ScenarioError(f"{seg_where}: unknown segment kind {kind!r}")
+        fields, cls = _SEGMENT_FIELDS[kind]
+        _require_keys(seg, fields | {"kind"}, fields | {"kind"}, seg_where)
+        kwargs = {k: seg[k] for k in fields}
+        try:
+            parsed.append(cls(**kwargs))
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(f"{seg_where}: {exc}") from None
+    try:
+        return SourceConfig(
+            width=_integer(data["width"], f"{where}.width", 1),
+            height=_integer(data["height"], f"{where}.height", 1),
+            fps=_integer(data["fps"], f"{where}.fps", 1),
+            gop_duration_ms=_integer(data["gop_duration_ms"], f"{where}.gop_duration_ms", 1),
+            segments=tuple(parsed),
+        )
+    except ValueError as exc:
+        raise ScenarioError(f"{where}: {exc}") from None
+
+
+def uncovered_filter_categories(raw_clients: Iterable[Mapping]) -> set[tuple[str, str]]:
+    """Scan raw client dicts for filter categories no analyzer covers.
+
+    Returns ``(client name, category name)`` pairs; empty means every filter
+    request can actually be gated by somebody's approvals.
+    """
+    clients = list(raw_clients)
+    analyzed: set[str] = set()
+    for client in clients:
+        analyzed.update(client.get("analyze", []) or [])
+    uncovered: set[tuple[str, str]] = set()
+    for client in clients:
+        for cat in client.get("filter", []) or []:
+            if cat not in analyzed:
+                uncovered.add((str(client.get("name")), str(cat)))
+    return uncovered
+
+
+_TOP_KEYS = {
+    "name",
+    "track",
+    "seed",
+    "publish_epoch_ms",
+    "duration_ms",
+    "retention_groups",
+    "playback_buffer_groups",
+    "source",
+    "links",
+    "clients",
+    "detector",
+    "stub_verdicts",
+    "checks",
+    "delay_draws",
+}
+
+_CLIENT_KEYS = {"name", "analyze", "filter", "analysis_time_ms", "detector"}
+
+
+def scenario_from_dict(data: Mapping) -> Scenario:
+    _require_keys(data, _TOP_KEYS, {"name", "track", "source", "links", "clients"}, "scenario")
+    name = data["name"]
+    track = data["track"]
+    if not isinstance(name, str) or not name:
+        raise ScenarioError("scenario.name: expected a non-empty string")
+    if not isinstance(track, str) or not track:
+        raise ScenarioError("scenario.track: expected a non-empty string")
+
+    source = _parse_source(data["source"], "scenario.source")
+    base_detector = _parse_detector(
+        StrobeConfig(), data.get("detector", {}), "scenario.detector"
+    )
+
+    links = data["links"]
+    _require_keys(links, {"publisher", "clients"}, {"publisher", "clients"}, "scenario.links")
+    publisher_link = _parse_link(links["publisher"], "scenario.links.publisher")
+    client_links_raw = links["clients"]
+    if not isinstance(client_links_raw, Mapping):
+        raise ScenarioError("scenario.links.clients: expected an object")
+
+    raw_clients = data["clients"]
+    if not isinstance(raw_clients, list) or not raw_clients:
+        raise ScenarioError("scenario.clients: expected a non-empty list")
+
+    client_names: list[str] = []
+    specs: list[ClientSpec] = []
+    for i, raw in enumerate(raw_clients):
+        where = f"scenario.clients[{i}]"
+        _require_keys(raw, _CLIENT_KEYS, {"name"}, where)
+        cname = raw["name"]
+        if not isinstance(cname, str) or not cname:
+            raise ScenarioError(f"{where}.name: expected a non-empty string")
+        if cname in client_names or cname == "publisher" or cname == "relay":
+            raise ScenarioError(f"{where}: duplicate or reserved client name {cname!r}")
+        client_names.append(cname)
+        analyze = _parse_categories(raw["analyze"], f"{where}.analyze") if "analyze" in raw else ()
+        filter_ = _parse_categories(raw["filter"], f"{where}.filter") if "filter" in raw else ()
+        if analyze and filter_:
+            raise ScenarioError(f"{where}: a client cannot both analyze and filter")
+        if not analyze and "analysis_time_ms" in raw:
+            raise ScenarioError(f"{where}: analysis_time_ms only applies to analyzers")
+        if not analyze and "detector" in raw:
+            raise ScenarioError(f"{where}: detector overrides only apply to analyzers")
+        detector = _parse_detector(base_detector, raw.get("detector", {}), f"{where}.detector")
+        if cname not in client_links_raw:
+            raise ScenarioError(f"scenario.links.clients: no link for client {cname!r}")
+        link = _parse_link(client_links_raw[cname], f"scenario.links.clients.{cname}")
+        specs.append(
+            ClientSpec(
+                name=cname,
+                analyze=analyze,
+                filter=filter_,
+                analysis_time_ms=_number(
+                    raw.get("analysis_time_ms", 0.0), f"{where}.analysis_time_ms", 0.0
+                ),
+                detector=detector,
+                link=link,
+            )
+        )
+
+    extra_links = set(client_links_raw) - set(client_names)
+    if extra_links:
+        raise ScenarioError(f"scenario.links.clients: links for unknown clients {sorted(extra_links)}")
+
+    analyzed_codes = {code for spec in specs for code in spec.analyze}
+    problems = []
+    for spec in specs:
+        missing = [category_name(c).lower() for c in spec.filter if c not in analyzed_codes]
+        if missing:
+            problems.append(f"client {spec.name!r}: no analyzer covers {', '.join(missing)}")
+    if problems:
+        raise ScenarioError("; ".join(problems))
+
+    stub_raw = data.get("stub_verdicts", {})
+    if not isinstance(stub_raw, Mapping):
+        raise ScenarioError("scenario.stub_verdicts: expected an object")
+    stub_pairs: list[tuple[int, bool]] = []
+    for key, value in stub_raw.items():
+        try:
+            code = category_code(key)
+        except ValueError as exc:
+            raise ScenarioError(f"scenario.stub_verdicts: {exc}") from None
+        if code not in _STUB_CATEGORIES:
+            raise ScenarioError(
+                f"scenario.stub_verdicts: {key!r} has a real detector, not a stub"
+            )
+        if not isinstance(value, bool):
+            raise ScenarioError(f"scenario.stub_verdicts.{key}: expected true/false")
+        stub_pairs.append((int(code), value))
+
+    checks_raw = data.get("checks", {})
+    _require_keys(checks_raw, {"added_latency_band_ms"}, set(), "scenario.checks")
+    band = None
+    if "added_latency_band_ms" in checks_raw:
+        raw_band = checks_raw["added_latency_band_ms"]
+        if not isinstance(raw_band, list) or len(raw_band) != 2:
+            raise ScenarioError("scenario.checks.added_latency_band_ms: expected [low, high]")
+        low = _number(raw_band[0], "scenario.checks.added_latency_band_ms[0]")
+        high = _number(raw_band[1], "scenario.checks.added_latency_band_ms[1]")
+        if low > high:
+            raise ScenarioError("scenario.checks.added_latency_band_ms: low > high")
+        band = (low, high)
+
+    draws = None
+    if "delay_draws" in data:
+        raw_draws = data["delay_draws"]
+        _require_keys(
+            raw_draws,
+            {"count", "seed", "min_ms", "max_ms"},
+            {"count", "seed", "min_ms", "max_ms"},
+            "scenario.delay_draws",
+        )
+        draws = DelayDraws(
+            count=_integer(raw_draws["count"], "scenario.delay_draws.count", 1),
+            seed=_integer(raw_draws["seed"], "scenario.delay_draws.seed"),
+            min_ms=_integer(raw_draws["min_ms"], "scenario.delay_draws.min_ms", 0),
+            max_ms=_integer(raw_draws["max_ms"], "scenario.delay_draws.max_ms", 0),
+        )
+        if draws.min_ms > draws.max_ms:
+            raise ScenarioError("scenario.delay_draws: min_ms > max_ms")
+
+    return Scenario(
+        name=name,
+        track=track,
+        source=source,
+        publisher_link=publisher_link,
+        clients=tuple(specs),
+        seed=_integer(data.get("seed", 0), "scenario.seed"),
+        publish_epoch_ms=_number(data.get("publish_epoch_ms", 0.0), "scenario.publish_epoch_ms", 0.0),
+        duration_ms=_number(data.get("duration_ms", 600_000.0), "scenario.duration_ms", 1.0),
+        retention_groups=_integer(data.get("retention_groups", 64), "scenario.retention_groups", 1),
+        playback_buffer_groups=_number(
+            data.get("playback_buffer_groups", 1.0), "scenario.playback_buffer_groups", 0.0
+        ),
+        stub_verdicts=tuple(stub_pairs),
+        checks=Checks(added_latency_band_ms=band),
+        delay_draws=draws,
+    )
+
+
+def load_scenario(path: Any) -> Scenario:
+    """Read a scenario from a JSON file (path or importlib traversable)."""
+    try:
+        text = path.read_text() if hasattr(path, "read_text") else Path(path).read_text()
+    except OSError as exc:
+        raise ScenarioError(f"cannot read scenario file: {exc}") from None
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"scenario is not valid JSON: {exc}") from None
+    return scenario_from_dict(data)
+
+
+def bundled_scenario_names() -> list[str]:
+    root = resources.files("moqgate").joinpath("scenarios")
+    return sorted(p.name[: -len(".json")] for p in root.iterdir() if p.name.endswith(".json"))
+
+
+def bundled_scenario_path(name: str):
+    path = resources.files("moqgate").joinpath("scenarios", f"{name}.json")
+    if not path.is_file():
+        raise ScenarioError(
+            f"no bundled scenario named {name!r}; available: {', '.join(bundled_scenario_names())}"
+        )
+    return path
+
+
+# ---------------------------------------------------------------------------
+# latency bound
+# ---------------------------------------------------------------------------
+
+
+def _covering_analyzers(scenario: Scenario, spec: ClientSpec) -> list[ClientSpec]:
+    return [
+        a for a in scenario.clients if a.analyze and set(a.analyze) & set(spec.filter)
+    ]
+
+
+def _bound_for(scenario: Scenario, spec: ClientSpec, links: Mapping[str, LinkSpec]) -> float:
+    """Latency bound via the reusable model (one of two independent routes)."""
+    covering = _covering_analyzers(scenario, spec)
+    pub = links["publisher"]
+    model = LatencyModel(
+        gop_duration_ms=float(scenario.source.gop_duration_ms),
+        publisher_uplink_ms=pub.to_relay_ms + pub.jitter_ms,
+        analyzer_links_ms=tuple(
+            (
+                links[a.name].from_relay_ms + links[a.name].jitter_ms,
+                links[a.name].to_relay_ms + links[a.name].jitter_ms,
+            )
+            for a in covering
+        ),
+        subscriber_downlink_ms=links[spec.name].from_relay_ms + links[spec.name].jitter_ms,
+        analysis_time_ms=max(a.analysis_time_ms for a in covering),
+    )
+    return predict_latency_bound(model)
+
+
+def _bound_recomputed(
+    scenario: Scenario, spec: ClientSpec, links: Mapping[str, LinkSpec]
+) -> float:
+    """Same bound spelled out arithmetically, independent of LatencyModel."""
+    covering = _covering_analyzers(scenario, spec)
+    pub = links["publisher"]
+    worst_down = max(links[a.name].from_relay_ms + links[a.name].jitter_ms for a in covering)
+    worst_up = max(links[a.name].to_relay_ms + links[a.name].jitter_ms for a in covering)
+    worst_analysis = max(a.analysis_time_ms for a in covering)
+    return (
+        scenario.source.gop_duration_ms
+        + pub.to_relay_ms
+        + pub.jitter_ms
+        + worst_down
+        + worst_up
+        + worst_analysis
+        + links[spec.name].from_relay_ms
+        + links[spec.name].jitter_ms
+    )
+
+
+def predict_bounds(scenario: Scenario) -> dict[str, float]:
+    """Predicted end-to-end bound for every filtered client, base links."""
+    links = _base_links(scenario)
+    return {
+        spec.name: _bound_for(scenario, spec, links)
+        for spec in scenario.clients
+        if spec.filter
+    }
+
+
+def _base_links(scenario: Scenario) -> dict[str, LinkSpec]:
+    links = {"publisher": scenario.publisher_link}
+    for spec in scenario.clients:
+        links[spec.name] = spec.link
+    return links
+
+
+def _drawn_links(scenario: Scenario, rng: random.Random) -> dict[str, LinkSpec]:
+    """Replace every base delay with an integer draw; jitter is kept."""
+    draws = scenario.delay_draws
+    assert draws is not None
+
+    def draw() -> float:
+        return float(rng.randint(draws.min_ms, draws.max_ms))
+
+    links = {
+        "publisher": LinkSpec(draw(), draw(), scenario.publisher_link.jitter_ms)
+    }
+    for spec in scenario.clients:
+        links[spec.name] = LinkSpec(draw(), draw(), spec.link.jitter_ms)
+    return links
+
+
+# ---------------------------------------------------------------------------
+# single run
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class _RunResult:
+    index: int
+    links: dict[str, LinkSpec]
+    records: dict[str, list[LatencyRecord]]
+    delivered: dict[str, list[int]]
+    approvals: dict[str, list[tuple[int, list[int]]]]
+    log: EventLog
+    end_time_ms: float
+    timed_out: bool = False
+
+
+def _run_once(
+    scenario: Scenario,
+    groups: list[Group],
+    links: Mapping[str, LinkSpec],
+    index: int,
+) -> _RunResult:
+    net = SimNetwork()
+    log = EventLog(lambda: net.now)
+    core = RelayCore(retention=scenario.retention_groups, log=log)
+    server = RelayServer(net, core=core, log=log)
+
+    def make_link(spec: LinkSpec, name: str) -> Link:
+        return Link(
+            delay_ms=spec.to_relay_ms,
+            reverse_delay_ms=spec.from_relay_ms,
+            jitter_ms=spec.jitter_ms,
+            seed=derive_seed(str(scenario.seed), "run", str(index), "link", name),
+        )
+
+    pub_session, relay_pub = net.connect(
+        make_link(links["publisher"], "publisher"), "publisher", "relay"
+    )
+    server.attach("publisher", relay_pub)
+
+    clients: dict[str, AnalyzerClient | SubscriberClient] = {}
+    for sub_id, spec in enumerate(scenario.clients, start=1):
+        client_session, relay_session = net.connect(
+            make_link(links[spec.name], spec.name), spec.name, "relay"
+        )
+        server.attach(spec.name, relay_session)
+        if spec.analyze:
+            registry = default_registry(
+                strobe_config=spec.detector,
+                smoking_approve=scenario.stub_verdict(Category.SMOKING),
+                alcohol_approve=scenario.stub_verdict(Category.ALCOHOL),
+            )
+            client: AnalyzerClient | SubscriberClient = AnalyzerClient(
+                net,
+                client_session,
+                scenario.track,
+                spec.analyze,
+                sub_id,
+                registry=registry,
+                analysis_time_ms=spec.analysis_time_ms,
+                gop_duration_ms=float(scenario.source.gop_duration_ms),
+                log=log,
+                name=spec.name,
+            )
+        else:
+            client = SubscriberClient(
+                net,
+                client_session,
+                scenario.track,
+                sub_id,
+                filter_categories=spec.filter or None,
+                log=log,
+                name=spec.name,
+            )
+        client.start()
+        clients[spec.name] = client
+
+    publisher = PublisherClient(
+        net,
+        pub_session,
+        scenario.track,
+        groups,
+        epoch_ms=scenario.publish_epoch_ms,
+        log=log,
+        name="publisher",
+    )
+    publisher.start()
+
+    timed_out = False
+    try:
+        end_time = net.run_until_idle(max_virtual_ms=scenario.duration_ms)
+    except SimTimeoutError:
+        timed_out = True
+        end_time = net.now
+
+    records: dict[str, list[LatencyRecord]] = {}
+    delivered: dict[str, list[int]] = {}
+    approvals: dict[str, list[tuple[int, list[int]]]] = {}
+    for spec in scenario.clients:
+        client = clients[spec.name]
+        if isinstance(client, AnalyzerClient):
+            ordered = [client.records[g] for g in sorted(client.records)]
+            records[spec.name] = ordered
+            delivered[spec.name] = sorted(client.records)
+            approvals[spec.name] = [
+                (event.detail["group_id"], list(event.detail["categories"]))
+                for event in log.filter(kind="approve_sent", source=spec.name)
+            ]
+        else:
+            records[spec.name] = client.latency_records()
+            delivered[spec.name] = client.delivered_group_ids()
+    return _RunResult(
+        index=index,
+        links=dict(links),
+        records=records,
+        delivered=delivered,
+        approvals=approvals,
+        log=log,
+        end_time_ms=end_time,
+        timed_out=timed_out,
+    )
+
+
+# ---------------------------------------------------------------------------
+# checks
+# ---------------------------------------------------------------------------
+
+
+def _expected_blocked(scenario: Scenario, spec: ClientSpec, n_groups: int) -> set[int]:
+    """Groups the gate must withhold from this client, per category oracle."""
+    blocked: set[int] = set()
+    for code in spec.filter:
+        covering = [a for a in scenario.clients if code in a.analyze]
+        if code == Category.STROBE:
+            # blocked only if every covering analyzer flags the group
+            risky_sets = [
+                predict_risky_groups(scenario.source, a.detector) for a in covering
+            ]
+            per_cat = set.intersection(*risky_sets) if risky_sets else set()
+        else:
+            per_cat = set(range(n_groups)) if not scenario.stub_verdict(code) else set()
+        blocked |= per_cat
+    return blocked
+
+
+def _check_added_band(
+    scenario: Scenario, runs: list[_RunResult], report_runs: list[dict]
+) -> dict:
+    low, high = scenario.checks.added_latency_band_ms  # type: ignore[misc]
+    failures = []
+    samples = 0
+    for run in report_runs:
+        for spec in scenario.clients:
+            if not spec.filter:
+                continue
+            for record in run["records"][spec.name]:
+                added = record["added_ms"]
+                samples += 1
+                if added is None or not (low <= added <= high):
+                    failures.append(
+                        f"run {run['run']} {spec.name} group {record['group_id']}: {added}"
+                    )
+    if failures:
+        return {
+            "name": "added_latency_band",
+            "passed": False,
+            "detail": f"outside [{low}, {high}] ms: " + "; ".join(failures[:5]),
+        }
+    return {
+        "name": "added_latency_band",
+        "passed": True,
+        "detail": f"{samples} filtered deliveries within [{low}, {high}] ms",
+    }
+
+
+def _check_latency_bound(
+    scenario: Scenario, runs: list[_RunResult], report_runs: list[dict]
+) -> dict:
+    failures = []
+    checked = 0
+    for run, report_run in zip(runs, report_runs):
+        for spec in scenario.clients:
+            if not spec.filter:
+                continue
+            predicted = _bound_for(scenario, spec, run.links)
+            recomputed = _bound_recomputed(scenario, spec, run.links)
+            if abs(predicted - recomputed) > 1e-9:
+                failures.append(
+                    f"run {run.index} {spec.name}: model {predicted} != recomputed {recomputed}"
+                )
+                continue
+            for record in report_run["records"][spec.name]:
+                checked += 1
+                if record["e2e_ms"] > predicted + BOUND_EPSILON_MS:
+                    failures.append(
+                        f"run {run.index} {spec.name} group {record['group_id']}: "
+                        f"{record['e2e_ms']} ms > bound {predicted} + {BOUND_EPSILON_MS}"
+                    )
+    if failures:
+        return {
+            "name": "latency_bound",
+            "passed": False,
+            "detail": "; ".join(failures[:5]),
+        }
+    return {
+        "name": "latency_bound",
+        "passed": True,
+        "detail": f"{checked} deliveries within the predicted bound (+{BOUND_EPSILON_MS} ms)",
+    }
+
+
+def _check_gating_safety(
+    scenario: Scenario, runs: list[_RunResult], n_groups: int
+) -> dict:
+    failures = []
+    for run in runs:
+        for spec in scenario.clients:
+            if not spec.filter:
+                continue
+            blocked = _expected_blocked(scenario, spec, n_groups)
+            expected_delivered = [g for g in range(n_groups) if g not in blocked]
+            actual = run.delivered[spec.name]
+            if actual != expected_delivered:
+                failures.append(
+                    f"run {run.index} {spec.name}: delivered {actual}, expected {expected_delivered}"
+                )
+    if failures:
+        return {"name": "gating_safety", "passed": False, "detail": "; ".join(failures[:5])}
+    return {
+        "name": "gating_safety",
+        "passed": True,
+        "detail": "every filtered client received exactly the approved groups, in order",
+    }
+
+
+def _check_approval_audit(scenario: Scenario, runs: list[_RunResult]) -> dict:
+    """Re-verify, purely from logs, that each gated delivery was fully
+    approved beforehand — independent of the relay's internal ledger."""
+    filtered = {spec.name: spec.filter for spec in scenario.clients if spec.filter}
+    failures = []
+    audited = 0
+    for run in runs:
+        recorded: dict[tuple[int, int], float] = {}
+        for event in run.log.filter(kind="approve_recorded"):
+            for code in event.detail["categories"]:
+                key = (event.detail["group_id"], code)
+                if key not in recorded:
+                    recorded[key] = event.time_ms
+        for event in run.log.filter(kind="group_delivered"):
+            sid = event.detail["sid"]
+            if sid not in filtered:
+                continue
+            audited += 1
+            for code in filtered[sid]:
+                when = recorded.get((event.detail["group_id"], code))
+                if when is None or when > event.time_ms:
+                    failures.append(
+                        f"run {run.index} {sid} group {event.detail['group_id']}: "
+                        f"category {category_name(code).lower()} not approved at delivery"
+                    )
+    if failures:
+        return {"name": "approval_audit", "passed": False, "detail": "; ".join(failures[:5])}
+    return {
+        "name": "approval_audit",
+        "passed": True,
+        "detail": f"{audited} gated deliveries fully approved at delivery time",
+    }
+
+
+def _check_realtime(scenario: Scenario, runs: list[_RunResult]) -> dict:
+    gop = float(scenario.source.gop_duration_ms)
+    failures = []
+    for spec in scenario.clients:
+        if spec.analyze and spec.analysis_time_ms >= gop:
+            failures.append(
+                f"{spec.name}: analysis {spec.analysis_time_ms} ms >= group {gop} ms"
+            )
+    for run in runs:
+        for event in run.log.filter(kind="realtime_violation"):
+            failures.append(f"run {run.index} {event.source}: flagged at runtime")
+        for spec in scenario.clients:
+            if not spec.analyze:
+                continue
+            by_group = {r.group_id: r for r in run.records[spec.name]}
+            for event in run.log.filter(kind="approve_sent", source=spec.name):
+                record = by_group.get(event.detail["group_id"])
+                if record is None:
+                    continue
+                expected = record.complete_arrival_ms + spec.analysis_time_ms
+                if abs(event.time_ms - expected) > 1e-6:
+                    failures.append(
+                        f"run {run.index} {spec.name} group {record.group_id}: approval at "
+                        f"{event.time_ms} ms, expected {expected} ms"
+                    )
+    unique = sorted(set(failures))
+    if unique:
+        return {"name": "realtime_analysis", "passed": False, "detail": "; ".join(unique[:5])}
+    return {
+        "name": "realtime_analysis",
+        "passed": True,
+        "detail": "analysis fits inside one group and approvals left on schedule",
+    }
+
+
+# ---------------------------------------------------------------------------
+# report
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class Report:
+    data: dict
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.data.get("passed"))
+
+    def to_json(self) -> str:
+        return json.dumps(self.data, sort_keys=True, indent=2) + "\n"
+
+    def to_csv(self) -> str:
+        n_groups = self.data["n_groups"]
+        lines = [
+            "run,client,group_id,status,first_arrival_ms,complete_arrival_ms,"
+            "frame_count,e2e_ms,added_ms"
+        ]
+        for run in self.data["runs"]:
+            for client in self.data["client_order"]:
+                by_group = {r["group_id"]: r for r in run["records"][client]}
+                for gid in range(n_groups):
+                    record = by_group.get(gid)
+                    if record is None:
+                        lines.append(f"{run['run']},{client},{gid},skipped,,,,,")
+                        continue
+                    added = record["added_ms"]
+                    lines.append(
+                        ",".join(
+                            [
+                                str(run["run"]),
+                                client,
+                                str(gid),
+                                "delivered",
+                                str(record["first_arrival_ms"]),
+                                str(record["complete_arrival_ms"]),
+                                str(record["frame_count"]),
+                                str(record["e2e_ms"]),
+                                "" if added is None else str(added),
+                            ]
+                        )
+                    )
+        return "\n".join(lines) + "\n"
+
+    def to_text(self) -> str:
+        data = self.data
+        lines = [
+            f"scenario: {data['scenario']}",
+            f"groups: {data['n_groups']}  gop: {data['gop_duration_ms']} ms  "
+            f"runs: {len(data['runs'])}",
+        ]
+        for name in data["client_order"]:
+            roles = data["clients"][name]
+            if roles["analyze"]:
+                desc = "analyze " + ",".join(roles["analyze"])
+            elif roles["filter"]:
+                desc = "filter " + ",".join(roles["filter"])
+            else:
+                desc = "plain"
+            lines.append(f"client {name}: {desc}")
+        for run in data["runs"]:
+            for name in data["client_order"]:
+                got = len(run["delivered"][name])
+                skipped = len(run["skipped"][name])
+                stalls = run["playback"][name]["total_stall_ms"]
+                lines.append(
+                    f"run {run['run']} {name}: delivered {got}/{data['n_groups']}"
+                    f" skipped {skipped} stalled {stalls} ms"
+                )
+            for name, bounds in sorted(run["bounds"].items()):
+                lines.append(
+                    f"run {run['run']} {name}: bound {bounds['predicted_ms']} ms,"
+                    f" worst observed {bounds['max_observed_e2e_ms']} ms"
+                )
+        lines.append("checks:")
+        for check in data["checks"]:
+            tag = "PASS" if check["passed"] else "FAIL"
+            lines.append(f"[{tag}] {check['name']}: {check['detail']}")
+        if data.get("timeout"):
+            lines.append("WARNING: virtual-time budget exhausted; report is partial")
+        lines.append("RESULT: " + ("PASSED" if data["passed"] else "FAILED"))
+        return "\n".join(lines) + "\n"
+
+
+def _run_to_dict(scenario: Scenario, run: _RunResult, n_groups: int) -> dict:
+    epoch = scenario.publish_epoch_ms
+    gop = float(scenario.source.gop_duration_ms)
+    reference = next((s.name for s in scenario.clients if s.analyze), None)
+
+    records_out: dict[str, list[dict]] = {}
+    delivered_out: dict[str, list[int]] = {}
+    skipped_out: dict[str, list[int]] = {}
+    playback_out: dict[str, dict] = {}
+    bounds_out: dict[str, dict] = {}
+    for spec in scenario.clients:
+        rows = []
+        for record in run.records[spec.name]:
+            added = None
+            if spec.filter and reference is not None:
+                ref_records = {r.group_id: r for r in run.records[reference]}
+                ref = ref_records.get(record.group_id)
+                if ref is not None:
+                    added = record.first_arrival_ms - ref.first_arrival_ms
+            rows.append(
+                {
+                    "group_id": record.group_id,
+                    "first_arrival_ms": record.first_arrival_ms,
+                    "complete_arrival_ms": record.complete_arrival_ms,
+                    "frame_count": record.frame_count,
+                    "e2e_ms": record.complete_arrival_ms - (epoch + record.group_id * gop),
+                    "added_ms": added,
+                }
+            )
+        records_out[spec.name] = rows
+        delivered_out[spec.name] = list(run.delivered[spec.name])
+        skipped_out[spec.name] = sorted(set(range(n_groups)) - set(run.delivered[spec.name]))
+        stats = compute_playback(
+            run.records[spec.name], gop, scenario.playback_buffer_groups * gop
+        )
+        playback_out[spec.name] = {
+            "start_ms": stats.start_ms,
+            "stalls": [[due, gap] for due, gap in stats.stalls],
+            "total_stall_ms": stats.total_stall_ms,
+        }
+        if spec.filter:
+            e2es = [row["e2e_ms"] for row in rows]
+            addeds = [row["added_ms"] for row in rows if row["added_ms"] is not None]
+            bounds_out[spec.name] = {
+                "predicted_ms": _bound_for(scenario, spec, run.links),
+                "max_observed_e2e_ms": max(e2es) if e2es else None,
+                "max_added_ms": max(addeds) if addeds else None,
+            }
+
+    return {
+        "run": run.index,
+        "links": {
+            "publisher": run.links["publisher"].as_dict(),
+            "clients": {
+                spec.name: run.links[spec.name].as_dict() for spec in scenario.clients
+            },
+        },
+        "records": records_out,
+        "delivered": delivered_out,
+        "skipped": skipped_out,
+        "approvals": {name: [[gid, cats] for gid, cats in items] for name, items in run.approvals.items()},
+        "playback": playback_out,
+        "bounds": bounds_out,
+        "end_time_ms": run.end_time_ms,
+    }
+
+
+def _build_report(
+    scenario: Scenario,
+    runs: list[_RunResult],
+    n_groups: int,
+    timed_out: bool,
+) -> Report:
+    report_runs = [_run_to_dict(scenario, run, n_groups) for run in runs]
+    checks: list[dict] = []
+    if not timed_out:
+        if scenario.checks.added_latency_band_ms is not None:
+            checks.append(_check_added_band(scenario, runs, report_runs))
+        checks.append(_check_latency_bound(scenario, runs, report_runs))
+        checks.append(_check_gating_safety(scenario, runs, n_groups))
+        checks.append(_check_approval_audit(scenario, runs))
+        checks.append(_check_realtime(scenario, runs))
+    data = {
+        "scenario": scenario.name,
+        "track": scenario.track,
+        "seed": scenario.seed,
+        "n_groups": n_groups,
+        "gop_duration_ms": scenario.source.gop_duration_ms,
+        "publish_epoch_ms": scenario.publish_epoch_ms,
+        "client_order": [spec.name for spec in scenario.clients],
+        "clients": {
+            spec.name: {
+                "analyze": [category_name(c).lower() for c in spec.analyze],
+                "filter": [category_name(c).lower() for c in spec.filter],
+                "analysis_time_ms": spec.analysis_time_ms,
+            }
+            for spec in scenario.clients
+        },
+        "runs": report_runs,
+        "checks": checks,
+        "timeout": timed_out,
+        "passed": bool(checks) and all(c["passed"] for c in checks) and not timed_out,
+    }
+    return Report(data)
+
+
+def run_scenario(scenario: Scenario) -> Report:
+    """Simulate the scenario (once, or once per delay draw) and check it.
+
+    Raises :class:`ScenarioTimeoutError` carrying the partial report if the
+    virtual-time budget is exhausted.
+    """
+    groups = generate_groups(scenario.source)
+    n_groups = len(groups)
+    runs: list[_RunResult] = []
+    if scenario.delay_draws is None:
+        runs.append(_run_once(scenario, groups, _base_links(scenario), 0))
+    else:
+        rng = random.Random(derive_seed("delay_draws", str(scenario.delay_draws.seed)))
+        for index in range(scenario.delay_draws.count):
+            links = _drawn_links(scenario, rng)
+            runs.append(_run_once(scenario, groups, links, index))
+            if runs[-1].timed_out:
+                break
+    timed_out = any(run.timed_out for run in runs)
+    report = _build_report(scenario, runs, n_groups, timed_out)
+    if timed_out:
+        raise ScenarioTimeoutError(
+            f"scenario {scenario.name!r} exceeded its {scenario.duration_ms} ms budget",
+            report,
+        )
+    return report
