@@ -17,6 +17,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .analysis import DetectorRegistry, Verdict, default_registry
 from .eventlog import EventLog
@@ -126,12 +127,48 @@ class PublisherClient:
 
 
 class _GroupAssembly:
-    """Per-stream reassembly scratchpad shared by the receiving clients."""
+    """Receive path shared by the receiving clients: reassembles one group
+    stream and records when its first frame and its end arrived."""
 
     def __init__(self) -> None:
         self.parser = GroupStreamParser()
         self.first_arrival: float | None = None
-        self.payloads: list[bytes] = []
+
+    @classmethod
+    def attach(
+        cls,
+        net: SimNetwork,
+        session: Session,
+        on_group: Callable[[LatencyRecord, list[bytes]], None],
+    ) -> None:
+        """Assemble every incoming stream of ``session``; ``on_group(record,
+        payloads)`` runs as each group's stream finishes."""
+
+        def on_stream(rs: RecvStream) -> None:
+            assembly = cls()
+
+            def on_data(data: bytes, fin: bool) -> None:
+                done = assembly.feed(data, fin, net.now)
+                if done is not None:
+                    on_group(*done)
+
+            rs.set_on_data(on_data)
+
+        session.set_on_stream(on_stream)
+
+    def feed(
+        self, data: bytes, fin: bool, now: float
+    ) -> tuple[LatencyRecord, list[bytes]] | None:
+        """Feed one chunk; returns the group's record and frame payloads
+        once ``fin`` arrives."""
+        if self.parser.feed(data, fin) and self.first_arrival is None:
+            self.first_arrival = now
+        if not fin:
+            return None
+        group_id = self.parser.group_id
+        assert group_id is not None and self.first_arrival is not None
+        payloads = self.parser.frames
+        return LatencyRecord(group_id, self.first_arrival, now, len(payloads)), payloads
 
 
 class AnalyzerClient:
@@ -163,7 +200,7 @@ class AnalyzerClient:
         self.records: dict[int, LatencyRecord] = {}
         self.verdicts: dict[int, Verdict] = {}
         self._states: dict[int, object] = {}
-        session.set_on_stream(self._on_stream)
+        _GroupAssembly.attach(net, session, self._on_group)
 
     @property
     def realtime_ok(self) -> bool:
@@ -186,24 +223,9 @@ class AnalyzerClient:
         )
         self.session.send_control(encode_message(msg))
 
-    def _on_stream(self, rs: RecvStream) -> None:
-        assembly = _GroupAssembly()
-        rs.set_on_data(lambda data, fin: self._on_data(assembly, data, fin))
-
-    def _on_data(self, assembly: _GroupAssembly, data: bytes, fin: bool) -> None:
-        payloads = assembly.parser.feed(data, fin)
-        if payloads and assembly.first_arrival is None:
-            assembly.first_arrival = self.net.now
-        assembly.payloads.extend(payloads)
-        if not fin:
-            return
-        group_id = assembly.parser.group_id
-        assert group_id is not None and assembly.first_arrival is not None
-        record = LatencyRecord(
-            group_id, assembly.first_arrival, self.net.now, len(assembly.payloads)
-        )
-        self.records[group_id] = record
-        self._analyze(group_id, assembly.payloads)
+    def _on_group(self, record: LatencyRecord, payloads: list[bytes]) -> None:
+        self.records[record.group_id] = record
+        self._analyze(record.group_id, payloads)
 
     def _analyze(self, group_id: int, payloads: list[bytes]) -> None:
         frames = tuple(decode_frame_payload(p) for p in payloads)
@@ -283,7 +305,7 @@ class SubscriberClient:
         self.log = log if log is not None else EventLog(lambda: net.now)
         self.records: dict[int, LatencyRecord] = {}
         self._arrival_order: list[int] = []
-        session.set_on_stream(self._on_stream)
+        _GroupAssembly.attach(net, session, self._on_group)
 
     def start(self) -> None:
         params = ()
@@ -292,28 +314,13 @@ class SubscriberClient:
         msg = Subscribe(self.subscribe_id, self.track, 0, params)
         self.session.send_control(encode_message(msg))
 
-    def _on_stream(self, rs: RecvStream) -> None:
-        assembly = _GroupAssembly()
-        rs.set_on_data(lambda data, fin: self._on_data(assembly, data, fin))
-
-    def _on_data(self, assembly: _GroupAssembly, data: bytes, fin: bool) -> None:
-        payloads = assembly.parser.feed(data, fin)
-        if payloads and assembly.first_arrival is None:
-            assembly.first_arrival = self.net.now
-        assembly.payloads.extend(payloads)
-        if not fin:
-            return
-        group_id = assembly.parser.group_id
-        assert group_id is not None and assembly.first_arrival is not None
-        record = LatencyRecord(
-            group_id, assembly.first_arrival, self.net.now, len(assembly.payloads)
-        )
-        self.records[group_id] = record
-        self._arrival_order.append(group_id)
+    def _on_group(self, record: LatencyRecord, payloads: list[bytes]) -> None:
+        self.records[record.group_id] = record
+        self._arrival_order.append(record.group_id)
         self.log.emit(
             self.name,
             "group_received",
-            group_id=group_id,
+            group_id=record.group_id,
             frame_count=record.frame_count,
         )
 

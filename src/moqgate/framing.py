@@ -61,10 +61,18 @@ class GroupStreamParser:
     ``feed`` returns the frame payloads completed by that chunk.  Raises
     :class:`IncompleteError` if the stream finishes mid-structure and
     :class:`MalformedError` on bytes beyond the declared frame count.
+
+    Parsing is by offset over the unparsed chunks, which are joined only
+    once they can hold the next frame, so the cost is linear in the
+    stream's size however its frames are split; each payload is copied once.
     """
 
     def __init__(self) -> None:
-        self._buffer = bytearray()
+        # Unparsed chunks, oldest first, and how many bytes they must add
+        # up to before the frame they begin can be complete.
+        self._held: list[bytes] = []
+        self._held_bytes = 0
+        self._needed = 0
         self.track: str | None = None
         self.group_id: int | None = None
         self.frame_count: int | None = None
@@ -74,33 +82,52 @@ class GroupStreamParser:
     def feed(self, data: bytes, fin: bool = False) -> list[bytes]:
         if data and self.complete:
             raise MalformedError("data after the declared final frame")
-        self._buffer += data
         done: list[bytes] = []
-        while True:
-            if self.frame_count is None:
-                if not self._try_parse_header():
-                    break
-                continue
-            if len(self.frames) >= self.frame_count:
-                self.complete = True
-                if self._buffer:
-                    raise MalformedError("data after the declared final frame")
-                break
-            payload = self._try_parse_frame()
-            if payload is None:
-                break
-            self.frames.append(payload)
-            done.append(payload)
+        if data:
+            self._held.append(bytes(data))
+            self._held_bytes += len(data)
+            if self._held_bytes >= self._needed:
+                done = self._parse(b"".join(self._held))
         if fin and not self.complete:
             raise IncompleteError("stream ended before the declared final frame")
         return done
 
-    def _try_parse_header(self) -> bool:
-        buf = bytes(self._buffer)
+    def _parse(self, buf: bytes) -> list[bytes]:
+        pos = 0
+        if self.frame_count is None:
+            pos = self._parse_header(buf)
+        done: list[bytes] = []
+        self._needed = 0
+        if self.frame_count is not None:
+            size = len(buf)
+            wanted = self.frame_count - len(self.frames)
+            while pos < size and len(done) < wanted:
+                try:
+                    length, n = decode_varint(buf, pos)
+                except IncompleteError:
+                    break
+                start = pos + n
+                if size < start + length:
+                    self._needed = start + length - pos
+                    break
+                pos = start + length
+                done.append(buf[start:pos])
+            self.frames += done
+            self.complete = len(self.frames) >= self.frame_count
+        tail = buf[pos:]
+        self._held = [tail] if tail else []
+        self._held_bytes = len(tail)
+        if self.complete and tail:
+            raise MalformedError("data after the declared final frame")
+        return done
+
+    def _parse_header(self, buf: bytes) -> int:
+        """Parse the header if ``buf`` holds all of it; returns the offset
+        just past it, or 0 when more bytes are needed."""
         try:
             name_len, pos = decode_varint(buf)
             if len(buf) < pos + name_len:
-                raise IncompleteError("truncated track name")
+                return 0
             raw_name = buf[pos : pos + name_len]
             pos += name_len
             group_id, n = decode_varint(buf, pos)
@@ -108,45 +135,38 @@ class GroupStreamParser:
             frame_count, n = decode_varint(buf, pos)
             pos += n
         except IncompleteError:
-            return False
+            return 0
         try:
             self.track = raw_name.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise MalformedError(f"track name is not valid UTF-8: {exc}") from None
         self.group_id = group_id
         self.frame_count = frame_count
-        del self._buffer[:pos]
-        return True
-
-    def _try_parse_frame(self) -> bytes | None:
-        buf = bytes(self._buffer)
-        try:
-            length, pos = decode_varint(buf)
-        except IncompleteError:
-            return None
-        if len(buf) < pos + length:
-            return None
-        payload = buf[pos : pos + length]
-        del self._buffer[: pos + length]
-        return payload
+        return pos
 
 
 class ControlStreamDecoder:
-    """Reassembles complete control messages from a byte stream."""
+    """Reassembles complete control messages from a byte stream.
+
+    Like :class:`GroupStreamParser`, each ``feed`` decodes by offset and
+    keeps only the undecoded remainder.
+    """
 
     def __init__(self) -> None:
-        self._buffer = bytearray()
+        self._buffer = b""
 
     def feed(self, data: bytes) -> list[ControlMessage]:
-        self._buffer += data
+        buf = self._buffer + data if self._buffer else bytes(data)
+        pos = 0
         messages: list[ControlMessage] = []
-        while self._buffer:
+        while pos < len(buf):
             try:
-                message, consumed = decode_message(bytes(self._buffer))
+                message, consumed = decode_message(buf, pos)
             except IncompleteError:
                 break
             messages.append(message)
-            del self._buffer[:consumed]
+            pos += consumed
+        self._buffer = buf[pos:]
         return messages
 
     @property

@@ -939,12 +939,14 @@ def _run_to_dict(scenario: Scenario, run: _RunResult, n_groups: int) -> dict:
     skipped_out: dict[str, list[int]] = {}
     playback_out: dict[str, dict] = {}
     bounds_out: dict[str, dict] = {}
+    ref_records = (
+        {r.group_id: r for r in run.records[reference]} if reference is not None else {}
+    )
     for spec in scenario.clients:
         rows = []
         for record in run.records[spec.name]:
             added = None
             if spec.filter and reference is not None:
-                ref_records = {r.group_id: r for r in run.records[reference]}
                 ref = ref_records.get(record.group_id)
                 if ref is not None:
                     added = record.first_arrival_ms - ref.first_arrival_ms

@@ -17,7 +17,9 @@ for that subscriber (live playback favors fresh content over stale).
 its handlers return :data:`Action` lists.  :class:`RelayServer` binds a core
 to simulated network sessions, forwards frames live, executes gated
 deliveries, and raises log-only stall alarms when gating starves a
-subscriber.
+subscriber.  The server stores each group in the core once, as the encoded
+stream it forwarded live, and every gated delivery of that group sends the
+same bytes object.
 """
 
 from __future__ import annotations
@@ -512,7 +514,7 @@ class RelayServer:
                     live.fanout.pop(sub_sid, None)
         if fin and live is not None:
             self._live.pop(live.track, None)
-            actions = self.core.ingest_group(live.track, live.group_id, tuple(parser.frames))
+            actions = self.core.ingest_group(live.track, live.group_id, bytes(live.sent_bytes))
             self._execute(actions)
             self._schedule_stall_checks(live.track, live.group_id)
 
@@ -570,13 +572,10 @@ class RelayServer:
         session = self._sessions.get(action.sid)
         if session is None:
             return
-        payloads = action.payload
-        assert isinstance(payloads, tuple)
-        blob = encode_group_header(action.track, action.group_id, len(payloads))
-        blob += b"".join(encode_frame_chunk(p) for p in payloads)
+        assert isinstance(action.payload, bytes)
         try:
             stream = session.open_stream()
-            stream.end(blob)
+            stream.end(action.payload)
         except DisconnectedError:
             self._on_close(action.sid)
             return

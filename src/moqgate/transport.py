@@ -8,6 +8,10 @@ optional seeded jitter draw, with arrival order preserved *within* each
 stream (later chunks never overtake earlier ones); separate streams may
 interleave freely, as on a real multiplexed connection.
 
+A receiving stream either hands each chunk to a registered ``on_data``
+callback or, when none is set, buffers it in ``chunks`` for polling; it
+never does both, so a callback-driven receiver holds no second copy.
+
 All timestamps are virtual milliseconds.  Runs are fully deterministic for
 a given seed: jitter generators are seeded from a hash of the link seed and
 direction, never from interpreter-dependent state.
@@ -160,7 +164,12 @@ _CONTROL_STREAM_ID = 0
 
 
 class RecvStream:
-    """Receiving end of a unidirectional stream."""
+    """Receiving end of a unidirectional stream.
+
+    Chunks are passed to the ``on_data`` callback when one is registered;
+    only without a callback are they buffered in ``chunks`` (with their
+    ``arrival_times``) for polling.
+    """
 
     def __init__(self, stream_id: int) -> None:
         self.stream_id = stream_id
@@ -178,13 +187,13 @@ class RecvStream:
         self._on_data = fn
 
     def _push(self, data: bytes, fin: bool, now: float) -> None:
-        if data:
-            self.chunks.append(data)
-            self.arrival_times.append(now)
         if fin:
             self.finished = True
         if self._on_data is not None:
             self._on_data(data, fin)
+        elif data:
+            self.chunks.append(data)
+            self.arrival_times.append(now)
 
 
 class SendStream:

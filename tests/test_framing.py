@@ -127,7 +127,111 @@ class TestGroupStreamParser:
         assert parser.complete is False
 
 
+def long_group(n_frames=1000) -> Group:
+    frames = tuple(
+        LuminanceFrame(4, 2, i, i * 2, bytes((i + k) % 256 for k in range(8)))
+        for i in range(n_frames)
+    )
+    return Group(42, frames, 2 * n_frames)
+
+
+class TestLongGroup:
+    """A 1000-frame group parses the same however its stream is split."""
+
+    TRACK = "big"
+
+    def _parse(self, pieces):
+        parser = GroupStreamParser()
+        collected = []
+        for j, piece in enumerate(pieces):
+            collected += parser.feed(piece, fin=(j == len(pieces) - 1))
+        return parser, collected
+
+    def _check(self, parser, collected, group):
+        expected = [encode_frame_payload(f) for f in group.frames]
+        assert collected == expected
+        assert parser.frames == expected
+        assert parser.track == self.TRACK
+        assert parser.group_id == group.group_id
+        assert parser.complete is True
+
+    def test_one_burst_frame_by_frame_and_random_splits_agree(self):
+        group = long_group()
+        blob = encode_group_stream(self.TRACK, group)
+        header = encode_group_header(self.TRACK, group.group_id, len(group.frames))
+        per_frame = [header] + [
+            encode_frame_chunk(encode_frame_payload(f)) for f in group.frames
+        ]
+        assert b"".join(per_frame) == blob
+        self._check(*self._parse([blob]), group)
+        self._check(*self._parse(per_frame), group)
+        rng = random.Random(1234)
+        for _ in range(20):
+            cuts = sorted(rng.sample(range(1, len(blob)), rng.randint(1, 300)))
+            pieces = [blob[a:b] for a, b in zip([0] + cuts, cuts + [len(blob)])]
+            self._check(*self._parse(pieces), group)
+
+    def test_frame_by_frame_returns_each_payload_on_its_chunk(self):
+        group = long_group(50)
+        parser = GroupStreamParser()
+        assert parser.feed(encode_group_header(self.TRACK, 42, 50)) == []
+        for f in group.frames:
+            payload = encode_frame_payload(f)
+            assert parser.feed(encode_frame_chunk(payload)) == [payload]
+        assert parser.complete
+
+    def test_large_frame_in_small_chunks_completes_on_its_last_chunk(self):
+        payload = bytes(range(256)) * 64
+        blob = encode_group_header(self.TRACK, 1, 1) + encode_frame_chunk(payload)
+        pieces = [blob[i : i + 100] for i in range(0, len(blob), 100)]
+        parser = GroupStreamParser()
+        for piece in pieces[:-1]:
+            assert parser.feed(piece) == []
+        assert parser.feed(pieces[-1], fin=True) == [payload]
+        assert parser.complete
+
+    @pytest.mark.parametrize("cut", [1, 7, 5000, -3])
+    def test_trailing_bytes_rejected_after_held_tail(self, cut):
+        blob = encode_group_stream(self.TRACK, long_group())
+        parser = GroupStreamParser()
+        parser.feed(blob[:cut])
+        assert parser.complete is False
+        with pytest.raises(MalformedError):
+            parser.feed(blob[cut:] + b"\x00", fin=True)
+
+    @pytest.mark.parametrize("cut", [1, 7, 5000, -3])
+    def test_fin_early_rejected_after_held_tail(self, cut):
+        blob = encode_group_stream(self.TRACK, long_group())
+        parser = GroupStreamParser()
+        parser.feed(blob[:cut])
+        with pytest.raises(IncompleteError):
+            parser.feed(blob[cut:-1], fin=True)
+
+    def test_fin_on_empty_chunk_with_held_tail_rejected(self):
+        blob = encode_group_stream(self.TRACK, long_group())
+        parser = GroupStreamParser()
+        parser.feed(blob[:-1])
+        with pytest.raises(IncompleteError):
+            parser.feed(b"", fin=True)
+
+
 class TestControlStreamDecoder:
+    def test_500_messages_whole_and_split_at_every_byte(self):
+        messages = [
+            SubscribeOk(i) if i % 3 else Approve(i, 1000 + i, (Category.STROBE,))
+            for i in range(500)
+        ]
+        blob = b"".join(encode_message(m) for m in messages)
+        whole = ControlStreamDecoder()
+        assert whole.feed(blob) == messages
+        assert whole.pending_bytes == 0
+        bytewise = ControlStreamDecoder()
+        got = []
+        for i in range(len(blob)):
+            got += bytewise.feed(blob[i : i + 1])
+        assert got == messages
+        assert bytewise.pending_bytes == 0
+
     def test_two_messages_split_across_feeds(self):
         blob = encode_message(SubscribeOk(4)) + encode_message(
             Approve(6, 7, (Category.STROBE,))

@@ -489,3 +489,56 @@ class TestRelayServer:
         rig.net.at(10, rig.clients["an"].close)
         rig.net.run_until_idle()
         assert rig.server.log.filter(kind="session_closed") != []
+
+    @staticmethod
+    def _publish_frame_by_frame(rig, group, at):
+        from moqgate.framing import encode_frame_chunk, encode_group_header
+        from moqgate.media import encode_frame_payload
+
+        stream = rig.publisher.open_stream()
+        header = encode_group_header("cam", group.group_id, len(group.frames))
+        chunks = [encode_frame_chunk(encode_frame_payload(f)) for f in group.frames]
+        rig.net.at(at, lambda: stream.send(header + chunks[0]))
+        rig.net.at(at + 50, lambda: stream.end(chunks[1]))
+
+    def test_filtered_sessions_share_one_encoded_group(self):
+        rig = ServerRig({"an": analyzer([STROBE], sub_id=2)})
+        an = rig.clients["an"]
+        # Groups reach the analyzer in id order: stream k carries group k - 1.
+        an.set_on_stream(
+            lambda rs: rs.set_on_data(
+                lambda d, fin: fin and an.send_control(
+                    encode_message(Approve(2, rs.stream_id - 1, (STROBE,)))
+                )
+            )
+        )
+        filtered = {}
+        for name, delay in (("f1", 3.0), ("f2", 40.0)):
+            local, remote = rig.net.connect(Link(delay_ms=delay), name, "relay")
+            rig.server.attach(name, remote)
+            local.send_control(encode_message(filterer([STROBE], sub_id=3)))
+            filtered[name] = local
+        groups = [two_frame_group(0), two_frame_group(1)]
+        for group in groups:
+            self._publish_frame_by_frame(rig, group, 20 + 100 * group.group_id)
+        rig.net.run_until_idle()
+        expected = [encode_group_stream("cam", g) for g in groups]
+        streams = {name: s.incoming_streams() for name, s in filtered.items()}
+        for name in filtered:
+            assert [rs.data for rs in streams[name]] == expected
+            assert all(rs.finished and len(rs.chunks) == 1 for rs in streams[name])
+        # Each group is encoded once and that object goes to every session.
+        for rs1, rs2 in zip(streams["f1"], streams["f2"]):
+            assert rs1.chunks[0] is rs2.chunks[0]
+
+    def test_dropping_filter_delivers_held_groups_as_encoded(self):
+        rig = ServerRig({"f": filterer([STROBE], sub_id=3)})
+        groups = [two_frame_group(0), two_frame_group(1)]
+        for group in groups:
+            self._publish_frame_by_frame(rig, group, 100 * group.group_id)
+        f = rig.clients["f"]
+        rig.net.at(300, lambda: f.send_control(encode_message(SubscribeUpdate(3, ()))))
+        rig.net.run_until_idle(max_virtual_ms=60_000)
+        streams = f.incoming_streams()
+        assert [rs.data for rs in streams] == [encode_group_stream("cam", g) for g in groups]
+        assert all(rs.finished for rs in streams)

@@ -150,6 +150,20 @@ class TestStreams:
         assert rs.chunks == [b"ab", b"cd"]
         assert rs.finished is True
 
+    def test_callback_stream_buffers_nothing(self):
+        net = SimNetwork()
+        a, b = make_pair(net, delay_ms=1)
+        received = []
+        b.set_on_stream(lambda rs: rs.set_on_data(lambda data, fin: received.append(data)))
+        s = a.open_stream()
+        s.send(b"ab")
+        s.end(b"cd")
+        net.run_until_idle()
+        (rs,) = b.incoming_streams()
+        assert received == [b"ab", b"cd"]
+        assert rs.chunks == [] and rs.arrival_times == []
+        assert rs.finished is True
+
     def test_stream_ids_start_after_control(self):
         net = SimNetwork()
         a, _ = make_pair(net, delay_ms=1)
