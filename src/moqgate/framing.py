@@ -62,17 +62,13 @@ class GroupStreamParser:
     :class:`IncompleteError` if the stream finishes mid-structure and
     :class:`MalformedError` on bytes beyond the declared frame count.
 
-    Parsing is by offset over the unparsed chunks, which are joined only
-    once they can hold the next frame, so the cost is linear in the
-    stream's size however its frames are split; each payload is copied once.
+    Each ``feed`` parses by offset over the buffered bytes, copies out only
+    the payloads it returns and compacts the buffer once, so a whole group
+    fed in one chunk costs time linear in its size.
     """
 
     def __init__(self) -> None:
-        # Unparsed chunks, oldest first, and how many bytes they must add
-        # up to before the frame they begin can be complete.
-        self._held: list[bytes] = []
-        self._held_bytes = 0
-        self._needed = 0
+        self._buffer = bytearray()
         self.track: str | None = None
         self.group_id: int | None = None
         self.frame_count: int | None = None
@@ -84,20 +80,18 @@ class GroupStreamParser:
             raise MalformedError("data after the declared final frame")
         done: list[bytes] = []
         if data:
-            self._held.append(bytes(data))
-            self._held_bytes += len(data)
-            if self._held_bytes >= self._needed:
-                done = self._parse(b"".join(self._held))
+            self._buffer += data
+            done = self._parse()
         if fin and not self.complete:
             raise IncompleteError("stream ended before the declared final frame")
         return done
 
-    def _parse(self, buf: bytes) -> list[bytes]:
+    def _parse(self) -> list[bytes]:
+        buf = self._buffer
         pos = 0
         if self.frame_count is None:
             pos = self._parse_header(buf)
         done: list[bytes] = []
-        self._needed = 0
         if self.frame_count is not None:
             size = len(buf)
             wanted = self.frame_count - len(self.frames)
@@ -108,20 +102,17 @@ class GroupStreamParser:
                     break
                 start = pos + n
                 if size < start + length:
-                    self._needed = start + length - pos
                     break
                 pos = start + length
-                done.append(buf[start:pos])
+                done.append(bytes(buf[start:pos]))
             self.frames += done
             self.complete = len(self.frames) >= self.frame_count
-        tail = buf[pos:]
-        self._held = [tail] if tail else []
-        self._held_bytes = len(tail)
-        if self.complete and tail:
+        del buf[:pos]
+        if self.complete and buf:
             raise MalformedError("data after the declared final frame")
         return done
 
-    def _parse_header(self, buf: bytes) -> int:
+    def _parse_header(self, buf: bytearray) -> int:
         """Parse the header if ``buf`` holds all of it; returns the offset
         just past it, or 0 when more bytes are needed."""
         try:

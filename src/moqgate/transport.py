@@ -168,7 +168,8 @@ class RecvStream:
 
     Chunks are passed to the ``on_data`` callback when one is registered;
     only without a callback are they buffered in ``chunks`` (with their
-    ``arrival_times``) for polling.
+    ``arrival_times``) for polling.  The callback is released once it has
+    been given the final chunk.
     """
 
     def __init__(self, stream_id: int) -> None:
@@ -189,8 +190,13 @@ class RecvStream:
     def _push(self, data: bytes, fin: bool, now: float) -> None:
         if fin:
             self.finished = True
-        if self._on_data is not None:
-            self._on_data(data, fin)
+        on_data = self._on_data
+        if on_data is not None:
+            if fin:
+                # Nothing follows fin: dropping the callback frees whatever
+                # the receiver kept for this stream (parser, partial group).
+                self._on_data = None
+            on_data(data, fin)
         elif data:
             self.chunks.append(data)
             self.arrival_times.append(now)

@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import pytest
 
 from moqgate.eventlog import EventLog
-from moqgate.framing import ControlStreamDecoder, encode_group_stream
+from moqgate.framing import (
+    ControlStreamDecoder,
+    encode_frame_chunk,
+    encode_group_header,
+    encode_group_stream,
+)
 from moqgate.media import Group, LuminanceFrame
 from moqgate.relay import (
     DeliverGroup,
@@ -542,3 +550,30 @@ class TestRelayServer:
         streams = f.incoming_streams()
         assert [rs.data for rs in streams] == [encode_group_stream("cam", g) for g in groups]
         assert all(rs.finished for rs in streams)
+
+    def test_finished_groups_held_once_within_retention(self):
+        # 20 groups of 100 kB through a relay that keeps one: what stays
+        # allocated must be about one group, not every group's parser and
+        # live stream buffer next to the core's copy.
+        group_bytes = 10 * 10_000
+        net = SimNetwork()
+        server = RelayServer(net, core=RelayCore(retention=1))
+        pub, remote = net.connect(Link(delay_ms=1), "pub", "relay")
+        server.attach("pub", remote)
+
+        def publish(gid):
+            frames = b"".join(encode_frame_chunk(bytes(10_000)) for _ in range(10))
+            pub.open_stream().end(encode_group_header("cam", gid, 10) + frames)
+
+        for gid in range(20):
+            net.at(10 * gid, lambda gid=gid: publish(gid))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            net.run_until_idle()
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert group_bytes <= held < 2 * group_bytes
