@@ -72,6 +72,7 @@ class Verdict:
     group_id: int
     approved: tuple[int, ...] = ()
     rejected: tuple[int, ...] = ()
+    errors: tuple[tuple[int, str], ...] = ()  # (category, message) per failed detector
 
 
 def sample_luma(frame: LuminanceFrame, grid_dim: int) -> bytes:
@@ -228,18 +229,26 @@ def analyze(
 
     `states` maps category -> detector state from the previous group; the
     returned dict carries the updated states.  Category order in the verdict
-    follows the order given.
+    follows the order given.  A detector that raises fails closed: its
+    category is rejected, keeps its previous state, and the error is
+    reported in ``Verdict.errors``.
     """
     approved: list[int] = []
     rejected: list[int] = []
+    errors: list[tuple[int, str]] = []
     new_states = dict(states)
     for raw in categories:
         category = _as_category(raw)
         detector = registry.detector(category)
         state = new_states.get(category, detector.initial_state())
-        risk, new_states[category] = detector.analyze_group(group, state)
+        try:
+            risk, new_states[category] = detector.analyze_group(group, state)
+        except Exception as exc:  # fail closed: withhold the category
+            errors.append((category, str(exc)))
+            risk = True
         (rejected if risk else approved).append(category)
-    return Verdict(group.group_id, tuple(approved), tuple(rejected)), new_states
+    verdict = Verdict(group.group_id, tuple(approved), tuple(rejected), tuple(errors))
+    return verdict, new_states
 
 
 def predict_risky_groups(config: SourceConfig, detector_config: StrobeConfig) -> set[int]:
@@ -249,7 +258,6 @@ def predict_risky_groups(config: SourceConfig, detector_config: StrobeConfig) ->
     fully determined by the scheduled per-frame luma level; this replays
     that schedule without rendering any pixels.
     """
-    frames_per_group = config.fps * config.gop_duration_ms // 1000
     # A uniform frame either trips every sample or none of them.
     uniform_counts = 1.0 > detector_config.changed_fraction_threshold
     risky: set[int] = set()
@@ -266,7 +274,7 @@ def predict_risky_groups(config: SourceConfig, detector_config: StrobeConfig) ->
                 last_change is not None
                 and ts - last_change <= detector_config.max_interchange_gap_ms
             ):
-                risky.add(k // frames_per_group)
+                risky.add(k // config.frames_per_group)
             last_change = ts
         prev = level
     return risky

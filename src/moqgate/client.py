@@ -3,9 +3,9 @@
 * :class:`PublisherClient` paces frames onto per-group streams at their
   capture instants (epoch + capture timestamp).
 * :class:`AnalyzerClient` subscribes with the analyze role, receives frames
-  live, runs each category's detector when a group completes, and sends one
-  APPROVE naming the approved subset (nothing when the subset is empty).
-  A detector that throws fails closed: its category is withheld.
+  live, runs :func:`~moqgate.analysis.analyze` when a group completes, and
+  sends one APPROVE naming the approved subset (nothing when the subset is
+  empty).  A detector that throws fails closed: its category is withheld.
 * :class:`SubscriberClient` subscribes plain (live frames) or with the
   filter role (gated bursts) and records per-group arrival times without
   decoding any frame payloads.
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .analysis import DetectorRegistry, Verdict, default_registry
+from .analysis import DetectorRegistry, Verdict, analyze, default_registry
 from .eventlog import EventLog
 from .framing import (
     GroupStreamParser,
@@ -224,43 +224,29 @@ class AnalyzerClient:
         self.session.send_control(encode_message(msg))
 
     def _on_group(self, record: LatencyRecord, payloads: list[bytes]) -> None:
-        self.records[record.group_id] = record
-        self._analyze(record.group_id, payloads)
-
-    def _analyze(self, group_id: int, payloads: list[bytes]) -> None:
+        group_id = record.group_id
+        self.records[group_id] = record
         frames = tuple(decode_frame_payload(p) for p in payloads)
-        duration = frames[-1].capture_ts - frames[0].capture_ts
-        group = Group(group_id, frames, duration)
-        approved: list[int] = []
-        rejected: list[int] = []
-        for category in self.categories:
-            detector = self.registry.detector(category)
-            state = self._states.get(category, detector.initial_state())
-            try:
-                risk, new_state = detector.analyze_group(group, state)
-            except Exception as exc:  # fail closed: withhold the category
-                self.log.emit(
-                    self.name,
-                    "detector_error",
-                    group_id=group_id,
-                    category=int(category),
-                    error=str(exc),
-                )
-                rejected.append(category)
-                continue
-            self._states[category] = new_state
-            (rejected if risk else approved).append(category)
-        verdict = Verdict(group_id, tuple(approved), tuple(rejected))
+        group = Group(group_id, frames, frames[-1].capture_ts - frames[0].capture_ts)
+        verdict, self._states = analyze(group, self.categories, self.registry, self._states)
+        for category, error in verdict.errors:
+            self.log.emit(
+                self.name,
+                "detector_error",
+                group_id=group_id,
+                category=int(category),
+                error=error,
+            )
         self.verdicts[group_id] = verdict
         self.log.emit(
             self.name,
             "group_analyzed",
             group_id=group_id,
-            approved=[int(c) for c in approved],
-            rejected=[int(c) for c in rejected],
+            approved=[int(c) for c in verdict.approved],
+            rejected=[int(c) for c in verdict.rejected],
         )
-        if approved:
-            msg = Approve(self.subscribe_id, group_id, tuple(approved))
+        if verdict.approved:
+            msg = Approve(self.subscribe_id, group_id, verdict.approved)
             self.net.after(self.analysis_time_ms, lambda: self._send_approve(msg))
 
     def _send_approve(self, msg: Approve) -> None:

@@ -60,7 +60,8 @@ class GroupStreamParser:
 
     ``feed`` returns the frame payloads completed by that chunk.  Raises
     :class:`IncompleteError` if the stream finishes mid-structure and
-    :class:`MalformedError` on bytes beyond the declared frame count.
+    :class:`MalformedError` on a header declaring no frames or on bytes
+    beyond the declared frame count.
 
     Each ``feed`` parses by offset over the buffered bytes, copies out only
     the payloads it returns and compacts the buffer once, so a whole group
@@ -127,6 +128,8 @@ class GroupStreamParser:
             pos += n
         except IncompleteError:
             return 0
+        if frame_count == 0:
+            raise MalformedError("a group must contain at least one frame")
         try:
             self.track = raw_name.decode("utf-8")
         except UnicodeDecodeError as exc:

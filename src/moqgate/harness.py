@@ -11,12 +11,13 @@ always renders to byte-identical JSON.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import random
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 from .analysis import StrobeConfig, default_registry, predict_risky_groups
 from .client import (
@@ -48,7 +49,6 @@ __all__ = [
     "predict_bounds",
     "run_scenario",
     "scenario_from_dict",
-    "uncovered_filter_categories",
 ]
 
 #: Tolerance when comparing measured latencies against the predicted bound.
@@ -243,24 +243,6 @@ def _parse_source(data: Any, where: str) -> SourceConfig:
         )
     except ValueError as exc:
         raise ScenarioError(f"{where}: {exc}") from None
-
-
-def uncovered_filter_categories(raw_clients: Iterable[Mapping]) -> set[tuple[str, str]]:
-    """Scan raw client dicts for filter categories no analyzer covers.
-
-    Returns ``(client name, category name)`` pairs; empty means every filter
-    request can actually be gated by somebody's approvals.
-    """
-    clients = list(raw_clients)
-    analyzed: set[str] = set()
-    for client in clients:
-        analyzed.update(client.get("analyze", []) or [])
-    uncovered: set[tuple[str, str]] = set()
-    for client in clients:
-        for cat in client.get("filter", []) or []:
-            if cat not in analyzed:
-                uncovered.add((str(client.get("name")), str(cat)))
-    return uncovered
 
 
 _TOP_KEYS = {
@@ -665,21 +647,26 @@ def _run_once(
 # ---------------------------------------------------------------------------
 
 
-def _expected_blocked(scenario: Scenario, spec: ClientSpec, n_groups: int) -> set[int]:
-    """Groups the gate must withhold from this client, per category oracle."""
-    blocked: set[int] = set()
-    for code in spec.filter:
-        covering = [a for a in scenario.clients if code in a.analyze]
-        if code == Category.STROBE:
-            # blocked only if every covering analyzer flags the group
-            risky_sets = [
-                predict_risky_groups(scenario.source, a.detector) for a in covering
-            ]
-            per_cat = set.intersection(*risky_sets) if risky_sets else set()
-        else:
-            per_cat = set(range(n_groups)) if not scenario.stub_verdict(code) else set()
-        blocked |= per_cat
-    return blocked
+def _expected_deliveries(scenario: Scenario, n_groups: int) -> dict[str, list[int]]:
+    """Groups each filtered client must receive, in order, per category
+    oracle.  The strobe oracle runs once per distinct detector config."""
+    risky = functools.cache(lambda detector: predict_risky_groups(scenario.source, detector))
+    expected: dict[str, list[int]] = {}
+    for spec in scenario.clients:
+        if not spec.filter:
+            continue
+        blocked: set[int] = set()
+        for code in spec.filter:
+            covering = [a for a in scenario.clients if code in a.analyze]
+            if code == Category.STROBE:
+                # blocked only if every covering analyzer flags the group
+                risky_sets = [risky(a.detector) for a in covering]
+                per_cat = set.intersection(*risky_sets) if risky_sets else set()
+            else:
+                per_cat = set(range(n_groups)) if not scenario.stub_verdict(code) else set()
+            blocked |= per_cat
+        expected[spec.name] = [g for g in range(n_groups) if g not in blocked]
+    return expected
 
 
 def _check_added_band(
@@ -751,17 +738,14 @@ def _check_latency_bound(
 def _check_gating_safety(
     scenario: Scenario, runs: list[_RunResult], n_groups: int
 ) -> dict:
+    expected = _expected_deliveries(scenario, n_groups)
     failures = []
     for run in runs:
-        for spec in scenario.clients:
-            if not spec.filter:
-                continue
-            blocked = _expected_blocked(scenario, spec, n_groups)
-            expected_delivered = [g for g in range(n_groups) if g not in blocked]
-            actual = run.delivered[spec.name]
+        for name, expected_delivered in expected.items():
+            actual = run.delivered[name]
             if actual != expected_delivered:
                 failures.append(
-                    f"run {run.index} {spec.name}: delivered {actual}, expected {expected_delivered}"
+                    f"run {run.index} {name}: delivered {actual}, expected {expected_delivered}"
                 )
     if failures:
         return {"name": "gating_safety", "passed": False, "detail": "; ".join(failures[:5])}

@@ -105,10 +105,6 @@ class SourceConfig:
     def frames_per_group(self) -> int:
         return self.fps * self.gop_duration_ms // 1000
 
-    @property
-    def total_duration_ms(self) -> int:
-        return sum(seg.duration_ms for seg in self.segments)
-
     def validate(self) -> None:
         """Raise ``ValueError`` listing every violated constraint."""
         problems: list[str] = []

@@ -105,8 +105,6 @@ class SessionState:
     analyze: tuple[int, ...] | None = None
     filter: tuple[int, ...] | None = None
     next_deliver: int = 0
-    delivered: list[int] = field(default_factory=list)
-    skipped: list[int] = field(default_factory=list)
 
 
 @dataclass
@@ -233,9 +231,8 @@ class RelayCore:
         if was_filter and filter_ is None:
             # Leaving the filtered role releases everything still held back,
             # oldest first, approved or not.
-            for gid in sorted(g for g in track.stored if g >= state.next_deliver):
+            for gid in _held(track, state):
                 actions.append(DeliverGroup(sid, track.name, gid, track.stored[gid]))
-                state.delivered.append(gid)
                 state.next_deliver = gid + 1
         elif filter_ is not None:
             if not was_filter:
@@ -344,23 +341,18 @@ class RelayCore:
         return actions
 
     def _gate_one(self, track: _TrackState, state: SessionState) -> list[Action]:
+        """Release, oldest first, every held group whose filter categories
+        are all approved; the unapproved groups before each release are
+        skipped for good."""
         assert state.filter is not None
         actions: list[Action] = []
-        while True:
-            candidate = None
-            for gid in sorted(track.stored):
-                if gid < state.next_deliver:
-                    continue
-                slots = track.approvals.get(gid, {})
-                if all(slots.get(cat) for cat in state.filter):
-                    candidate = gid
-                    break
-            if candidate is None:
-                break
-            if candidate > state.next_deliver:
-                skipped = tuple(range(state.next_deliver, candidate))
+        for gid in _held(track, state):
+            slots = track.approvals.get(gid, {})
+            if not all(slots.get(cat) for cat in state.filter):
+                continue
+            if gid > state.next_deliver:
+                skipped = tuple(range(state.next_deliver, gid))
                 actions.append(SkipGroups(state.sid, track.name, skipped))
-                state.skipped.extend(skipped)
                 self.log.emit(
                     "relay",
                     "groups_skipped",
@@ -368,19 +360,21 @@ class RelayCore:
                     track=track.name,
                     group_ids=list(skipped),
                 )
-            actions.append(
-                DeliverGroup(state.sid, track.name, candidate, track.stored[candidate])
-            )
-            state.delivered.append(candidate)
-            state.next_deliver = candidate + 1
+            actions.append(DeliverGroup(state.sid, track.name, gid, track.stored[gid]))
+            state.next_deliver = gid + 1
             self.log.emit(
                 "relay",
                 "group_released",
                 sid=str(state.sid),
                 track=track.name,
-                group_id=candidate,
+                group_id=gid,
             )
         return actions
+
+
+def _held(track: _TrackState, state: SessionState) -> list[int]:
+    """Stored group ids not yet given to the session, ascending."""
+    return [gid for gid in sorted(track.stored) if gid >= state.next_deliver]
 
 
 class _LiveGroup:

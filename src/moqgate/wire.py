@@ -136,16 +136,6 @@ def decode_varint(data: bytes, offset: int = 0) -> tuple[int, int]:
     return raw & ((1 << (8 * size - 2)) - 1), size
 
 
-def _varint_size(value: int) -> int:
-    if value < 1 << 6:
-        return 1
-    if value < 1 << 14:
-        return 2
-    if value < 1 << 30:
-        return 4
-    return 8
-
-
 # --- category sets ----------------------------------------------------------
 
 

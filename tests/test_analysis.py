@@ -333,6 +333,32 @@ class TestRegistryAndVerdicts:
         assert verdict_a.approved == (Category.STROBE,)
         assert verdict_b.rejected == (Category.STROBE,)
 
+    def test_raising_detector_fails_closed(self):
+        class Boom:
+            def initial_state(self):
+                return "initial"
+
+            def analyze_group(self, group, state):
+                raise RuntimeError("model crashed")
+
+        reg = DetectorRegistry()
+        reg.register(Category.STROBE, StrobeDetector())
+        reg.register(Category.SMOKING, Boom())
+        g = group_of_levels(0, [16, 16, 240], ts0=0)
+        previous = {Category.SMOKING: "kept"}
+        verdict, states = analyze(g, (Category.SMOKING, Category.STROBE), reg, previous)
+        assert verdict == Verdict(
+            0,
+            approved=(Category.STROBE,),
+            rejected=(Category.SMOKING,),
+            errors=((Category.SMOKING, "model crashed"),),
+        )
+        assert states[Category.SMOKING] == "kept"
+        assert isinstance(states[Category.STROBE], DetectorState)
+        # A category that fails on its first group gets no state at all.
+        _, states = analyze(g, (Category.SMOKING,), reg, {})
+        assert Category.SMOKING not in states
+
     def test_unregistered_category_is_lookup_error(self):
         g = group_of_levels(0, [128], ts0=0)
         with pytest.raises(LookupError):

@@ -16,7 +16,7 @@ from moqgate.client import (
     predict_latency_bound,
 )
 from moqgate.eventlog import EventLog
-from moqgate.framing import encode_group_stream
+from moqgate.framing import encode_group_header, encode_group_stream
 from moqgate.media import Constant, SourceConfig, Strobe, generate_groups
 from moqgate.relay import RelayServer
 from moqgate.transport import Link, SimNetwork
@@ -210,6 +210,21 @@ class TestSubscriberClient:
         rig.publisher(generate_groups(src))
         rig.net.run_until_idle(max_virtual_ms=60_000)
         assert sub.delivered_group_ids() == [0, 2]
+
+
+class TestMalformedGroup:
+    def test_zero_frame_group_fails_publisher_session(self):
+        rig = Rig()
+        sub = rig.subscriber(name="plain")
+        analyzer = rig.analyzer([STROBE])
+        pub, remote = rig.net.connect(Link(delay_ms=0.0), "pub", "relay")
+        rig.server.attach("pub", remote)
+        rig.net.at(10, lambda: pub.open_stream().end(encode_group_header("cam", 0, 0)))
+        rig.net.run_until_idle(max_virtual_ms=30_000)
+        (error,) = rig.server.log.filter(kind="protocol_error")
+        assert error.detail["sid"] == "pub"
+        assert "at least one frame" in error.detail["reason"]
+        assert sub.records == {} and analyzer.records == {}
 
 
 class TestPlayback:

@@ -92,10 +92,10 @@ class TestGroupStreamParser:
                 collected += parser.feed(piece, fin=(j == len(pieces) - 1))
             assert collected == [encode_frame_payload(f) for f in sample_group().frames]
 
-    def test_zero_frames_completes_on_header(self):
+    def test_zero_frames_rejected(self):
         parser = GroupStreamParser()
-        assert parser.feed(encode_group_header("t", 0, 0), fin=True) == []
-        assert parser.complete
+        with pytest.raises(MalformedError, match="at least one frame"):
+            parser.feed(encode_group_header("t", 0, 0))
 
     def test_fin_before_complete(self):
         parser = GroupStreamParser()

@@ -28,7 +28,6 @@ from moqgate.harness import (
     predict_bounds,
     run_scenario,
     scenario_from_dict,
-    uncovered_filter_categories,
 )
 
 # ---------------------------------------------------------------------------
@@ -286,11 +285,11 @@ class TestScenarioLoading:
                 if cat not in analyzed
             }
 
-            assert uncovered_filter_categories(data["clients"]) == expected_uncovered
             if expected_uncovered:
                 with pytest.raises(ScenarioError) as ei:
                     scenario_from_dict(data)
-                for _, cat in expected_uncovered:
+                for name, cat in expected_uncovered:
+                    assert f"client {name!r}: no analyzer covers" in str(ei.value)
                     assert cat in str(ei.value)
             else:
                 scenario_from_dict(data)

@@ -6,6 +6,8 @@ import gc
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moqgate.eventlog import EventLog
 from moqgate.framing import (
@@ -256,10 +258,12 @@ class TestGating:
         core = self._core()
         for gid in (0, 1, 2):
             core.ingest_group("cam", gid, f"G{gid}")
-        core.handle_approve("an", Approve(2, 2, (STROBE,)))
-        state = core.session("f")
-        assert state.delivered == [2]
-        assert state.skipped == [0, 1]
+        actions = core.handle_approve("an", Approve(2, 2, (STROBE,)))
+        assert actions == [
+            SkipGroups("f", "cam", (0, 1)),
+            DeliverGroup("f", "cam", 2, "G2"),
+        ]
+        assert core.session("f").next_deliver == 3
 
 
 class TestRetention:
@@ -296,14 +300,17 @@ class TestSubscribeUpdate:
 
     def test_narrowing_filter_rechecks_gate(self):
         core = self._core()
-        core.ingest_group("cam", 0, "G0")
+        for gid in (0, 1, 2):
+            core.ingest_group("cam", gid, f"G{gid}")
         core.handle_approve("an", Approve(2, 0, (STROBE,)))
+        core.handle_approve("an", Approve(2, 1, (STROBE,)))
         actions = core.handle_subscribe_update(
             "f", SubscribeUpdate(3, (filter_parameter([STROBE]),))
         )
         assert actions == [
             SendControl("f", SubscribeOk(3)),
             DeliverGroup("f", "cam", 0, "G0"),
+            DeliverGroup("f", "cam", 1, "G1"),
         ]
 
     def test_dropping_filter_releases_pending_in_order(self):
@@ -362,6 +369,134 @@ class TestSessionRemoval:
         core.remove_session("f")
         core.ingest_group("cam", 0, "G0")
         assert core.handle_approve("an", Approve(2, 0, (STROBE,))) == []
+
+
+class ReferenceGate:
+    """The relay's gating rules for one track, written as a plain model.
+
+    A gate pass looks for the first stored group at or after the session's
+    next group whose filter categories are all approved, skips the groups
+    before it, delivers it, and searches again from the start until nothing
+    is left to release.
+    """
+
+    def __init__(self, retention, filters):
+        self.retention = retention
+        self.filters = dict(filters)  # sid -> filter categories, or None when plain
+        self.next_deliver = dict.fromkeys(self.filters, 0)
+        self.stored = {}
+        self.approved = {}  # gid -> {category: approving sids}
+        self.next_expected = None
+        self.evicted_below = None
+
+    def ingest(self, gid):
+        if self.next_expected is None:
+            for sid, cats in self.filters.items():
+                if cats is not None and self.next_deliver[sid] < gid:
+                    self.next_deliver[sid] = gid
+        self.next_expected = gid + 1
+        self.stored[gid] = f"G{gid}"
+        for old in [g for g in self.stored if g <= gid - self.retention]:
+            del self.stored[old]
+            self.approved.pop(old, None)
+            self.evicted_below = max(self.evicted_below or 0, old + 1)
+        return self.gate_all()
+
+    def approve(self, sid, gid, cats):
+        if self.evicted_below is not None and gid < self.evicted_below:
+            return []
+        slots = self.approved.setdefault(gid, {})
+        new_coverage = any(not slots.get(cat) for cat in cats)
+        for cat in cats:
+            slots.setdefault(cat, set()).add(sid)
+        return self.gate_all() if new_coverage else []
+
+    def update(self, sid, sub_id, cats):
+        was_filter = self.filters[sid] is not None
+        self.filters[sid] = cats
+        actions = [SendControl(sid, SubscribeOk(sub_id))]
+        if was_filter and cats is None:
+            for gid in sorted(self.stored):
+                if gid >= self.next_deliver[sid]:
+                    actions.append(DeliverGroup(sid, "cam", gid, self.stored[gid]))
+                    self.next_deliver[sid] = gid + 1
+        elif cats is not None:
+            if not was_filter:
+                self.next_deliver[sid] = self.next_expected or 0
+            actions += self.gate(sid)
+        return actions
+
+    def gate_all(self):
+        return [a for sid, cats in self.filters.items() if cats is not None for a in self.gate(sid)]
+
+    def gate(self, sid):
+        actions = []
+        while True:
+            ready = [
+                gid
+                for gid in sorted(self.stored)
+                if gid >= self.next_deliver[sid]
+                and all(self.approved.get(gid, {}).get(cat) for cat in self.filters[sid])
+            ]
+            if not ready:
+                return actions
+            gid = ready[0]
+            if gid > self.next_deliver[sid]:
+                actions.append(SkipGroups(sid, "cam", tuple(range(self.next_deliver[sid], gid))))
+            actions.append(DeliverGroup(sid, "cam", gid, self.stored[gid]))
+            self.next_deliver[sid] = gid + 1
+
+
+FILTER_SETS = [(STROBE,), (SMOKING,), (STROBE, SMOKING), (SMOKING, ALCOHOL), (STROBE, SMOKING, ALCOHOL)]
+ANALYZERS = {"a1": (1, (STROBE, SMOKING, ALCOHOL)), "a2": (2, (SMOKING,))}
+FILTERED = {"f0": 10, "f1": 11, "f2": 12}
+
+gate_ops = st.one_of(
+    st.just(("ingest",)),
+    st.tuples(
+        st.just("approve"),
+        st.sampled_from(sorted(ANALYZERS)),
+        st.integers(-5, 1),  # group id relative to the next one to ingest
+        st.lists(st.sampled_from([STROBE, SMOKING, ALCOHOL]), max_size=3, unique=True),
+    ),
+    st.tuples(st.just("update"), st.sampled_from(sorted(FILTERED)), st.sampled_from(FILTER_SETS + [None])),
+)
+
+
+class TestGateMatchesReference:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        retention=st.integers(1, 4),
+        first_gid=st.integers(0, 3),
+        filters=st.lists(st.sampled_from(FILTER_SETS), min_size=3, max_size=3),
+        ops=st.lists(gate_ops, max_size=40),
+    )
+    def test_actions_match_reference_gate(self, retention, first_gid, filters, ops):
+        core = RelayCore(retention=retention)
+        for sid, (sub_id, cats) in ANALYZERS.items():
+            core.handle_subscribe(sid, analyzer(cats, sub_id=sub_id))
+        for (sid, sub_id), cats in zip(FILTERED.items(), filters):
+            core.handle_subscribe(sid, filterer(cats, sub_id=sub_id))
+        model = ReferenceGate(retention, zip(FILTERED, filters))
+        next_gid = first_gid
+        for op in ops:
+            if op[0] == "ingest":
+                got = core.ingest_group("cam", next_gid, f"G{next_gid}")
+                want = model.ingest(next_gid)
+                next_gid += 1
+            elif op[0] == "approve":
+                _, sid, offset, cats = op
+                gid = max(0, next_gid + offset)
+                sub_id, allowed = ANALYZERS[sid]
+                cats = tuple(c for c in cats if c in allowed)
+                got = core.handle_approve(sid, Approve(sub_id, gid, cats))
+                want = model.approve(sid, gid, cats)
+            else:
+                _, sid, cats = op
+                params = () if cats is None else (filter_parameter(cats),)
+                got = core.handle_subscribe_update(sid, SubscribeUpdate(FILTERED[sid], params))
+                want = model.update(sid, FILTERED[sid], cats)
+            assert got == want, op
 
 
 def frame(i, ts, level):
