@@ -31,6 +31,7 @@ from .transport import DisconnectedError, RecvStream, Session, SimNetwork
 from .wire import (
     Approve,
     Subscribe,
+    _as_category,
     analyze_parameter,
     encode_message,
     filter_parameter,
@@ -226,9 +227,14 @@ class AnalyzerClient:
     def _on_group(self, record: LatencyRecord, payloads: list[bytes]) -> None:
         group_id = record.group_id
         self.records[group_id] = record
-        frames = tuple(decode_frame_payload(p) for p in payloads)
-        group = Group(group_id, frames, frames[-1].capture_ts - frames[0].capture_ts)
-        verdict, self._states = analyze(group, self.categories, self.registry, self._states)
+        try:
+            frames = tuple(decode_frame_payload(p) for p in payloads)
+            group = Group(group_id, frames, frames[-1].capture_ts - frames[0].capture_ts)
+        except ValueError as exc:  # undecodable group: fail closed, states unchanged
+            rejected = tuple(_as_category(c) for c in self.categories)
+            verdict = Verdict(group_id, (), rejected, tuple((c, str(exc)) for c in rejected))
+        else:
+            verdict, self._states = analyze(group, self.categories, self.registry, self._states)
         for category, error in verdict.errors:
             self.log.emit(
                 self.name,

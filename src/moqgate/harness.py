@@ -14,6 +14,7 @@ import dataclasses
 import functools
 import json
 import random
+import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -80,13 +81,6 @@ class LinkSpec:
     from_relay_ms: float = 0.0
     jitter_ms: float = 0.0
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "to_relay_ms": self.to_relay_ms,
-            "from_relay_ms": self.from_relay_ms,
-            "jitter_ms": self.jitter_ms,
-        }
-
 
 @dataclass(frozen=True)
 class ClientSpec:
@@ -139,40 +133,57 @@ class Scenario:
 # ---------------------------------------------------------------------------
 
 
-def _require_keys(data: Mapping, allowed: set[str], required: set[str], where: str) -> None:
+def _fields(data: Any, table: Mapping[str, tuple], where: str) -> dict[str, Any]:
+    """Check an object against its field table; return its checked values.
+
+    A table maps key -> (kind, minimum, required).  Kind int is an integer,
+    float any number (stored as float), both within the float range; str is
+    a non-empty string, a function parses the nested value from (value,
+    where), and None hands the value to the caller.  An absent optional key
+    is left out, so it takes the dataclass default.
+    """
     if not isinstance(data, Mapping):
         raise ScenarioError(f"{where}: expected an object, got {type(data).__name__}")
-    unknown = set(data) - allowed
+    unknown = set(data) - set(table)
     if unknown:
         raise ScenarioError(f"{where}: unknown keys {sorted(unknown)}")
-    missing = required - set(data)
+    missing = {key for key, (_, _, required) in table.items() if required} - set(data)
     if missing:
         raise ScenarioError(f"{where}: missing keys {sorted(missing)}")
+    return {
+        key: _value(data[key], kind, minimum, f"{where}.{key}")
+        for key, (kind, minimum, _) in table.items()
+        if key in data
+    }
 
 
-def _number(value: Any, where: str, minimum: float | None = None) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{where}: expected a number, got {value!r}")
+def _value(value: Any, kind: Any, minimum: Any, where: str) -> Any:
+    if kind is None:
+        return value
+    if kind is str:
+        if not isinstance(value, str) or not value:
+            raise ScenarioError(f"{where}: expected a non-empty string")
+        return value
+    if kind not in (int, float):
+        return kind(value, where)
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        expected = "an integer" if kind is int else "a number"
+        raise ScenarioError(f"{where}: expected {expected}, got {value!r}")
     if minimum is not None and value < minimum:
         raise ScenarioError(f"{where}: must be >= {minimum}, got {value}")
-    return float(value)
+    if not abs(value) <= sys.float_info.max:  # also false for NaN
+        raise ScenarioError(f"{where}: expected a finite number, got {value!r}")
+    return float(value) if kind is float else value
 
 
-def _integer(value: Any, where: str, minimum: int | None = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(f"{where}: expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ScenarioError(f"{where}: must be >= {minimum}, got {value}")
-    return value
+_LINK_FIELDS = dict.fromkeys(("to_relay_ms", "from_relay_ms", "jitter_ms"), (float, 0.0, False))
 
 
 def _parse_link(data: Any, where: str) -> LinkSpec:
-    _require_keys(data, {"to_relay_ms", "from_relay_ms", "jitter_ms"}, set(), where)
-    return LinkSpec(
-        to_relay_ms=_number(data.get("to_relay_ms", 0.0), f"{where}.to_relay_ms", 0.0),
-        from_relay_ms=_number(data.get("from_relay_ms", 0.0), f"{where}.from_relay_ms", 0.0),
-        jitter_ms=_number(data.get("jitter_ms", 0.0), f"{where}.jitter_ms", 0.0),
-    )
+    return LinkSpec(**_fields(data, _LINK_FIELDS, where))
+
+
+_LINKS_FIELDS = {"publisher": (_parse_link, None, True), "clients": (None, None, True)}
 
 
 def _parse_categories(values: Any, where: str) -> tuple[int, ...]:
@@ -180,6 +191,8 @@ def _parse_categories(values: Any, where: str) -> tuple[int, ...]:
         raise ScenarioError(f"{where}: expected a non-empty list of category names")
     codes: list[int] = []
     for value in values:
+        if isinstance(value, bool) or not isinstance(value, (str, int)):
+            raise ScenarioError(f"{where}: expected a category name or code, got {value!r}")
         try:
             code = category_code(value)
         except ValueError as exc:
@@ -190,143 +203,172 @@ def _parse_categories(values: Any, where: str) -> tuple[int, ...]:
     return tuple(codes)
 
 
-_DETECTOR_FIELDS = {f.name for f in dataclasses.fields(StrobeConfig)}
-
-
-def _parse_detector(base: StrobeConfig, overrides: Any, where: str) -> StrobeConfig:
-    _require_keys(overrides, _DETECTOR_FIELDS, set(), where)
-    try:
-        return dataclasses.replace(base, **dict(overrides))
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{where}: {exc}") from None
-
-
-_SEGMENT_FIELDS = {
-    "constant": ({"level", "duration_ms"}, Constant),
-    "strobe": ({"low", "high", "flash_hz", "duration_ms"}, Strobe),
-    "ramp": ({"start_level", "end_level", "duration_ms"}, Ramp),
+# Ranges are StrobeConfig's own checks; the table checks types.
+_DETECTOR_FIELDS = {
+    "grid_dim": (int, None, False),
+    "pixel_delta_threshold": (int, None, False),
+    "changed_fraction_threshold": (float, None, False),
+    "max_interchange_gap_ms": (int, None, False),
 }
 
 
-def _parse_source(data: Any, where: str) -> SourceConfig:
-    _require_keys(
-        data,
-        {"width", "height", "fps", "gop_duration_ms", "segments"},
-        {"width", "height", "fps", "gop_duration_ms", "segments"},
-        where,
-    )
-    segments = data["segments"]
-    if not isinstance(segments, list) or not segments:
-        raise ScenarioError(f"{where}.segments: expected a non-empty list")
-    parsed = []
-    for i, seg in enumerate(segments):
-        seg_where = f"{where}.segments[{i}]"
-        if not isinstance(seg, Mapping) or "kind" not in seg:
-            raise ScenarioError(f"{seg_where}: expected an object with a 'kind'")
-        kind = seg["kind"]
-        if kind not in _SEGMENT_FIELDS:
-            raise ScenarioError(f"{seg_where}: unknown segment kind {kind!r}")
-        fields, cls = _SEGMENT_FIELDS[kind]
-        _require_keys(seg, fields | {"kind"}, fields | {"kind"}, seg_where)
-        kwargs = {k: seg[k] for k in fields}
-        try:
-            parsed.append(cls(**kwargs))
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"{seg_where}: {exc}") from None
+def _parse_detector(base: StrobeConfig, overrides: Any, where: str) -> StrobeConfig:
+    values = _fields(overrides, _DETECTOR_FIELDS, where)
     try:
-        return SourceConfig(
-            width=_integer(data["width"], f"{where}.width", 1),
-            height=_integer(data["height"], f"{where}.height", 1),
-            fps=_integer(data["fps"], f"{where}.fps", 1),
-            gop_duration_ms=_integer(data["gop_duration_ms"], f"{where}.gop_duration_ms", 1),
-            segments=tuple(parsed),
-        )
+        return dataclasses.replace(base, **values)
     except ValueError as exc:
         raise ScenarioError(f"{where}: {exc}") from None
 
 
-_TOP_KEYS = {
-    "name",
-    "track",
-    "seed",
-    "publish_epoch_ms",
-    "duration_ms",
-    "retention_groups",
-    "playback_buffer_groups",
-    "source",
-    "links",
-    "clients",
-    "detector",
-    "stub_verdicts",
-    "checks",
-    "delay_draws",
+# Ranges are SourceConfig.validate's; the tables check types.
+_SEGMENT_KINDS = {
+    "constant": (Constant, dict.fromkeys(("level", "duration_ms"), (int, None, True))),
+    "strobe": (
+        Strobe,
+        {**dict.fromkeys(("low", "high", "duration_ms"), (int, None, True)), "flash_hz": (float, None, True)},
+    ),
+    "ramp": (Ramp, dict.fromkeys(("start_level", "end_level", "duration_ms"), (int, None, True))),
 }
 
-_CLIENT_KEYS = {"name", "analyze", "filter", "analysis_time_ms", "detector"}
+
+def _parse_segments(data: Any, where: str) -> tuple:
+    if not isinstance(data, list) or not data:
+        raise ScenarioError(f"{where}: expected a non-empty list")
+    parsed = []
+    for i, seg in enumerate(data):
+        seg_where = f"{where}[{i}]"
+        if not isinstance(seg, Mapping) or "kind" not in seg:
+            raise ScenarioError(f"{seg_where}: expected an object with a 'kind'")
+        kind = seg["kind"]
+        if not isinstance(kind, str) or kind not in _SEGMENT_KINDS:
+            raise ScenarioError(f"{seg_where}: unknown segment kind {kind!r}")
+        cls, table = _SEGMENT_KINDS[kind]
+        values = _fields(seg, {"kind": (None, None, True), **table}, seg_where)
+        del values["kind"]
+        parsed.append(cls(**values))
+    return tuple(parsed)
+
+
+_SOURCE_FIELDS = {
+    **dict.fromkeys(("width", "height", "fps", "gop_duration_ms"), (int, 1, True)),
+    "segments": (_parse_segments, None, True),
+}
+
+
+def _parse_source(data: Any, where: str) -> SourceConfig:
+    source = SourceConfig(**_fields(data, _SOURCE_FIELDS, where))
+    try:
+        source.validate()
+    except ValueError as exc:
+        raise ScenarioError(f"{where}: {exc}") from None
+    return source
+
+
+def _parse_stub_verdicts(data: Any, where: str) -> tuple[tuple[int, bool], ...]:
+    if not isinstance(data, Mapping):
+        raise ScenarioError(f"{where}: expected an object")
+    pairs: list[tuple[int, bool]] = []
+    for key, value in data.items():
+        try:
+            code = category_code(key)
+        except ValueError as exc:
+            raise ScenarioError(f"{where}: {exc}") from None
+        if code not in _STUB_CATEGORIES:
+            raise ScenarioError(f"{where}: {key!r} has a real detector, not a stub")
+        if not isinstance(value, bool):
+            raise ScenarioError(f"{where}.{key}: expected true/false")
+        pairs.append((int(code), value))
+    return tuple(pairs)
+
+
+def _parse_band(data: Any, where: str) -> tuple[float, float]:
+    if not isinstance(data, list) or len(data) != 2:
+        raise ScenarioError(f"{where}: expected [low, high]")
+    low, high = (_value(v, float, None, f"{where}[{i}]") for i, v in enumerate(data))
+    if low > high:
+        raise ScenarioError(f"{where}: low > high")
+    return low, high
+
+
+def _parse_checks(data: Any, where: str) -> Checks:
+    return Checks(**_fields(data, {"added_latency_band_ms": (_parse_band, None, False)}, where))
+
+
+_DELAY_DRAWS_FIELDS = {
+    "count": (int, 1, True), "seed": (int, None, True), "min_ms": (int, 0, True), "max_ms": (int, 0, True)
+}
+
+
+def _parse_delay_draws(data: Any, where: str) -> DelayDraws:
+    draws = DelayDraws(**_fields(data, _DELAY_DRAWS_FIELDS, where))
+    if draws.min_ms > draws.max_ms:
+        raise ScenarioError(f"{where}: min_ms > max_ms")
+    return draws
+
+
+_CLIENT_FIELDS = {
+    "name": (str, None, True),
+    "analyze": (_parse_categories, None, False),
+    "filter": (_parse_categories, None, False),
+    "analysis_time_ms": (float, 0.0, False),
+    "detector": (None, None, False),
+}
+
+_SCENARIO_FIELDS = {
+    "name": (str, None, True),
+    "track": (str, None, True),
+    "source": (_parse_source, None, True),
+    "links": (None, None, True),
+    "clients": (None, None, True),
+    "detector": (None, None, False),
+    "seed": (int, None, False),
+    "publish_epoch_ms": (float, 0.0, False),
+    "duration_ms": (float, 1.0, False),
+    "retention_groups": (int, 1, False),
+    "playback_buffer_groups": (float, 0.0, False),
+    "stub_verdicts": (_parse_stub_verdicts, None, False),
+    "checks": (_parse_checks, None, False),
+    "delay_draws": (_parse_delay_draws, None, False),
+}
 
 
 def scenario_from_dict(data: Mapping) -> Scenario:
-    _require_keys(data, _TOP_KEYS, {"name", "track", "source", "links", "clients"}, "scenario")
-    name = data["name"]
-    track = data["track"]
-    if not isinstance(name, str) or not name:
-        raise ScenarioError("scenario.name: expected a non-empty string")
-    if not isinstance(track, str) or not track:
-        raise ScenarioError("scenario.track: expected a non-empty string")
-
-    source = _parse_source(data["source"], "scenario.source")
-    base_detector = _parse_detector(
-        StrobeConfig(), data.get("detector", {}), "scenario.detector"
-    )
-
-    links = data["links"]
-    _require_keys(links, {"publisher", "clients"}, {"publisher", "clients"}, "scenario.links")
-    publisher_link = _parse_link(links["publisher"], "scenario.links.publisher")
-    client_links_raw = links["clients"]
-    if not isinstance(client_links_raw, Mapping):
+    fields = _fields(data, _SCENARIO_FIELDS, "scenario")
+    source = fields["source"]
+    base_detector = _parse_detector(StrobeConfig(), fields.pop("detector", {}), "scenario.detector")
+    links = _fields(fields.pop("links"), _LINKS_FIELDS, "scenario.links")
+    client_links = links["clients"]
+    if not isinstance(client_links, Mapping):
         raise ScenarioError("scenario.links.clients: expected an object")
-
-    raw_clients = data["clients"]
+    raw_clients = fields.pop("clients")
     if not isinstance(raw_clients, list) or not raw_clients:
         raise ScenarioError("scenario.clients: expected a non-empty list")
 
-    client_names: list[str] = []
     specs: list[ClientSpec] = []
     for i, raw in enumerate(raw_clients):
         where = f"scenario.clients[{i}]"
-        _require_keys(raw, _CLIENT_KEYS, {"name"}, where)
-        cname = raw["name"]
-        if not isinstance(cname, str) or not cname:
-            raise ScenarioError(f"{where}.name: expected a non-empty string")
-        if cname in client_names or cname == "publisher" or cname == "relay":
-            raise ScenarioError(f"{where}: duplicate or reserved client name {cname!r}")
-        client_names.append(cname)
-        analyze = _parse_categories(raw["analyze"], f"{where}.analyze") if "analyze" in raw else ()
-        filter_ = _parse_categories(raw["filter"], f"{where}.filter") if "filter" in raw else ()
-        if analyze and filter_:
+        client = _fields(raw, _CLIENT_FIELDS, where)
+        name = client["name"]
+        if name in ("publisher", "relay") or any(spec.name == name for spec in specs):
+            raise ScenarioError(f"{where}: duplicate or reserved client name {name!r}")
+        if "analyze" in client and "filter" in client:
             raise ScenarioError(f"{where}: a client cannot both analyze and filter")
-        if not analyze and "analysis_time_ms" in raw:
+        if "analyze" not in client and "analysis_time_ms" in client:
             raise ScenarioError(f"{where}: analysis_time_ms only applies to analyzers")
-        if not analyze and "detector" in raw:
+        if "analyze" not in client and "detector" in client:
             raise ScenarioError(f"{where}: detector overrides only apply to analyzers")
-        detector = _parse_detector(base_detector, raw.get("detector", {}), f"{where}.detector")
-        if cname not in client_links_raw:
-            raise ScenarioError(f"scenario.links.clients: no link for client {cname!r}")
-        link = _parse_link(client_links_raw[cname], f"scenario.links.clients.{cname}")
-        specs.append(
-            ClientSpec(
-                name=cname,
-                analyze=analyze,
-                filter=filter_,
-                analysis_time_ms=_number(
-                    raw.get("analysis_time_ms", 0.0), f"{where}.analysis_time_ms", 0.0
-                ),
-                detector=detector,
-                link=link,
+        detector = _parse_detector(base_detector, client.pop("detector", {}), f"{where}.detector")
+        if "analyze" in client and detector.grid_dim > min(source.width, source.height):
+            raise ScenarioError(
+                f"{where}.detector: grid_dim {detector.grid_dim} exceeds frame dimensions "
+                f"{source.width}x{source.height}"
             )
-        )
+        if name not in client_links:
+            raise ScenarioError(f"scenario.links.clients: no link for client {name!r}")
+        link = _parse_link(client_links[name], f"scenario.links.clients.{name}")
+        specs.append(ClientSpec(detector=detector, link=link, **client))
 
-    extra_links = set(client_links_raw) - set(client_names)
+    extra_links = set(client_links) - {spec.name for spec in specs}
     if extra_links:
         raise ScenarioError(f"scenario.links.clients: links for unknown clients {sorted(extra_links)}")
 
@@ -339,71 +381,7 @@ def scenario_from_dict(data: Mapping) -> Scenario:
     if problems:
         raise ScenarioError("; ".join(problems))
 
-    stub_raw = data.get("stub_verdicts", {})
-    if not isinstance(stub_raw, Mapping):
-        raise ScenarioError("scenario.stub_verdicts: expected an object")
-    stub_pairs: list[tuple[int, bool]] = []
-    for key, value in stub_raw.items():
-        try:
-            code = category_code(key)
-        except ValueError as exc:
-            raise ScenarioError(f"scenario.stub_verdicts: {exc}") from None
-        if code not in _STUB_CATEGORIES:
-            raise ScenarioError(
-                f"scenario.stub_verdicts: {key!r} has a real detector, not a stub"
-            )
-        if not isinstance(value, bool):
-            raise ScenarioError(f"scenario.stub_verdicts.{key}: expected true/false")
-        stub_pairs.append((int(code), value))
-
-    checks_raw = data.get("checks", {})
-    _require_keys(checks_raw, {"added_latency_band_ms"}, set(), "scenario.checks")
-    band = None
-    if "added_latency_band_ms" in checks_raw:
-        raw_band = checks_raw["added_latency_band_ms"]
-        if not isinstance(raw_band, list) or len(raw_band) != 2:
-            raise ScenarioError("scenario.checks.added_latency_band_ms: expected [low, high]")
-        low = _number(raw_band[0], "scenario.checks.added_latency_band_ms[0]")
-        high = _number(raw_band[1], "scenario.checks.added_latency_band_ms[1]")
-        if low > high:
-            raise ScenarioError("scenario.checks.added_latency_band_ms: low > high")
-        band = (low, high)
-
-    draws = None
-    if "delay_draws" in data:
-        raw_draws = data["delay_draws"]
-        _require_keys(
-            raw_draws,
-            {"count", "seed", "min_ms", "max_ms"},
-            {"count", "seed", "min_ms", "max_ms"},
-            "scenario.delay_draws",
-        )
-        draws = DelayDraws(
-            count=_integer(raw_draws["count"], "scenario.delay_draws.count", 1),
-            seed=_integer(raw_draws["seed"], "scenario.delay_draws.seed"),
-            min_ms=_integer(raw_draws["min_ms"], "scenario.delay_draws.min_ms", 0),
-            max_ms=_integer(raw_draws["max_ms"], "scenario.delay_draws.max_ms", 0),
-        )
-        if draws.min_ms > draws.max_ms:
-            raise ScenarioError("scenario.delay_draws: min_ms > max_ms")
-
-    return Scenario(
-        name=name,
-        track=track,
-        source=source,
-        publisher_link=publisher_link,
-        clients=tuple(specs),
-        seed=_integer(data.get("seed", 0), "scenario.seed"),
-        publish_epoch_ms=_number(data.get("publish_epoch_ms", 0.0), "scenario.publish_epoch_ms", 0.0),
-        duration_ms=_number(data.get("duration_ms", 600_000.0), "scenario.duration_ms", 1.0),
-        retention_groups=_integer(data.get("retention_groups", 64), "scenario.retention_groups", 1),
-        playback_buffer_groups=_number(
-            data.get("playback_buffer_groups", 1.0), "scenario.playback_buffer_groups", 0.0
-        ),
-        stub_verdicts=tuple(stub_pairs),
-        checks=Checks(added_latency_band_ms=band),
-        delay_draws=draws,
-    )
+    return Scenario(publisher_link=links["publisher"], clients=tuple(specs), **fields)
 
 
 def load_scenario(path: Any) -> Scenario:
@@ -414,7 +392,7 @@ def load_scenario(path: Any) -> Scenario:
         raise ScenarioError(f"cannot read scenario file: {exc}") from None
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise ScenarioError(f"scenario is not valid JSON: {exc}") from None
     return scenario_from_dict(data)
 
@@ -647,6 +625,13 @@ def _run_once(
 # ---------------------------------------------------------------------------
 
 
+def _check_result(name: str, prefix: str, failures: list[str], passed_detail: str) -> dict:
+    """A named check: failed with the first five failures, or passed."""
+    if failures:
+        return {"name": name, "passed": False, "detail": prefix + "; ".join(failures[:5])}
+    return {"name": name, "passed": True, "detail": passed_detail}
+
+
 def _expected_deliveries(scenario: Scenario, n_groups: int) -> dict[str, list[int]]:
     """Groups each filtered client must receive, in order, per category
     oracle.  The strobe oracle runs once per distinct detector config."""
@@ -686,17 +671,12 @@ def _check_added_band(
                     failures.append(
                         f"run {run['run']} {spec.name} group {record['group_id']}: {added}"
                     )
-    if failures:
-        return {
-            "name": "added_latency_band",
-            "passed": False,
-            "detail": f"outside [{low}, {high}] ms: " + "; ".join(failures[:5]),
-        }
-    return {
-        "name": "added_latency_band",
-        "passed": True,
-        "detail": f"{samples} filtered deliveries within [{low}, {high}] ms",
-    }
+    return _check_result(
+        "added_latency_band",
+        f"outside [{low}, {high}] ms: ",
+        failures,
+        f"{samples} filtered deliveries within [{low}, {high}] ms",
+    )
 
 
 def _check_latency_bound(
@@ -722,17 +702,12 @@ def _check_latency_bound(
                         f"run {run.index} {spec.name} group {record['group_id']}: "
                         f"{record['e2e_ms']} ms > bound {predicted} + {BOUND_EPSILON_MS}"
                     )
-    if failures:
-        return {
-            "name": "latency_bound",
-            "passed": False,
-            "detail": "; ".join(failures[:5]),
-        }
-    return {
-        "name": "latency_bound",
-        "passed": True,
-        "detail": f"{checked} deliveries within the predicted bound (+{BOUND_EPSILON_MS} ms)",
-    }
+    return _check_result(
+        "latency_bound",
+        "",
+        failures,
+        f"{checked} deliveries within the predicted bound (+{BOUND_EPSILON_MS} ms)",
+    )
 
 
 def _check_gating_safety(
@@ -747,13 +722,12 @@ def _check_gating_safety(
                 failures.append(
                     f"run {run.index} {name}: delivered {actual}, expected {expected_delivered}"
                 )
-    if failures:
-        return {"name": "gating_safety", "passed": False, "detail": "; ".join(failures[:5])}
-    return {
-        "name": "gating_safety",
-        "passed": True,
-        "detail": "every filtered client received exactly the approved groups, in order",
-    }
+    return _check_result(
+        "gating_safety",
+        "",
+        failures,
+        "every filtered client received exactly the approved groups, in order",
+    )
 
 
 def _check_approval_audit(scenario: Scenario, runs: list[_RunResult]) -> dict:
@@ -781,13 +755,9 @@ def _check_approval_audit(scenario: Scenario, runs: list[_RunResult]) -> dict:
                         f"run {run.index} {sid} group {event.detail['group_id']}: "
                         f"category {category_name(code).lower()} not approved at delivery"
                     )
-    if failures:
-        return {"name": "approval_audit", "passed": False, "detail": "; ".join(failures[:5])}
-    return {
-        "name": "approval_audit",
-        "passed": True,
-        "detail": f"{audited} gated deliveries fully approved at delivery time",
-    }
+    return _check_result(
+        "approval_audit", "", failures, f"{audited} gated deliveries fully approved at delivery time"
+    )
 
 
 def _check_realtime(scenario: Scenario, runs: list[_RunResult]) -> dict:
@@ -815,14 +785,12 @@ def _check_realtime(scenario: Scenario, runs: list[_RunResult]) -> dict:
                         f"run {run.index} {spec.name} group {record.group_id}: approval at "
                         f"{event.time_ms} ms, expected {expected} ms"
                     )
-    unique = sorted(set(failures))
-    if unique:
-        return {"name": "realtime_analysis", "passed": False, "detail": "; ".join(unique[:5])}
-    return {
-        "name": "realtime_analysis",
-        "passed": True,
-        "detail": "analysis fits inside one group and approvals left on schedule",
-    }
+    return _check_result(
+        "realtime_analysis",
+        "",
+        sorted(set(failures)),
+        "analysis fits inside one group and approvals left on schedule",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -967,9 +935,9 @@ def _run_to_dict(scenario: Scenario, run: _RunResult, n_groups: int) -> dict:
     return {
         "run": run.index,
         "links": {
-            "publisher": run.links["publisher"].as_dict(),
+            "publisher": dataclasses.asdict(run.links["publisher"]),
             "clients": {
-                spec.name: run.links[spec.name].as_dict() for spec in scenario.clients
+                spec.name: dataclasses.asdict(run.links[spec.name]) for spec in scenario.clients
             },
         },
         "records": records_out,

@@ -16,6 +16,7 @@ Frame payload layout:
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -143,6 +144,8 @@ def _segment_problems(seg: PatternSegment, fps: int) -> list[str]:
             out.append(
                 f"flash rate {seg.flash_hz} Hz exceeds half the frame rate ({fps} fps)"
             )
+        elif math.isinf(fps / (2 * seg.flash_hz)):
+            out.append(f"flash rate too low to render: {seg.flash_hz}")
     elif isinstance(seg, Ramp):
         if not (0 <= seg.start_level <= 255 and 0 <= seg.end_level <= 255):
             out.append(f"levels out of range: {seg.start_level}..{seg.end_level}")
@@ -161,8 +164,6 @@ def strobe_half_period_frames(fps: int, flash_hz: float) -> int:
     """Frames between flash toggles: fps / (2 * flash_hz) rounded to the
     nearest whole frame with ties rounded down, so a flash at the Nyquist
     edge renders at or above its requested rate.  Never below one frame."""
-    import math
-
     return max(1, math.ceil(fps / (2 * flash_hz) - 0.5))
 
 

@@ -553,14 +553,6 @@ class RelayServer:
                     self._on_close(action.sid)
             elif isinstance(action, DeliverGroup):
                 self._deliver_group(action)
-            elif isinstance(action, SkipGroups):
-                self.log.emit(
-                    "relay",
-                    "delivery_skipped",
-                    sid=str(action.sid),
-                    track=action.track,
-                    group_ids=list(action.group_ids),
-                )
 
     def _deliver_group(self, action: DeliverGroup) -> None:
         session = self._sessions.get(action.sid)

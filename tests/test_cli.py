@@ -146,6 +146,21 @@ class TestPredict:
         assert "no filtered clients" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_source_out_of_range_is_usage_error(tmp_path, command):
+    data = mini_scenario()
+    data["source"]["segments"][0]["level"] = 300
+    proc = subprocess.run(
+        [sys.executable, "-m", "moqgate", command, write_scenario(tmp_path, data)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: scenario.source: ")
+    assert "level out of range: 300" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "moqgate", "validate", "paper_replication"],

@@ -16,8 +16,15 @@ from moqgate.client import (
     predict_latency_bound,
 )
 from moqgate.eventlog import EventLog
-from moqgate.framing import encode_group_header, encode_group_stream
-from moqgate.media import Constant, SourceConfig, Strobe, generate_groups
+from moqgate.framing import encode_frame_chunk, encode_group_header, encode_group_stream
+from moqgate.media import (
+    Constant,
+    LuminanceFrame,
+    SourceConfig,
+    Strobe,
+    encode_frame_payload,
+    generate_groups,
+)
 from moqgate.relay import RelayServer
 from moqgate.transport import Link, SimNetwork
 from moqgate.wire import Category
@@ -225,6 +232,43 @@ class TestMalformedGroup:
         assert error.detail["sid"] == "pub"
         assert "at least one frame" in error.detail["reason"]
         assert sub.records == {} and analyzer.records == {}
+
+    def _undecodable_group(self, payloads):
+        """Publish one group whose frame payloads the relay forwards as is;
+        return the analyzer, a filtered and a plain subscriber after the run."""
+        rig = Rig()
+        analyzer = rig.analyzer([STROBE])
+        gated = rig.subscriber([STROBE], sub_id=3, name="gated")
+        plain = rig.subscriber(sub_id=4, name="plain")
+        pub, remote = rig.net.connect(Link(delay_ms=0.0), "pub", "relay")
+        rig.server.attach("pub", remote)
+        stream = encode_group_header("cam", 0, len(payloads)) + b"".join(
+            encode_frame_chunk(p) for p in payloads
+        )
+        rig.net.at(10, lambda: pub.open_stream().end(stream))
+        rig.net.run_until_idle(max_virtual_ms=30_000)
+        assert rig.server.log.filter(kind="approve_recorded") == []
+        assert analyzer.log.filter(kind="approve_sent") == []
+        assert gated.records == {}
+        assert list(plain.records) == [0]
+        verdict = analyzer.verdicts[0]
+        assert verdict.approved == () and verdict.rejected == (STROBE,)
+        ((category, _),) = verdict.errors
+        assert category == STROBE
+        (error,) = analyzer.log.filter(kind="detector_error")
+        assert error.detail["group_id"] == 0 and error.detail["category"] == STROBE
+        (analyzed,) = analyzer.log.filter(kind="group_analyzed")
+        assert analyzed.detail["approved"] == [] and analyzed.detail["rejected"] == [STROBE]
+        return verdict
+
+    def test_truncated_frame_payload_fails_closed(self):
+        verdict = self._undecodable_group([b"\x00\x10\x00"])
+        assert "header needs 4 bytes" in verdict.errors[0][1]
+
+    def test_decreasing_capture_ts_fails_closed(self):
+        frames = [LuminanceFrame(4, 4, 0, 500, bytes(16)), LuminanceFrame(4, 4, 1, 100, bytes(16))]
+        verdict = self._undecodable_group([encode_frame_payload(f) for f in frames])
+        assert "non-decreasing" in verdict.errors[0][1]
 
 
 class TestPlayback:

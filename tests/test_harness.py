@@ -16,7 +16,10 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from moqgate.analysis import DetectorState, analyze_group_strobe
 from moqgate.harness import (
     Report,
     Scenario,
@@ -29,6 +32,7 @@ from moqgate.harness import (
     run_scenario,
     scenario_from_dict,
 )
+from moqgate.media import generate_groups
 
 # ---------------------------------------------------------------------------
 # scenario builders
@@ -293,6 +297,175 @@ class TestScenarioLoading:
                     assert cat in str(ei.value)
             else:
                 scenario_from_dict(data)
+
+
+def _set(path, value):
+    """Edit of mini_scenario(): assign ``value`` at the key path."""
+
+    def edit(data):
+        for key in path[:-1]:
+            data = data[key]
+        data[path[-1]] = value
+
+    return edit
+
+
+def _drop(path):
+    def edit(data):
+        for key in path[:-1]:
+            data = data[key]
+        del data[path[-1]]
+
+    return edit
+
+
+# Rejections and their exact messages; a loader rewrite must keep them.
+LOADER_MESSAGES = {
+    "unknown_top_key": (_set(("surprise",), 1), "scenario: unknown keys ['surprise']"),
+    "unknown_client_key": (
+        _set(("clients", 2, "colour"), "red"),
+        "scenario.clients[2]: unknown keys ['colour']",
+    ),
+    "missing_top_key": (_drop(("track",)), "scenario: missing keys ['track']"),
+    "missing_source_key": (_drop(("source", "fps")), "scenario.source: missing keys ['fps']"),
+    "missing_segment_key": (
+        _drop(("source", "segments", 0, "level")),
+        "scenario.source.segments[0]: missing keys ['level']",
+    ),
+    "bool_for_integer": (_set(("seed",), True), "scenario.seed: expected an integer, got True"),
+    "string_for_number": (
+        _set(("links", "publisher", "jitter_ms"), "x"),
+        "scenario.links.publisher.jitter_ms: expected a number, got 'x'",
+    ),
+    "negative_delay": (
+        _set(("links", "clients", "gated", "to_relay_ms"), -1),
+        "scenario.links.clients.gated.to_relay_ms: must be >= 0.0, got -1",
+    ),
+    "zero_retention": (
+        _set(("retention_groups",), 0),
+        "scenario.retention_groups: must be >= 1, got 0",
+    ),
+    "bad_segment_kind": (
+        _set(("source", "segments", 0, "kind"), "sawtooth"),
+        "scenario.source.segments[0]: unknown segment kind 'sawtooth'",
+    ),
+    "zero_draw_count": (
+        _set(("delay_draws",), {"count": 0, "seed": 1, "min_ms": 0, "max_ms": 5}),
+        "scenario.delay_draws.count: must be >= 1, got 0",
+    ),
+    "draws_min_above_max": (
+        _set(("delay_draws",), {"count": 2, "seed": 1, "min_ms": 7, "max_ms": 5}),
+        "scenario.delay_draws: min_ms > max_ms",
+    ),
+    "band_low_above_high": (
+        _set(("checks", "added_latency_band_ms"), [910.0, 890.0]),
+        "scenario.checks.added_latency_band_ms: low > high",
+    ),
+    "uncovered_filter": (
+        _set(("clients", 1, "filter"), ["strobe", "alcohol"]),
+        "client 'gated': no analyzer covers alcohol",
+    ),
+    "detector_grid_zero": (
+        _set(("clients", 0, "detector"), {"grid_dim": 0}),
+        "scenario.clients[0].detector: grid_dim must be at least 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOADER_MESSAGES))
+def test_loader_rejection_messages(case):
+    edit, message = LOADER_MESSAGES[case]
+    data = mini_scenario()
+    edit(data)
+    with pytest.raises(ScenarioError) as ei:
+        scenario_from_dict(data)
+    assert str(ei.value) == message
+
+
+def _property_scenario() -> dict:
+    """A valid mini scenario using every kind of scalar the loader reads."""
+    data = mini_scenario()
+    data["source"]["segments"] = [
+        {"kind": "constant", "level": 128, "duration_ms": 1000},
+        {"kind": "strobe", "low": 16, "high": 240, "flash_hz": 5.0, "duration_ms": 1000},
+        {"kind": "ramp", "start_level": 60, "end_level": 180, "duration_ms": 1000},
+    ]
+    data["detector"] = {"pixel_delta_threshold": 20, "changed_fraction_threshold": 0.25}
+    data["clients"][0]["detector"] = {"grid_dim": 8, "max_interchange_gap_ms": 100}
+    data["delay_draws"] = {"count": 2, "seed": 1, "min_ms": 0, "max_ms": 5}
+    data["retention_groups"] = 8
+    data["duration_ms"] = 60_000.0
+    data["playback_buffer_groups"] = 1.0
+    return data
+
+
+def _scalar_paths(value, path=()):
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        return [path]
+    else:
+        return []
+    return [p for key, item in items for p in _scalar_paths(item, path + (key,))]
+
+
+SCALAR_PATHS = _scalar_paths(_property_scenario())
+
+#: Beyond what any field means: past int64 and the float range, denormal,
+#: non-finite.
+EXTREME = [2**31, 2**63, 10**400, -(10**400), 1e300, 5e-324, float("inf"), float("nan")]
+
+
+@st.composite
+def _replaced_scalar(draw):
+    path = draw(st.sampled_from(SCALAR_PATHS))
+    data = _property_scenario()
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    original = target[path[-1]]
+    target[path[-1]] = draw(
+        st.one_of(
+            st.booleans(),
+            st.text(max_size=3),
+            st.none(),
+            st.integers(min_value=-1000, max_value=-1),
+            st.floats(min_value=-1000.0, max_value=-0.001),
+            st.just(original + 0.5),
+            st.sampled_from(EXTREME),
+        )
+    )
+    return data
+
+
+#: Sources longer than this are validated but not rendered.
+RENDER_LIMIT_FRAMES = 10_000
+
+
+@settings(max_examples=300, deadline=None)
+@given(_replaced_scalar())
+def test_accepted_scenario_source_and_detectors_run(data):
+    """Load accepts => the run cannot crash on the input: the source renders
+    and every analyzer's detector samples its frames."""
+    try:
+        scenario = scenario_from_dict(data)
+    except ScenarioError:
+        return
+    source = scenario.source
+    analyzers = [spec for spec in scenario.clients if spec.analyze]
+    for spec in analyzers:
+        assert spec.detector.grid_dim <= min(source.width, source.height)
+    n_frames = sum(seg.duration_ms for seg in source.segments) * source.fps // 1000
+    if n_frames > RENDER_LIMIT_FRAMES:
+        source.validate()  # what generate_groups checks before rendering
+        return
+    groups = generate_groups(source)
+    for spec in analyzers:
+        state = DetectorState()
+        for group in groups:
+            _, state = analyze_group_strobe(group, state, spec.detector)
 
 
 # ---------------------------------------------------------------------------
