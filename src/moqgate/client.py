@@ -184,7 +184,6 @@ class AnalyzerClient:
         subscribe_id: int,
         registry: DetectorRegistry | None = None,
         analysis_time_ms: float = 0.0,
-        gop_duration_ms: float | None = None,
         log: EventLog | None = None,
         name: str = "analyzer",
     ) -> None:
@@ -195,7 +194,6 @@ class AnalyzerClient:
         self.subscribe_id = subscribe_id
         self.registry = registry if registry is not None else default_registry()
         self.analysis_time_ms = analysis_time_ms
-        self.gop_duration_ms = gop_duration_ms
         self.name = name
         self.log = log if log is not None else EventLog(lambda: net.now)
         self.records: dict[int, LatencyRecord] = {}
@@ -203,22 +201,7 @@ class AnalyzerClient:
         self._states: dict[int, object] = {}
         _GroupAssembly.attach(net, session, self._on_group)
 
-    @property
-    def realtime_ok(self) -> bool:
-        """Whether analysis keeps up with the stream: each group must be
-        analyzed in less time than it takes to play."""
-        if self.gop_duration_ms is None:
-            return True
-        return self.analysis_time_ms < self.gop_duration_ms
-
     def start(self) -> None:
-        if not self.realtime_ok:
-            self.log.emit(
-                self.name,
-                "realtime_violation",
-                analysis_time_ms=self.analysis_time_ms,
-                gop_duration_ms=self.gop_duration_ms,
-            )
         msg = Subscribe(
             self.subscribe_id, self.track, 0, (analyze_parameter(self.categories),)
         )

@@ -59,9 +59,14 @@ __all__ = [
     "RelayCore",
     "RelayServer",
     "DEFAULT_CAPABILITIES",
+    "STALL_ALARM_MS",
 ]
 
 DEFAULT_CAPABILITIES = frozenset({1, 2, 3})
+
+# How long a filtered subscriber may wait on one group before the server
+# logs a ``gating_stalled`` alarm (virtual ms).
+STALL_ALARM_MS = 10_000.0
 
 
 class ProtocolError(Exception):
@@ -101,7 +106,6 @@ class SessionState:
     sid: object
     subscribe_id: int
     track: str
-    priority: int
     analyze: tuple[int, ...] | None = None
     filter: tuple[int, ...] | None = None
     next_deliver: int = 0
@@ -197,7 +201,6 @@ class RelayCore:
             sid=sid,
             subscribe_id=msg.subscribe_id,
             track=msg.track_name,
-            priority=msg.priority,
             analyze=analyze,
             filter=filter_,
             next_deliver=track.next_expected if track.next_expected is not None else 0,
@@ -380,10 +383,9 @@ def _held(track: _TrackState, state: SessionState) -> list[int]:
 class _LiveGroup:
     """A group currently streaming through the relay."""
 
-    def __init__(self, track: str, group_id: int, frame_count: int) -> None:
+    def __init__(self, track: str, group_id: int) -> None:
         self.track = track
         self.group_id = group_id
-        self.frame_count = frame_count
         self.sent_bytes = bytearray()
         self.fanout: dict[object, object] = {}  # sid -> SendStream
 
@@ -396,12 +398,10 @@ class RelayServer:
         net: SimNetwork,
         core: RelayCore | None = None,
         log: EventLog | None = None,
-        stall_alarm_ms: float = 10_000.0,
     ) -> None:
         self.net = net
         self.log = log if log is not None else EventLog(lambda: net.now)
         self.core = core if core is not None else RelayCore(log=self.log)
-        self.stall_alarm_ms = stall_alarm_ms
         self._sessions: dict[object, Session] = {}
         self._decoders: dict[object, ControlStreamDecoder] = {}
         self._live: dict[str, _LiveGroup] = {}
@@ -486,7 +486,7 @@ class RelayServer:
         out = bytearray()
         if live is None and parser.frame_count is not None:
             assert parser.track is not None and parser.group_id is not None
-            live = _LiveGroup(parser.track, parser.group_id, parser.frame_count)
+            live = _LiveGroup(parser.track, parser.group_id)
             holder["live"] = live
             self._live[parser.track] = live
             out += encode_group_header(parser.track, parser.group_id, parser.frame_count)
@@ -581,7 +581,7 @@ class RelayServer:
                 continue
             sid = state.sid
             self.net.after(
-                self.stall_alarm_ms,
+                STALL_ALARM_MS,
                 lambda sid=sid, group_id=group_id, track=track: self._check_stall(
                     sid, track, group_id
                 ),
@@ -599,5 +599,5 @@ class RelayServer:
             sid=str(sid),
             track=track,
             group_id=group_id,
-            waiting_ms=self.stall_alarm_ms,
+            waiting_ms=STALL_ALARM_MS,
         )

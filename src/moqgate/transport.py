@@ -1,5 +1,8 @@
 """Deterministic single-threaded network simulation.
 
+This is the only transport: the relay and every client run over the
+:class:`Session` endpoints below, and this module is their contract.
+
 A :class:`SimNetwork` owns a virtual clock and an event heap.  Connecting a
 :class:`Link` yields two :class:`Session` endpoints; each session can send
 control messages (a reserved ordered channel) and open unidirectional data
@@ -149,14 +152,17 @@ class _Direction:
         self._rng = random.Random(seed)
         self._last_arrival: dict[int, float] = {}
 
-    def transmit(self, stream_id: int, deliver: Callable[[], None]) -> None:
+    def transmit(self, stream_id: int, fin: bool, deliver: Callable[[], None]) -> None:
         arrival = self._net.now + self._delay
         if self._jitter:
             arrival += self._rng.uniform(-self._jitter, self._jitter)
         # Never deliver before a chunk sent earlier on the same stream, and
         # never before the send instant itself.
         arrival = max(arrival, self._last_arrival.get(stream_id, 0.0), self._net.now)
-        self._last_arrival[stream_id] = arrival
+        if fin:
+            self._last_arrival.pop(stream_id, None)  # nothing follows fin
+        else:
+            self._last_arrival[stream_id] = arrival
         self._net.at(arrival, deliver)
 
 
@@ -291,7 +297,7 @@ class Session:
         assert self._outgoing is not None and self._peer is not None
         peer = self._peer
         self._outgoing.transmit(
-            stream_id, lambda: peer._receive(stream_id, data, fin, close)
+            stream_id, fin, lambda: peer._receive(stream_id, data, fin, close)
         )
 
     def _receive(self, stream_id: int, data: bytes, fin: bool, close: bool) -> None:

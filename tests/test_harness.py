@@ -12,8 +12,10 @@ filtered subscriber's downlink.
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -553,6 +555,8 @@ class TestRunScenario:
         assert report.passed is False
         verdicts = checks_by_name(report)
         assert verdicts["realtime_analysis"] is False
+        (realtime,) = [c for c in report.data["checks"] if c["name"] == "realtime_analysis"]
+        assert realtime["detail"] == "analyzer0: analysis 1500.0 ms >= group 1000.0 ms"
         assert verdicts["gating_safety"] is True
         assert verdicts["latency_bound"] is True  # bound includes analysis time
         run = report.data["runs"][0]
@@ -745,3 +749,20 @@ class TestBundledFixtures:
             "filter_smoke": 1000.0,
             "filter_strobe": 1000.0,
         }
+
+
+# The benchmark's golden digests of the bundled reports as shipped; any
+# change to a report's bytes must re-record them on purpose.
+_GOLDEN = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "golden.json").read_text()
+)["bundled"]
+
+
+def test_golden_digests_cover_every_bundled_scenario():
+    assert sorted(_GOLDEN) == bundled_scenario_names()
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN))
+def test_bundled_report_matches_golden_digest(name):
+    text = run_scenario(load_scenario(bundled_scenario_path(name))).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == _GOLDEN[name]

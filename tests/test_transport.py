@@ -193,6 +193,21 @@ class TestStreams:
         assert by_id[2].data == b"2a2b"
         assert all(rs.finished for rs in by_id.values())
 
+    def test_ended_streams_leave_no_ordering_state(self):
+        net = SimNetwork()
+        a, b = make_pair(net, delay_ms=5, jitter_ms=3, seed=1)
+        a.send_control(b"hello")
+        for _ in range(100):
+            s = a.open_stream()
+            s.send(b"x")
+            s.end(b"y")
+        net.run_until_idle()
+        streams = b.incoming_streams()
+        assert len(streams) == 100
+        assert all(rs.data == b"xy" and rs.finished for rs in streams)
+        # only the never-ending control stream keeps an arrival clamp
+        assert set(a._outgoing._last_arrival) == {0}
+
 
 class TestJitter:
     def _arrivals(self, seed):
