@@ -7,14 +7,32 @@ a flash rate in the photosensitive range.  Detector state (previous samples
 and the timestamp of the last rise) threads across group boundaries so
 flashes that straddle two groups are still caught.
 
+Both per-frame steps run in C-level loops.  `sample_luma` builds the grid's
+pixel indices once per (width, height, grid_dim) and reads them with one
+`operator.itemgetter`; when the grid covers every pixel (a 16x16 frame on
+the default 16x16 grid) it returns the pixels as they are.
+`is_significant_increase` counts the samples with ``cur - prev > t`` by SWAR
+(SIMD within a register): each sample vector is spread into one big integer
+of 16-bit lanes, sample ``i`` in the low byte of lane ``i`` counted from the
+least significant end.  Adding ``511 - t`` to every lane of ``cur`` and
+subtracting ``prev`` leaves each lane in [1, 766], so no lane carries into
+or borrows from its neighbour, and bit 9 of a lane is set exactly when
+``cur - prev > t``; one mask and `int.bit_count` count them.
+`DetectorState` carries the previous frame's lanes, so `push_frame` spreads
+each frame once.  A byte difference never exceeds 255, so a threshold above
+255 means "no rise" and skips the lane arithmetic.
+
 Other categories (smoking, alcohol) are represented by fixed-verdict stub
 detectors so the approval plumbing can be exercised end to end.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Protocol
+import math
+import operator
+from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import Callable, Mapping, Protocol
 
 from .media import Group, LuminanceFrame, SourceConfig, iter_frame_levels
 from .wire import Category, _as_category
@@ -63,6 +81,9 @@ class DetectorState:
 
     prev_samples: bytes | None = None
     last_change_ts: int | None = None
+    # prev_samples spread into lanes, so each frame is spread once; derived
+    # from prev_samples, so it takes no part in equality.
+    prev_lanes: int | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -73,6 +94,22 @@ class Verdict:
     approved: tuple[int, ...] = ()
     rejected: tuple[int, ...] = ()
     errors: tuple[tuple[int, str], ...] = ()  # (category, message) per failed detector
+
+
+@lru_cache(maxsize=64)
+def _grid_sampler(width: int, height: int, grid_dim: int) -> Callable[[bytes], bytes]:
+    """The function that reads a frame's grid samples, row-major."""
+    xs = [((2 * i + 1) * width) // (2 * grid_dim) for i in range(grid_dim)]
+    ys = [((2 * j + 1) * height) // (2 * grid_dim) for j in range(grid_dim)]
+    indices = [y * width + x for y in ys for x in xs]
+    if indices == list(range(width * height)):
+        return bytes
+    if len(indices) > 1:
+        getter = operator.itemgetter(*indices)
+    else:
+        # itemgetter of one index returns an int; a one-item slice does not.
+        getter = operator.itemgetter(slice(indices[0], indices[0] + 1))
+    return lambda pixels: bytes(getter(pixels))
 
 
 def sample_luma(frame: LuminanceFrame, grid_dim: int) -> bytes:
@@ -88,24 +125,45 @@ def sample_luma(frame: LuminanceFrame, grid_dim: int) -> bytes:
             f"grid_dim {grid_dim} exceeds frame dimensions "
             f"{frame.width}x{frame.height}"
         )
-    w, h = frame.width, frame.height
-    xs = [((2 * i + 1) * w) // (2 * grid_dim) for i in range(grid_dim)]
-    ys = [((2 * j + 1) * h) // (2 * grid_dim) for j in range(grid_dim)]
-    pixels = frame.pixels
-    return bytes(pixels[y * w + x] for y in ys for x in xs)
+    return _grid_sampler(frame.width, frame.height, grid_dim)(frame.pixels)
+
+
+def _lanes(samples: bytes) -> int:
+    """Spread samples into 16-bit lanes, sample 0 in the lowest lane."""
+    buf = bytearray(2 * len(samples))
+    buf[::2] = samples
+    return int.from_bytes(buf, "little")
+
+
+@lru_cache(maxsize=64)
+def _rise_constants(count: int, threshold: float) -> tuple[int, int]:
+    """(511 - t in every lane, bit 9 of every lane) for `count` lanes."""
+    ones = int.from_bytes(b"\x01\x00" * count, "little")
+    return (511 - math.floor(threshold)) * ones, 0x200 * ones
+
+
+def _lanes_rose(prev: int, cur: int, count: int, config: StrobeConfig) -> bool:
+    """is_significant_increase on spread, non-empty, equal-length vectors
+    with a threshold of at most 255."""
+    offset, mask = _rise_constants(count, config.pixel_delta_threshold)
+    changed = ((cur + offset - prev) & mask).bit_count()
+    return changed / count > config.changed_fraction_threshold
 
 
 def is_significant_increase(prev: bytes, cur: bytes, config: StrobeConfig) -> bool:
     """True when the fraction of samples that brightened sharply is above
-    the configured threshold.  Both comparisons are strictly greater-than."""
+    the configured threshold.  Both comparisons are strictly greater-than.
+
+    A byte can rise by at most 255, so a `pixel_delta_threshold` above 255
+    always gives False.
+    """
     if len(prev) != len(cur):
         raise ValueError(
             f"sample vectors differ in length: {len(prev)} vs {len(cur)}"
         )
-    if not prev:
+    if not prev or config.pixel_delta_threshold > 255:
         return False
-    changed = sum(1 for p, c in zip(prev, cur) if c - p > config.pixel_delta_threshold)
-    return changed / len(prev) > config.changed_fraction_threshold
+    return _lanes_rose(_lanes(prev), _lanes(cur), len(prev), config)
 
 
 def push_frame(
@@ -117,9 +175,19 @@ def push_frame(
     rise follows a previous rise within max_interchange_gap_ms.
     """
     samples = sample_luma(frame, config.grid_dim)
-    event = state.prev_samples is not None and is_significant_increase(
-        state.prev_samples, samples, config
-    )
+    lanes = _lanes(samples)
+    prev = state.prev_samples
+    if prev is None:
+        event = False
+    elif (
+        state.prev_lanes is None
+        or len(prev) != len(samples)
+        or config.pixel_delta_threshold > 255
+    ):
+        # A state built without lanes, or a case the checked path handles.
+        event = is_significant_increase(prev, samples, config)
+    else:
+        event = _lanes_rose(state.prev_lanes, lanes, len(samples), config)
     risk = False
     last_change = state.last_change_ts
     if event:
@@ -129,7 +197,7 @@ def push_frame(
         ):
             risk = True
         last_change = frame.capture_ts
-    return risk, DetectorState(samples, last_change)
+    return risk, DetectorState(samples, last_change, lanes)
 
 
 def analyze_group_strobe(
@@ -191,9 +259,6 @@ class DetectorRegistry:
         if category in self._detectors:
             raise ValueError(f"category {category!r} already registered")
         self._detectors[category] = detector
-
-    def supports(self, category: int) -> bool:
-        return _as_category(category) in self._detectors
 
     def detector(self, category: int) -> Detector:
         try:

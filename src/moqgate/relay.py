@@ -117,6 +117,7 @@ class _TrackState:
     stored: dict[int, object] = field(default_factory=dict)
     approvals: dict[int, dict[int, set]] = field(default_factory=dict)
     next_expected: int | None = None
+    # Ids below this are not held: evicted, or before the track's first group.
     evicted_below: int | None = None
 
 
@@ -271,6 +272,7 @@ class RelayCore:
             for state in self.sessions_of(track_name):
                 if state.filter is not None and state.next_deliver < group_id:
                     state.next_deliver = group_id
+            track.evicted_below = group_id
         elif group_id != track.next_expected:
             raise MonotonicityError(
                 f"track {track_name!r} expected group {track.next_expected}, "
@@ -282,7 +284,7 @@ class RelayCore:
         for gid in [g for g in track.stored if g < floor]:
             del track.stored[gid]
             track.approvals.pop(gid, None)
-            track.evicted_below = max(track.evicted_below or 0, gid + 1)
+            track.evicted_below = max(track.evicted_below, gid + 1)
         self.log.emit("relay", "group_stored", track=track_name, group_id=group_id)
         return self._gate_all(track)
 
@@ -306,7 +308,16 @@ class RelayCore:
                 f"session's analyze set"
             )
         track = self._track(state.track)
-        if track.evicted_below is not None and msg.group_id < track.evicted_below:
+        # An analyzer can approve a group only after receiving its end, which
+        # the relay forwards as it ingests the group.  Refusing approvals of
+        # groups not yet ingested keeps the ledger to held groups, so it
+        # stays within retention.
+        if track.next_expected is None or msg.group_id >= track.next_expected:
+            raise ProtocolError(
+                f"approval for group {msg.group_id} of track {state.track!r}, "
+                f"which has not been ingested"
+            )
+        if msg.group_id < track.evicted_below:
             self.log.emit(
                 "relay",
                 "approve_ignored",

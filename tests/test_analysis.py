@@ -10,6 +10,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from moqgate.analysis import (
     DetectorRegistry,
@@ -47,6 +49,22 @@ def group_of_levels(group_id: int, levels: list[int], ts0: int, spacing: int = 3
         uniform_frame(level, ts0 + i * spacing, index=i) for i, level in enumerate(levels)
     )
     return Group(group_id, frames, spacing * len(levels))
+
+
+def reference_sample_luma(frame: LuminanceFrame, grid_dim: int) -> bytes:
+    """The original per-pixel formulation of the sampling grid."""
+    w, h = frame.width, frame.height
+    xs = [((2 * i + 1) * w) // (2 * grid_dim) for i in range(grid_dim)]
+    ys = [((2 * j + 1) * h) // (2 * grid_dim) for j in range(grid_dim)]
+    return bytes(frame.pixels[y * w + x] for y in ys for x in xs)
+
+
+def reference_is_significant_increase(prev: bytes, cur: bytes, cfg: StrobeConfig) -> bool:
+    """The original per-sample formulation of the increase rule."""
+    if not prev:
+        return False
+    changed = sum(1 for p, c in zip(prev, cur) if c - p > cfg.pixel_delta_threshold)
+    return changed / len(prev) > cfg.changed_fraction_threshold
 
 
 def replay_risky_groups(groups: list[Group], cfg: StrobeConfig) -> set[int]:
@@ -115,6 +133,74 @@ class TestIncreaseRule:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             is_significant_increase(bytes(4), bytes(5), StrobeConfig())
+
+
+@st.composite
+def frame_pairs(draw):
+    """Two random frames of one shape and a grid that fits them."""
+    w, h = draw(st.integers(1, 70)), draw(st.integers(1, 70))
+    grid_dim = draw(st.integers(1, min(w, h)))
+    pixels = st.binary(min_size=w * h, max_size=w * h)
+    prev = LuminanceFrame(w, h, 0, 0, draw(pixels))
+    cur = LuminanceFrame(w, h, 1, 33, draw(pixels))
+    return prev, cur, grid_dim
+
+
+thresholds = st.one_of(
+    st.sampled_from([0, 1, 254, 255, 256, 10**6]),
+    st.integers(0, 300),
+    st.floats(0.0, 300.0),
+)
+fractions = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+class TestMatchesReference:
+    """The cached sampler and the lane count against the per-pixel originals."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(pair=frame_pairs(), t=thresholds, fraction=fractions)
+    @example(  # one sample of a larger frame: itemgetter(i) returns an int
+        pair=(
+            LuminanceFrame(5, 3, 0, 0, bytes(15)),
+            LuminanceFrame(5, 3, 1, 33, bytes(range(0, 255, 17))),
+            1,
+        ),
+        t=254,
+        fraction=0.0,
+    )
+    def test_sampling_and_increase_match_reference(self, pair, t, fraction):
+        prev_frame, cur_frame, grid_dim = pair
+        cfg = StrobeConfig(
+            grid_dim=grid_dim,
+            pixel_delta_threshold=t,
+            changed_fraction_threshold=fraction,
+        )
+        prev = sample_luma(prev_frame, grid_dim)
+        cur = sample_luma(cur_frame, grid_dim)
+        assert type(prev) is bytes and type(cur) is bytes
+        assert prev == reference_sample_luma(prev_frame, grid_dim)
+        assert cur == reference_sample_luma(cur_frame, grid_dim)
+        want = reference_is_significant_increase(prev, cur, cfg)
+        assert is_significant_increase(prev, cur, cfg) is want
+        # push_frame with the lanes it carried, and with a state built by hand.
+        _, carried = push_frame(prev_frame, DetectorState(), cfg)
+        for state in (carried, DetectorState(prev)):
+            _, state = push_frame(cur_frame, state, cfg)
+            assert state.last_change_ts == (33 if want else None)
+
+    @pytest.mark.parametrize("t", [255, 256, 10**6])
+    def test_threshold_at_or_above_255_never_rises(self, t):
+        cfg = StrobeConfig(pixel_delta_threshold=t, changed_fraction_threshold=0.0)
+        assert is_significant_increase(bytes(256), bytes([255] * 256), cfg) is False
+        risk, state = analyze_group_strobe(
+            group_of_levels(0, [0, 255, 0, 255], ts0=0), DetectorState(), cfg
+        )
+        assert (risk, state.last_change_ts) == (False, None)
+
+    def test_threshold_254_counts_a_full_swing(self):
+        cfg = StrobeConfig(pixel_delta_threshold=254, changed_fraction_threshold=0.0)
+        assert is_significant_increase(bytes(4), bytes([255, 0, 0, 0]), cfg) is True
+        assert is_significant_increase(bytes([1, 0, 0, 0]), bytes([255, 0, 0, 0]), cfg) is False
 
 
 class TestGapRule:
@@ -312,8 +398,8 @@ class TestRegistryAndVerdicts:
     def test_default_registry_supports_known_categories(self):
         reg = default_registry()
         for cat in (Category.STROBE, Category.SMOKING, Category.ALCOHOL):
-            assert reg.supports(cat)
-        assert not reg.supports(0x7F)
+            assert cat in reg.categories
+        assert 0x7F not in reg.categories
 
     def test_analyze_partitions_categories(self):
         cfg = SourceConfig(16, 16, 30, 1000, (Strobe(16, 240, 15.0, 1000),))

@@ -238,11 +238,35 @@ class TestGating:
         actions = core.handle_approve("an", Approve(2, 0, (SMOKING,)))
         assert actions == [DeliverGroup("f_smoke", "cam", 0, "G0")]
 
-    def test_approval_before_ingest_is_buffered(self):
+    def test_approval_before_ingest_is_protocol_error(self):
         core = self._core()
-        assert core.handle_approve("an", Approve(2, 0, (STROBE,))) == []
-        actions = core.ingest_group("cam", 0, "G0")
-        assert actions == [DeliverGroup("f", "cam", 0, "G0")]
+        with pytest.raises(ProtocolError, match="not been ingested"):
+            core.handle_approve("an", Approve(2, 0, (STROBE,)))
+        assert core.ingest_group("cam", 0, "G0") == []
+        with pytest.raises(ProtocolError, match="not been ingested"):
+            core.handle_approve("an", Approve(2, 1, (STROBE,)))
+        # The refused approvals left nothing behind: group 0 still waits.
+        assert core.ingest_group("cam", 1, "G1") == []
+        assert core.handle_approve("an", Approve(2, 1, (STROBE,))) == [
+            SkipGroups("f", "cam", (0,)),
+            DeliverGroup("f", "cam", 1, "G1"),
+        ]
+
+    def test_approval_ledger_holds_only_stored_groups(self):
+        log = EventLog()
+        core = RelayCore(retention=2, log=log)
+        core.handle_subscribe("an", analyzer([STROBE], sub_id=2))
+        core.handle_subscribe("f", filterer([STROBE], sub_id=3))
+        for gid in range(5, 10):
+            core.ingest_group("cam", gid, f"G{gid}")
+        # Ids before the track's first group are treated like evicted ones.
+        for gid in range(8):
+            assert core.handle_approve("an", Approve(2, gid, (STROBE,))) == []
+        assert len(log.filter(kind="approve_ignored")) == 8
+        for gid in range(10, 1000):
+            with pytest.raises(ProtocolError):
+                core.handle_approve("an", Approve(2, gid, (STROBE,)))
+        assert core._tracks["cam"].approvals == {}
 
     def test_subscriber_joining_late_starts_at_next_group(self):
         core = self._core()
@@ -394,6 +418,7 @@ class ReferenceGate:
             for sid, cats in self.filters.items():
                 if cats is not None and self.next_deliver[sid] < gid:
                     self.next_deliver[sid] = gid
+            self.evicted_below = gid
         self.next_expected = gid + 1
         self.stored[gid] = f"G{gid}"
         for old in [g for g in self.stored if g <= gid - self.retention]:
@@ -403,7 +428,10 @@ class ReferenceGate:
         return self.gate_all()
 
     def approve(self, sid, gid, cats):
-        if self.evicted_below is not None and gid < self.evicted_below:
+        """The actions, or ProtocolError for a group not yet ingested."""
+        if self.next_expected is None or gid >= self.next_expected:
+            return ProtocolError
+        if gid < self.evicted_below:
             return []
         slots = self.approved.setdefault(gid, {})
         new_coverage = any(not slots.get(cat) for cat in cats)
@@ -489,14 +517,20 @@ class TestGateMatchesReference:
                 gid = max(0, next_gid + offset)
                 sub_id, allowed = ANALYZERS[sid]
                 cats = tuple(c for c in cats if c in allowed)
-                got = core.handle_approve(sid, Approve(sub_id, gid, cats))
                 want = model.approve(sid, gid, cats)
+                if want is ProtocolError:
+                    with pytest.raises(ProtocolError):
+                        core.handle_approve(sid, Approve(sub_id, gid, cats))
+                    continue
+                got = core.handle_approve(sid, Approve(sub_id, gid, cats))
             else:
                 _, sid, cats = op
                 params = () if cats is None else (filter_parameter(cats),)
                 got = core.handle_subscribe_update(sid, SubscribeUpdate(FILTERED[sid], params))
                 want = model.update(sid, FILTERED[sid], cats)
             assert got == want, op
+            track = core._tracks.get("cam")
+            assert track is None or set(track.approvals) <= set(track.stored), op
 
 
 def frame(i, ts, level):
@@ -626,6 +660,20 @@ class TestRelayServer:
         rig.net.run_until_idle()
         assert rig.server.log.filter(kind="protocol_error") != []
         assert local.control_messages == []  # no SUBSCRIBE_OK was sent
+
+    def test_future_approval_closes_analyzer_session(self):
+        rig = ServerRig({"an": analyzer([STROBE], sub_id=2), "f": filterer([STROBE], sub_id=3)})
+        an = rig.clients["an"]
+        # Approves group 0 at t=10, before the publisher has sent anything.
+        rig.net.at(10, lambda: an.send_control(encode_message(Approve(2, 0, (STROBE,)))))
+        stream = rig.publisher.open_stream()
+        rig.net.at(20, lambda: stream.end(encode_group_stream("cam", two_frame_group())))
+        rig.net.run_until_idle(max_virtual_ms=60_000)
+        (error,) = rig.server.log.filter(kind="protocol_error")
+        assert error.detail["sid"] == "an"
+        assert "not been ingested" in error.detail["reason"]
+        assert rig.server.log.filter(kind="approve_recorded") == []
+        assert rig.clients["f"].incoming_streams() == []
 
     def test_analyzer_disconnect_logged(self):
         rig = ServerRig({"an": analyzer([STROBE], sub_id=2)})
