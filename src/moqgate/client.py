@@ -12,6 +12,9 @@
 * :func:`compute_playback` replays recorded arrivals against a fixed-rate
   playout clock to find stalls; :func:`predict_latency_bound` gives the
   worst-case end-to-end latency a filtered subscriber should ever see.
+
+Both receiving clients keep ``records``: one :class:`LatencyRecord` per
+group, in the order the groups' streams completed.
 """
 
 from __future__ import annotations
@@ -196,8 +199,7 @@ class AnalyzerClient:
         self.analysis_time_ms = analysis_time_ms
         self.name = name
         self.log = log if log is not None else EventLog(lambda: net.now)
-        self.records: dict[int, LatencyRecord] = {}
-        self.verdicts: dict[int, Verdict] = {}
+        self.records: list[LatencyRecord] = []
         self._states: dict[int, object] = {}
         _GroupAssembly.attach(net, session, self._on_group)
 
@@ -209,7 +211,7 @@ class AnalyzerClient:
 
     def _on_group(self, record: LatencyRecord, payloads: list[bytes]) -> None:
         group_id = record.group_id
-        self.records[group_id] = record
+        self.records.append(record)
         try:
             frames = tuple(decode_frame_payload(p) for p in payloads)
             group = Group(group_id, frames, frames[-1].capture_ts - frames[0].capture_ts)
@@ -226,7 +228,6 @@ class AnalyzerClient:
                 category=int(category),
                 error=error,
             )
-        self.verdicts[group_id] = verdict
         self.log.emit(
             self.name,
             "group_analyzed",
@@ -278,8 +279,7 @@ class SubscriberClient:
         )
         self.name = name
         self.log = log if log is not None else EventLog(lambda: net.now)
-        self.records: dict[int, LatencyRecord] = {}
-        self._arrival_order: list[int] = []
+        self.records: list[LatencyRecord] = []
         _GroupAssembly.attach(net, session, self._on_group)
 
     def start(self) -> None:
@@ -290,21 +290,13 @@ class SubscriberClient:
         self.session.send_control(encode_message(msg))
 
     def _on_group(self, record: LatencyRecord, payloads: list[bytes]) -> None:
-        self.records[record.group_id] = record
-        self._arrival_order.append(record.group_id)
+        self.records.append(record)
         self.log.emit(
             self.name,
             "group_received",
             group_id=record.group_id,
             frame_count=record.frame_count,
         )
-
-    def delivered_group_ids(self) -> list[int]:
-        """Group ids in the order their streams completed."""
-        return list(self._arrival_order)
-
-    def latency_records(self) -> list[LatencyRecord]:
-        return [self.records[gid] for gid in self._arrival_order]
 
 
 def compute_playback(

@@ -19,7 +19,12 @@ class Event:
 
 @dataclass
 class EventLog:
-    """Append-only log; ``clock`` supplies the timestamp for each emit."""
+    """Append-only log; ``clock`` supplies the timestamp for each emit.
+
+    The log is per-run report data: it keeps every event, so it grows
+    linearly with the events a run emits.  That is on purpose, since the
+    report's checks and the planned per-group latency ledger read it.
+    """
 
     clock: Callable[[], float] = lambda: 0.0
     events: list[Event] = field(default_factory=list)

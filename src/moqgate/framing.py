@@ -162,7 +162,3 @@ class ControlStreamDecoder:
             pos += consumed
         self._buffer = buf[pos:]
         return messages
-
-    @property
-    def pending_bytes(self) -> int:
-        return len(self._buffer)

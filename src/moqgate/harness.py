@@ -506,7 +506,6 @@ class _RunResult:
     index: int
     links: dict[str, LinkSpec]
     records: dict[str, list[LatencyRecord]]
-    delivered: dict[str, list[int]]
     approvals: dict[str, list[tuple[int, list[int]]]]
     log: EventLog
     end_time_ms: float
@@ -592,26 +591,21 @@ def _run_once(
         end_time = net.now
 
     records: dict[str, list[LatencyRecord]] = {}
-    delivered: dict[str, list[int]] = {}
     approvals: dict[str, list[tuple[int, list[int]]]] = {}
     for spec in scenario.clients:
         client = clients[spec.name]
         if isinstance(client, AnalyzerClient):
-            ordered = [client.records[g] for g in sorted(client.records)]
-            records[spec.name] = ordered
-            delivered[spec.name] = sorted(client.records)
+            records[spec.name] = sorted(client.records, key=lambda r: r.group_id)
             approvals[spec.name] = [
                 (event.detail["group_id"], list(event.detail["categories"]))
                 for event in log.filter(kind="approve_sent", source=spec.name)
             ]
         else:
-            records[spec.name] = client.latency_records()
-            delivered[spec.name] = client.delivered_group_ids()
+            records[spec.name] = client.records
     return _RunResult(
         index=index,
         links=dict(links),
         records=records,
-        delivered=delivered,
         approvals=approvals,
         log=log,
         end_time_ms=end_time,
@@ -716,7 +710,7 @@ def _check_gating_safety(
     failures = []
     for run in runs:
         for name, expected_delivered in expected.items():
-            actual = run.delivered[name]
+            actual = [r.group_id for r in run.records[name]]
             if actual != expected_delivered:
                 failures.append(
                     f"run {run.index} {name}: delivered {actual}, expected {expected_delivered}"
@@ -910,8 +904,8 @@ def _run_to_dict(scenario: Scenario, run: _RunResult, n_groups: int) -> dict:
                 }
             )
         records_out[spec.name] = rows
-        delivered_out[spec.name] = list(run.delivered[spec.name])
-        skipped_out[spec.name] = sorted(set(range(n_groups)) - set(run.delivered[spec.name]))
+        delivered_out[spec.name] = [row["group_id"] for row in rows]
+        skipped_out[spec.name] = sorted(set(range(n_groups)) - set(delivered_out[spec.name]))
         stats = compute_playback(
             run.records[spec.name], gop, scenario.playback_buffer_groups * gop
         )

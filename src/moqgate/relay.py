@@ -129,15 +129,9 @@ class RelayCore:
     must carry out, in order.
     """
 
-    def __init__(
-        self,
-        capabilities: frozenset[int] = DEFAULT_CAPABILITIES,
-        retention: int = 64,
-        log: EventLog | None = None,
-    ) -> None:
+    def __init__(self, retention: int = 64, log: EventLog | None = None) -> None:
         if retention < 1:
             raise ValueError("retention must be at least 1 group")
-        self.capabilities = frozenset(capabilities)
         self.retention = retention
         self.log = log if log is not None else EventLog()
         self._sessions: dict[object, SessionState] = {}
@@ -186,7 +180,7 @@ class RelayCore:
             raise ProtocolError(f"bad {role} parameter payload: {exc}") from None
         if not categories:
             raise ProtocolError(f"{role} parameter names no categories")
-        unsupported = set(categories) - self.capabilities
+        unsupported = set(categories) - DEFAULT_CAPABILITIES
         if unsupported:
             raise ProtocolError(
                 f"unsupported {role} categories: {sorted(unsupported)}"

@@ -11,9 +11,11 @@ optional seeded jitter draw, with arrival order preserved *within* each
 stream (later chunks never overtake earlier ones); separate streams may
 interleave freely, as on a real multiplexed connection.
 
-A receiving stream either hands each chunk to a registered ``on_data``
-callback or, when none is set, buffers it in ``chunks`` for polling; it
-never does both, so a callback-driven receiver holds no second copy.
+Sessions are callback-only: control messages go to ``on_control``, each
+new stream to ``on_stream`` and its chunks to that stream's ``on_data``.
+Whatever arrives with no callback registered is discarded, so the
+transport buffers nothing for the receiver.  A session holds a receiving
+stream only while it is open and drops it when its ``fin`` arrives.
 
 All timestamps are virtual milliseconds.  Runs are fully deterministic for
 a given seed: jitter generators are seeded from a hash of the link seed and
@@ -172,40 +174,22 @@ _CONTROL_STREAM_ID = 0
 class RecvStream:
     """Receiving end of a unidirectional stream.
 
-    Chunks are passed to the ``on_data`` callback when one is registered;
-    only without a callback are they buffered in ``chunks`` (with their
-    ``arrival_times``) for polling.  The callback is released once it has
-    been given the final chunk.
+    Each chunk goes to the ``on_data`` callback, or is discarded when none
+    is registered.  The session drops the stream when its ``fin`` arrives,
+    and with it the callback and whatever the receiver kept for the stream.
     """
 
     def __init__(self, stream_id: int) -> None:
         self.stream_id = stream_id
-        self.chunks: list[bytes] = []
-        self.arrival_times: list[float] = []
-        self.finished = False
         self._on_data: Callable[[bytes, bool], None] | None = None
-
-    @property
-    def data(self) -> bytes:
-        return b"".join(self.chunks)
 
     def set_on_data(self, fn: Callable[[bytes, bool], None]) -> None:
         """Register a chunk callback ``fn(data, fin)``."""
         self._on_data = fn
 
-    def _push(self, data: bytes, fin: bool, now: float) -> None:
-        if fin:
-            self.finished = True
-        on_data = self._on_data
-        if on_data is not None:
-            if fin:
-                # Nothing follows fin: dropping the callback frees whatever
-                # the receiver kept for this stream (parser, partial group).
-                self._on_data = None
-            on_data(data, fin)
-        elif data:
-            self.chunks.append(data)
-            self.arrival_times.append(now)
+    def _push(self, data: bytes, fin: bool) -> None:
+        if self._on_data is not None:
+            self._on_data(data, fin)
 
 
 class SendStream:
@@ -244,8 +228,7 @@ class Session:
         self._peer: Session | None = None
         self._outgoing: _Direction | None = None
         self._next_stream_id = _CONTROL_STREAM_ID + 1
-        self._recv_streams: dict[int, RecvStream] = {}
-        self.control_messages: list[bytes] = []
+        self._recv_streams: dict[int, RecvStream] = {}  # open streams only
         self._on_control: Callable[[bytes], None] | None = None
         self._on_stream: Callable[[RecvStream], None] | None = None
         self._on_close: Callable[[], None] | None = None
@@ -311,8 +294,6 @@ class Session:
         if stream_id == _CONTROL_STREAM_ID:
             if self._on_control is not None:
                 self._on_control(data)
-            else:
-                self.control_messages.append(data)
             return
         stream = self._recv_streams.get(stream_id)
         if stream is None:
@@ -320,8 +301,7 @@ class Session:
             self._recv_streams[stream_id] = stream
             if self._on_stream is not None:
                 self._on_stream(stream)
-        stream._push(data, fin, self._net.now)
-
-    def incoming_streams(self) -> list[RecvStream]:
-        """Streams received so far, in order of first arrival."""
-        return list(self._recv_streams.values())
+        if fin:
+            # _Direction clamps arrival order per stream, so nothing follows fin.
+            del self._recv_streams[stream_id]
+        stream._push(data, fin)

@@ -4,6 +4,7 @@ playback reconstruction, and the end-to-end latency bound model."""
 from __future__ import annotations
 
 import pytest
+from recording import Recorder, ended, joined, times
 
 from moqgate.analysis import DetectorRegistry, StrobeDetector
 from moqgate.client import (
@@ -34,6 +35,18 @@ STROBE, SMOKING = Category.STROBE, Category.SMOKING
 
 def const_source(fps=10, seconds=1, level=128):
     return SourceConfig(16, 16, fps, 1000, (Constant(level, seconds * 1000),))
+
+
+def analyzed(analyzer):
+    """``group_id -> (approved, rejected)`` from the analyzer's log."""
+    return {
+        e.detail["group_id"]: (e.detail["approved"], e.detail["rejected"])
+        for e in analyzer.log.filter(kind="group_analyzed")
+    }
+
+
+def group_ids(client):
+    return [r.group_id for r in client.records]
 
 
 class Rig:
@@ -76,25 +89,27 @@ class TestPublisherPacing:
         net = SimNetwork()
         a, b = net.connect(Link(delay_ms=0.0), "pub", "peer")
         groups = generate_groups(const_source(fps=10, seconds=1))
+        received = Recorder(net, b)
         PublisherClient(net, a, "cam", groups, epoch_ms=50.0).start()
         net.run_until_idle()
-        (rs,) = b.incoming_streams()
+        (chunks,) = received.by_stream()
         # Header travels with frame 0; one chunk arrival per frame.
-        assert rs.arrival_times == [50.0 + 100.0 * k for k in range(10)]
-        assert rs.finished
-        assert rs.data == encode_group_stream("cam", groups[0])
+        assert times(chunks) == [50.0 + 100.0 * k for k in range(10)]
+        assert ended(chunks)
+        assert joined(chunks) == encode_group_stream("cam", groups[0])
 
     def test_each_group_gets_its_own_stream(self):
         net = SimNetwork()
         a, b = net.connect(Link(delay_ms=0.0), "pub", "peer")
         groups = generate_groups(const_source(fps=10, seconds=2))
+        received = Recorder(net, b)
         PublisherClient(net, a, "cam", groups, epoch_ms=0.0).start()
         net.run_until_idle()
-        streams = b.incoming_streams()
+        streams = received.by_stream()
         assert len(streams) == 2
-        assert streams[0].arrival_times == [100.0 * k for k in range(10)]
-        assert streams[1].arrival_times == [1000.0 + 100.0 * k for k in range(10)]
-        assert streams[1].data == encode_group_stream("cam", groups[1])
+        assert times(streams[0]) == [100.0 * k for k in range(10)]
+        assert times(streams[1]) == [1000.0 + 100.0 * k for k in range(10)]
+        assert joined(streams[1]) == encode_group_stream("cam", groups[1])
 
     def test_single_frame_group_is_one_burst(self):
         net = SimNetwork()
@@ -103,11 +118,12 @@ class TestPublisherPacing:
             SourceConfig(4, 4, 1, 1000, (Constant(9, 1000),))
         )
         assert len(groups[0].frames) == 1
+        received = Recorder(net, b)
         PublisherClient(net, a, "cam", groups, epoch_ms=5.0).start()
         net.run_until_idle()
-        (rs,) = b.incoming_streams()
-        assert rs.arrival_times == [5.0]
-        assert rs.finished
+        (chunks,) = received.by_stream()
+        assert times(chunks) == [5.0]
+        assert ended(chunks)
 
 
 class TestAnalyzerClient:
@@ -123,7 +139,7 @@ class TestAnalyzerClient:
         assert analyzer.records[0].first_arrival_ms == 0.0
         assert analyzer.records[0].complete_arrival_ms == 900.0
         assert analyzer.records[0].frame_count == 10
-        assert analyzer.verdicts[0].approved == (STROBE,)
+        assert analyzed(analyzer) == {0: ([STROBE], [])}
 
     def test_risky_group_sends_nothing(self):
         rig = Rig()
@@ -132,7 +148,7 @@ class TestAnalyzerClient:
         rig.publisher(generate_groups(src))
         rig.net.run_until_idle(max_virtual_ms=30_000)
         assert rig.server.log.filter(kind="approve_recorded") == []
-        assert analyzer.verdicts[0].rejected == (STROBE,)
+        assert analyzed(analyzer)[0] == ([], [STROBE])
 
     def test_partial_approval_for_mixed_categories(self):
         rig = Rig()
@@ -160,8 +176,10 @@ class TestAnalyzerClient:
         rig.net.run_until_idle(max_virtual_ms=30_000)
         (approve,) = rig.server.log.filter(kind="approve_recorded")
         assert approve.detail["categories"] == [1]  # strobe fine, smoking failed closed
-        assert analyzer.verdicts[0].rejected == (SMOKING,)
-        assert analyzer.log.filter(kind="detector_error") != []
+        assert analyzed(analyzer)[0] == ([STROBE], [SMOKING])
+        (error,) = analyzer.log.filter(kind="detector_error")
+        assert error.detail["category"] == SMOKING
+        assert "model crashed" in error.detail["error"]
 
     def test_detector_state_carries_across_groups(self):
         # 15 Hz strobe spanning two groups at 30 fps: every group risky, and
@@ -171,8 +189,7 @@ class TestAnalyzerClient:
         src = SourceConfig(16, 16, 30, 1000, (Strobe(16, 240, 15.0, 2000),))
         rig.publisher(generate_groups(src))
         rig.net.run_until_idle(max_virtual_ms=60_000)
-        assert analyzer.verdicts[0].rejected == (STROBE,)
-        assert analyzer.verdicts[1].rejected == (STROBE,)
+        assert analyzed(analyzer) == {0: ([], [STROBE]), 1: ([], [STROBE])}
 
 
 class TestSubscriberClient:
@@ -185,7 +202,7 @@ class TestSubscriberClient:
         assert rec.first_arrival_ms == 0.0
         assert rec.complete_arrival_ms == 900.0
         assert rec.frame_count == 10
-        assert sub.delivered_group_ids() == [0]
+        assert group_ids(sub) == [0]
 
     def test_filtered_subscriber_gets_one_burst(self):
         rig = Rig()
@@ -216,7 +233,7 @@ class TestSubscriberClient:
         )
         rig.publisher(generate_groups(src))
         rig.net.run_until_idle(max_virtual_ms=60_000)
-        assert sub.delivered_group_ids() == [0, 2]
+        assert group_ids(sub) == [0, 2]
 
 
 class TestMalformedGroup:
@@ -231,11 +248,12 @@ class TestMalformedGroup:
         (error,) = rig.server.log.filter(kind="protocol_error")
         assert error.detail["sid"] == "pub"
         assert "at least one frame" in error.detail["reason"]
-        assert sub.records == {} and analyzer.records == {}
+        assert sub.records == [] and analyzer.records == []
 
     def _undecodable_group(self, payloads):
-        """Publish one group whose frame payloads the relay forwards as is;
-        return the analyzer, a filtered and a plain subscriber after the run."""
+        """Publish one group whose frame payloads the relay forwards as is
+        and check that every client failed closed; return the analyzer's
+        logged detector error."""
         rig = Rig()
         analyzer = rig.analyzer([STROBE])
         gated = rig.subscriber([STROBE], sub_id=3, name="gated")
@@ -249,26 +267,21 @@ class TestMalformedGroup:
         rig.net.run_until_idle(max_virtual_ms=30_000)
         assert rig.server.log.filter(kind="approve_recorded") == []
         assert analyzer.log.filter(kind="approve_sent") == []
-        assert gated.records == {}
-        assert list(plain.records) == [0]
-        verdict = analyzer.verdicts[0]
-        assert verdict.approved == () and verdict.rejected == (STROBE,)
-        ((category, _),) = verdict.errors
-        assert category == STROBE
+        assert gated.records == []
+        assert group_ids(plain) == [0]
+        assert analyzed(analyzer) == {0: ([], [STROBE])}
         (error,) = analyzer.log.filter(kind="detector_error")
         assert error.detail["group_id"] == 0 and error.detail["category"] == STROBE
-        (analyzed,) = analyzer.log.filter(kind="group_analyzed")
-        assert analyzed.detail["approved"] == [] and analyzed.detail["rejected"] == [STROBE]
-        return verdict
+        return error.detail["error"]
 
     def test_truncated_frame_payload_fails_closed(self):
-        verdict = self._undecodable_group([b"\x00\x10\x00"])
-        assert "header needs 4 bytes" in verdict.errors[0][1]
+        error = self._undecodable_group([b"\x00\x10\x00"])
+        assert "header needs 4 bytes" in error
 
     def test_decreasing_capture_ts_fails_closed(self):
         frames = [LuminanceFrame(4, 4, 0, 500, bytes(16)), LuminanceFrame(4, 4, 1, 100, bytes(16))]
-        verdict = self._undecodable_group([encode_frame_payload(f) for f in frames])
-        assert "non-decreasing" in verdict.errors[0][1]
+        error = self._undecodable_group([encode_frame_payload(f) for f in frames])
+        assert "non-decreasing" in error
 
 
 class TestPlayback:

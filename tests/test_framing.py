@@ -221,16 +221,18 @@ class TestControlStreamDecoder:
             SubscribeOk(i) if i % 3 else Approve(i, 1000 + i, (Category.STROBE,))
             for i in range(500)
         ]
+        first = encode_message(messages[0])
         blob = b"".join(encode_message(m) for m in messages)
         whole = ControlStreamDecoder()
         assert whole.feed(blob) == messages
-        assert whole.pending_bytes == 0
+        # no stale tail is held: the next message decodes on its own
+        assert whole.feed(first) == messages[:1]
         bytewise = ControlStreamDecoder()
         got = []
         for i in range(len(blob)):
             got += bytewise.feed(blob[i : i + 1])
         assert got == messages
-        assert bytewise.pending_bytes == 0
+        assert bytewise.feed(first) == messages[:1]
 
     def test_two_messages_split_across_feeds(self):
         blob = encode_message(SubscribeOk(4)) + encode_message(

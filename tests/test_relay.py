@@ -8,7 +8,9 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from recording import Recorder, ended, joined
 
+from moqgate.client import AnalyzerClient, PublisherClient, SubscriberClient
 from moqgate.eventlog import EventLog
 from moqgate.framing import (
     ControlStreamDecoder,
@@ -16,7 +18,7 @@ from moqgate.framing import (
     encode_group_header,
     encode_group_stream,
 )
-from moqgate.media import Group, LuminanceFrame
+from moqgate.media import Constant, Group, LuminanceFrame, SourceConfig, generate_groups
 from moqgate.relay import (
     DeliverGroup,
     MonotonicityError,
@@ -100,12 +102,6 @@ class TestSubscribeValidation:
             core.handle_subscribe("s", analyzer([9]))
         with pytest.raises(ProtocolError):
             core.handle_subscribe("s", filterer([9]))
-
-    def test_custom_capabilities(self):
-        core = RelayCore(capabilities=frozenset({STROBE}))
-        core.handle_subscribe("s", analyzer([STROBE]))
-        with pytest.raises(ProtocolError):
-            core.handle_subscribe("t", analyzer([SMOKING]))
 
     def test_double_subscribe_rejected(self):
         core = RelayCore()
@@ -551,16 +547,18 @@ class ServerRig:
         self.publisher = pub_local
         self.server.attach("pub", pub_remote)
         self.clients = {}
+        self.received = {}
         for name, msg in roles.items():
             local, remote = self.net.connect(Link(delay_ms=sub_delay), name, "relay")
             self.server.attach(name, remote)
             self.clients[name] = local
+            self.received[name] = Recorder(self.net, local)
             local.send_control(encode_message(msg))
 
     def control_of(self, name):
         decoder = ControlStreamDecoder()
         out = []
-        for chunk in self.clients[name].control_messages:
+        for chunk in self.received[name].control:
             out += decoder.feed(chunk)
         return out
 
@@ -586,11 +584,9 @@ class TestRelayServer:
         rig.net.at(60, lambda: stream.end(c1))
         rig.net.run_until_idle()
         for name in ("p", "an"):
-            (rs,) = rig.clients[name].incoming_streams()
-            assert rs.data == header + c0 + c1
-            assert rs.finished
+            (chunks,) = rig.received[name].by_stream()
             # header+frame0 arrive relay at 30, forwarded, +5 -> 35; frame1 at 75.
-            assert rs.arrival_times == [35.0, 75.0]
+            assert chunks == [(header + c0, False, 35.0), (c1, True, 75.0)]
 
     def test_gated_delivery_after_manual_approve(self):
         rig = ServerRig({"an": analyzer([STROBE], sub_id=2), "f": filterer([STROBE], sub_id=3)})
@@ -608,17 +604,16 @@ class TestRelayServer:
             )
         )
         rig.net.run_until_idle()
-        (rs,) = rig.clients["f"].incoming_streams()
-        assert rs.data == blob
+        (chunks,) = rig.received["f"].by_stream()
         # pub->relay 30, ->analyzer 35, approve ->relay 40, burst ->filter 45.
-        assert rs.arrival_times == [45.0]
+        assert chunks == [(blob, True, 45.0)]
 
     def test_filter_subscriber_gets_no_live_frames(self):
         rig = ServerRig({"f": filterer([STROBE], sub_id=3)})
         stream = rig.publisher.open_stream()
         rig.net.at(0, lambda: stream.end(encode_group_stream("cam", two_frame_group())))
         rig.net.run_until_idle(max_virtual_ms=60_000)
-        assert rig.clients["f"].incoming_streams() == []
+        assert rig.received["f"].chunks == []
 
     def test_stall_alarm_logged_when_no_analyzer(self):
         rig = ServerRig({"f": filterer([STROBE], sub_id=3)})
@@ -642,24 +637,24 @@ class TestRelayServer:
         rig.net.at(100, lambda: stream.end(c1))
         # Joins at t=50: header+frame0 already passed through the relay.
         local, remote = rig.net.connect(Link(delay_ms=5.0), "late", "relay")
+        received = Recorder(rig.net, local)
         rig.net.at(50, lambda: rig.server.attach("late", remote))
         rig.net.at(50, lambda: local.send_control(encode_message(plain(sub_id=9))))
         rig.net.run_until_idle()
-        (rs,) = local.incoming_streams()
-        assert rs.data == header + c0 + c1
-        assert rs.finished
+        (chunks,) = received.by_stream()
         # Subscribe reaches relay at 55; catch-up burst lands at 60, live tail 115.
-        assert rs.arrival_times == [60.0, 115.0]
+        assert chunks == [(header + c0, False, 60.0), (c1, True, 115.0)]
 
     def test_invalid_subscribe_closes_session(self):
         rig = ServerRig({})
         local, remote = rig.net.connect(Link(delay_ms=5.0), "bad", "relay")
         rig.server.attach("bad", remote)
+        received = Recorder(rig.net, local)
         bad = Subscribe(1, "cam", 0, (analyze_parameter([9]),))
         local.send_control(encode_message(bad))
         rig.net.run_until_idle()
         assert rig.server.log.filter(kind="protocol_error") != []
-        assert local.control_messages == []  # no SUBSCRIBE_OK was sent
+        assert received.control == []  # no SUBSCRIBE_OK was sent
 
     def test_future_approval_closes_analyzer_session(self):
         rig = ServerRig({"an": analyzer([STROBE], sub_id=2), "f": filterer([STROBE], sub_id=3)})
@@ -673,7 +668,7 @@ class TestRelayServer:
         assert error.detail["sid"] == "an"
         assert "not been ingested" in error.detail["reason"]
         assert rig.server.log.filter(kind="approve_recorded") == []
-        assert rig.clients["f"].incoming_streams() == []
+        assert rig.received["f"].chunks == []
 
     def test_analyzer_disconnect_logged(self):
         rig = ServerRig({"an": analyzer([STROBE], sub_id=2)})
@@ -708,19 +703,21 @@ class TestRelayServer:
             local, remote = rig.net.connect(Link(delay_ms=delay), name, "relay")
             rig.server.attach(name, remote)
             local.send_control(encode_message(filterer([STROBE], sub_id=3)))
-            filtered[name] = local
+            filtered[name] = Recorder(rig.net, local)
         groups = [two_frame_group(0), two_frame_group(1)]
         for group in groups:
             self._publish_frame_by_frame(rig, group, 20 + 100 * group.group_id)
         rig.net.run_until_idle()
         expected = [encode_group_stream("cam", g) for g in groups]
-        streams = {name: s.incoming_streams() for name, s in filtered.items()}
+        streams = {name: received.by_stream() for name, received in filtered.items()}
         for name in filtered:
-            assert [rs.data for rs in streams[name]] == expected
-            assert all(rs.finished and len(rs.chunks) == 1 for rs in streams[name])
+            # one chunk per group, carrying fin
+            assert [[(d, fin) for d, fin, _ in s] for s in streams[name]] == [
+                [(blob, True)] for blob in expected
+            ]
         # Each group is encoded once and that object goes to every session.
-        for rs1, rs2 in zip(streams["f1"], streams["f2"]):
-            assert rs1.chunks[0] is rs2.chunks[0]
+        for s1, s2 in zip(streams["f1"], streams["f2"]):
+            assert s1[0][0] is s2[0][0]
 
     def test_dropping_filter_delivers_held_groups_as_encoded(self):
         rig = ServerRig({"f": filterer([STROBE], sub_id=3)})
@@ -730,9 +727,9 @@ class TestRelayServer:
         f = rig.clients["f"]
         rig.net.at(300, lambda: f.send_control(encode_message(SubscribeUpdate(3, ()))))
         rig.net.run_until_idle(max_virtual_ms=60_000)
-        streams = f.incoming_streams()
-        assert [rs.data for rs in streams] == [encode_group_stream("cam", g) for g in groups]
-        assert all(rs.finished for rs in streams)
+        streams = rig.received["f"].by_stream()
+        assert [joined(s) for s in streams] == [encode_group_stream("cam", g) for g in groups]
+        assert all(ended(s) for s in streams)
 
     def test_finished_groups_held_once_within_retention(self):
         # 20 groups of 100 kB through a relay that keeps one: what stays
@@ -760,3 +757,50 @@ class TestRelayServer:
         finally:
             tracemalloc.stop()
         assert group_bytes <= held < 2 * group_bytes
+
+
+class TestBoundedState:
+    """What the relay and the transport hold after a run must not depend
+    on how many groups went through it."""
+
+    RETENTION = 2
+
+    def _state_after(self, n_groups):
+        net = SimNetwork()
+        core = RelayCore(retention=self.RETENTION)
+        server = RelayServer(net, core=core)
+        sessions = []
+
+        def connect(name, delay):
+            local, remote = net.connect(Link(delay_ms=delay, jitter_ms=1.0, seed=3), name, "relay")
+            server.attach(name, remote)
+            sessions.extend([local, remote])
+            return local
+
+        AnalyzerClient(net, connect("an", 4.0), "cam", (STROBE,), 2).start()
+        SubscriberClient(net, connect("plain", 2.0), "cam", 3).start()
+        SubscriberClient(net, connect("gated", 6.0), "cam", 4, filter_categories=(STROBE,)).start()
+        source = SourceConfig(16, 16, 10, 1000, (Constant(128, n_groups * 1000),))
+        PublisherClient(net, connect("pub", 5.0), "cam", generate_groups(source)).start()
+        net.run_until_idle()
+        delivered = server.log.filter(kind="group_delivered")
+        assert [e.detail["group_id"] for e in delivered] == list(range(n_groups))
+
+        for session in sessions:
+            # every stream has finished, so none is held
+            assert session._recv_streams == {}, session.name
+            # only the never-ending control stream keeps an arrival clamp
+            assert set(session._outgoing._last_arrival) <= {0}, session.name
+        assert server._live == {}
+        track = core._tracks["cam"]
+        assert len(track.stored) <= self.RETENTION
+        assert len(track.approvals) <= self.RETENTION
+        return (
+            [(len(s._recv_streams), set(s._outgoing._last_arrival)) for s in sessions],
+            len(server._live),
+            len(track.stored),
+            len(track.approvals),
+        )
+
+    def test_state_after_a_run_is_flat_in_groups(self):
+        assert self._state_after(10) == self._state_after(40)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from recording import Recorder
 
 from moqgate.transport import (
     DisconnectedError,
@@ -100,14 +101,6 @@ class TestControlChannel:
         net.run_until_idle()
         assert times == {"fwd": 10.0, "rev": 25.0}
 
-    def test_control_polling_buffer(self):
-        net = SimNetwork()
-        a, b = make_pair(net, delay_ms=5)
-        a.send_control(b"one")
-        a.send_control(b"two")
-        net.run_until_idle()
-        assert b.control_messages == [b"one", b"two"]
-
     def test_echo_round_trip(self):
         net = SimNetwork()
         a, b = make_pair(net, delay_ms=10)
@@ -138,31 +131,32 @@ class TestStreams:
             (1, b"tail", True, 16.0),
         ]
 
-    def test_stream_polling_interface(self):
-        net = SimNetwork()
-        a, b = make_pair(net, delay_ms=1)
-        s = a.open_stream()
-        s.send(b"ab")
-        s.end(b"cd")
-        net.run_until_idle()
-        (rs,) = b.incoming_streams()
-        assert rs.data == b"abcd"
-        assert rs.chunks == [b"ab", b"cd"]
-        assert rs.finished is True
-
     def test_callback_stream_buffers_nothing(self):
         net = SimNetwork()
         a, b = make_pair(net, delay_ms=1)
         received = []
         b.set_on_stream(lambda rs: rs.set_on_data(lambda data, fin: received.append(data)))
+        open_at = []
         s = a.open_stream()
         s.send(b"ab")
-        s.end(b"cd")
+        net.at(3, lambda: open_at.append(list(b._recv_streams)))
+        net.at(5, lambda: s.end(b"cd"))
         net.run_until_idle()
-        (rs,) = b.incoming_streams()
         assert received == [b"ab", b"cd"]
-        assert rs.chunks == [] and rs.arrival_times == []
-        assert rs.finished is True
+        # held while open, dropped when fin arrives
+        assert open_at == [[1]]
+        assert b._recv_streams == {}
+
+    def test_arrivals_without_callbacks_are_discarded(self):
+        net = SimNetwork()
+        a, b = make_pair(net, delay_ms=1)
+        a.send_control(b"nobody listens")
+        a.open_stream().send(b"still open")
+        a.open_stream().end(b"done")
+        net.run_until_idle()
+        # only the open stream is held, and it keeps no chunks
+        assert list(b._recv_streams) == [1]
+        assert vars(b._recv_streams[1]) == {"stream_id": 1, "_on_data": None}
 
     def test_stream_ids_start_after_control(self):
         net = SimNetwork()
@@ -187,11 +181,14 @@ class TestStreams:
         s2.send(b"2a")
         s1.end(b"1b")
         s2.end(b"2b")
+        received = Recorder(net, b)
         net.run_until_idle()
-        by_id = {rs.stream_id: rs for rs in b.incoming_streams()}
-        assert by_id[1].data == b"1a1b"
-        assert by_id[2].data == b"2a2b"
-        assert all(rs.finished for rs in by_id.values())
+        assert received.chunks == [
+            (1, b"1a", False, 2.0),
+            (2, b"2a", False, 2.0),
+            (1, b"1b", True, 2.0),
+            (2, b"2b", True, 2.0),
+        ]
 
     def test_ended_streams_leave_no_ordering_state(self):
         net = SimNetwork()
@@ -201,12 +198,15 @@ class TestStreams:
             s = a.open_stream()
             s.send(b"x")
             s.end(b"y")
+        received = Recorder(net, b)
         net.run_until_idle()
-        streams = b.incoming_streams()
+        streams = received.by_stream()
         assert len(streams) == 100
-        assert all(rs.data == b"xy" and rs.finished for rs in streams)
+        assert all([(d, fin) for d, fin, _ in s] == [(b"x", False), (b"y", True)] for s in streams)
+        assert received.control == [b"hello"]
         # only the never-ending control stream keeps an arrival clamp
         assert set(a._outgoing._last_arrival) == {0}
+        assert b._recv_streams == {}
 
 
 class TestJitter:
