@@ -130,49 +130,33 @@ class PublisherClient:
         )
 
 
-class _GroupAssembly:
-    """Receive path shared by the receiving clients: reassembles one group
-    stream and records when its first frame and its end arrived."""
+def _receive_groups(
+    net: SimNetwork,
+    session: Session,
+    on_group: Callable[[LatencyRecord, list[bytes]], None],
+) -> None:
+    """Receive path shared by the receiving clients: reassemble every
+    incoming stream of ``session`` and, as each finishes, call
+    ``on_group(record, payloads)`` with when its first frame and its end
+    arrived."""
 
-    def __init__(self) -> None:
-        self.parser = GroupStreamParser()
-        self.first_arrival: float | None = None
+    def on_stream(rs: RecvStream) -> None:
+        parser = GroupStreamParser()
+        first_arrival: float | None = None
 
-    @classmethod
-    def attach(
-        cls,
-        net: SimNetwork,
-        session: Session,
-        on_group: Callable[[LatencyRecord, list[bytes]], None],
-    ) -> None:
-        """Assemble every incoming stream of ``session``; ``on_group(record,
-        payloads)`` runs as each group's stream finishes."""
+        def on_data(data: bytes, fin: bool) -> None:
+            nonlocal first_arrival
+            if parser.feed(data, fin) and first_arrival is None:
+                first_arrival = net.now
+            if fin:
+                assert parser.group_id is not None and first_arrival is not None
+                payloads = parser.frames
+                record = LatencyRecord(parser.group_id, first_arrival, net.now, len(payloads))
+                on_group(record, payloads)
 
-        def on_stream(rs: RecvStream) -> None:
-            assembly = cls()
+        rs.set_on_data(on_data)
 
-            def on_data(data: bytes, fin: bool) -> None:
-                done = assembly.feed(data, fin, net.now)
-                if done is not None:
-                    on_group(*done)
-
-            rs.set_on_data(on_data)
-
-        session.set_on_stream(on_stream)
-
-    def feed(
-        self, data: bytes, fin: bool, now: float
-    ) -> tuple[LatencyRecord, list[bytes]] | None:
-        """Feed one chunk; returns the group's record and frame payloads
-        once ``fin`` arrives."""
-        if self.parser.feed(data, fin) and self.first_arrival is None:
-            self.first_arrival = now
-        if not fin:
-            return None
-        group_id = self.parser.group_id
-        assert group_id is not None and self.first_arrival is not None
-        payloads = self.parser.frames
-        return LatencyRecord(group_id, self.first_arrival, now, len(payloads)), payloads
+    session.set_on_stream(on_stream)
 
 
 class AnalyzerClient:
@@ -201,7 +185,7 @@ class AnalyzerClient:
         self.log = log if log is not None else EventLog(lambda: net.now)
         self.records: list[LatencyRecord] = []
         self._states: dict[int, object] = {}
-        _GroupAssembly.attach(net, session, self._on_group)
+        _receive_groups(net, session, self._on_group)
 
     def start(self) -> None:
         msg = Subscribe(
@@ -280,7 +264,7 @@ class SubscriberClient:
         self.name = name
         self.log = log if log is not None else EventLog(lambda: net.now)
         self.records: list[LatencyRecord] = []
-        _GroupAssembly.attach(net, session, self._on_group)
+        _receive_groups(net, session, self._on_group)
 
     def start(self) -> None:
         params = ()

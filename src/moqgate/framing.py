@@ -7,9 +7,10 @@ A group travels on its own unidirectional stream:
     frame_count x ( [payload length varint][frame payload bytes] )
 
 Frame payloads are opaque at this layer (the relay forwards them without
-decoding).  :class:`GroupStreamParser` reassembles the stream incrementally
-from arbitrarily split chunks; :class:`ControlStreamDecoder` does the same
-for back-to-back control messages.
+decoding).  :class:`GroupStreamParser` parses the stream in place from
+arbitrarily split chunks, holds only an incomplete tail, and records the
+byte span each chunk completed; :class:`ControlStreamDecoder` reassembles
+back-to-back control messages.
 """
 
 from __future__ import annotations
@@ -58,62 +59,86 @@ def encode_group_stream(track: str, group: Group) -> bytes:
 class GroupStreamParser:
     """Incremental parser for one group data stream.
 
-    ``feed`` returns the frame payloads completed by that chunk.  Raises
+    ``feed`` returns the frame payloads completed by that chunk, and sets
+    ``span`` to the stream bytes it completed: the header once it is whole,
+    then each completed frame, exactly as received.  Raises
     :class:`IncompleteError` if the stream finishes mid-structure and
     :class:`MalformedError` on a header declaring no frames or on bytes
     beyond the declared frame count.
 
-    Each ``feed`` parses by offset over the buffered bytes, copies out only
-    the payloads it returns and compacts the buffer once, so a whole group
-    fed in one chunk costs time linear in its size.
+    The parser works in place: with nothing held, a chunk is parsed by
+    offset where it lies, each payload is one slice of it, and a chunk that
+    ends on a frame boundary is its own ``span``.  Only an incomplete tail
+    is held, and the next chunk is appended to it, so a group costs time
+    linear in its size however its stream is split.
     """
 
     def __init__(self) -> None:
-        self._buffer = bytearray()
+        self._tail = bytearray()
         self.track: str | None = None
         self.group_id: int | None = None
         self.frame_count: int | None = None
         self.frames: list[bytes] = []
         self.complete = False
+        self.span = b""
 
     def feed(self, data: bytes, fin: bool = False) -> list[bytes]:
-        if data and self.complete:
-            raise MalformedError("data after the declared final frame")
         done: list[bytes] = []
+        self.span = b""
         if data:
-            self._buffer += data
-            done = self._parse()
+            if self.complete:
+                raise MalformedError("data after the declared final frame")
+            tail = self._tail
+            if tail:
+                tail += data
+                buf = tail
+            else:
+                buf = data
+            size = len(buf)
+            pos = 0
+            if self.frame_count is None:
+                pos = self._parse_header(buf)
+            if self.frame_count is not None:
+                wanted = self.frame_count - len(self.frames)
+                while pos < size and wanted:
+                    # Lengths under 16 KiB (1- and 2-byte varints) inline.
+                    first = buf[pos]
+                    if first < 0x40:
+                        start = pos + 1
+                        length = first
+                    elif first < 0x80 and pos + 2 <= size:
+                        start = pos + 2
+                        length = (first & 0x3F) << 8 | buf[pos + 1]
+                    else:
+                        try:
+                            length, n = decode_varint(buf, pos)
+                        except IncompleteError:
+                            break
+                        start = pos + n
+                    end = start + length
+                    if end > size:
+                        break
+                    done.append(buf[start:end])
+                    pos = end
+                    wanted -= 1
+                self.complete = not wanted
+            if buf is tail:
+                done = [bytes(payload) for payload in done]
+                self.span = bytes(tail[:pos])
+                del tail[:pos]
+            elif pos < size:
+                self.span = data[:pos]
+                tail += memoryview(data)[pos:]
+            else:
+                self.span = data
+            self.frames += done
+            if self.complete and pos < size:
+                raise MalformedError("data after the declared final frame")
         if fin and not self.complete:
             raise IncompleteError("stream ended before the declared final frame")
         return done
 
-    def _parse(self) -> list[bytes]:
-        buf = self._buffer
-        pos = 0
-        if self.frame_count is None:
-            pos = self._parse_header(buf)
-        done: list[bytes] = []
-        if self.frame_count is not None:
-            size = len(buf)
-            wanted = self.frame_count - len(self.frames)
-            while pos < size and len(done) < wanted:
-                try:
-                    length, n = decode_varint(buf, pos)
-                except IncompleteError:
-                    break
-                start = pos + n
-                if size < start + length:
-                    break
-                pos = start + length
-                done.append(bytes(buf[start:pos]))
-            self.frames += done
-            self.complete = len(self.frames) >= self.frame_count
-        del buf[:pos]
-        if self.complete and buf:
-            raise MalformedError("data after the declared final frame")
-        return done
-
-    def _parse_header(self, buf: bytearray) -> int:
+    def _parse_header(self, buf: bytes | bytearray) -> int:
         """Parse the header if ``buf`` holds all of it; returns the offset
         just past it, or 0 when more bytes are needed."""
         try:

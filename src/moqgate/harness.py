@@ -589,6 +589,8 @@ def _run_once(
     except SimTimeoutError:
         timed_out = True
         end_time = net.now
+    finally:
+        net.shutdown()
 
     records: dict[str, list[LatencyRecord]] = {}
     approvals: dict[str, list[tuple[int, list[int]]]] = {}

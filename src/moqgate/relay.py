@@ -17,7 +17,12 @@ for that subscriber (live playback favors fresh content over stale).
 its handlers return :data:`Action` lists.  :class:`RelayServer` binds a core
 to simulated network sessions, forwards frames live, executes gated
 deliveries, and raises log-only stall alarms when gating starves a
-subscriber.  The server stores each group in the core once, as the encoded
+subscriber.  The server parses every publisher chunk, to validate it and
+to learn the group's header, but forwards the publisher's bytes as
+received: each chunk's header and completed frames, which for a chunk that
+ends on a frame boundary is the very bytes object that arrived.  A
+publisher's non-minimal varints therefore reach live subscribers as sent,
+not re-encoded.  The server stores each group in the core once, as the
 stream it forwarded live, and every gated delivery of that group sends the
 same bytes object.
 """
@@ -25,15 +30,11 @@ same bytes object.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Union
 
 from .eventlog import EventLog
-from .framing import (
-    ControlStreamDecoder,
-    GroupStreamParser,
-    encode_frame_chunk,
-    encode_group_header,
-)
+from .framing import ControlStreamDecoder, GroupStreamParser
 from .transport import DisconnectedError, RecvStream, Session, SimNetwork
 from .wire import (
     ANALYZE_PARAM,
@@ -470,9 +471,8 @@ class RelayServer:
     # -- publisher data path -----------------------------------------------------
 
     def _on_incoming_stream(self, sid: object, rs: RecvStream) -> None:
-        parser = GroupStreamParser()
         holder: dict[str, _LiveGroup | None] = {"live": None}
-        rs.set_on_data(lambda data, fin: self._on_group_data(sid, parser, holder, data, fin))
+        rs.set_on_data(partial(self._on_group_data, sid, GroupStreamParser(), holder))
 
     def _on_group_data(
         self,
@@ -483,25 +483,21 @@ class RelayServer:
         fin: bool,
     ) -> None:
         try:
-            payloads = parser.feed(data, fin)
+            parser.feed(data, fin)
         except WireError as exc:
             self._fail_session(sid, f"bad group stream: {exc}")
             return
         live = holder["live"]
-        out = bytearray()
         if live is None and parser.frame_count is not None:
             assert parser.track is not None and parser.group_id is not None
             live = _LiveGroup(parser.track, parser.group_id)
             holder["live"] = live
             self._live[parser.track] = live
-            out += encode_group_header(parser.track, parser.group_id, parser.frame_count)
             # Snapshot of live receivers is taken when the group starts.
             for sub_sid in self.core.unfiltered_sids(parser.track):
                 self._open_fanout(live, sub_sid)
-        for payload in payloads:
-            out += encode_frame_chunk(payload)
-        if live is not None and (out or fin):
-            blob = bytes(out)
+        blob = parser.span
+        if live is not None and (blob or fin):
             live.sent_bytes += blob
             for sub_sid, stream in list(live.fanout.items()):
                 try:

@@ -20,6 +20,12 @@ stream only while it is open and drops it when its ``fin`` arrives.
 All timestamps are virtual milliseconds.  Runs are fully deterministic for
 a given seed: jitter generators are seeded from a hash of the link seed and
 direction, never from interpreter-dependent state.
+
+Connected sessions point at each other and their callbacks at the objects
+that registered them, so a run's graph is cyclic.  :meth:`SimNetwork.shutdown`
+ends a run by dropping pending events and tearing every session down, which
+frees the graph by reference counting instead of leaving it to the cyclic
+garbage collector.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ import hashlib
 import heapq
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 __all__ = [
@@ -86,6 +93,7 @@ class SimNetwork:
         self._seq = 0
         self._now = 0.0
         self.events_processed = 0
+        self._sessions: list[Session] = []
 
     @property
     def now(self) -> float:
@@ -119,7 +127,16 @@ class SimNetwork:
             session_a,
             _Direction(self, reverse, link.jitter_ms, derive_seed(link.seed, name_b, name_a)),
         )
+        self._sessions += (session_a, session_b)
         return session_a, session_b
+
+    def shutdown(self) -> None:
+        """End the run: drop pending events and close every session without
+        notifying its peer, releasing its peer, link and callbacks."""
+        self._heap.clear()
+        for session in self._sessions:
+            session._teardown()
+        self._sessions.clear()
 
     def run_until_idle(
         self, max_virtual_ms: float = 600_000.0, max_events: int = 1_000_000
@@ -130,17 +147,23 @@ class SimNetwork:
         ``max_virtual_ms`` or more than ``max_events`` events fire — both
         symptoms of a runaway or stalled scenario rather than a finished one.
         """
-        while self._heap:
-            time_ms, _, fn = heapq.heappop(self._heap)
-            if time_ms > max_virtual_ms:
-                raise SimTimeoutError(
-                    f"virtual time {time_ms} ms exceeds budget {max_virtual_ms} ms"
-                )
-            self.events_processed += 1
-            if self.events_processed > max_events:
-                raise SimTimeoutError(f"exceeded event budget of {max_events}")
-            self._now = time_ms
-            fn()
+        heap = self._heap
+        pop = heapq.heappop
+        events = self.events_processed
+        try:
+            while heap:
+                time_ms, _, fn = pop(heap)
+                if time_ms > max_virtual_ms:
+                    raise SimTimeoutError(
+                        f"virtual time {time_ms} ms exceeds budget {max_virtual_ms} ms"
+                    )
+                events += 1
+                if events > max_events:
+                    raise SimTimeoutError(f"exceeded event budget of {max_events}")
+                self._now = time_ms
+                fn()
+        finally:
+            self.events_processed = events
         return self._now
 
 
@@ -155,17 +178,22 @@ class _Direction:
         self._last_arrival: dict[int, float] = {}
 
     def transmit(self, stream_id: int, fin: bool, deliver: Callable[[], None]) -> None:
-        arrival = self._net.now + self._delay
+        net = self._net
+        now = net._now
+        arrival = now + self._delay
+        # Without jitter every chunk arrives one fixed delay after its send,
+        # so per-stream order holds by itself.  With it, never deliver
+        # before a chunk sent earlier on the same stream, and never before
+        # the send instant itself.
         if self._jitter:
             arrival += self._rng.uniform(-self._jitter, self._jitter)
-        # Never deliver before a chunk sent earlier on the same stream, and
-        # never before the send instant itself.
-        arrival = max(arrival, self._last_arrival.get(stream_id, 0.0), self._net.now)
-        if fin:
-            self._last_arrival.pop(stream_id, None)  # nothing follows fin
-        else:
-            self._last_arrival[stream_id] = arrival
-        self._net.at(arrival, deliver)
+            arrival = max(arrival, self._last_arrival.get(stream_id, 0.0), now)
+            if fin:
+                self._last_arrival.pop(stream_id, None)  # nothing follows fin
+            else:
+                self._last_arrival[stream_id] = arrival
+        heapq.heappush(net._heap, (arrival, net._seq, deliver))
+        net._seq += 1
 
 
 _CONTROL_STREAM_ID = 0
@@ -187,10 +215,6 @@ class RecvStream:
         """Register a chunk callback ``fn(data, fin)``."""
         self._on_data = fn
 
-    def _push(self, data: bytes, fin: bool) -> None:
-        if self._on_data is not None:
-            self._on_data(data, fin)
-
 
 class SendStream:
     """Sending end of a unidirectional stream."""
@@ -203,9 +227,11 @@ class SendStream:
     def send(self, data: bytes) -> None:
         if self.ended:
             raise ValueError(f"stream {self.stream_id} already ended")
-        self._session._check_open()
+        session = self._session
+        if session.closed or session._peer_closed:
+            session._check_open()
         if data:
-            self._session._transmit(self.stream_id, bytes(data), fin=False)
+            session._transmit(self.stream_id, bytes(data), False)
 
     def end(self, data: bytes = b"") -> None:
         """Send any final bytes and mark the stream finished."""
@@ -236,6 +262,12 @@ class Session:
     def _attach(self, peer: "Session", outgoing: _Direction) -> None:
         self._peer = peer
         self._outgoing = outgoing
+
+    def _teardown(self) -> None:
+        self.closed = True
+        self._peer = self._outgoing = None
+        self._on_control = self._on_stream = self._on_close = None
+        self._recv_streams.clear()
 
     # -- callbacks ---------------------------------------------------------
 
@@ -278,9 +310,8 @@ class Session:
 
     def _transmit(self, stream_id: int, data: bytes, fin: bool, close: bool = False) -> None:
         assert self._outgoing is not None and self._peer is not None
-        peer = self._peer
         self._outgoing.transmit(
-            stream_id, fin, lambda: peer._receive(stream_id, data, fin, close)
+            stream_id, fin, partial(self._peer._receive, stream_id, data, fin, close)
         )
 
     def _receive(self, stream_id: int, data: bytes, fin: bool, close: bool) -> None:
@@ -295,13 +326,14 @@ class Session:
             if self._on_control is not None:
                 self._on_control(data)
             return
-        stream = self._recv_streams.get(stream_id)
+        streams = self._recv_streams
+        stream = streams.get(stream_id)
         if stream is None:
-            stream = RecvStream(stream_id)
-            self._recv_streams[stream_id] = stream
+            stream = streams[stream_id] = RecvStream(stream_id)
             if self._on_stream is not None:
                 self._on_stream(stream)
         if fin:
-            # _Direction clamps arrival order per stream, so nothing follows fin.
-            del self._recv_streams[stream_id]
-        stream._push(data, fin)
+            # _Direction keeps arrival order per stream, so nothing follows fin.
+            del streams[stream_id]
+        if stream._on_data is not None:
+            stream._on_data(data, fin)

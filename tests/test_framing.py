@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moqgate.framing import (
     ControlStreamDecoder,
@@ -213,6 +215,97 @@ class TestLongGroup:
         parser.feed(blob[:-1])
         with pytest.raises(IncompleteError):
             parser.feed(b"", fin=True)
+
+
+def varint(value: int, width: int) -> bytes:
+    """``value`` as a ``width``-byte varint (1, 2, 4 or 8), minimal or not."""
+    prefix = {1: 0b00, 2: 0b01, 4: 0b10, 8: 0b11}[width]
+    return (value | prefix << (8 * width - 2)).to_bytes(width, "big")
+
+
+@st.composite
+def group_streams(draw):
+    """A group stream whose varints take drawn widths, the offsets that fall
+    inside its header or one of its varints, and its frame payloads if it is
+    valid (else None).  The declared frame count may disagree with the
+    frames that follow (0, too few, too many), and the stream may be
+    truncated."""
+    interior: list[int] = []
+    blob = bytearray()
+
+    def put(value: int) -> None:
+        widths = [w for w in (1, 2, 4, 8) if value < 1 << (8 * w - 2)]
+        encoded = varint(value, draw(st.sampled_from(widths)))
+        interior.extend(range(len(blob) + 1, len(blob) + len(encoded)))
+        blob.extend(encoded)
+
+    name = draw(st.one_of(st.text(max_size=4).map(str.encode), st.binary(max_size=3)))
+    payloads = draw(st.lists(st.binary(max_size=300), min_size=1, max_size=4))
+    put(len(name))
+    blob.extend(name)
+    put(draw(st.integers(0, 2**62 - 1)))
+    declared = draw(st.one_of(st.just(len(payloads)), st.integers(0, len(payloads) + 1)))
+    put(declared)
+    interior.extend(range(1, len(blob)))  # anywhere in the header
+    for payload in payloads:
+        put(len(payload))
+        blob.extend(payload)
+    cut = draw(st.integers(0, 3))
+    blob = bytes(blob[: len(blob) - cut])
+    try:
+        name.decode()
+    except UnicodeDecodeError:
+        valid = False
+    else:
+        valid = declared == len(payloads) and not cut
+    return blob, [i for i in interior if i < len(blob)], payloads if valid else None
+
+
+def feed_pieces(pieces):
+    """Feed ``pieces`` (fin on the last); returns the parser, the payloads
+    and spans the feeds returned, and the wire error raised, if any."""
+    parser = GroupStreamParser()
+    payloads, spans = [], []
+    try:
+        for i, piece in enumerate(pieces):
+            payloads += parser.feed(piece, fin=i == len(pieces) - 1)
+            spans.append(parser.span)
+    except WireError as exc:
+        return parser, payloads, spans, (type(exc), str(exc))
+    return parser, payloads, spans, None
+
+
+class TestSplitPoints:
+    """However a stream is cut -- inside the header, inside a 1-, 2-, 4- or
+    8-byte length varint, or into empty pieces -- the parser ends where one
+    whole-buffer feed ends."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_any_chunking_matches_one_whole_feed(self, data):
+        blob, interior, expected = data.draw(group_streams())
+        offsets = st.integers(0, len(blob))
+        if interior:
+            offsets = offsets | st.sampled_from(interior)
+        cuts = sorted(data.draw(st.lists(offsets, max_size=8)))
+        pieces = [blob[a:b] for a, b in zip([0] + cuts, cuts + [len(blob)])]
+        whole, _, whole_spans, whole_error = feed_pieces([blob])
+        split, payloads, spans, error = feed_pieces(pieces)
+        assert error == whole_error
+        assert (split.group_id, split.frame_count) == (whole.group_id, whole.frame_count)
+        assert split.frames == whole.frames
+        if expected is not None:
+            assert error is None and split.frames == expected
+        if error is None:
+            assert payloads == split.frames
+            # the spans are the stream, as received, in order
+            assert b"".join(spans) == b"".join(whole_spans) == blob
+
+    def test_unsplit_chunk_on_a_frame_boundary_is_its_own_span(self):
+        blob = encode_group_stream("t", sample_group())
+        parser = GroupStreamParser()
+        parser.feed(blob, fin=True)
+        assert parser.span is blob
 
 
 class TestControlStreamDecoder:

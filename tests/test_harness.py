@@ -12,9 +12,11 @@ filtered subscriber's downlink.
 from __future__ import annotations
 
 import copy
+import gc
 import hashlib
 import json
 import random
+import weakref
 from pathlib import Path
 
 import pytest
@@ -35,6 +37,7 @@ from moqgate.harness import (
     scenario_from_dict,
 )
 from moqgate.media import generate_groups
+from moqgate.relay import RelayServer
 
 # ---------------------------------------------------------------------------
 # scenario builders
@@ -736,6 +739,28 @@ class TestBundledFixtures:
             # 125 fps: the last frame leaves one spacing (8 ms) before the
             # group boundary, so the bound is met with exactly 8 ms to spare
             assert bounds["predicted_ms"] - bounds["max_observed_e2e_ms"] == 8.0
+
+    def test_runs_leave_no_relay_for_the_cyclic_collector(self, monkeypatch):
+        # Sessions point at each other and their callbacks at the relay and
+        # clients; each run must tear that graph down itself, so with the
+        # cyclic collector off no run's relay outlives run_scenario.
+        servers = []
+        init = RelayServer.__init__
+
+        def recording_init(server, *args, **kwargs):
+            init(server, *args, **kwargs)
+            servers.append(weakref.ref(server))
+
+        monkeypatch.setattr(RelayServer, "__init__", recording_init)
+        scenario = load_scenario(bundled_scenario_path("random_delays"))
+        gc.disable()
+        try:
+            run_scenario(scenario)
+            alive = [ref for ref in servers if ref() is not None]
+        finally:
+            gc.enable()
+        assert len(servers) == 20
+        assert alive == []
 
     def test_predict_bounds(self):
         assert predict_bounds(load_scenario(bundled_scenario_path("paper_replication"))) == {

@@ -14,6 +14,7 @@ from moqgate.client import AnalyzerClient, PublisherClient, SubscriberClient
 from moqgate.eventlog import EventLog
 from moqgate.framing import (
     ControlStreamDecoder,
+    GroupStreamParser,
     encode_frame_chunk,
     encode_group_header,
     encode_group_stream,
@@ -757,6 +758,69 @@ class TestRelayServer:
         finally:
             tracemalloc.stop()
         assert group_bytes <= held < 2 * group_bytes
+
+
+def reencoded_forwarding(pieces):
+    """Reference for what a plain subscriber receives per publisher chunk:
+    the header, re-encoded, on the chunk that completes it, then each frame
+    the chunk completes, re-encoded; nothing for a chunk that completes
+    nothing, unless it ends the stream."""
+    parser = GroupStreamParser()
+    out = []
+    for i, piece in enumerate(pieces):
+        fin = i == len(pieces) - 1
+        had_header = parser.frame_count is not None
+        blob = b"".join(encode_frame_chunk(p) for p in parser.feed(piece, fin))
+        if not had_header and parser.frame_count is not None:
+            blob = encode_group_header(parser.track, parser.group_id, parser.frame_count) + blob
+        if blob or fin:
+            out.append((blob, fin))
+    return out
+
+
+class TestForwarding:
+    """The relay forwards the publisher's bytes as received."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        group_id=st.integers(0, 2**62 - 1),
+        payloads=st.lists(st.binary(max_size=300), min_size=1, max_size=4),
+        data=st.data(),
+    )
+    def test_each_chunk_forwards_what_it_completes(self, group_id, payloads, data):
+        blob = encode_group_header("cam", group_id, len(payloads)) + b"".join(
+            encode_frame_chunk(p) for p in payloads
+        )
+        cuts = sorted(data.draw(st.sets(st.integers(1, len(blob) - 1), max_size=8)))
+        pieces = [blob[a:b] for a, b in zip([0] + cuts, cuts + [len(blob)])]
+        rig = ServerRig({"p1": plain(), "p2": plain()})
+        stream = rig.publisher.open_stream()
+        for i, piece in enumerate(pieces):
+            send = stream.end if i == len(pieces) - 1 else stream.send
+            rig.net.at(20 + i, lambda send=send, piece=piece: send(piece))
+        rig.net.run_until_idle()
+        expected = reencoded_forwarding(pieces)
+        for name in ("p1", "p2"):
+            (chunks,) = rig.received[name].by_stream()
+            assert [(d, fin) for d, fin, _ in chunks] == expected
+        assert rig.server.core._tracks["cam"].stored[group_id] == blob
+
+    def test_non_minimal_length_varint_forwarded_as_received(self):
+        # A 5-byte frame whose length takes the 8-byte varint form, which a
+        # re-encoding relay would shorten to one byte.
+        chunk = (
+            encode_group_header("cam", 0, 1)
+            + (5 | 0b11 << 62).to_bytes(8, "big")
+            + bytes([1, 2, 3, 4, 5])
+        )
+        rig = ServerRig({"p": plain()})
+        stream = rig.publisher.open_stream()
+        rig.net.at(20, lambda: stream.end(chunk))
+        rig.net.run_until_idle(max_virtual_ms=60_000)
+        (chunks,) = rig.received["p"].by_stream()
+        assert chunks == [(chunk, True, 35.0)]
+        assert chunks[0][0] is chunk  # a chunk on a frame boundary is not copied
+        assert rig.server.core._tracks["cam"].stored[0] == chunk
 
 
 class TestBoundedState:
