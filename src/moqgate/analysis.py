@@ -18,9 +18,17 @@ least significant end.  Adding ``511 - t`` to every lane of ``cur`` and
 subtracting ``prev`` leaves each lane in [1, 766], so no lane carries into
 or borrows from its neighbour, and bit 9 of a lane is set exactly when
 ``cur - prev > t``; one mask and `int.bit_count` count them.
-`DetectorState` carries the previous frame's lanes, so `push_frame` spreads
-each frame once.  A byte difference never exceeds 255, so a threshold above
-255 means "no rise" and skips the lane arithmetic.
+
+`analyze_group_strobe` is the one detector loop.  Per group it looks up the
+rise constants once and, for each distinct frame size, validates the grid
+and looks up its sampler once; samples, lanes and the last rise time ride in
+locals, and one `DetectorState` is built at the end.  `push_frame` is that
+loop over a single frame.  `DetectorState` carries the previous frame's
+lanes, so each frame is spread once, across group boundaries too.  A state
+built by hand without lanes, or with samples of another length, goes
+through the checked `is_significant_increase`.  A byte difference never
+exceeds 255, so a threshold above 255 means "no rise" and skips the lane
+arithmetic.
 
 Other categories (smoking, alcohol) are represented by fixed-verdict stub
 detectors so the approval plumbing can be exercised end to end.
@@ -98,7 +106,16 @@ class Verdict:
 
 @lru_cache(maxsize=64)
 def _grid_sampler(width: int, height: int, grid_dim: int) -> Callable[[bytes], bytes]:
-    """The function that reads a frame's grid samples, row-major."""
+    """The function that reads a frame's grid samples, row-major.
+
+    Raises ValueError when the grid does not fit a width x height frame.
+    """
+    if grid_dim < 1:
+        raise ValueError("grid_dim must be at least 1")
+    if grid_dim > min(width, height):
+        raise ValueError(
+            f"grid_dim {grid_dim} exceeds frame dimensions {width}x{height}"
+        )
     xs = [((2 * i + 1) * width) // (2 * grid_dim) for i in range(grid_dim)]
     ys = [((2 * j + 1) * height) // (2 * grid_dim) for j in range(grid_dim)]
     indices = [y * width + x for y in ys for x in xs]
@@ -118,13 +135,6 @@ def sample_luma(frame: LuminanceFrame, grid_dim: int) -> bytes:
     Samples are returned row-major (top row first).  The grid must fit the
     frame: grid_dim is capped by the smaller frame dimension.
     """
-    if grid_dim < 1:
-        raise ValueError("grid_dim must be at least 1")
-    if grid_dim > min(frame.width, frame.height):
-        raise ValueError(
-            f"grid_dim {grid_dim} exceeds frame dimensions "
-            f"{frame.width}x{frame.height}"
-        )
     return _grid_sampler(frame.width, frame.height, grid_dim)(frame.pixels)
 
 
@@ -142,14 +152,6 @@ def _rise_constants(count: int, threshold: float) -> tuple[int, int]:
     return (511 - math.floor(threshold)) * ones, 0x200 * ones
 
 
-def _lanes_rose(prev: int, cur: int, count: int, config: StrobeConfig) -> bool:
-    """is_significant_increase on spread, non-empty, equal-length vectors
-    with a threshold of at most 255."""
-    offset, mask = _rise_constants(count, config.pixel_delta_threshold)
-    changed = ((cur + offset - prev) & mask).bit_count()
-    return changed / count > config.changed_fraction_threshold
-
-
 def is_significant_increase(prev: bytes, cur: bytes, config: StrobeConfig) -> bool:
     """True when the fraction of samples that brightened sharply is above
     the configured threshold.  Both comparisons are strictly greater-than.
@@ -161,54 +163,70 @@ def is_significant_increase(prev: bytes, cur: bytes, config: StrobeConfig) -> bo
         raise ValueError(
             f"sample vectors differ in length: {len(prev)} vs {len(cur)}"
         )
-    if not prev or config.pixel_delta_threshold > 255:
+    count = len(prev)
+    if not count or config.pixel_delta_threshold > 255:
         return False
-    return _lanes_rose(_lanes(prev), _lanes(cur), len(prev), config)
+    offset, mask = _rise_constants(count, config.pixel_delta_threshold)
+    changed = ((_lanes(cur) + offset - _lanes(prev)) & mask).bit_count()
+    return changed / count > config.changed_fraction_threshold
 
 
 def push_frame(
     frame: LuminanceFrame, state: DetectorState, config: StrobeConfig
 ) -> tuple[bool, DetectorState]:
-    """Feed one frame to the detector.
+    """Feed one frame to the detector: the group loop over that frame alone.
 
     Returns (risk, new_state) where risk is True iff this frame's brightness
     rise follows a previous rise within max_interchange_gap_ms.
     """
-    samples = sample_luma(frame, config.grid_dim)
-    lanes = _lanes(samples)
-    prev = state.prev_samples
-    if prev is None:
-        event = False
-    elif (
-        state.prev_lanes is None
-        or len(prev) != len(samples)
-        or config.pixel_delta_threshold > 255
-    ):
-        # A state built without lanes, or a case the checked path handles.
-        event = is_significant_increase(prev, samples, config)
-    else:
-        event = _lanes_rose(state.prev_lanes, lanes, len(samples), config)
-    risk = False
-    last_change = state.last_change_ts
-    if event:
-        if (
-            last_change is not None
-            and frame.capture_ts - last_change <= config.max_interchange_gap_ms
-        ):
-            risk = True
-        last_change = frame.capture_ts
-    return risk, DetectorState(samples, last_change, lanes)
+    return analyze_group_strobe(Group(0, (frame,), 0), state, config)
 
 
 def analyze_group_strobe(
     group: Group, state: DetectorState, config: StrobeConfig
 ) -> tuple[bool, DetectorState]:
-    """Analyze a whole group; True when any frame triggered the gap rule."""
+    """Analyze a whole group; True when any frame triggered the gap rule.
+
+    Frames are handled in order exactly as a fold of single-frame steps
+    would, raising the same errors at the same frame.
+    """
+    grid_dim = config.grid_dim
+    count = grid_dim * grid_dim
+    threshold = config.pixel_delta_threshold
+    fraction = config.changed_fraction_threshold
+    gap = config.max_interchange_gap_ms
+    # No byte rises by more than 255: above that, a zero mask counts nothing.
+    offset, mask = _rise_constants(count, threshold) if threshold <= 255 else (0, 0)
+    prev = state.prev_samples
+    prev_lanes = state.prev_lanes
+    last_change = state.last_change_ts
+    if prev is None or len(prev) != count:
+        # No previous frame, or a hand-built state the checked path handles.
+        prev_lanes = None
+    samplers: dict[tuple[int, int], Callable[[bytes], bytes]] = {}
+    buf = bytearray(2 * count)
     risk = False
     for frame in group.frames:
-        hit, state = push_frame(frame, state, config)
-        risk = risk or hit
-    return risk, state
+        size = (frame.width, frame.height)
+        sampler = samplers.get(size)
+        if sampler is None:
+            sampler = samplers[size] = _grid_sampler(*size, grid_dim)
+        samples = sampler(frame.pixels)
+        buf[::2] = samples
+        lanes = int.from_bytes(buf, "little")
+        if prev_lanes is not None:
+            changed = ((lanes + offset - prev_lanes) & mask).bit_count()
+            event = changed / count > fraction
+        else:
+            event = prev is not None and is_significant_increase(prev, samples, config)
+        if event:
+            ts = frame.capture_ts
+            if last_change is not None and ts - last_change <= gap:
+                risk = True
+            last_change = ts
+        prev = samples
+        prev_lanes = lanes
+    return risk, DetectorState(prev, last_change, prev_lanes)
 
 
 class Detector(Protocol):

@@ -106,13 +106,13 @@ class PublisherClient:
 
     def _send_frame(self, group: Group, idx: int, holder: dict) -> None:
         frame = group.frames[idx]
-        chunk = encode_frame_chunk(encode_frame_payload(frame))
+        payload = encode_frame_payload(frame)
         if idx == 0:
             holder["stream"] = self.session.open_stream()
-            chunk = (
-                encode_group_header(self.track, group.group_id, len(group.frames))
-                + chunk
-            )
+            header = encode_group_header(self.track, group.group_id, len(group.frames))
+        else:
+            header = b""
+        chunk = encode_frame_chunk(payload, header)
         stream = holder["stream"]
         try:
             if idx == len(group.frames) - 1:
@@ -197,7 +197,7 @@ class AnalyzerClient:
         group_id = record.group_id
         self.records.append(record)
         try:
-            frames = tuple(decode_frame_payload(p) for p in payloads)
+            frames = tuple(map(decode_frame_payload, payloads))
             group = Group(group_id, frames, frames[-1].capture_ts - frames[0].capture_ts)
         except ValueError as exc:  # undecodable group: fail closed, states unchanged
             rejected = tuple(_as_category(c) for c in self.categories)

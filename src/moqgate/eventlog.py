@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 __all__ = ["Event", "EventLog"]
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     time_ms: float
     source: str
     kind: str

@@ -44,8 +44,10 @@ def encode_group_header(track: str, group_id: int, frame_count: int) -> bytes:
     )
 
 
-def encode_frame_chunk(payload: bytes) -> bytes:
-    return encode_varint(len(payload)) + payload
+def encode_frame_chunk(payload: bytes, header: bytes = b"") -> bytes:
+    """One frame's length-prefixed payload, after ``header`` (the group
+    header, when the frame opens its stream)."""
+    return b"".join((header, encode_varint(len(payload)), payload))
 
 
 def encode_group_stream(track: str, group: Group) -> bytes:

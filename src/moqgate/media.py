@@ -24,6 +24,9 @@ from .wire import IncompleteError, MalformedError, decode_varint, encode_varint
 
 MAX_DIMENSION = 0xFFFF
 
+# width and height, the fixed part of the frame payload header
+_DIMENSIONS = struct.Struct(">HH")
+
 
 @dataclass(frozen=True)
 class LuminanceFrame:
@@ -43,6 +46,23 @@ class LuminanceFrame:
                 f"pixel buffer holds {len(self.pixels)} bytes, "
                 f"{self.width}x{self.height} needs {self.width * self.height}"
             )
+
+    @classmethod
+    def _from_checked(
+        cls, width: int, height: int, frame_index: int, capture_ts: int, pixels: bytes
+    ) -> LuminanceFrame:
+        """A frame from fields whose caller has already made the checks of
+        ``__post_init__``, built without the frozen ``__init__`` (which sets
+        each field through ``object.__setattr__`` and checks them again)."""
+        frame = object.__new__(cls)
+        frame.__dict__.update(
+            width=width,
+            height=height,
+            frame_index=frame_index,
+            capture_ts=capture_ts,
+            pixels=pixels,
+        )
+        return frame
 
     def pixel(self, x: int, y: int) -> int:
         return self.pixels[y * self.width + x]
@@ -256,18 +276,20 @@ def encode_frame_payload(frame: LuminanceFrame) -> bytes:
         raise ValueError(
             f"frame dimensions exceed the u16 header: {frame.width}x{frame.height}"
         )
-    return (
-        struct.pack(">HH", frame.width, frame.height)
-        + encode_varint(frame.frame_index)
-        + encode_varint(frame.capture_ts)
-        + frame.pixels
+    return b"".join(
+        (
+            _DIMENSIONS.pack(frame.width, frame.height),
+            encode_varint(frame.frame_index),
+            encode_varint(frame.capture_ts),
+            frame.pixels,
+        )
     )
 
 
 def decode_frame_payload(data: bytes) -> LuminanceFrame:
     if len(data) < 4:
         raise IncompleteError(f"frame payload: header needs 4 bytes, got {len(data)}")
-    width, height = struct.unpack_from(">HH", data)
+    width, height = _DIMENSIONS.unpack_from(data)
     if width < 1 or height < 1:
         raise MalformedError(f"frame dimensions must be positive: {width}x{height}")
     pos = 4
@@ -284,4 +306,6 @@ def decode_frame_payload(data: bytes) -> LuminanceFrame:
         raise MalformedError(
             f"frame payload has {len(data) - pos - need} trailing bytes"
         )
-    return LuminanceFrame(width, height, frame_index, capture_ts, bytes(data[pos:]))
+    return LuminanceFrame._from_checked(
+        width, height, frame_index, capture_ts, bytes(data[pos:])
+    )

@@ -127,7 +127,10 @@ def decode_varint(data: bytes, offset: int = 0) -> tuple[int, int]:
     """Decode one varint at ``offset``; returns ``(value, bytes consumed)``."""
     if offset >= len(data):
         raise IncompleteError("varint: empty input")
-    size = 1 << (data[offset] >> 6)
+    first = data[offset]
+    if first < 0x40:
+        return first, 1
+    size = 1 << (first >> 6)
     if len(data) - offset < size:
         raise IncompleteError(
             f"varint: first byte announces {size} bytes, only {len(data) - offset} present"

@@ -7,6 +7,7 @@ uniform), so it shares nothing with the sampling / comparison code under test.
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -301,6 +302,170 @@ class TestIncrementalEquivalence:
                 risk_inc = risk_inc or hit
             assert risk_inc == risk_batch
         assert state_inc == state_batch
+
+
+def _fold_lanes(samples: bytes) -> int:
+    buf = bytearray(2 * len(samples))
+    buf[::2] = samples
+    return int.from_bytes(buf, "little")
+
+
+def fold_push_frame(
+    frame: LuminanceFrame, state: DetectorState, config: StrobeConfig
+) -> tuple[bool, DetectorState]:
+    """The detector as a per-frame step, copied from the implementation
+    that preceded the single group loop (sampling, lane spreading and the
+    checked increase rule inlined), so that loop is held to it."""
+    grid_dim = config.grid_dim
+    if grid_dim > min(frame.width, frame.height):
+        raise ValueError(
+            f"grid_dim {grid_dim} exceeds frame dimensions "
+            f"{frame.width}x{frame.height}"
+        )
+    samples = reference_sample_luma(frame, grid_dim)
+    lanes = _fold_lanes(samples)
+    prev = state.prev_samples
+    t = config.pixel_delta_threshold
+    if prev is None:
+        event = False
+    elif state.prev_lanes is None or len(prev) != len(samples) or t > 255:
+        if len(prev) != len(samples):
+            raise ValueError(
+                f"sample vectors differ in length: {len(prev)} vs {len(samples)}"
+            )
+        event = bool(prev) and t <= 255 and (
+            reference_is_significant_increase(prev, samples, config)
+        )
+    else:
+        ones = int.from_bytes(b"\x01\x00" * len(samples), "little")
+        offset, mask = (511 - math.floor(t)) * ones, 0x200 * ones
+        changed = ((lanes + offset - state.prev_lanes) & mask).bit_count()
+        event = changed / len(samples) > config.changed_fraction_threshold
+    risk = False
+    last_change = state.last_change_ts
+    if event:
+        if (
+            last_change is not None
+            and frame.capture_ts - last_change <= config.max_interchange_gap_ms
+        ):
+            risk = True
+        last_change = frame.capture_ts
+    return risk, DetectorState(samples, last_change, lanes)
+
+
+def fold_group(
+    frames: tuple[LuminanceFrame, ...], state: DetectorState, config: StrobeConfig
+) -> tuple[bool, DetectorState]:
+    risk = False
+    for frame in frames:
+        hit, state = fold_push_frame(frame, state, config)
+        risk = risk or hit
+    return risk, state
+
+
+def outcome(step, *args):
+    """(risk, state, prev_lanes) of a detector call, or its ValueError text."""
+    try:
+        risk, state = step(*args)
+    except ValueError as exc:
+        return str(exc)
+    return risk, state, state.prev_lanes
+
+
+@st.composite
+def detector_groups(draw, grid_dim: int, ts0: int = 0):
+    """1-40 frames of one to three sizes, some of which the grid may not fit;
+    each frame is uniform (often a full swing) or noise, so rises of every
+    size occur.  Per-frame choices come from one drawn seed, which keeps
+    drawing 40 frames cheap."""
+    side = st.integers(max(1, grid_dim - 1), 8)
+    sizes = draw(st.lists(st.tuples(side, side), min_size=1, max_size=3))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    frames = []
+    ts = ts0
+    for i in range(draw(st.integers(1, 40))):
+        w, h = rng.choice(sizes)
+        ts += rng.randrange(61)
+        if rng.random() < 0.5:
+            level = rng.choice([0, 255]) if rng.random() < 0.5 else rng.randrange(256)
+            pixels = bytes((level,)) * (w * h)
+        else:
+            pixels = rng.randbytes(w * h)
+        frames.append(LuminanceFrame(w, h, i, ts, pixels))
+    return Group(draw(st.integers(0, 5)), tuple(frames), 0)
+
+
+@st.composite
+def detector_cases(draw):
+    grid_dim = draw(st.integers(1, 4))
+    cfg = StrobeConfig(
+        grid_dim=grid_dim,
+        pixel_delta_threshold=draw(thresholds),
+        changed_fraction_threshold=draw(fractions),
+        max_interchange_gap_ms=draw(st.sampled_from([0, 33, 100, 1000])),
+    )
+    count = grid_dim * grid_dim
+    kind = draw(st.sampled_from(["fresh", "carried", "no_lanes", "wrong_length"]))
+    last = draw(st.one_of(st.none(), st.integers(0, 100)))
+    if kind == "fresh":
+        state = DetectorState()
+    elif kind == "carried":
+        before = draw(detector_groups(grid_dim)).frames
+        carried = outcome(fold_group, before, DetectorState(), cfg)
+        state = DetectorState() if isinstance(carried, str) else carried[1]
+    elif kind == "no_lanes":
+        state = DetectorState(draw(st.binary(min_size=count, max_size=count)), last)
+    else:
+        length = draw(st.integers(0, 30).filter(lambda n: n != count))
+        samples = draw(st.binary(min_size=length, max_size=length))
+        lanes = draw(st.sampled_from([None, _fold_lanes(samples)]))
+        state = DetectorState(samples, last, lanes)
+    return draw(detector_groups(grid_dim, ts0=200)), state, cfg
+
+
+class TestOneDetectorLoop:
+    """`analyze_group_strobe` against the per-frame fold it replaced, and
+    `push_frame` as that loop over one frame."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=detector_cases())
+    @example(  # hand-built states whose samples do not match a 2x2 grid
+        case=(group_of_levels(0, [0, 240], ts0=0), DetectorState(bytes(3)), StrobeConfig(2))
+    )
+    @example(
+        case=(group_of_levels(0, [0, 240], ts0=0), DetectorState(bytes(5), 0, 0), StrobeConfig(2))
+    )
+    @example(  # the first frame's length error comes before the second's grid error
+        case=(
+            Group(0, (uniform_frame(0, 0), uniform_frame(0, 1, w=3, h=9)), 0),
+            DetectorState(bytes(3)),
+            StrobeConfig(4),
+        )
+    )
+    @example(  # the second frame is the first the grid does not fit
+        case=(
+            Group(0, (uniform_frame(0, 0), uniform_frame(0, 1, w=3, h=9)), 0),
+            DetectorState(),
+            StrobeConfig(4),
+        )
+    )
+    def test_group_loop_and_push_frame_match_the_fold(self, case):
+        group, state, cfg = case
+        want = outcome(fold_group, group.frames, state, cfg)
+        assert outcome(analyze_group_strobe, group, state, cfg) == want
+
+        def push_all(frames, state, cfg):
+            risk = False
+            for frame in frames:
+                step = outcome(push_frame, frame, state, cfg)
+                assert step == outcome(fold_push_frame, frame, state, cfg)
+                if isinstance(step, str):
+                    raise ValueError(step)
+                hit, state, _ = step
+                risk = risk or hit
+            return risk, state
+
+        assert outcome(push_all, group.frames, state, cfg) == want
 
 
 class TestRandomizedAgainstReplay:

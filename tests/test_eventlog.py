@@ -44,3 +44,35 @@ class TestEventLog:
         log = EventLog()
         log.emit("s", "k")
         assert log.events[0].time_ms == 0.0
+
+    def test_emit_returns_the_event_it_records(self):
+        log = EventLog(lambda: 4.5)
+        event = log.emit("relay", "group_stored", group_id=3, track="cam")
+        assert event == Event(4.5, "relay", "group_stored", {"group_id": 3, "track": "cam"})
+        assert log.events == [event]
+
+    def test_detail_is_a_fresh_dict(self):
+        log = EventLog()
+        detail = {"group_id": 3}
+        event = log.emit("relay", "k", **detail)
+        assert event.detail is not detail
+        detail["group_id"] = 4
+        detail["extra"] = True
+        assert event.detail == {"group_id": 3}
+
+    def test_jsonl_of_three_events_is_pinned(self):
+        t = [0.0]
+        log = EventLog(lambda: t[0])
+        log.emit("publisher", "frame_sent", group_id=0, frame_index=1)
+        t[0] = 33.5
+        log.emit("relay", "approve_recorded", group_id=0, categories=[1, 2], sid="analyzer")
+        t[0] = 1000.25
+        log.emit("viewer", "group_received", group_id=0, frame_count=30)
+        assert log.to_jsonl() == (
+            '{"frame_index": 1, "group_id": 0, "kind": "frame_sent", '
+            '"source": "publisher", "time_ms": 0.0}\n'
+            '{"categories": [1, 2], "group_id": 0, "kind": "approve_recorded", '
+            '"sid": "analyzer", "source": "relay", "time_ms": 33.5}\n'
+            '{"frame_count": 30, "group_id": 0, "kind": "group_received", '
+            '"source": "viewer", "time_ms": 1000.25}'
+        )

@@ -8,8 +8,10 @@ ramp interpolates linearly across its frames.
 
 from __future__ import annotations
 
+import struct
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moqgate import media
@@ -26,7 +28,7 @@ from moqgate.media import (
     generate_groups,
     strobe_half_period_frames,
 )
-from moqgate.wire import IncompleteError, MalformedError
+from moqgate.wire import IncompleteError, MalformedError, encode_varint
 
 # 2x1 frame, index 0, ts 0, pixels [7, 9]:
 #   width u16 BE | height u16 BE | index varint | ts varint | raw pixels
@@ -220,6 +222,61 @@ class TestFramePayloadCodec:
         pixels = bytes(rng.randrange(256) for _ in range(w * h))
         frame = LuminanceFrame(w, h, idx, ts, pixels)
         assert decode_frame_payload(encode_frame_payload(frame)) == frame
+
+
+# Values whose varints take 1, 2, 4 and 8 bytes.
+varint_values = st.one_of(
+    st.integers(0, (1 << 6) - 1),
+    st.integers(1 << 6, (1 << 14) - 1),
+    st.integers(1 << 14, (1 << 30) - 1),
+    st.integers(1 << 30, (1 << 62) - 1),
+)
+
+
+@st.composite
+def codec_frames(draw):
+    """Frames of small and of wide (two header bytes per side) shapes."""
+    w = draw(st.one_of(st.integers(1, 12), st.integers(256, 4096)))
+    h = draw(st.integers(1, 12)) if w > 12 else draw(st.one_of(st.integers(1, 12), st.just(300)))
+    pixels = draw(st.binary(min_size=w * h, max_size=w * h))
+    return LuminanceFrame(w, h, draw(varint_values), draw(varint_values), pixels)
+
+
+class TestFramePayloadProperty:
+    """The codec against the concatenation it was first written as."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(frame=codec_frames(), cut=st.integers(0, 3), extra=st.integers(1, 9))
+    def test_encoding_round_trip_and_errors(self, frame, cut, extra):
+        payload = encode_frame_payload(frame)
+        header = struct.pack(">HH", frame.width, frame.height)
+        fields = encode_varint(frame.frame_index) + encode_varint(frame.capture_ts)
+        assert payload == header + fields + frame.pixels
+        assert decode_frame_payload(payload) == frame
+
+        with pytest.raises(IncompleteError) as info:
+            decode_frame_payload(payload[:cut])
+        assert str(info.value) == f"frame payload: header needs 4 bytes, got {cut}"
+
+        need = frame.width * frame.height
+        short = min(extra, need)
+        with pytest.raises(IncompleteError) as info:
+            decode_frame_payload(payload[:-short])
+        assert str(info.value) == (
+            f"frame payload: {need} pixel bytes declared, {need - short} present"
+        )
+
+        with pytest.raises(MalformedError) as info:
+            decode_frame_payload(payload + bytes(extra))
+        assert str(info.value) == f"frame payload has {extra} trailing bytes"
+
+        for zeroed, shown in (
+            (b"\x00\x00" + payload[2:], f"0x{frame.height}"),
+            (payload[:2] + b"\x00\x00" + payload[4:], f"{frame.width}x0"),
+        ):
+            with pytest.raises(MalformedError) as info:
+                decode_frame_payload(zeroed)
+            assert str(info.value) == f"frame dimensions must be positive: {shown}"
 
 
 class TestInterToggleProperty:
