@@ -1,7 +1,8 @@
 """Client roles: publisher, analyzer, subscriber — plus latency accounting.
 
-* :class:`PublisherClient` paces frames onto per-group streams at their
-  capture instants (epoch + capture timestamp).
+* :func:`encode_publication` encodes a source's groups once;
+  :class:`PublisherClient` paces their chunks, one per frame, onto
+  per-group streams at their capture instants (epoch + capture timestamp).
 * :class:`AnalyzerClient` subscribes with the analyze role, receives frames
   live, runs :func:`~moqgate.analysis.analyze` when a group completes, and
   sends one APPROVE naming the approved subset (nothing when the subset is
@@ -19,18 +20,15 @@ group, in the order the groups' streams completed.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, NamedTuple
 
 from .analysis import DetectorRegistry, Verdict, analyze, default_registry
 from .eventlog import EventLog
-from .framing import (
-    GroupStreamParser,
-    encode_frame_chunk,
-    encode_group_header,
-)
-from .media import Group, decode_frame_payload, encode_frame_payload
-from .transport import DisconnectedError, RecvStream, Session, SimNetwork
+from .framing import GroupStreamParser, encode_group_chunks
+from .media import Group, decode_frame_payload
+from .transport import DisconnectedError, RecvStream, SendStream, Session, SimNetwork
 from .wire import (
     Approve,
     Subscribe,
@@ -41,6 +39,8 @@ from .wire import (
 )
 
 __all__ = [
+    "EncodedGroup",
+    "encode_publication",
     "LatencyRecord",
     "PlaybackStats",
     "PublisherClient",
@@ -71,63 +71,64 @@ class PlaybackStats:
     total_stall_ms: float
 
 
+class EncodedGroup(NamedTuple):
+    """One group as its publisher sends it: each frame's capture timestamp
+    and wire chunk, with the group header on chunk 0."""
+
+    group_id: int
+    capture_ts: tuple[int, ...]
+    chunks: tuple[bytes, ...]
+
+
+def encode_publication(track: str, groups: Iterable[Group]) -> list[EncodedGroup]:
+    """Encode every group once; runs then share the bytes, not the frames."""
+    return [
+        EncodedGroup(
+            group.group_id,
+            tuple(frame.capture_ts for frame in group.frames),
+            tuple(encode_group_chunks(track, group)),
+        )
+        for group in groups
+    ]
+
+
 class PublisherClient:
-    """Sends pre-generated groups, one stream per group, frame by frame."""
+    """Sends an encoded publication, one stream per group, chunk by chunk."""
 
     def __init__(
         self,
         net: SimNetwork,
         session: Session,
-        track: str,
-        groups: list[Group],
+        publication: list[EncodedGroup],
         epoch_ms: float = 0.0,
         log: EventLog | None = None,
         name: str = "publisher",
     ) -> None:
         self.net = net
         self.session = session
-        self.track = track
-        self.groups = list(groups)
+        self.publication = publication
         self.epoch_ms = epoch_ms
         self.name = name
         self.log = log if log is not None else EventLog(lambda: net.now)
+        self._streams: dict[int, SendStream] = {}  # open group streams by group id
 
     def start(self) -> None:
-        """Schedule every frame send at epoch + capture timestamp."""
-        for group in self.groups:
-            holder: dict[str, object] = {}
-            for idx in range(len(group.frames)):
-                self.net.at(
-                    self.epoch_ms + group.frames[idx].capture_ts,
-                    lambda group=group, idx=idx, holder=holder: self._send_frame(
-                        group, idx, holder
-                    ),
-                )
+        """Schedule every chunk send at epoch + its frame's capture timestamp."""
+        for group in self.publication:
+            for index, ts in enumerate(group.capture_ts):
+                self.net.at(self.epoch_ms + ts, functools.partial(self._send_chunk, group, index))
 
-    def _send_frame(self, group: Group, idx: int, holder: dict) -> None:
-        frame = group.frames[idx]
-        payload = encode_frame_payload(frame)
-        if idx == 0:
-            holder["stream"] = self.session.open_stream()
-            header = encode_group_header(self.track, group.group_id, len(group.frames))
-        else:
-            header = b""
-        chunk = encode_frame_chunk(payload, header)
-        stream = holder["stream"]
+    def _send_chunk(self, group: EncodedGroup, index: int) -> None:
+        if index == 0:
+            self._streams[group.group_id] = self.session.open_stream()
+        chunk = group.chunks[index]
         try:
-            if idx == len(group.frames) - 1:
-                stream.end(chunk)
+            if index == len(group.chunks) - 1:
+                self._streams.pop(group.group_id).end(chunk)
             else:
-                stream.send(chunk)
+                self._streams[group.group_id].send(chunk)
         except DisconnectedError:
             self.log.emit(self.name, "publish_failed", group_id=group.group_id)
-            return
-        self.log.emit(
-            self.name,
-            "frame_sent",
-            group_id=group.group_id,
-            frame_index=frame.frame_index,
-        )
 
 
 def _receive_groups(

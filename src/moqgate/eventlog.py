@@ -20,9 +20,10 @@ class Event(NamedTuple):
 class EventLog:
     """Append-only log; ``clock`` supplies the timestamp for each emit.
 
-    The log is per-run report data: it keeps every event, so it grows
-    linearly with the events a run emits.  That is on purpose, since the
-    report's checks and the planned per-group latency ledger read it.
+    The log is per-run report data and keeps every event.  Events are per
+    group, session or control message (a refused publish, per chunk), so it
+    grows with a run's groups and clients, not its frame rate; the report's
+    checks and the planned per-group latency ledger read it.
     """
 
     clock: Callable[[], float] = lambda: 0.0

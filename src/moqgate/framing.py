@@ -28,6 +28,7 @@ from .wire import (
 __all__ = [
     "encode_group_header",
     "encode_frame_chunk",
+    "encode_group_chunks",
     "encode_group_stream",
     "GroupStreamParser",
     "ControlStreamDecoder",
@@ -44,18 +45,22 @@ def encode_group_header(track: str, group_id: int, frame_count: int) -> bytes:
     )
 
 
-def encode_frame_chunk(payload: bytes, header: bytes = b"") -> bytes:
-    """One frame's length-prefixed payload, after ``header`` (the group
-    header, when the frame opens its stream)."""
-    return b"".join((header, encode_varint(len(payload)), payload))
+def encode_frame_chunk(payload: bytes) -> bytes:
+    """One frame's length-prefixed payload."""
+    return encode_varint(len(payload)) + payload
+
+
+def encode_group_chunks(track: str, group: Group) -> list[bytes]:
+    """The group's stream as its publisher sends it: one chunk per frame,
+    with the group header in front of frame 0's."""
+    chunks = [encode_frame_chunk(encode_frame_payload(frame)) for frame in group.frames]
+    chunks[0] = encode_group_header(track, group.group_id, len(chunks)) + chunks[0]
+    return chunks
 
 
 def encode_group_stream(track: str, group: Group) -> bytes:
     """Complete stream contents for one group (header plus every frame)."""
-    parts = [encode_group_header(track, group.group_id, len(group.frames))]
-    for frame in group.frames:
-        parts.append(encode_frame_chunk(encode_frame_payload(frame)))
-    return b"".join(parts)
+    return b"".join(encode_group_chunks(track, group))
 
 
 class GroupStreamParser:

@@ -23,15 +23,17 @@ from typing import Any, Mapping
 from .analysis import StrobeConfig, default_registry, predict_risky_groups
 from .client import (
     AnalyzerClient,
+    EncodedGroup,
     LatencyModel,
     LatencyRecord,
     PublisherClient,
     SubscriberClient,
     compute_playback,
+    encode_publication,
     predict_latency_bound,
 )
 from .eventlog import EventLog
-from .media import Constant, Group, Ramp, SourceConfig, Strobe, generate_groups
+from .media import Constant, Ramp, SourceConfig, Strobe, generate_groups
 from .relay import RelayCore, RelayServer
 from .transport import Link, SimNetwork, SimTimeoutError, derive_seed
 from .wire import Category, category_code, category_name
@@ -514,7 +516,7 @@ class _RunResult:
 
 def _run_once(
     scenario: Scenario,
-    groups: list[Group],
+    publication: list[EncodedGroup],
     links: Mapping[str, LinkSpec],
     index: int,
 ) -> _RunResult:
@@ -575,8 +577,7 @@ def _run_once(
     publisher = PublisherClient(
         net,
         pub_session,
-        scenario.track,
-        groups,
+        publication,
         epoch_ms=scenario.publish_epoch_ms,
         log=log,
         name="publisher",
@@ -816,21 +817,11 @@ class Report:
                     if record is None:
                         lines.append(f"{run['run']},{client},{gid},skipped,,,,,")
                         continue
-                    added = record["added_ms"]
+                    added = "" if record["added_ms"] is None else record["added_ms"]
                     lines.append(
-                        ",".join(
-                            [
-                                str(run["run"]),
-                                client,
-                                str(gid),
-                                "delivered",
-                                str(record["first_arrival_ms"]),
-                                str(record["complete_arrival_ms"]),
-                                str(record["frame_count"]),
-                                str(record["e2e_ms"]),
-                                "" if added is None else str(added),
-                            ]
-                        )
+                        f"{run['run']},{client},{gid},delivered,{record['first_arrival_ms']},"
+                        f"{record['complete_arrival_ms']},{record['frame_count']},"
+                        f"{record['e2e_ms']},{added}"
                     )
         return "\n".join(lines) + "\n"
 
@@ -988,16 +979,17 @@ def run_scenario(scenario: Scenario) -> Report:
     Raises :class:`ScenarioTimeoutError` carrying the partial report if the
     virtual-time budget is exhausted.
     """
-    groups = generate_groups(scenario.source)
-    n_groups = len(groups)
+    # Encoded once and shared by every run; the frames are not kept.
+    publication = encode_publication(scenario.track, generate_groups(scenario.source))
+    n_groups = len(publication)
     runs: list[_RunResult] = []
     if scenario.delay_draws is None:
-        runs.append(_run_once(scenario, groups, _base_links(scenario), 0))
+        runs.append(_run_once(scenario, publication, _base_links(scenario), 0))
     else:
         rng = random.Random(derive_seed("delay_draws", str(scenario.delay_draws.seed)))
         for index in range(scenario.delay_draws.count):
             links = _drawn_links(scenario, rng)
-            runs.append(_run_once(scenario, groups, links, index))
+            runs.append(_run_once(scenario, publication, links, index))
             if runs[-1].timed_out:
                 break
     timed_out = any(run.timed_out for run in runs)

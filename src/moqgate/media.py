@@ -64,9 +64,6 @@ class LuminanceFrame:
         )
         return frame
 
-    def pixel(self, x: int, y: int) -> int:
-        return self.pixels[y * self.width + x]
-
 
 @dataclass(frozen=True)
 class Group:
@@ -287,25 +284,37 @@ def encode_frame_payload(frame: LuminanceFrame) -> bytes:
 
 
 def decode_frame_payload(data: bytes) -> LuminanceFrame:
-    if len(data) < 4:
-        raise IncompleteError(f"frame payload: header needs 4 bytes, got {len(data)}")
+    size = len(data)
+    if size < 4:
+        raise IncompleteError(f"frame payload: header needs 4 bytes, got {size}")
     width, height = _DIMENSIONS.unpack_from(data)
     if width < 1 or height < 1:
         raise MalformedError(f"frame dimensions must be positive: {width}x{height}")
-    pos = 4
-    frame_index, n = decode_varint(data, pos)
-    pos += n
-    capture_ts, n = decode_varint(data, pos)
-    pos += n
+    # frame_index, then capture_ts: 1- and 2-byte varints inline; others, and
+    # a missing byte (read as 0xFF), through decode_varint and its errors.
+    first = data[4] if size > 4 else 0xFF
+    if first < 0x40:
+        frame_index = first
+        pos = 5
+    elif first < 0x80 and size > 5:
+        frame_index = (first & 0x3F) << 8 | data[5]
+        pos = 6
+    else:
+        frame_index, n = decode_varint(data, 4)
+        pos = 4 + n
+    first = data[pos] if size > pos else 0xFF
+    if first < 0x40:
+        capture_ts = first
+        pos += 1
+    elif first < 0x80 and size > pos + 1:
+        capture_ts = (first & 0x3F) << 8 | data[pos + 1]
+        pos += 2
+    else:
+        capture_ts, n = decode_varint(data, pos)
+        pos += n
     need = width * height
-    if len(data) - pos < need:
-        raise IncompleteError(
-            f"frame payload: {need} pixel bytes declared, {len(data) - pos} present"
-        )
-    if len(data) - pos > need:
-        raise MalformedError(
-            f"frame payload has {len(data) - pos - need} trailing bytes"
-        )
-    return LuminanceFrame._from_checked(
-        width, height, frame_index, capture_ts, bytes(data[pos:])
-    )
+    if size - pos < need:
+        raise IncompleteError(f"frame payload: {need} pixel bytes declared, {size - pos} present")
+    if size - pos > need:
+        raise MalformedError(f"frame payload has {size - pos - need} trailing bytes")
+    return LuminanceFrame._from_checked(width, height, frame_index, capture_ts, bytes(data[pos:]))

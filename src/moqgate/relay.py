@@ -450,23 +450,21 @@ class RelayServer:
 
     def _fail_session(self, sid: object, reason: str) -> None:
         self.log.emit("relay", "protocol_error", sid=str(sid), reason=reason)
-        self.core.remove_session(sid)
-        session = self._sessions.pop(sid, None)
-        self._decoders.pop(sid, None)
-        self._drop_from_fanout(sid)
+        session = self._forget(sid)
         if session is not None and not session.closed:
             session.close()
 
     def _on_close(self, sid: object) -> None:
         self.log.emit("relay", "session_closed", sid=str(sid))
-        self.core.remove_session(sid)
-        self._sessions.pop(sid, None)
-        self._decoders.pop(sid, None)
-        self._drop_from_fanout(sid)
+        self._forget(sid)
 
-    def _drop_from_fanout(self, sid: object) -> None:
+    def _forget(self, sid: object) -> Session | None:
+        """Drop every trace of a session; returns it if it was attached."""
+        self.core.remove_session(sid)
+        self._decoders.pop(sid, None)
         for live in self._live.values():
             live.fanout.pop(sid, None)
+        return self._sessions.pop(sid, None)
 
     # -- publisher data path -----------------------------------------------------
 
@@ -580,13 +578,7 @@ class RelayServer:
         for state in self.core.sessions_of(track):
             if state.filter is None or state.next_deliver > group_id:
                 continue
-            sid = state.sid
-            self.net.after(
-                STALL_ALARM_MS,
-                lambda sid=sid, group_id=group_id, track=track: self._check_stall(
-                    sid, track, group_id
-                ),
-            )
+            self.net.after(STALL_ALARM_MS, partial(self._check_stall, state.sid, track, group_id))
 
     def _check_stall(self, sid: object, track: str, group_id: int) -> None:
         if not self.core.has_session(sid):

@@ -14,6 +14,7 @@ from moqgate.client import (
     PublisherClient,
     SubscriberClient,
     compute_playback,
+    encode_publication,
     predict_latency_bound,
 )
 from moqgate.eventlog import EventLog
@@ -79,7 +80,7 @@ class Rig:
     def publisher(self, groups, epoch=0.0, delay=0.0):
         local, remote = self.net.connect(Link(delay_ms=delay), "pub", "relay")
         self.server.attach("pub", remote)
-        client = PublisherClient(self.net, local, "cam", groups, epoch_ms=epoch)
+        client = PublisherClient(self.net, local, encode_publication("cam", groups), epoch_ms=epoch)
         client.start()
         return client
 
@@ -90,7 +91,7 @@ class TestPublisherPacing:
         a, b = net.connect(Link(delay_ms=0.0), "pub", "peer")
         groups = generate_groups(const_source(fps=10, seconds=1))
         received = Recorder(net, b)
-        PublisherClient(net, a, "cam", groups, epoch_ms=50.0).start()
+        PublisherClient(net, a, encode_publication("cam", groups), epoch_ms=50.0).start()
         net.run_until_idle()
         (chunks,) = received.by_stream()
         # Header travels with frame 0; one chunk arrival per frame.
@@ -103,7 +104,7 @@ class TestPublisherPacing:
         a, b = net.connect(Link(delay_ms=0.0), "pub", "peer")
         groups = generate_groups(const_source(fps=10, seconds=2))
         received = Recorder(net, b)
-        PublisherClient(net, a, "cam", groups, epoch_ms=0.0).start()
+        PublisherClient(net, a, encode_publication("cam", groups), epoch_ms=0.0).start()
         net.run_until_idle()
         streams = received.by_stream()
         assert len(streams) == 2
@@ -119,7 +120,7 @@ class TestPublisherPacing:
         )
         assert len(groups[0].frames) == 1
         received = Recorder(net, b)
-        PublisherClient(net, a, "cam", groups, epoch_ms=5.0).start()
+        PublisherClient(net, a, encode_publication("cam", groups), epoch_ms=5.0).start()
         net.run_until_idle()
         (chunks,) = received.by_stream()
         assert times(chunks) == [5.0]

@@ -12,6 +12,7 @@ from moqgate.framing import (
     ControlStreamDecoder,
     GroupStreamParser,
     encode_frame_chunk,
+    encode_group_chunks,
     encode_group_header,
     encode_group_stream,
 )
@@ -24,6 +25,7 @@ from moqgate.wire import (
     SubscribeOk,
     WireError,
     encode_message,
+    encode_varint,
 )
 
 # Header for track "cam", group 7, 2 frames: all values take 1-byte varints.
@@ -56,6 +58,53 @@ class TestEncoding:
             encode_frame_chunk(encode_frame_payload(f)) for f in g.frames
         )
         assert blob == expected
+
+
+# Values of each varint size the encoder emits: 1-, 2- and 4-byte forms.
+_VARINT_RANGES = ((0, 0x3F), (0x40, 0x3FFF), (0x4000, 0x3FFF_FFFF))
+
+
+def sized_varints():
+    return st.sampled_from(_VARINT_RANGES).flatmap(lambda bounds: st.integers(*bounds))
+
+
+@st.composite
+def groups_of_any_size(draw):
+    """1-40 frames whose group id, frame indices, capture timestamps and
+    payload lengths (1x1, 16x16 and 128x128 frames) take each varint size."""
+    n_frames = draw(st.integers(1, 40))
+    width, height = draw(st.sampled_from([(1, 1), (16, 16), (128, 128)]))
+    timestamps = sorted(draw(st.lists(sized_varints(), min_size=n_frames, max_size=n_frames)))
+    frames = tuple(
+        LuminanceFrame(width, height, draw(sized_varints()), ts, bytes((k,)) * (width * height))
+        for k, ts in enumerate(timestamps)
+    )
+    return Group(draw(sized_varints()), frames, timestamps[-1] - timestamps[0])
+
+
+def old_group_stream(track: str, group: Group) -> bytes:
+    """``encode_group_stream`` as it was before the chunk encoder: header,
+    then each frame's length-prefixed payload."""
+    parts = [encode_group_header(track, group.group_id, len(group.frames))]
+    for frame in group.frames:
+        payload = encode_frame_payload(frame)
+        parts.append(encode_varint(len(payload)) + payload)
+    return b"".join(parts)
+
+
+class TestGroupChunks:
+    @settings(max_examples=60, deadline=None)
+    @given(st.text(max_size=80), groups_of_any_size())
+    def test_chunks_join_to_the_group_stream_with_the_header_on_chunk_0(self, track, group):
+        chunks = encode_group_chunks(track, group)
+        assert b"".join(chunks) == old_group_stream(track, group)
+        assert encode_group_stream(track, group) == old_group_stream(track, group)
+        header = encode_group_header(track, group.group_id, len(group.frames))
+        frame_chunks = [
+            encode_varint(len(payload)) + payload
+            for payload in map(encode_frame_payload, group.frames)
+        ]
+        assert chunks == [header + frame_chunks[0]] + frame_chunks[1:]
 
 
 class TestGroupStreamParser:

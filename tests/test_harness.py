@@ -17,13 +17,17 @@ import hashlib
 import json
 import random
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import moqgate.client
+import moqgate.framing
 from moqgate.analysis import DetectorState, analyze_group_strobe
+from moqgate.eventlog import EventLog
 from moqgate.harness import (
     Report,
     Scenario,
@@ -36,7 +40,7 @@ from moqgate.harness import (
     run_scenario,
     scenario_from_dict,
 )
-from moqgate.media import generate_groups
+from moqgate.media import encode_frame_payload, generate_groups
 from moqgate.relay import RelayServer
 
 # ---------------------------------------------------------------------------
@@ -667,6 +671,31 @@ class TestRunScenario:
         again = run_report(copy.deepcopy(data))
         assert again.to_json() == report.to_json()
 
+    def test_event_log_grows_with_groups_not_frames(self, monkeypatch):
+        # Every logged event is per group (receipt, analysis, approval,
+        # delivery), so 200 fps logs exactly what 30 fps does.
+        kinds: list[str] = []
+        emit = EventLog.emit
+
+        def recording_emit(log, source, kind, **detail):
+            kinds.append(kind)
+            return emit(log, source, kind, **detail)
+
+        monkeypatch.setattr(EventLog, "emit", recording_emit)
+        logged = []
+        for fps in (30, 200):
+            data = mini_scenario()
+            data["source"]["fps"] = fps
+            data["source"]["segments"] = [
+                {"kind": "constant", "level": 128, "duration_ms": 10_000}
+            ]
+            data["checks"] = {}
+            kinds.clear()
+            assert run_report(data).passed is True
+            logged.append(Counter(kinds))
+        assert logged[0]["group_received"] == 20  # 10 groups, two subscribers
+        assert logged[0] == logged[1]
+
     def test_virtual_time_cap_yields_partial_report(self):
         data = mini_scenario()
         data["duration_ms"] = 500.0
@@ -739,6 +768,23 @@ class TestBundledFixtures:
             # 125 fps: the last frame leaves one spacing (8 ms) before the
             # group boundary, so the bound is met with exactly 8 ms to spare
             assert bounds["predicted_ms"] - bounds["max_observed_e2e_ms"] == 8.0
+
+    def test_random_delays_encodes_each_frame_once(self, monkeypatch):
+        # The 20 delay draws all send the publication encoded up front: 625
+        # frame encodings (5 s at 125 fps), not 625 per draw.
+        calls = 0
+
+        def counting_encode(frame):
+            nonlocal calls
+            calls += 1
+            return encode_frame_payload(frame)
+
+        for module in (moqgate.client, moqgate.framing):
+            if hasattr(module, "encode_frame_payload"):  # wherever it is looked up
+                monkeypatch.setattr(module, "encode_frame_payload", counting_encode)
+        report = run_scenario(load_scenario(bundled_scenario_path("random_delays")))
+        assert len(report.data["runs"]) == 20
+        assert calls == 625
 
     def test_runs_leave_no_relay_for_the_cyclic_collector(self, monkeypatch):
         # Sessions point at each other and their callbacks at the relay and

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from recording import Recorder, ended, joined
 
-from moqgate.client import AnalyzerClient, PublisherClient, SubscriberClient
+from moqgate.client import AnalyzerClient, PublisherClient, SubscriberClient, encode_publication
 from moqgate.eventlog import EventLog
 from moqgate.framing import (
     ControlStreamDecoder,
@@ -845,7 +845,8 @@ class TestBoundedState:
         SubscriberClient(net, connect("plain", 2.0), "cam", 3).start()
         SubscriberClient(net, connect("gated", 6.0), "cam", 4, filter_categories=(STROBE,)).start()
         source = SourceConfig(16, 16, 10, 1000, (Constant(128, n_groups * 1000),))
-        PublisherClient(net, connect("pub", 5.0), "cam", generate_groups(source)).start()
+        publication = encode_publication("cam", generate_groups(source))
+        PublisherClient(net, connect("pub", 5.0), publication).start()
         net.run_until_idle()
         delivered = server.log.filter(kind="group_delivered")
         assert [e.detail["group_id"] for e in delivered] == list(range(n_groups))
