@@ -119,15 +119,15 @@ class PublisherClient:
                 self.net.at(self.epoch_ms + ts, functools.partial(self._send_chunk, group, index))
 
     def _send_chunk(self, group: EncodedGroup, index: int) -> None:
-        if index == 0:
-            self._streams[group.group_id] = self.session.open_stream()
         chunk = group.chunks[index]
         try:
+            if index == 0:
+                self._streams[group.group_id] = self.session.open_stream()
             if index == len(group.chunks) - 1:
                 self._streams.pop(group.group_id).end(chunk)
             else:
                 self._streams[group.group_id].send(chunk)
-        except DisconnectedError:
+        except (DisconnectedError, KeyError):  # KeyError: the session refused the open
             self.log.emit(self.name, "publish_failed", group_id=group.group_id)
 
 

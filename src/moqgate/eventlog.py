@@ -20,10 +20,10 @@ class Event(NamedTuple):
 class EventLog:
     """Append-only log; ``clock`` supplies the timestamp for each emit.
 
-    The log is per-run report data and keeps every event.  Events are per
-    group, session or control message (a refused publish, per chunk), so it
-    grows with a run's groups and clients, not its frame rate; the report's
-    checks and the planned per-group latency ledger read it.
+    Events are per group, session or control message (a refused publish,
+    per chunk), so a log grows with a run's groups and clients, not its
+    frame rate.  The harness scans each run's log once, when the run ends,
+    keeps only the facts its checks read and drops the log with the run.
     """
 
     clock: Callable[[], float] = lambda: 0.0

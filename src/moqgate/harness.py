@@ -418,15 +418,9 @@ def bundled_scenario_path(name: str):
 # ---------------------------------------------------------------------------
 
 
-def _covering_analyzers(scenario: Scenario, spec: ClientSpec) -> list[ClientSpec]:
-    return [
-        a for a in scenario.clients if a.analyze and set(a.analyze) & set(spec.filter)
-    ]
-
-
 def _bound_for(scenario: Scenario, spec: ClientSpec, links: Mapping[str, LinkSpec]) -> float:
-    """Latency bound via the reusable model (one of two independent routes)."""
-    covering = _covering_analyzers(scenario, spec)
+    """The client's latency bound: the run's links fed to LatencyModel."""
+    covering = [a for a in scenario.clients if set(a.analyze) & set(spec.filter)]
     pub = links["publisher"]
     model = LatencyModel(
         gop_duration_ms=float(scenario.source.gop_duration_ms),
@@ -442,27 +436,6 @@ def _bound_for(scenario: Scenario, spec: ClientSpec, links: Mapping[str, LinkSpe
         analysis_time_ms=max(a.analysis_time_ms for a in covering),
     )
     return predict_latency_bound(model)
-
-
-def _bound_recomputed(
-    scenario: Scenario, spec: ClientSpec, links: Mapping[str, LinkSpec]
-) -> float:
-    """Same bound spelled out arithmetically, independent of LatencyModel."""
-    covering = _covering_analyzers(scenario, spec)
-    pub = links["publisher"]
-    worst_down = max(links[a.name].from_relay_ms + links[a.name].jitter_ms for a in covering)
-    worst_up = max(links[a.name].to_relay_ms + links[a.name].jitter_ms for a in covering)
-    worst_analysis = max(a.analysis_time_ms for a in covering)
-    return (
-        scenario.source.gop_duration_ms
-        + pub.to_relay_ms
-        + pub.jitter_ms
-        + worst_down
-        + worst_up
-        + worst_analysis
-        + links[spec.name].from_relay_ms
-        + links[spec.name].jitter_ms
-    )
 
 
 def predict_bounds(scenario: Scenario) -> dict[str, float]:
@@ -505,11 +478,14 @@ def _drawn_links(scenario: Scenario, rng: random.Random) -> dict[str, LinkSpec]:
 
 @dataclass
 class _RunResult:
+    """One run's records plus the facts its checks read from the event log."""
+
     index: int
     links: dict[str, LinkSpec]
     records: dict[str, list[LatencyRecord]]
-    approvals: dict[str, list[tuple[int, list[int]]]]
-    log: EventLog
+    approvals_sent: dict[str, list[tuple[float, int, list[int]]]]  # (time, group, categories)
+    approved_at: dict[tuple[int, int], float]  # (group, category) -> first approve_recorded
+    gated_deliveries: list[tuple[float, str, int]]  # (time, filtered client, group)
     end_time_ms: float
     timed_out: bool = False
 
@@ -594,26 +570,29 @@ def _run_once(
         net.shutdown()
 
     records: dict[str, list[LatencyRecord]] = {}
-    approvals: dict[str, list[tuple[int, list[int]]]] = {}
     for spec in scenario.clients:
         client = clients[spec.name]
         if isinstance(client, AnalyzerClient):
             records[spec.name] = sorted(client.records, key=lambda r: r.group_id)
-            approvals[spec.name] = [
-                (event.detail["group_id"], list(event.detail["categories"]))
-                for event in log.filter(kind="approve_sent", source=spec.name)
-            ]
         else:
             records[spec.name] = client.records
-    return _RunResult(
-        index=index,
-        links=dict(links),
-        records=records,
-        approvals=approvals,
-        log=log,
-        end_time_ms=end_time,
-        timed_out=timed_out,
-    )
+
+    # The one pass over the log; the log itself is freed with the run.
+    sent: dict[str, list[tuple[float, int, list[int]]]] = {
+        spec.name: [] for spec in scenario.clients if spec.analyze
+    }
+    approved_at: dict[tuple[int, int], float] = {}
+    gated: list[tuple[float, str, int]] = []
+    filtered = {spec.name for spec in scenario.clients if spec.filter}
+    for time_ms, source, kind, detail in log.events:
+        if kind == "approve_sent":
+            sent[source].append((time_ms, detail["group_id"], detail["categories"]))
+        elif kind == "approve_recorded":
+            for code in detail["categories"]:
+                approved_at.setdefault((detail["group_id"], code), time_ms)
+        elif kind == "group_delivered" and detail["sid"] in filtered:
+            gated.append((time_ms, detail["sid"], detail["group_id"]))
+    return _RunResult(index, dict(links), records, sent, approved_at, gated, end_time, timed_out)
 
 
 # ---------------------------------------------------------------------------
@@ -650,9 +629,7 @@ def _expected_deliveries(scenario: Scenario, n_groups: int) -> dict[str, list[in
     return expected
 
 
-def _check_added_band(
-    scenario: Scenario, runs: list[_RunResult], report_runs: list[dict]
-) -> dict:
+def _check_added_band(scenario: Scenario, report_runs: list[dict]) -> dict:
     low, high = scenario.checks.added_latency_band_ms  # type: ignore[misc]
     failures = []
     samples = 0
@@ -675,27 +652,17 @@ def _check_added_band(
     )
 
 
-def _check_latency_bound(
-    scenario: Scenario, runs: list[_RunResult], report_runs: list[dict]
-) -> dict:
+def _check_latency_bound(report_runs: list[dict]) -> dict:
     failures = []
     checked = 0
-    for run, report_run in zip(runs, report_runs):
-        for spec in scenario.clients:
-            if not spec.filter:
-                continue
-            predicted = _bound_for(scenario, spec, run.links)
-            recomputed = _bound_recomputed(scenario, spec, run.links)
-            if abs(predicted - recomputed) > 1e-9:
-                failures.append(
-                    f"run {run.index} {spec.name}: model {predicted} != recomputed {recomputed}"
-                )
-                continue
-            for record in report_run["records"][spec.name]:
+    for run in report_runs:
+        for name, bounds in run["bounds"].items():
+            predicted = bounds["predicted_ms"]
+            for record in run["records"][name]:
                 checked += 1
                 if record["e2e_ms"] > predicted + BOUND_EPSILON_MS:
                     failures.append(
-                        f"run {run.index} {spec.name} group {record['group_id']}: "
+                        f"run {run['run']} {name} group {record['group_id']}: "
                         f"{record['e2e_ms']} ms > bound {predicted} + {BOUND_EPSILON_MS}"
                     )
     return _check_result(
@@ -706,17 +673,15 @@ def _check_latency_bound(
     )
 
 
-def _check_gating_safety(
-    scenario: Scenario, runs: list[_RunResult], n_groups: int
-) -> dict:
+def _check_gating_safety(scenario: Scenario, report_runs: list[dict], n_groups: int) -> dict:
     expected = _expected_deliveries(scenario, n_groups)
     failures = []
-    for run in runs:
+    for run in report_runs:
         for name, expected_delivered in expected.items():
-            actual = [r.group_id for r in run.records[name]]
+            actual = run["delivered"][name]
             if actual != expected_delivered:
                 failures.append(
-                    f"run {run.index} {name}: delivered {actual}, expected {expected_delivered}"
+                    f"run {run['run']} {name}: delivered {actual}, expected {expected_delivered}"
                 )
     return _check_result(
         "gating_safety",
@@ -727,28 +692,19 @@ def _check_gating_safety(
 
 
 def _check_approval_audit(scenario: Scenario, runs: list[_RunResult]) -> dict:
-    """Re-verify, purely from logs, that each gated delivery was fully
-    approved beforehand — independent of the relay's internal ledger."""
+    """Re-verify, purely from logged events, that each gated delivery was
+    fully approved beforehand — independent of the relay's internal ledger."""
     filtered = {spec.name: spec.filter for spec in scenario.clients if spec.filter}
     failures = []
     audited = 0
     for run in runs:
-        recorded: dict[tuple[int, int], float] = {}
-        for event in run.log.filter(kind="approve_recorded"):
-            for code in event.detail["categories"]:
-                key = (event.detail["group_id"], code)
-                if key not in recorded:
-                    recorded[key] = event.time_ms
-        for event in run.log.filter(kind="group_delivered"):
-            sid = event.detail["sid"]
-            if sid not in filtered:
-                continue
+        for time_ms, sid, group_id in run.gated_deliveries:
             audited += 1
             for code in filtered[sid]:
-                when = recorded.get((event.detail["group_id"], code))
-                if when is None or when > event.time_ms:
+                when = run.approved_at.get((group_id, code))
+                if when is None or when > time_ms:
                     failures.append(
-                        f"run {run.index} {sid} group {event.detail['group_id']}: "
+                        f"run {run.index} {sid} group {group_id}: "
                         f"category {category_name(code).lower()} not approved at delivery"
                     )
     return _check_result(
@@ -769,15 +725,15 @@ def _check_realtime(scenario: Scenario, runs: list[_RunResult]) -> dict:
             if not spec.analyze:
                 continue
             by_group = {r.group_id: r for r in run.records[spec.name]}
-            for event in run.log.filter(kind="approve_sent", source=spec.name):
-                record = by_group.get(event.detail["group_id"])
+            for time_ms, group_id, _ in run.approvals_sent[spec.name]:
+                record = by_group.get(group_id)
                 if record is None:
                     continue
                 expected = record.complete_arrival_ms + spec.analysis_time_ms
-                if abs(event.time_ms - expected) > 1e-6:
+                if abs(time_ms - expected) > 1e-6:
                     failures.append(
-                        f"run {run.index} {spec.name} group {record.group_id}: approval at "
-                        f"{event.time_ms} ms, expected {expected} ms"
+                        f"run {run.index} {spec.name} group {group_id}: approval at "
+                        f"{time_ms} ms, expected {expected} ms"
                     )
     return _check_result(
         "realtime_analysis",
@@ -927,7 +883,9 @@ def _run_to_dict(scenario: Scenario, run: _RunResult, n_groups: int) -> dict:
         "records": records_out,
         "delivered": delivered_out,
         "skipped": skipped_out,
-        "approvals": {name: [[gid, cats] for gid, cats in items] for name, items in run.approvals.items()},
+        "approvals": {
+            name: [[gid, cats] for _, gid, cats in sent] for name, sent in run.approvals_sent.items()
+        },
         "playback": playback_out,
         "bounds": bounds_out,
         "end_time_ms": run.end_time_ms,
@@ -944,9 +902,9 @@ def _build_report(
     checks: list[dict] = []
     if not timed_out:
         if scenario.checks.added_latency_band_ms is not None:
-            checks.append(_check_added_band(scenario, runs, report_runs))
-        checks.append(_check_latency_bound(scenario, runs, report_runs))
-        checks.append(_check_gating_safety(scenario, runs, n_groups))
+            checks.append(_check_added_band(scenario, report_runs))
+        checks.append(_check_latency_bound(report_runs))
+        checks.append(_check_gating_safety(scenario, report_runs, n_groups))
         checks.append(_check_approval_audit(scenario, runs))
         checks.append(_check_realtime(scenario, runs))
     data = {

@@ -507,7 +507,11 @@ class RelayServer:
                     live.fanout.pop(sub_sid, None)
         if fin and live is not None:
             self._live.pop(live.track, None)
-            actions = self.core.ingest_group(live.track, live.group_id, bytes(live.sent_bytes))
+            try:
+                actions = self.core.ingest_group(live.track, live.group_id, bytes(live.sent_bytes))
+            except ProtocolError as exc:
+                self._fail_session(sid, str(exc))
+                return
             self._execute(actions)
             self._schedule_stall_checks(live.track, live.group_id)
 

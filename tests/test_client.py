@@ -127,6 +127,23 @@ class TestPublisherPacing:
         assert ended(chunks)
 
 
+    def test_refused_chunks_after_relay_fails_the_session_are_logged(self):
+        # Once the relay has failed the publisher's session, each refused
+        # chunk (group 1's rest and all of group 2, whose stream cannot
+        # even open) logs publish_failed; nothing raises, no stream is kept.
+        rig = Rig()
+        sub = rig.subscriber(name="plain")
+        pub = rig.publisher(generate_groups(const_source(fps=10, seconds=3)))
+        rig.net.at(1500, lambda: rig.server._fail_session("pub", "forced"))
+        rig.net.run_until_idle(max_virtual_ms=30_000)
+        failed = [(e.time_ms, e.detail["group_id"]) for e in pub.log.filter(kind="publish_failed")]
+        assert failed == [(1000.0 + 100.0 * k, 1) for k in range(6, 10)] + [
+            (2000.0 + 100.0 * k, 2) for k in range(10)
+        ]
+        assert pub._streams == {}
+        assert group_ids(sub) == [0]
+
+
 class TestAnalyzerClient:
     def test_approves_safe_group_after_analysis_time(self):
         rig = Rig()

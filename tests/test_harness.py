@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 import moqgate.client
 import moqgate.framing
+import moqgate.harness
 from moqgate.analysis import DetectorState, analyze_group_strobe
 from moqgate.eventlog import EventLog
 from moqgate.harness import (
@@ -696,6 +697,41 @@ class TestRunScenario:
         assert logged[0]["group_received"] == 20  # 10 groups, two subscribers
         assert logged[0] == logged[1]
 
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_publisher_jitter_fails_a_check_not_the_run(self, seed, monkeypatch):
+        # 100 ms groups with 200 ms publisher jitter: group 3's stream ends
+        # before group 2's, so the relay refuses it as out of order and fails
+        # the publisher's session.  The analyzer saw group 3 live and approves
+        # it, which fails its session too; the gated client misses groups 2-4.
+        relay_events = []
+        emit = EventLog.emit
+
+        def recording_emit(log, source, kind, **detail):
+            if source == "relay" and kind == "protocol_error":
+                relay_events.append(detail)
+            return emit(log, source, kind, **detail)
+
+        monkeypatch.setattr(EventLog, "emit", recording_emit)
+        link = {"to_relay_ms": 10.0, "from_relay_ms": 10.0, "jitter_ms": 0.0}
+        data = mini_scenario()
+        data.update(seed=seed, checks={})
+        data["source"].update(fps=100, gop_duration_ms=100)
+        data["source"]["segments"] = [{"kind": "constant", "level": 128, "duration_ms": 500}]
+        data["links"] = {
+            "publisher": {**link, "jitter_ms": 200.0},
+            "clients": {"analyzer0": link, "gated": link, "plain": link},
+        }
+        report = run_report(data)
+        assert relay_events == [
+            {"sid": "publisher", "reason": "track 'cam' expected group 2, got 3"},
+            {"sid": "analyzer0", "reason": "approval for group 3 of track 'cam', which has not been ingested"},
+        ]
+        assert check_named(report, "gating_safety") == {
+            "name": "gating_safety",
+            "passed": False,
+            "detail": "run 0 gated: delivered [0, 1], expected [0, 1, 2, 3, 4]",
+        }
+
     def test_virtual_time_cap_yields_partial_report(self):
         data = mini_scenario()
         data["duration_ms"] = 500.0
@@ -704,6 +740,66 @@ class TestRunScenario:
         partial = ei.value.report
         assert partial.data["timeout"] is True
         assert partial.passed is False
+
+
+def check_named(report: Report, name: str) -> dict:
+    (check,) = [c for c in report.data["checks"] if c["name"] == name]
+    return check
+
+
+class TestFailingChecks:
+    """Each check forced to fail on the mini scenario (2 groups, zero
+    delays), with its whole check dict pinned."""
+
+    def test_latency_bound(self, monkeypatch):
+        # e2e 900 ms against bound 1000 ms: only a margin below -100 fails
+        monkeypatch.setattr(moqgate.harness, "BOUND_EPSILON_MS", -150.0)
+        assert check_named(run_report(mini_scenario()), "latency_bound") == {
+            "name": "latency_bound",
+            "passed": False,
+            "detail": "run 0 gated group 0: 900.0 ms > bound 1000.0 + -150.0; "
+            "run 0 gated group 1: 900.0 ms > bound 1000.0 + -150.0",
+        }
+
+    def test_gating_safety(self, monkeypatch):
+        # The oracle calls group 0 risky; the analyzer approves it anyway.
+        monkeypatch.setattr(moqgate.harness, "predict_risky_groups", lambda source, config: {0})
+        assert check_named(run_report(mini_scenario()), "gating_safety") == {
+            "name": "gating_safety",
+            "passed": False,
+            "detail": "run 0 gated: delivered [0, 1], expected [1]",
+        }
+
+    def test_approval_audit(self, monkeypatch):
+        # Without the relay's approve_recorded events no delivery is covered.
+        emit = EventLog.emit
+
+        def dropping_emit(log, source, kind, **detail):
+            if (source, kind) != ("relay", "approve_recorded"):
+                return emit(log, source, kind, **detail)
+
+        monkeypatch.setattr(EventLog, "emit", dropping_emit)
+        assert check_named(run_report(mini_scenario()), "approval_audit") == {
+            "name": "approval_audit",
+            "passed": False,
+            "detail": "run 0 gated group 0: category strobe not approved at delivery; "
+            "run 0 gated group 1: category strobe not approved at delivery",
+        }
+
+    def test_realtime_approval_schedule(self, monkeypatch):
+        # The analyzer takes 10 ms more than its scenario declares, so each
+        # approval leaves 10 ms after complete arrival + analysis time.
+        class LateAnalyzer(moqgate.client.AnalyzerClient):
+            def __init__(self, *args, analysis_time_ms, **kwargs):
+                super().__init__(*args, analysis_time_ms=analysis_time_ms + 10.0, **kwargs)
+
+        monkeypatch.setattr(moqgate.harness, "AnalyzerClient", LateAnalyzer)
+        assert check_named(run_report(mini_scenario()), "realtime_analysis") == {
+            "name": "realtime_analysis",
+            "passed": False,
+            "detail": "run 0 analyzer0 group 0: approval at 910.0 ms, expected 900.0 ms; "
+            "run 0 analyzer0 group 1: approval at 1910.0 ms, expected 1900.0 ms",
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -820,6 +916,74 @@ class TestBundledFixtures:
             "filter_smoke": 1000.0,
             "filter_strobe": 1000.0,
         }
+
+
+_LINK_MS = st.floats(min_value=0.0, max_value=1000.0, allow_nan=False)
+_LINKS = st.fixed_dictionaries(
+    {"to_relay_ms": _LINK_MS, "from_relay_ms": _LINK_MS, "jitter_ms": _LINK_MS}
+)
+_CATEGORY_NAMES = ["strobe", "smoking", "alcohol"]
+
+
+@st.composite
+def _bound_scenarios(draw) -> dict:
+    """1-3 analyzers with overlapping category sets and 1-3 filtered
+    clients, each filtering on categories some analyzer covers."""
+    categories = st.lists(st.sampled_from(_CATEGORY_NAMES), min_size=1, unique=True)
+    analyzers = [
+        {
+            "name": f"analyzer{i}",
+            "analyze": draw(categories),
+            "analysis_time_ms": draw(st.floats(min_value=0.0, max_value=500.0)),
+        }
+        for i in range(draw(st.integers(min_value=1, max_value=3)))
+    ]
+    covered = sorted({c for a in analyzers for c in a["analyze"]})
+    gated = [
+        {"name": f"gated{i}", "filter": draw(st.lists(st.sampled_from(covered), min_size=1, unique=True))}
+        for i in range(draw(st.integers(min_value=1, max_value=3)))
+    ]
+    data = mini_scenario()
+    gop = 100 * draw(st.integers(min_value=1, max_value=50))  # whole 10 fps frames
+    data["source"]["gop_duration_ms"] = gop
+    data["source"]["segments"][0]["duration_ms"] = 2 * gop
+    data["clients"] = analyzers + gated
+    data["links"] = {
+        "publisher": draw(_LINKS),
+        "clients": {c["name"]: draw(_LINKS) for c in data["clients"]},
+    }
+    data["checks"] = {}
+    return data
+
+
+def _hand_bound(data: dict, name: str) -> float:
+    """The bound spelled out term by term from the scenario's own fields."""
+    (spec,) = [c for c in data["clients"] if c["name"] == name]
+    covering = [a for a in data["clients"] if set(a.get("analyze", ())) & set(spec["filter"])]
+    links = data["links"]["clients"]
+    pub = data["links"]["publisher"]
+    worst_down = max(links[a["name"]]["from_relay_ms"] + links[a["name"]]["jitter_ms"] for a in covering)
+    worst_up = max(links[a["name"]]["to_relay_ms"] + links[a["name"]]["jitter_ms"] for a in covering)
+    worst_analysis = max(a["analysis_time_ms"] for a in covering)
+    return (
+        data["source"]["gop_duration_ms"]
+        + pub["to_relay_ms"]
+        + pub["jitter_ms"]
+        + worst_down
+        + worst_up
+        + worst_analysis
+        + links[name]["from_relay_ms"]
+        + links[name]["jitter_ms"]
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_bound_scenarios())
+def test_predict_bounds_matches_the_hand_written_sum(data):
+    bounds = predict_bounds(scenario_from_dict(data))
+    assert sorted(bounds) == sorted(c["name"] for c in data["clients"] if "filter" in c)
+    for name, bound in bounds.items():
+        assert abs(bound - _hand_bound(data, name)) <= 1e-9
 
 
 # The benchmark's golden digests of the bundled reports as shipped; any
