@@ -22,16 +22,16 @@ or borrows from its neighbour, and bit 9 of a lane is set exactly when
 `analyze_group_strobe` is the one detector loop.  Per group it looks up the
 rise constants once and, for each distinct frame size, validates the grid
 and looks up its sampler once; samples, lanes and the last rise time ride in
-locals, and one `DetectorState` is built at the end.  `push_frame` is that
-loop over a single frame.  `DetectorState` carries the previous frame's
-lanes, so each frame is spread once, across group boundaries too.  A state
-built by hand without lanes, or with samples of another length, goes
-through the checked `is_significant_increase`.  A byte difference never
-exceeds 255, so a threshold above 255 means "no rise" and skips the lane
-arithmetic.
+locals, and one `DetectorState` is built at the end.  `DetectorState`
+carries the previous frame's lanes, so each frame is spread once, across
+group boundaries too.  A state built by hand without lanes, or with samples
+of another length, goes through the checked `is_significant_increase`.  A
+byte difference never exceeds 255, so a threshold above 255 means "no rise"
+and skips the lane arithmetic.  `StrobeDetector` binds that loop to one
+config; the analyzer client calls its `analyze_group` once per group.
 
-Other categories (smoking, alcohol) are represented by fixed-verdict stub
-detectors so the approval plumbing can be exercised end to end.
+Strobe is the only category with a detector; the other categories are
+stubs whose fixed verdicts the analyzer client applies.
 """
 
 from __future__ import annotations
@@ -40,25 +40,17 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Mapping, Protocol
+from typing import Callable
 
 from .media import Group, LuminanceFrame, SourceConfig, iter_frame_levels
-from .wire import Category, _as_category
 
 __all__ = [
     "StrobeConfig",
     "DetectorState",
-    "Verdict",
     "sample_luma",
     "is_significant_increase",
-    "push_frame",
     "analyze_group_strobe",
-    "Detector",
     "StrobeDetector",
-    "FixedVerdictDetector",
-    "DetectorRegistry",
-    "default_registry",
-    "analyze",
     "predict_risky_groups",
 ]
 
@@ -92,16 +84,6 @@ class DetectorState:
     # prev_samples spread into lanes, so each frame is spread once; derived
     # from prev_samples, so it takes no part in equality.
     prev_lanes: int | None = field(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class Verdict:
-    """Outcome of analyzing one group for a set of categories."""
-
-    group_id: int
-    approved: tuple[int, ...] = ()
-    rejected: tuple[int, ...] = ()
-    errors: tuple[tuple[int, str], ...] = ()  # (category, message) per failed detector
 
 
 @lru_cache(maxsize=64)
@@ -171,17 +153,6 @@ def is_significant_increase(prev: bytes, cur: bytes, config: StrobeConfig) -> bo
     return changed / count > config.changed_fraction_threshold
 
 
-def push_frame(
-    frame: LuminanceFrame, state: DetectorState, config: StrobeConfig
-) -> tuple[bool, DetectorState]:
-    """Feed one frame to the detector: the group loop over that frame alone.
-
-    Returns (risk, new_state) where risk is True iff this frame's brightness
-    rise follows a previous rise within max_interchange_gap_ms.
-    """
-    return analyze_group_strobe(Group(0, (frame,), 0), state, config)
-
-
 def analyze_group_strobe(
     group: Group, state: DetectorState, config: StrobeConfig
 ) -> tuple[bool, DetectorState]:
@@ -229,109 +200,15 @@ def analyze_group_strobe(
     return risk, DetectorState(prev, last_change, prev_lanes)
 
 
-class Detector(Protocol):
-    """Per-category group analyzer with explicit, caller-held state."""
-
-    def initial_state(self) -> object: ...
-
-    def analyze_group(self, group: Group, state: object) -> tuple[bool, object]:
-        """Return (risk, new_state); risk True means reject for this category."""
-        ...
-
-
 class StrobeDetector:
-    """Detector adapter around the strobe analysis functions."""
+    """The strobe detector bound to one config."""
 
-    def __init__(self, config: StrobeConfig | None = None) -> None:
-        self.config = config if config is not None else StrobeConfig()
+    def __init__(self, config: StrobeConfig = StrobeConfig()) -> None:
+        self.config = config
 
-    def initial_state(self) -> DetectorState:
-        return DetectorState()
-
-    def analyze_group(self, group: Group, state: object) -> tuple[bool, DetectorState]:
-        assert isinstance(state, DetectorState)
+    def analyze_group(self, group: Group, state: DetectorState) -> tuple[bool, DetectorState]:
+        """Return (risk, new_state); risk True means reject the group."""
         return analyze_group_strobe(group, state, self.config)
-
-
-class FixedVerdictDetector:
-    """Stub detector that always approves (or always rejects)."""
-
-    def __init__(self, approve: bool = True) -> None:
-        self.approve = approve
-
-    def initial_state(self) -> None:
-        return None
-
-    def analyze_group(self, group: Group, state: object) -> tuple[bool, None]:
-        return (not self.approve), None
-
-
-class DetectorRegistry:
-    """Maps category codes to detectors."""
-
-    def __init__(self) -> None:
-        self._detectors: dict[int, Detector] = {}
-
-    def register(self, category: int, detector: Detector) -> None:
-        category = _as_category(category)
-        if category in self._detectors:
-            raise ValueError(f"category {category!r} already registered")
-        self._detectors[category] = detector
-
-    def detector(self, category: int) -> Detector:
-        try:
-            return self._detectors[_as_category(category)]
-        except KeyError:
-            raise LookupError(f"no detector registered for category {category!r}") from None
-
-    @property
-    def categories(self) -> frozenset[int]:
-        return frozenset(self._detectors)
-
-
-def default_registry(
-    strobe_config: StrobeConfig | None = None,
-    smoking_approve: bool = True,
-    alcohol_approve: bool = True,
-) -> DetectorRegistry:
-    """Registry with the real strobe detector plus stubs for the rest."""
-    registry = DetectorRegistry()
-    registry.register(Category.STROBE, StrobeDetector(strobe_config))
-    registry.register(Category.SMOKING, FixedVerdictDetector(approve=smoking_approve))
-    registry.register(Category.ALCOHOL, FixedVerdictDetector(approve=alcohol_approve))
-    return registry
-
-
-def analyze(
-    group: Group,
-    categories: tuple[int, ...],
-    registry: DetectorRegistry,
-    states: Mapping[int, object],
-) -> tuple[Verdict, dict[int, object]]:
-    """Run every requested category's detector over the group.
-
-    `states` maps category -> detector state from the previous group; the
-    returned dict carries the updated states.  Category order in the verdict
-    follows the order given.  A detector that raises fails closed: its
-    category is rejected, keeps its previous state, and the error is
-    reported in ``Verdict.errors``.
-    """
-    approved: list[int] = []
-    rejected: list[int] = []
-    errors: list[tuple[int, str]] = []
-    new_states = dict(states)
-    for raw in categories:
-        category = _as_category(raw)
-        detector = registry.detector(category)
-        state = new_states.get(category, detector.initial_state())
-        try:
-            risk, new_states[category] = detector.analyze_group(group, state)
-        except Exception as exc:  # fail closed: withhold the category
-            errors.append((category, str(exc)))
-            risk = True
-        (rejected if risk else approved).append(category)
-    verdict = Verdict(group.group_id, tuple(approved), tuple(rejected), tuple(errors))
-    return verdict, new_states
 
 
 def predict_risky_groups(config: SourceConfig, detector_config: StrobeConfig) -> set[int]:

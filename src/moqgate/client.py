@@ -4,9 +4,12 @@
   :class:`PublisherClient` paces their chunks, one per frame, onto
   per-group streams at their capture instants (epoch + capture timestamp).
 * :class:`AnalyzerClient` subscribes with the analyze role, receives frames
-  live, runs :func:`~moqgate.analysis.analyze` when a group completes, and
-  sends one APPROVE naming the approved subset (nothing when the subset is
-  empty).  A detector that throws fails closed: its category is withheld.
+  live and, when a group completes, works out one verdict per category:
+  strobe from :class:`~moqgate.analysis.StrobeDetector`, the stub categories
+  (:data:`STUB_CATEGORIES`) from their fixed verdicts.  It sends one APPROVE
+  naming the approved subset (nothing when the subset is empty).  A detector
+  that throws, or a group that does not decode, fails closed: the category
+  is withheld.
 * :class:`SubscriberClient` subscribes plain (live frames) or with the
   filter role (gated bursts) and records per-group arrival times without
   decoding any frame payloads.
@@ -24,13 +27,14 @@ import functools
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
-from .analysis import DetectorRegistry, Verdict, analyze, default_registry
+from .analysis import DetectorState, StrobeConfig, StrobeDetector
 from .eventlog import EventLog
 from .framing import GroupStreamParser, encode_group_chunks
 from .media import Group, decode_frame_payload
 from .transport import DisconnectedError, RecvStream, SendStream, Session, SimNetwork
 from .wire import (
     Approve,
+    Category,
     Subscribe,
     _as_category,
     analyze_parameter,
@@ -45,6 +49,7 @@ __all__ = [
     "PlaybackStats",
     "PublisherClient",
     "AnalyzerClient",
+    "STUB_CATEGORIES",
     "SubscriberClient",
     "compute_playback",
     "LatencyModel",
@@ -160,8 +165,18 @@ def _receive_groups(
     session.set_on_stream(on_stream)
 
 
+#: Categories without a detector: each takes a fixed verdict (strobe is the
+#: one category with a real detector).
+STUB_CATEGORIES = frozenset({Category.SMOKING, Category.ALCOHOL})
+
+
 class AnalyzerClient:
-    """Receives frames live, analyzes each completed group, sends approvals."""
+    """Receives frames live, analyzes each completed group, sends approvals.
+
+    Strobe is judged by a :class:`StrobeDetector` built from ``detector``;
+    a stub category approves every group unless it is in
+    ``rejecting_stubs``.
+    """
 
     def __init__(
         self,
@@ -170,7 +185,8 @@ class AnalyzerClient:
         track: str,
         categories: tuple[int, ...],
         subscribe_id: int,
-        registry: DetectorRegistry | None = None,
+        detector: StrobeConfig = StrobeConfig(),
+        rejecting_stubs: Iterable[int] = (),
         analysis_time_ms: float = 0.0,
         log: EventLog | None = None,
         name: str = "analyzer",
@@ -178,14 +194,18 @@ class AnalyzerClient:
         self.net = net
         self.session = session
         self.track = track
-        self.categories = tuple(categories)
+        self.categories = tuple(map(_as_category, categories))
+        unsupported = set(self.categories) - STUB_CATEGORIES - {Category.STROBE}
+        if unsupported:
+            raise ValueError(f"no detector for categories {sorted(unsupported)}")
+        self.rejecting_stubs = frozenset(rejecting_stubs)
         self.subscribe_id = subscribe_id
-        self.registry = registry if registry is not None else default_registry()
+        self.strobe = StrobeDetector(detector)
         self.analysis_time_ms = analysis_time_ms
         self.name = name
         self.log = log if log is not None else EventLog(lambda: net.now)
         self.records: list[LatencyRecord] = []
-        self._states: dict[int, object] = {}
+        self._strobe_state = DetectorState()
         _receive_groups(net, session, self._on_group)
 
     def start(self) -> None:
@@ -200,28 +220,41 @@ class AnalyzerClient:
         try:
             frames = tuple(map(decode_frame_payload, payloads))
             group = Group(group_id, frames, frames[-1].capture_ts - frames[0].capture_ts)
-        except ValueError as exc:  # undecodable group: fail closed, states unchanged
-            rejected = tuple(_as_category(c) for c in self.categories)
-            verdict = Verdict(group_id, (), rejected, tuple((c, str(exc)) for c in rejected))
-        else:
-            verdict, self._states = analyze(group, self.categories, self.registry, self._states)
-        for category, error in verdict.errors:
-            self.log.emit(
-                self.name,
-                "detector_error",
-                group_id=group_id,
-                category=int(category),
-                error=error,
-            )
+        except ValueError as exc:  # undecodable group: every category fails closed
+            group, failure = None, str(exc)
+        approved: list[int] = []
+        rejected: list[int] = []
+        for category in self.categories:
+            error = None
+            if group is None:
+                risk, error = True, failure
+            elif category == Category.STROBE:
+                try:
+                    risk, self._strobe_state = self.strobe.analyze_group(
+                        group, self._strobe_state
+                    )
+                except Exception as exc:  # fail closed, previous state kept
+                    risk, error = True, str(exc)
+            else:
+                risk = category in self.rejecting_stubs
+            if error is not None:
+                self.log.emit(
+                    self.name,
+                    "detector_error",
+                    group_id=group_id,
+                    category=int(category),
+                    error=error,
+                )
+            (rejected if risk else approved).append(category)
         self.log.emit(
             self.name,
             "group_analyzed",
             group_id=group_id,
-            approved=[int(c) for c in verdict.approved],
-            rejected=[int(c) for c in verdict.rejected],
+            approved=[int(c) for c in approved],
+            rejected=[int(c) for c in rejected],
         )
-        if verdict.approved:
-            msg = Approve(self.subscribe_id, group_id, verdict.approved)
+        if approved:
+            msg = Approve(self.subscribe_id, group_id, tuple(approved))
             self.net.after(self.analysis_time_ms, lambda: self._send_approve(msg))
 
     def _send_approve(self, msg: Approve) -> None:

@@ -20,8 +20,9 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping
 
-from .analysis import StrobeConfig, default_registry, predict_risky_groups
+from .analysis import StrobeConfig, predict_risky_groups
 from .client import (
+    STUB_CATEGORIES,
     AnalyzerClient,
     EncodedGroup,
     LatencyModel,
@@ -34,7 +35,7 @@ from .client import (
 )
 from .eventlog import EventLog
 from .media import Constant, Ramp, SourceConfig, Strobe, generate_groups
-from .relay import RelayCore, RelayServer
+from .relay import DEFAULT_CAPABILITIES, RelayCore, RelayServer
 from .transport import Link, SimNetwork, SimTimeoutError, derive_seed
 from .wire import Category, category_code, category_name
 
@@ -56,8 +57,6 @@ __all__ = [
 
 #: Tolerance when comparing measured latencies against the predicted bound.
 BOUND_EPSILON_MS = 2.0
-
-_STUB_CATEGORIES = (Category.SMOKING, Category.ALCOHOL)
 
 
 class ScenarioError(ValueError):
@@ -199,6 +198,8 @@ def _parse_categories(values: Any, where: str) -> tuple[int, ...]:
             code = category_code(value)
         except ValueError as exc:
             raise ScenarioError(f"{where}: {exc}") from None
+        if code not in DEFAULT_CAPABILITIES:
+            raise ScenarioError(f"{where}: unsupported category {value!r}")
         if code in codes:
             raise ScenarioError(f"{where}: duplicate category {value!r}")
         codes.append(int(code))
@@ -275,7 +276,7 @@ def _parse_stub_verdicts(data: Any, where: str) -> tuple[tuple[int, bool], ...]:
             code = category_code(key)
         except ValueError as exc:
             raise ScenarioError(f"{where}: {exc}") from None
-        if code not in _STUB_CATEGORIES:
+        if code not in STUB_CATEGORIES:
             raise ScenarioError(f"{where}: {key!r} has a real detector, not a stub")
         if not isinstance(value, bool):
             raise ScenarioError(f"{where}.{key}: expected true/false")
@@ -521,18 +522,14 @@ def _run_once(
         )
         server.attach(spec.name, relay_session)
         if spec.analyze:
-            registry = default_registry(
-                strobe_config=spec.detector,
-                smoking_approve=scenario.stub_verdict(Category.SMOKING),
-                alcohol_approve=scenario.stub_verdict(Category.ALCOHOL),
-            )
             client: AnalyzerClient | SubscriberClient = AnalyzerClient(
                 net,
                 client_session,
                 scenario.track,
                 spec.analyze,
                 sub_id,
-                registry=registry,
+                detector=spec.detector,
+                rejecting_stubs=[code for code, approve in scenario.stub_verdicts if not approve],
                 analysis_time_ms=spec.analysis_time_ms,
                 log=log,
                 name=spec.name,

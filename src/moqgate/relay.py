@@ -40,6 +40,7 @@ from .wire import (
     ANALYZE_PARAM,
     FILTER_PARAM,
     Approve,
+    Category,
     ControlMessage,
     Parameter,
     Subscribe,
@@ -63,7 +64,7 @@ __all__ = [
     "STALL_ALARM_MS",
 ]
 
-DEFAULT_CAPABILITIES = frozenset({1, 2, 3})
+DEFAULT_CAPABILITIES = frozenset(Category)
 
 # How long a filtered subscriber may wait on one group before the server
 # logs a ``gating_stalled`` alarm (virtual ms).

@@ -13,7 +13,7 @@ import random
 import time
 from collections import defaultdict
 
-from moqgate.analysis import StrobeConfig, StrobeDetector
+from moqgate.analysis import DetectorState, StrobeConfig, StrobeDetector
 from moqgate.harness import (
     Checks,
     bundled_scenario_path,
@@ -245,7 +245,7 @@ def test_criterion_4_gating_matches_naive_replay_on_1000_interleavings():
 
 def _detector_risky_groups(groups, config):
     detector = StrobeDetector(config)
-    state = detector.initial_state()
+    state = DetectorState()
     risky = set()
     for group in groups:
         risk, state = detector.analyze_group(group, state)

@@ -15,20 +15,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from moqgate.analysis import (
-    DetectorRegistry,
     DetectorState,
-    FixedVerdictDetector,
     StrobeConfig,
     StrobeDetector,
-    Verdict,
-    analyze,
     analyze_group_strobe,
-    default_registry,
     is_significant_increase,
     predict_risky_groups,
-    push_frame,
     sample_luma,
 )
+from moqgate.client import AnalyzerClient, LatencyRecord
 from moqgate.media import (
     Constant,
     Group,
@@ -36,8 +31,10 @@ from moqgate.media import (
     Ramp,
     SourceConfig,
     Strobe,
+    encode_frame_payload,
     generate_groups,
 )
+from moqgate.transport import Link, SimNetwork
 from moqgate.wire import Category
 
 
@@ -50,6 +47,32 @@ def group_of_levels(group_id: int, levels: list[int], ts0: int, spacing: int = 3
         uniform_frame(level, ts0 + i * spacing, index=i) for i, level in enumerate(levels)
     )
     return Group(group_id, frames, spacing * len(levels))
+
+
+def push_frame(
+    frame: LuminanceFrame, state: DetectorState, config: StrobeConfig
+) -> tuple[bool, DetectorState]:
+    """The group loop over one frame."""
+    return analyze_group_strobe(Group(0, (frame,), 0), state, config)
+
+
+def analyzer_for(categories, **kwargs) -> AnalyzerClient:
+    """An analyzer on an unconnected session; feed it with `verdicts`."""
+    net = SimNetwork()
+    session, _ = net.connect(Link(delay_ms=0.0), "an", "relay")
+    return AnalyzerClient(net, session, "cam", tuple(categories), 1, **kwargs)
+
+
+def verdicts(analyzer: AnalyzerClient, *groups: Group) -> list[tuple[list[int], list[int]]]:
+    """Hand each group to the analyzer as received; return (approved,
+    rejected) for every group it has analyzed so far."""
+    for g in groups:
+        record = LatencyRecord(g.group_id, 0.0, 0.0, len(g.frames))
+        analyzer._on_group(record, [encode_frame_payload(f) for f in g.frames])
+    return [
+        (e.detail["approved"], e.detail["rejected"])
+        for e in analyzer.log.filter(kind="group_analyzed")
+    ]
 
 
 def reference_sample_luma(frame: LuminanceFrame, grid_dim: int) -> bytes:
@@ -560,85 +583,54 @@ class TestPredictRiskyGroups:
 
 
 class TestRegistryAndVerdicts:
-    def test_default_registry_supports_known_categories(self):
-        reg = default_registry()
-        for cat in (Category.STROBE, Category.SMOKING, Category.ALCOHOL):
-            assert cat in reg.categories
-        assert 0x7F not in reg.categories
-
     def test_analyze_partitions_categories(self):
         cfg = SourceConfig(16, 16, 30, 1000, (Strobe(16, 240, 15.0, 1000),))
         (g,) = generate_groups(cfg)
-        verdict, states = analyze(
-            g, (Category.STROBE, Category.SMOKING), default_registry(), {}
-        )
-        assert verdict == Verdict(0, approved=(Category.SMOKING,), rejected=(Category.STROBE,))
-        assert set(verdict.approved) | set(verdict.rejected) == {1, 2}
+        analyzer = analyzer_for((Category.STROBE, Category.SMOKING))
+        assert verdicts(analyzer, g) == [([Category.SMOKING], [Category.STROBE])]
+        ((approved, rejected),) = verdicts(analyzer)
+        assert set(approved) | set(rejected) == {1, 2}
 
     def test_analyze_threads_state(self):
         a = group_of_levels(0, [16, 16, 240], ts0=0)
         b = group_of_levels(1, [16, 240, 16], ts0=99)
-        reg = default_registry()
-        verdict_a, states = analyze(a, (Category.STROBE,), reg, {})
-        verdict_b, _ = analyze(b, (Category.STROBE,), reg, states)
-        assert verdict_a.approved == (Category.STROBE,)
-        assert verdict_b.rejected == (Category.STROBE,)
+        verdict_a, verdict_b = verdicts(analyzer_for((Category.STROBE,)), a, b)
+        assert verdict_a[0] == [Category.STROBE]
+        assert verdict_b[1] == [Category.STROBE]
 
     def test_raising_detector_fails_closed(self):
-        class Boom:
-            def initial_state(self):
-                return "initial"
+        # 4x4 frames do not fit the 16x16 grid: the strobe detector raises.
+        ok = group_of_levels(0, [16, 16, 240], ts0=0)
+        small = Group(1, (uniform_frame(16, 99, w=4, h=4),), 0)
+        analyzer = analyzer_for((Category.SMOKING, Category.STROBE), detector=StrobeConfig(16))
+        verdicts(analyzer, ok)
+        previous = analyzer._strobe_state
+        assert verdicts(analyzer, small)[1] == ([Category.SMOKING], [Category.STROBE])
+        (error,) = analyzer.log.filter(kind="detector_error")
+        assert (error.detail["group_id"], error.detail["category"]) == (1, Category.STROBE)
+        assert "exceeds frame dimensions 4x4" in error.detail["error"]
+        assert analyzer._strobe_state is previous
+        assert isinstance(previous, DetectorState) and previous.prev_samples is not None
+        # A category that fails on its first group keeps the initial state.
+        analyzer = analyzer_for((Category.SMOKING, Category.STROBE))
+        verdicts(analyzer, small)
+        assert analyzer._strobe_state == DetectorState()
 
-            def analyze_group(self, group, state):
-                raise RuntimeError("model crashed")
-
-        reg = DetectorRegistry()
-        reg.register(Category.STROBE, StrobeDetector())
-        reg.register(Category.SMOKING, Boom())
-        g = group_of_levels(0, [16, 16, 240], ts0=0)
-        previous = {Category.SMOKING: "kept"}
-        verdict, states = analyze(g, (Category.SMOKING, Category.STROBE), reg, previous)
-        assert verdict == Verdict(
-            0,
-            approved=(Category.STROBE,),
-            rejected=(Category.SMOKING,),
-            errors=((Category.SMOKING, "model crashed"),),
-        )
-        assert states[Category.SMOKING] == "kept"
-        assert isinstance(states[Category.STROBE], DetectorState)
-        # A category that fails on its first group gets no state at all.
-        _, states = analyze(g, (Category.SMOKING,), reg, {})
-        assert Category.SMOKING not in states
-
-    def test_unregistered_category_is_lookup_error(self):
-        g = group_of_levels(0, [128], ts0=0)
-        with pytest.raises(LookupError):
-            analyze(g, (0x7F,), default_registry(), {})
+    def test_unsupported_category_is_value_error(self):
+        with pytest.raises(ValueError):
+            analyzer_for((0x7F,))
 
     def test_stub_detectors_configurable(self):
-        reg = default_registry(smoking_approve=False)
+        analyzer = analyzer_for((Category.SMOKING, Category.ALCOHOL), rejecting_stubs={Category.SMOKING})
         g = group_of_levels(0, [128, 128], ts0=0)
-        verdict, _ = analyze(g, (Category.SMOKING, Category.ALCOHOL), reg, {})
-        assert verdict.rejected == (Category.SMOKING,)
-        assert verdict.approved == (Category.ALCOHOL,)
+        ((approved, rejected),) = verdicts(analyzer, g)
+        assert rejected == [Category.SMOKING]
+        assert approved == [Category.ALCOHOL]
 
     def test_strobe_detector_wraps_module_functions(self):
         det = StrobeDetector(StrobeConfig())
         cfg = SourceConfig(16, 16, 30, 1000, (Strobe(16, 240, 15.0, 1000),))
         (g,) = generate_groups(cfg)
-        risk, state = det.analyze_group(g, det.initial_state())
+        risk, state = det.analyze_group(g, DetectorState())
         assert risk is True
         assert isinstance(state, DetectorState)
-
-    def test_fixed_verdict_detector(self):
-        g = group_of_levels(0, [1], ts0=0)
-        approve = FixedVerdictDetector(approve=True)
-        reject = FixedVerdictDetector(approve=False)
-        assert approve.analyze_group(g, approve.initial_state())[0] is False
-        assert reject.analyze_group(g, reject.initial_state())[0] is True
-
-    def test_registry_rejects_duplicate_registration(self):
-        reg = DetectorRegistry()
-        reg.register(0x10, FixedVerdictDetector())
-        with pytest.raises(ValueError):
-            reg.register(0x10, FixedVerdictDetector())

@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 from recording import Recorder, ended, joined, times
 
-from moqgate.analysis import DetectorRegistry, StrobeDetector
+from moqgate.analysis import StrobeConfig
 from moqgate.client import (
     AnalyzerClient,
     LatencyModel,
@@ -57,12 +57,12 @@ class Rig:
         self.net = SimNetwork()
         self.server = RelayServer(self.net, log=EventLog(lambda: self.net.now))
 
-    def analyzer(self, cats, sub_id=2, delay=0.0, analysis=0.0, registry=None, name="an"):
+    def analyzer(self, cats, sub_id=2, delay=0.0, analysis=0.0, detector=StrobeConfig(), name="an"):
         local, remote = self.net.connect(Link(delay_ms=delay), name, "relay")
         self.server.attach(name, remote)
         client = AnalyzerClient(
             self.net, local, "cam", tuple(cats), sub_id,
-            registry=registry, analysis_time_ms=analysis, name=name,
+            detector=detector, analysis_time_ms=analysis, name=name,
         )
         client.start()
         return client
@@ -178,26 +178,17 @@ class TestAnalyzerClient:
         assert approve.detail["categories"] == [2]  # smoking stub approves
 
     def test_detector_exception_fails_closed(self):
-        class Boom:
-            def initial_state(self):
-                return None
-
-            def analyze_group(self, group, state):
-                raise RuntimeError("model crashed")
-
-        registry = DetectorRegistry()
-        registry.register(STROBE, StrobeDetector())
-        registry.register(SMOKING, Boom())
+        # 4x4 frames do not fit the 16x16 grid: the strobe detector raises.
         rig = Rig()
-        analyzer = rig.analyzer([STROBE, SMOKING], registry=registry)
-        rig.publisher(generate_groups(const_source(fps=10)))
+        analyzer = rig.analyzer([STROBE, SMOKING], detector=StrobeConfig(grid_dim=16))
+        rig.publisher(generate_groups(SourceConfig(4, 4, 10, 1000, (Constant(128, 1000),))))
         rig.net.run_until_idle(max_virtual_ms=30_000)
         (approve,) = rig.server.log.filter(kind="approve_recorded")
-        assert approve.detail["categories"] == [1]  # strobe fine, smoking failed closed
-        assert analyzed(analyzer)[0] == ([STROBE], [SMOKING])
+        assert approve.detail["categories"] == [2]  # smoking fine, strobe failed closed
+        assert analyzed(analyzer)[0] == ([SMOKING], [STROBE])
         (error,) = analyzer.log.filter(kind="detector_error")
-        assert error.detail["category"] == SMOKING
-        assert "model crashed" in error.detail["error"]
+        assert error.detail["category"] == STROBE
+        assert "exceeds frame dimensions 4x4" in error.detail["error"]
 
     def test_detector_state_carries_across_groups(self):
         # 15 Hz strobe spanning two groups at 30 fps: every group risky, and

@@ -379,6 +379,10 @@ LOADER_MESSAGES = {
         _set(("clients", 0, "detector"), {"grid_dim": 0}),
         "scenario.clients[0].detector: grid_dim must be at least 1",
     ),
+    "unsupported_category_code": (
+        _set(("clients", 0, "analyze"), ["strobe", 127]),
+        "scenario.clients[0].analyze: unsupported category 127",
+    ),
 }
 
 
