@@ -35,7 +35,7 @@ from .client import (
 )
 from .eventlog import EventLog
 from .media import Constant, Ramp, SourceConfig, Strobe, generate_groups
-from .relay import DEFAULT_CAPABILITIES, RelayCore, RelayServer
+from .relay import DEFAULT_CAPABILITIES, RelayServer
 from .transport import Link, SimNetwork, SimTimeoutError, derive_seed
 from .wire import Category, category_code, category_name
 
@@ -487,6 +487,7 @@ class _RunResult:
     approvals_sent: dict[str, list[tuple[float, int, list[int]]]]  # (time, group, categories)
     approved_at: dict[tuple[int, int], float]  # (group, category) -> first approve_recorded
     gated_deliveries: list[tuple[float, str, int]]  # (time, filtered client, group)
+    protocol_errors: list[tuple[str, str]]  # (session the relay failed, reason)
     end_time_ms: float
     timed_out: bool = False
 
@@ -499,8 +500,7 @@ def _run_once(
 ) -> _RunResult:
     net = SimNetwork()
     log = EventLog(lambda: net.now)
-    core = RelayCore(retention=scenario.retention_groups, log=log)
-    server = RelayServer(net, core=core, log=log)
+    server = RelayServer(net, scenario.retention_groups, log)
 
     def make_link(spec: LinkSpec, name: str) -> Link:
         return Link(
@@ -580,6 +580,7 @@ def _run_once(
     }
     approved_at: dict[tuple[int, int], float] = {}
     gated: list[tuple[float, str, int]] = []
+    errors: list[tuple[str, str]] = []
     filtered = {spec.name for spec in scenario.clients if spec.filter}
     for time_ms, source, kind, detail in log.events:
         if kind == "approve_sent":
@@ -589,7 +590,9 @@ def _run_once(
                 approved_at.setdefault((detail["group_id"], code), time_ms)
         elif kind == "group_delivered" and detail["sid"] in filtered:
             gated.append((time_ms, detail["sid"], detail["group_id"]))
-    return _RunResult(index, dict(links), records, sent, approved_at, gated, end_time, timed_out)
+        elif kind == "protocol_error":
+            errors.append((detail["sid"], detail["reason"]))
+    return _RunResult(index, dict(links), records, sent, approved_at, gated, errors, end_time, timed_out)
 
 
 # ---------------------------------------------------------------------------
@@ -670,16 +673,24 @@ def _check_latency_bound(report_runs: list[dict]) -> dict:
     )
 
 
-def _check_gating_safety(scenario: Scenario, report_runs: list[dict], n_groups: int) -> dict:
+def _check_gating_safety(
+    scenario: Scenario, runs: list[_RunResult], report_runs: list[dict], n_groups: int
+) -> dict:
+    """Deliveries against the oracle; a run that got them wrong also names
+    every session the relay failed, with the reason."""
     expected = _expected_deliveries(scenario, n_groups)
     failures = []
-    for run in report_runs:
+    for run, report_run in zip(runs, report_runs):
+        before = len(failures)
         for name, expected_delivered in expected.items():
-            actual = run["delivered"][name]
+            actual = report_run["delivered"][name]
             if actual != expected_delivered:
                 failures.append(
-                    f"run {run['run']} {name}: delivered {actual}, expected {expected_delivered}"
+                    f"run {run.index} {name}: delivered {actual}, expected {expected_delivered}"
                 )
+        if len(failures) > before:
+            for sid, reason in run.protocol_errors:
+                failures.append(f"run {run.index} relay failed {sid}: {reason}")
     return _check_result(
         "gating_safety",
         "",
@@ -901,7 +912,7 @@ def _build_report(
         if scenario.checks.added_latency_band_ms is not None:
             checks.append(_check_added_band(scenario, report_runs))
         checks.append(_check_latency_bound(report_runs))
-        checks.append(_check_gating_safety(scenario, report_runs, n_groups))
+        checks.append(_check_gating_safety(scenario, runs, report_runs, n_groups))
         checks.append(_check_approval_audit(scenario, runs))
         checks.append(_check_realtime(scenario, runs))
     data = {

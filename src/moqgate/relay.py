@@ -14,17 +14,19 @@ earlier ones are still unapproved, the earlier groups are skipped permanently
 for that subscriber (live playback favors fresh content over stale).
 
 :class:`RelayCore` holds all of that state with no knowledge of transport —
-its handlers return :data:`Action` lists.  :class:`RelayServer` binds a core
-to simulated network sessions, forwards frames live, executes gated
+its handlers return :data:`Action` lists.  :class:`RelayServer` runs a core
+over simulated network sessions, forwards frames live, executes gated
 deliveries, and raises log-only stall alarms when gating starves a
 subscriber.  The server parses every publisher chunk, to validate it and
 to learn the group's header, but forwards the publisher's bytes as
 received: each chunk's header and completed frames, which for a chunk that
 ends on a frame boundary is the very bytes object that arrived.  A
 publisher's non-minimal varints therefore reach live subscribers as sent,
-not re-encoded.  The server stores each group in the core once, as the
-stream it forwarded live, and every gated delivery of that group sends the
-same bytes object.
+not re-encoded.  The core holds one table of groups per track: the last
+``retention`` group ids, each with its bytes and the categories approved
+so far.  A group is held as the stream forwarded live (one that arrived
+in one chunk is that very bytes object), and every gated delivery of it
+sends the same object.
 """
 
 from __future__ import annotations
@@ -114,13 +116,19 @@ class SessionState:
 
 
 @dataclass
+class _Held:
+    payload: object
+    # Categories with at least one approval recorded for the group.
+    approved: set = field(default_factory=set)
+
+
+@dataclass
 class _TrackState:
     name: str
-    stored: dict[int, object] = field(default_factory=dict)
-    approvals: dict[int, dict[int, set]] = field(default_factory=dict)
+    # Group id -> held group, in ingest order: the last ``retention``
+    # ingested ids, consecutive and ascending.
+    held: dict[int, _Held] = field(default_factory=dict)
     next_expected: int | None = None
-    # Ids below this are not held: evicted, or before the track's first group.
-    evicted_below: int | None = None
 
 
 class RelayCore:
@@ -182,11 +190,9 @@ class RelayCore:
             raise ProtocolError(f"bad {role} parameter payload: {exc}") from None
         if not categories:
             raise ProtocolError(f"{role} parameter names no categories")
-        unsupported = set(categories) - DEFAULT_CAPABILITIES
+        unsupported = [cat for cat in categories if cat not in DEFAULT_CAPABILITIES]
         if unsupported:
-            raise ProtocolError(
-                f"unsupported {role} categories: {sorted(unsupported)}"
-            )
+            raise ProtocolError(f"unsupported {role} categories: {unsupported}")
         return categories
 
     def handle_subscribe(self, sid: object, msg: Subscribe) -> list[Action]:
@@ -231,8 +237,8 @@ class RelayCore:
         if was_filter and filter_ is None:
             # Leaving the filtered role releases everything still held back,
             # oldest first, approved or not.
-            for gid in _held(track, state):
-                actions.append(DeliverGroup(sid, track.name, gid, track.stored[gid]))
+            for gid in _undelivered(track, state):
+                actions.append(DeliverGroup(sid, track.name, gid, track.held[gid].payload))
                 state.next_deliver = gid + 1
         elif filter_ is not None:
             if not was_filter:
@@ -249,9 +255,8 @@ class RelayCore:
         )
         return actions
 
-    def remove_session(self, sid: object) -> list[Action]:
+    def remove_session(self, sid: object) -> None:
         self._sessions.pop(sid, None)
-        return []
 
     # -- media ingest ---------------------------------------------------------
 
@@ -268,23 +273,20 @@ class RelayCore:
             for state in self.sessions_of(track_name):
                 if state.filter is not None and state.next_deliver < group_id:
                     state.next_deliver = group_id
-            track.evicted_below = group_id
         elif group_id != track.next_expected:
             raise MonotonicityError(
                 f"track {track_name!r} expected group {track.next_expected}, "
                 f"got {group_id}"
             )
         track.next_expected = group_id + 1
-        track.stored[group_id] = payload
-        floor = group_id - self.retention + 1
-        for gid in [g for g in track.stored if g < floor]:
-            del track.stored[gid]
-            track.approvals.pop(gid, None)
-            track.evicted_below = max(track.evicted_below, gid + 1)
+        held = track.held
+        held[group_id] = _Held(payload)
+        if len(held) > self.retention:
+            del held[next(iter(held))]
         self.log.emit("relay", "group_stored", track=track_name, group_id=group_id)
         return self._gate_all(track)
 
-    # -- approvals ------------------------------------------------------------
+    # -- approval -------------------------------------------------------------
 
     def handle_approve(self, sid: object, msg: Approve) -> list[Action]:
         state = self._sessions.get(sid)
@@ -297,23 +299,23 @@ class RelayCore:
             )
         if state.analyze is None:
             raise ProtocolError("approval from a session without the analyzer role")
-        extra = set(msg.categories) - set(state.analyze)
+        extra = [cat for cat in msg.categories if cat not in state.analyze]
         if extra:
             raise ProtocolError(
-                f"approval covers categories {sorted(extra)} outside the "
-                f"session's analyze set"
+                f"approval covers categories {extra} outside the session's analyze set"
             )
         track = self._track(state.track)
         # An analyzer can approve a group only after receiving its end, which
-        # the relay forwards as it ingests the group.  Refusing approvals of
-        # groups not yet ingested keeps the ledger to held groups, so it
-        # stays within retention.
+        # the relay forwards as it ingests the group.  Refusing approval of a
+        # group not yet ingested leaves every recorded approval on a held group.
         if track.next_expected is None or msg.group_id >= track.next_expected:
             raise ProtocolError(
                 f"approval for group {msg.group_id} of track {state.track!r}, "
                 f"which has not been ingested"
             )
-        if msg.group_id < track.evicted_below:
+        group = track.held.get(msg.group_id)
+        if group is None:
+            # Evicted, or before the track's first group.
             self.log.emit(
                 "relay",
                 "approve_ignored",
@@ -322,13 +324,8 @@ class RelayCore:
                 reason="group evicted",
             )
             return []
-        slots = track.approvals.setdefault(msg.group_id, {})
-        coverage_changed = False
-        for cat in msg.categories:
-            approvers = slots.setdefault(cat, set())
-            if not approvers:
-                coverage_changed = True
-            approvers.add(sid)
+        coverage_changed = not group.approved.issuperset(msg.categories)
+        group.approved.update(msg.categories)
         self.log.emit(
             "relay",
             "approve_recorded",
@@ -356,9 +353,9 @@ class RelayCore:
         skipped for good."""
         assert state.filter is not None
         actions: list[Action] = []
-        for gid in _held(track, state):
-            slots = track.approvals.get(gid, {})
-            if not all(slots.get(cat) for cat in state.filter):
+        held = track.held
+        for gid in _undelivered(track, state):
+            if not held[gid].approved.issuperset(state.filter):
                 continue
             if gid > state.next_deliver:
                 skipped = tuple(range(state.next_deliver, gid))
@@ -370,7 +367,7 @@ class RelayCore:
                     track=track.name,
                     group_ids=list(skipped),
                 )
-            actions.append(DeliverGroup(state.sid, track.name, gid, track.stored[gid]))
+            actions.append(DeliverGroup(state.sid, track.name, gid, held[gid].payload))
             state.next_deliver = gid + 1
             self.log.emit(
                 "relay",
@@ -382,50 +379,48 @@ class RelayCore:
         return actions
 
 
-def _held(track: _TrackState, state: SessionState) -> list[int]:
-    """Stored group ids not yet given to the session, ascending."""
-    return [gid for gid in sorted(track.stored) if gid >= state.next_deliver]
+def _undelivered(track: _TrackState, state: SessionState) -> range:
+    """Held group ids not yet given to the session, ascending."""
+    if track.next_expected is None:
+        return range(0)
+    first = track.next_expected - len(track.held)
+    return range(max(first, state.next_deliver), track.next_expected)
 
 
 class _LiveGroup:
-    """A group currently streaming through the relay."""
+    """One publisher group stream passing through the relay."""
 
-    def __init__(self, track: str, group_id: int) -> None:
-        self.track = track
-        self.group_id = group_id
-        self.sent_bytes = bytearray()
-        self.fanout: dict[object, object] = {}  # sid -> SendStream
+    def __init__(self) -> None:
+        self.parser = GroupStreamParser()
+        self.spans: list[bytes] = []  # forwarded so far, as received
+        # sid -> SendStream; None until the group's header has arrived.
+        self.fanout: dict[object, object] | None = None
 
 
 class RelayServer:
     """Runs a :class:`RelayCore` over simulated network sessions."""
 
     def __init__(
-        self,
-        net: SimNetwork,
-        core: RelayCore | None = None,
-        log: EventLog | None = None,
+        self, net: SimNetwork, retention: int = 64, log: EventLog | None = None
     ) -> None:
         self.net = net
         self.log = log if log is not None else EventLog(lambda: net.now)
-        self.core = core if core is not None else RelayCore(log=self.log)
+        self.core = RelayCore(retention, self.log)
         self._sessions: dict[object, Session] = {}
-        self._decoders: dict[object, ControlStreamDecoder] = {}
         self._live: dict[str, _LiveGroup] = {}
 
     def attach(self, sid: object, session: Session) -> None:
         """Adopt one side of a connected link as a relay session."""
         self._sessions[sid] = session
-        self._decoders[sid] = ControlStreamDecoder()
-        session.set_on_control(lambda data: self._on_control(sid, data))
+        session.set_on_control(partial(self._on_control, sid, ControlStreamDecoder()))
         session.set_on_stream(lambda rs: self._on_incoming_stream(sid, rs))
         session.set_on_close(lambda: self._on_close(sid))
 
     # -- control path ----------------------------------------------------------
 
-    def _on_control(self, sid: object, data: bytes) -> None:
+    def _on_control(self, sid: object, decoder: ControlStreamDecoder, data: bytes) -> None:
         try:
-            messages = self._decoders[sid].feed(data)
+            messages = decoder.feed(data)
         except WireError as exc:
             self._fail_session(sid, f"undecodable control bytes: {exc}")
             return
@@ -462,7 +457,6 @@ class RelayServer:
     def _forget(self, sid: object) -> Session | None:
         """Drop every trace of a session; returns it if it was attached."""
         self.core.remove_session(sid)
-        self._decoders.pop(sid, None)
         for live in self._live.values():
             live.fanout.pop(sid, None)
         return self._sessions.pop(sid, None)
@@ -470,34 +464,28 @@ class RelayServer:
     # -- publisher data path -----------------------------------------------------
 
     def _on_incoming_stream(self, sid: object, rs: RecvStream) -> None:
-        holder: dict[str, _LiveGroup | None] = {"live": None}
-        rs.set_on_data(partial(self._on_group_data, sid, GroupStreamParser(), holder))
+        rs.set_on_data(partial(self._on_group_data, sid, _LiveGroup()))
 
-    def _on_group_data(
-        self,
-        sid: object,
-        parser: GroupStreamParser,
-        holder: dict,
-        data: bytes,
-        fin: bool,
-    ) -> None:
+    def _on_group_data(self, sid: object, live: _LiveGroup, data: bytes, fin: bool) -> None:
+        parser = live.parser
         try:
             parser.feed(data, fin)
         except WireError as exc:
             self._fail_session(sid, f"bad group stream: {exc}")
             return
-        live = holder["live"]
-        if live is None and parser.frame_count is not None:
-            assert parser.track is not None and parser.group_id is not None
-            live = _LiveGroup(parser.track, parser.group_id)
-            holder["live"] = live
-            self._live[parser.track] = live
+        track = parser.track
+        if track is None:
+            return  # the header is not complete yet
+        if live.fanout is None:
+            live.fanout = {}
+            self._live[track] = live
             # Snapshot of live receivers is taken when the group starts.
-            for sub_sid in self.core.unfiltered_sids(parser.track):
+            for sub_sid in self.core.unfiltered_sids(track):
                 self._open_fanout(live, sub_sid)
         blob = parser.span
-        if live is not None and (blob or fin):
-            live.sent_bytes += blob
+        if blob:
+            live.spans.append(blob)
+        if blob or fin:
             for sub_sid, stream in list(live.fanout.items()):
                 try:
                     if fin:
@@ -506,15 +494,16 @@ class RelayServer:
                         stream.send(blob)
                 except DisconnectedError:
                     live.fanout.pop(sub_sid, None)
-        if fin and live is not None:
-            self._live.pop(live.track, None)
+        if fin:
+            self._live.pop(track, None)
+            group_id = parser.group_id
             try:
-                actions = self.core.ingest_group(live.track, live.group_id, bytes(live.sent_bytes))
+                actions = self.core.ingest_group(track, group_id, b"".join(live.spans))
             except ProtocolError as exc:
                 self._fail_session(sid, str(exc))
                 return
             self._execute(actions)
-            self._schedule_stall_checks(live.track, live.group_id)
+            self._schedule_stall_checks(track, group_id)
 
     def _open_fanout(self, live: _LiveGroup, sub_sid: object) -> None:
         session = self._sessions.get(sub_sid)
@@ -538,7 +527,7 @@ class RelayServer:
             return
         try:
             stream = session.open_stream()
-            stream.send(bytes(live.sent_bytes))
+            stream.send(b"".join(live.spans))
         except DisconnectedError:
             return
         live.fanout[sid] = stream

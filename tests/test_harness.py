@@ -706,7 +706,8 @@ class TestRunScenario:
         # 100 ms groups with 200 ms publisher jitter: group 3's stream ends
         # before group 2's, so the relay refuses it as out of order and fails
         # the publisher's session.  The analyzer saw group 3 live and approves
-        # it, which fails its session too; the gated client misses groups 2-4.
+        # it, which fails its session too; the gated client misses groups 2-4,
+        # and gating_safety names both failed sessions with the reason.
         relay_events = []
         emit = EventLog.emit
 
@@ -733,7 +734,10 @@ class TestRunScenario:
         assert check_named(report, "gating_safety") == {
             "name": "gating_safety",
             "passed": False,
-            "detail": "run 0 gated: delivered [0, 1], expected [0, 1, 2, 3, 4]",
+            "detail": "run 0 gated: delivered [0, 1], expected [0, 1, 2, 3, 4]; "
+            "run 0 relay failed publisher: track 'cam' expected group 2, got 3; "
+            "run 0 relay failed analyzer0: approval for group 3 of track 'cam', "
+            "which has not been ingested",
         }
 
     def test_virtual_time_cap_yields_partial_report(self):
@@ -990,11 +994,12 @@ def test_predict_bounds_matches_the_hand_written_sum(data):
         assert abs(bound - _hand_bound(data, name)) <= 1e-9
 
 
-# The benchmark's golden digests of the bundled reports as shipped; any
-# change to a report's bytes must re-record them on purpose.
-_GOLDEN = json.loads(
-    (Path(__file__).resolve().parent.parent / "perfbench" / "golden.json").read_text()
-)["bundled"]
+# The benchmark's golden digests of the bundled reports as shipped and of
+# its synthetic workloads; any change to a report's bytes must re-record
+# them on purpose.
+_PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+_GOLDEN_ALL = json.loads((_PERFBENCH / "golden.json").read_text())
+_GOLDEN = _GOLDEN_ALL["bundled"]
 
 
 def test_golden_digests_cover_every_bundled_scenario():
@@ -1005,3 +1010,17 @@ def test_golden_digests_cover_every_bundled_scenario():
 def test_bundled_report_matches_golden_digest(name):
     text = run_scenario(load_scenario(bundled_scenario_path(name))).to_json()
     assert hashlib.sha256(text.encode()).hexdigest() == _GOLDEN[name]
+
+
+@pytest.mark.parametrize("workload", ["live_fanout", "gated_fanout", "big_groups"])
+def test_synthetic_workload_reports_match_golden_digests(workload, monkeypatch):
+    # 64 plain clients, 96 filtered clients over three filter sets, and
+    # 2 MB groups: sizes no bundled scenario reaches.
+    monkeypatch.syspath_prepend(str(_PERFBENCH))
+    import workloads
+
+    digests = {
+        scenario.name: hashlib.sha256(run_scenario(scenario).to_json().encode()).hexdigest()
+        for scenario in workloads.load(workload, workloads.DEFAULT_SEED)
+    }
+    assert digests == _GOLDEN_ALL[workload]

@@ -263,7 +263,8 @@ class TestGating:
         for gid in range(10, 1000):
             with pytest.raises(ProtocolError):
                 core.handle_approve("an", Approve(2, gid, (STROBE,)))
-        assert core._tracks["cam"].approvals == {}
+        held = core._tracks["cam"].held
+        assert {gid: group.approved for gid, group in held.items()} == {8: set(), 9: set()}
 
     def test_subscriber_joining_late_starts_at_next_group(self):
         core = self._core()
@@ -526,8 +527,9 @@ class TestGateMatchesReference:
                 got = core.handle_subscribe_update(sid, SubscribeUpdate(FILTERED[sid], params))
                 want = model.update(sid, FILTERED[sid], cats)
             assert got == want, op
-            track = core._tracks.get("cam")
-            assert track is None or set(track.approvals) <= set(track.stored), op
+            # Held ids are the last <= retention ingested, consecutive and ascending.
+            held = list(core._tracks["cam"].held)
+            assert held == list(range(max(first_gid, next_gid - retention), next_gid)), op
 
 
 def frame(i, ts, level):
@@ -738,7 +740,7 @@ class TestRelayServer:
         # live stream buffer next to the core's copy.
         group_bytes = 10 * 10_000
         net = SimNetwork()
-        server = RelayServer(net, core=RelayCore(retention=1))
+        server = RelayServer(net, retention=1)
         pub, remote = net.connect(Link(delay_ms=1), "pub", "relay")
         server.attach("pub", remote)
 
@@ -803,7 +805,7 @@ class TestForwarding:
         for name in ("p1", "p2"):
             (chunks,) = rig.received[name].by_stream()
             assert [(d, fin) for d, fin, _ in chunks] == expected
-        assert rig.server.core._tracks["cam"].stored[group_id] == blob
+        assert rig.server.core._tracks["cam"].held[group_id].payload == blob
 
     def test_non_minimal_length_varint_forwarded_as_received(self):
         # A 5-byte frame whose length takes the 8-byte varint form, which a
@@ -820,7 +822,8 @@ class TestForwarding:
         (chunks,) = rig.received["p"].by_stream()
         assert chunks == [(chunk, True, 35.0)]
         assert chunks[0][0] is chunk  # a chunk on a frame boundary is not copied
-        assert rig.server.core._tracks["cam"].stored[0] == chunk
+        # A group that arrived in one chunk is stored as that chunk.
+        assert rig.server.core._tracks["cam"].held[0].payload is chunk
 
 
 class TestBoundedState:
@@ -831,8 +834,7 @@ class TestBoundedState:
 
     def _state_after(self, n_groups):
         net = SimNetwork()
-        core = RelayCore(retention=self.RETENTION)
-        server = RelayServer(net, core=core)
+        server = RelayServer(net, retention=self.RETENTION)
         sessions = []
 
         def connect(name, delay):
@@ -857,14 +859,12 @@ class TestBoundedState:
             # only the never-ending control stream keeps an arrival clamp
             assert set(session._outgoing._last_arrival) <= {0}, session.name
         assert server._live == {}
-        track = core._tracks["cam"]
-        assert len(track.stored) <= self.RETENTION
-        assert len(track.approvals) <= self.RETENTION
+        track = server.core._tracks["cam"]
+        assert len(track.held) <= self.RETENTION
         return (
             [(len(s._recv_streams), set(s._outgoing._last_arrival)) for s in sessions],
             len(server._live),
-            len(track.stored),
-            len(track.approvals),
+            [len(group.approved) for group in track.held.values()],
         )
 
     def test_state_after_a_run_is_flat_in_groups(self):
