@@ -34,21 +34,19 @@ def _resolve_scenario(arg: str) -> Scenario:
     raise ScenarioError(f"scenario file not found: {arg}")
 
 
+#: Output format -> its file name under ``--out``.
+_OUT_FILES = {"json": "report.json", "csv": "report.csv", "text": "report.txt"}
+
+
 def _render(report: Report, fmt: str) -> str:
-    if fmt == "json":
-        return report.to_json()
-    if fmt == "csv":
-        return report.to_csv()
-    return report.to_text()
+    return getattr(report, f"to_{fmt}")()
 
 
-def _write_out_dir(report: Report, out_dir: str) -> None:
+def _write_out_dir(report: Report, out_dir: str, rendered: dict[str, str]) -> None:
+    """Write every format; ``rendered`` holds those already rendered."""
     os.makedirs(out_dir, exist_ok=True)
-    for name, text in (
-        ("report.json", report.to_json()),
-        ("report.csv", report.to_csv()),
-        ("report.txt", report.to_text()),
-    ):
+    for fmt, name in _OUT_FILES.items():
+        text = rendered[fmt] if fmt in rendered else _render(report, fmt)
         with open(os.path.join(out_dir, name), "w") as fh:
             fh.write(text)
 
@@ -62,9 +60,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except ScenarioTimeoutError as exc:
         print(exc, file=sys.stderr)
         report = exc.report
-    print(_render(report, args.format), end="")
+    text = _render(report, args.format)
+    print(text, end="")
     if args.out:
-        _write_out_dir(report, args.out)
+        _write_out_dir(report, args.out, {args.format: text})
     return 0 if report.passed else 1
 
 
@@ -100,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("scenario", help="scenario JSON path or bundled scenario name")
     run.add_argument("--out", help="directory for report.json/report.csv/report.txt")
     run.add_argument(
-        "--format", choices=("json", "csv", "text"), default="text", help="stdout format"
+        "--format", choices=tuple(_OUT_FILES), default="text", help="stdout format"
     )
     run.add_argument("--seed", type=int, help="override the scenario seed")
     run.set_defaults(fn=_cmd_run)

@@ -139,25 +139,29 @@ class PublisherClient:
 def _receive_groups(
     net: SimNetwork,
     session: Session,
-    on_group: Callable[[LatencyRecord, list[bytes]], None],
+    on_group: Callable[[LatencyRecord, list[bytes] | None], None],
+    collect: bool = False,
 ) -> None:
-    """Receive path shared by the receiving clients: reassemble every
-    incoming stream of ``session`` and, as each finishes, call
+    """Receive path shared by the receiving clients: parse every incoming
+    stream of ``session`` and, as each finishes, call
     ``on_group(record, payloads)`` with when its first frame and its end
-    arrived."""
+    arrived.  ``payloads`` is the group's frame payloads if ``collect`` is
+    set, else None: frames are only counted."""
 
     def on_stream(rs: RecvStream) -> None:
         parser = GroupStreamParser()
+        payloads: list[bytes] | None = [] if collect else None
         first_arrival: float | None = None
 
         def on_data(data: bytes, fin: bool) -> None:
             nonlocal first_arrival
-            if parser.feed(data, fin) and first_arrival is None:
+            if parser.feed(data, fin, payloads) and first_arrival is None:
                 first_arrival = net.now
             if fin:
                 assert parser.group_id is not None and first_arrival is not None
-                payloads = parser.frames
-                record = LatencyRecord(parser.group_id, first_arrival, net.now, len(payloads))
+                record = LatencyRecord(
+                    parser.group_id, first_arrival, net.now, parser.frame_count
+                )
                 on_group(record, payloads)
 
         rs.set_on_data(on_data)
@@ -206,7 +210,7 @@ class AnalyzerClient:
         self.log = log if log is not None else EventLog(lambda: net.now)
         self.records: list[LatencyRecord] = []
         self._strobe_state = DetectorState()
-        _receive_groups(net, session, self._on_group)
+        _receive_groups(net, session, self._on_group, collect=True)
 
     def start(self) -> None:
         msg = Subscribe(
@@ -274,7 +278,7 @@ class AnalyzerClient:
 class SubscriberClient:
     """Plain (live) or filtered (gated) subscriber with arrival records.
 
-    Frame payloads are counted, never decoded — the subscriber's timing
+    Frames are counted, never copied or decoded — the subscriber's timing
     must not depend on content.
     """
 
@@ -307,7 +311,7 @@ class SubscriberClient:
         msg = Subscribe(self.subscribe_id, self.track, 0, params)
         self.session.send_control(encode_message(msg))
 
-    def _on_group(self, record: LatencyRecord, payloads: list[bytes]) -> None:
+    def _on_group(self, record: LatencyRecord, payloads: None) -> None:
         self.records.append(record)
         self.log.emit(
             self.name,

@@ -8,9 +8,10 @@ A group travels on its own unidirectional stream:
 
 Frame payloads are opaque at this layer (the relay forwards them without
 decoding).  :class:`GroupStreamParser` parses the stream in place from
-arbitrarily split chunks, holds only an incomplete tail, and records the
-byte span each chunk completed; :class:`ControlStreamDecoder` reassembles
-back-to-back control messages.
+arbitrarily split chunks, holds only an incomplete tail, counts the frames
+each chunk completed and records the byte span it completed; it copies a
+frame payload out only for a caller that asks for the payloads.
+:class:`ControlStreamDecoder` reassembles back-to-back control messages.
 """
 
 from __future__ import annotations
@@ -66,31 +67,31 @@ def encode_group_stream(track: str, group: Group) -> bytes:
 class GroupStreamParser:
     """Incremental parser for one group data stream.
 
-    ``feed`` returns the frame payloads completed by that chunk, and sets
-    ``span`` to the stream bytes it completed: the header once it is whole,
-    then each completed frame, exactly as received.  Raises
-    :class:`IncompleteError` if the stream finishes mid-structure and
-    :class:`MalformedError` on a header declaring no frames or on bytes
-    beyond the declared frame count.
+    ``feed`` returns how many frames that chunk completed, appends their
+    payloads to ``payloads`` when a list is given, and sets ``span`` to the
+    stream bytes it completed: the header once it is whole, then each
+    completed frame, exactly as received.  Raises :class:`IncompleteError`
+    if the stream finishes mid-structure and :class:`MalformedError` on a
+    header declaring no frames or on bytes beyond the declared frame count.
 
     The parser works in place: with nothing held, a chunk is parsed by
-    offset where it lies, each payload is one slice of it, and a chunk that
-    ends on a frame boundary is its own ``span``.  Only an incomplete tail
-    is held, and the next chunk is appended to it, so a group costs time
-    linear in its size however its stream is split.
+    offset where it lies, each collected payload is one slice of it, and a
+    chunk that ends on a frame boundary is its own ``span``.  Only an
+    incomplete tail is held, and the next chunk is appended to it, so a
+    group costs time linear in its size however its stream is split.
     """
 
     def __init__(self) -> None:
         self._tail = bytearray()
+        self._wanted = 0  # frames still to come once the header is parsed
         self.track: str | None = None
         self.group_id: int | None = None
         self.frame_count: int | None = None
-        self.frames: list[bytes] = []
         self.complete = False
         self.span = b""
 
-    def feed(self, data: bytes, fin: bool = False) -> list[bytes]:
-        done: list[bytes] = []
+    def feed(self, data: bytes, fin: bool = False, payloads: list | None = None) -> int:
+        completed = 0
         self.span = b""
         if data:
             if self.complete:
@@ -106,7 +107,7 @@ class GroupStreamParser:
             if self.frame_count is None:
                 pos = self._parse_header(buf)
             if self.frame_count is not None:
-                wanted = self.frame_count - len(self.frames)
+                wanted = self._wanted
                 while pos < size and wanted:
                     # Lengths under 16 KiB (1- and 2-byte varints) inline.
                     first = buf[pos]
@@ -125,12 +126,15 @@ class GroupStreamParser:
                     end = start + length
                     if end > size:
                         break
-                    done.append(buf[start:end])
+                    if payloads is not None:
+                        payload = buf[start:end]
+                        payloads.append(payload if buf is data else bytes(payload))
                     pos = end
                     wanted -= 1
+                completed = self._wanted - wanted
+                self._wanted = wanted
                 self.complete = not wanted
             if buf is tail:
-                done = [bytes(payload) for payload in done]
                 self.span = bytes(tail[:pos])
                 del tail[:pos]
             elif pos < size:
@@ -138,12 +142,11 @@ class GroupStreamParser:
                 tail += memoryview(data)[pos:]
             else:
                 self.span = data
-            self.frames += done
             if self.complete and pos < size:
                 raise MalformedError("data after the declared final frame")
         if fin and not self.complete:
             raise IncompleteError("stream ended before the declared final frame")
-        return done
+        return completed
 
     def _parse_header(self, buf: bytes | bytearray) -> int:
         """Parse the header if ``buf`` holds all of it; returns the offset
@@ -167,7 +170,7 @@ class GroupStreamParser:
         except UnicodeDecodeError as exc:
             raise MalformedError(f"track name is not valid UTF-8: {exc}") from None
         self.group_id = group_id
-        self.frame_count = frame_count
+        self.frame_count = self._wanted = frame_count
         return pos
 
 

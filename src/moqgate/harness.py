@@ -17,6 +17,7 @@ import random
 import sys
 from dataclasses import dataclass
 from importlib import resources
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -765,7 +766,12 @@ class Report:
         return bool(self.data.get("passed"))
 
     def to_json(self) -> str:
-        return json.dumps(self.data, sort_keys=True, indent=2) + "\n"
+        """The report as ``json.dumps(data, sort_keys=True, indent=2)``
+        writes it, plus a final newline."""
+        out: list[str] = []
+        _write_json(self.data, out, "\n")
+        out.append("\n")
+        return "".join(out)
 
     def to_csv(self) -> str:
         n_groups = self.data["n_groups"]
@@ -827,6 +833,87 @@ class Report:
             lines.append("WARNING: virtual-time budget exhausted; report is partial")
         lines.append("RESULT: " + ("PASSED" if data["passed"] else "FAILED"))
         return "\n".join(lines) + "\n"
+
+
+#: ``float.__repr__`` of the values JSON has no literal for -> what ``json`` writes.
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(value: float) -> str:
+    text = float.__repr__(value)
+    return _NONFINITE.get(text, text)
+
+
+#: Exact type -> its JSON text, for the scalars reports hold.
+_SCALAR_TEXT = {
+    str: _quote,
+    int: int.__repr__,
+    float: _float_text,
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _write_json(value: Any, out: list[str], newline: str) -> None:
+    """Append ``value`` to ``out`` as ``json.dumps(value, sort_keys=True,
+    indent=2)`` writes it; ``newline`` is a line break plus the current
+    indentation.  Exact scalar types take the fast path; anything else is
+    matched in ``json.encoder``'s isinstance order, so subclasses
+    (``Category``) print as ``json`` prints them.  Keys must be strings
+    (``TypeError`` otherwise).  A container's scalar items are written with
+    their separators as one string each: the pieces joined at the end are
+    what the writer's peak memory is made of."""
+    scalar = _SCALAR_TEXT.get(type(value))
+    if scalar is not None:
+        out.append(scalar(value))
+    elif isinstance(value, str):
+        out.append(_quote(value))
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_float_text(value))
+    elif isinstance(value, (list, tuple)):
+        _write_json_list(value, out, newline)
+    elif isinstance(value, dict):
+        _write_json_dict(value, out, newline)
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _write_json_list(value: list | tuple, out: list[str], newline: str) -> None:
+    if not value:
+        out.append("[]")
+        return
+    inner = newline + "  "
+    separator = "[" + inner
+    for item in value:
+        scalar = _SCALAR_TEXT.get(type(item))
+        if scalar is not None:
+            out.append(separator + scalar(item))
+        else:
+            out.append(separator)
+            _write_json(item, out, inner)
+        separator = "," + inner
+    out.append(newline + "]")
+
+
+def _write_json_dict(value: dict, out: list[str], newline: str) -> None:
+    if not value:
+        out.append("{}")
+        return
+    inner = newline + "  "
+    separator = "{" + inner
+    for key, item in sorted(value.items()):
+        if not isinstance(key, str):
+            raise TypeError(f"report keys must be str, not {type(key).__name__}")
+        scalar = _SCALAR_TEXT.get(type(item))
+        if scalar is not None:
+            out.append(separator + _quote(key) + ": " + scalar(item))
+        else:
+            out.append(separator + _quote(key) + ": ")
+            _write_json(item, out, inner)
+        separator = "," + inner
+    out.append(newline + "}")
 
 
 def _run_to_dict(scenario: Scenario, run: _RunResult, n_groups: int) -> dict:

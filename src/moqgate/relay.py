@@ -390,7 +390,8 @@ def _undelivered(track: _TrackState, state: SessionState) -> range:
 class _LiveGroup:
     """One publisher group stream passing through the relay."""
 
-    def __init__(self) -> None:
+    def __init__(self, publisher: object) -> None:
+        self.publisher = publisher  # sid of the session it arrives on
         self.parser = GroupStreamParser()
         self.spans: list[bytes] = []  # forwarded so far, as received
         # sid -> SendStream; None until the group's header has arrived.
@@ -455,18 +456,23 @@ class RelayServer:
         self._forget(sid)
 
     def _forget(self, sid: object) -> Session | None:
-        """Drop every trace of a session; returns it if it was attached."""
+        """Drop every trace of a session, including any group it was
+        publishing; returns the session if it was attached."""
         self.core.remove_session(sid)
-        for live in self._live.values():
-            live.fanout.pop(sid, None)
+        for track, live in list(self._live.items()):
+            if live.publisher == sid:
+                del self._live[track]  # the group can never end
+            else:
+                live.fanout.pop(sid, None)
         return self._sessions.pop(sid, None)
 
     # -- publisher data path -----------------------------------------------------
 
     def _on_incoming_stream(self, sid: object, rs: RecvStream) -> None:
-        rs.set_on_data(partial(self._on_group_data, sid, _LiveGroup()))
+        rs.set_on_data(partial(self._on_group_data, _LiveGroup(sid)))
 
-    def _on_group_data(self, sid: object, live: _LiveGroup, data: bytes, fin: bool) -> None:
+    def _on_group_data(self, live: _LiveGroup, data: bytes, fin: bool) -> None:
+        sid = live.publisher
         parser = live.parser
         try:
             parser.feed(data, fin)

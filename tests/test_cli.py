@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from moqgate.cli import main
+from moqgate.harness import Report
 
 ZERO_LINK = {"to_relay_ms": 0.0, "from_relay_ms": 0.0, "jitter_ms": 0.0}
 
@@ -100,6 +101,24 @@ class TestRun:
         csv_text = (out_dir / "report.csv").read_text()
         assert len(csv_text.strip().splitlines()) == 1 + 2 * 3
         assert "RESULT: PASSED" in (out_dir / "report.txt").read_text()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_out_dir_reuses_the_stdout_rendering(self, tmp_path, capsys, monkeypatch, fmt):
+        calls = []
+        for method in ("to_json", "to_csv", "to_text"):
+            original = getattr(Report, method)
+
+            def counted(report, original=original, method=method):
+                calls.append(method)
+                return original(report)
+
+            monkeypatch.setattr(Report, method, counted)
+        out_dir = tmp_path / "reports"
+        scenario = write_scenario(tmp_path, mini_scenario())
+        assert main(["run", scenario, "--format", fmt, "--out", str(out_dir)]) == 0
+        name = {"json": "report.json", "csv": "report.csv", "text": "report.txt"}[fmt]
+        assert capsys.readouterr().out == (out_dir / name).read_text()
+        assert sorted(calls) == ["to_csv", "to_json", "to_text"]
 
     def test_bundled_name_and_csv(self, capsys):
         rc = main(["run", "multi_category", "--format", "csv"])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -107,13 +108,21 @@ class TestGroupChunks:
         assert chunks == [header + frame_chunks[0]] + frame_chunks[1:]
 
 
+def feed_collect(parser, data, fin=False):
+    """``parser.feed`` with a payload list: the payloads the chunk
+    completed, checked against the frame count ``feed`` returns."""
+    payloads = []
+    assert parser.feed(data, fin, payloads) == len(payloads)
+    return payloads
+
+
 class TestGroupStreamParser:
     def _blob(self):
         return encode_group_stream("track9", sample_group())
 
     def test_single_feed(self):
         parser = GroupStreamParser()
-        payloads = parser.feed(self._blob(), fin=True)
+        payloads = feed_collect(parser, self._blob(), fin=True)
         assert parser.track == "track9"
         assert parser.group_id == 5
         assert parser.frame_count == 3
@@ -127,7 +136,7 @@ class TestGroupStreamParser:
         parser = GroupStreamParser()
         collected = []
         for i, byte in enumerate(blob):
-            collected += parser.feed(bytes([byte]), fin=(i == len(blob) - 1))
+            collected += feed_collect(parser, bytes([byte]), fin=(i == len(blob) - 1))
         assert collected == [encode_frame_payload(f) for f in sample_group().frames]
         assert parser.complete
 
@@ -140,7 +149,7 @@ class TestGroupStreamParser:
             parser = GroupStreamParser()
             collected = []
             for j, piece in enumerate(pieces):
-                collected += parser.feed(piece, fin=(j == len(pieces) - 1))
+                collected += feed_collect(parser, piece, fin=(j == len(pieces) - 1))
             assert collected == [encode_frame_payload(f) for f in sample_group().frames]
 
     def test_zero_frames_rejected(self):
@@ -174,7 +183,7 @@ class TestGroupStreamParser:
         header_len = len(encode_group_header("track9", 5, 3))
         first = encode_frame_payload(sample_group().frames[0])
         parser = GroupStreamParser()
-        assert parser.feed(blob[: header_len + 1 + len(first)]) == [first]
+        assert feed_collect(parser, blob[: header_len + 1 + len(first)]) == [first]
         assert parser.complete is False
 
 
@@ -193,15 +202,19 @@ class TestLongGroup:
 
     def _parse(self, pieces):
         parser = GroupStreamParser()
+        counter = GroupStreamParser()  # collects nothing
         collected = []
         for j, piece in enumerate(pieces):
-            collected += parser.feed(piece, fin=(j == len(pieces) - 1))
+            fin = j == len(pieces) - 1
+            payloads = feed_collect(parser, piece, fin)
+            assert counter.feed(piece, fin) == len(payloads)
+            collected += payloads
         return parser, collected
 
     def _check(self, parser, collected, group):
         expected = [encode_frame_payload(f) for f in group.frames]
         assert collected == expected
-        assert parser.frames == expected
+        assert parser.frame_count == len(expected)
         assert parser.track == self.TRACK
         assert parser.group_id == group.group_id
         assert parser.complete is True
@@ -225,10 +238,10 @@ class TestLongGroup:
     def test_frame_by_frame_returns_each_payload_on_its_chunk(self):
         group = long_group(50)
         parser = GroupStreamParser()
-        assert parser.feed(encode_group_header(self.TRACK, 42, 50)) == []
+        assert feed_collect(parser, encode_group_header(self.TRACK, 42, 50)) == []
         for f in group.frames:
             payload = encode_frame_payload(f)
-            assert parser.feed(encode_frame_chunk(payload)) == [payload]
+            assert feed_collect(parser, encode_frame_chunk(payload)) == [payload]
         assert parser.complete
 
     def test_large_frame_in_small_chunks_completes_on_its_last_chunk(self):
@@ -237,8 +250,8 @@ class TestLongGroup:
         pieces = [blob[i : i + 100] for i in range(0, len(blob), 100)]
         parser = GroupStreamParser()
         for piece in pieces[:-1]:
-            assert parser.feed(piece) == []
-        assert parser.feed(pieces[-1], fin=True) == [payload]
+            assert feed_collect(parser, piece) == []
+        assert feed_collect(parser, pieces[-1], fin=True) == [payload]
         assert parser.complete
 
     @pytest.mark.parametrize("cut", [1, 7, 5000, -3])
@@ -257,6 +270,23 @@ class TestLongGroup:
         parser.feed(blob[:cut])
         with pytest.raises(IncompleteError):
             parser.feed(blob[cut:-1], fin=True)
+
+    def test_one_chunk_group_is_counted_without_copies(self):
+        # 500 frames of about 4 kB in one chunk: the parser keeps no payload.
+        blob = encode_group_header(self.TRACK, 0, 500) + b"".join(
+            encode_frame_chunk(bytes([i % 256]) * 4096) for i in range(500)
+        )
+        assert len(blob) > 2_000_000
+        parser = GroupStreamParser()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert parser.feed(blob) == 500
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert parser.span is blob
+        assert grown < 64 * 1024
 
     def test_fin_on_empty_chunk_with_held_tail_rejected(self):
         blob = encode_group_stream(self.TRACK, long_group())
@@ -310,18 +340,19 @@ def group_streams(draw):
     return blob, [i for i in interior if i < len(blob)], payloads if valid else None
 
 
-def feed_pieces(pieces):
-    """Feed ``pieces`` (fin on the last); returns the parser, the payloads
-    and spans the feeds returned, and the wire error raised, if any."""
+def feed_pieces(pieces, payloads=None):
+    """Feed ``pieces`` (fin on the last), collecting payloads into
+    ``payloads`` if given; returns the parser, the frame counts the feeds
+    returned and the spans they set, and the wire error raised, if any."""
     parser = GroupStreamParser()
-    payloads, spans = [], []
+    counts, spans = [], []
     try:
         for i, piece in enumerate(pieces):
-            payloads += parser.feed(piece, fin=i == len(pieces) - 1)
+            counts.append(parser.feed(piece, i == len(pieces) - 1, payloads))
             spans.append(parser.span)
     except WireError as exc:
-        return parser, payloads, spans, (type(exc), str(exc))
-    return parser, payloads, spans, None
+        return parser, counts, spans, (type(exc), str(exc))
+    return parser, counts, spans, None
 
 
 class TestSplitPoints:
@@ -338,15 +369,18 @@ class TestSplitPoints:
             offsets = offsets | st.sampled_from(interior)
         cuts = sorted(data.draw(st.lists(offsets, max_size=8)))
         pieces = [blob[a:b] for a, b in zip([0] + cuts, cuts + [len(blob)])]
-        whole, _, whole_spans, whole_error = feed_pieces([blob])
-        split, payloads, spans, error = feed_pieces(pieces)
+        whole_payloads, payloads = [], []
+        whole, _, whole_spans, whole_error = feed_pieces([blob], whole_payloads)
+        split, counts, spans, error = feed_pieces(pieces, payloads)
         assert error == whole_error
         assert (split.group_id, split.frame_count) == (whole.group_id, whole.frame_count)
-        assert split.frames == whole.frames
+        assert payloads == whole_payloads
         if expected is not None:
-            assert error is None and split.frames == expected
+            assert error is None and payloads == expected
+        # Counting alone walks the stream the same way.
+        assert feed_pieces(pieces)[1:] == (counts, spans, error)
         if error is None:
-            assert payloads == split.frames
+            assert sum(counts) == len(payloads)
             # the spans are the stream, as received, in order
             assert b"".join(spans) == b"".join(whole_spans) == blob
 

@@ -43,6 +43,7 @@ from moqgate.harness import (
 )
 from moqgate.media import encode_frame_payload, generate_groups
 from moqgate.relay import RelayServer
+from moqgate.wire import Category
 
 # ---------------------------------------------------------------------------
 # scenario builders
@@ -1024,3 +1025,53 @@ def test_synthetic_workload_reports_match_golden_digests(workload, monkeypatch):
         for scenario in workloads.load(workload, workloads.DEFAULT_SEED)
     }
     assert digests == _GOLDEN_ALL[workload]
+
+
+# ---------------------------------------------------------------------------
+# report.json writer
+# ---------------------------------------------------------------------------
+
+JSON_KEYS = st.text(max_size=6) | st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "é", "€", "😀"])
+JSON_FLOATS = st.floats() | st.sampled_from(
+    [-0.0, 5e-324, 1e16, float("nan"), float("inf"), -float("inf")]
+)
+JSON_SCALARS = (
+    st.integers(-(2**80), 2**80)
+    | st.booleans()
+    | st.none()
+    | st.sampled_from(list(Category))
+    | JSON_FLOATS
+    | st.text(max_size=8)
+)
+JSON_TREES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(JSON_KEYS, children, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestReportJson:
+    """``Report.to_json`` writes what ``json.dumps`` writes."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(tree=st.dictionaries(JSON_KEYS, JSON_TREES, max_size=5))
+    def test_matches_json_dumps(self, tree):
+        assert Report(tree).to_json() == json.dumps(tree, sort_keys=True, indent=2) + "\n"
+
+    def test_subclasses_print_as_json_prints_them(self):
+        class Text(str):
+            pass
+
+        data = {"category": Category.STROBE, "text": Text("x"), "empty": ([], {})}
+        assert Report(data).to_json() == json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("data", [{1: "a"}, {"a": {None: 1}}, {"a": [{2.5: 1}]}])
+    def test_non_str_key_is_type_error(self, data):
+        with pytest.raises(TypeError, match="report keys must be str"):
+            Report(data).to_json()
+
+    def test_unserializable_value_is_type_error(self):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            Report({"a": object()}).to_json()

@@ -648,6 +648,32 @@ class TestRelayServer:
         # Subscribe reaches relay at 55; catch-up burst lands at 60, live tail 115.
         assert chunks == [(header + c0, False, 60.0), (c1, True, 115.0)]
 
+    @pytest.mark.parametrize("ending", ["fin_early", "close"])
+    def test_group_of_a_failed_publisher_is_not_caught_up(self, ending):
+        from moqgate.media import encode_frame_payload
+
+        rig = ServerRig({})
+        c0, c1 = (encode_frame_chunk(encode_frame_payload(f)) for f in two_frame_group().frames)
+        stream = rig.publisher.open_stream()
+        # Declares 3 frames; sends 2 and then fin, or closes the session.
+        rig.net.at(0, lambda: stream.send(encode_group_header("cam", 0, 3) + c0))
+        if ending == "fin_early":
+            rig.net.at(50, lambda: stream.end(c1))
+        else:
+            rig.net.at(50, lambda: stream.send(c1))
+            rig.net.at(60, rig.publisher.close)
+        local, remote = rig.net.connect(Link(delay_ms=5.0), "late", "relay")
+        received = Recorder(rig.net, local)
+        rig.net.at(100, lambda: rig.server.attach("late", remote))
+        rig.net.at(100, lambda: local.send_control(encode_message(plain(sub_id=9))))
+        rig.net.run_until_idle()
+        if ending == "fin_early":
+            (error,) = rig.server.log.filter(kind="protocol_error")
+            assert error.detail["sid"] == "pub"
+        assert rig.server._live == {}
+        assert SubscribeOk(9) in ControlStreamDecoder().feed(b"".join(received.control))
+        assert received.chunks == []
+
     def test_invalid_subscribe_closes_session(self):
         rig = ServerRig({})
         local, remote = rig.net.connect(Link(delay_ms=5.0), "bad", "relay")
@@ -772,7 +798,9 @@ def reencoded_forwarding(pieces):
     for i, piece in enumerate(pieces):
         fin = i == len(pieces) - 1
         had_header = parser.frame_count is not None
-        blob = b"".join(encode_frame_chunk(p) for p in parser.feed(piece, fin))
+        payloads = []
+        parser.feed(piece, fin, payloads)
+        blob = b"".join(encode_frame_chunk(p) for p in payloads)
         if not had_header and parser.frame_count is not None:
             blob = encode_group_header(parser.track, parser.group_id, parser.frame_count) + blob
         if blob or fin:
