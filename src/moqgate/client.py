@@ -223,7 +223,7 @@ class AnalyzerClient:
         self.records.append(record)
         try:
             frames = tuple(map(decode_frame_payload, payloads))
-            group = Group(group_id, frames, frames[-1].capture_ts - frames[0].capture_ts)
+            group = Group(group_id, frames)
         except ValueError as exc:  # undecodable group: every category fails closed
             group, failure = None, str(exc)
         approved: list[int] = []

@@ -71,7 +71,6 @@ class Group:
 
     group_id: int
     frames: tuple[LuminanceFrame, ...]
-    duration_ms: int
 
     def __post_init__(self) -> None:
         if not self.frames:
@@ -256,12 +255,10 @@ def generate_groups(config: SourceConfig) -> list[Group]:
             )
         )
         if len(frames) == fpg:
-            groups.append(Group(len(groups), tuple(frames), config.gop_duration_ms))
+            groups.append(Group(len(groups), tuple(frames)))
             frames = []
     if frames:
-        groups.append(
-            Group(len(groups), tuple(frames), frame_capture_ts(len(frames), config.fps))
-        )
+        groups.append(Group(len(groups), tuple(frames)))
     return groups
 
 

@@ -14,19 +14,24 @@ earlier ones are still unapproved, the earlier groups are skipped permanently
 for that subscriber (live playback favors fresh content over stale).
 
 :class:`RelayCore` holds all of that state with no knowledge of transport —
-its handlers return :data:`Action` lists.  :class:`RelayServer` runs a core
-over simulated network sessions, forwards frames live, executes gated
-deliveries, and raises log-only stall alarms when gating starves a
-subscriber.  The server parses every publisher chunk, to validate it and
-to learn the group's header, but forwards the publisher's bytes as
+its handlers return :data:`Action` lists.  The core holds one table of
+groups per track: the last ``retention`` group ids, each with its bytes and
+the categories approved so far.  Only approvals and role changes release
+groups: an ingested group has no approvals yet.
+
+:class:`RelayServer` runs a core over simulated network sessions, forwards
+frames live, executes gated deliveries, and raises log-only stall alarms
+when gating starves a subscriber.  It tracks every group stream whose
+header has arrived, by track and group id, and a live receiver joins each
+one the same way: a new stream with the spans forwarded so far, then the
+rest as they arrive.  The server parses every publisher chunk, to validate
+it and to learn the group's header, but forwards the publisher's bytes as
 received: each chunk's header and completed frames, which for a chunk that
 ends on a frame boundary is the very bytes object that arrived.  A
 publisher's non-minimal varints therefore reach live subscribers as sent,
-not re-encoded.  The core holds one table of groups per track: the last
-``retention`` group ids, each with its bytes and the categories approved
-so far.  A group is held as the stream forwarded live (one that arrived
-in one chunk is that very bytes object), and every gated delivery of it
-sends the same object.
+not re-encoded.  A group is held as the stream forwarded live (one that
+arrived in one chunk is that very bytes object), and every gated delivery
+of it sends the same object.
 """
 
 from __future__ import annotations
@@ -149,11 +154,8 @@ class RelayCore:
 
     # -- accessors -----------------------------------------------------------
 
-    def session(self, sid: object) -> SessionState:
-        return self._sessions[sid]
-
-    def has_session(self, sid: object) -> bool:
-        return sid in self._sessions
+    def session(self, sid: object) -> SessionState | None:
+        return self._sessions.get(sid)
 
     def sessions_of(self, track: str) -> list[SessionState]:
         return [s for s in self._sessions.values() if s.track == track]
@@ -267,6 +269,8 @@ class RelayCore:
         return track
 
     def ingest_group(self, track_name: str, group_id: int, payload: object) -> list[Action]:
+        """Store a finished group.  It has no approvals yet, so this releases
+        nothing and returns no actions."""
         track = self._track(track_name)
         if track.next_expected is None:
             # First group establishes the base id for the track.
@@ -284,7 +288,7 @@ class RelayCore:
         if len(held) > self.retention:
             del held[next(iter(held))]
         self.log.emit("relay", "group_stored", track=track_name, group_id=group_id)
-        return self._gate_all(track)
+        return []
 
     # -- approval -------------------------------------------------------------
 
@@ -394,8 +398,7 @@ class _LiveGroup:
         self.publisher = publisher  # sid of the session it arrives on
         self.parser = GroupStreamParser()
         self.spans: list[bytes] = []  # forwarded so far, as received
-        # sid -> SendStream; None until the group's header has arrived.
-        self.fanout: dict[object, object] | None = None
+        self.fanout: dict[object, object] = {}  # sid -> SendStream
 
 
 class RelayServer:
@@ -408,7 +411,9 @@ class RelayServer:
         self.log = log if log is not None else EventLog(lambda: net.now)
         self.core = RelayCore(retention, self.log)
         self._sessions: dict[object, Session] = {}
-        self._live: dict[str, _LiveGroup] = {}
+        # (track, group id) -> every group stream whose header has arrived
+        # and which has not ended, in arrival order.
+        self._live: dict[tuple[str, int], _LiveGroup] = {}
 
     def attach(self, sid: object, session: Session) -> None:
         """Adopt one side of a connected link as a relay session."""
@@ -459,9 +464,9 @@ class RelayServer:
         """Drop every trace of a session, including any group it was
         publishing; returns the session if it was attached."""
         self.core.remove_session(sid)
-        for track, live in list(self._live.items()):
+        for key, live in list(self._live.items()):
             if live.publisher == sid:
-                del self._live[track]  # the group can never end
+                del self._live[key]  # the group can never end
             else:
                 live.fanout.pop(sid, None)
         return self._sessions.pop(sid, None)
@@ -482,12 +487,13 @@ class RelayServer:
         track = parser.track
         if track is None:
             return  # the header is not complete yet
-        if live.fanout is None:
-            live.fanout = {}
-            self._live[track] = live
-            # Snapshot of live receivers is taken when the group starts.
+        key = (track, parser.group_id)
+        if not live.spans:
+            # This chunk completed the header, so it starts the group: the
+            # live receivers of this moment join it.
+            self._live[key] = live
             for sub_sid in self.core.unfiltered_sids(track):
-                self._open_fanout(live, sub_sid)
+                self._join(live, sub_sid)
         blob = parser.span
         if blob:
             live.spans.append(blob)
@@ -501,7 +507,8 @@ class RelayServer:
                 except DisconnectedError:
                     live.fanout.pop(sub_sid, None)
         if fin:
-            self._live.pop(track, None)
+            if self._live.get(key) is live:
+                del self._live[key]
             group_id = parser.group_id
             try:
                 actions = self.core.ingest_group(track, group_id, b"".join(live.spans))
@@ -511,32 +518,24 @@ class RelayServer:
             self._execute(actions)
             self._schedule_stall_checks(track, group_id)
 
-    def _open_fanout(self, live: _LiveGroup, sub_sid: object) -> None:
-        session = self._sessions.get(sub_sid)
-        if session is None or session.closed:
-            return
+    def _join(self, live: _LiveGroup, sid: object) -> None:
+        """Open a stream of ``live`` to ``sid`` and send it the spans
+        forwarded so far (none when the group has just started)."""
         try:
-            live.fanout[sub_sid] = session.open_stream()
-        except DisconnectedError:
-            pass
-
-    def _catch_up_live(self, sid: object) -> None:
-        """Bring a (now) unfiltered session into any in-progress group."""
-        if not self.core.has_session(sid) or self.core.session(sid).filter is not None:
-            return
-        track = self.core.session(sid).track
-        live = self._live.get(track)
-        if live is None or sid in live.fanout:
-            return
-        session = self._sessions.get(sid)
-        if session is None:
-            return
-        try:
-            stream = session.open_stream()
+            stream = self._sessions[sid].open_stream()
             stream.send(b"".join(live.spans))
         except DisconnectedError:
             return
         live.fanout[sid] = stream
+
+    def _catch_up_live(self, sid: object) -> None:
+        """Join a (now) unfiltered session to every live group of its track."""
+        state = self.core.session(sid)
+        if state is None or state.filter is not None:
+            return
+        for (track, _), live in self._live.items():
+            if track == state.track and sid not in live.fanout:
+                self._join(live, sid)
 
     # -- action execution ----------------------------------------------------------
 
@@ -576,15 +575,13 @@ class RelayServer:
 
     def _schedule_stall_checks(self, track: str, group_id: int) -> None:
         for state in self.core.sessions_of(track):
-            if state.filter is None or state.next_deliver > group_id:
-                continue
-            self.net.after(STALL_ALARM_MS, partial(self._check_stall, state.sid, track, group_id))
+            if state.filter is not None:
+                check = partial(self._check_stall, state.sid, track, group_id)
+                self.net.after(STALL_ALARM_MS, check)
 
     def _check_stall(self, sid: object, track: str, group_id: int) -> None:
-        if not self.core.has_session(sid):
-            return
         state = self.core.session(sid)
-        if state.filter is None or state.next_deliver > group_id:
+        if state is None or state.filter is None or state.next_deliver > group_id:
             return
         self.log.emit(
             "relay",

@@ -46,14 +46,14 @@ def group_of_levels(group_id: int, levels: list[int], ts0: int, spacing: int = 3
     frames = tuple(
         uniform_frame(level, ts0 + i * spacing, index=i) for i, level in enumerate(levels)
     )
-    return Group(group_id, frames, spacing * len(levels))
+    return Group(group_id, frames)
 
 
 def push_frame(
     frame: LuminanceFrame, state: DetectorState, config: StrobeConfig
 ) -> tuple[bool, DetectorState]:
     """The group loop over one frame."""
-    return analyze_group_strobe(Group(0, (frame,), 0), state, config)
+    return analyze_group_strobe(Group(0, (frame,)), state, config)
 
 
 def analyzer_for(categories, **kwargs) -> AnalyzerClient:
@@ -253,7 +253,7 @@ class TestGapRule:
             uniform_frame(0, 60, index=2),
             uniform_frame(240, 111, index=3),
         )
-        risk, _ = analyze_group_strobe(Group(0, frames, 200), DetectorState(), cfg)
+        risk, _ = analyze_group_strobe(Group(0, frames), DetectorState(), cfg)
         assert risk is False
 
     def test_single_flash_is_not_risky(self):
@@ -415,7 +415,7 @@ def detector_groups(draw, grid_dim: int, ts0: int = 0):
         else:
             pixels = rng.randbytes(w * h)
         frames.append(LuminanceFrame(w, h, i, ts, pixels))
-    return Group(draw(st.integers(0, 5)), tuple(frames), 0)
+    return Group(draw(st.integers(0, 5)), tuple(frames))
 
 
 @st.composite
@@ -460,14 +460,14 @@ class TestOneDetectorLoop:
     )
     @example(  # the first frame's length error comes before the second's grid error
         case=(
-            Group(0, (uniform_frame(0, 0), uniform_frame(0, 1, w=3, h=9)), 0),
+            Group(0, (uniform_frame(0, 0), uniform_frame(0, 1, w=3, h=9))),
             DetectorState(bytes(3)),
             StrobeConfig(4),
         )
     )
     @example(  # the second frame is the first the grid does not fit
         case=(
-            Group(0, (uniform_frame(0, 0), uniform_frame(0, 1, w=3, h=9)), 0),
+            Group(0, (uniform_frame(0, 0), uniform_frame(0, 1, w=3, h=9))),
             DetectorState(),
             StrobeConfig(4),
         )
@@ -601,7 +601,7 @@ class TestRegistryAndVerdicts:
     def test_raising_detector_fails_closed(self):
         # 4x4 frames do not fit the 16x16 grid: the strobe detector raises.
         ok = group_of_levels(0, [16, 16, 240], ts0=0)
-        small = Group(1, (uniform_frame(16, 99, w=4, h=4),), 0)
+        small = Group(1, (uniform_frame(16, 99, w=4, h=4),))
         analyzer = analyzer_for((Category.SMOKING, Category.STROBE), detector=StrobeConfig(16))
         verdicts(analyzer, ok)
         previous = analyzer._strobe_state

@@ -42,7 +42,7 @@ def sample_group() -> Group:
         LuminanceFrame(2, 2, i, i * 40, bytes([i, i + 1, i + 2, i + 3]))
         for i in range(3)
     )
-    return Group(5, frames, 120)
+    return Group(5, frames)
 
 
 class TestEncoding:
@@ -80,7 +80,7 @@ def groups_of_any_size(draw):
         LuminanceFrame(width, height, draw(sized_varints()), ts, bytes((k,)) * (width * height))
         for k, ts in enumerate(timestamps)
     )
-    return Group(draw(sized_varints()), frames, timestamps[-1] - timestamps[0])
+    return Group(draw(sized_varints()), frames)
 
 
 def old_group_stream(track: str, group: Group) -> bytes:
@@ -192,7 +192,7 @@ def long_group(n_frames=1000) -> Group:
         LuminanceFrame(4, 2, i, i * 2, bytes((i + k) % 256 for k in range(8)))
         for i in range(n_frames)
     )
-    return Group(42, frames, 2 * n_frames)
+    return Group(42, frames)
 
 
 class TestLongGroup:

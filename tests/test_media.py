@@ -109,9 +109,9 @@ class TestValidation:
         f0 = LuminanceFrame(1, 1, 0, 10, b"\x00")
         f1 = LuminanceFrame(1, 1, 1, 5, b"\x00")
         with pytest.raises(ValueError):
-            Group(0, (), 0)
+            Group(0, ())
         with pytest.raises(ValueError):
-            Group(0, (f0, f1), 100)
+            Group(0, (f0, f1))
 
 
 class TestGenerate:
@@ -121,7 +121,6 @@ class TestGenerate:
         (g,) = groups
         assert g.group_id == 0
         assert len(g.frames) == 10
-        assert g.duration_ms == 1000
         assert all(set(f.pixels) == {128} for f in g.frames)
         assert [f.frame_index for f in g.frames] == list(range(10))
         assert [f.capture_ts for f in g.frames] == [k * 100 for k in range(10)]
@@ -169,7 +168,6 @@ class TestGenerate:
         cfg = constant_source(duration=1500, fps=10, gop=1000)
         groups = generate_groups(cfg)
         assert [len(g.frames) for g in groups] == [10, 5]
-        assert groups[1].duration_ms == 500
 
     def test_empty_source_yields_no_groups(self):
         cfg = SourceConfig(4, 3, 10, 1000, ())

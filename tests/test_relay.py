@@ -509,6 +509,9 @@ class TestGateMatchesReference:
             if op[0] == "ingest":
                 got = core.ingest_group("cam", next_gid, f"G{next_gid}")
                 want = model.ingest(next_gid)
+                # An ingested group has no approvals: the model's full gate
+                # pass releases nothing, and the core does not run one.
+                assert got == want == [], op
                 next_gid += 1
             elif op[0] == "approve":
                 _, sid, offset, cats = op
@@ -537,7 +540,7 @@ def frame(i, ts, level):
 
 
 def two_frame_group(gid=0):
-    return Group(gid, (frame(0, gid * 100, 10), frame(1, gid * 100 + 50, 20)), 100)
+    return Group(gid, (frame(0, gid * 100, 10), frame(1, gid * 100 + 50, 20)))
 
 
 class ServerRig:
@@ -673,6 +676,36 @@ class TestRelayServer:
         assert rig.server._live == {}
         assert SubscribeOk(9) in ControlStreamDecoder().feed(b"".join(received.control))
         assert received.chunks == []
+
+    def test_overlapping_groups_each_reach_live_joiners(self):
+        from moqgate.media import encode_frame_payload
+
+        rig = ServerRig({})
+        encoded = {}
+        for gid, start, end in ((0, 0, 60), (1, 20, 80)):
+            frames = two_frame_group(gid).frames
+            c0, c1 = (encode_frame_chunk(encode_frame_payload(f)) for f in frames)
+            head = encode_group_header("cam", gid, 2) + c0
+            encoded[gid] = (head, c1)
+            stream = rig.publisher.open_stream()
+            rig.net.at(start, lambda stream=stream, head=head: stream.send(head))
+            rig.net.at(end, lambda stream=stream, c1=c1: stream.end(c1))
+        # At the relay: group 0's header at 10, group 1's at 30, group 0's
+        # fin at 70 and group 1's at 90.  SUBSCRIBEs land at 45 and 80.
+        received = {}
+        for name, at in (("early", 40), ("late", 75)):
+            local, remote = rig.net.connect(Link(delay_ms=5.0), name, "relay")
+            received[name] = Recorder(rig.net, local)
+            rig.net.at(at, lambda remote=remote, name=name: rig.server.attach(name, remote))
+            rig.net.at(at, lambda local=local: local.send_control(encode_message(plain(sub_id=9))))
+        rig.net.run_until_idle()
+        (h0, t0), (h1, t1) = encoded[0], encoded[1]
+        assert received["early"].by_stream() == [
+            [(h0, False, 50.0), (t0, True, 75.0)],
+            [(h1, False, 50.0), (t1, True, 95.0)],
+        ]
+        assert received["late"].by_stream() == [[(h1, False, 85.0), (t1, True, 95.0)]]
+        assert rig.server._live == {}
 
     def test_invalid_subscribe_closes_session(self):
         rig = ServerRig({})
