@@ -7,16 +7,10 @@ import dataclasses
 import os
 import sys
 
-from .harness import (
-    Report,
-    Scenario,
-    ScenarioError,
-    ScenarioTimeoutError,
-    bundled_scenario_names,
-    bundled_scenario_path,
-    load_scenario,
-    predict_bounds,
-    run_scenario,
+from .harness import ScenarioTimeoutError, predict_bounds, run_scenario
+from .report import Report
+from .scenario import (
+    Scenario, ScenarioError, bundled_scenario_names, bundled_scenario_path, load_scenario,
 )
 
 
@@ -47,7 +41,7 @@ def _write_out_dir(report: Report, out_dir: str, rendered: dict[str, str]) -> No
     os.makedirs(out_dir, exist_ok=True)
     for fmt, name in _OUT_FILES.items():
         text = rendered[fmt] if fmt in rendered else _render(report, fmt)
-        with open(os.path.join(out_dir, name), "w") as fh:
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
             fh.write(text)
 
 

@@ -2,7 +2,8 @@
 
 * :func:`encode_publication` encodes a source's groups once;
   :class:`PublisherClient` paces their chunks, one per frame, onto
-  per-group streams at their capture instants (epoch + capture timestamp).
+  per-group streams at their capture instants (epoch + capture timestamp)
+  on its clock.
 * :class:`AnalyzerClient` subscribes with the analyze role, receives frames
   live and, when a group completes, works out one verdict per category:
   strobe from :class:`~moqgate.analysis.StrobeDetector`, the stub categories
@@ -17,8 +18,9 @@
   playout clock to find stalls; :func:`predict_latency_bound` gives the
   worst-case end-to-end latency a filtered subscriber should ever see.
 
+Every client runs on a session and a :class:`~moqgate.transport.Clock`.
 Both receiving clients keep ``records``: one :class:`LatencyRecord` per
-group, in the order the groups' streams completed.
+group, in the order the groups' streams completed, timed by their clock.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .analysis import DetectorState, StrobeConfig, StrobeDetector
 from .eventlog import EventLog
 from .framing import GroupStreamParser, encode_group_chunks
 from .media import Group, decode_frame_payload
-from .transport import DisconnectedError, RecvStream, SendStream, Session, SimNetwork
+from .transport import Clock, DisconnectedError, RecvStream, SendStream, Session
 from .wire import (
     Approve,
     Category,
@@ -102,26 +104,26 @@ class PublisherClient:
 
     def __init__(
         self,
-        net: SimNetwork,
+        clock: Clock,
         session: Session,
         publication: list[EncodedGroup],
         epoch_ms: float = 0.0,
         log: EventLog | None = None,
         name: str = "publisher",
     ) -> None:
-        self.net = net
+        self.clock = clock
         self.session = session
         self.publication = publication
         self.epoch_ms = epoch_ms
         self.name = name
-        self.log = log if log is not None else EventLog(lambda: net.now)
+        self.log = log if log is not None else EventLog(lambda: clock.now)
         self._streams: dict[int, SendStream] = {}  # open group streams by group id
 
     def start(self) -> None:
         """Schedule every chunk send at epoch + its frame's capture timestamp."""
         for group in self.publication:
             for index, ts in enumerate(group.capture_ts):
-                self.net.at(self.epoch_ms + ts, functools.partial(self._send_chunk, group, index))
+                self.clock.at(self.epoch_ms + ts, functools.partial(self._send_chunk, group, index))
 
     def _send_chunk(self, group: EncodedGroup, index: int) -> None:
         chunk = group.chunks[index]
@@ -137,7 +139,7 @@ class PublisherClient:
 
 
 def _receive_groups(
-    net: SimNetwork,
+    clock: Clock,
     session: Session,
     on_group: Callable[[LatencyRecord, list[bytes] | None], None],
     collect: bool = False,
@@ -156,11 +158,11 @@ def _receive_groups(
         def on_data(data: bytes, fin: bool) -> None:
             nonlocal first_arrival
             if parser.feed(data, fin, payloads) and first_arrival is None:
-                first_arrival = net.now
+                first_arrival = clock.now
             if fin:
                 assert parser.group_id is not None and first_arrival is not None
                 record = LatencyRecord(
-                    parser.group_id, first_arrival, net.now, parser.frame_count
+                    parser.group_id, first_arrival, clock.now, parser.frame_count
                 )
                 on_group(record, payloads)
 
@@ -184,7 +186,7 @@ class AnalyzerClient:
 
     def __init__(
         self,
-        net: SimNetwork,
+        clock: Clock,
         session: Session,
         track: str,
         categories: tuple[int, ...],
@@ -195,7 +197,7 @@ class AnalyzerClient:
         log: EventLog | None = None,
         name: str = "analyzer",
     ) -> None:
-        self.net = net
+        self.clock = clock
         self.session = session
         self.track = track
         self.categories = tuple(map(_as_category, categories))
@@ -207,10 +209,10 @@ class AnalyzerClient:
         self.strobe = StrobeDetector(detector)
         self.analysis_time_ms = analysis_time_ms
         self.name = name
-        self.log = log if log is not None else EventLog(lambda: net.now)
+        self.log = log if log is not None else EventLog(lambda: clock.now)
         self.records: list[LatencyRecord] = []
         self._strobe_state = DetectorState()
-        _receive_groups(net, session, self._on_group, collect=True)
+        _receive_groups(clock, session, self._on_group, collect=True)
 
     def start(self) -> None:
         msg = Subscribe(
@@ -259,7 +261,7 @@ class AnalyzerClient:
         )
         if approved:
             msg = Approve(self.subscribe_id, group_id, tuple(approved))
-            self.net.after(self.analysis_time_ms, lambda: self._send_approve(msg))
+            self.clock.after(self.analysis_time_ms, lambda: self._send_approve(msg))
 
     def _send_approve(self, msg: Approve) -> None:
         try:
@@ -284,7 +286,7 @@ class SubscriberClient:
 
     def __init__(
         self,
-        net: SimNetwork,
+        clock: Clock,
         session: Session,
         track: str,
         subscribe_id: int,
@@ -292,7 +294,6 @@ class SubscriberClient:
         log: EventLog | None = None,
         name: str = "subscriber",
     ) -> None:
-        self.net = net
         self.session = session
         self.track = track
         self.subscribe_id = subscribe_id
@@ -300,9 +301,9 @@ class SubscriberClient:
             tuple(filter_categories) if filter_categories else None
         )
         self.name = name
-        self.log = log if log is not None else EventLog(lambda: net.now)
+        self.log = log if log is not None else EventLog(lambda: clock.now)
         self.records: list[LatencyRecord] = []
-        _receive_groups(net, session, self._on_group)
+        _receive_groups(clock, session, self._on_group)
 
     def start(self) -> None:
         params = ()

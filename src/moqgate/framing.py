@@ -30,7 +30,6 @@ __all__ = [
     "encode_group_header",
     "encode_frame_chunk",
     "encode_group_chunks",
-    "encode_group_stream",
     "GroupStreamParser",
     "ControlStreamDecoder",
 ]
@@ -57,11 +56,6 @@ def encode_group_chunks(track: str, group: Group) -> list[bytes]:
     chunks = [encode_frame_chunk(encode_frame_payload(frame)) for frame in group.frames]
     chunks[0] = encode_group_header(track, group.group_id, len(chunks)) + chunks[0]
     return chunks
-
-
-def encode_group_stream(track: str, group: Group) -> bytes:
-    """Complete stream contents for one group (header plus every frame)."""
-    return b"".join(encode_group_chunks(track, group))
 
 
 class GroupStreamParser:

@@ -1,29 +1,23 @@
-"""Scenario-driven end-to-end harness.
+"""Scenario runs: simulate a scenario, check it and assemble its report.
 
-A scenario (JSON) describes one publisher, a relay, and a set of clients
-with per-link delays.  ``run_scenario`` replays it on the simulated network
-and produces a :class:`Report` with per-group latency records, delivery and
-skip lists, playback stall analysis, latency-bound comparisons, and a list
-of named pass/fail checks.  Reports are deterministic: the same scenario
-always renders to byte-identical JSON.
+``run_scenario`` replays a :class:`~moqgate.scenario.Scenario` on the
+simulated network (once, or once per delay draw) and produces a
+:class:`~moqgate.report.Report` with per-group latency records, delivery
+and skip lists, playback stall analysis, latency-bound comparisons, and a
+list of named pass/fail checks.  Reports are deterministic: the same
+scenario always renders to byte-identical JSON.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-import json
 import random
-import sys
 from dataclasses import dataclass
-from importlib import resources
-from json.encoder import encode_basestring_ascii as _quote
-from pathlib import Path
-from typing import Any, Mapping
+from typing import Mapping
 
-from .analysis import StrobeConfig, predict_risky_groups
+from .analysis import predict_risky_groups
 from .client import (
-    STUB_CATEGORIES,
     AnalyzerClient,
     EncodedGroup,
     LatencyModel,
@@ -35,33 +29,19 @@ from .client import (
     predict_latency_bound,
 )
 from .eventlog import EventLog
-from .media import Constant, Ramp, SourceConfig, Strobe, generate_groups
-from .relay import DEFAULT_CAPABILITIES, RelayServer
+from .media import generate_groups
+from .relay import RelayServer
+from .report import Report
+from .scenario import ClientSpec, LinkSpec, Scenario
+# perfbench/workloads.py loads scenarios through this module's name.
+from .scenario import scenario_from_dict  # noqa: F401
 from .transport import Link, SimNetwork, SimTimeoutError, derive_seed
-from .wire import Category, category_code, category_name
+from .wire import Category, category_name
 
-__all__ = [
-    "ClientSpec",
-    "DelayDraws",
-    "LinkSpec",
-    "Report",
-    "Scenario",
-    "ScenarioError",
-    "ScenarioTimeoutError",
-    "bundled_scenario_names",
-    "bundled_scenario_path",
-    "load_scenario",
-    "predict_bounds",
-    "run_scenario",
-    "scenario_from_dict",
-]
+__all__ = ["ScenarioTimeoutError", "predict_bounds", "run_scenario"]
 
 #: Tolerance when comparing measured latencies against the predicted bound.
 BOUND_EPSILON_MS = 2.0
-
-
-class ScenarioError(ValueError):
-    """A scenario file is malformed or internally inconsistent."""
 
 
 class ScenarioTimeoutError(RuntimeError):
@@ -70,349 +50,6 @@ class ScenarioTimeoutError(RuntimeError):
     def __init__(self, message: str, report: "Report") -> None:
         super().__init__(message)
         self.report = report
-
-
-# ---------------------------------------------------------------------------
-# scenario model
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LinkSpec:
-    to_relay_ms: float = 0.0
-    from_relay_ms: float = 0.0
-    jitter_ms: float = 0.0
-
-
-@dataclass(frozen=True)
-class ClientSpec:
-    name: str
-    analyze: tuple[int, ...] = ()
-    filter: tuple[int, ...] = ()
-    analysis_time_ms: float = 0.0
-    detector: StrobeConfig = StrobeConfig()
-    link: LinkSpec = LinkSpec()
-
-
-@dataclass(frozen=True)
-class DelayDraws:
-    count: int
-    seed: int
-    min_ms: int
-    max_ms: int
-
-
-@dataclass(frozen=True)
-class Checks:
-    added_latency_band_ms: tuple[float, float] | None = None
-
-
-@dataclass(frozen=True)
-class Scenario:
-    name: str
-    track: str
-    source: SourceConfig
-    publisher_link: LinkSpec
-    clients: tuple[ClientSpec, ...]
-    seed: int = 0
-    publish_epoch_ms: float = 0.0
-    duration_ms: float = 600_000.0
-    retention_groups: int = 64
-    playback_buffer_groups: float = 1.0
-    stub_verdicts: tuple[tuple[int, bool], ...] = ()
-    checks: Checks = Checks()
-    delay_draws: DelayDraws | None = None
-
-    def stub_verdict(self, category: int) -> bool:
-        for code, verdict in self.stub_verdicts:
-            if code == category:
-                return verdict
-        return True
-
-
-# ---------------------------------------------------------------------------
-# loading / validation
-# ---------------------------------------------------------------------------
-
-
-def _fields(data: Any, table: Mapping[str, tuple], where: str) -> dict[str, Any]:
-    """Check an object against its field table; return its checked values.
-
-    A table maps key -> (kind, minimum, required).  Kind int is an integer,
-    float any number (stored as float), both within the float range; str is
-    a non-empty string, a function parses the nested value from (value,
-    where), and None hands the value to the caller.  An absent optional key
-    is left out, so it takes the dataclass default.
-    """
-    if not isinstance(data, Mapping):
-        raise ScenarioError(f"{where}: expected an object, got {type(data).__name__}")
-    unknown = set(data) - set(table)
-    if unknown:
-        raise ScenarioError(f"{where}: unknown keys {sorted(unknown)}")
-    missing = {key for key, (_, _, required) in table.items() if required} - set(data)
-    if missing:
-        raise ScenarioError(f"{where}: missing keys {sorted(missing)}")
-    return {
-        key: _value(data[key], kind, minimum, f"{where}.{key}")
-        for key, (kind, minimum, _) in table.items()
-        if key in data
-    }
-
-
-def _value(value: Any, kind: Any, minimum: Any, where: str) -> Any:
-    if kind is None:
-        return value
-    if kind is str:
-        if not isinstance(value, str) or not value:
-            raise ScenarioError(f"{where}: expected a non-empty string")
-        return value
-    if kind not in (int, float):
-        return kind(value, where)
-    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
-        expected = "an integer" if kind is int else "a number"
-        raise ScenarioError(f"{where}: expected {expected}, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ScenarioError(f"{where}: must be >= {minimum}, got {value}")
-    if not abs(value) <= sys.float_info.max:  # also false for NaN
-        raise ScenarioError(f"{where}: expected a finite number, got {value!r}")
-    return float(value) if kind is float else value
-
-
-_LINK_FIELDS = dict.fromkeys(("to_relay_ms", "from_relay_ms", "jitter_ms"), (float, 0.0, False))
-
-
-def _parse_link(data: Any, where: str) -> LinkSpec:
-    return LinkSpec(**_fields(data, _LINK_FIELDS, where))
-
-
-_LINKS_FIELDS = {"publisher": (_parse_link, None, True), "clients": (None, None, True)}
-
-
-def _parse_categories(values: Any, where: str) -> tuple[int, ...]:
-    if not isinstance(values, list) or not values:
-        raise ScenarioError(f"{where}: expected a non-empty list of category names")
-    codes: list[int] = []
-    for value in values:
-        if isinstance(value, bool) or not isinstance(value, (str, int)):
-            raise ScenarioError(f"{where}: expected a category name or code, got {value!r}")
-        try:
-            code = category_code(value)
-        except ValueError as exc:
-            raise ScenarioError(f"{where}: {exc}") from None
-        if code not in DEFAULT_CAPABILITIES:
-            raise ScenarioError(f"{where}: unsupported category {value!r}")
-        if code in codes:
-            raise ScenarioError(f"{where}: duplicate category {value!r}")
-        codes.append(int(code))
-    return tuple(codes)
-
-
-# Ranges are StrobeConfig's own checks; the table checks types.
-_DETECTOR_FIELDS = {
-    "grid_dim": (int, None, False),
-    "pixel_delta_threshold": (int, None, False),
-    "changed_fraction_threshold": (float, None, False),
-    "max_interchange_gap_ms": (int, None, False),
-}
-
-
-def _parse_detector(base: StrobeConfig, overrides: Any, where: str) -> StrobeConfig:
-    values = _fields(overrides, _DETECTOR_FIELDS, where)
-    try:
-        return dataclasses.replace(base, **values)
-    except ValueError as exc:
-        raise ScenarioError(f"{where}: {exc}") from None
-
-
-# Ranges are SourceConfig.validate's; the tables check types.
-_SEGMENT_KINDS = {
-    "constant": (Constant, dict.fromkeys(("level", "duration_ms"), (int, None, True))),
-    "strobe": (
-        Strobe,
-        {**dict.fromkeys(("low", "high", "duration_ms"), (int, None, True)), "flash_hz": (float, None, True)},
-    ),
-    "ramp": (Ramp, dict.fromkeys(("start_level", "end_level", "duration_ms"), (int, None, True))),
-}
-
-
-def _parse_segments(data: Any, where: str) -> tuple:
-    if not isinstance(data, list) or not data:
-        raise ScenarioError(f"{where}: expected a non-empty list")
-    parsed = []
-    for i, seg in enumerate(data):
-        seg_where = f"{where}[{i}]"
-        if not isinstance(seg, Mapping) or "kind" not in seg:
-            raise ScenarioError(f"{seg_where}: expected an object with a 'kind'")
-        kind = seg["kind"]
-        if not isinstance(kind, str) or kind not in _SEGMENT_KINDS:
-            raise ScenarioError(f"{seg_where}: unknown segment kind {kind!r}")
-        cls, table = _SEGMENT_KINDS[kind]
-        values = _fields(seg, {"kind": (None, None, True), **table}, seg_where)
-        del values["kind"]
-        parsed.append(cls(**values))
-    return tuple(parsed)
-
-
-_SOURCE_FIELDS = {
-    **dict.fromkeys(("width", "height", "fps", "gop_duration_ms"), (int, 1, True)),
-    "segments": (_parse_segments, None, True),
-}
-
-
-def _parse_source(data: Any, where: str) -> SourceConfig:
-    source = SourceConfig(**_fields(data, _SOURCE_FIELDS, where))
-    try:
-        source.validate()
-    except ValueError as exc:
-        raise ScenarioError(f"{where}: {exc}") from None
-    return source
-
-
-def _parse_stub_verdicts(data: Any, where: str) -> tuple[tuple[int, bool], ...]:
-    if not isinstance(data, Mapping):
-        raise ScenarioError(f"{where}: expected an object")
-    pairs: list[tuple[int, bool]] = []
-    for key, value in data.items():
-        try:
-            code = category_code(key)
-        except ValueError as exc:
-            raise ScenarioError(f"{where}: {exc}") from None
-        if code not in STUB_CATEGORIES:
-            raise ScenarioError(f"{where}: {key!r} has a real detector, not a stub")
-        if not isinstance(value, bool):
-            raise ScenarioError(f"{where}.{key}: expected true/false")
-        pairs.append((int(code), value))
-    return tuple(pairs)
-
-
-def _parse_band(data: Any, where: str) -> tuple[float, float]:
-    if not isinstance(data, list) or len(data) != 2:
-        raise ScenarioError(f"{where}: expected [low, high]")
-    low, high = (_value(v, float, None, f"{where}[{i}]") for i, v in enumerate(data))
-    if low > high:
-        raise ScenarioError(f"{where}: low > high")
-    return low, high
-
-
-def _parse_checks(data: Any, where: str) -> Checks:
-    return Checks(**_fields(data, {"added_latency_band_ms": (_parse_band, None, False)}, where))
-
-
-_DELAY_DRAWS_FIELDS = {
-    "count": (int, 1, True), "seed": (int, None, True), "min_ms": (int, 0, True), "max_ms": (int, 0, True)
-}
-
-
-def _parse_delay_draws(data: Any, where: str) -> DelayDraws:
-    draws = DelayDraws(**_fields(data, _DELAY_DRAWS_FIELDS, where))
-    if draws.min_ms > draws.max_ms:
-        raise ScenarioError(f"{where}: min_ms > max_ms")
-    return draws
-
-
-_CLIENT_FIELDS = {
-    "name": (str, None, True),
-    "analyze": (_parse_categories, None, False),
-    "filter": (_parse_categories, None, False),
-    "analysis_time_ms": (float, 0.0, False),
-    "detector": (None, None, False),
-}
-
-_SCENARIO_FIELDS = {
-    "name": (str, None, True),
-    "track": (str, None, True),
-    "source": (_parse_source, None, True),
-    "links": (None, None, True),
-    "clients": (None, None, True),
-    "detector": (None, None, False),
-    "seed": (int, None, False),
-    "publish_epoch_ms": (float, 0.0, False),
-    "duration_ms": (float, 1.0, False),
-    "retention_groups": (int, 1, False),
-    "playback_buffer_groups": (float, 0.0, False),
-    "stub_verdicts": (_parse_stub_verdicts, None, False),
-    "checks": (_parse_checks, None, False),
-    "delay_draws": (_parse_delay_draws, None, False),
-}
-
-
-def scenario_from_dict(data: Mapping) -> Scenario:
-    fields = _fields(data, _SCENARIO_FIELDS, "scenario")
-    source = fields["source"]
-    base_detector = _parse_detector(StrobeConfig(), fields.pop("detector", {}), "scenario.detector")
-    links = _fields(fields.pop("links"), _LINKS_FIELDS, "scenario.links")
-    client_links = links["clients"]
-    if not isinstance(client_links, Mapping):
-        raise ScenarioError("scenario.links.clients: expected an object")
-    raw_clients = fields.pop("clients")
-    if not isinstance(raw_clients, list) or not raw_clients:
-        raise ScenarioError("scenario.clients: expected a non-empty list")
-
-    specs: list[ClientSpec] = []
-    for i, raw in enumerate(raw_clients):
-        where = f"scenario.clients[{i}]"
-        client = _fields(raw, _CLIENT_FIELDS, where)
-        name = client["name"]
-        if name in ("publisher", "relay") or any(spec.name == name for spec in specs):
-            raise ScenarioError(f"{where}: duplicate or reserved client name {name!r}")
-        if "analyze" in client and "filter" in client:
-            raise ScenarioError(f"{where}: a client cannot both analyze and filter")
-        if "analyze" not in client and "analysis_time_ms" in client:
-            raise ScenarioError(f"{where}: analysis_time_ms only applies to analyzers")
-        if "analyze" not in client and "detector" in client:
-            raise ScenarioError(f"{where}: detector overrides only apply to analyzers")
-        detector = _parse_detector(base_detector, client.pop("detector", {}), f"{where}.detector")
-        if "analyze" in client and detector.grid_dim > min(source.width, source.height):
-            raise ScenarioError(
-                f"{where}.detector: grid_dim {detector.grid_dim} exceeds frame dimensions "
-                f"{source.width}x{source.height}"
-            )
-        if name not in client_links:
-            raise ScenarioError(f"scenario.links.clients: no link for client {name!r}")
-        link = _parse_link(client_links[name], f"scenario.links.clients.{name}")
-        specs.append(ClientSpec(detector=detector, link=link, **client))
-
-    extra_links = set(client_links) - {spec.name for spec in specs}
-    if extra_links:
-        raise ScenarioError(f"scenario.links.clients: links for unknown clients {sorted(extra_links)}")
-
-    analyzed_codes = {code for spec in specs for code in spec.analyze}
-    problems = []
-    for spec in specs:
-        missing = [category_name(c).lower() for c in spec.filter if c not in analyzed_codes]
-        if missing:
-            problems.append(f"client {spec.name!r}: no analyzer covers {', '.join(missing)}")
-    if problems:
-        raise ScenarioError("; ".join(problems))
-
-    return Scenario(publisher_link=links["publisher"], clients=tuple(specs), **fields)
-
-
-def load_scenario(path: Any) -> Scenario:
-    """Read a scenario from a JSON file (path or importlib traversable)."""
-    try:
-        text = path.read_text() if hasattr(path, "read_text") else Path(path).read_text()
-    except OSError as exc:
-        raise ScenarioError(f"cannot read scenario file: {exc}") from None
-    try:
-        data = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
-        raise ScenarioError(f"scenario is not valid JSON: {exc}") from None
-    return scenario_from_dict(data)
-
-
-def bundled_scenario_names() -> list[str]:
-    root = resources.files("moqgate").joinpath("scenarios")
-    return sorted(p.name[: -len(".json")] for p in root.iterdir() if p.name.endswith(".json"))
-
-
-def bundled_scenario_path(name: str):
-    path = resources.files("moqgate").joinpath("scenarios", f"{name}.json")
-    if not path.is_file():
-        raise ScenarioError(
-            f"no bundled scenario named {name!r}; available: {', '.join(bundled_scenario_names())}"
-        )
-    return path
 
 
 # ---------------------------------------------------------------------------
@@ -443,18 +80,11 @@ def _bound_for(scenario: Scenario, spec: ClientSpec, links: Mapping[str, LinkSpe
 def predict_bounds(scenario: Scenario) -> dict[str, float]:
     """Predicted end-to-end bound for every filtered client, base links."""
     links = _base_links(scenario)
-    return {
-        spec.name: _bound_for(scenario, spec, links)
-        for spec in scenario.clients
-        if spec.filter
-    }
+    return {spec.name: _bound_for(scenario, spec, links) for spec in scenario.clients if spec.filter}
 
 
 def _base_links(scenario: Scenario) -> dict[str, LinkSpec]:
-    links = {"publisher": scenario.publisher_link}
-    for spec in scenario.clients:
-        links[spec.name] = spec.link
-    return links
+    return {"publisher": scenario.publisher_link, **{s.name: s.link for s in scenario.clients}}
 
 
 def _drawn_links(scenario: Scenario, rng: random.Random) -> dict[str, LinkSpec]:
@@ -465,12 +95,7 @@ def _drawn_links(scenario: Scenario, rng: random.Random) -> dict[str, LinkSpec]:
     def draw() -> float:
         return float(rng.randint(draws.min_ms, draws.max_ms))
 
-    links = {
-        "publisher": LinkSpec(draw(), draw(), scenario.publisher_link.jitter_ms)
-    }
-    for spec in scenario.clients:
-        links[spec.name] = LinkSpec(draw(), draw(), spec.link.jitter_ms)
-    return links
+    return {name: LinkSpec(draw(), draw(), link.jitter_ms) for name, link in _base_links(scenario).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -567,13 +192,10 @@ def _run_once(
     finally:
         net.shutdown()
 
-    records: dict[str, list[LatencyRecord]] = {}
-    for spec in scenario.clients:
-        client = clients[spec.name]
-        if isinstance(client, AnalyzerClient):
-            records[spec.name] = sorted(client.records, key=lambda r: r.group_id)
-        else:
-            records[spec.name] = client.records
+    records: dict[str, list[LatencyRecord]] = {
+        name: sorted(c.records, key=lambda r: r.group_id) if isinstance(c, AnalyzerClient) else c.records
+        for name, c in clients.items()
+    }
 
     # The one pass over the log; the log itself is freed with the run.
     sent: dict[str, list[tuple[float, int, list[int]]]] = {
@@ -624,7 +246,7 @@ def _expected_deliveries(scenario: Scenario, n_groups: int) -> dict[str, list[in
                 risky_sets = [risky(a.detector) for a in covering]
                 per_cat = set.intersection(*risky_sets) if risky_sets else set()
             else:
-                per_cat = set(range(n_groups)) if not scenario.stub_verdict(code) else set()
+                per_cat = set(range(n_groups)) if (code, False) in scenario.stub_verdicts else set()
             blocked |= per_cat
         expected[spec.name] = [g for g in range(n_groups) if g not in blocked]
     return expected
@@ -753,167 +375,8 @@ def _check_realtime(scenario: Scenario, runs: list[_RunResult]) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# report
+# report assembly
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class Report:
-    data: dict
-
-    @property
-    def passed(self) -> bool:
-        return bool(self.data.get("passed"))
-
-    def to_json(self) -> str:
-        """The report as ``json.dumps(data, sort_keys=True, indent=2)``
-        writes it, plus a final newline."""
-        out: list[str] = []
-        _write_json(self.data, out, "\n")
-        out.append("\n")
-        return "".join(out)
-
-    def to_csv(self) -> str:
-        n_groups = self.data["n_groups"]
-        lines = [
-            "run,client,group_id,status,first_arrival_ms,complete_arrival_ms,"
-            "frame_count,e2e_ms,added_ms"
-        ]
-        for run in self.data["runs"]:
-            for client in self.data["client_order"]:
-                by_group = {r["group_id"]: r for r in run["records"][client]}
-                for gid in range(n_groups):
-                    record = by_group.get(gid)
-                    if record is None:
-                        lines.append(f"{run['run']},{client},{gid},skipped,,,,,")
-                        continue
-                    added = "" if record["added_ms"] is None else record["added_ms"]
-                    lines.append(
-                        f"{run['run']},{client},{gid},delivered,{record['first_arrival_ms']},"
-                        f"{record['complete_arrival_ms']},{record['frame_count']},"
-                        f"{record['e2e_ms']},{added}"
-                    )
-        return "\n".join(lines) + "\n"
-
-    def to_text(self) -> str:
-        data = self.data
-        lines = [
-            f"scenario: {data['scenario']}",
-            f"groups: {data['n_groups']}  gop: {data['gop_duration_ms']} ms  "
-            f"runs: {len(data['runs'])}",
-        ]
-        for name in data["client_order"]:
-            roles = data["clients"][name]
-            if roles["analyze"]:
-                desc = "analyze " + ",".join(roles["analyze"])
-            elif roles["filter"]:
-                desc = "filter " + ",".join(roles["filter"])
-            else:
-                desc = "plain"
-            lines.append(f"client {name}: {desc}")
-        for run in data["runs"]:
-            for name in data["client_order"]:
-                got = len(run["delivered"][name])
-                skipped = len(run["skipped"][name])
-                stalls = run["playback"][name]["total_stall_ms"]
-                lines.append(
-                    f"run {run['run']} {name}: delivered {got}/{data['n_groups']}"
-                    f" skipped {skipped} stalled {stalls} ms"
-                )
-            for name, bounds in sorted(run["bounds"].items()):
-                lines.append(
-                    f"run {run['run']} {name}: bound {bounds['predicted_ms']} ms,"
-                    f" worst observed {bounds['max_observed_e2e_ms']} ms"
-                )
-        lines.append("checks:")
-        for check in data["checks"]:
-            tag = "PASS" if check["passed"] else "FAIL"
-            lines.append(f"[{tag}] {check['name']}: {check['detail']}")
-        if data.get("timeout"):
-            lines.append("WARNING: virtual-time budget exhausted; report is partial")
-        lines.append("RESULT: " + ("PASSED" if data["passed"] else "FAILED"))
-        return "\n".join(lines) + "\n"
-
-
-#: ``float.__repr__`` of the values JSON has no literal for -> what ``json`` writes.
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _float_text(value: float) -> str:
-    text = float.__repr__(value)
-    return _NONFINITE.get(text, text)
-
-
-#: Exact type -> its JSON text, for the scalars reports hold.
-_SCALAR_TEXT = {
-    str: _quote,
-    int: int.__repr__,
-    float: _float_text,
-    bool: {False: "false", True: "true"}.__getitem__,
-    type(None): lambda _: "null",
-}
-
-
-def _write_json(value: Any, out: list[str], newline: str) -> None:
-    """Append ``value`` to ``out`` as ``json.dumps(value, sort_keys=True,
-    indent=2)`` writes it; ``newline`` is a line break plus the current
-    indentation.  Exact scalar types take the fast path; anything else is
-    matched in ``json.encoder``'s isinstance order, so subclasses
-    (``Category``) print as ``json`` prints them.  Keys must be strings
-    (``TypeError`` otherwise).  A container's scalar items are written with
-    their separators as one string each: the pieces joined at the end are
-    what the writer's peak memory is made of."""
-    scalar = _SCALAR_TEXT.get(type(value))
-    if scalar is not None:
-        out.append(scalar(value))
-    elif isinstance(value, str):
-        out.append(_quote(value))
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, float):
-        out.append(_float_text(value))
-    elif isinstance(value, (list, tuple)):
-        _write_json_list(value, out, newline)
-    elif isinstance(value, dict):
-        _write_json_dict(value, out, newline)
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _write_json_list(value: list | tuple, out: list[str], newline: str) -> None:
-    if not value:
-        out.append("[]")
-        return
-    inner = newline + "  "
-    separator = "[" + inner
-    for item in value:
-        scalar = _SCALAR_TEXT.get(type(item))
-        if scalar is not None:
-            out.append(separator + scalar(item))
-        else:
-            out.append(separator)
-            _write_json(item, out, inner)
-        separator = "," + inner
-    out.append(newline + "]")
-
-
-def _write_json_dict(value: dict, out: list[str], newline: str) -> None:
-    if not value:
-        out.append("{}")
-        return
-    inner = newline + "  "
-    separator = "{" + inner
-    for key, item in sorted(value.items()):
-        if not isinstance(key, str):
-            raise TypeError(f"report keys must be str, not {type(key).__name__}")
-        scalar = _SCALAR_TEXT.get(type(item))
-        if scalar is not None:
-            out.append(separator + _quote(key) + ": " + scalar(item))
-        else:
-            out.append(separator + _quote(key) + ": ")
-            _write_json(item, out, inner)
-        separator = "," + inner
-    out.append(newline + "}")
 
 
 def _run_to_dict(scenario: Scenario, run: _RunResult, n_groups: int) -> dict:

@@ -19,9 +19,10 @@ groups per track: the last ``retention`` group ids, each with its bytes and
 the categories approved so far.  Only approvals and role changes release
 groups: an ingested group has no approvals yet.
 
-:class:`RelayServer` runs a core over simulated network sessions, forwards
-frames live, executes gated deliveries, and raises log-only stall alarms
-when gating starves a subscriber.  It tracks every group stream whose
+:class:`RelayServer` runs a core over transport sessions and a
+:class:`~moqgate.transport.Clock`: it forwards frames live, executes gated
+deliveries, and schedules log-only stall alarms on its clock when gating
+starves a subscriber.  It tracks every group stream whose
 header has arrived, by track and group id, and a live receiver joins each
 one the same way: a new stream with the spans forwarded so far, then the
 rest as they arrive.  The server parses every publisher chunk, to validate
@@ -42,7 +43,7 @@ from typing import Union
 
 from .eventlog import EventLog
 from .framing import ControlStreamDecoder, GroupStreamParser
-from .transport import DisconnectedError, RecvStream, Session, SimNetwork
+from .transport import Clock, DisconnectedError, RecvStream, Session
 from .wire import (
     ANALYZE_PARAM,
     FILTER_PARAM,
@@ -402,13 +403,13 @@ class _LiveGroup:
 
 
 class RelayServer:
-    """Runs a :class:`RelayCore` over simulated network sessions."""
+    """Runs a :class:`RelayCore` over transport sessions and a clock."""
 
     def __init__(
-        self, net: SimNetwork, retention: int = 64, log: EventLog | None = None
+        self, clock: Clock, retention: int = 64, log: EventLog | None = None
     ) -> None:
-        self.net = net
-        self.log = log if log is not None else EventLog(lambda: net.now)
+        self.clock = clock
+        self.log = log if log is not None else EventLog(lambda: clock.now)
         self.core = RelayCore(retention, self.log)
         self._sessions: dict[object, Session] = {}
         # (track, group id) -> every group stream whose header has arrived
@@ -577,7 +578,7 @@ class RelayServer:
         for state in self.core.sessions_of(track):
             if state.filter is not None:
                 check = partial(self._check_stall, state.sid, track, group_id)
-                self.net.after(STALL_ALARM_MS, check)
+                self.clock.after(STALL_ALARM_MS, check)
 
     def _check_stall(self, sid: object, track: str, group_id: int) -> None:
         state = self.core.session(sid)

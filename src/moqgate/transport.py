@@ -1,7 +1,9 @@
 """Deterministic single-threaded network simulation.
 
-This is the only transport: the relay and every client run over the
-:class:`Session` endpoints below, and this module is their contract.
+This is the only transport.  The relay and every client run over the
+:class:`Session` endpoints below and keep time through a :class:`Clock`;
+those two are their contract, and :class:`SimNetwork` is the clock they
+are given.
 
 A :class:`SimNetwork` owns a virtual clock and an event heap.  Connecting a
 :class:`Link` yields two :class:`Session` endpoints; each session can send
@@ -35,9 +37,10 @@ import heapq
 import random
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Callable, Protocol
 
 __all__ = [
+    "Clock",
     "SimTimeoutError",
     "DisconnectedError",
     "Link",
@@ -85,8 +88,18 @@ class Link:
             raise ValueError("jitter must be non-negative")
 
 
+class Clock(Protocol):
+    """Virtual time and scheduling: what the relay and the clients use of
+    the network that runs them."""
+
+    @property
+    def now(self) -> float: ...
+    def at(self, time_ms: float, fn: Callable[[], None]) -> None: ...
+    def after(self, delay_ms: float, fn: Callable[[], None]) -> None: ...
+
+
 class SimNetwork:
-    """Event loop over virtual time."""
+    """Event loop over virtual time; a :class:`Clock`."""
 
     def __init__(self) -> None:
         self._heap: list[tuple[float, int, Callable[[], None]]] = []
@@ -116,8 +129,8 @@ class SimNetwork:
         self, link: Link, name_a: str = "a", name_b: str = "b"
     ) -> tuple["Session", "Session"]:
         """Create two connected session endpoints over ``link``."""
-        session_a = Session(self, name_a, name_b)
-        session_b = Session(self, name_b, name_a)
+        session_a = Session(name_a, name_b)
+        session_b = Session(name_b, name_a)
         reverse = link.reverse_delay_ms if link.reverse_delay_ms is not None else link.delay_ms
         session_a._attach(
             session_b,
@@ -245,8 +258,7 @@ class SendStream:
 class Session:
     """One endpoint of a connected link."""
 
-    def __init__(self, net: SimNetwork, name: str, peer_name: str) -> None:
-        self._net = net
+    def __init__(self, name: str, peer_name: str) -> None:
         self.name = name
         self.peer_name = peer_name
         self.closed = False

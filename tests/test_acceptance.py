@@ -14,14 +14,10 @@ import time
 from collections import defaultdict
 
 from moqgate.analysis import DetectorState, StrobeConfig, StrobeDetector
-from moqgate.harness import (
-    Checks,
-    bundled_scenario_path,
-    load_scenario,
-    run_scenario,
-)
+from moqgate.harness import run_scenario
 from moqgate.media import Constant, Group, Ramp, SourceConfig, Strobe, generate_groups
 from moqgate.relay import DeliverGroup, ProtocolError, RelayCore, SkipGroups
+from moqgate.scenario import Checks, bundled_scenario_path, load_scenario
 from moqgate.wire import (
     Approve,
     Parameter,

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
 from moqgate.cli import main
-from moqgate.harness import Report
+from moqgate.report import Report
 
 ZERO_LINK = {"to_relay_ms": 0.0, "from_relay_ms": 0.0, "jitter_ms": 0.0}
 
@@ -66,6 +67,12 @@ class TestValidate:
         rc = main(["validate", "nope"])
         assert rc == 2
         assert "paper_replication" in capsys.readouterr().err
+
+    def test_invalid_utf8_is_invalid(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(b'{"name": "\xff"}')
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: scenario is not valid JSON: ")
 
 
 class TestRun:
@@ -178,6 +185,28 @@ def test_source_out_of_range_is_usage_error(tmp_path, command):
     assert proc.stderr.startswith("error: scenario.source: ")
     assert "level out of range: 300" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_non_ascii_scenario_under_an_ascii_locale(tmp_path):
+    """Scenario and report files are UTF-8 whatever the locale."""
+    data = mini_scenario()
+    data["track"] = "café"
+    data["clients"][2]["name"] = "plainé"
+    data["links"]["clients"]["plainé"] = data["links"]["clients"].pop("plain")
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data, ensure_ascii=False), encoding="utf-8")
+    out_dir = tmp_path / "reports"
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    proc = subprocess.run(
+        [sys.executable, "-m", "moqgate", "run", str(path), "--format", "json", "--out", str(out_dir)],
+        capture_output=True,
+        env=env,
+    )
+    stderr = proc.stderr.decode("utf-8", "replace")
+    assert proc.returncode in (0, 1), stderr
+    assert "Traceback" not in stderr
+    assert "client plainé: plain" in (out_dir / "report.txt").read_bytes().decode("utf-8")
+    assert "plainé" in (out_dir / "report.csv").read_bytes().decode("utf-8")
 
 
 def test_module_entry_point():

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 from recording import Recorder, ended, joined, times
+from streams import encode_group_stream
 
 from moqgate.analysis import StrobeConfig
 from moqgate.client import (
@@ -18,7 +19,7 @@ from moqgate.client import (
     predict_latency_bound,
 )
 from moqgate.eventlog import EventLog
-from moqgate.framing import encode_frame_chunk, encode_group_header, encode_group_stream
+from moqgate.framing import encode_frame_chunk, encode_group_header
 from moqgate.media import (
     Constant,
     LuminanceFrame,

@@ -8,6 +8,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from streams import encode_group_stream
 
 from moqgate.framing import (
     ControlStreamDecoder,
@@ -15,7 +16,6 @@ from moqgate.framing import (
     encode_frame_chunk,
     encode_group_chunks,
     encode_group_header,
-    encode_group_stream,
 )
 from moqgate.media import LuminanceFrame, encode_frame_payload, Group
 from moqgate.wire import (

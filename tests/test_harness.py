@@ -29,20 +29,18 @@ import moqgate.framing
 import moqgate.harness
 from moqgate.analysis import DetectorState, analyze_group_strobe
 from moqgate.eventlog import EventLog
-from moqgate.harness import (
-    Report,
+from moqgate.harness import ScenarioTimeoutError, predict_bounds, run_scenario
+from moqgate.media import encode_frame_payload, generate_groups
+from moqgate.relay import RelayServer
+from moqgate.report import Report
+from moqgate.scenario import (
     Scenario,
     ScenarioError,
-    ScenarioTimeoutError,
     bundled_scenario_names,
     bundled_scenario_path,
     load_scenario,
-    predict_bounds,
-    run_scenario,
     scenario_from_dict,
 )
-from moqgate.media import encode_frame_payload, generate_groups
-from moqgate.relay import RelayServer
 from moqgate.wire import Category
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from recording import Recorder, ended, joined
+from streams import encode_group_stream
 
 from moqgate.client import AnalyzerClient, PublisherClient, SubscriberClient, encode_publication
 from moqgate.eventlog import EventLog
@@ -17,7 +18,6 @@ from moqgate.framing import (
     GroupStreamParser,
     encode_frame_chunk,
     encode_group_header,
-    encode_group_stream,
 )
 from moqgate.media import Constant, Group, LuminanceFrame, SourceConfig, generate_groups
 from moqgate.relay import (
