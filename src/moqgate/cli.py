@@ -45,6 +45,13 @@ def _write_out_dir(report: Report, out_dir: str, rendered: dict[str, str]) -> No
             fh.write(text)
 
 
+def _print(text: str, end: str = "\n") -> None:
+    """Print to stdout; a character its encoding cannot hold is printed as
+    a backslash escape instead of raising, so ASCII text is unchanged."""
+    encoding = sys.stdout.encoding or "utf-8"
+    print(text.encode(encoding, "backslashreplace").decode(encoding), end=end)
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     scenario = _resolve_scenario(args.scenario)
     if args.seed is not None:
@@ -55,16 +62,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(exc, file=sys.stderr)
         report = exc.report
     text = _render(report, args.format)
-    print(text, end="")
-    if args.out:
+    if args.out:  # before stdout, so the files are there whatever stdout does
         _write_out_dir(report, args.out, {args.format: text})
+    _print(text, end="")
     return 0 if report.passed else 1
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     scenario = _resolve_scenario(args.scenario)
     roles = sum(1 for c in scenario.clients if c.analyze or c.filter)
-    print(
+    _print(
         f"ok: {scenario.name} ({len(scenario.clients)} clients, "
         f"{roles} with analyze/filter roles)"
     )
@@ -78,7 +85,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         print("no filtered clients")
         return 0
     for name in sorted(bounds):
-        print(f"{name}: {bounds[name]} ms")
+        _print(f"{name}: {bounds[name]} ms")
     return 0
 
 

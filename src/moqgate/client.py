@@ -3,7 +3,10 @@
 * :func:`encode_publication` encodes a source's groups once;
   :class:`PublisherClient` paces their chunks, one per frame, onto
   per-group streams at their capture instants (epoch + capture timestamp)
-  on its clock.
+  on its clock.  It takes ownership of the publication list, keeps one
+  pending event on the clock (its next chunk) and removes each group from
+  the list once the group's last chunk has been sent, so a run holds only
+  the groups still to be sent.
 * :class:`AnalyzerClient` subscribes with the analyze role, receives frames
   live and, when a group completes, works out one verdict per category:
   strobe from :class:`~moqgate.analysis.StrobeDetector`, the stub categories
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .analysis import DetectorState, StrobeConfig, StrobeDetector
 from .eventlog import EventLog
@@ -100,7 +103,14 @@ def encode_publication(track: str, groups: Iterable[Group]) -> list[EncodedGroup
 
 
 class PublisherClient:
-    """Sends an encoded publication, one stream per group, chunk by chunk."""
+    """Sends an encoded publication, one stream per group, chunk by chunk.
+
+    The publisher owns ``publication``: it sends the chunks in list order,
+    keeps one pending event on its clock (the next chunk) and deletes each
+    group from the list once the group's last chunk has been sent.  A
+    caller that runs one publication more than once hands each publisher
+    its own shallow copy of the list; the bytes are shared.
+    """
 
     def __init__(
         self,
@@ -120,10 +130,18 @@ class PublisherClient:
         self._streams: dict[int, SendStream] = {}  # open group streams by group id
 
     def start(self) -> None:
-        """Schedule every chunk send at epoch + its frame's capture timestamp."""
-        for group in self.publication:
+        """Send every chunk at epoch + its frame's capture timestamp, which
+        must not decrease along the publication (the clock refuses a step
+        earlier than the one before it)."""
+        self.clock.at_each(self._steps())
+
+    def _steps(self) -> Iterator[tuple[float, Callable[[], None]]]:
+        publication = self.publication
+        while publication:
+            group = publication[0]
             for index, ts in enumerate(group.capture_ts):
-                self.clock.at(self.epoch_ms + ts, functools.partial(self._send_chunk, group, index))
+                yield self.epoch_ms + ts, functools.partial(self._send_chunk, group, index)
+            del publication[0]  # sent: the clock pulls a step after the one before has run
 
     def _send_chunk(self, group: EncodedGroup, index: int) -> None:
         chunk = group.chunks[index]

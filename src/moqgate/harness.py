@@ -495,7 +495,9 @@ def run_scenario(scenario: Scenario) -> Report:
     Raises :class:`ScenarioTimeoutError` carrying the partial report if the
     virtual-time budget is exhausted.
     """
-    # Encoded once and shared by every run; the frames are not kept.
+    # Encoded once and shared by every run; the frames are not kept.  Each
+    # run's publisher empties the list it is given as it sends, so a single
+    # run hands over this one and each delay draw gets a shallow copy.
     publication = encode_publication(scenario.track, generate_groups(scenario.source))
     n_groups = len(publication)
     runs: list[_RunResult] = []
@@ -505,7 +507,7 @@ def run_scenario(scenario: Scenario) -> Report:
         rng = random.Random(derive_seed("delay_draws", str(scenario.delay_draws.seed)))
         for index in range(scenario.delay_draws.count):
             links = _drawn_links(scenario, rng)
-            runs.append(_run_once(scenario, publication, links, index))
+            runs.append(_run_once(scenario, publication.copy(), links, index))
             if runs[-1].timed_out:
                 break
     timed_out = any(run.timed_out for run in runs)

@@ -238,20 +238,26 @@ def generate_groups(config: SourceConfig) -> list[Group]:
 
     Group ids start at 0 and increase by one; the last group may hold fewer
     frames when the timeline is not a whole number of group durations.
+    Frames are uniform, so the call renders one pixel block per distinct
+    level and every frame at that level shares the same ``bytes`` object.
     """
     config.validate()
     fpg = config.frames_per_group
     area = config.width * config.height
+    blocks: dict[int, bytes] = {}  # level -> its pixel block
     groups: list[Group] = []
     frames: list[LuminanceFrame] = []
     for k, ts, level in iter_frame_levels(config):
+        pixels = blocks.get(level)
+        if pixels is None:
+            pixels = blocks[level] = bytes((level,)) * area
         frames.append(
             LuminanceFrame(
                 width=config.width,
                 height=config.height,
                 frame_index=k % fpg,
                 capture_ts=ts,
-                pixels=bytes((level,)) * area,
+                pixels=pixels,
             )
         )
         if len(frames) == fpg:

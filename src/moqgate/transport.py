@@ -3,7 +3,10 @@
 This is the only transport.  The relay and every client run over the
 :class:`Session` endpoints below and keep time through a :class:`Clock`;
 those two are their contract, and :class:`SimNetwork` is the clock they
-are given.
+are given.  A clock runs a callback at an instant (``at``), after a delay
+(``after``), or runs a time-ordered sequence of steps (``at_each``), pulling
+each step only once the one before it has run, so that a long schedule
+costs one pending event instead of one per step.
 
 A :class:`SimNetwork` owns a virtual clock and an event heap.  Connecting a
 :class:`Link` yields two :class:`Session` endpoints; each session can send
@@ -37,7 +40,7 @@ import heapq
 import random
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Protocol
+from typing import Callable, Iterable, Iterator, Protocol
 
 __all__ = [
     "Clock",
@@ -96,6 +99,7 @@ class Clock(Protocol):
     def now(self) -> float: ...
     def at(self, time_ms: float, fn: Callable[[], None]) -> None: ...
     def after(self, delay_ms: float, fn: Callable[[], None]) -> None: ...
+    def at_each(self, steps: Iterable[tuple[float, Callable[[], None]]]) -> None: ...
 
 
 class SimNetwork:
@@ -124,6 +128,19 @@ class SimNetwork:
         if delay_ms < 0:
             raise ValueError("delay must be non-negative")
         self.at(self._now + delay_ms, fn)
+
+    def at_each(self, steps: Iterable[tuple[float, Callable[[], None]]]) -> None:
+        """Run each ``(time_ms, fn)`` of ``steps`` at its time, in order.
+
+        The next step is pulled only after the previous one has run, so the
+        steps hold one pending event between them.  Times must not
+        decrease.  Every step breaks ties as if ``at`` had scheduled it at
+        this call: it runs after the events scheduled before the call and
+        before those scheduled after it, at the same instant.
+        """
+        tie = self._seq
+        self._seq += 1
+        _Steps(self, iter(steps), tie).push_next()
 
     def connect(
         self, link: Link, name_a: str = "a", name_b: str = "b"
@@ -178,6 +195,31 @@ class SimNetwork:
         finally:
             self.events_processed = events
         return self._now
+
+
+class _Steps:
+    """An :meth:`SimNetwork.at_each` schedule: pushes its next step onto the
+    heap once the step before it has run.  It references nothing that
+    references it except through the heap, which ``shutdown`` clears."""
+
+    def __init__(
+        self, net: SimNetwork, steps: Iterator[tuple[float, Callable[[], None]]], tie: int
+    ) -> None:
+        self._net = net
+        self._steps = steps
+        self._tie = tie
+
+    def push_next(self) -> None:
+        net = self._net
+        for time_ms, fn in self._steps:
+            if time_ms < net._now:
+                raise ValueError(f"cannot schedule at {time_ms} ms; now is {net._now} ms")
+            heapq.heappush(net._heap, (float(time_ms), self._tie, partial(self._run, fn)))
+            return
+
+    def _run(self, fn: Callable[[], None]) -> None:
+        fn()
+        self.push_next()
 
 
 class _Direction:

@@ -187,8 +187,10 @@ def test_source_out_of_range_is_usage_error(tmp_path, command):
     assert "Traceback" not in proc.stderr
 
 
-def test_non_ascii_scenario_under_an_ascii_locale(tmp_path):
-    """Scenario and report files are UTF-8 whatever the locale."""
+def run_non_ascii_under_an_ascii_locale(tmp_path, *options):
+    """``moqgate run`` on a scenario with a non-ASCII track and client name,
+    under the C locale with UTF-8 mode and locale coercion off; returns the
+    process and the ``--out`` directory."""
     data = mini_scenario()
     data["track"] = "café"
     data["clients"][2]["name"] = "plainé"
@@ -198,15 +200,29 @@ def test_non_ascii_scenario_under_an_ascii_locale(tmp_path):
     out_dir = tmp_path / "reports"
     env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
     proc = subprocess.run(
-        [sys.executable, "-m", "moqgate", "run", str(path), "--format", "json", "--out", str(out_dir)],
+        [sys.executable, "-m", "moqgate", "run", str(path), *options, "--out", str(out_dir)],
         capture_output=True,
         env=env,
     )
     stderr = proc.stderr.decode("utf-8", "replace")
     assert proc.returncode in (0, 1), stderr
     assert "Traceback" not in stderr
+    return proc, out_dir
+
+
+def test_non_ascii_scenario_under_an_ascii_locale(tmp_path):
+    """Scenario and report files are UTF-8 whatever the locale."""
+    _, out_dir = run_non_ascii_under_an_ascii_locale(tmp_path, "--format", "json")
     assert "client plainé: plain" in (out_dir / "report.txt").read_bytes().decode("utf-8")
     assert "plainé" in (out_dir / "report.csv").read_bytes().decode("utf-8")
+
+
+def test_default_text_format_under_an_ascii_locale(tmp_path):
+    """Stdout escapes what the locale cannot encode; the files stay UTF-8."""
+    proc, out_dir = run_non_ascii_under_an_ascii_locale(tmp_path)
+    assert b"client plain\\xe9: plain" in proc.stdout
+    assert sorted(p.name for p in out_dir.iterdir()) == ["report.csv", "report.json", "report.txt"]
+    assert "client plainé: plain" in (out_dir / "report.txt").read_bytes().decode("utf-8")
 
 
 def test_module_entry_point():

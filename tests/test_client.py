@@ -113,6 +113,36 @@ class TestPublisherPacing:
         assert times(streams[1]) == [1000.0 + 100.0 * k for k in range(10)]
         assert joined(streams[1]) == encode_group_stream("cam", groups[1])
 
+    def test_chunk_runs_before_a_tied_event_scheduled_after_start(self):
+        # Zero-delay link: the marker at 100 ms is scheduled after start(),
+        # before chunk 0 has run, so chunk 1 (also at 100 ms) is sent first
+        # and its arrival is ahead of the marker's control message.
+        net = SimNetwork()
+        a, b = net.connect(Link(delay_ms=0.0), "pub", "peer")
+        arrivals = []
+        b.set_on_control(lambda data: arrivals.append((data, net.now)))
+        b.set_on_stream(
+            lambda rs: rs.set_on_data(lambda data, fin: arrivals.append(("chunk", net.now)))
+        )
+        groups = generate_groups(const_source(fps=10, seconds=1))
+        PublisherClient(net, a, encode_publication("cam", groups)).start()
+        net.at(100, lambda: a.send_control(b"marker"))
+        net.run_until_idle()
+        assert arrivals[:3] == [("chunk", 0.0), ("chunk", 100.0), (b"marker", 100.0)]
+
+    def test_each_group_is_dropped_once_its_last_chunk_is_sent(self):
+        net = SimNetwork()
+        a, _ = net.connect(Link(delay_ms=0.0), "pub", "peer")
+        publication = encode_publication("cam", generate_groups(const_source(fps=10, seconds=3)))
+        publisher = PublisherClient(net, a, publication)
+        publisher.start()
+        held = []
+        for t in (850, 950, 1950, 2950):  # around each group's last chunk (900 ms)
+            net.at(t, lambda: held.append([g.group_id for g in publication]))
+        net.run_until_idle()
+        assert held == [[0, 1, 2], [1, 2], [2], []]
+        assert publisher.publication is publication == []
+
     def test_single_frame_group_is_one_burst(self):
         net = SimNetwork()
         a, b = net.connect(Link(delay_ms=0.0), "pub", "peer")

@@ -14,6 +14,7 @@ from __future__ import annotations
 import copy
 import gc
 import hashlib
+import heapq
 import json
 import random
 import weakref
@@ -699,6 +700,38 @@ class TestRunScenario:
             logged.append(Counter(kinds))
         assert logged[0]["group_received"] == 20  # 10 groups, two subscribers
         assert logged[0] == logged[1]
+
+    def test_event_heap_does_not_grow_with_run_length(self, monkeypatch):
+        # The publisher keeps one pending event, so the most events ever
+        # waiting at once is the same at 50 and at 400 groups.
+        high = 0
+        heappop = heapq.heappop
+
+        def recording_pop(heap):
+            nonlocal high
+            high = max(high, len(heap))
+            return heappop(heap)
+
+        monkeypatch.setattr(heapq, "heappop", recording_pop)
+        link = {"to_relay_ms": 5.0, "from_relay_ms": 7.0, "jitter_ms": 0.0}
+        marks = []
+        for n_groups in (50, 400):
+            data = mini_scenario()
+            data["checks"] = {}
+            data["source"].update(width=4, height=4)
+            data["clients"][0]["detector"] = {"grid_dim": 4}
+            data["source"]["segments"] = [
+                {"kind": "constant", "level": 128, "duration_ms": 1000 * n_groups}
+            ]
+            data["links"] = {
+                "publisher": link,
+                "clients": {"analyzer0": link, "gated": link, "plain": link},
+            }
+            high = 0
+            report = run_report(data)
+            assert report.passed is True and report.data["n_groups"] == n_groups
+            marks.append(high)
+        assert marks[0] == marks[1] < 50  # fewer events than the short run has groups
 
     @pytest.mark.parametrize("seed", [0, 2])
     def test_publisher_jitter_fails_a_check_not_the_run(self, seed, monkeypatch):

@@ -179,6 +179,18 @@ class TestGenerate:
         assert groups[1].frames[0].capture_ts == 1000
         assert groups[1].frames[0].frame_index == 0
 
+    def test_frames_at_one_level_share_one_pixel_block(self):
+        cfg = SourceConfig(
+            4, 3, 30, 1000,
+            (Constant(128, 1000), Strobe(16, 240, 5.0, 1000), Constant(128, 1000)),
+        )
+        frames = [f for g in generate_groups(cfg) for f in g.frames]
+        blocks = {}
+        for frame in frames:
+            assert blocks.setdefault(frame.pixels[0], frame.pixels) is frame.pixels
+        assert sorted(blocks) == [16, 128, 240]
+        assert all(block == bytes((level,)) * 12 for level, block in blocks.items())
+
 
 class TestFramePayloadCodec:
     def test_golden_vector(self):
