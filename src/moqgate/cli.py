@@ -15,7 +15,7 @@ from .scenario import (
 
 
 def _resolve_scenario(arg: str) -> Scenario:
-    if os.path.exists(arg):
+    if os.path.isfile(arg):
         return load_scenario(arg)
     if "/" not in arg and not arg.endswith(".json"):
         try:

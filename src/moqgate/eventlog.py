@@ -30,7 +30,7 @@ class EventLog:
     events: list[Event] = field(default_factory=list)
 
     def emit(self, source: str, kind: str, **detail: object) -> Event:
-        event = Event(self.clock(), source, kind, dict(detail))
+        event = Event(self.clock(), source, kind, detail)
         self.events.append(event)
         return event
 

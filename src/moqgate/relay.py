@@ -13,6 +13,13 @@ Gating is head-of-line free: when a later group becomes fully approved while
 earlier ones are still unapproved, the earlier groups are skipped permanently
 for that subscriber (live playback favors fresh content over stale).
 
+SUBSCRIBE and SUBSCRIBE_UPDATE assign roles the same way.  A role change
+takes effect at the first group the relay has not started forwarding to the
+session, and no group ever reaches a session twice: a session that turns
+filtered keeps the live groups it is already in and is gated from the next
+one; a session that leaves the filtered role first gets every held group it
+has not had, oldest first, even unapproved ones, then joins the live groups.
+
 :class:`RelayCore` holds all of that state with no knowledge of transport —
 its handlers return :data:`Action` lists.  The core holds one table of
 groups per track: the last ``retention`` group ids, each with its bytes and
@@ -201,58 +208,50 @@ class RelayCore:
     def handle_subscribe(self, sid: object, msg: Subscribe) -> list[Action]:
         if sid in self._sessions:
             raise ProtocolError(f"session {sid!r} is already subscribed")
-        analyze, filter_ = self._parse_roles(msg.parameters)
-        track = self._track(msg.track_name)
-        state = SessionState(
-            sid=sid,
-            subscribe_id=msg.subscribe_id,
-            track=msg.track_name,
-            analyze=analyze,
-            filter=filter_,
-            next_deliver=track.next_expected if track.next_expected is not None else 0,
-        )
-        self._sessions[sid] = state
-        self.log.emit(
-            "relay",
-            "subscribed",
-            sid=str(sid),
-            track=msg.track_name,
-            analyze=list(analyze or ()),
-            filter=list(filter_ or ()),
-        )
-        return [SendControl(sid, SubscribeOk(msg.subscribe_id))]
+        state = SessionState(sid, msg.subscribe_id, msg.track_name)
+        return self._assign_roles(state, msg.parameters, "subscribed")
 
     def handle_subscribe_update(self, sid: object, msg: SubscribeUpdate) -> list[Action]:
+        state = self._subscription(sid, msg.subscribe_id, "update")
+        return self._assign_roles(state, msg.parameters, "subscription_updated")
+
+    def _subscription(self, sid: object, subscribe_id: int, what: str) -> SessionState:
         state = self._sessions.get(sid)
         if state is None:
-            raise ProtocolError(f"update from unknown session {sid!r}")
-        if msg.subscribe_id != state.subscribe_id:
+            raise ProtocolError(f"{what} from unknown session {sid!r}")
+        if subscribe_id != state.subscribe_id:
             raise ProtocolError(
-                f"update names subscription {msg.subscribe_id}, "
+                f"{what} names subscription {subscribe_id}, "
                 f"session holds {state.subscribe_id}"
             )
-        analyze, filter_ = self._parse_roles(msg.parameters)
+        return state
+
+    def _assign_roles(
+        self, state: SessionState, parameters: tuple[Parameter, ...], event: str
+    ) -> list[Action]:
+        """Give a new or subscribed session the roles ``parameters`` name.
+
+        A session that turns filtered is gated from the first group not yet
+        ingested; one that leaves the filtered role gets every held group it
+        has not had, oldest first, approved or not.
+        """
+        analyze, filter_ = self._parse_roles(parameters)
         was_filter = state.filter is not None
-        state.analyze = analyze
-        state.filter = filter_
+        state.analyze, state.filter = analyze, filter_
+        self._sessions[state.sid] = state
         track = self._track(state.track)
-        actions: list[Action] = [SendControl(sid, SubscribeOk(msg.subscribe_id))]
-        if was_filter and filter_ is None:
-            # Leaving the filtered role releases everything still held back,
-            # oldest first, approved or not.
-            for gid in _undelivered(track, state):
-                actions.append(DeliverGroup(sid, track.name, gid, track.held[gid].payload))
-                state.next_deliver = gid + 1
-        elif filter_ is not None:
-            if not was_filter:
-                state.next_deliver = (
-                    track.next_expected if track.next_expected is not None else 0
-                )
+        if not was_filter:
+            state.next_deliver = track.next_expected or 0
+        actions: list[Action] = [SendControl(state.sid, SubscribeOk(state.subscribe_id))]
+        if filter_ is not None:
             actions.extend(self._gate_one(track, state))
+        elif was_filter:
+            actions.extend(self._release(track, state, gid) for gid in _undelivered(track, state))
         self.log.emit(
             "relay",
-            "subscription_updated",
-            sid=str(sid),
+            event,
+            sid=str(state.sid),
+            track=state.track,
             analyze=list(analyze or ()),
             filter=list(filter_ or ()),
         )
@@ -294,14 +293,7 @@ class RelayCore:
     # -- approval -------------------------------------------------------------
 
     def handle_approve(self, sid: object, msg: Approve) -> list[Action]:
-        state = self._sessions.get(sid)
-        if state is None:
-            raise ProtocolError(f"approval from unknown session {sid!r}")
-        if msg.subscribe_id != state.subscribe_id:
-            raise ProtocolError(
-                f"approval names subscription {msg.subscribe_id}, "
-                f"session holds {state.subscribe_id}"
-            )
+        state = self._subscription(sid, msg.subscribe_id, "approval")
         if state.analyze is None:
             raise ProtocolError("approval from a session without the analyzer role")
         extra = [cat for cat in msg.categories if cat not in state.analyze]
@@ -372,16 +364,16 @@ class RelayCore:
                     track=track.name,
                     group_ids=list(skipped),
                 )
-            actions.append(DeliverGroup(state.sid, track.name, gid, held[gid].payload))
-            state.next_deliver = gid + 1
-            self.log.emit(
-                "relay",
-                "group_released",
-                sid=str(state.sid),
-                track=track.name,
-                group_id=gid,
-            )
+            actions.append(self._release(track, state, gid))
         return actions
+
+    def _release(self, track: _TrackState, state: SessionState, gid: int) -> DeliverGroup:
+        """Give the session held group ``gid``, its next group from now on."""
+        state.next_deliver = gid + 1
+        self.log.emit(
+            "relay", "group_released", sid=str(state.sid), track=track.name, group_id=gid
+        )
+        return DeliverGroup(state.sid, track.name, gid, track.held[gid].payload)
 
 
 def _undelivered(track: _TrackState, state: SessionState) -> range:
@@ -439,7 +431,7 @@ class RelayServer:
                 return
             self._execute(actions)
             if isinstance(msg, (Subscribe, SubscribeUpdate)):
-                self._catch_up_live(sid)
+                self._meet_live(sid)
 
     def _dispatch(self, sid: object, msg: ControlMessage) -> list[Action]:
         if isinstance(msg, Subscribe):
@@ -512,11 +504,10 @@ class RelayServer:
                 del self._live[key]
             group_id = parser.group_id
             try:
-                actions = self.core.ingest_group(track, group_id, b"".join(live.spans))
+                self.core.ingest_group(track, group_id, b"".join(live.spans))
             except ProtocolError as exc:
                 self._fail_session(sid, str(exc))
                 return
-            self._execute(actions)
             self._schedule_stall_checks(track, group_id)
 
     def _join(self, live: _LiveGroup, sid: object) -> None:
@@ -529,13 +520,20 @@ class RelayServer:
             return
         live.fanout[sid] = stream
 
-    def _catch_up_live(self, sid: object) -> None:
-        """Join a (now) unfiltered session to every live group of its track."""
+    def _meet_live(self, sid: object) -> None:
+        """Fit a session's new roles to its track's live groups: one that
+        receives live joins each live group it is not yet in, and a
+        filtered one is gated from after the last live group it is in."""
         state = self.core.session(sid)
-        if state is None or state.filter is not None:
+        if state is None:
             return
-        for (track, _), live in self._live.items():
-            if track == state.track and sid not in live.fanout:
+        for (track, group_id), live in self._live.items():
+            if track != state.track:
+                continue
+            if sid in live.fanout:
+                if state.filter is not None:
+                    state.next_deliver = max(state.next_deliver, group_id + 1)
+            elif state.filter is None:
                 self._join(live, sid)
 
     # -- action execution ----------------------------------------------------------

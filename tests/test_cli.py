@@ -63,6 +63,13 @@ class TestValidate:
         assert rc == 2
         assert "alcohol" in capsys.readouterr().err
 
+    def test_directory_does_not_shadow_bundled_name(self, tmp_path, monkeypatch, capsys):
+        # A run's --out directory is often named after its scenario.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "paper_replication").mkdir()
+        assert main(["validate", "paper_replication"]) == 0
+        assert "paper_replication" in capsys.readouterr().out
+
     def test_unknown_name_lists_bundled(self, capsys):
         rc = main(["validate", "nope"])
         assert rc == 2

@@ -437,7 +437,18 @@ class ReferenceGate:
             slots.setdefault(cat, set()).add(sid)
         return self.gate_all() if new_coverage else []
 
+    def subscribe(self, sid, sub_id, cats):
+        """A new filtered session, or ProtocolError for a known one."""
+        if sid in self.filters:
+            return ProtocolError
+        self.filters[sid] = cats
+        self.next_deliver[sid] = self.next_expected or 0
+        return [SendControl(sid, SubscribeOk(sub_id))] + self.gate(sid)
+
     def update(self, sid, sub_id, cats):
+        """The actions, or ProtocolError from a session not subscribed."""
+        if sid not in self.filters:
+            return ProtocolError
         was_filter = self.filters[sid] is not None
         self.filters[sid] = cats
         actions = [SendControl(sid, SubscribeOk(sub_id))]
@@ -476,6 +487,7 @@ class ReferenceGate:
 FILTER_SETS = [(STROBE,), (SMOKING,), (STROBE, SMOKING), (SMOKING, ALCOHOL), (STROBE, SMOKING, ALCOHOL)]
 ANALYZERS = {"a1": (1, (STROBE, SMOKING, ALCOHOL)), "a2": (2, (SMOKING,))}
 FILTERED = {"f0": 10, "f1": 11, "f2": 12}
+LATE = {"g0": 20, "g1": 21}  # filtered sessions that subscribe mid-run
 
 gate_ops = st.one_of(
     st.just(("ingest",)),
@@ -485,7 +497,10 @@ gate_ops = st.one_of(
         st.integers(-5, 1),  # group id relative to the next one to ingest
         st.lists(st.sampled_from([STROBE, SMOKING, ALCOHOL]), max_size=3, unique=True),
     ),
-    st.tuples(st.just("update"), st.sampled_from(sorted(FILTERED)), st.sampled_from(FILTER_SETS + [None])),
+    st.tuples(
+        st.just("update"), st.sampled_from(sorted(FILTERED | LATE)), st.sampled_from(FILTER_SETS + [None])
+    ),
+    st.tuples(st.just("subscribe"), st.sampled_from(sorted(LATE)), st.sampled_from(FILTER_SETS)),
 )
 
 
@@ -525,10 +540,20 @@ class TestGateMatchesReference:
                     continue
                 got = core.handle_approve(sid, Approve(sub_id, gid, cats))
             else:
-                _, sid, cats = op
-                params = () if cats is None else (filter_parameter(cats),)
-                got = core.handle_subscribe_update(sid, SubscribeUpdate(FILTERED[sid], params))
-                want = model.update(sid, FILTERED[sid], cats)
+                kind, sid, cats = op
+                sub_id = (FILTERED | LATE)[sid]
+                if kind == "subscribe":
+                    msg = filterer(cats, sub_id=sub_id)
+                    handle, want = core.handle_subscribe, model.subscribe(sid, sub_id, cats)
+                else:
+                    params = () if cats is None else (filter_parameter(cats),)
+                    msg = SubscribeUpdate(sub_id, params)
+                    handle, want = core.handle_subscribe_update, model.update(sid, sub_id, cats)
+                if want is ProtocolError:
+                    with pytest.raises(ProtocolError):
+                        handle(sid, msg)
+                    continue
+                got = handle(sid, msg)
             assert got == want, op
             # Held ids are the last <= retention ingested, consecutive and ascending.
             held = list(core._tracks["cam"].held)
@@ -819,6 +844,93 @@ class TestRelayServer:
         finally:
             tracemalloc.stop()
         assert group_bytes <= held < 2 * group_bytes
+
+
+class TestRoleChange:
+    """SUBSCRIBE_UPDATE through the server: a role change takes effect at the
+    first group not yet forwarded to the session, and no group arrives twice."""
+
+    @staticmethod
+    def _publish(rig, gid, start):
+        """Group ``gid`` as four one-byte frames, one every 10 ms from
+        ``start``; returns the chunks as sent."""
+        chunks = [encode_frame_chunk(bytes([k])) for k in range(4)]
+        chunks[0] = encode_group_header("cam", gid, 4) + chunks[0]
+        stream = rig.publisher.open_stream()
+        for k, chunk in enumerate(chunks):
+            send = stream.end if k == 3 else stream.send
+            rig.net.at(start + 10 * k, lambda send=send, chunk=chunk: send(chunk))
+        return chunks
+
+    @staticmethod
+    def _update(rig, name, sub_id, at, cats):
+        params = () if cats is None else (filter_parameter(cats),)
+        msg = encode_message(SubscribeUpdate(sub_id, params))
+        rig.net.at(at, lambda: rig.clients[name].send_control(msg))
+
+    @staticmethod
+    def _approve_all(rig, n_groups, at):
+        an = rig.clients["an"]
+        for gid in range(n_groups):
+            msg = encode_message(Approve(2, gid, (STROBE,)))
+            rig.net.at(at + gid, lambda msg=msg: an.send_control(msg))
+
+    @staticmethod
+    def _group_ids(streams):
+        ids = []
+        for stream in streams:
+            parser = GroupStreamParser()
+            parser.feed(joined(stream), ended(stream))
+            ids.append(parser.group_id)
+        return ids
+
+    def test_turning_filtered_mid_group_keeps_that_group_live_only(self):
+        # Links of 1 ms; groups start at 10, 50 and 90 ms.  The update
+        # reaches the relay at 56 ms, while group 1 is being forwarded.
+        rig = ServerRig({"p": plain(sub_id=1), "an": analyzer([STROBE], sub_id=2)}, 1.0, 1.0)
+        sent = [self._publish(rig, gid, 10 + 40 * gid) for gid in range(3)]
+        self._update(rig, "p", 1, 55, [STROBE])
+        self._approve_all(rig, 3, 200)
+        rig.net.run_until_idle()
+        streams = rig.received["p"].by_stream()
+        assert self._group_ids(streams) == [0, 1, 2]
+        # Group 1 ends live, as it started; group 2 waits for its approval,
+        # which reaches the relay at 203 ms.
+        assert streams[1] == [(c, k == 3, 52.0 + 10 * k) for k, c in enumerate(sent[1])]
+        assert streams[2] == [(b"".join(sent[2]), True, 204.0)]
+        assert rig.server.core.session("p").next_deliver == 3
+
+    def test_turning_filtered_in_overlapping_groups_gates_after_both(self):
+        rig = ServerRig({"p": plain(sub_id=1), "an": analyzer([STROBE], sub_id=2)}, 1.0, 1.0)
+        # Groups 0 and 1 overlap at the relay from 21 to 41 ms; the update
+        # lands at 26 ms.
+        sent = [self._publish(rig, gid, start) for gid, start in ((0, 10), (1, 20), (2, 60))]
+        self._update(rig, "p", 1, 25, [STROBE])
+        self._approve_all(rig, 3, 200)
+        rig.net.run_until_idle()
+        streams = rig.received["p"].by_stream()
+        assert self._group_ids(streams) == [0, 1, 2]
+        assert [joined(s) for s in streams[:2]] == [b"".join(c) for c in sent[:2]]
+        assert [len(s) for s in streams[:2]] == [4, 4]  # both forwarded live
+        assert streams[2] == [(b"".join(sent[2]), True, 204.0)]
+        assert rig.server.log.filter(kind="groups_skipped") == []
+
+    def test_leaving_filtered_mid_group_releases_held_then_joins_live(self):
+        rig = ServerRig({"f": filterer([STROBE], sub_id=3)}, 1.0, 1.0)
+        sent = [self._publish(rig, gid, 10 + 40 * gid) for gid in range(3)]
+        # Groups 0 and 1 are held unapproved; the update lands at 106 ms,
+        # after two of group 2's frames.
+        self._update(rig, "f", 3, 105, None)
+        rig.net.run_until_idle(max_virtual_ms=60_000)
+        streams = rig.received["f"].by_stream()
+        c = sent[2]
+        assert streams == [
+            [(b"".join(sent[0]), True, 107.0)],
+            [(b"".join(sent[1]), True, 107.0)],
+            [(c[0] + c[1], False, 107.0), (c[2], False, 112.0), (c[3], True, 122.0)],
+        ]
+        released = rig.server.log.filter(kind="group_released")
+        assert [(e.detail["sid"], e.detail["group_id"]) for e in released] == [("f", 0), ("f", 1)]
 
 
 def reencoded_forwarding(pieces):
