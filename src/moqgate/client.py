@@ -13,7 +13,8 @@
   (:data:`STUB_CATEGORIES`) from their fixed verdicts.  It sends one APPROVE
   naming the approved subset (nothing when the subset is empty).  A detector
   that throws, or a group that does not decode, fails closed: the category
-  is withheld.
+  is withheld, and a detector that throws leaves its memory as it was, so
+  the next group is judged against the last group it analyzed in full.
 * :class:`SubscriberClient` subscribes plain (live frames) or with the
   filter role (gated bursts) and records per-group arrival times without
   decoding any frame payloads.
@@ -32,7 +33,7 @@ import functools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .analysis import DetectorState, StrobeConfig, StrobeDetector
+from .analysis import StrobeConfig, StrobeDetector
 from .eventlog import EventLog
 from .framing import GroupStreamParser, encode_group_chunks
 from .media import Group, decode_frame_payload
@@ -229,7 +230,6 @@ class AnalyzerClient:
         self.name = name
         self.log = log if log is not None else EventLog(lambda: clock.now)
         self.records: list[LatencyRecord] = []
-        self._strobe_state = DetectorState()
         _receive_groups(clock, session, self._on_group, collect=True)
 
     def start(self) -> None:
@@ -254,10 +254,8 @@ class AnalyzerClient:
                 risk, error = True, failure
             elif category == Category.STROBE:
                 try:
-                    risk, self._strobe_state = self.strobe.analyze_group(
-                        group, self._strobe_state
-                    )
-                except Exception as exc:  # fail closed, previous state kept
+                    risk = self.strobe.analyze_group(group)
+                except Exception as exc:  # fail closed, detector memory kept
                     risk, error = True, str(exc)
             else:
                 risk = category in self.rejecting_stubs

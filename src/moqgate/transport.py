@@ -3,10 +3,10 @@
 This is the only transport.  The relay and every client run over the
 :class:`Session` endpoints below and keep time through a :class:`Clock`;
 those two are their contract, and :class:`SimNetwork` is the clock they
-are given.  A clock runs a callback at an instant (``at``), after a delay
-(``after``), or runs a time-ordered sequence of steps (``at_each``), pulling
-each step only once the one before it has run, so that a long schedule
-costs one pending event instead of one per step.
+are given.  A clock tells the time (``now``), runs a callback after a
+delay (``after``), or runs a time-ordered sequence of steps (``at_each``),
+pulling each step only once the one before it has run, so that a long
+schedule costs one pending event instead of one per step.
 
 A :class:`SimNetwork` owns a virtual clock and an event heap.  Connecting a
 :class:`Link` yields two :class:`Session` endpoints; each session can send
@@ -97,7 +97,6 @@ class Clock(Protocol):
 
     @property
     def now(self) -> float: ...
-    def at(self, time_ms: float, fn: Callable[[], None]) -> None: ...
     def after(self, delay_ms: float, fn: Callable[[], None]) -> None: ...
     def at_each(self, steps: Iterable[tuple[float, Callable[[], None]]]) -> None: ...
 

@@ -13,7 +13,7 @@ import random
 import time
 from collections import defaultdict
 
-from moqgate.analysis import DetectorState, StrobeConfig, StrobeDetector
+from moqgate.analysis import StrobeConfig, StrobeDetector
 from moqgate.harness import run_scenario
 from moqgate.media import Constant, Group, Ramp, SourceConfig, Strobe, generate_groups
 from moqgate.relay import DeliverGroup, ProtocolError, RelayCore, SkipGroups
@@ -241,11 +241,9 @@ def test_criterion_4_gating_matches_naive_replay_on_1000_interleavings():
 
 def _detector_risky_groups(groups, config):
     detector = StrobeDetector(config)
-    state = DetectorState()
     risky = set()
     for group in groups:
-        risk, state = detector.analyze_group(group, state)
-        if risk:
+        if detector.analyze_group(group):
             risky.add(group.group_id)
     return risky
 

@@ -7,22 +7,13 @@ uniform), so it shares nothing with the sampling / comparison code under test.
 
 from __future__ import annotations
 
-import math
 import random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from moqgate.analysis import (
-    DetectorState,
-    StrobeConfig,
-    StrobeDetector,
-    analyze_group_strobe,
-    is_significant_increase,
-    predict_risky_groups,
-    sample_luma,
-)
+from moqgate.analysis import StrobeConfig, StrobeDetector, predict_risky_groups
 from moqgate.client import AnalyzerClient, LatencyRecord
 from moqgate.media import (
     Constant,
@@ -49,11 +40,26 @@ def group_of_levels(group_id: int, levels: list[int], ts0: int, spacing: int = 3
     return Group(group_id, frames)
 
 
-def push_frame(
-    frame: LuminanceFrame, state: DetectorState, config: StrobeConfig
-) -> tuple[bool, DetectorState]:
-    """The group loop over one frame."""
-    return analyze_group_strobe(Group(0, (frame,)), state, config)
+def memory(detector: StrobeDetector) -> tuple[int | None, int | None]:
+    """What the detector carries into its next group."""
+    return detector.prev_lanes, detector.last_change_ts
+
+
+def risky_groups(groups: list[Group], cfg: StrobeConfig) -> set[int]:
+    """The ids of the groups one detector flags, fed in order."""
+    detector = StrobeDetector(cfg)
+    return {g.group_id for g in groups if detector.analyze_group(g)}
+
+
+def rises(prev: bytes, cur: bytes, w: int, h: int, cfg: StrobeConfig) -> bool:
+    """Whether the detector sees a rise from a w x h frame of pixels ``prev``
+    to one of ``cur``: on a two-frame group a rise shows as the last rise
+    time equal to the second frame's timestamp."""
+    detector = StrobeDetector(cfg)
+    group = Group(0, (LuminanceFrame(w, h, 0, 0, prev), LuminanceFrame(w, h, 1, 33, cur)))
+    assert detector.analyze_group(group) is False  # one rise is never a flash pair
+    assert detector.last_change_ts in (None, 33)
+    return detector.last_change_ts == 33
 
 
 def analyzer_for(categories, **kwargs) -> AnalyzerClient:
@@ -75,12 +81,16 @@ def verdicts(analyzer: AnalyzerClient, *groups: Group) -> list[tuple[list[int], 
     ]
 
 
-def reference_sample_luma(frame: LuminanceFrame, grid_dim: int) -> bytes:
-    """The original per-pixel formulation of the sampling grid."""
-    w, h = frame.width, frame.height
+def reference_grid(w: int, h: int, grid_dim: int) -> list[int]:
+    """The pixel indices of a grid's cell centers, row-major."""
     xs = [((2 * i + 1) * w) // (2 * grid_dim) for i in range(grid_dim)]
     ys = [((2 * j + 1) * h) // (2 * grid_dim) for j in range(grid_dim)]
-    return bytes(frame.pixels[y * w + x] for y in ys for x in xs)
+    return [y * w + x for y in ys for x in xs]
+
+
+def reference_sample_luma(frame: LuminanceFrame, grid_dim: int) -> bytes:
+    """The original per-pixel formulation of the sampling grid."""
+    return bytes(frame.pixels[i] for i in reference_grid(frame.width, frame.height, grid_dim))
 
 
 def reference_is_significant_increase(prev: bytes, cur: bytes, cfg: StrobeConfig) -> bool:
@@ -89,6 +99,11 @@ def reference_is_significant_increase(prev: bytes, cur: bytes, cfg: StrobeConfig
         return False
     changed = sum(1 for p, c in zip(prev, cur) if c - p > cfg.pixel_delta_threshold)
     return changed / len(prev) > cfg.changed_fraction_threshold
+
+
+def reference_lanes(samples: bytes) -> int:
+    """Samples spread into 16-bit lanes, sample 0 in the lowest lane."""
+    return sum(s << (16 * i) for i, s in enumerate(samples))
 
 
 def replay_risky_groups(groups: list[Group], cfg: StrobeConfig) -> set[int]:
@@ -112,51 +127,79 @@ def replay_risky_groups(groups: list[Group], cfg: StrobeConfig) -> set[int]:
 
 
 class TestSampleLuma:
+    """The sampling grid, seen through the detector's rises and memory."""
+
     def test_4x4_grid2_golden(self):
-        # Pixels are their own row-major index; centers of a 2x2 grid over a
-        # 4x4 frame land at (1,1), (3,1), (1,3), (3,3) -> indices 5,7,13,15.
-        frame = LuminanceFrame(4, 4, 0, 0, bytes(range(16)))
-        assert list(sample_luma(frame, 2)) == [5, 7, 13, 15]
+        # Centers of a 2x2 grid over a 4x4 frame land at (1,1), (3,1),
+        # (1,3), (3,3) -> indices 5,7,13,15: a rise in any one of those
+        # pixels is a rise, a rise anywhere else is not.
+        cfg = StrobeConfig(grid_dim=2, changed_fraction_threshold=0.0)
+        lit = [bytes(255 if j == i else 0 for j in range(16)) for i in range(16)]
+        assert [i for i in range(16) if rises(bytes(16), lit[i], 4, 4, cfg)] == [5, 7, 13, 15]
+        # Pixels that are their own row-major index leave those samples.
+        detector = StrobeDetector(cfg)
+        detector.analyze_group(Group(0, (LuminanceFrame(4, 4, 0, 0, bytes(range(16))),)))
+        assert detector.prev_lanes == reference_lanes(bytes([5, 7, 13, 15]))
 
     def test_sample_count_is_grid_squared(self):
-        frame = uniform_frame(7, 0, w=32, h=24)
-        assert len(sample_luma(frame, 16)) == 256
+        # A 32x24 frame on the default 16x16 grid has 256 samples: a rise in
+        # 64 of them is 0.25 of the grid, not above it; 65 are above it.
+        def lit(k: int) -> bytes:
+            pixels = bytearray(32 * 24)
+            for i in reference_grid(32, 24, 16)[:k]:
+                pixels[i] = 21
+            return bytes(pixels)
+
+        assert rises(bytes(32 * 24), lit(64), 32, 24, StrobeConfig()) is False
+        assert rises(bytes(32 * 24), lit(65), 32, 24, StrobeConfig()) is True
 
     def test_grid_must_fit_frame(self):
-        frame = uniform_frame(0, 0, w=8, h=4)
+        detector = StrobeDetector(StrobeConfig(grid_dim=5))
+        with pytest.raises(ValueError, match="exceeds frame dimensions 8x4"):
+            detector.analyze_group(Group(0, (uniform_frame(0, 0, w=8, h=4),)))
         with pytest.raises(ValueError):
-            sample_luma(frame, 5)
-        with pytest.raises(ValueError):
-            sample_luma(frame, 0)
+            StrobeConfig(grid_dim=0)
+        StrobeDetector(StrobeConfig(grid_dim=4)).analyze_group(
+            Group(0, (uniform_frame(0, 0, w=8, h=4),))
+        )
 
     def test_row_major_order(self):
-        # 2x2 frame, grid 2: cell centers are the four pixels in row order.
-        frame = LuminanceFrame(2, 2, 0, 0, bytes([1, 2, 3, 4]))
-        assert list(sample_luma(frame, 2)) == [1, 2, 3, 4]
+        # 2x2 frame, grid 2: the samples are the four pixels in row order.
+        detector = StrobeDetector(StrobeConfig(grid_dim=2))
+        detector.analyze_group(Group(0, (LuminanceFrame(2, 2, 0, 0, bytes([1, 2, 3, 4])),)))
+        assert detector.prev_lanes == reference_lanes(bytes([1, 2, 3, 4]))
 
 
 class TestIncreaseRule:
+    """The rise test, on two-frame groups."""
+
     def test_fraction_boundary_is_strict(self):
         cfg = StrobeConfig()
         prev = bytes(256)
         just_at = bytes([21] * 64 + [0] * 192)   # 64/256 == 0.25, not above
         just_over = bytes([21] * 65 + [0] * 191)  # 65/256 > 0.25
-        assert is_significant_increase(prev, just_at, cfg) is False
-        assert is_significant_increase(prev, just_over, cfg) is True
+        assert rises(prev, just_at, 16, 16, cfg) is False
+        assert rises(prev, just_over, 16, 16, cfg) is True
 
     def test_delta_boundary_is_strict(self):
-        cfg = StrobeConfig()
+        cfg = StrobeConfig(grid_dim=2)
         prev = bytes(4)
-        assert is_significant_increase(prev, bytes([20] * 4), cfg) is False
-        assert is_significant_increase(prev, bytes([21] * 4), cfg) is True
+        assert rises(prev, bytes([20] * 4), 2, 2, cfg) is False
+        assert rises(prev, bytes([21] * 4), 2, 2, cfg) is True
 
     def test_decreases_never_count(self):
-        cfg = StrobeConfig()
-        assert is_significant_increase(bytes([200] * 4), bytes([0] * 4), cfg) is False
+        cfg = StrobeConfig(grid_dim=2)
+        assert rises(bytes([200] * 4), bytes([0] * 4), 2, 2, cfg) is False
 
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            is_significant_increase(bytes(4), bytes(5), StrobeConfig())
+    def test_frames_of_two_sizes_share_one_grid(self):
+        # Frames of different sizes give the same number of samples, so a
+        # 16x16 frame and a 32x24 frame compare sample by sample.
+        cfg = StrobeConfig()
+        for level, want in ((20, None), (21, 33)):
+            detector = StrobeDetector(cfg)
+            group = Group(0, (uniform_frame(0, 0), uniform_frame(level, 33, w=32, h=24)))
+            assert detector.analyze_group(group) is False
+            assert detector.last_change_ts == want
 
 
 @st.composite
@@ -199,53 +242,51 @@ class TestMatchesReference:
             pixel_delta_threshold=t,
             changed_fraction_threshold=fraction,
         )
-        prev = sample_luma(prev_frame, grid_dim)
-        cur = sample_luma(cur_frame, grid_dim)
-        assert type(prev) is bytes and type(cur) is bytes
-        assert prev == reference_sample_luma(prev_frame, grid_dim)
-        assert cur == reference_sample_luma(cur_frame, grid_dim)
+        prev = reference_sample_luma(prev_frame, grid_dim)
+        cur = reference_sample_luma(cur_frame, grid_dim)
         want = reference_is_significant_increase(prev, cur, cfg)
-        assert is_significant_increase(prev, cur, cfg) is want
-        # push_frame with the lanes it carried, and with a state built by hand.
-        _, carried = push_frame(prev_frame, DetectorState(), cfg)
-        for state in (carried, DetectorState(prev)):
-            _, state = push_frame(cur_frame, state, cfg)
-            assert state.last_change_ts == (33 if want else None)
+        # The pair as one group, and as two groups with the memory carried.
+        together = StrobeDetector(cfg)
+        assert together.analyze_group(Group(0, (prev_frame, cur_frame))) is False
+        apart = StrobeDetector(cfg)
+        assert apart.analyze_group(Group(0, (prev_frame,))) is False
+        assert memory(apart) == (reference_lanes(prev), None)
+        assert apart.analyze_group(Group(1, (cur_frame,))) is False
+        for detector in (together, apart):
+            assert memory(detector) == (reference_lanes(cur), 33 if want else None)
 
     @pytest.mark.parametrize("t", [255, 256, 10**6])
     def test_threshold_at_or_above_255_never_rises(self, t):
         cfg = StrobeConfig(pixel_delta_threshold=t, changed_fraction_threshold=0.0)
-        assert is_significant_increase(bytes(256), bytes([255] * 256), cfg) is False
-        risk, state = analyze_group_strobe(
-            group_of_levels(0, [0, 255, 0, 255], ts0=0), DetectorState(), cfg
-        )
-        assert (risk, state.last_change_ts) == (False, None)
+        assert rises(bytes(256), bytes([255] * 256), 16, 16, cfg) is False
+        detector = StrobeDetector(cfg)
+        risk = detector.analyze_group(group_of_levels(0, [0, 255, 0, 255], ts0=0))
+        assert (risk, detector.last_change_ts) == (False, None)
 
     def test_threshold_254_counts_a_full_swing(self):
-        cfg = StrobeConfig(pixel_delta_threshold=254, changed_fraction_threshold=0.0)
-        assert is_significant_increase(bytes(4), bytes([255, 0, 0, 0]), cfg) is True
-        assert is_significant_increase(bytes([1, 0, 0, 0]), bytes([255, 0, 0, 0]), cfg) is False
+        cfg = StrobeConfig(
+            grid_dim=2, pixel_delta_threshold=254, changed_fraction_threshold=0.0
+        )
+        assert rises(bytes(4), bytes([255, 0, 0, 0]), 2, 2, cfg) is True
+        assert rises(bytes([1, 0, 0, 0]), bytes([255, 0, 0, 0]), 2, 2, cfg) is False
 
 
 class TestGapRule:
     def test_15hz_at_30fps_is_risky(self):
         cfg = SourceConfig(16, 16, 30, 1000, (Strobe(16, 240, 15.0, 1000),))
         (g,) = generate_groups(cfg)
-        risk, _ = analyze_group_strobe(g, DetectorState(), StrobeConfig())
-        assert risk is True
+        assert StrobeDetector(StrobeConfig()).analyze_group(g) is True
 
     def test_5hz_at_30fps_is_not_risky(self):
         cfg = SourceConfig(16, 16, 30, 1000, (Strobe(16, 240, 5.0, 1000),))
         (g,) = generate_groups(cfg)
-        risk, _ = analyze_group_strobe(g, DetectorState(), StrobeConfig())
-        assert risk is False
+        assert StrobeDetector(StrobeConfig()).analyze_group(g) is False
 
     def test_gap_boundary_inclusive(self):
         cfg = StrobeConfig()
         # Two bright flashes whose increase events are exactly 100 ms apart.
         g = group_of_levels(0, [0, 240, 0, 240], ts0=0, spacing=50)
-        risk, _ = analyze_group_strobe(g, DetectorState(), cfg)
-        assert risk is True
+        assert StrobeDetector(cfg).analyze_group(g) is True
         # 101 ms apart: below the 10 Hz equivalent rate, no risk.
         frames = (
             uniform_frame(0, 0, index=0),
@@ -253,59 +294,68 @@ class TestGapRule:
             uniform_frame(0, 60, index=2),
             uniform_frame(240, 111, index=3),
         )
-        risk, _ = analyze_group_strobe(Group(0, frames), DetectorState(), cfg)
-        assert risk is False
+        assert StrobeDetector(cfg).analyze_group(Group(0, frames)) is False
 
     def test_single_flash_is_not_risky(self):
         g = group_of_levels(0, [0, 240, 240, 240], ts0=0)
-        risk, _ = analyze_group_strobe(g, DetectorState(), StrobeConfig())
-        assert risk is False
+        assert StrobeDetector(StrobeConfig()).analyze_group(g) is False
 
 
 class TestStateCarry:
     def test_flash_pair_across_boundary_detected_with_carry(self):
         a = group_of_levels(0, [16, 16, 240], ts0=0)      # increase at ts 66
         b = group_of_levels(1, [16, 240, 16], ts0=99)     # increase at ts 132
-        cfg = StrobeConfig()
-        risk_a, state = analyze_group_strobe(a, DetectorState(), cfg)
-        risk_b, _ = analyze_group_strobe(b, state, cfg)
-        assert risk_a is False
-        assert risk_b is True
+        detector = StrobeDetector(StrobeConfig())
+        assert detector.analyze_group(a) is False
+        assert detector.analyze_group(b) is True
 
     def test_flash_pair_across_boundary_missed_without_carry(self):
         b = group_of_levels(1, [16, 240, 16], ts0=99)
-        risk_b, _ = analyze_group_strobe(b, DetectorState(), StrobeConfig())
-        assert risk_b is False
+        assert StrobeDetector(StrobeConfig()).analyze_group(b) is False
+
+
+class TestFailClosedMemory:
+    def test_raising_group_leaves_memory_as_it_was(self):
+        detector = StrobeDetector(StrobeConfig())
+        assert detector.analyze_group(group_of_levels(0, [16, 16], ts0=0)) is False
+        before = memory(detector)
+        assert before == (reference_lanes(bytes([16]) * 256), None)
+        # A rise on frame 2, then a frame 3 the 16x16 grid does not fit.
+        bad = Group(
+            1,
+            (
+                uniform_frame(16, 66, index=0),
+                uniform_frame(240, 99, index=1),
+                uniform_frame(240, 132, w=4, h=4, index=2),
+            ),
+        )
+        with pytest.raises(ValueError, match="exceeds frame dimensions 4x4"):
+            detector.analyze_group(bad)
+        assert memory(detector) == before
+        # Judged against the last good group there is one rise (at 198) and
+        # no flash pair.  Memory written frame by frame would hold the bad
+        # group's rise at 99 and its bright frame, so 240 -> 16 -> 240 would
+        # be a second rise 99 ms after it: a flash pair.
+        assert detector.analyze_group(group_of_levels(2, [16, 240], ts0=165)) is False
+        assert detector.last_change_ts == 198
 
 
 class TestTruthTable:
     @pytest.mark.parametrize("hz", [2.0, 5.0, 9.0])
     def test_safe_rates_approved(self, hz):
         cfg = SourceConfig(16, 16, 30, 1000, (Strobe(16, 240, hz, 3000),))
-        state = DetectorState()
-        risks = []
-        for g in generate_groups(cfg):
-            risk, state = analyze_group_strobe(g, state, StrobeConfig())
-            risks.append(risk)
-        assert not any(risks), f"{hz} Hz should be safe, group risks {risks}"
+        risky = risky_groups(generate_groups(cfg), StrobeConfig())
+        assert not risky, f"{hz} Hz should be safe, risky groups {risky}"
 
     @pytest.mark.parametrize("hz", [10.0, 12.0, 15.0])
     def test_fast_rates_rejected(self, hz):
         cfg = SourceConfig(16, 16, 30, 1000, (Strobe(16, 240, hz, 3000),))
-        state = DetectorState()
-        risks = []
-        for g in generate_groups(cfg):
-            risk, state = analyze_group_strobe(g, state, StrobeConfig())
-            risks.append(risk)
-        assert any(risks), f"{hz} Hz should be flagged"
+        assert risky_groups(generate_groups(cfg), StrobeConfig()), f"{hz} Hz should be flagged"
 
     def test_constant_and_ramp_approved(self):
         for segments in ((Constant(128, 2000),), (Ramp(0, 255, 2000),)):
             cfg = SourceConfig(16, 16, 30, 1000, segments)
-            state = DetectorState()
-            for g in generate_groups(cfg):
-                risk, state = analyze_group_strobe(g, state, StrobeConfig())
-                assert risk is False
+            assert risky_groups(generate_groups(cfg), StrobeConfig()) == set()
 
 
 class TestIncrementalEquivalence:
@@ -314,31 +364,27 @@ class TestIncrementalEquivalence:
             16, 16, 30, 1000,
             (Constant(128, 1000), Strobe(16, 240, 12.0, 2000), Constant(64, 1000)),
         )
-        det_cfg = StrobeConfig()
-        state_batch = DetectorState()
-        state_inc = DetectorState()
+        batch = StrobeDetector(StrobeConfig())
+        pushed = StrobeDetector(StrobeConfig())
         for g in generate_groups(cfg):
-            risk_batch, state_batch = analyze_group_strobe(g, state_batch, det_cfg)
+            risk_batch = batch.analyze_group(g)
             risk_inc = False
             for frame in g.frames:
-                hit, state_inc = push_frame(frame, state_inc, det_cfg)
+                hit = pushed.analyze_group(Group(g.group_id, (frame,)))
                 risk_inc = risk_inc or hit
             assert risk_inc == risk_batch
-        assert state_inc == state_batch
+        assert memory(pushed) == memory(batch)
 
 
-def _fold_lanes(samples: bytes) -> int:
-    buf = bytearray(2 * len(samples))
-    buf[::2] = samples
-    return int.from_bytes(buf, "little")
+FoldState = tuple[bytes | None, int | None]  # (previous samples, last rise time)
 
 
 def fold_push_frame(
-    frame: LuminanceFrame, state: DetectorState, config: StrobeConfig
-) -> tuple[bool, DetectorState]:
-    """The detector as a per-frame step, copied from the implementation
-    that preceded the single group loop (sampling, lane spreading and the
-    checked increase rule inlined), so that loop is held to it."""
+    frame: LuminanceFrame, state: FoldState, config: StrobeConfig
+) -> tuple[bool, FoldState]:
+    """The detector as a per-frame step in the per-pixel formulation
+    (reference sampling grid and increase rule), so the group loop is held
+    to it."""
     grid_dim = config.grid_dim
     if grid_dim > min(frame.width, frame.height):
         raise ValueError(
@@ -346,39 +392,21 @@ def fold_push_frame(
             f"{frame.width}x{frame.height}"
         )
     samples = reference_sample_luma(frame, grid_dim)
-    lanes = _fold_lanes(samples)
-    prev = state.prev_samples
-    t = config.pixel_delta_threshold
-    if prev is None:
-        event = False
-    elif state.prev_lanes is None or len(prev) != len(samples) or t > 255:
-        if len(prev) != len(samples):
-            raise ValueError(
-                f"sample vectors differ in length: {len(prev)} vs {len(samples)}"
-            )
-        event = bool(prev) and t <= 255 and (
-            reference_is_significant_increase(prev, samples, config)
-        )
-    else:
-        ones = int.from_bytes(b"\x01\x00" * len(samples), "little")
-        offset, mask = (511 - math.floor(t)) * ones, 0x200 * ones
-        changed = ((lanes + offset - state.prev_lanes) & mask).bit_count()
-        event = changed / len(samples) > config.changed_fraction_threshold
+    prev, last_change = state
     risk = False
-    last_change = state.last_change_ts
-    if event:
+    if prev is not None and reference_is_significant_increase(prev, samples, config):
         if (
             last_change is not None
             and frame.capture_ts - last_change <= config.max_interchange_gap_ms
         ):
             risk = True
         last_change = frame.capture_ts
-    return risk, DetectorState(samples, last_change, lanes)
+    return risk, (samples, last_change)
 
 
 def fold_group(
-    frames: tuple[LuminanceFrame, ...], state: DetectorState, config: StrobeConfig
-) -> tuple[bool, DetectorState]:
+    frames: tuple[LuminanceFrame, ...], state: FoldState, config: StrobeConfig
+) -> tuple[bool, FoldState]:
     risk = False
     for frame in frames:
         hit, state = fold_push_frame(frame, state, config)
@@ -386,13 +414,26 @@ def fold_group(
     return risk, state
 
 
-def outcome(step, *args):
-    """(risk, state, prev_lanes) of a detector call, or its ValueError text."""
+def fold_outcome(frames, state: FoldState, config: StrobeConfig):
+    """(risk, prev_lanes, last_change_ts) after the fold, or its ValueError text."""
     try:
-        risk, state = step(*args)
+        risk, (samples, last_change) = fold_group(frames, state, config)
     except ValueError as exc:
         return str(exc)
-    return risk, state, state.prev_lanes
+    return risk, None if samples is None else reference_lanes(samples), last_change
+
+
+def detector_outcome(detector: StrobeDetector, group: Group):
+    """(risk, prev_lanes, last_change_ts) after the detector's loop over the
+    group, or its ValueError text; a group that raises leaves the memory
+    as it was."""
+    before = memory(detector)
+    try:
+        risk = detector.analyze_group(group)
+    except ValueError as exc:
+        assert memory(detector) == before
+        return str(exc)
+    return (risk, *memory(detector))
 
 
 @st.composite
@@ -420,6 +461,7 @@ def detector_groups(draw, grid_dim: int, ts0: int = 0):
 
 @st.composite
 def detector_cases(draw):
+    """(group, group analyzed before it or None for fresh memory, config)."""
     grid_dim = draw(st.integers(1, 4))
     cfg = StrobeConfig(
         grid_dim=grid_dim,
@@ -427,68 +469,48 @@ def detector_cases(draw):
         changed_fraction_threshold=draw(fractions),
         max_interchange_gap_ms=draw(st.sampled_from([0, 33, 100, 1000])),
     )
-    count = grid_dim * grid_dim
-    kind = draw(st.sampled_from(["fresh", "carried", "no_lanes", "wrong_length"]))
-    last = draw(st.one_of(st.none(), st.integers(0, 100)))
-    if kind == "fresh":
-        state = DetectorState()
-    elif kind == "carried":
-        before = draw(detector_groups(grid_dim)).frames
-        carried = outcome(fold_group, before, DetectorState(), cfg)
-        state = DetectorState() if isinstance(carried, str) else carried[1]
-    elif kind == "no_lanes":
-        state = DetectorState(draw(st.binary(min_size=count, max_size=count)), last)
-    else:
-        length = draw(st.integers(0, 30).filter(lambda n: n != count))
-        samples = draw(st.binary(min_size=length, max_size=length))
-        lanes = draw(st.sampled_from([None, _fold_lanes(samples)]))
-        state = DetectorState(samples, last, lanes)
-    return draw(detector_groups(grid_dim, ts0=200)), state, cfg
+    kind = draw(st.sampled_from(["fresh", "carried"]))
+    before = draw(detector_groups(grid_dim)) if kind == "carried" else None
+    return draw(detector_groups(grid_dim, ts0=200)), before, cfg
 
 
 class TestOneDetectorLoop:
-    """`analyze_group_strobe` against the per-frame fold it replaced, and
-    `push_frame` as that loop over one frame."""
+    """`StrobeDetector.analyze_group` against the per-frame fold, on whole
+    groups and on one-frame groups, from fresh and from carried memory."""
 
     @settings(max_examples=200, deadline=None)
     @given(case=detector_cases())
-    @example(  # hand-built states whose samples do not match a 2x2 grid
-        case=(group_of_levels(0, [0, 240], ts0=0), DetectorState(bytes(3)), StrobeConfig(2))
-    )
-    @example(
-        case=(group_of_levels(0, [0, 240], ts0=0), DetectorState(bytes(5), 0, 0), StrobeConfig(2))
-    )
-    @example(  # the first frame's length error comes before the second's grid error
-        case=(
-            Group(0, (uniform_frame(0, 0), uniform_frame(0, 1, w=3, h=9))),
-            DetectorState(bytes(3)),
-            StrobeConfig(4),
-        )
-    )
     @example(  # the second frame is the first the grid does not fit
         case=(
             Group(0, (uniform_frame(0, 0), uniform_frame(0, 1, w=3, h=9))),
-            DetectorState(),
+            None,
             StrobeConfig(4),
         )
     )
     def test_group_loop_and_push_frame_match_the_fold(self, case):
-        group, state, cfg = case
-        want = outcome(fold_group, group.frames, state, cfg)
-        assert outcome(analyze_group_strobe, group, state, cfg) == want
+        group, before, cfg = case
+        batch, pushed = StrobeDetector(cfg), StrobeDetector(cfg)
+        state: FoldState = (None, None)
+        if before is not None:
+            carried = fold_outcome(before.frames, state, cfg)
+            assert detector_outcome(batch, before) == carried
+            assert detector_outcome(pushed, before) == carried
+            if not isinstance(carried, str):
+                state = fold_group(before.frames, state, cfg)[1]
+        want = fold_outcome(group.frames, state, cfg)
+        assert detector_outcome(batch, group) == want
 
-        def push_all(frames, state, cfg):
-            risk = False
-            for frame in frames:
-                step = outcome(push_frame, frame, state, cfg)
-                assert step == outcome(fold_push_frame, frame, state, cfg)
-                if isinstance(step, str):
-                    raise ValueError(step)
-                hit, state, _ = step
-                risk = risk or hit
-            return risk, state
-
-        assert outcome(push_all, group.frames, state, cfg) == want
+        risk = False
+        for frame in group.frames:
+            step = detector_outcome(pushed, Group(group.group_id, (frame,)))
+            assert step == fold_outcome((frame,), state, cfg)
+            if isinstance(step, str):
+                assert step == want
+                break
+            state = fold_push_frame(frame, state, cfg)[1]
+            risk = risk or step[0]
+        else:
+            assert (risk, *memory(pushed)) == want
 
 
 class TestRandomizedAgainstReplay:
@@ -516,13 +538,7 @@ class TestRandomizedAgainstReplay:
             src = self._random_source(rng)
             groups = generate_groups(src)
             expected = replay_risky_groups(groups, det_cfg)
-            state = DetectorState()
-            got = set()
-            for g in groups:
-                risk, state = analyze_group_strobe(g, state, det_cfg)
-                if risk:
-                    got.add(g.group_id)
-            assert got == expected
+            assert risky_groups(groups, det_cfg) == expected
 
     def test_lowering_thresholds_never_clears_risk(self):
         rng = random.Random(0xBEEF)
@@ -539,15 +555,7 @@ class TestRandomizedAgainstReplay:
                 pixel_delta_threshold=strict.pixel_delta_threshold - rng.randrange(0, 10),
                 changed_fraction_threshold=strict.changed_fraction_threshold / 2,
             )
-            def risky(cfg):
-                state = DetectorState()
-                out = set()
-                for g in groups:
-                    risk, state = analyze_group_strobe(g, state, cfg)
-                    if risk:
-                        out.add(g.group_id)
-                return out
-            assert risky(strict) <= risky(loose)
+            assert risky_groups(groups, strict) <= risky_groups(groups, loose)
 
 
 class TestPredictRiskyGroups:
@@ -572,13 +580,7 @@ class TestPredictRiskyGroups:
         helper = TestRandomizedAgainstReplay()
         for _ in range(25):
             src = helper._random_source(rng)
-            groups = generate_groups(src)
-            state = DetectorState()
-            detected = set()
-            for g in groups:
-                risk, state = analyze_group_strobe(g, state, det_cfg)
-                if risk:
-                    detected.add(g.group_id)
+            detected = risky_groups(generate_groups(src), det_cfg)
             assert predict_risky_groups(src, det_cfg) == detected
 
 
@@ -604,17 +606,17 @@ class TestRegistryAndVerdicts:
         small = Group(1, (uniform_frame(16, 99, w=4, h=4),))
         analyzer = analyzer_for((Category.SMOKING, Category.STROBE), detector=StrobeConfig(16))
         verdicts(analyzer, ok)
-        previous = analyzer._strobe_state
+        previous = memory(analyzer.strobe)
+        assert previous[0] is not None
         assert verdicts(analyzer, small)[1] == ([Category.SMOKING], [Category.STROBE])
         (error,) = analyzer.log.filter(kind="detector_error")
         assert (error.detail["group_id"], error.detail["category"]) == (1, Category.STROBE)
         assert "exceeds frame dimensions 4x4" in error.detail["error"]
-        assert analyzer._strobe_state is previous
-        assert isinstance(previous, DetectorState) and previous.prev_samples is not None
-        # A category that fails on its first group keeps the initial state.
+        assert memory(analyzer.strobe) == previous
+        # A category that fails on its first group keeps the initial memory.
         analyzer = analyzer_for((Category.SMOKING, Category.STROBE))
         verdicts(analyzer, small)
-        assert analyzer._strobe_state == DetectorState()
+        assert memory(analyzer.strobe) == (None, None)
 
     def test_unsupported_category_is_value_error(self):
         with pytest.raises(ValueError):
@@ -627,10 +629,12 @@ class TestRegistryAndVerdicts:
         assert rejected == [Category.SMOKING]
         assert approved == [Category.ALCOHOL]
 
-    def test_strobe_detector_wraps_module_functions(self):
+    def test_strobe_detector_keeps_its_memory(self):
         det = StrobeDetector(StrobeConfig())
+        assert memory(det) == (None, None)
         cfg = SourceConfig(16, 16, 30, 1000, (Strobe(16, 240, 15.0, 1000),))
         (g,) = generate_groups(cfg)
-        risk, state = det.analyze_group(g, DetectorState())
-        assert risk is True
-        assert isinstance(state, DetectorState)
+        assert det.analyze_group(g) is True
+        last = g.frames[-1]
+        assert det.prev_lanes == reference_lanes(reference_sample_luma(last, 16))
+        assert det.last_change_ts is not None and det.last_change_ts <= last.capture_ts

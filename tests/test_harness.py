@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 import moqgate.client
 import moqgate.framing
 import moqgate.harness
-from moqgate.analysis import DetectorState, analyze_group_strobe
+from moqgate.analysis import StrobeDetector
 from moqgate.eventlog import EventLog
 from moqgate.harness import ScenarioTimeoutError, predict_bounds, run_scenario
 from moqgate.media import encode_frame_payload, generate_groups
@@ -477,9 +477,9 @@ def test_accepted_scenario_source_and_detectors_run(data):
         return
     groups = generate_groups(source)
     for spec in analyzers:
-        state = DetectorState()
+        detector = StrobeDetector(spec.detector)
         for group in groups:
-            _, state = analyze_group_strobe(group, state, spec.detector)
+            detector.analyze_group(group)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Module layering: each module depends only on the interfaces it uses.
 
-The relay and the clients keep time through ``transport.Clock`` and never
-name the simulated network; the report writers depend on nothing else in
-the package.
+The relay and the clients keep time through ``transport.Clock``, use no
+more of a clock than that protocol and never name the simulated network;
+the report writers depend on nothing else in the package.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ import importlib
 from pathlib import Path
 
 import pytest
+
+from moqgate.transport import Clock
 
 
 def _tree(module: str) -> ast.Module:
@@ -36,6 +38,41 @@ def _names(tree: ast.Module) -> set[str]:
 @pytest.mark.parametrize("module", ["relay", "client"])
 def test_relay_and_clients_name_no_simnetwork(module):
     assert "SimNetwork" not in _names(_tree(module))
+
+
+def _clock_attributes(tree: ast.Module) -> set[str]:
+    """Every attribute the module reads of ``clock`` or ``self.clock``."""
+    read: set[str] = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        base = node.value
+        if isinstance(base, ast.Name) and base.id == "clock":
+            read.add(node.attr)
+        elif (
+            isinstance(base, ast.Attribute)
+            and base.attr == "clock"
+            and isinstance(base.value, ast.Name)
+            and base.value.id == "self"
+        ):
+            read.add(node.attr)
+    return read
+
+
+def _clock_protocol() -> set[str]:
+    return {name for name in vars(Clock) if not name.startswith("_")}
+
+
+@pytest.mark.parametrize("module", ["relay", "client"])
+def test_relay_and_clients_read_only_the_clock_protocol(module):
+    read = _clock_attributes(_tree(module))
+    assert read, "the check must see the module's clock"
+    assert read <= _clock_protocol()
+
+
+def test_clock_protocol_is_what_relay_and_clients_read():
+    read = _clock_attributes(_tree("relay")) | _clock_attributes(_tree("client"))
+    assert read == _clock_protocol() == {"now", "after", "at_each"}
 
 
 def test_report_imports_no_moqgate_module():
