@@ -63,7 +63,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LatencyRecord:
     """Arrival bookkeeping for one group at one client."""
 

@@ -116,9 +116,10 @@ def _write_json(value: Any, out: list[str], newline: str) -> None:
     indentation.  Exact scalar types take the fast path; anything else is
     matched in ``json.encoder``'s isinstance order, so subclasses
     (``Category``) print as ``json`` prints them.  Keys must be strings
-    (``TypeError`` otherwise).  A container's scalar items are written with
-    their separators as one string each: the pieces joined at the end are
-    what the writer's peak memory is made of."""
+    (``TypeError`` otherwise).  Each container is written into a list of its
+    own and appended to ``out`` as one string once it is complete, so the
+    pieces held at any moment are those of the containers still open: a
+    whole report's peak is its finished text plus the final joined copy."""
     scalar = _SCALAR_TEXT.get(type(value))
     if scalar is not None:
         out.append(scalar(value))
@@ -142,15 +143,17 @@ def _write_json_list(value: list | tuple, out: list[str], newline: str) -> None:
         return
     inner = newline + "  "
     separator = "[" + inner
+    local: list[str] = []
     for item in value:
         scalar = _SCALAR_TEXT.get(type(item))
         if scalar is not None:
-            out.append(separator + scalar(item))
+            local.append(separator + scalar(item))
         else:
-            out.append(separator)
-            _write_json(item, out, inner)
+            local.append(separator)
+            _write_json(item, local, inner)
         separator = "," + inner
-    out.append(newline + "]")
+    local.append(newline + "]")
+    out.append("".join(local))
 
 
 def _write_json_dict(value: dict, out: list[str], newline: str) -> None:
@@ -159,14 +162,16 @@ def _write_json_dict(value: dict, out: list[str], newline: str) -> None:
         return
     inner = newline + "  "
     separator = "{" + inner
+    local: list[str] = []
     for key, item in sorted(value.items()):
         if not isinstance(key, str):
             raise TypeError(f"report keys must be str, not {type(key).__name__}")
         scalar = _SCALAR_TEXT.get(type(item))
         if scalar is not None:
-            out.append(separator + _quote(key) + ": " + scalar(item))
+            local.append(separator + _quote(key) + ": " + scalar(item))
         else:
-            out.append(separator + _quote(key) + ": ")
-            _write_json(item, out, inner)
+            local.append(separator + _quote(key) + ": ")
+            _write_json(item, local, inner)
         separator = "," + inner
-    out.append(newline + "}")
+    local.append(newline + "}")
+    out.append("".join(local))

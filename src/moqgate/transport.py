@@ -23,8 +23,13 @@ transport buffers nothing for the receiver.  A session holds a receiving
 stream only while it is open and drops it when its ``fin`` arrives.
 
 All timestamps are virtual milliseconds.  Runs are fully deterministic for
-a given seed: jitter generators are seeded from a hash of the link seed and
-direction, never from interpreter-dependent state.
+a given seed: a link direction with jitter draws from its own generator,
+seeded from a hash of the link seed and direction, never from
+interpreter-dependent state; a direction without jitter builds no generator.
+
+A chunk is handed to its direction as the receiving session's handler for
+its kind (``_receive_data``, ``_receive_control`` or ``_receive_close``)
+with the chunk bound to it, and runs as one heap event on arrival.
 
 Connected sessions point at each other and their callbacks at the objects
 that registered them, so a run's graph is cyclic.  :meth:`SimNetwork.shutdown`
@@ -228,7 +233,8 @@ class _Direction:
         self._net = net
         self._delay = float(delay_ms)
         self._jitter = float(jitter_ms)
-        self._rng = random.Random(seed)
+        # Only a jittered link draws, so only a jittered link has a generator.
+        self._rng = random.Random(seed) if self._jitter else None
         self._last_arrival: dict[int, float] = {}
 
     def transmit(self, stream_id: int, fin: bool, deliver: Callable[[], None]) -> None:
@@ -285,15 +291,20 @@ class SendStream:
         if session.closed or session._peer_closed:
             session._check_open()
         if data:
-            session._transmit(self.stream_id, bytes(data), False)
+            stream_id = self.stream_id
+            receive = partial(session._peer._receive_data, stream_id, bytes(data), False)
+            session._outgoing.transmit(stream_id, False, receive)
 
     def end(self, data: bytes = b"") -> None:
         """Send any final bytes and mark the stream finished."""
         if self.ended:
             raise ValueError(f"stream {self.stream_id} already ended")
-        self._session._check_open()
+        session = self._session
+        session._check_open()
         self.ended = True
-        self._session._transmit(self.stream_id, bytes(data), fin=True)
+        stream_id = self.stream_id
+        receive = partial(session._peer._receive_data, stream_id, bytes(data), True)
+        session._outgoing.transmit(stream_id, True, receive)
 
 
 class Session:
@@ -344,14 +355,15 @@ class Session:
     def send_control(self, data: bytes) -> None:
         """Send one control message; boundaries are preserved in delivery."""
         self._check_open()
-        self._transmit(_CONTROL_STREAM_ID, bytes(data), fin=False)
+        receive = partial(self._peer._receive_control, bytes(data))
+        self._outgoing.transmit(_CONTROL_STREAM_ID, False, receive)
 
     def close(self) -> None:
         """Close locally; the peer learns after the one-way delay."""
         if self.closed:
             return
         self.closed = True
-        self._transmit(_CONTROL_STREAM_ID, b"", fin=False, close=True)
+        self._outgoing.transmit(_CONTROL_STREAM_ID, False, self._peer._receive_close)
 
     # -- internals ----------------------------------------------------------
 
@@ -361,23 +373,19 @@ class Session:
         if self._peer_closed:
             raise DisconnectedError(f"peer {self.peer_name!r} disconnected")
 
-    def _transmit(self, stream_id: int, data: bytes, fin: bool, close: bool = False) -> None:
-        assert self._outgoing is not None and self._peer is not None
-        self._outgoing.transmit(
-            stream_id, fin, partial(self._peer._receive, stream_id, data, fin, close)
-        )
-
-    def _receive(self, stream_id: int, data: bytes, fin: bool, close: bool) -> None:
+    def _receive_close(self) -> None:
         if self.closed:
             return  # arrived after local close; dropped on the floor
-        if close:
-            self._peer_closed = True
-            if self._on_close is not None:
-                self._on_close()
-            return
-        if stream_id == _CONTROL_STREAM_ID:
-            if self._on_control is not None:
-                self._on_control(data)
+        self._peer_closed = True
+        if self._on_close is not None:
+            self._on_close()
+
+    def _receive_control(self, data: bytes) -> None:
+        if not self.closed and self._on_control is not None:
+            self._on_control(data)
+
+    def _receive_data(self, stream_id: int, data: bytes, fin: bool) -> None:
+        if self.closed:
             return
         streams = self._recv_streams
         stream = streams.get(stream_id)

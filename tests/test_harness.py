@@ -17,6 +17,7 @@ import hashlib
 import heapq
 import json
 import random
+import tracemalloc
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -613,6 +614,20 @@ class TestRunScenario:
         assert first.to_json() == second.to_json()
         assert first.passed is True
 
+    def test_jittered_report_is_pinned(self):
+        # No bundled scenario or benchmark workload has jitter, so their
+        # digests cannot see a change in the draws; this report can.
+        data = mini_scenario()
+        data["checks"] = {}
+        data["links"]["publisher"] = {"to_relay_ms": 5.0, "from_relay_ms": 5.0, "jitter_ms": 2.0}
+        for spec in data["links"]["clients"].values():
+            spec.update(to_relay_ms=5.0, from_relay_ms=5.0, jitter_ms=2.0)
+        text = run_report(data).to_json()
+        assert (
+            hashlib.sha256(text.encode()).hexdigest()
+            == "a5a95f69ffbf3faa69edafcd2d00df840327002b9be2274e34e2568db15b47ab"
+        )
+
     def test_csv_rows_cover_groups_times_clients(self):
         report = run_report(mini_scenario())
         lines = report.to_csv().strip().splitlines()
@@ -1106,3 +1121,42 @@ class TestReportJson:
     def test_unserializable_value_is_type_error(self):
         with pytest.raises(TypeError, match="not JSON serializable"):
             Report({"a": object()}).to_json()
+
+    def test_peak_memory_is_at_most_two_and_a_half_texts(self):
+        # The floor for a writer that returns one str is 2x the text: the
+        # finished pieces plus their joined copy.  Holding one piece per
+        # item until the end peaks near 4x.
+        record = {
+            "added_ms": 995.0,
+            "complete_arrival_ms": 900.25,
+            "e2e_ms": 900.25,
+            "first_arrival_ms": 0.5,
+            "frame_count": 30,
+        }
+        report = Report(
+            {
+                "runs": [
+                    {
+                        "records": {
+                            f"client{c}": [dict(record, group_id=g) for g in range(30)]
+                            for c in range(20)
+                        },
+                        "run": run,
+                    }
+                    for run in range(2)
+                ]
+            }
+        )
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            text = report.to_json()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert len(text) >= 200_000
+        assert peak <= 2.5 * len(text)

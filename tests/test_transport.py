@@ -305,6 +305,29 @@ class TestJitter:
     def test_same_seed_reproduces_identical_timing(self):
         assert self._arrivals(123) == self._arrivals(123)
 
+    def test_draws_are_pinned(self):
+        # No bundled scenario or benchmark workload has jitter, so their
+        # digests cannot see a change in the draws; these arrivals can.
+        assert self._arrivals(123) == [
+            9.58950925663987, 15.557411578208379, 19.749838623008124, 24.40348535955071,
+            29.569434144911824, 34.59097758288647, 41.82375252909708, 44.69656384812784,
+            49.20383636748364, 53.72919882000823, 61.04941626564999, 65.74092631282247,
+            69.06223326294116, 74.8521819686757, 79.48623747223733, 86.06621346243956,
+            89.74739184205842, 93.42951308896579, 98.91155959187789, 104.7964475340799,
+            109.52518583289397, 116.04692768718516, 118.73424542507186, 125.70073949880366,
+            130.93358895112854, 136.14631708266893, 141.00596184973406, 143.58509104392041,
+            149.53034798094376, 153.9085655832217, 159.25369628673047, 166.6919385046539,
+            171.99100895714398, 174.37051552328893, 178.63660409876218, 185.3495060472023,
+            189.2089664857176, 196.97036046612507, 200.09042875076113, 205.72915940728288,
+        ]
+
+    def test_only_a_jittered_direction_holds_a_generator(self):
+        net = SimNetwork()
+        plain, _ = make_pair(net, delay_ms=10)
+        jittered, _ = make_pair(net, delay_ms=10, jitter_ms=2)
+        assert plain._outgoing._rng is None
+        assert jittered._outgoing._rng is not None
+
     def test_different_seed_changes_timing(self):
         assert self._arrivals(123) != self._arrivals(124)
 
