@@ -20,26 +20,26 @@ filtered keeps the live groups it is already in and is gated from the next
 one; a session that leaves the filtered role first gets every held group it
 has not had, oldest first, even unapproved ones, then joins the live groups.
 
-:class:`RelayCore` holds all of that state with no knowledge of transport —
-its handlers return :data:`Action` lists.  The core holds one table of
-groups per track: the last ``retention`` group ids, each with its bytes and
-the categories approved so far.  Only approvals and role changes release
-groups: an ingested group has no approvals yet.
+:class:`RelayCore` is the one state machine that decides who gets every
+group, live or gated, with no knowledge of transport: its handlers return
+:data:`Action` lists.  Per track it holds the live groups (each group whose
+header has arrived and which has not ended: its publisher, the server's
+opaque handle and the sessions receiving it) and the held groups (the last
+``retention`` ingested ids, each with its bytes and the categories approved
+so far).  A group header whose id is already live or already ingested is
+refused before any byte of it is forwarded.  Only approvals and role changes
+release groups: an ingested group has no approvals yet.
 
-:class:`RelayServer` runs a core over transport sessions and a
-:class:`~moqgate.transport.Clock`: it forwards frames live, executes gated
-deliveries, and schedules log-only stall alarms on its clock when gating
-starves a subscriber.  It tracks every group stream whose
-header has arrived, by track and group id, and a live receiver joins each
-one the same way: a new stream with the spans forwarded so far, then the
-rest as they arrive.  The server parses every publisher chunk, to validate
-it and to learn the group's header, but forwards the publisher's bytes as
-received: each chunk's header and completed frames, which for a chunk that
-ends on a frame boundary is the very bytes object that arrived.  A
-publisher's non-minimal varints therefore reach live subscribers as sent,
-not re-encoded.  A group is held as the stream forwarded live (one that
-arrived in one chunk is that very bytes object), and every gated delivery
-of it sends the same object.
+:class:`RelayServer` only moves bytes over transport sessions and a
+:class:`~moqgate.transport.Clock`: it parses every publisher chunk, to
+validate it and to learn the group's header, forwards each chunk's header
+and completed frames as received (for a chunk that ends on a frame boundary,
+the very bytes object that arrived), keeps each live group's forwarded spans
+and send streams, and carries out the core's actions.  A live join is a new
+stream with the spans forwarded so far, then the rest as they arrive.  A
+group is held as the stream forwarded live, and every gated delivery of it
+sends the same object.  The server also schedules log-only stall alarms on
+its clock when gating starves a subscriber.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from typing import Union
 
 from .eventlog import EventLog
 from .framing import ControlStreamDecoder, GroupStreamParser
-from .transport import Clock, DisconnectedError, RecvStream, Session
+from .transport import Clock, DisconnectedError, Session
 from .wire import (
     ANALYZE_PARAM,
     FILTER_PARAM,
@@ -72,6 +72,7 @@ __all__ = [
     "SendControl",
     "DeliverGroup",
     "SkipGroups",
+    "JoinLive",
     "SessionState",
     "RelayCore",
     "RelayServer",
@@ -91,7 +92,9 @@ class ProtocolError(Exception):
 
 
 class MonotonicityError(ProtocolError):
-    """Publisher sent a group id that is not the successor of the last one."""
+    """Publisher sent a group id out of sequence: a header whose id is
+    already live or ingested, or a finished group that is not the successor
+    of the last one."""
 
 
 @dataclass(frozen=True)
@@ -115,7 +118,13 @@ class SkipGroups:
     group_ids: tuple[int, ...]
 
 
-Action = Union[SendControl, DeliverGroup, SkipGroups]
+@dataclass(frozen=True)
+class JoinLive:
+    sid: object
+    handle: object
+
+
+Action = Union[SendControl, DeliverGroup, SkipGroups, JoinLive]
 
 
 @dataclass
@@ -141,6 +150,9 @@ class _TrackState:
     # Group id -> held group, in ingest order: the last ``retention``
     # ingested ids, consecutive and ascending.
     held: dict[int, _Held] = field(default_factory=dict)
+    # Group id -> (publisher sid, server handle, receiving sids) for every
+    # group whose header has arrived and which has not ended, in arrival order.
+    live: dict[int, tuple[object, object, list]] = field(default_factory=dict)
     next_expected: int | None = None
 
 
@@ -167,10 +179,6 @@ class RelayCore:
 
     def sessions_of(self, track: str) -> list[SessionState]:
         return [s for s in self._sessions.values() if s.track == track]
-
-    def unfiltered_sids(self, track: str) -> list[object]:
-        """Sessions that receive frames live (plain subscribers + analyzers)."""
-        return [s.sid for s in self.sessions_of(track) if s.filter is None]
 
     # -- subscription --------------------------------------------------------
 
@@ -232,8 +240,9 @@ class RelayCore:
         """Give a new or subscribed session the roles ``parameters`` name.
 
         A session that turns filtered is gated from the first group not yet
-        ingested; one that leaves the filtered role gets every held group it
-        has not had, oldest first, approved or not.
+        ingested and not live to it; one that leaves the filtered role gets
+        every held group it has not had, oldest first, approved or not.  A
+        session that receives live joins every live group it is not yet in.
         """
         analyze, filter_ = self._parse_roles(parameters)
         was_filter = state.filter is not None
@@ -247,6 +256,13 @@ class RelayCore:
             actions.extend(self._gate_one(track, state))
         elif was_filter:
             actions.extend(self._release(track, state, gid) for gid in _undelivered(track, state))
+        for gid, (_, handle, receivers) in track.live.items():
+            if state.sid in receivers:
+                if filter_ is not None:
+                    state.next_deliver = max(state.next_deliver, gid + 1)
+            elif filter_ is None:
+                receivers.append(state.sid)
+                actions.append(JoinLive(state.sid, handle))
         self.log.emit(
             "relay",
             event,
@@ -258,7 +274,15 @@ class RelayCore:
         return actions
 
     def remove_session(self, sid: object) -> None:
+        """Forget a session, and every live group it publishes: those can
+        never end."""
         self._sessions.pop(sid, None)
+        for track in self._tracks.values():
+            for gid, (publisher, _, receivers) in list(track.live.items()):
+                if publisher == sid:
+                    del track.live[gid]
+                elif sid in receivers:
+                    receivers.remove(sid)
 
     # -- media ingest ---------------------------------------------------------
 
@@ -268,10 +292,24 @@ class RelayCore:
             track = self._tracks[name] = _TrackState(name)
         return track
 
-    def ingest_group(self, track_name: str, group_id: int, payload: object) -> list[Action]:
-        """Store a finished group.  It has no approvals yet, so this releases
-        nothing and returns no actions."""
+    def start_group(
+        self, publisher: object, track_name: str, group_id: int, handle: object
+    ) -> list[Action]:
+        """A group's header has arrived: every session without a filter
+        joins it live.  ``handle`` is the caller's, returned in each join."""
         track = self._track(track_name)
+        if group_id in track.live or group_id < (track.next_expected or 0):
+            state = "live" if group_id in track.live else "ingested"
+            raise MonotonicityError(f"track {track_name!r} group {group_id} is already {state}")
+        receivers = [s.sid for s in self.sessions_of(track_name) if s.filter is None]
+        track.live[group_id] = (publisher, handle, receivers)
+        return [JoinLive(sid, handle) for sid in receivers]
+
+    def ingest_group(self, track_name: str, group_id: int, payload: object) -> list[Action]:
+        """Store a finished group, which is no longer live.  It has no
+        approvals yet, so this releases nothing and returns no actions."""
+        track = self._track(track_name)
+        track.live.pop(group_id, None)
         if track.next_expected is None:
             # First group establishes the base id for the track.
             for state in self.sessions_of(track_name):
@@ -385,10 +423,10 @@ def _undelivered(track: _TrackState, state: SessionState) -> range:
 
 
 class _LiveGroup:
-    """One publisher group stream passing through the relay."""
+    """The bytes of one publisher group stream passing through the relay;
+    the core holds it as the group's handle."""
 
-    def __init__(self, publisher: object) -> None:
-        self.publisher = publisher  # sid of the session it arrives on
+    def __init__(self) -> None:
         self.parser = GroupStreamParser()
         self.spans: list[bytes] = []  # forwarded so far, as received
         self.fanout: dict[object, object] = {}  # sid -> SendStream
@@ -404,15 +442,12 @@ class RelayServer:
         self.log = log if log is not None else EventLog(lambda: clock.now)
         self.core = RelayCore(retention, self.log)
         self._sessions: dict[object, Session] = {}
-        # (track, group id) -> every group stream whose header has arrived
-        # and which has not ended, in arrival order.
-        self._live: dict[tuple[str, int], _LiveGroup] = {}
 
     def attach(self, sid: object, session: Session) -> None:
         """Adopt one side of a connected link as a relay session."""
         self._sessions[sid] = session
         session.set_on_control(partial(self._on_control, sid, ControlStreamDecoder()))
-        session.set_on_stream(lambda rs: self._on_incoming_stream(sid, rs))
+        session.set_on_stream(lambda rs: rs.set_on_data(partial(self._on_group_data, sid, _LiveGroup())))
         session.set_on_close(lambda: self._on_close(sid))
 
     # -- control path ----------------------------------------------------------
@@ -424,14 +459,8 @@ class RelayServer:
             self._fail_session(sid, f"undecodable control bytes: {exc}")
             return
         for msg in messages:
-            try:
-                actions = self._dispatch(sid, msg)
-            except ProtocolError as exc:
-                self._fail_session(sid, str(exc))
+            if not self._apply(sid, self._dispatch, sid, msg):
                 return
-            self._execute(actions)
-            if isinstance(msg, (Subscribe, SubscribeUpdate)):
-                self._meet_live(sid)
 
     def _dispatch(self, sid: object, msg: ControlMessage) -> list[Action]:
         if isinstance(msg, Subscribe):
@@ -442,6 +471,17 @@ class RelayServer:
             return self.core.handle_approve(sid, msg)
         self.log.emit("relay", "control_ignored", sid=str(sid), message=type(msg).__name__)
         return []
+
+    def _apply(self, sid: object, handler, *args) -> bool:
+        """Carry out the actions a core handler returns, or fail session
+        ``sid`` when the handler refuses; returns whether it carried out."""
+        try:
+            actions = handler(*args)
+        except ProtocolError as exc:
+            self._fail_session(sid, str(exc))
+            return False
+        self._execute(actions)
+        return True
 
     def _fail_session(self, sid: object, reason: str) -> None:
         self.log.emit("relay", "protocol_error", sid=str(sid), reason=reason)
@@ -455,22 +495,14 @@ class RelayServer:
 
     def _forget(self, sid: object) -> Session | None:
         """Drop every trace of a session, including any group it was
-        publishing; returns the session if it was attached."""
+        publishing; returns the session if it was attached.  Live streams
+        to it are dropped at their next send, which it refuses."""
         self.core.remove_session(sid)
-        for key, live in list(self._live.items()):
-            if live.publisher == sid:
-                del self._live[key]  # the group can never end
-            else:
-                live.fanout.pop(sid, None)
         return self._sessions.pop(sid, None)
 
     # -- publisher data path -----------------------------------------------------
 
-    def _on_incoming_stream(self, sid: object, rs: RecvStream) -> None:
-        rs.set_on_data(partial(self._on_group_data, _LiveGroup(sid)))
-
-    def _on_group_data(self, live: _LiveGroup, data: bytes, fin: bool) -> None:
-        sid = live.publisher
+    def _on_group_data(self, sid: object, live: _LiveGroup, data: bytes, fin: bool) -> None:
         parser = live.parser
         try:
             parser.feed(data, fin)
@@ -480,13 +512,10 @@ class RelayServer:
         track = parser.track
         if track is None:
             return  # the header is not complete yet
-        key = (track, parser.group_id)
-        if not live.spans:
-            # This chunk completed the header, so it starts the group: the
-            # live receivers of this moment join it.
-            self._live[key] = live
-            for sub_sid in self.core.unfiltered_sids(track):
-                self._join(live, sub_sid)
+        group_id = parser.group_id
+        # A chunk that completes the header starts the group.
+        if not live.spans and not self._apply(sid, self.core.start_group, sid, track, group_id, live):
+            return
         blob = parser.span
         if blob:
             live.spans.append(blob)
@@ -499,76 +528,46 @@ class RelayServer:
                         stream.send(blob)
                 except DisconnectedError:
                     live.fanout.pop(sub_sid, None)
-        if fin:
-            if self._live.get(key) is live:
-                del self._live[key]
-            group_id = parser.group_id
-            try:
-                self.core.ingest_group(track, group_id, b"".join(live.spans))
-            except ProtocolError as exc:
-                self._fail_session(sid, str(exc))
-                return
+        if fin and self._apply(sid, self.core.ingest_group, track, group_id, b"".join(live.spans)):
             self._schedule_stall_checks(track, group_id)
 
-    def _join(self, live: _LiveGroup, sid: object) -> None:
+    def _join(self, live: _LiveGroup, sid: object, session: Session) -> None:
         """Open a stream of ``live`` to ``sid`` and send it the spans
         forwarded so far (none when the group has just started)."""
         try:
-            stream = self._sessions[sid].open_stream()
+            stream = session.open_stream()
             stream.send(b"".join(live.spans))
         except DisconnectedError:
             return
         live.fanout[sid] = stream
 
-    def _meet_live(self, sid: object) -> None:
-        """Fit a session's new roles to its track's live groups: one that
-        receives live joins each live group it is not yet in, and a
-        filtered one is gated from after the last live group it is in."""
-        state = self.core.session(sid)
-        if state is None:
-            return
-        for (track, group_id), live in self._live.items():
-            if track != state.track:
-                continue
-            if sid in live.fanout:
-                if state.filter is not None:
-                    state.next_deliver = max(state.next_deliver, group_id + 1)
-            elif state.filter is None:
-                self._join(live, sid)
-
     # -- action execution ----------------------------------------------------------
 
     def _execute(self, actions: list[Action]) -> None:
         for action in actions:
-            if isinstance(action, SendControl):
-                session = self._sessions.get(action.sid)
-                if session is None:
-                    continue
-                try:
+            session = self._sessions.get(action.sid)
+            if session is None or isinstance(action, SkipGroups):
+                continue
+            if isinstance(action, JoinLive):
+                self._join(action.handle, action.sid, session)
+                continue
+            try:
+                if isinstance(action, SendControl):
                     session.send_control(encode_message(action.message))
-                except DisconnectedError:
-                    self._on_close(action.sid)
-            elif isinstance(action, DeliverGroup):
-                self._deliver_group(action)
-
-    def _deliver_group(self, action: DeliverGroup) -> None:
-        session = self._sessions.get(action.sid)
-        if session is None:
-            return
-        assert isinstance(action.payload, bytes)
-        try:
-            stream = session.open_stream()
-            stream.end(action.payload)
-        except DisconnectedError:
-            self._on_close(action.sid)
-            return
-        self.log.emit(
-            "relay",
-            "group_delivered",
-            sid=str(action.sid),
-            track=action.track,
-            group_id=action.group_id,
-        )
+                else:
+                    assert isinstance(action.payload, bytes)
+                    session.open_stream().end(action.payload)
+            except DisconnectedError:
+                self._on_close(action.sid)
+                continue
+            if isinstance(action, DeliverGroup):
+                self.log.emit(
+                    "relay",
+                    "group_delivered",
+                    sid=str(action.sid),
+                    track=action.track,
+                    group_id=action.group_id,
+                )
 
     # -- stall alarms ------------------------------------------------------------
 

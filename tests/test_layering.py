@@ -2,7 +2,8 @@
 
 The relay and the clients keep time through ``transport.Clock``, use no
 more of a clock than that protocol and never name the simulated network;
-the report writers depend on nothing else in the package.
+the relay's core names no transport type and its server keeps no session
+roles; the report writers depend on nothing else in the package.
 """
 
 from __future__ import annotations
@@ -73,6 +74,26 @@ def test_relay_and_clients_read_only_the_clock_protocol(module):
 def test_clock_protocol_is_what_relay_and_clients_read():
     read = _clock_attributes(_tree("relay")) | _clock_attributes(_tree("client"))
     assert read == _clock_protocol() == {"now", "after", "at_each"}
+
+
+def _class(module: str, name: str) -> ast.ClassDef:
+    (node,) = [n for n in _tree(module).body if isinstance(n, ast.ClassDef) and n.name == name]
+    return node
+
+
+def test_relay_core_names_no_transport_type():
+    names = _names(ast.Module(body=[_class("relay", "RelayCore")], type_ignores=[]))
+    assert not names & {"Session", "SendStream", "RecvStream", "open_stream"}
+
+
+def test_relay_server_assigns_no_session_state_field():
+    stored = [
+        node.attr
+        for node in ast.walk(_class("relay", "RelayServer"))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del))
+    ]
+    assert stored, "the check must see the server's own assignments"
+    assert not set(stored) & {"filter", "analyze", "next_deliver"}
 
 
 def test_report_imports_no_moqgate_module():

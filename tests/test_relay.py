@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import gc
 import tracemalloc
+from functools import partial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from recording import Recorder, ended, joined
 from streams import encode_group_stream
@@ -19,9 +20,10 @@ from moqgate.framing import (
     encode_frame_chunk,
     encode_group_header,
 )
-from moqgate.media import Constant, Group, LuminanceFrame, SourceConfig, generate_groups
+from moqgate.media import Constant, Group, LuminanceFrame, SourceConfig, Strobe, generate_groups
 from moqgate.relay import (
     DeliverGroup,
+    JoinLive,
     MonotonicityError,
     ProtocolError,
     RelayCore,
@@ -29,7 +31,7 @@ from moqgate.relay import (
     SendControl,
     SkipGroups,
 )
-from moqgate.transport import Link, SimNetwork
+from moqgate.transport import DisconnectedError, Link, SimNetwork
 from moqgate.wire import (
     Approve,
     Category,
@@ -393,25 +395,88 @@ class TestSessionRemoval:
         assert core.handle_approve("an", Approve(2, 0, (STROBE,))) == []
 
 
+class TestLiveGroups:
+    """The core decides who joins each live group: a group whose header has
+    arrived and which has not ended."""
+
+    def test_overlapping_groups_are_each_joined(self):
+        core = RelayCore()
+        core.start_group("pub", "cam", 0, "H0")
+        core.start_group("pub", "cam", 1, "H1")
+        assert core.handle_subscribe("p", plain(sub_id=1)) == [
+            SendControl("p", SubscribeOk(1)),
+            JoinLive("p", "H0"),
+            JoinLive("p", "H1"),
+        ]
+        core.ingest_group("cam", 0, "G0")
+        assert core.handle_subscribe("q", plain(sub_id=2)) == [
+            SendControl("q", SubscribeOk(2)),
+            JoinLive("q", "H1"),
+        ]
+
+    def test_live_group_of_a_removed_publisher_is_never_joined(self):
+        core = RelayCore()
+        core.handle_subscribe("p", plain(sub_id=1))
+        core.start_group("pub", "cam", 0, "H0")
+        core.remove_session("pub")
+        assert core.handle_subscribe("q", plain(sub_id=2)) == [SendControl("q", SubscribeOk(2))]
+        assert core._tracks["cam"].live == {}
+
+    def test_removed_receiver_leaves_every_live_group(self):
+        core = RelayCore()
+        core.handle_subscribe("p", plain(sub_id=1))
+        core.start_group("pub", "cam", 0, "H0")
+        core.remove_session("p")
+        assert core._tracks["cam"].live == {0: ("pub", "H0", [])}
+
+    def test_turning_filtered_mid_group_never_gives_that_group_twice(self):
+        core = RelayCore()
+        core.handle_subscribe("an", analyzer([STROBE], sub_id=2))
+        core.handle_subscribe("p", plain(sub_id=1))
+        assert JoinLive("p", "H0") in core.start_group("pub", "cam", 0, "H0")
+        core.handle_subscribe_update("p", SubscribeUpdate(1, (filter_parameter([STROBE]),)))
+        assert core.session("p").next_deliver == 1
+        core.ingest_group("cam", 0, "G0")
+        assert core.handle_approve("an", Approve(2, 0, (STROBE,))) == []
+        assert core.start_group("pub", "cam", 1, "H1") == [JoinLive("an", "H1")]
+        core.ingest_group("cam", 1, "G1")
+        assert core.handle_approve("an", Approve(2, 1, (STROBE,))) == [DeliverGroup("p", "cam", 1, "G1")]
+
+
 class ReferenceGate:
-    """The relay's gating rules for one track, written as a plain model.
+    """The relay's rules for one track, written as a plain model.
 
     A gate pass looks for the first stored group at or after the session's
     next group whose filter categories are all approved, skips the groups
     before it, delivers it, and searches again from the start until nothing
     is left to release.
+
+    Every session without a filter, analyzers included, is in every live
+    group: those present at a group's header join it then, and one that
+    arrives or drops its filter later joins it at once.  A session that
+    turns filtered is gated from after the newest live group it is in.
     """
 
     def __init__(self, retention, filters):
         self.retention = retention
-        self.filters = dict(filters)  # sid -> filter categories, or None when plain
+        self.filters = dict(filters)  # sid -> filter categories, or None when live
         self.next_deliver = dict.fromkeys(self.filters, 0)
         self.stored = {}
         self.approved = {}  # gid -> {category: approving sids}
+        self.live = {}  # gid -> sids in the group, in the order they joined
         self.next_expected = None
         self.evicted_below = None
 
+    def start(self, gid):
+        """The joins for a group header, or ProtocolError for an id that is
+        already live or ingested."""
+        if gid in self.live or (self.next_expected is not None and gid < self.next_expected):
+            return ProtocolError
+        self.live[gid] = [sid for sid, cats in self.filters.items() if cats is None]
+        return [JoinLive(sid, f"H{gid}") for sid in self.live[gid]]
+
     def ingest(self, gid):
+        self.live.pop(gid, None)
         if self.next_expected is None:
             for sid, cats in self.filters.items():
                 if cats is not None and self.next_deliver[sid] < gid:
@@ -438,12 +503,15 @@ class ReferenceGate:
         return self.gate_all() if new_coverage else []
 
     def subscribe(self, sid, sub_id, cats):
-        """A new filtered session, or ProtocolError for a known one."""
+        """A new session, or ProtocolError for a known one."""
         if sid in self.filters:
             return ProtocolError
         self.filters[sid] = cats
         self.next_deliver[sid] = self.next_expected or 0
-        return [SendControl(sid, SubscribeOk(sub_id))] + self.gate(sid)
+        actions = [SendControl(sid, SubscribeOk(sub_id))]
+        if cats is not None:
+            actions += self.gate(sid)
+        return actions + self.meet_live(sid)
 
     def update(self, sid, sub_id, cats):
         """The actions, or ProtocolError from a session not subscribed."""
@@ -461,7 +529,24 @@ class ReferenceGate:
             if not was_filter:
                 self.next_deliver[sid] = self.next_expected or 0
             actions += self.gate(sid)
-        return actions
+        return actions + self.meet_live(sid)
+
+    def remove(self, sid):
+        del self.filters[sid], self.next_deliver[sid]
+        for sids in self.live.values():
+            if sid in sids:
+                sids.remove(sid)
+
+    def meet_live(self, sid):
+        """Fit a session's roles to the live groups; returns its joins."""
+        mine = [gid for gid, sids in self.live.items() if sid in sids]
+        if self.filters[sid] is not None:
+            self.next_deliver[sid] = max([self.next_deliver[sid]] + [gid + 1 for gid in mine])
+            return []
+        joins = [gid for gid in self.live if gid not in mine]
+        for gid in joins:
+            self.live[gid].append(sid)
+        return [JoinLive(sid, f"H{gid}") for gid in joins]
 
     def gate_all(self):
         return [a for sid, cats in self.filters.items() if cats is not None for a in self.gate(sid)]
@@ -485,23 +570,32 @@ class ReferenceGate:
 
 
 FILTER_SETS = [(STROBE,), (SMOKING,), (STROBE, SMOKING), (SMOKING, ALCOHOL), (STROBE, SMOKING, ALCOHOL)]
+ROLES = FILTER_SETS + [None]  # None: a plain session
 ANALYZERS = {"a1": (1, (STROBE, SMOKING, ALCOHOL)), "a2": (2, (SMOKING,))}
 FILTERED = {"f0": 10, "f1": 11, "f2": 12}
-LATE = {"g0": 20, "g1": 21}  # filtered sessions that subscribe mid-run
+LATE = {"g0": 20, "g1": 21}  # sessions that subscribe, and may leave, mid-run
 
 gate_ops = st.one_of(
     st.just(("ingest",)),
+    st.tuples(st.just("start"), st.integers(-1, 2)),  # id relative to the next to ingest
     st.tuples(
         st.just("approve"),
         st.sampled_from(sorted(ANALYZERS)),
         st.integers(-5, 1),  # group id relative to the next one to ingest
         st.lists(st.sampled_from([STROBE, SMOKING, ALCOHOL]), max_size=3, unique=True),
     ),
-    st.tuples(
-        st.just("update"), st.sampled_from(sorted(FILTERED | LATE)), st.sampled_from(FILTER_SETS + [None])
-    ),
-    st.tuples(st.just("subscribe"), st.sampled_from(sorted(LATE)), st.sampled_from(FILTER_SETS)),
+    st.tuples(st.just("update"), st.sampled_from(sorted(FILTERED | LATE)), st.sampled_from(ROLES)),
+    st.tuples(st.just("subscribe"), st.sampled_from(sorted(LATE)), st.sampled_from(ROLES)),
+    st.tuples(st.just("remove"), st.sampled_from(sorted(LATE))),
+    st.just(("drop",)),  # the publisher fails
 )
+
+
+def group_of(action):
+    """The group a JoinLive or DeliverGroup gives its session, else None."""
+    if isinstance(action, JoinLive):
+        return int(action.handle[1:])
+    return action.group_id if isinstance(action, DeliverGroup) else None
 
 
 class TestGateMatchesReference:
@@ -509,16 +603,39 @@ class TestGateMatchesReference:
     @given(
         retention=st.integers(1, 4),
         first_gid=st.integers(0, 3),
-        filters=st.lists(st.sampled_from(FILTER_SETS), min_size=3, max_size=3),
+        filters=st.lists(st.sampled_from(ROLES), min_size=3, max_size=3),
         ops=st.lists(gate_ops, max_size=40),
+    )
+    # Overlapping live groups, a role change mid-group, receiver removal,
+    # refused duplicate headers and a failed publisher, every run.
+    @example(
+        retention=2,
+        first_gid=0,
+        filters=[None, (STROBE,), (SMOKING,)],
+        ops=[
+            ("start", 0),
+            ("start", 1),
+            ("subscribe", "g0", None),
+            ("update", "f0", (STROBE,)),
+            ("remove", "g0"),
+            ("ingest",),
+            ("approve", "a1", -1, [STROBE]),
+            ("start", -1),
+            ("start", 0),
+            ("drop",),
+            ("subscribe", "g0", None),
+        ],
     )
     def test_actions_match_reference_gate(self, retention, first_gid, filters, ops):
         core = RelayCore(retention=retention)
         for sid, (sub_id, cats) in ANALYZERS.items():
             core.handle_subscribe(sid, analyzer(cats, sub_id=sub_id))
+        received = {sid: set() for sid in ANALYZERS}  # sid -> groups given, live or gated
         for (sid, sub_id), cats in zip(FILTERED.items(), filters):
-            core.handle_subscribe(sid, filterer(cats, sub_id=sub_id))
-        model = ReferenceGate(retention, zip(FILTERED, filters))
+            msg = plain(sub_id) if cats is None else filterer(cats, sub_id=sub_id)
+            core.handle_subscribe(sid, msg)
+            received[sid] = set()
+        model = ReferenceGate(retention, [(sid, None) for sid in ANALYZERS] + list(zip(FILTERED, filters)))
         next_gid = first_gid
         for op in ops:
             if op[0] == "ingest":
@@ -528,6 +645,14 @@ class TestGateMatchesReference:
                 # pass releases nothing, and the core does not run one.
                 assert got == want == [], op
                 next_gid += 1
+            elif op[0] == "start":
+                gid = max(0, next_gid + op[1])
+                want = model.start(gid)
+                if want is ProtocolError:
+                    with pytest.raises(MonotonicityError):
+                        core.start_group("pub", "cam", gid, f"H{gid}")
+                    continue
+                got = core.start_group("pub", "cam", gid, f"H{gid}")
             elif op[0] == "approve":
                 _, sid, offset, cats = op
                 gid = max(0, next_gid + offset)
@@ -539,11 +664,26 @@ class TestGateMatchesReference:
                         core.handle_approve(sid, Approve(sub_id, gid, cats))
                     continue
                 got = core.handle_approve(sid, Approve(sub_id, gid, cats))
+            elif op[0] == "drop":
+                # Its live groups can never end, so none of them was received.
+                dropped = set(model.live)
+                model.live.clear()
+                core.remove_session("pub")
+                for gids in received.values():
+                    gids -= dropped
+                got = want = []
+            elif op[0] == "remove":
+                sid = op[1]
+                if sid in model.filters:
+                    model.remove(sid)
+                    del received[sid]
+                core.remove_session(sid)
+                got = want = []
             else:
                 kind, sid, cats = op
                 sub_id = (FILTERED | LATE)[sid]
                 if kind == "subscribe":
-                    msg = filterer(cats, sub_id=sub_id)
+                    msg = plain(sub_id) if cats is None else filterer(cats, sub_id=sub_id)
                     handle, want = core.handle_subscribe, model.subscribe(sid, sub_id, cats)
                 else:
                     params = () if cats is None else (filter_parameter(cats),)
@@ -553,11 +693,24 @@ class TestGateMatchesReference:
                     with pytest.raises(ProtocolError):
                         handle(sid, msg)
                     continue
+                received.setdefault(sid, set())
                 got = handle(sid, msg)
             assert got == want, op
+            for action in got:
+                gid = group_of(action)
+                if gid is not None:
+                    # No group reaches a session twice, live or gated.
+                    assert gid not in received[action.sid], (op, action)
+                    received[action.sid].add(gid)
             # Held ids are the last <= retention ingested, consecutive and ascending.
             held = list(core._tracks["cam"].held)
             assert held == list(range(max(first_gid, next_gid - retention), next_gid)), op
+            live = core._tracks["cam"].live
+            assert {gid: sids for gid, (_, _, sids) in live.items()} == model.live, op
+            # Each filtered session waits for the group the model says.
+            for sid, cats in model.filters.items():
+                if cats is not None:
+                    assert core.session(sid).next_deliver == model.next_deliver[sid], op
 
 
 def frame(i, ts, level):
@@ -698,7 +851,7 @@ class TestRelayServer:
         if ending == "fin_early":
             (error,) = rig.server.log.filter(kind="protocol_error")
             assert error.detail["sid"] == "pub"
-        assert rig.server._live == {}
+        assert rig.server.core._tracks["cam"].live == {}
         assert SubscribeOk(9) in ControlStreamDecoder().feed(b"".join(received.control))
         assert received.chunks == []
 
@@ -730,7 +883,7 @@ class TestRelayServer:
             [(h1, False, 50.0), (t1, True, 95.0)],
         ]
         assert received["late"].by_stream() == [[(h1, False, 85.0), (t1, True, 95.0)]]
-        assert rig.server._live == {}
+        assert rig.server.core._tracks["cam"].live == {}
 
     def test_invalid_subscribe_closes_session(self):
         rig = ServerRig({})
@@ -844,6 +997,59 @@ class TestRelayServer:
         finally:
             tracemalloc.stop()
         assert group_bytes <= held < 2 * group_bytes
+
+
+class TestDuplicateGroup:
+    """A publisher stream whose header repeats a group id that is already
+    live or ingested is refused at the header, before any byte of it is
+    forwarded: otherwise an approval of the duplicate's content lands on the
+    group the relay holds under that id."""
+
+    @staticmethod
+    def _group_zero(segment):
+        source = SourceConfig(16, 16, 30, 1000, (segment,))
+        (group,) = encode_publication("cam", generate_groups(source))
+        return group.chunks
+
+    @pytest.mark.parametrize("state", ["ingested", "live"])
+    def test_duplicate_group_id_refused_before_forwarding(self, state):
+        net = SimNetwork()
+        server = RelayServer(net)
+
+        def connect(name):
+            local, remote = net.connect(Link(delay_ms=5.0), name, "relay")
+            server.attach(name, remote)
+            return local
+
+        an = AnalyzerClient(net, connect("an"), "cam", (STROBE,), 2)
+        gated = SubscriberClient(net, connect("f"), "cam", 3, filter_categories=(STROBE,))
+        an.start()
+        gated.start()
+        pub = connect("pub")
+        strobe = self._group_zero(Strobe(16, 240, 15.0, 1000))
+        duplicate = b"".join(self._group_zero(Constant(128, 1000)))
+
+        def send(stream, data, fin):
+            try:
+                stream.end(data) if fin else stream.send(data)
+            except DisconnectedError:
+                pass  # the relay has failed the publisher
+
+        first, second = pub.open_stream(), pub.open_stream()
+        # The strobe group either arrives whole at 15 ms, or frame by frame
+        # from 15 ms to 1 s; the duplicate arrives whole at 505 ms.
+        step = 0 if state == "ingested" else 1000 / 30
+        for k, chunk in enumerate(strobe):
+            net.at(10 + k * step, partial(send, first, chunk, k == len(strobe) - 1))
+        net.at(500, partial(send, second, duplicate, True))
+        net.run_until_idle()
+
+        assert gated.records == []
+        assert an.log.filter(kind="approve_sent") == []
+        assert [r.group_id for r in an.records] == ([0] if state == "ingested" else [])
+        (error,) = server.log.filter(kind="protocol_error")
+        assert error.detail == {"sid": "pub", "reason": f"track 'cam' group 0 is already {state}"}
+        assert server.core._tracks["cam"].live == {}
 
 
 class TestRoleChange:
@@ -1031,12 +1237,12 @@ class TestBoundedState:
             assert session._recv_streams == {}, session.name
             # only the never-ending control stream keeps an arrival clamp
             assert set(session._outgoing._last_arrival) <= {0}, session.name
-        assert server._live == {}
         track = server.core._tracks["cam"]
+        assert track.live == {}
         assert len(track.held) <= self.RETENTION
         return (
             [(len(s._recv_streams), set(s._outgoing._last_arrival)) for s in sessions],
-            len(server._live),
+            len(track.live),
             [len(group.approved) for group in track.held.values()],
         )
 
