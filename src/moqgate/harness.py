@@ -105,7 +105,8 @@ def _drawn_links(scenario: Scenario, rng: random.Random) -> dict[str, LinkSpec]:
 
 @dataclass
 class _RunResult:
-    """One run's records plus the facts its checks read from the event log."""
+    """One run's records plus the facts its checks read, folded from the
+    run's events as they were emitted."""
 
     index: int
     links: dict[str, LinkSpec]
@@ -124,8 +125,42 @@ def _run_once(
     links: Mapping[str, LinkSpec],
     index: int,
 ) -> _RunResult:
+    # The run's ledger: each fact the checks read is folded in as its event
+    # is emitted, and the log keeps no events.
+    sent: dict[str, list[tuple[float, int, list[int]]]] = {
+        spec.name: [] for spec in scenario.clients if spec.analyze
+    }
+    approved_at: dict[tuple[int, int], float] = {}
+    gated: list[tuple[float, str, int]] = []
+    errors: list[tuple[str, str]] = []
+    filtered = {spec.name for spec in scenario.clients if spec.filter}
+
+    def approve_sent(time_ms: float, source: str, detail: dict) -> None:
+        sent[source].append((time_ms, detail["group_id"], detail["categories"]))
+
+    def approve_recorded(time_ms: float, source: str, detail: dict) -> None:
+        group_id = detail["group_id"]
+        for code in detail["categories"]:
+            approved_at.setdefault((group_id, code), time_ms)
+
+    def group_delivered(time_ms: float, source: str, detail: dict) -> None:
+        sid = detail["sid"]
+        if sid in filtered:
+            gated.append((time_ms, sid, detail["group_id"]))
+
+    def protocol_error(time_ms: float, source: str, detail: dict) -> None:
+        errors.append((detail["sid"], detail["reason"]))
+
     net = SimNetwork()
-    log = EventLog(lambda: net.now)
+    log = EventLog(
+        lambda: net.now,
+        folds={
+            "approve_sent": approve_sent,
+            "approve_recorded": approve_recorded,
+            "group_delivered": group_delivered,
+            "protocol_error": protocol_error,
+        },
+    )
     server = RelayServer(net, scenario.retention_groups, log)
 
     def make_link(spec: LinkSpec, name: str) -> Link:
@@ -197,24 +232,6 @@ def _run_once(
         for name, c in clients.items()
     }
 
-    # The one pass over the log; the log itself is freed with the run.
-    sent: dict[str, list[tuple[float, int, list[int]]]] = {
-        spec.name: [] for spec in scenario.clients if spec.analyze
-    }
-    approved_at: dict[tuple[int, int], float] = {}
-    gated: list[tuple[float, str, int]] = []
-    errors: list[tuple[str, str]] = []
-    filtered = {spec.name for spec in scenario.clients if spec.filter}
-    for time_ms, source, kind, detail in log.events:
-        if kind == "approve_sent":
-            sent[source].append((time_ms, detail["group_id"], detail["categories"]))
-        elif kind == "approve_recorded":
-            for code in detail["categories"]:
-                approved_at.setdefault((detail["group_id"], code), time_ms)
-        elif kind == "group_delivered" and detail["sid"] in filtered:
-            gated.append((time_ms, detail["sid"], detail["group_id"]))
-        elif kind == "protocol_error":
-            errors.append((detail["sid"], detail["reason"]))
     return _RunResult(index, dict(links), records, sent, approved_at, gated, errors, end_time, timed_out)
 
 

@@ -45,16 +45,18 @@ class TestEventLog:
         log.emit("s", "k")
         assert log.events[0].time_ms == 0.0
 
-    def test_emit_returns_the_event_it_records(self):
+    def test_emit_appends_the_event_it_records(self):
         log = EventLog(lambda: 4.5)
-        event = log.emit("relay", "group_stored", group_id=3, track="cam")
+        log.emit("relay", "group_stored", group_id=3, track="cam")
+        event = log.events[-1]
         assert event == Event(4.5, "relay", "group_stored", {"group_id": 3, "track": "cam"})
         assert log.events == [event]
 
     def test_detail_is_a_fresh_dict(self):
         log = EventLog()
         detail = {"group_id": 3}
-        event = log.emit("relay", "k", **detail)
+        log.emit("relay", "k", **detail)
+        event = log.events[-1]
         assert event.detail is not detail
         detail["group_id"] = 4
         detail["extra"] = True
@@ -76,3 +78,24 @@ class TestEventLog:
             '{"frame_count": 30, "group_id": 0, "kind": "group_received", '
             '"source": "viewer", "time_ms": 1000.25}'
         )
+
+    def test_a_kind_without_a_fold_never_reads_the_clock(self):
+        # Only a folded kind reads the clock, and a log with folds keeps nothing.
+        reads = 0
+
+        def clock() -> float:
+            nonlocal reads
+            reads += 1
+            return 2.5 * reads
+
+        seen = []
+        log = EventLog(clock, folds={"approve_sent": lambda *event: seen.append(event)})
+        for _ in range(3):
+            log.emit("relay", "group_released", group_id=0)
+        assert reads == 0
+        log.emit("analyzer", "approve_sent", group_id=0)
+        log.emit("relay", "group_delivered", group_id=0)
+        log.emit("analyzer", "approve_sent", group_id=1)
+        assert reads == 2
+        assert seen == [(2.5, "analyzer", {"group_id": 0}), (5.0, "analyzer", {"group_id": 1})]
+        assert log.events == []

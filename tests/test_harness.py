@@ -134,6 +134,21 @@ def run_report(data: dict) -> Report:
     return run_scenario(scenario_from_dict(data))
 
 
+def publisher_jitter_scenario(seed: int) -> dict:
+    """100 ms groups for 500 ms with 200 ms of publisher jitter, so groups
+    reach the relay out of order and it fails sessions."""
+    link = {"to_relay_ms": 10.0, "from_relay_ms": 10.0, "jitter_ms": 0.0}
+    data = mini_scenario()
+    data.update(seed=seed, checks={})
+    data["source"].update(fps=100, gop_duration_ms=100)
+    data["source"]["segments"] = [{"kind": "constant", "level": 128, "duration_ms": 500}]
+    data["links"] = {
+        "publisher": {**link, "jitter_ms": 200.0},
+        "clients": {"analyzer0": link, "gated": link, "plain": link},
+    }
+    return data
+
+
 def checks_by_name(report: Report) -> dict[str, bool]:
     return {c["name"]: c["passed"] for c in report.data["checks"]}
 
@@ -764,16 +779,7 @@ class TestRunScenario:
             return emit(log, source, kind, **detail)
 
         monkeypatch.setattr(EventLog, "emit", recording_emit)
-        link = {"to_relay_ms": 10.0, "from_relay_ms": 10.0, "jitter_ms": 0.0}
-        data = mini_scenario()
-        data.update(seed=seed, checks={})
-        data["source"].update(fps=100, gop_duration_ms=100)
-        data["source"]["segments"] = [{"kind": "constant", "level": 128, "duration_ms": 500}]
-        data["links"] = {
-            "publisher": {**link, "jitter_ms": 200.0},
-            "clients": {"analyzer0": link, "gated": link, "plain": link},
-        }
-        report = run_report(data)
+        report = run_report(publisher_jitter_scenario(seed))
         assert relay_events == [
             {"sid": "publisher", "reason": "track 'cam' expected group 2, got 3"},
             {"sid": "analyzer0", "reason": "approval for group 3 of track 'cam', which has not been ingested"},
@@ -795,6 +801,99 @@ class TestRunScenario:
         partial = ei.value.report
         assert partial.data["timeout"] is True
         assert partial.passed is False
+
+
+def _scan(scenario: Scenario, events: list[tuple]) -> tuple:
+    """The facts the checks read, taken from a run's full event list in one
+    pass once the run is over."""
+    sent: dict[str, list] = {spec.name: [] for spec in scenario.clients if spec.analyze}
+    approved_at: dict[tuple[int, int], float] = {}
+    gated = []
+    errors = []
+    filtered = {spec.name for spec in scenario.clients if spec.filter}
+    for time_ms, source, kind, detail in events:
+        if kind == "approve_sent":
+            sent[source].append((time_ms, detail["group_id"], detail["categories"]))
+        elif kind == "approve_recorded":
+            for code in detail["categories"]:
+                approved_at.setdefault((detail["group_id"], code), time_ms)
+        elif kind == "group_delivered" and detail["sid"] in filtered:
+            gated.append((time_ms, detail["sid"], detail["group_id"]))
+        elif kind == "protocol_error":
+            errors.append((detail["sid"], detail["reason"]))
+    return sent, approved_at, gated, errors
+
+
+def _bundled(name: str) -> Scenario:
+    return load_scenario(bundled_scenario_path(name))
+
+
+class TestRunLedger:
+    """Each run folds the facts its checks read as events are emitted and
+    keeps no event list."""
+
+    def test_no_harness_log_keeps_an_event(self, monkeypatch):
+        logs: list[EventLog] = []
+
+        def recording_log(*args, **kwargs):
+            logs.append(EventLog(*args, **kwargs))
+            return logs[-1]
+
+        monkeypatch.setattr(moqgate.harness, "EventLog", recording_log)
+        emitted = 0
+        emit = EventLog.emit
+
+        def counting_emit(log, source, kind, **detail):
+            nonlocal emitted
+            emitted += 1
+            return emit(log, source, kind, **detail)
+
+        monkeypatch.setattr(EventLog, "emit", counting_emit)
+        report = run_scenario(_bundled("random_delays"))
+        assert report.passed is True
+        assert len(logs) == len(report.data["runs"]) == 20
+        assert emitted > 20 * 10  # every run logged its groups
+        assert [log.events for log in logs] == [[]] * 20
+
+    @pytest.mark.parametrize(
+        "scenario, fails_sessions",
+        [
+            pytest.param(lambda: _bundled("strobe_impulse"), False, id="strobe_impulse"),
+            pytest.param(lambda: _bundled("random_delays"), False, id="random_delays"),
+            pytest.param(
+                lambda: scenario_from_dict(publisher_jitter_scenario(0)), True, id="publisher_jitter"
+            ),
+        ],
+    )
+    def test_folded_facts_equal_a_scan_of_the_full_log(self, scenario, fails_sessions, monkeypatch):
+        scenario = scenario()
+        full_logs: list[list[tuple]] = []
+        results = []
+        run_once = moqgate.harness._run_once
+
+        def recording_run_once(*args):
+            full_logs.append([])
+            results.append(run_once(*args))
+            return results[-1]
+
+        emit = EventLog.emit
+
+        def recording_emit(log, source, kind, **detail):
+            full_logs[-1].append((log.clock(), source, kind, detail))
+            return emit(log, source, kind, **detail)
+
+        monkeypatch.setattr(moqgate.harness, "_run_once", recording_run_once)
+        monkeypatch.setattr(EventLog, "emit", recording_emit)
+        run_scenario(scenario)
+        assert len(results) == (scenario.delay_draws.count if scenario.delay_draws else 1)
+        for result, events in zip(results, full_logs):
+            sent, approved_at, gated, errors = _scan(scenario, events)
+            assert result.approvals_sent == sent
+            assert result.approved_at == approved_at
+            assert result.gated_deliveries == gated
+            assert result.protocol_errors == errors
+            assert approved_at and gated
+            assert bool(errors) is fails_sessions
 
 
 def check_named(report: Report, name: str) -> dict:
