@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, NamedTuple
 
@@ -54,12 +53,3 @@ class EventLog:
             for e in self.events
             if (kind is None or e.kind == kind) and (source is None or e.source == source)
         ]
-
-    def to_jsonl(self) -> str:
-        return "\n".join(
-            json.dumps(
-                {"time_ms": e.time_ms, "source": e.source, "kind": e.kind, **e.detail},
-                sort_keys=True,
-            )
-            for e in self.events
-        )

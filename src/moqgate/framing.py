@@ -103,7 +103,10 @@ class GroupStreamParser:
             if self.frame_count is not None:
                 wanted = self._wanted
                 while pos < size and wanted:
-                    # Lengths under 16 KiB (1- and 2-byte varints) inline.
+                    # Lengths under 16 KiB (1- and 2-byte varints) inline:
+                    # a decode_varint call per frame made feed 32% slower on
+                    # 264-byte per-frame chunks and 60% on one 8 KB burst
+                    # (16x16 frames, interleaved in one process, CPython 3.11).
                     first = buf[pos]
                     if first < 0x40:
                         start = pos + 1

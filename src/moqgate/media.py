@@ -12,6 +12,10 @@ Frame payload layout:
     frame_index (varint)        ordinal within the group
     capture_ts  (varint, ms)    milliseconds since the stream epoch
     pixels (width * height raw bytes, row-major)
+
+A frame has one constructor, the validating one of the slotted
+:class:`LuminanceFrame`, and the generator and the payload decoder both call
+it.  The decoder reads both varints through :func:`wire.decode_varint`.
 """
 
 from __future__ import annotations
@@ -28,9 +32,16 @@ MAX_DIMENSION = 0xFFFF
 _DIMENSIONS = struct.Struct(">HH")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LuminanceFrame:
-    """One spatially complete luma frame."""
+    """One spatially complete luma frame.
+
+    The constructor is the one way to build a frame, and it checks that the
+    dimensions are positive and that the pixel buffer fills them.  The class
+    is slotted rather than frozen: a frozen init sets each field through
+    ``object.__setattr__`` and costs about three times as much, and nothing
+    assigns a frame's fields after it is built.
+    """
 
     width: int
     height: int
@@ -46,23 +57,6 @@ class LuminanceFrame:
                 f"pixel buffer holds {len(self.pixels)} bytes, "
                 f"{self.width}x{self.height} needs {self.width * self.height}"
             )
-
-    @classmethod
-    def _from_checked(
-        cls, width: int, height: int, frame_index: int, capture_ts: int, pixels: bytes
-    ) -> LuminanceFrame:
-        """A frame from fields whose caller has already made the checks of
-        ``__post_init__``, built without the frozen ``__init__`` (which sets
-        each field through ``object.__setattr__`` and checks them again)."""
-        frame = object.__new__(cls)
-        frame.__dict__.update(
-            width=width,
-            height=height,
-            frame_index=frame_index,
-            capture_ts=capture_ts,
-            pixels=pixels,
-        )
-        return frame
 
 
 @dataclass(frozen=True)
@@ -293,31 +287,13 @@ def decode_frame_payload(data: bytes) -> LuminanceFrame:
     width, height = _DIMENSIONS.unpack_from(data)
     if width < 1 or height < 1:
         raise MalformedError(f"frame dimensions must be positive: {width}x{height}")
-    # frame_index, then capture_ts: 1- and 2-byte varints inline; others, and
-    # a missing byte (read as 0xFF), through decode_varint and its errors.
-    first = data[4] if size > 4 else 0xFF
-    if first < 0x40:
-        frame_index = first
-        pos = 5
-    elif first < 0x80 and size > 5:
-        frame_index = (first & 0x3F) << 8 | data[5]
-        pos = 6
-    else:
-        frame_index, n = decode_varint(data, 4)
-        pos = 4 + n
-    first = data[pos] if size > pos else 0xFF
-    if first < 0x40:
-        capture_ts = first
-        pos += 1
-    elif first < 0x80 and size > pos + 1:
-        capture_ts = (first & 0x3F) << 8 | data[pos + 1]
-        pos += 2
-    else:
-        capture_ts, n = decode_varint(data, pos)
-        pos += n
+    frame_index, n = decode_varint(data, 4)
+    pos = 4 + n
+    capture_ts, n = decode_varint(data, pos)
+    pos += n
     need = width * height
     if size - pos < need:
         raise IncompleteError(f"frame payload: {need} pixel bytes declared, {size - pos} present")
     if size - pos > need:
         raise MalformedError(f"frame payload has {size - pos - need} trailing bytes")
-    return LuminanceFrame._from_checked(width, height, frame_index, capture_ts, bytes(data[pos:]))
+    return LuminanceFrame(width, height, frame_index, capture_ts, bytes(data[pos:]))

@@ -124,12 +124,19 @@ def encode_varint(value: int) -> bytes:
 
 
 def decode_varint(data: bytes, offset: int = 0) -> tuple[int, int]:
-    """Decode one varint at ``offset``; returns ``(value, bytes consumed)``."""
+    """Decode one varint at ``offset``; returns ``(value, bytes consumed)``.
+
+    The 1- and 2-byte forms (values under 16,384: frame indices, capture
+    times under 16.4 s, most lengths) are read inline; the 4- and 8-byte
+    forms and a truncated varint take the general path.
+    """
     if offset >= len(data):
         raise IncompleteError("varint: empty input")
     first = data[offset]
     if first < 0x40:
         return first, 1
+    if first < 0x80 and offset + 1 < len(data):
+        return (first & 0x3F) << 8 | data[offset + 1], 2
     size = 1 << (first >> 6)
     if len(data) - offset < size:
         raise IncompleteError(

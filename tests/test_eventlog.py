@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 from moqgate.eventlog import Event, EventLog
 
 
@@ -28,18 +26,6 @@ class TestEventLog:
         assert [e.detail["x"] for e in log.filter(source="relay")] == [1, 3]
         assert [e.detail["x"] for e in log.filter(kind="a", source="client")] == [2]
 
-    def test_jsonl_round_trip(self):
-        log = EventLog(lambda: 7.0)
-        log.emit("x", "k", value=[1, 2])
-        lines = log.to_jsonl().splitlines()
-        assert len(lines) == 1
-        assert json.loads(lines[0]) == {
-            "time_ms": 7.0,
-            "source": "x",
-            "kind": "k",
-            "value": [1, 2],
-        }
-
     def test_default_clock_is_zero(self):
         log = EventLog()
         log.emit("s", "k")
@@ -61,23 +47,6 @@ class TestEventLog:
         detail["group_id"] = 4
         detail["extra"] = True
         assert event.detail == {"group_id": 3}
-
-    def test_jsonl_of_three_events_is_pinned(self):
-        t = [0.0]
-        log = EventLog(lambda: t[0])
-        log.emit("publisher", "frame_sent", group_id=0, frame_index=1)
-        t[0] = 33.5
-        log.emit("relay", "approve_recorded", group_id=0, categories=[1, 2], sid="analyzer")
-        t[0] = 1000.25
-        log.emit("viewer", "group_received", group_id=0, frame_count=30)
-        assert log.to_jsonl() == (
-            '{"frame_index": 1, "group_id": 0, "kind": "frame_sent", '
-            '"source": "publisher", "time_ms": 0.0}\n'
-            '{"categories": [1, 2], "group_id": 0, "kind": "approve_recorded", '
-            '"sid": "analyzer", "source": "relay", "time_ms": 33.5}\n'
-            '{"frame_count": 30, "group_id": 0, "kind": "group_received", '
-            '"source": "viewer", "time_ms": 1000.25}'
-        )
 
     def test_a_kind_without_a_fold_never_reads_the_clock(self):
         # Only a folded kind reads the clock, and a log with folds keeps nothing.

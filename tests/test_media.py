@@ -212,6 +212,29 @@ class TestFramePayloadCodec:
         with pytest.raises(IncompleteError):
             decode_frame_payload(FRAME_PAYLOAD_GOLDEN[:-1])
 
+    @pytest.mark.parametrize(
+        "cut, message",
+        [
+            (4, "varint: empty input"),
+            (5, "varint: first byte announces 2 bytes, only 1 present"),
+            (6, "varint: empty input"),
+            (7, "varint: first byte announces 2 bytes, only 1 present"),
+            (8, "frame payload: 2 pixel bytes declared, 0 present"),
+        ],
+    )
+    def test_cut_inside_two_byte_varints_names_what_is_missing(self, cut, message):
+        # Index 100 and timestamp 1000 both take the 2-byte varint form.
+        payload = encode_frame_payload(LuminanceFrame(2, 1, 100, 1000, b"\x07\x09"))
+        assert payload.hex() == "00020001406443e80709"
+        with pytest.raises(IncompleteError) as excinfo:
+            decode_frame_payload(payload[:cut])
+        assert str(excinfo.value) == message
+
+    def test_frames_carry_no_instance_dict(self):
+        frame = LuminanceFrame(2, 1, 0, 0, bytes([7, 9]))
+        assert not hasattr(frame, "__dict__")
+        assert not hasattr(decode_frame_payload(FRAME_PAYLOAD_GOLDEN), "__dict__")
+
     def test_trailing_bytes_rejected(self):
         with pytest.raises(MalformedError):
             decode_frame_payload(FRAME_PAYLOAD_GOLDEN + b"\x00")

@@ -101,6 +101,10 @@ class TestVarint:
             decode_varint(b"\x40")
         with pytest.raises(IncompleteError):
             decode_varint(b"\xc0\x00\x00")
+        # The same 2-byte cut at a non-zero offset.
+        for data in (b"\x00\x40", b"\x00\x7f"):
+            with pytest.raises(IncompleteError, match="announces 2 bytes, only 1 present"):
+                decode_varint(data, 1)
 
     def test_decode_accepts_non_minimal_forms(self):
         assert decode_varint(b"\x40\x01") == (1, 2)
