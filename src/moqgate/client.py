@@ -3,10 +3,11 @@
 * :func:`encode_publication` encodes a source's groups once;
   :class:`PublisherClient` paces their chunks, one per frame, onto
   per-group streams at their capture instants (epoch + capture timestamp)
-  on its clock.  It takes ownership of the publication list, keeps one
-  pending event on the clock (its next chunk) and removes each group from
-  the list once the group's last chunk has been sent, so a run holds only
-  the groups still to be sent.
+  on its clock.  It takes ownership of the publication list and schedules
+  each chunk when it sends the one before it, so it keeps one pending event
+  on the clock and one stream open.  It removes each group from the list
+  once the group's last chunk has been sent, so a run holds only the groups
+  still to be sent.
 * :class:`AnalyzerClient` subscribes with the analyze role, receives frames
   live and, when a group completes, works out one verdict per category:
   strobe from :class:`~moqgate.analysis.StrobeDetector`, the stub categories
@@ -29,9 +30,8 @@ group, in the order the groups' streams completed, timed by their clock.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .analysis import StrobeConfig, StrobeDetector
 from .eventlog import EventLog
@@ -106,11 +106,13 @@ def encode_publication(track: str, groups: Iterable[Group]) -> list[EncodedGroup
 class PublisherClient:
     """Sends an encoded publication, one stream per group, chunk by chunk.
 
-    The publisher owns ``publication``: it sends the chunks in list order,
-    keeps one pending event on its clock (the next chunk) and deletes each
-    group from the list once the group's last chunk has been sent.  A
-    caller that runs one publication more than once hands each publisher
-    its own shallow copy of the list; the bytes are shared.
+    The publisher owns ``publication``: it sends the chunks in list order
+    and schedules each chunk on its clock when it sends the one before it,
+    so it keeps one pending event.  Groups go out one after another, so one
+    stream is open at a time, and each group is deleted from the list once
+    its last chunk has been sent.  A caller that runs one publication more
+    than once hands each publisher its own shallow copy of the list; the
+    bytes are shared.
     """
 
     def __init__(
@@ -128,33 +130,41 @@ class PublisherClient:
         self.epoch_ms = epoch_ms
         self.name = name
         self.log = log if log is not None else EventLog(lambda: clock.now)
-        self._streams: dict[int, SendStream] = {}  # open group streams by group id
+        self._stream: SendStream | None = None  # publication[0]'s, once open
+        self._index = 0  # publication[0]'s next chunk
 
     def start(self) -> None:
         """Send every chunk at epoch + its frame's capture timestamp, which
-        must not decrease along the publication (the clock refuses a step
-        earlier than the one before it)."""
-        self.clock.at_each(self._steps())
+        must not decrease along the publication (the clock refuses a time
+        earlier than now)."""
+        self._schedule_next()
 
-    def _steps(self) -> Iterator[tuple[float, Callable[[], None]]]:
-        publication = self.publication
-        while publication:
-            group = publication[0]
-            for index, ts in enumerate(group.capture_ts):
-                yield self.epoch_ms + ts, functools.partial(self._send_chunk, group, index)
-            del publication[0]  # sent: the clock pulls a step after the one before has run
+    def _schedule_next(self) -> None:
+        if self.publication:
+            ts = self.publication[0].capture_ts[self._index]
+            self.clock.at(self.epoch_ms + ts, self._send_chunk)
 
-    def _send_chunk(self, group: EncodedGroup, index: int) -> None:
+    def _send_chunk(self) -> None:
+        group = self.publication[0]
+        index = self._index
         chunk = group.chunks[index]
+        last = index == len(group.chunks) - 1
         try:
-            if index == 0:
-                self._streams[group.group_id] = self.session.open_stream()
-            if index == len(group.chunks) - 1:
-                self._streams.pop(group.group_id).end(chunk)
+            if self._stream is None:  # a new group, or the session refused its open
+                self._stream = self.session.open_stream()
+            if last:
+                self._stream.end(chunk)
             else:
-                self._streams[group.group_id].send(chunk)
-        except (DisconnectedError, KeyError):  # KeyError: the session refused the open
+                self._stream.send(chunk)
+        except DisconnectedError:
             self.log.emit(self.name, "publish_failed", group_id=group.group_id)
+        if last:
+            self._stream = None
+            self._index = 0
+            del self.publication[0]
+        else:
+            self._index = index + 1
+        self._schedule_next()
 
 
 def _receive_groups(
@@ -277,7 +287,7 @@ class AnalyzerClient:
         )
         if approved:
             msg = Approve(self.subscribe_id, group_id, tuple(approved))
-            self.clock.after(self.analysis_time_ms, lambda: self._send_approve(msg))
+            self.clock.at(self.clock.now + self.analysis_time_ms, lambda: self._send_approve(msg))
 
     def _send_approve(self, msg: Approve) -> None:
         try:

@@ -575,7 +575,7 @@ class RelayServer:
         for state in self.core.sessions_of(track):
             if state.filter is not None:
                 check = partial(self._check_stall, state.sid, track, group_id)
-                self.clock.after(STALL_ALARM_MS, check)
+                self.clock.at(self.clock.now + STALL_ALARM_MS, check)
 
     def _check_stall(self, sid: object, track: str, group_id: int) -> None:
         state = self.core.session(sid)

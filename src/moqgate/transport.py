@@ -3,10 +3,9 @@
 This is the only transport.  The relay and every client run over the
 :class:`Session` endpoints below and keep time through a :class:`Clock`;
 those two are their contract, and :class:`SimNetwork` is the clock they
-are given.  A clock tells the time (``now``), runs a callback after a
-delay (``after``), or runs a time-ordered sequence of steps (``at_each``),
-pulling each step only once the one before it has run, so that a long
-schedule costs one pending event instead of one per step.
+are given.  A clock tells the time (``now``) and runs a callback at a
+virtual time no earlier than now (``at``).  Events at the same instant run
+in the order they were scheduled; that is the one tie rule.
 
 A :class:`SimNetwork` owns a virtual clock and an event heap.  Connecting a
 :class:`Link` yields two :class:`Session` endpoints; each session can send
@@ -45,7 +44,7 @@ import heapq
 import random
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Iterator, Protocol
+from typing import Callable, Protocol
 
 __all__ = [
     "Clock",
@@ -98,12 +97,13 @@ class Link:
 
 class Clock(Protocol):
     """Virtual time and scheduling: what the relay and the clients use of
-    the network that runs them."""
+    the network that runs them.  ``at`` runs a callback at a time no earlier
+    than ``now``; callbacks due at the same instant run in the order they
+    were scheduled."""
 
     @property
     def now(self) -> float: ...
-    def after(self, delay_ms: float, fn: Callable[[], None]) -> None: ...
-    def at_each(self, steps: Iterable[tuple[float, Callable[[], None]]]) -> None: ...
+    def at(self, time_ms: float, fn: Callable[[], None]) -> None: ...
 
 
 class SimNetwork:
@@ -121,30 +121,12 @@ class SimNetwork:
         return self._now
 
     def at(self, time_ms: float, fn: Callable[[], None]) -> None:
-        """Schedule ``fn`` at an absolute virtual time (>= now)."""
+        """Schedule ``fn`` at an absolute virtual time (>= now), after every
+        event already scheduled for that instant."""
         if time_ms < self._now:
             raise ValueError(f"cannot schedule at {time_ms} ms; now is {self._now} ms")
         heapq.heappush(self._heap, (float(time_ms), self._seq, fn))
         self._seq += 1
-
-    def after(self, delay_ms: float, fn: Callable[[], None]) -> None:
-        """Schedule ``fn`` after a non-negative delay from now."""
-        if delay_ms < 0:
-            raise ValueError("delay must be non-negative")
-        self.at(self._now + delay_ms, fn)
-
-    def at_each(self, steps: Iterable[tuple[float, Callable[[], None]]]) -> None:
-        """Run each ``(time_ms, fn)`` of ``steps`` at its time, in order.
-
-        The next step is pulled only after the previous one has run, so the
-        steps hold one pending event between them.  Times must not
-        decrease.  Every step breaks ties as if ``at`` had scheduled it at
-        this call: it runs after the events scheduled before the call and
-        before those scheduled after it, at the same instant.
-        """
-        tie = self._seq
-        self._seq += 1
-        _Steps(self, iter(steps), tie).push_next()
 
     def connect(
         self, link: Link, name_a: str = "a", name_b: str = "b"
@@ -199,31 +181,6 @@ class SimNetwork:
         finally:
             self.events_processed = events
         return self._now
-
-
-class _Steps:
-    """An :meth:`SimNetwork.at_each` schedule: pushes its next step onto the
-    heap once the step before it has run.  It references nothing that
-    references it except through the heap, which ``shutdown`` clears."""
-
-    def __init__(
-        self, net: SimNetwork, steps: Iterator[tuple[float, Callable[[], None]]], tie: int
-    ) -> None:
-        self._net = net
-        self._steps = steps
-        self._tie = tie
-
-    def push_next(self) -> None:
-        net = self._net
-        for time_ms, fn in self._steps:
-            if time_ms < net._now:
-                raise ValueError(f"cannot schedule at {time_ms} ms; now is {net._now} ms")
-            heapq.heappush(net._heap, (float(time_ms), self._tie, partial(self._run, fn)))
-            return
-
-    def _run(self, fn: Callable[[], None]) -> None:
-        fn()
-        self.push_next()
 
 
 class _Direction:

@@ -3,6 +3,9 @@ playback reconstruction, and the end-to-end latency bound model."""
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 from recording import Recorder, ended, joined, times
 from streams import encode_group_stream
@@ -29,7 +32,7 @@ from moqgate.media import (
     generate_groups,
 )
 from moqgate.relay import RelayServer
-from moqgate.transport import Link, SimNetwork
+from moqgate.transport import Link, SimNetwork, SimTimeoutError
 from moqgate.wire import Category
 
 STROBE, SMOKING = Category.STROBE, Category.SMOKING
@@ -113,10 +116,10 @@ class TestPublisherPacing:
         assert times(streams[1]) == [1000.0 + 100.0 * k for k in range(10)]
         assert joined(streams[1]) == encode_group_stream("cam", groups[1])
 
-    def test_chunk_runs_before_a_tied_event_scheduled_after_start(self):
-        # Zero-delay link: the marker at 100 ms is scheduled after start(),
-        # before chunk 0 has run, so chunk 1 (also at 100 ms) is sent first
-        # and its arrival is ahead of the marker's control message.
+    @staticmethod
+    def tie_run(schedule_other):
+        """Arrivals over a zero-delay link from a publisher of one group at
+        10 fps, with ``schedule_other(net, session)`` called after ``start``."""
         net = SimNetwork()
         a, b = net.connect(Link(delay_ms=0.0), "pub", "peer")
         arrivals = []
@@ -126,9 +129,69 @@ class TestPublisherPacing:
         )
         groups = generate_groups(const_source(fps=10, seconds=1))
         PublisherClient(net, a, encode_publication("cam", groups)).start()
-        net.at(100, lambda: a.send_control(b"marker"))
+        schedule_other(net, a)
         net.run_until_idle()
-        assert arrivals[:3] == [("chunk", 0.0), ("chunk", 100.0), (b"marker", 100.0)]
+        return arrivals[:3]
+
+    def test_tied_event_scheduled_before_the_chunk_runs_first(self):
+        # The marker at 100 ms is scheduled before chunk 0 has run, and
+        # chunk 1 (also at 100 ms) only when chunk 0 is sent.
+        def marker(net, a):
+            net.at(100, lambda: a.send_control(b"marker"))
+
+        assert self.tie_run(marker) == [("chunk", 0.0), (b"marker", 100.0), ("chunk", 100.0)]
+
+    def test_tied_event_scheduled_after_the_chunk_runs_second(self):
+        # A callback at 50 ms, after chunk 0 was sent, schedules the marker
+        # at 100 ms behind chunk 1.
+        def marker(net, a):
+            net.at(50, lambda: net.at(100, lambda: a.send_control(b"marker")))
+
+        assert self.tie_run(marker) == [("chunk", 0.0), ("chunk", 100.0), (b"marker", 100.0)]
+
+    def test_one_pending_event_after_start_and_after_every_chunk(self):
+        net = SimNetwork()
+        a, _ = net.connect(Link(delay_ms=0.0), "pub", "peer")
+        publication = encode_publication("cam", generate_groups(const_source(fps=10, seconds=2)))
+        PublisherClient(net, a, publication).start()
+
+        def probe():
+            pending.append(sum(fn is not probe for _, _, fn in net._heap))
+
+        pending = []
+        probe()
+        for t in range(50, 2000, 100):  # halfway between chunks, one per chunk
+            net.at(t, probe)
+        net.run_until_idle()
+        assert pending == [1] * 20 + [0]
+
+    def test_run_cut_short_leaves_nothing_for_the_cyclic_collector(self):
+        net = SimNetwork()
+        a, _ = net.connect(Link(delay_ms=0.0), "pub", "peer")
+        publication = encode_publication("cam", generate_groups(const_source(fps=10, seconds=2)))
+        publisher = PublisherClient(net, a, publication)
+        publisher.start()
+        alive = weakref.ref(publisher)
+        del publisher
+        with pytest.raises(SimTimeoutError):
+            net.run_until_idle(max_virtual_ms=350)
+        gc.disable()
+        try:
+            net.shutdown()
+            assert alive() is None
+        finally:
+            gc.enable()
+
+    def test_capture_time_going_back_raises_at_that_chunk(self):
+        net = SimNetwork()
+        a, _ = net.connect(Link(delay_ms=0.0), "pub", "peer")
+        publication = encode_publication("cam", generate_groups(const_source(fps=10, seconds=2)))
+        publication[1] = publication[1]._replace(capture_ts=(500,) + publication[1].capture_ts[1:])
+        PublisherClient(net, a, publication).start()
+        with pytest.raises(ValueError, match="cannot schedule at 500"):
+            net.run_until_idle()
+        assert net.now == 900.0  # group 0's last chunk, which was sent
+        assert [g.group_id for g in publication] == [1]
 
     def test_each_group_is_dropped_once_its_last_chunk_is_sent(self):
         net = SimNetwork()
@@ -171,7 +234,7 @@ class TestPublisherPacing:
         assert failed == [(1000.0 + 100.0 * k, 1) for k in range(6, 10)] + [
             (2000.0 + 100.0 * k, 2) for k in range(10)
         ]
-        assert pub._streams == {}
+        assert pub._stream is None
         assert group_ids(sub) == [0]
 
 

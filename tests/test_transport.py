@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import gc
-import weakref
-
 import pytest
 from recording import Recorder
 
@@ -47,83 +44,28 @@ class TestScheduler:
         def step(n):
             seen.append((n, net.now))
             if n < 3:
-                net.after(7, lambda: step(n + 1))
+                net.at(net.now + 7, lambda: step(n + 1))
 
-        net.after(0, lambda: step(1))
+        net.at(net.now, lambda: step(1))
         net.run_until_idle()
         assert seen == [(1, 0.0), (2, 7.0), (3, 14.0)]
 
     def test_past_or_negative_scheduling_rejected(self):
         net = SimNetwork()
         with pytest.raises(ValueError):
-            net.after(-1, lambda: None)
+            net.at(-1, lambda: None)
         net.at(50, lambda: None)
         net.run_until_idle()
         with pytest.raises(ValueError):
             net.at(10, lambda: None)
 
-    def test_at_each_step_ties_after_earlier_events_and_before_later_ones(self):
-        # Each step breaks a tie as if at() had scheduled it at the call,
-        # though step 1 is only pushed once step 0 has run.
-        net = SimNetwork()
-        seen = []
-        net.at(20, lambda: seen.append("at before"))
-        net.at_each([(10, lambda: seen.append("step 0")), (20, lambda: seen.append("step 1"))])
-        net.at(20, lambda: seen.append("at after"))
-        net.run_until_idle()
-        assert seen == ["step 0", "at before", "step 1", "at after"]
-
-    def test_at_each_pulls_each_step_after_the_previous_has_run(self):
-        net = SimNetwork()
-        seen = []
-
-        def steps():
-            for k in range(3):
-                seen.append(f"pull {k}")
-                yield 5.0 * k, lambda k=k: seen.append((f"step {k}", net.now))
-
-        net.at_each(steps())
-        assert seen == ["pull 0"]
-        net.run_until_idle()
-        assert seen == [
-            "pull 0", ("step 0", 0.0), "pull 1", ("step 1", 5.0), "pull 2", ("step 2", 10.0)
-        ]
-
-    def test_at_each_cut_short_leaves_nothing_for_the_cyclic_collector(self):
-        class Owner:
-            pass
-
-        def steps(owner):
-            for k in range(10):
-                yield 10.0 * k, lambda: None
-
-        owner = Owner()
-        alive = weakref.ref(owner)
-        net = SimNetwork()
-        net.at_each(steps(owner))
-        del owner
-        with pytest.raises(SimTimeoutError):
-            net.run_until_idle(max_virtual_ms=35)
-        gc.disable()
-        try:
-            net.shutdown()
-            assert alive() is None
-        finally:
-            gc.enable()
-
-    def test_at_each_step_before_now_rejected(self):
-        net = SimNetwork()
-        net.at_each([(10, lambda: None), (5, lambda: None)])
-        with pytest.raises(ValueError):
-            net.run_until_idle()
-
     def test_virtual_time_cap(self):
         net = SimNetwork()
 
         def loop():
-            net.after(1000, loop)
+            net.at(net.now + 1000, loop)
 
-        net.after(0, loop)
+        net.at(net.now, loop)
         with pytest.raises(SimTimeoutError):
             net.run_until_idle(max_virtual_ms=10_000)
 
@@ -131,9 +73,9 @@ class TestScheduler:
         net = SimNetwork()
 
         def loop():
-            net.after(0, loop)
+            net.at(net.now, loop)
 
-        net.after(0, loop)
+        net.at(net.now, loop)
         with pytest.raises(SimTimeoutError):
             net.run_until_idle(max_events=500)
 
