@@ -360,13 +360,14 @@ def compute_playback(
     previous one started playing; a group that completes after its due time
     stalls playback by the difference and shifts the schedule.
     """
-    records = list(records)
-    if not records:
+    arrivals = iter(records)
+    first = next(arrivals, None)
+    if first is None:
         return PlaybackStats(None, (), 0.0)
-    cursor = records[0].complete_arrival_ms + startup_buffer_ms
+    cursor = first.complete_arrival_ms + startup_buffer_ms
     start = cursor
     stalls: list[tuple[float, float]] = []
-    for record in records[1:]:
+    for record in arrivals:
         cursor += gop_duration_ms
         if record.complete_arrival_ms > cursor:
             stalls.append((cursor, record.complete_arrival_ms - cursor))

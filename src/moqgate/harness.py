@@ -31,7 +31,7 @@ from .client import (
 from .eventlog import EventLog
 from .media import generate_groups
 from .relay import RelayServer
-from .report import Report
+from .report import RecordRow, Report
 from .scenario import ClientSpec, LinkSpec, Scenario
 # perfbench/workloads.py loads scenarios through this module's name.
 from .scenario import scenario_from_dict  # noqa: F401
@@ -278,11 +278,11 @@ def _check_added_band(scenario: Scenario, report_runs: list[dict]) -> dict:
             if not spec.filter:
                 continue
             for record in run["records"][spec.name]:
-                added = record["added_ms"]
+                added = record.added_ms
                 samples += 1
                 if added is None or not (low <= added <= high):
                     failures.append(
-                        f"run {run['run']} {spec.name} group {record['group_id']}: {added}"
+                        f"run {run['run']} {spec.name} group {record.group_id}: {added}"
                     )
     return _check_result(
         "added_latency_band",
@@ -300,10 +300,10 @@ def _check_latency_bound(report_runs: list[dict]) -> dict:
             predicted = bounds["predicted_ms"]
             for record in run["records"][name]:
                 checked += 1
-                if record["e2e_ms"] > predicted + BOUND_EPSILON_MS:
+                if record.e2e_ms > predicted + BOUND_EPSILON_MS:
                     failures.append(
-                        f"run {run['run']} {name} group {record['group_id']}: "
-                        f"{record['e2e_ms']} ms > bound {predicted} + {BOUND_EPSILON_MS}"
+                        f"run {run['run']} {name} group {record.group_id}: "
+                        f"{record.e2e_ms} ms > bound {predicted} + {BOUND_EPSILON_MS}"
                     )
     return _check_result(
         "latency_bound",
@@ -401,7 +401,7 @@ def _run_to_dict(scenario: Scenario, run: _RunResult, n_groups: int) -> dict:
     gop = float(scenario.source.gop_duration_ms)
     reference = next((s.name for s in scenario.clients if s.analyze), None)
 
-    records_out: dict[str, list[dict]] = {}
+    records_out: dict[str, list[RecordRow]] = {}
     delivered_out: dict[str, list[int]] = {}
     skipped_out: dict[str, list[int]] = {}
     playback_out: dict[str, dict] = {}
@@ -418,17 +418,17 @@ def _run_to_dict(scenario: Scenario, run: _RunResult, n_groups: int) -> dict:
                 if ref is not None:
                     added = record.first_arrival_ms - ref.first_arrival_ms
             rows.append(
-                {
-                    "group_id": record.group_id,
-                    "first_arrival_ms": record.first_arrival_ms,
-                    "complete_arrival_ms": record.complete_arrival_ms,
-                    "frame_count": record.frame_count,
-                    "e2e_ms": record.complete_arrival_ms - (epoch + record.group_id * gop),
-                    "added_ms": added,
-                }
+                RecordRow(
+                    group_id=record.group_id,
+                    first_arrival_ms=record.first_arrival_ms,
+                    complete_arrival_ms=record.complete_arrival_ms,
+                    frame_count=record.frame_count,
+                    e2e_ms=record.complete_arrival_ms - (epoch + record.group_id * gop),
+                    added_ms=added,
+                )
             )
         records_out[spec.name] = rows
-        delivered_out[spec.name] = [row["group_id"] for row in rows]
+        delivered_out[spec.name] = [row.group_id for row in rows]
         skipped_out[spec.name] = sorted(set(range(n_groups)) - set(delivered_out[spec.name]))
         stats = compute_playback(
             run.records[spec.name], gop, scenario.playback_buffer_groups * gop
@@ -439,8 +439,8 @@ def _run_to_dict(scenario: Scenario, run: _RunResult, n_groups: int) -> dict:
             "total_stall_ms": stats.total_stall_ms,
         }
         if spec.filter:
-            e2es = [row["e2e_ms"] for row in rows]
-            addeds = [row["added_ms"] for row in rows if row["added_ms"] is not None]
+            e2es = [row.e2e_ms for row in rows]
+            addeds = [row.added_ms for row in rows if row.added_ms is not None]
             bounds_out[spec.name] = {
                 "predicted_ms": _bound_for(scenario, spec, run.links),
                 "max_observed_e2e_ms": max(e2es) if e2es else None,
