@@ -20,6 +20,10 @@ filtered keeps the live groups it is already in and is gated from the next
 one; a session that leaves the filtered role first gets every held group it
 has not had, oldest first, even unapproved ones, then joins the live groups.
 
+The relay models the paper's gating extensions, not MoQT session setup: it
+sends no control message.  A refused SUBSCRIBE, or control bytes of a type
+the codec does not know, close the session with a named protocol error.
+
 :class:`RelayCore` is the one state machine that decides who gets every
 group, live or gated, with no knowledge of transport: its handlers return
 :data:`Action` lists.  Per track it holds the live groups (each group whose
@@ -59,17 +63,16 @@ from .wire import (
     ControlMessage,
     Parameter,
     Subscribe,
-    SubscribeOk,
     SubscribeUpdate,
     WireError,
-    encode_message,
     parameter_categories,
 )
+# perfbench/tracer.py patches the encoder through this module's name.
+from .wire import encode_message  # noqa: F401
 
 __all__ = [
     "ProtocolError",
     "MonotonicityError",
-    "SendControl",
     "DeliverGroup",
     "SkipGroups",
     "JoinLive",
@@ -98,12 +101,6 @@ class MonotonicityError(ProtocolError):
 
 
 @dataclass(frozen=True)
-class SendControl:
-    sid: object
-    message: ControlMessage
-
-
-@dataclass(frozen=True)
 class DeliverGroup:
     sid: object
     track: str
@@ -124,7 +121,7 @@ class JoinLive:
     handle: object
 
 
-Action = Union[SendControl, DeliverGroup, SkipGroups, JoinLive]
+Action = Union[DeliverGroup, SkipGroups, JoinLive]
 
 
 @dataclass
@@ -251,7 +248,7 @@ class RelayCore:
         track = self._track(state.track)
         if not was_filter:
             state.next_deliver = track.next_expected or 0
-        actions: list[Action] = [SendControl(state.sid, SubscribeOk(state.subscribe_id))]
+        actions: list[Action] = []
         if filter_ is not None:
             actions.extend(self._gate_one(track, state))
         elif was_filter:
@@ -467,10 +464,7 @@ class RelayServer:
             return self.core.handle_subscribe(sid, msg)
         if isinstance(msg, SubscribeUpdate):
             return self.core.handle_subscribe_update(sid, msg)
-        if isinstance(msg, Approve):
-            return self.core.handle_approve(sid, msg)
-        self.log.emit("relay", "control_ignored", sid=str(sid), message=type(msg).__name__)
-        return []
+        return self.core.handle_approve(sid, msg)
 
     def _apply(self, sid: object, handler, *args) -> bool:
         """Carry out the actions a core handler returns, or fail session
@@ -551,23 +545,19 @@ class RelayServer:
             if isinstance(action, JoinLive):
                 self._join(action.handle, action.sid, session)
                 continue
+            assert isinstance(action.payload, bytes)
             try:
-                if isinstance(action, SendControl):
-                    session.send_control(encode_message(action.message))
-                else:
-                    assert isinstance(action.payload, bytes)
-                    session.open_stream().end(action.payload)
+                session.open_stream().end(action.payload)
             except DisconnectedError:
                 self._on_close(action.sid)
                 continue
-            if isinstance(action, DeliverGroup):
-                self.log.emit(
-                    "relay",
-                    "group_delivered",
-                    sid=str(action.sid),
-                    track=action.track,
-                    group_id=action.group_id,
-                )
+            self.log.emit(
+                "relay",
+                "group_delivered",
+                sid=str(action.sid),
+                track=action.track,
+                group_id=action.group_id,
+            )
 
     # -- stall alarms ------------------------------------------------------------
 

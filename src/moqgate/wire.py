@@ -10,7 +10,6 @@ Message layouts (every integer field is a varint unless noted):
     SUBSCRIBE        0x03 | Length | Subscribe ID | Track Name Length |
                      Track Name (UTF-8 bytes) | Priority | Param Count | Params
     SUBSCRIBE_UPDATE 0x02 | Length | Subscribe ID | Param Count | Params
-    SUBSCRIBE_OK     0x04 | Length | Subscribe ID
     APPROVE          0x41 | Length | Subscribe ID | Group ID | Category Set
 
     Parameter        Param Type | Payload Length | Payload bytes
@@ -37,7 +36,6 @@ VARINT_MAX = (1 << 62) - 1
 
 SUBSCRIBE_TYPE = 0x03
 SUBSCRIBE_UPDATE_TYPE = 0x02
-SUBSCRIBE_OK_TYPE = 0x04
 APPROVE_TYPE = 0x41
 
 ANALYZE_PARAM = 0x05
@@ -262,18 +260,13 @@ class SubscribeUpdate:
 
 
 @dataclass(frozen=True)
-class SubscribeOk:
-    subscribe_id: int
-
-
-@dataclass(frozen=True)
 class Approve:
     subscribe_id: int
     group_id: int
     categories: tuple[int, ...] = field(default_factory=tuple)
 
 
-ControlMessage = Subscribe | SubscribeUpdate | SubscribeOk | Approve
+ControlMessage = Subscribe | SubscribeUpdate | Approve
 
 
 def _encode_params(parameters: tuple[Parameter, ...]) -> bytes:
@@ -297,8 +290,6 @@ def _encode_body(msg: ControlMessage) -> tuple[int, bytes]:
         return SUBSCRIBE_UPDATE_TYPE, encode_varint(msg.subscribe_id) + _encode_params(
             msg.parameters
         )
-    if isinstance(msg, SubscribeOk):
-        return SUBSCRIBE_OK_TYPE, encode_varint(msg.subscribe_id)
     if isinstance(msg, Approve):
         cats = tuple(msg.categories)
         return APPROVE_TYPE, (
@@ -402,11 +393,6 @@ def _parse_subscribe_update(data: bytes, pos: int) -> tuple[SubscribeUpdate, int
     return SubscribeUpdate(sub_id, params), pos
 
 
-def _parse_subscribe_ok(data: bytes, pos: int) -> tuple[SubscribeOk, int]:
-    sub_id, n = decode_varint(data, pos)
-    return SubscribeOk(sub_id), pos + n
-
-
 def _parse_approve(data: bytes, pos: int) -> tuple[Approve, int]:
     sub_id, n = decode_varint(data, pos)
     pos += n
@@ -419,6 +405,5 @@ def _parse_approve(data: bytes, pos: int) -> tuple[Approve, int]:
 _BODY_PARSERS = {
     SUBSCRIBE_TYPE: _parse_subscribe,
     SUBSCRIBE_UPDATE_TYPE: _parse_subscribe_update,
-    SUBSCRIBE_OK_TYPE: _parse_subscribe_ok,
     APPROVE_TYPE: _parse_approve,
 }

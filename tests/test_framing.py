@@ -23,7 +23,7 @@ from moqgate.wire import (
     Category,
     IncompleteError,
     MalformedError,
-    SubscribeOk,
+    SubscribeUpdate,
     WireError,
     encode_message,
     encode_varint,
@@ -394,7 +394,7 @@ class TestSplitPoints:
 class TestControlStreamDecoder:
     def test_500_messages_whole_and_split_at_every_byte(self):
         messages = [
-            SubscribeOk(i) if i % 3 else Approve(i, 1000 + i, (Category.STROBE,))
+            SubscribeUpdate(i, ()) if i % 3 else Approve(i, 1000 + i, (Category.STROBE,))
             for i in range(500)
         ]
         first = encode_message(messages[0])
@@ -411,17 +411,18 @@ class TestControlStreamDecoder:
         assert bytewise.feed(first) == messages[:1]
 
     def test_two_messages_split_across_feeds(self):
-        blob = encode_message(SubscribeOk(4)) + encode_message(
+        blob = encode_message(SubscribeUpdate(4, ())) + encode_message(
             Approve(6, 7, (Category.STROBE,))
         )
         decoder = ControlStreamDecoder()
-        got = decoder.feed(blob[:4])
-        got += decoder.feed(blob[4:])
-        assert got == [SubscribeOk(4), Approve(6, 7, (Category.STROBE,))]
+        # The first message is 4 bytes: the split falls inside the second.
+        got = decoder.feed(blob[:5])
+        got += decoder.feed(blob[5:])
+        assert got == [SubscribeUpdate(4, ()), Approve(6, 7, (Category.STROBE,))]
 
     def test_whole_messages(self):
         decoder = ControlStreamDecoder()
-        assert decoder.feed(encode_message(SubscribeOk(1))) == [SubscribeOk(1)]
+        assert decoder.feed(encode_message(SubscribeUpdate(1, ()))) == [SubscribeUpdate(1, ())]
         assert decoder.feed(b"") == []
 
     def test_garbage_raises_wire_error(self):

@@ -640,7 +640,7 @@ class TestRunScenario:
         text = run_report(data).to_json()
         assert (
             hashlib.sha256(text.encode()).hexdigest()
-            == "a5a95f69ffbf3faa69edafcd2d00df840327002b9be2274e34e2568db15b47ab"
+            == "e98d0bbd86bcc8fc84fc57f377cea5789f684e4e62e9007f7f03f0254e1a538a"
         )
 
     def test_csv_rows_cover_groups_times_clients(self):

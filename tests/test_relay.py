@@ -15,7 +15,6 @@ from streams import encode_group_stream
 from moqgate.client import AnalyzerClient, PublisherClient, SubscriberClient, encode_publication
 from moqgate.eventlog import EventLog
 from moqgate.framing import (
-    ControlStreamDecoder,
     GroupStreamParser,
     encode_frame_chunk,
     encode_group_header,
@@ -28,7 +27,6 @@ from moqgate.relay import (
     ProtocolError,
     RelayCore,
     RelayServer,
-    SendControl,
     SkipGroups,
 )
 from moqgate.transport import DisconnectedError, Link, SimNetwork
@@ -36,7 +34,6 @@ from moqgate.wire import (
     Approve,
     Category,
     Subscribe,
-    SubscribeOk,
     SubscribeUpdate,
     analyze_parameter,
     encode_message,
@@ -59,11 +56,10 @@ def filterer(cats, sub_id=3, track="cam"):
 
 
 class TestSubscribeValidation:
-    def test_plain_subscribe_acked(self):
+    def test_plain_subscribe_is_recorded_without_actions(self):
         core = RelayCore()
-        assert core.handle_subscribe("s1", plain(7)) == [
-            SendControl("s1", SubscribeOk(7))
-        ]
+        assert core.handle_subscribe("s1", plain(7)) == []
+        assert core.session("s1").subscribe_id == 7
 
     def test_roles_recorded(self):
         core = RelayCore()
@@ -332,7 +328,6 @@ class TestSubscribeUpdate:
             "f", SubscribeUpdate(3, (filter_parameter([STROBE]),))
         )
         assert actions == [
-            SendControl("f", SubscribeOk(3)),
             DeliverGroup("f", "cam", 0, "G0"),
             DeliverGroup("f", "cam", 1, "G1"),
         ]
@@ -343,7 +338,6 @@ class TestSubscribeUpdate:
             core.ingest_group("cam", gid, f"G{gid}")
         actions = core.handle_subscribe_update("f", SubscribeUpdate(3, ()))
         assert actions == [
-            SendControl("f", SubscribeOk(3)),
             DeliverGroup("f", "cam", 0, "G0"),
             DeliverGroup("f", "cam", 1, "G1"),
             DeliverGroup("f", "cam", 2, "G2"),
@@ -404,22 +398,18 @@ class TestLiveGroups:
         core.start_group("pub", "cam", 0, "H0")
         core.start_group("pub", "cam", 1, "H1")
         assert core.handle_subscribe("p", plain(sub_id=1)) == [
-            SendControl("p", SubscribeOk(1)),
             JoinLive("p", "H0"),
             JoinLive("p", "H1"),
         ]
         core.ingest_group("cam", 0, "G0")
-        assert core.handle_subscribe("q", plain(sub_id=2)) == [
-            SendControl("q", SubscribeOk(2)),
-            JoinLive("q", "H1"),
-        ]
+        assert core.handle_subscribe("q", plain(sub_id=2)) == [JoinLive("q", "H1")]
 
     def test_live_group_of_a_removed_publisher_is_never_joined(self):
         core = RelayCore()
         core.handle_subscribe("p", plain(sub_id=1))
         core.start_group("pub", "cam", 0, "H0")
         core.remove_session("pub")
-        assert core.handle_subscribe("q", plain(sub_id=2)) == [SendControl("q", SubscribeOk(2))]
+        assert core.handle_subscribe("q", plain(sub_id=2)) == []
         assert core._tracks["cam"].live == {}
 
     def test_removed_receiver_leaves_every_live_group(self):
@@ -502,24 +492,22 @@ class ReferenceGate:
             slots.setdefault(cat, set()).add(sid)
         return self.gate_all() if new_coverage else []
 
-    def subscribe(self, sid, sub_id, cats):
+    def subscribe(self, sid, cats):
         """A new session, or ProtocolError for a known one."""
         if sid in self.filters:
             return ProtocolError
         self.filters[sid] = cats
         self.next_deliver[sid] = self.next_expected or 0
-        actions = [SendControl(sid, SubscribeOk(sub_id))]
-        if cats is not None:
-            actions += self.gate(sid)
+        actions = self.gate(sid) if cats is not None else []
         return actions + self.meet_live(sid)
 
-    def update(self, sid, sub_id, cats):
+    def update(self, sid, cats):
         """The actions, or ProtocolError from a session not subscribed."""
         if sid not in self.filters:
             return ProtocolError
         was_filter = self.filters[sid] is not None
         self.filters[sid] = cats
-        actions = [SendControl(sid, SubscribeOk(sub_id))]
+        actions = []
         if was_filter and cats is None:
             for gid in sorted(self.stored):
                 if gid >= self.next_deliver[sid]:
@@ -684,11 +672,11 @@ class TestGateMatchesReference:
                 sub_id = (FILTERED | LATE)[sid]
                 if kind == "subscribe":
                     msg = plain(sub_id) if cats is None else filterer(cats, sub_id=sub_id)
-                    handle, want = core.handle_subscribe, model.subscribe(sid, sub_id, cats)
+                    handle, want = core.handle_subscribe, model.subscribe(sid, cats)
                 else:
                     params = () if cats is None else (filter_parameter(cats),)
                     msg = SubscribeUpdate(sub_id, params)
-                    handle, want = core.handle_subscribe_update, model.update(sid, sub_id, cats)
+                    handle, want = core.handle_subscribe_update, model.update(sid, cats)
                 if want is ProtocolError:
                     with pytest.raises(ProtocolError):
                         handle(sid, msg)
@@ -739,19 +727,55 @@ class ServerRig:
             self.received[name] = Recorder(self.net, local)
             local.send_control(encode_message(msg))
 
-    def control_of(self, name):
-        decoder = ControlStreamDecoder()
-        out = []
-        for chunk in self.received[name].control:
-            out += decoder.feed(chunk)
-        return out
-
 
 class TestRelayServer:
-    def test_subscribe_gets_ok(self):
+    def test_subscribe_is_recorded_and_logged(self):
         rig = ServerRig({"p": plain(sub_id=6)})
         rig.net.run_until_idle()
-        assert SubscribeOk(6) in rig.control_of("p")
+        assert rig.server.core.session("p").subscribe_id == 6
+        (event,) = rig.server.log.filter(kind="subscribed")
+        assert event.detail["sid"] == "p"
+
+    def test_relay_sends_no_control_message(self):
+        # Subscribe, a published group, approval and gated delivery: the
+        # relay answers none of it on the control channel.
+        roles = {
+            "p": plain(sub_id=1),
+            "an": analyzer([STROBE], sub_id=2),
+            "f": filterer([STROBE], sub_id=3),
+        }
+        rig = ServerRig(roles)
+        an = rig.clients["an"]
+        an.set_on_stream(
+            lambda rs: rs.set_on_data(
+                lambda d, fin: fin and an.send_control(
+                    encode_message(Approve(2, 0, (STROBE,)))
+                )
+            )
+        )
+        blob = encode_group_stream("cam", two_frame_group())
+        stream = rig.publisher.open_stream()
+        rig.net.at(20, lambda: stream.end(blob))
+        rig.net.run_until_idle()
+        assert [joined(s) for s in rig.received["f"].by_stream()] == [blob]
+        assert {name: r.control for name, r in rig.received.items()} == {
+            name: [] for name in roles
+        }
+
+    def test_unknown_control_type_closes_session(self):
+        # 0x04 is MoQT's SUBSCRIBE_OK tag: not a message the relay accepts.
+        rig = ServerRig({"p": plain(sub_id=6)})
+        closed = []
+        rig.clients["p"].set_on_close(lambda: closed.append(rig.net.now))
+        rig.net.at(10, lambda: rig.clients["p"].send_control(bytes([0x04, 0x02, 0x01])))
+        rig.net.run_until_idle()
+        (error,) = rig.server.log.filter(kind="protocol_error")
+        assert error.detail == {
+            "sid": "p",
+            "reason": "undecodable control bytes: unknown message type 0x04",
+        }
+        assert rig.server.core.session("p") is None
+        assert closed == [20.0]
 
     def test_live_forwarding_to_plain_and_analyzer(self):
         rig = ServerRig({"p": plain(), "an": analyzer([STROBE], sub_id=2)})
@@ -852,7 +876,7 @@ class TestRelayServer:
             (error,) = rig.server.log.filter(kind="protocol_error")
             assert error.detail["sid"] == "pub"
         assert rig.server.core._tracks["cam"].live == {}
-        assert SubscribeOk(9) in ControlStreamDecoder().feed(b"".join(received.control))
+        assert rig.server.core.session("late").subscribe_id == 9
         assert received.chunks == []
 
     def test_overlapping_groups_each_reach_live_joiners(self):
@@ -889,12 +913,16 @@ class TestRelayServer:
         rig = ServerRig({})
         local, remote = rig.net.connect(Link(delay_ms=5.0), "bad", "relay")
         rig.server.attach("bad", remote)
-        received = Recorder(rig.net, local)
+        closed = []
+        local.set_on_close(lambda: closed.append(rig.net.now))
         bad = Subscribe(1, "cam", 0, (analyze_parameter([9]),))
         local.send_control(encode_message(bad))
         rig.net.run_until_idle()
-        assert rig.server.log.filter(kind="protocol_error") != []
-        assert received.control == []  # no SUBSCRIBE_OK was sent
+        (error,) = rig.server.log.filter(kind="protocol_error")
+        assert error.detail["sid"] == "bad"
+        assert "unsupported analyze categories" in error.detail["reason"]
+        assert rig.server.core.session("bad") is None
+        assert closed == [10.0]
 
     def test_future_approval_closes_analyzer_session(self):
         rig = ServerRig({"an": analyzer([STROBE], sub_id=2), "f": filterer([STROBE], sub_id=3)})

@@ -21,7 +21,6 @@ from moqgate.wire import (
     LengthMismatchError,
     Parameter,
     Subscribe,
-    SubscribeOk,
     SubscribeUpdate,
     UnknownMessageTypeError,
     WireError,
@@ -65,9 +64,6 @@ FILTER_SET_GOLDEN = bytes([0x03, 0x02, 0x02, 0x03])
 #   body: 05 | 03 "cam" | 01 | 01 | param(type=05 len=03 payload=02 01 01)
 #   body is 12 bytes -> Length = 13 (0x0d)
 SUBSCRIBE_GOLDEN = bytes.fromhex("030d050363616d010105030201 01".replace(" ", ""))
-
-# SubscribeOk{id=1}: body = 01, Length = 2.
-SUBSCRIBE_OK_GOLDEN = bytes([0x04, 0x02, 0x01])
 
 # SubscribeUpdate{id=2, params=[FILTER [SMOKING, ALCOHOL]]}:
 #   body: 02 | 01 | 06 04 03 02 02 03  (8 bytes) -> Length = 9
@@ -205,9 +201,11 @@ class TestMessages:
         assert encode_message(msg) == SUBSCRIBE_GOLDEN
         assert decode_message(SUBSCRIBE_GOLDEN) == (msg, len(SUBSCRIBE_GOLDEN))
 
-    def test_subscribe_ok_golden_vector(self):
-        assert encode_message(SubscribeOk(1)) == SUBSCRIBE_OK_GOLDEN
-        assert decode_message(SUBSCRIBE_OK_GOLDEN) == (SubscribeOk(1), 3)
+    def test_subscribe_ok_tag_is_unknown(self):
+        # MoQT's SUBSCRIBE_OK{id=1}: no message of this codec has tag 0x04.
+        with pytest.raises(UnknownMessageTypeError) as exc:
+            decode_message(bytes([0x04, 0x02, 0x01]))
+        assert exc.value.type_tag == 0x04
 
     def test_subscribe_update_golden_vector(self):
         msg = SubscribeUpdate(2, (filter_parameter([Category.SMOKING, Category.ALCOHOL]),))
@@ -256,11 +254,11 @@ class TestMessages:
             decode_message(raw)
 
     def test_back_to_back_messages_in_one_buffer(self):
-        buf = APPROVE_GOLDEN + SUBSCRIBE_OK_GOLDEN
+        buf = APPROVE_GOLDEN + SUBSCRIBE_UPDATE_GOLDEN
         first, used = decode_message(buf)
         second, used2 = decode_message(buf, offset=used)
         assert first == Approve(1, 7, (Category.STROBE,))
-        assert second == SubscribeOk(1)
+        assert second == SubscribeUpdate(2, (filter_parameter([Category.SMOKING, Category.ALCOHOL]),))
         assert used + used2 == len(buf)
 
     def test_bad_utf8_track_name_is_wire_error(self):
@@ -305,7 +303,6 @@ messages_strategy = st.one_of(
         st.integers(min_value=0, max_value=(1 << 62) - 1),
         parameters_strategy,
     ),
-    st.builds(SubscribeOk, st.integers(min_value=0, max_value=(1 << 62) - 1)),
     st.builds(
         Approve,
         st.integers(min_value=0, max_value=(1 << 62) - 1),
