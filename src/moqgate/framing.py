@@ -10,7 +10,10 @@ Frame payloads are opaque at this layer (the relay forwards them without
 decoding).  :class:`GroupStreamParser` parses the stream in place from
 arbitrarily split chunks, holds only an incomplete tail, counts the frames
 each chunk completed and records the byte span it completed; it copies a
-frame payload out only for a caller that asks for the payloads.
+frame payload out only for a caller that asks for the payloads.  A chunk
+that carries many frames of one length, such as the whole-group burst the
+relay sends a filtered viewer, has those frames' length prefixes checked a
+column at a time rather than one frame at a time.
 :class:`ControlStreamDecoder` reassembles back-to-back control messages.
 """
 
@@ -25,6 +28,12 @@ from .wire import (
     decode_varint,
     encode_varint,
 )
+
+#: The most frames one bulk check of a run of equal-length frames covers,
+#: which bounds the work of a check that a short run ends early.
+_RUN_WINDOW = 64
+#: Each byte value as a one-byte ``bytes``, the argument ``lstrip`` takes.
+_BYTES = [bytes((value,)) for value in range(256)]
 
 __all__ = [
     "encode_group_header",
@@ -73,6 +82,24 @@ class GroupStreamParser:
     chunk that ends on a frame boundary is its own ``span``.  Only an
     incomplete tail is held, and the next chunk is appended to it, so a
     group costs time linear in its size however its stream is split.
+
+    Runs of equal-length frames are checked in bulk.  When a decoded frame
+    has the length of the one before it, the next frame begins with its
+    length prefix (all of a 1- or 2-byte prefix is compared) and the frame
+    after that begins with the same first byte, ``feed`` counts how many of
+    the next frames repeat the prefix, up to ``_RUN_WINDOW`` frames that
+    fit in the chunk and are still wanted.  For each prefix byte it slices
+    that byte of every frame in the window as one column
+    (``buf[end + j : stop : stride]``), and ``lstrip`` counts the column's
+    leading matches.  The run, the least of those counts, is consumed
+    whole: each of its frames begins with the same prefix bytes and so has
+    the same length, and every prefix byte is still compared.  At most one
+    such check follows each frame decoded on its own, and a check reads at
+    most ``_RUN_WINDOW`` bytes per prefix byte, so a chunk still costs time
+    linear in its size whatever its lengths; without the window, a chunk of
+    short runs would be rescanned to its end at every run, in quadratic
+    time.  A chunk of one frame pays one assignment and one comparison for
+    all this.
     """
 
     def __init__(self) -> None:
@@ -102,11 +129,14 @@ class GroupStreamParser:
                 pos = self._parse_header(buf)
             if self.frame_count is not None:
                 wanted = self._wanted
+                last = -1  # the length of the frame before, in this chunk
                 while pos < size and wanted:
                     # Lengths under 16 KiB (1- and 2-byte varints) inline:
                     # a decode_varint call per frame made feed 32% slower on
                     # 264-byte per-frame chunks and 60% on one 8 KB burst
                     # (16x16 frames, interleaved in one process, CPython 3.11).
+                    # A burst's runs of equal-length frames skip this decode
+                    # and are checked in bulk below.
                     first = buf[pos]
                     if first < 0x40:
                         start = pos + 1
@@ -126,8 +156,43 @@ class GroupStreamParser:
                     if payloads is not None:
                         payload = buf[start:end]
                         payloads.append(payload if buf is data else bytes(payload))
-                    pos = end
                     wanted -= 1
+                    if end < size:
+                        # A run of equal-length frames may follow (see the
+                        # class docstring); 2 * end - pos is where the frame
+                        # after next begins if the next has this length.  A
+                        # nested scope here would make the loop's locals
+                        # cell variables and every feed slower.
+                        if (
+                            length == last
+                            and 2 * end - pos < size
+                            and buf[2 * end - pos] == first
+                            and buf[end] == first
+                            and (first < 0x40 or buf[end + 1] == buf[pos + 1])
+                        ):
+                            width = start - pos
+                            stride = end - pos
+                            run = (size - end) // stride
+                            if run > wanted:
+                                run = wanted
+                            if run > _RUN_WINDOW:
+                                run = _RUN_WINDOW
+                            stop = end + run * stride
+                            # From the last prefix byte, the likeliest to differ.
+                            j = width
+                            while j and run:
+                                j -= 1
+                                column = buf[end + j : stop : stride]
+                                run -= len(column.lstrip(_BYTES[buf[pos + j]]))
+                                stop = end + run * stride
+                            if payloads is not None:
+                                for frame in range(end, stop, stride):
+                                    payload = buf[frame + width : frame + stride]
+                                    payloads.append(payload if buf is data else bytes(payload))
+                            wanted -= run
+                            end = stop
+                        last = length
+                    pos = end
                 completed = self._wanted - wanted
                 self._wanted = wanted
                 self.complete = not wanted
