@@ -23,8 +23,9 @@ and is written back only after the whole group is analyzed: a group that
 raises leaves it as it was, and the next group is judged against the last
 group analyzed in full (the analyzer's fail-closed rule).
 
-Strobe is the only category with a detector; the other categories are
-stubs whose fixed verdicts the analyzer client applies.
+Strobe is the only category with a detector; the other categories,
+`STUB_CATEGORIES`, are stubs whose fixed verdicts the analyzer client
+applies.
 """
 
 from __future__ import annotations
@@ -36,8 +37,12 @@ from functools import lru_cache
 from typing import Callable
 
 from .media import Group, SourceConfig, iter_frame_levels
+from .wire import CATEGORIES, Category
 
-__all__ = ["StrobeConfig", "StrobeDetector", "predict_risky_groups"]
+__all__ = ["STUB_CATEGORIES", "StrobeConfig", "StrobeDetector", "predict_risky_groups"]
+
+#: The categories without a detector: each takes a fixed verdict.
+STUB_CATEGORIES = CATEGORIES - {Category.STROBE}
 
 
 @dataclass(frozen=True)

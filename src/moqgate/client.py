@@ -11,11 +11,12 @@
 * :class:`AnalyzerClient` subscribes with the analyze role, receives frames
   live and, when a group completes, works out one verdict per category:
   strobe from :class:`~moqgate.analysis.StrobeDetector`, the stub categories
-  (:data:`STUB_CATEGORIES`) from their fixed verdicts.  It sends one APPROVE
-  naming the approved subset (nothing when the subset is empty).  A detector
-  that throws, or a group that does not decode, fails closed: the category
-  is withheld, and a detector that throws leaves its memory as it was, so
-  the next group is judged against the last group it analyzed in full.
+  (:data:`~moqgate.analysis.STUB_CATEGORIES`) from their fixed verdicts.  It
+  sends one APPROVE naming the approved subset (nothing when it is empty).
+  A detector that throws, or a group that does not decode, fails closed: the
+  category is withheld, and a detector that throws leaves its memory as it
+  was, so the next group is judged against the last group it analyzed in
+  full.
 * :class:`SubscriberClient` subscribes plain (live frames) or with the
   filter role (gated bursts) and records per-group arrival times without
   decoding any frame payloads.
@@ -33,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
-from .analysis import StrobeConfig, StrobeDetector
+from .analysis import STUB_CATEGORIES, StrobeConfig, StrobeDetector
 from .eventlog import EventLog
 from .framing import GroupStreamParser, encode_group_chunks
 from .media import Group, decode_frame_payload
@@ -42,7 +43,6 @@ from .wire import (
     Approve,
     Category,
     Subscribe,
-    _as_category,
     analyze_parameter,
     encode_message,
     filter_parameter,
@@ -55,7 +55,6 @@ __all__ = [
     "PlaybackStats",
     "PublisherClient",
     "AnalyzerClient",
-    "STUB_CATEGORIES",
     "SubscriberClient",
     "compute_playback",
     "LatencyModel",
@@ -200,11 +199,6 @@ def _receive_groups(
     session.set_on_stream(on_stream)
 
 
-#: Categories without a detector: each takes a fixed verdict (strobe is the
-#: one category with a real detector).
-STUB_CATEGORIES = frozenset({Category.SMOKING, Category.ALCOHOL})
-
-
 class AnalyzerClient:
     """Receives frames live, analyzes each completed group, sends approvals.
 
@@ -229,7 +223,7 @@ class AnalyzerClient:
         self.clock = clock
         self.session = session
         self.track = track
-        self.categories = tuple(map(_as_category, categories))
+        self.categories = tuple(categories)
         unsupported = set(self.categories) - STUB_CATEGORIES - {Category.STROBE}
         if unsupported:
             raise ValueError(f"no detector for categories {sorted(unsupported)}")
@@ -274,7 +268,7 @@ class AnalyzerClient:
                     self.name,
                     "detector_error",
                     group_id=group_id,
-                    category=int(category),
+                    category=category,
                     error=error,
                 )
             (rejected if risk else approved).append(category)
@@ -282,8 +276,8 @@ class AnalyzerClient:
             self.name,
             "group_analyzed",
             group_id=group_id,
-            approved=[int(c) for c in approved],
-            rejected=[int(c) for c in rejected],
+            approved=approved,
+            rejected=rejected,
         )
         if approved:
             msg = Approve(self.subscribe_id, group_id, tuple(approved))
@@ -299,7 +293,7 @@ class AnalyzerClient:
             self.name,
             "approve_sent",
             group_id=msg.group_id,
-            categories=[int(c) for c in msg.categories],
+            categories=list(msg.categories),
         )
 
 

@@ -240,14 +240,17 @@ class ControlStreamDecoder:
     """Reassembles complete control messages from a byte stream.
 
     Like :class:`GroupStreamParser`, each ``feed`` decodes by offset and
-    keeps only the undecoded remainder.
+    keeps only the undecoded rest, in a ``bytearray`` trimmed in place, so a
+    message split into many pieces costs linear time; the codec's Length
+    limit (``MAX_MESSAGE_LENGTH``) bounds that rest.
     """
 
     def __init__(self) -> None:
-        self._buffer = b""
+        self._buffer = bytearray()
 
     def feed(self, data: bytes) -> list[ControlMessage]:
-        buf = self._buffer + data if self._buffer else bytes(data)
+        buf = self._buffer
+        buf += data
         pos = 0
         messages: list[ControlMessage] = []
         while pos < len(buf):
@@ -257,5 +260,5 @@ class ControlStreamDecoder:
                 break
             messages.append(message)
             pos += consumed
-        self._buffer = buf[pos:]
+        del buf[:pos]
         return messages

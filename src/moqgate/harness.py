@@ -45,7 +45,7 @@ BOUND_EPSILON_MS = 2.0
 
 
 class ScenarioTimeoutError(RuntimeError):
-    """The virtual-time budget ran out; carries the partial report."""
+    """The virtual-time or event budget ran out; carries the partial report."""
 
     def __init__(self, message: str, report: "Report") -> None:
         super().__init__(message)
@@ -59,7 +59,8 @@ class ScenarioTimeoutError(RuntimeError):
 
 def _bound_for(scenario: Scenario, spec: ClientSpec, links: Mapping[str, LinkSpec]) -> float:
     """The client's latency bound: the run's links fed to LatencyModel."""
-    covering = [a for a in scenario.clients if set(a.analyze) & set(spec.filter)]
+    wanted = set(spec.filter)
+    covering = [a for a in scenario.clients if a.analyze and not wanted.isdisjoint(a.analyze)]
     pub = links["publisher"]
     model = LatencyModel(
         gop_duration_ms=float(scenario.source.gop_duration_ms),
@@ -116,7 +117,7 @@ class _RunResult:
     gated_deliveries: list[tuple[float, str, int]]  # (time, filtered client, group)
     protocol_errors: list[tuple[str, str]]  # (session the relay failed, reason)
     end_time_ms: float
-    timed_out: bool = False
+    timeout: str = ""  # why the run stopped early: the SimTimeoutError text
 
 
 def _run_once(
@@ -190,7 +191,7 @@ def _run_once(
                 spec.analyze,
                 sub_id,
                 detector=spec.detector,
-                rejecting_stubs=[code for code, approve in scenario.stub_verdicts if not approve],
+                rejecting_stubs=scenario.rejected_stubs,
                 analysis_time_ms=spec.analysis_time_ms,
                 log=log,
                 name=spec.name,
@@ -218,11 +219,11 @@ def _run_once(
     )
     publisher.start()
 
-    timed_out = False
+    timeout = ""
     try:
         end_time = net.run_until_idle(max_virtual_ms=scenario.duration_ms)
-    except SimTimeoutError:
-        timed_out = True
+    except SimTimeoutError as exc:
+        timeout = str(exc)
         end_time = net.now
     finally:
         net.shutdown()
@@ -232,7 +233,7 @@ def _run_once(
         for name, c in clients.items()
     }
 
-    return _RunResult(index, dict(links), records, sent, approved_at, gated, errors, end_time, timed_out)
+    return _RunResult(index, dict(links), records, sent, approved_at, gated, errors, end_time, timeout)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +264,7 @@ def _expected_deliveries(scenario: Scenario, n_groups: int) -> dict[str, list[in
                 risky_sets = [risky(a.detector) for a in covering]
                 per_cat = set.intersection(*risky_sets) if risky_sets else set()
             else:
-                per_cat = set(range(n_groups)) if (code, False) in scenario.stub_verdicts else set()
+                per_cat = set(range(n_groups)) if code in scenario.rejected_stubs else set()
             blocked |= per_cat
         expected[spec.name] = [g for g in range(n_groups) if g not in blocked]
     return expected
@@ -509,8 +510,8 @@ def _build_report(
 def run_scenario(scenario: Scenario) -> Report:
     """Simulate the scenario (once, or once per delay draw) and check it.
 
-    Raises :class:`ScenarioTimeoutError` carrying the partial report if the
-    virtual-time budget is exhausted.
+    Raises :class:`ScenarioTimeoutError` carrying the partial report, and
+    naming the budget, if a run exhausts its virtual-time or event budget.
     """
     # Encoded once and shared by every run; the frames are not kept.  Each
     # run's publisher empties the list it is given as it sends, so a single
@@ -525,13 +526,10 @@ def run_scenario(scenario: Scenario) -> Report:
         for index in range(scenario.delay_draws.count):
             links = _drawn_links(scenario, rng)
             runs.append(_run_once(scenario, publication.copy(), links, index))
-            if runs[-1].timed_out:
+            if runs[-1].timeout:
                 break
-    timed_out = any(run.timed_out for run in runs)
-    report = _build_report(scenario, runs, n_groups, timed_out)
-    if timed_out:
-        raise ScenarioTimeoutError(
-            f"scenario {scenario.name!r} exceeded its {scenario.duration_ms} ms budget",
-            report,
-        )
+    timeout = runs[-1].timeout  # only the last run can have stopped early
+    report = _build_report(scenario, runs, n_groups, bool(timeout))
+    if timeout:
+        raise ScenarioTimeoutError(f"scenario {scenario.name!r} stopped early: {timeout}", report)
     return report

@@ -57,9 +57,9 @@ from .framing import ControlStreamDecoder, GroupStreamParser
 from .transport import Clock, DisconnectedError, Session
 from .wire import (
     ANALYZE_PARAM,
+    CATEGORIES,
     FILTER_PARAM,
     Approve,
-    Category,
     ControlMessage,
     Parameter,
     Subscribe,
@@ -79,11 +79,8 @@ __all__ = [
     "SessionState",
     "RelayCore",
     "RelayServer",
-    "DEFAULT_CAPABILITIES",
     "STALL_ALARM_MS",
 ]
-
-DEFAULT_CAPABILITIES = frozenset(Category)
 
 # How long a filtered subscriber may wait on one group before the server
 # logs a ``gating_stalled`` alarm (virtual ms).
@@ -205,7 +202,7 @@ class RelayCore:
             raise ProtocolError(f"bad {role} parameter payload: {exc}") from None
         if not categories:
             raise ProtocolError(f"{role} parameter names no categories")
-        unsupported = [cat for cat in categories if cat not in DEFAULT_CAPABILITIES]
+        unsupported = [cat for cat in categories if cat not in CATEGORIES]
         if unsupported:
             raise ProtocolError(f"unsupported {role} categories: {unsupported}")
         return categories

@@ -17,11 +17,9 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping
 
-from .analysis import StrobeConfig
-from .client import STUB_CATEGORIES
+from .analysis import STUB_CATEGORIES, StrobeConfig
 from .media import Constant, Ramp, SourceConfig, Strobe
-from .relay import DEFAULT_CAPABILITIES
-from .wire import category_code, category_name
+from .wire import CATEGORIES, category_code, category_name
 
 __all__ = [
     "Checks", "ClientSpec", "DelayDraws", "LinkSpec", "Scenario", "ScenarioError",
@@ -75,7 +73,7 @@ class Scenario:
     duration_ms: float = 600_000.0
     retention_groups: int = 64
     playback_buffer_groups: float = 1.0
-    stub_verdicts: tuple[tuple[int, bool], ...] = ()
+    rejected_stubs: frozenset[int] = frozenset()  # the stubs set false in "stub_verdicts"
     checks: Checks = Checks()
     delay_draws: DelayDraws | None = None
 
@@ -144,11 +142,11 @@ def _parse_categories(values: Any, where: str) -> tuple[int, ...]:
             code = category_code(value)
         except ValueError as exc:
             raise ScenarioError(f"{where}: {exc}") from None
-        if code not in DEFAULT_CAPABILITIES:
+        if code not in CATEGORIES:
             raise ScenarioError(f"{where}: unsupported category {value!r}")
         if code in codes:
             raise ScenarioError(f"{where}: duplicate category {value!r}")
-        codes.append(int(code))
+        codes.append(code)
     return tuple(codes)
 
 
@@ -213,10 +211,11 @@ def _parse_source(data: Any, where: str) -> SourceConfig:
     return source
 
 
-def _parse_stub_verdicts(data: Any, where: str) -> tuple[tuple[int, bool], ...]:
+def _parse_stub_verdicts(data: Any, where: str) -> frozenset[int]:
+    """The stub categories the scenario rejects."""
     if not isinstance(data, Mapping):
         raise ScenarioError(f"{where}: expected an object")
-    pairs: list[tuple[int, bool]] = []
+    rejected = set()
     for key, value in data.items():
         try:
             code = category_code(key)
@@ -226,8 +225,9 @@ def _parse_stub_verdicts(data: Any, where: str) -> tuple[tuple[int, bool], ...]:
             raise ScenarioError(f"{where}: {key!r} has a real detector, not a stub")
         if not isinstance(value, bool):
             raise ScenarioError(f"{where}.{key}: expected true/false")
-        pairs.append((int(code), value))
-    return tuple(pairs)
+        if not value:
+            rejected.add(code)
+    return frozenset(rejected)
 
 
 def _parse_band(data: Any, where: str) -> tuple[float, float]:
@@ -330,6 +330,7 @@ def scenario_from_dict(data: Mapping) -> Scenario:
     if problems:
         raise ScenarioError("; ".join(problems))
 
+    fields["rejected_stubs"] = fields.pop("stub_verdicts", frozenset())
     return Scenario(publisher_link=links["publisher"], clients=tuple(specs), **fields)
 
 

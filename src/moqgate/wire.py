@@ -16,9 +16,11 @@ Message layouts (every integer field is a varint unless noted):
     Category Set     Set Length | Category Count | Category Type ...
 
 ``Length`` counts every byte that follows the message type tag, *including
-the Length field's own encoding*.  ``Set Length`` counts only the bytes after
-it (the count plus the category codes), and ``Payload Length`` counts only
-the payload bytes.
+the Length field's own encoding*, and is at most ``MAX_MESSAGE_LENGTH``
+(65,535: recent MoQ Transport drafts carry it in 16 bits), so a peer cannot
+make a reader hold more for one message.  ``Set Length`` counts only the
+bytes after it (the count plus the category codes), and ``Payload Length``
+counts only the payload bytes.
 
 Decode errors are split into two families so stream readers can tell "wait
 for more bytes" apart from "the peer sent garbage": :class:`IncompleteError`
@@ -33,6 +35,7 @@ from enum import IntEnum
 from typing import Iterable
 
 VARINT_MAX = (1 << 62) - 1
+MAX_MESSAGE_LENGTH = 0xFFFF
 
 SUBSCRIBE_TYPE = 0x03
 SUBSCRIBE_UPDATE_TYPE = 0x02
@@ -71,23 +74,29 @@ class UnknownMessageTypeError(WireError):
 
 
 class Category(IntEnum):
-    """Well-known content categories.  Unknown codes travel as plain ints."""
+    """Well-known content categories: codes are plain ints; `Category`
+    names the known ones."""
 
     STROBE = 0x01
     SMOKING = 0x02
     ALCOHOL = 0x03
 
 
+#: The known category codes: a relay refuses a role that names another,
+#: and so does the scenario loader.
+CATEGORIES = frozenset(category.value for category in Category)
+
+
 def category_code(value: int | str) -> int:
     """Resolve a category given either its numeric code or its name."""
     if isinstance(value, str):
         try:
-            return Category[value.upper()]
+            return Category[value.upper()].value
         except KeyError:
             raise ValueError(f"unknown category name {value!r}") from None
     if value < 0 or value > VARINT_MAX:
         raise ValueError(f"category code out of range: {value}")
-    return _as_category(value)
+    return value
 
 
 def category_name(code: int) -> str:
@@ -95,14 +104,6 @@ def category_name(code: int) -> str:
         return Category(code).name
     except ValueError:
         return f"0x{code:02x}"
-
-
-def _as_category(code: int) -> int:
-    """Normalise known codes to :class:`Category` for readable reprs."""
-    try:
-        return Category(code)
-    except ValueError:
-        return code
 
 
 # --- varints ----------------------------------------------------------------
@@ -172,7 +173,7 @@ def decode_category_set(data: bytes, offset: int = 0) -> tuple[tuple[int, ...], 
     cats = []
     for _ in range(count):
         code, pos = _varint_within(data, pos, end, "category type")
-        cats.append(_as_category(code))
+        cats.append(code)
     if pos != end:
         raise LengthMismatchError(
             f"category set length {set_len} disagrees with content ({pos - offset - n} bytes used)"
@@ -305,8 +306,9 @@ def _self_inclusive_length(body_len: int) -> bytes:
 
     The smallest varint size whose capacity fits ``body_len + size`` wins;
     the candidate totals grow with the size, so the first fit is minimal.
+    A Length above ``MAX_MESSAGE_LENGTH`` is refused.
     """
-    for size, limit in ((1, 1 << 6), (2, 1 << 14), (4, 1 << 30), (8, 1 << 62)):
+    for size, limit in ((1, 1 << 6), (2, 1 << 14), (4, MAX_MESSAGE_LENGTH + 1)):
         total = body_len + size
         if total < limit:
             return encode_varint(total)
@@ -331,6 +333,8 @@ def decode_message(data: bytes, offset: int = 0) -> tuple[ControlMessage, int]:
     if parser is None:
         raise UnknownMessageTypeError(tag)
     declared, n = decode_varint(data, pos)
+    if declared > MAX_MESSAGE_LENGTH:
+        raise MalformedError(f"message length {declared} exceeds {MAX_MESSAGE_LENGTH}")
     pos += n
     body_len = declared - n
     if body_len < 0:

@@ -25,6 +25,8 @@ from moqgate.wire import (
     Category,
     IncompleteError,
     MalformedError,
+    Parameter,
+    Subscribe,
     SubscribeUpdate,
     WireError,
     encode_message,
@@ -545,6 +547,21 @@ class TestControlStreamDecoder:
         decoder = ControlStreamDecoder()
         assert decoder.feed(encode_message(SubscribeUpdate(1, ()))) == [SubscribeUpdate(1, ())]
         assert decoder.feed(b"") == []
+
+    def test_oversized_length_is_refused_on_the_first_feed(self):
+        decoder = ControlStreamDecoder()
+        with pytest.raises(MalformedError, match="exceeds 65535"):
+            decoder.feed(encode_varint(0x03) + encode_varint((1 << 30) - 1))
+
+    def test_a_60_kb_message_fed_byte_by_byte_decodes_whole(self):
+        msg = Subscribe(9, "t" * 60_000, 2, (Parameter(0x7F, bytes(range(200))),))
+        blob = encode_message(msg)
+        decoder = ControlStreamDecoder()
+        got = []
+        for i in range(len(blob)):
+            got += decoder.feed(blob[i : i + 1])
+        assert got == [msg]
+        assert decoder.feed(blob) == [msg]
 
     def test_garbage_raises_wire_error(self):
         decoder = ControlStreamDecoder()

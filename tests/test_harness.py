@@ -399,6 +399,22 @@ LOADER_MESSAGES = {
         _set(("clients", 0, "analyze"), ["strobe", 127]),
         "scenario.clients[0].analyze: unsupported category 127",
     ),
+    "stub_verdicts_not_object": (
+        _set(("stub_verdicts",), ["smoking"]),
+        "scenario.stub_verdicts: expected an object",
+    ),
+    "stub_verdict_unknown_name": (
+        _set(("stub_verdicts",), {"beer": False}),
+        "scenario.stub_verdicts: unknown category name 'beer'",
+    ),
+    "stub_verdict_for_strobe": (
+        _set(("stub_verdicts",), {"strobe": False}),
+        "scenario.stub_verdicts: 'strobe' has a real detector, not a stub",
+    ),
+    "stub_verdict_not_bool": (
+        _set(("stub_verdicts",), {"smoking": 0}),
+        "scenario.stub_verdicts.smoking: expected true/false",
+    ),
 }
 
 
@@ -410,6 +426,13 @@ def test_loader_rejection_messages(case):
     with pytest.raises(ScenarioError) as ei:
         scenario_from_dict(data)
     assert str(ei.value) == message
+
+
+def test_stub_verdicts_load_as_the_set_of_rejected_stubs():
+    data = mini_scenario()
+    assert scenario_from_dict(data).rejected_stubs == frozenset()
+    data["stub_verdicts"] = {"smoking": False, "alcohol": True}
+    assert scenario_from_dict(data).rejected_stubs == {Category.SMOKING}
 
 
 def _property_scenario() -> dict:
@@ -798,9 +821,22 @@ class TestRunScenario:
         data["duration_ms"] = 500.0
         with pytest.raises(ScenarioTimeoutError) as ei:
             run_report(data)
+        assert "exceeds budget 500.0 ms" in str(ei.value)
         partial = ei.value.report
         assert partial.data["timeout"] is True
         assert partial.passed is False
+
+    def test_event_cap_is_named_when_it_stops_a_run(self, monkeypatch):
+        run_until_idle = moqgate.harness.SimNetwork.run_until_idle
+
+        def capped(net, max_virtual_ms):
+            return run_until_idle(net, max_virtual_ms, max_events=10)
+
+        monkeypatch.setattr(moqgate.harness.SimNetwork, "run_until_idle", capped)
+        with pytest.raises(ScenarioTimeoutError) as ei:
+            run_report(mini_scenario())
+        assert str(ei.value) == "scenario 'mini' stopped early: exceeded event budget of 10"
+        assert ei.value.report.data["timeout"] is True
 
 
 def _scan(scenario: Scenario, events: list[tuple]) -> tuple:

@@ -3,7 +3,8 @@
 The relay and the clients keep time through ``transport.Clock``, use no
 more of a clock than that protocol and never name the simulated network;
 the relay's core names no transport type and its server keeps no session
-roles; the report writers depend on nothing else in the package.  Every
+roles; the report writers depend on nothing else in the package, and the
+scenario loader on neither the relay nor the clients.  Every
 name a module imports is used there or exported through its ``__all__``.
 """
 
@@ -97,14 +98,27 @@ def test_relay_server_assigns_no_session_state_field():
     assert not set(stored) & {"filter", "analyze", "next_deliver"}
 
 
-def test_report_imports_no_moqgate_module():
+def _imported_modules(module: str) -> list[str]:
+    """Every module the module imports, relative ones with their dots."""
     imported = []
-    for node in ast.walk(_tree("report")):
+    for node in ast.walk(_tree(module)):
         if isinstance(node, ast.ImportFrom):
             imported.append("." * node.level + (node.module or ""))
         elif isinstance(node, ast.Import):
             imported.extend(alias.name for alias in node.names)
+    return imported
+
+
+def test_report_imports_no_moqgate_module():
+    imported = _imported_modules("report")
     assert not [m for m in imported if m.startswith(".") or m.split(".")[0] == "moqgate"]
+
+
+def test_scenario_loader_imports_no_relay_or_client():
+    """The loader reads category facts from ``wire`` and ``analysis``."""
+    imported = {m.lstrip(".").removeprefix("moqgate.") for m in _imported_modules("scenario")}
+    assert imported & {"analysis", "media", "wire"} == {"analysis", "media", "wire"}
+    assert not imported & {"relay", "client", "harness", "transport", "framing"}
 
 
 @pytest.mark.parametrize(

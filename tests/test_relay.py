@@ -37,6 +37,7 @@ from moqgate.wire import (
     SubscribeUpdate,
     analyze_parameter,
     encode_message,
+    encode_varint,
     filter_parameter,
 )
 
@@ -776,6 +777,19 @@ class TestRelayServer:
         }
         assert rig.server.core.session("p") is None
         assert closed == [20.0]
+
+    def test_oversized_control_length_closes_session(self):
+        # A SUBSCRIBE header declaring 2^30 - 1 bytes: refused before any body.
+        rig = ServerRig({"p": plain(sub_id=6)})
+        header = encode_varint(0x03) + encode_varint((1 << 30) - 1)
+        rig.net.at(10, lambda: rig.clients["p"].send_control(header))
+        rig.net.run_until_idle()
+        (error,) = rig.server.log.filter(kind="protocol_error")
+        assert error.detail == {
+            "sid": "p",
+            "reason": "undecodable control bytes: message length 1073741823 exceeds 65535",
+        }
+        assert rig.server.core.session("p") is None
 
     def test_live_forwarding_to_plain_and_analyzer(self):
         rig = ServerRig({"p": plain(), "an": analyzer([STROBE], sub_id=2)})

@@ -19,6 +19,7 @@ from moqgate.wire import (
     DuplicateCategoryError,
     IncompleteError,
     LengthMismatchError,
+    MalformedError,
     Parameter,
     Subscribe,
     SubscribeUpdate,
@@ -139,6 +140,12 @@ class TestCategorySet:
         cats, _ = decode_category_set(encoded)
         assert cats == (Category.ALCOHOL, Category.STROBE)
 
+    def test_codes_decode_and_resolve_as_plain_ints(self):
+        cats, _ = decode_category_set(FILTER_SET_GOLDEN)
+        assert [type(c) for c in cats] == [int, int]
+        assert type(wire.category_code("smoking")) is int
+        assert wire.CATEGORIES == {1, 2, 3} == set(Category)
+
     def test_unknown_codes_round_trip(self):
         encoded = encode_category_set([0x7E, 0x1234])
         cats, _ = decode_category_set(encoded)
@@ -238,6 +245,22 @@ class TestMessages:
         longer[2] = 0x07
         with pytest.raises(IncompleteError):
             decode_message(bytes(longer))
+
+    @pytest.mark.parametrize("declared", [65_536, (1 << 30) - 1])
+    def test_length_above_the_limit_is_refused_once_read(self, declared):
+        # A SUBSCRIBE header alone: none of the declared bytes are sent.
+        header = encode_varint(0x03) + encode_varint(declared)
+        with pytest.raises(MalformedError, match=f"length {declared} exceeds 65535"):
+            decode_message(header)
+
+    def test_largest_message_round_trips_and_one_byte_more_is_refused(self):
+        # SUBSCRIBE Length = 4 (itself) + sub 1 + name length 4 + name
+        # + priority 1 + param count 1, so a 65,524-byte name fills 65,535.
+        largest = Subscribe(1, "a" * 65_524)
+        encoded = encode_message(largest)
+        assert decode_message(encoded) == (largest, len(encoded))
+        with pytest.raises(ValueError, match="too large"):
+            encode_message(Subscribe(1, "a" * 65_525))
 
     def test_truncated_body_is_incomplete(self):
         with pytest.raises(IncompleteError):
