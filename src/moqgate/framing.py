@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from .media import Group, encode_frame_payload
 from .wire import (
+    MAX_MESSAGE_LENGTH,
     ControlMessage,
     IncompleteError,
     MalformedError,
@@ -212,9 +213,13 @@ class GroupStreamParser:
 
     def _parse_header(self, buf: bytes | bytearray) -> int:
         """Parse the header if ``buf`` holds all of it; returns the offset
-        just past it, or 0 when more bytes are needed."""
+        just past it, or 0 when more bytes are needed.  A track name longer
+        than a SUBSCRIBE can carry is refused as soon as its length is read,
+        so a hostile header cannot make the tail grow until ``fin``."""
         try:
             name_len, pos = decode_varint(buf)
+            if name_len > MAX_MESSAGE_LENGTH:
+                raise MalformedError(f"track name length {name_len} exceeds {MAX_MESSAGE_LENGTH}")
             if len(buf) < pos + name_len:
                 return 0
             raw_name = buf[pos : pos + name_len]

@@ -116,8 +116,9 @@ class SourceConfig:
     def frames_per_group(self) -> int:
         return self.fps * self.gop_duration_ms // 1000
 
-    def validate(self) -> None:
-        """Raise ``ValueError`` listing every violated constraint."""
+    def __post_init__(self) -> None:
+        """Check the source as it is built: raise ``ValueError`` listing
+        every violated constraint."""
         problems: list[str] = []
         if not (1 <= self.width <= MAX_DIMENSION and 1 <= self.height <= MAX_DIMENSION):
             problems.append(f"dimensions out of range: {self.width}x{self.height}")
@@ -177,53 +178,38 @@ def strobe_half_period_frames(fps: int, flash_hz: float) -> int:
     return max(1, math.ceil(fps / (2 * flash_hz) - 0.5))
 
 
-def _segment_level(seg: PatternSegment, fps: int, j: int, n_frames: int) -> int:
-    """Luma level of in-segment frame ``j`` of ``n_frames``."""
+def _segment_levels(seg: PatternSegment, fps: int, n_frames: int) -> list[int]:
+    """Luma levels of the ``n_frames`` frames of one segment, in order."""
     if isinstance(seg, Constant):
-        return seg.level
+        return [seg.level] * n_frames
     if isinstance(seg, Strobe):
         half = strobe_half_period_frames(fps, seg.flash_hz)
-        return seg.low if (j // half) % 2 == 0 else seg.high
+        return [seg.low if (j // half) % 2 == 0 else seg.high for j in range(n_frames)]
     if isinstance(seg, Ramp):
         if n_frames <= 1:
-            return seg.start_level
-        return round(seg.start_level + (seg.end_level - seg.start_level) * j / (n_frames - 1))
+            return [seg.start_level] * n_frames
+        start, end = seg.start_level, seg.end_level
+        return [round(start + (end - start) * j / (n_frames - 1)) for j in range(n_frames)]
     raise TypeError(f"unknown segment kind: {seg!r}")
 
 
 def iter_frame_levels(config: SourceConfig) -> list[tuple[int, int, int]]:
     """Per-frame schedule: ``(global_index, capture_ts, level)`` for every
     frame of the source, with each frame assigned to the segment whose time
-    window contains its capture instant."""
-    boundaries: list[tuple[int, int, PatternSegment]] = []
-    start = 0
-    for seg in config.segments:
-        boundaries.append((start, start + seg.duration_ms, seg))
-        start += seg.duration_ms
-    total = start
-
-    # First pass: assign frames to segments.
-    assignment: list[tuple[int, int, int]] = []  # (k, ts, segment index)
-    counts = [0] * len(boundaries)
-    seg_i = 0
-    k = 0
-    while True:
-        ts = frame_capture_ts(k, config.fps)
-        if ts >= total:
-            break
-        while ts >= boundaries[seg_i][1]:
-            seg_i += 1
-        assignment.append((k, ts, seg_i))
-        counts[seg_i] += 1
-        k += 1
-
-    # Second pass: compute levels now that per-segment frame counts are known.
+    window contains its capture instant.  The segments are walked in order,
+    and each one's levels come from one call for all of its frames."""
+    fps = config.fps
     out: list[tuple[int, int, int]] = []
-    first_frame = {}
-    for k, ts, seg_i in assignment:
-        j = k - first_frame.setdefault(seg_i, k)
-        level = _segment_level(boundaries[seg_i][2], config.fps, j, counts[seg_i])
-        out.append((k, ts, level))
+    k = 0
+    seg_end = 0
+    for seg in config.segments:
+        seg_end += seg.duration_ms
+        first = k
+        stamps: list[int] = []
+        while (ts := frame_capture_ts(k, fps)) < seg_end:
+            stamps.append(ts)
+            k += 1
+        out.extend(zip(range(first, k), stamps, _segment_levels(seg, fps, len(stamps))))
     return out
 
 
@@ -234,8 +220,8 @@ def generate_groups(config: SourceConfig) -> list[Group]:
     frames when the timeline is not a whole number of group durations.
     Frames are uniform, so the call renders one pixel block per distinct
     level and every frame at that level shares the same ``bytes`` object.
+    The source was checked when it was built, so every frame renders.
     """
-    config.validate()
     fpg = config.frames_per_group
     area = config.width * config.height
     blocks: dict[int, bytes] = {}  # level -> its pixel block

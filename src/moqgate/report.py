@@ -147,7 +147,7 @@ class Report:
             tag = "PASS" if check["passed"] else "FAIL"
             lines.append(f"[{tag}] {check['name']}: {check['detail']}")
         if data.get("timeout"):
-            lines.append("WARNING: virtual-time budget exhausted; report is partial")
+            lines.append("WARNING: a run exhausted its virtual-time or event budget; report is partial")
         lines.append("RESULT: " + ("PASSED" if data["passed"] else "FAILED"))
         return "\n".join(lines) + "\n"
 

@@ -167,7 +167,7 @@ def _parse_detector(base: StrobeConfig, overrides: Any, where: str) -> StrobeCon
         raise ScenarioError(f"{where}: {exc}") from None
 
 
-# Ranges are SourceConfig.validate's; the tables check types.
+# Ranges are SourceConfig's own checks; the tables check types.
 _SEGMENT_KINDS = {
     "constant": (Constant, dict.fromkeys(("level", "duration_ms"), (int, None, True))),
     "strobe": (
@@ -203,12 +203,11 @@ _SOURCE_FIELDS = {
 
 
 def _parse_source(data: Any, where: str) -> SourceConfig:
-    source = SourceConfig(**_fields(data, _SOURCE_FIELDS, where))
+    values = _fields(data, _SOURCE_FIELDS, where)
     try:
-        source.validate()
+        return SourceConfig(**values)
     except ValueError as exc:
         raise ScenarioError(f"{where}: {exc}") from None
-    return source
 
 
 def _parse_stub_verdicts(data: Any, where: str) -> frozenset[int]:

@@ -253,6 +253,20 @@ class TestAnalyzerClient:
         assert analyzer.records[0].frame_count == 10
         assert analyzed(analyzer) == {0: ([STROBE], [])}
 
+    def test_approval_after_the_relay_fails_the_session_is_logged(self):
+        # Group 0 completes at 900 ms and its approval is due at 940 ms; the
+        # relay fails the analyzer in between, so the send is refused.
+        rig = Rig()
+        analyzer = rig.analyzer([STROBE], analysis=40.0)
+        rig.publisher(generate_groups(const_source(fps=10)))
+        rig.net.at(920, lambda: rig.server._fail_session("an", "forced"))
+        rig.net.run_until_idle()
+        assert analyzed(analyzer) == {0: ([STROBE], [])}
+        failed = [(e.time_ms, e.detail) for e in analyzer.log.filter(kind="approve_failed")]
+        assert failed == [(940.0, {"group_id": 0})]
+        assert analyzer.log.filter(kind="approve_sent") == []
+        assert rig.server.log.filter(kind="approve_recorded") == []
+
     def test_risky_group_sends_nothing(self):
         rig = Rig()
         analyzer = rig.analyzer([STROBE])

@@ -182,6 +182,13 @@ class TestGroupStreamParser:
         with pytest.raises(WireError):
             parser.feed(bytes([0x02, 0xFF, 0xFE, 0x00, 0x00]), fin=True)
 
+    def test_oversized_track_name_length_is_refused_on_the_first_feed(self):
+        parser = GroupStreamParser()
+        with pytest.raises(MalformedError, match="track name length 1073741823 exceeds 65535"):
+            parser.feed(encode_varint((1 << 30) - 1))
+        # The longest name a SUBSCRIBE can carry is still awaited.
+        assert GroupStreamParser().feed(encode_varint(65535)) == 0
+
     def test_incremental_payloads_arrive_as_completed(self):
         blob = self._blob()
         header_len = len(encode_group_header("track9", 5, 3))

@@ -493,7 +493,7 @@ def _replaced_scalar(draw):
     return data
 
 
-#: Sources longer than this are validated but not rendered.
+#: Sources longer than this are not rendered.
 RENDER_LIMIT_FRAMES = 10_000
 
 
@@ -512,7 +512,6 @@ def test_accepted_scenario_source_and_detectors_run(data):
         assert spec.detector.grid_dim <= min(source.width, source.height)
     n_frames = sum(seg.duration_ms for seg in source.segments) * source.fps // 1000
     if n_frames > RENDER_LIMIT_FRAMES:
-        source.validate()  # what generate_groups checks before rendering
         return
     groups = generate_groups(source)
     for spec in analyzers:
@@ -826,6 +825,16 @@ class TestRunScenario:
         assert partial.data["timeout"] is True
         assert partial.passed is False
 
+    def test_delay_draws_stop_at_the_first_run_that_times_out(self):
+        data = mini_scenario()
+        data["duration_ms"] = 500.0
+        data["delay_draws"] = {"count": 3, "seed": 1, "min_ms": 0, "max_ms": 5}
+        with pytest.raises(ScenarioTimeoutError) as ei:
+            run_report(data)
+        partial = ei.value.report
+        assert [run["run"] for run in partial.data["runs"]] == [0]
+        assert partial.data["timeout"] is True
+
     def test_event_cap_is_named_when_it_stops_a_run(self, monkeypatch):
         run_until_idle = moqgate.harness.SimNetwork.run_until_idle
 
@@ -837,6 +846,12 @@ class TestRunScenario:
             run_report(mini_scenario())
         assert str(ei.value) == "scenario 'mini' stopped early: exceeded event budget of 10"
         assert ei.value.report.data["timeout"] is True
+        # report.json keeps "timeout" a bool, so the text names both budgets.
+        text = ei.value.report.to_text().splitlines()
+        assert text[-2:] == [
+            "WARNING: a run exhausted its virtual-time or event budget; report is partial",
+            "RESULT: FAILED",
+        ]
 
 
 def _scan(scenario: Scenario, events: list[tuple]) -> tuple:

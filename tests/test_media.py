@@ -11,8 +11,9 @@ from __future__ import annotations
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from schedules import reference_frame_levels
 
 from moqgate import media
 from moqgate.media import (
@@ -26,6 +27,7 @@ from moqgate.media import (
     encode_frame_payload,
     frame_capture_ts,
     generate_groups,
+    iter_frame_levels,
     strobe_half_period_frames,
 )
 from moqgate.wire import IncompleteError, MalformedError, encode_varint
@@ -84,20 +86,27 @@ class TestHalfPeriod:
 
 class TestValidation:
     def test_gop_must_hold_whole_frames(self):
-        cfg = constant_source(fps=30, gop=500)  # 15 frames per group: fine
-        cfg.validate()
+        constant_source(fps=30, gop=500)  # 15 frames per group: fine
         with pytest.raises(ValueError):
-            constant_source(fps=30, gop=250).validate()  # 7.5 frames
+            constant_source(fps=30, gop=250)  # 7.5 frames
 
     def test_flash_rate_capped_at_nyquist(self):
-        bad = SourceConfig(4, 3, 30, 1000, (Strobe(16, 240, 16.0, 1000),))
         with pytest.raises(ValueError):
-            bad.validate()
-        SourceConfig(4, 3, 30, 1000, (Strobe(16, 240, 15.0, 1000),)).validate()
+            SourceConfig(4, 3, 30, 1000, (Strobe(16, 240, 16.0, 1000),))
+        SourceConfig(4, 3, 30, 1000, (Strobe(16, 240, 15.0, 1000),))
 
     def test_strobe_levels_must_increase(self):
         with pytest.raises(ValueError):
-            SourceConfig(4, 3, 30, 1000, (Strobe(240, 16, 5.0, 1000),)).validate()
+            SourceConfig(4, 3, 30, 1000, (Strobe(240, 16, 5.0, 1000),))
+
+    def test_every_problem_is_named_when_the_source_is_built(self):
+        with pytest.raises(ValueError) as info:
+            SourceConfig(0, 3, 30, 250, (Constant(300, 0),))
+        assert str(info.value) == (
+            "dimensions out of range: 0x3; "
+            "group duration 250 ms at 30 fps does not hold a whole number of frames; "
+            "segment 0: duration must be positive: 0; segment 0: level out of range: 300"
+        )
 
     def test_frame_shape_enforced(self):
         with pytest.raises(ValueError):
@@ -324,3 +333,67 @@ class TestInterToggleProperty:
         toggles = [k for k in range(1, len(levels)) if levels[k] != levels[k - 1]]
         gaps = {b - a for a, b in zip(toggles, toggles[1:])}
         assert gaps == {strobe_half_period_frames(fps, hz)}
+
+
+# fps 10: frames every 100 ms.  The constant holds frames 0 and 1, the first
+# ramp ([150, 190) ms) none, the second ramp ([190, 240) ms) only frame 2,
+# and the strobe at the Nyquist edge (5 Hz) frames 3 to 12.
+SHORT_SEGMENTS = SourceConfig(
+    4, 3, 10, 1000,
+    (Constant(5, 150), Ramp(0, 90, 40), Ramp(10, 200, 50), Strobe(16, 240, 5.0, 1000)),
+)
+
+luma_levels = st.integers(0, 255)
+
+
+@st.composite
+def schedule_sources(draw):
+    """Sources at 1 to 3,000 fps whose segments are often shorter than a
+    frame spacing (no frame, or one: a one-frame ramp) and whose strobes are
+    often at the Nyquist edge; at most about 2,000 frames a segment."""
+    fps = draw(st.one_of(st.integers(1, 12), st.integers(1, 3000)))
+    spacing = -(-1000 // fps)  # ms between frames, rounded up
+    segments = []
+    for _ in range(draw(st.integers(0, 5))):
+        duration = draw(st.one_of(st.integers(1, spacing + 1), st.integers(1, 2_000_000 // fps)))
+        kind = draw(st.sampled_from((Constant, Strobe, Ramp)))
+        if kind is Constant:
+            segments.append(Constant(draw(luma_levels), duration))
+        elif kind is Strobe:
+            low = draw(st.integers(0, 254))
+            high = draw(st.integers(low + 1, 255))
+            hz = draw(
+                st.one_of(st.just(fps / 2), st.floats(fps / 4, fps / 2), st.floats(0.01, fps / 2))
+            )
+            segments.append(Strobe(low, high, hz, duration))
+        else:
+            segments.append(Ramp(draw(luma_levels), draw(luma_levels), duration))
+    return SourceConfig(4, 3, fps, 1000, tuple(segments))
+
+
+class TestSchedule:
+    def test_zero_frame_segment_and_one_frame_ramp(self):
+        assert iter_frame_levels(SHORT_SEGMENTS) == [
+            (k, 100 * k, level)
+            for k, level in enumerate([5, 5, 10] + [16, 240] * 5)
+        ]
+
+    def test_level_rule_runs_once_per_segment(self, monkeypatch):
+        rule = media._segment_levels
+        calls = []
+
+        def counted(seg, fps, n_frames):
+            calls.append((seg, n_frames))
+            return rule(seg, fps, n_frames)
+
+        monkeypatch.setattr(media, "_segment_levels", counted)
+        iter_frame_levels(SHORT_SEGMENTS)
+        assert calls == list(zip(SHORT_SEGMENTS.segments, [2, 0, 1, 10]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(schedule_sources())
+    @example(SHORT_SEGMENTS)
+    @example(SourceConfig(4, 3, 3000, 1000, (Ramp(0, 255, 1), Strobe(0, 255, 1500.0, 1000))))
+    @example(SourceConfig(4, 3, 1, 1000, (Ramp(9, 99, 999), Constant(1, 1), Ramp(3, 4, 1000))))
+    def test_matches_the_two_pass_reference(self, config):
+        assert iter_frame_levels(config) == reference_frame_levels(config)

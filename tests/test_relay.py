@@ -19,7 +19,15 @@ from moqgate.framing import (
     encode_frame_chunk,
     encode_group_header,
 )
-from moqgate.media import Constant, Group, LuminanceFrame, SourceConfig, Strobe, generate_groups
+from moqgate.media import (
+    Constant,
+    Group,
+    LuminanceFrame,
+    SourceConfig,
+    Strobe,
+    encode_frame_payload,
+    generate_groups,
+)
 from moqgate.relay import (
     DeliverGroup,
     JoinLive,
@@ -790,6 +798,39 @@ class TestRelayServer:
             "reason": "undecodable control bytes: message length 1073741823 exceeds 65535",
         }
         assert rig.server.core.session("p") is None
+
+    def test_oversized_track_name_length_closes_publisher(self):
+        # A group header declaring a 2^30 - 1 byte track name: refused at
+        # once, not held until fin.
+        rig = ServerRig({"p": plain(sub_id=6)})
+        stream = rig.publisher.open_stream()
+        rig.net.at(10, lambda: stream.send(encode_varint((1 << 30) - 1) + bytes(1000)))
+        rig.net.run_until_idle()
+        (error,) = rig.server.log.filter(kind="protocol_error")
+        assert error.detail == {
+            "sid": "pub",
+            "reason": "bad group stream: track name length 1073741823 exceeds 65535",
+        }
+        assert rig.server.core._tracks["cam"].live == {}
+        assert rig.received["p"].chunks == []
+
+    def test_subscriber_failed_mid_group_leaves_the_fanout(self):
+        # "a" sends an unknown control tag between the group's two chunks:
+        # the relay fails it, and the group's second chunk goes to "b" only.
+        rig = ServerRig({"a": plain(sub_id=1), "b": plain(sub_id=2)})
+        header = encode_group_header("cam", 0, 2)
+        c0, c1 = (encode_frame_chunk(encode_frame_payload(f)) for f in two_frame_group().frames)
+        stream = rig.publisher.open_stream()
+        rig.net.at(20, lambda: stream.send(header + c0))
+        rig.net.at(40, lambda: rig.clients["a"].send_control(bytes([0x04, 0x02, 0x01])))
+        rig.net.at(60, lambda: stream.end(c1))
+        rig.net.run_until_idle()
+        (error,) = rig.server.log.filter(kind="protocol_error")
+        assert error.detail["sid"] == "a"
+        assert rig.server.core.session("a") is None
+        assert rig.received["a"].by_stream() == [[(header + c0, False, 35.0)]]
+        assert rig.received["b"].by_stream() == [[(header + c0, False, 35.0), (c1, True, 75.0)]]
+        assert rig.server.core._tracks["cam"].live == {}
 
     def test_live_forwarding_to_plain_and_analyzer(self):
         rig = ServerRig({"p": plain(), "an": analyzer([STROBE], sub_id=2)})
