@@ -35,7 +35,7 @@ from .report import RecordRow, Report
 from .scenario import ClientSpec, LinkSpec, Scenario
 # perfbench/workloads.py loads scenarios through this module's name.
 from .scenario import scenario_from_dict  # noqa: F401
-from .transport import Link, SimNetwork, SimTimeoutError, derive_seed
+from .transport import Session, SimNetwork, SimTimeoutError, derive_seed
 from .wire import Category, category_name
 
 __all__ = ["ScenarioTimeoutError", "predict_bounds", "run_scenario"]
@@ -164,24 +164,17 @@ def _run_once(
     )
     server = RelayServer(net, scenario.retention_groups, log)
 
-    def make_link(spec: LinkSpec, name: str) -> Link:
-        return Link(
-            delay_ms=spec.to_relay_ms,
-            reverse_delay_ms=spec.from_relay_ms,
-            jitter_ms=spec.jitter_ms,
-            seed=derive_seed(str(scenario.seed), "run", str(index), "link", name),
-        )
+    def connect(name: str) -> tuple[Session, Session]:
+        link = links[name]
+        seed = derive_seed(str(scenario.seed), "run", str(index), "link", name)
+        return net.connect(name, "relay", link.to_relay_ms, link.from_relay_ms, link.jitter_ms, seed)
 
-    pub_session, relay_pub = net.connect(
-        make_link(links["publisher"], "publisher"), "publisher", "relay"
-    )
+    pub_session, relay_pub = connect("publisher")
     server.attach("publisher", relay_pub)
 
     clients: dict[str, AnalyzerClient | SubscriberClient] = {}
     for sub_id, spec in enumerate(scenario.clients, start=1):
-        client_session, relay_session = net.connect(
-            make_link(links[spec.name], spec.name), spec.name, "relay"
-        )
+        client_session, relay_session = connect(spec.name)
         server.attach(spec.name, relay_session)
         if spec.analyze:
             client: AnalyzerClient | SubscriberClient = AnalyzerClient(

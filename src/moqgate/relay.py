@@ -30,8 +30,9 @@ group, live or gated, with no knowledge of transport: its handlers return
 header has arrived and which has not ended: its publisher, the server's
 opaque handle and the sessions receiving it) and the held groups (the last
 ``retention`` ingested ids, each with its bytes and the categories approved
-so far).  A group header whose id is already live or already ingested is
-refused before any byte of it is forwarded.  Only approvals and role changes
+so far).  A group header whose id is already live or already ingested, or
+that a subscriber of its track sends, is refused before any byte of it is
+forwarded.  Only approvals and role changes
 release groups: an ingested group has no approvals yet.
 
 :class:`RelayServer` only moves bytes over transport sessions and a
@@ -290,7 +291,11 @@ class RelayCore:
         self, publisher: object, track_name: str, group_id: int, handle: object
     ) -> list[Action]:
         """A group's header has arrived: every session without a filter
-        joins it live.  ``handle`` is the caller's, returned in each join."""
+        joins it live.  ``handle`` is the caller's, returned in each join.
+        A session may not publish into the track it subscribes to."""
+        subscription = self._sessions.get(publisher)
+        if subscription is not None and subscription.track == track_name:
+            raise ProtocolError(f"subscriber of track {track_name!r} cannot publish into it")
         track = self._track(track_name)
         if group_id in track.live or group_id < (track.next_expected or 0):
             state = "live" if group_id in track.live else "ingested"

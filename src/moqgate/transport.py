@@ -7,13 +7,13 @@ are given.  A clock tells the time (``now``) and runs a callback at a
 virtual time no earlier than now (``at``).  Events at the same instant run
 in the order they were scheduled; that is the one tie rule.
 
-A :class:`SimNetwork` owns a virtual clock and an event heap.  Connecting a
-:class:`Link` yields two :class:`Session` endpoints; each session can send
-control messages (a reserved ordered channel) and open unidirectional data
-streams toward its peer.  Delivery applies the link's one-way delay plus an
-optional seeded jitter draw, with arrival order preserved *within* each
-stream (later chunks never overtake earlier ones); separate streams may
-interleave freely, as on a real multiplexed connection.
+A :class:`SimNetwork` owns a virtual clock and an event heap, and
+:meth:`SimNetwork.connect` yields two :class:`Session` endpoints; each
+session can send control messages (a reserved ordered channel) and open
+unidirectional data streams toward its peer.  Delivery applies the sender's
+one-way delay plus an optional seeded jitter draw, with arrival order
+preserved *within* each stream (later chunks never overtake earlier ones);
+separate streams may interleave freely, as on a real multiplexed connection.
 
 Sessions are callback-only: control messages go to ``on_control``, each
 new stream to ``on_stream`` and its chunks to that stream's ``on_data``.
@@ -22,13 +22,14 @@ transport buffers nothing for the receiver.  A session holds a receiving
 stream only while it is open and drops it when its ``fin`` arrives.
 
 All timestamps are virtual milliseconds.  Runs are fully deterministic for
-a given seed: a link direction with jitter draws from its own generator,
-seeded from a hash of the link seed and direction, never from
-interpreter-dependent state; a direction without jitter builds no generator.
+a given seed: a session with jitter draws from its own generator, seeded
+from a hash of the connection seed and its direction, never from
+interpreter-dependent state; a session without jitter builds no generator.
 
-A chunk is handed to its direction as the receiving session's handler for
-its kind (``_receive_data``, ``_receive_control`` or ``_receive_close``)
-with the chunk bound to it, and runs as one heap event on arrival.
+A chunk is handed to the sender's ``_transmit`` as the receiving session's
+handler for its kind (``_receive_data``, ``_receive_control`` or
+``_receive_close``) with the chunk bound to it, and runs as one heap event
+on arrival.
 
 Connected sessions point at each other and their callbacks at the objects
 that registered them, so a run's graph is cyclic.  :meth:`SimNetwork.shutdown`
@@ -42,7 +43,6 @@ from __future__ import annotations
 import hashlib
 import heapq
 import random
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Protocol
 
@@ -50,7 +50,6 @@ __all__ = [
     "Clock",
     "SimTimeoutError",
     "DisconnectedError",
-    "Link",
     "SimNetwork",
     "Session",
     "SendStream",
@@ -72,27 +71,6 @@ def derive_seed(*parts: object) -> int:
     randomization, unlike seeding ``random.Random`` with a string)."""
     digest = hashlib.sha256("\x1f".join(str(p) for p in parts).encode()).digest()
     return int.from_bytes(digest[:8], "big")
-
-
-@dataclass(frozen=True)
-class Link:
-    """One-way delays and jitter for a point-to-point connection.
-
-    ``reverse_delay_ms`` defaults to ``delay_ms``.  Jitter draws are uniform
-    in [-jitter_ms, +jitter_ms] around the base delay, independently per
-    direction.
-    """
-
-    delay_ms: float = 0.0
-    reverse_delay_ms: float | None = None
-    jitter_ms: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.delay_ms < 0 or (self.reverse_delay_ms or 0) < 0:
-            raise ValueError("link delays must be non-negative")
-        if self.jitter_ms < 0:
-            raise ValueError("jitter must be non-negative")
 
 
 class Clock(Protocol):
@@ -123,32 +101,39 @@ class SimNetwork:
     def at(self, time_ms: float, fn: Callable[[], None]) -> None:
         """Schedule ``fn`` at an absolute virtual time (>= now), after every
         event already scheduled for that instant."""
-        if time_ms < self._now:
+        if not time_ms >= self._now:  # also refuses NaN
             raise ValueError(f"cannot schedule at {time_ms} ms; now is {self._now} ms")
         heapq.heappush(self._heap, (float(time_ms), self._seq, fn))
         self._seq += 1
 
     def connect(
-        self, link: Link, name_a: str = "a", name_b: str = "b"
+        self,
+        name_a: str,
+        name_b: str,
+        delay_ms: float,
+        reverse_delay_ms: float,
+        jitter_ms: float = 0.0,
+        seed: int = 0,
     ) -> tuple["Session", "Session"]:
-        """Create two connected session endpoints over ``link``."""
-        session_a = Session(name_a, name_b)
-        session_b = Session(name_b, name_a)
-        reverse = link.reverse_delay_ms if link.reverse_delay_ms is not None else link.delay_ms
-        session_a._attach(
-            session_b,
-            _Direction(self, link.delay_ms, link.jitter_ms, derive_seed(link.seed, name_a, name_b)),
-        )
-        session_b._attach(
-            session_a,
-            _Direction(self, reverse, link.jitter_ms, derive_seed(link.seed, name_b, name_a)),
-        )
+        """Create two connected session endpoints: ``delay_ms`` is the
+        one-way delay from ``name_a`` to ``name_b`` and ``reverse_delay_ms``
+        the way back.  Each direction draws its own jitter, uniform in
+        [-jitter_ms, +jitter_ms] around its delay."""
+        # Written so that NaN fails the checks too.
+        if not (delay_ms >= 0 and reverse_delay_ms >= 0):
+            raise ValueError("link delays must be non-negative")
+        if not jitter_ms >= 0:
+            raise ValueError("jitter must be non-negative")
+        session_a = Session(self, name_a, name_b, delay_ms, jitter_ms, seed)
+        session_b = Session(self, name_b, name_a, reverse_delay_ms, jitter_ms, seed)
+        session_a._peer = session_b
+        session_b._peer = session_a
         self._sessions += (session_a, session_b)
         return session_a, session_b
 
     def shutdown(self) -> None:
         """End the run: drop pending events and close every session without
-        notifying its peer, releasing its peer, link and callbacks."""
+        notifying its peer, releasing its peer, network and callbacks."""
         self._heap.clear()
         for session in self._sessions:
             session._teardown()
@@ -181,36 +166,6 @@ class SimNetwork:
         finally:
             self.events_processed = events
         return self._now
-
-
-class _Direction:
-    """One direction of a link: delay model plus per-stream order clamping."""
-
-    def __init__(self, net: SimNetwork, delay_ms: float, jitter_ms: float, seed: int) -> None:
-        self._net = net
-        self._delay = float(delay_ms)
-        self._jitter = float(jitter_ms)
-        # Only a jittered link draws, so only a jittered link has a generator.
-        self._rng = random.Random(seed) if self._jitter else None
-        self._last_arrival: dict[int, float] = {}
-
-    def transmit(self, stream_id: int, fin: bool, deliver: Callable[[], None]) -> None:
-        net = self._net
-        now = net._now
-        arrival = now + self._delay
-        # Without jitter every chunk arrives one fixed delay after its send,
-        # so per-stream order holds by itself.  With it, never deliver
-        # before a chunk sent earlier on the same stream, and never before
-        # the send instant itself.
-        if self._jitter:
-            arrival += self._rng.uniform(-self._jitter, self._jitter)
-            arrival = max(arrival, self._last_arrival.get(stream_id, 0.0), now)
-            if fin:
-                self._last_arrival.pop(stream_id, None)  # nothing follows fin
-            else:
-                self._last_arrival[stream_id] = arrival
-        heapq.heappush(net._heap, (arrival, net._seq, deliver))
-        net._seq += 1
 
 
 _CONTROL_STREAM_ID = 0
@@ -250,7 +205,7 @@ class SendStream:
         if data:
             stream_id = self.stream_id
             receive = partial(session._peer._receive_data, stream_id, bytes(data), False)
-            session._outgoing.transmit(stream_id, False, receive)
+            session._transmit(stream_id, False, receive)
 
     def end(self, data: bytes = b"") -> None:
         """Send any final bytes and mark the stream finished."""
@@ -261,32 +216,43 @@ class SendStream:
         self.ended = True
         stream_id = self.stream_id
         receive = partial(session._peer._receive_data, stream_id, bytes(data), True)
-        session._outgoing.transmit(stream_id, True, receive)
+        session._transmit(stream_id, True, receive)
 
 
 class Session:
     """One endpoint of a connected link."""
 
-    def __init__(self, name: str, peer_name: str) -> None:
+    def __init__(
+        self,
+        net: SimNetwork,
+        name: str,
+        peer_name: str,
+        delay_ms: float,
+        jitter_ms: float,
+        seed: int,
+    ) -> None:
         self.name = name
         self.peer_name = peer_name
         self.closed = False
         self._peer_closed = False
         self._peer: Session | None = None
-        self._outgoing: _Direction | None = None
+        self._net: SimNetwork | None = net
+        # The outgoing direction: delay model plus per-stream order clamping.
+        self._delay = float(delay_ms)
+        self._jitter = float(jitter_ms)
+        # Only a jittered direction draws, so only it has a generator,
+        # seeded from the connection seed and the direction.
+        self._rng = random.Random(derive_seed(seed, name, peer_name)) if self._jitter else None
+        self._last_arrival: dict[int, float] = {}
         self._next_stream_id = _CONTROL_STREAM_ID + 1
         self._recv_streams: dict[int, RecvStream] = {}  # open streams only
         self._on_control: Callable[[bytes], None] | None = None
         self._on_stream: Callable[[RecvStream], None] | None = None
         self._on_close: Callable[[], None] | None = None
 
-    def _attach(self, peer: "Session", outgoing: _Direction) -> None:
-        self._peer = peer
-        self._outgoing = outgoing
-
     def _teardown(self) -> None:
         self.closed = True
-        self._peer = self._outgoing = None
+        self._peer = self._net = None
         self._on_control = self._on_stream = self._on_close = None
         self._recv_streams.clear()
 
@@ -313,16 +279,34 @@ class Session:
         """Send one control message; boundaries are preserved in delivery."""
         self._check_open()
         receive = partial(self._peer._receive_control, bytes(data))
-        self._outgoing.transmit(_CONTROL_STREAM_ID, False, receive)
+        self._transmit(_CONTROL_STREAM_ID, False, receive)
 
     def close(self) -> None:
         """Close locally; the peer learns after the one-way delay."""
         if self.closed:
             return
         self.closed = True
-        self._outgoing.transmit(_CONTROL_STREAM_ID, False, self._peer._receive_close)
+        self._transmit(_CONTROL_STREAM_ID, False, self._peer._receive_close)
 
     # -- internals ----------------------------------------------------------
+
+    def _transmit(self, stream_id: int, fin: bool, deliver: Callable[[], None]) -> None:
+        net = self._net
+        now = net._now
+        arrival = now + self._delay
+        # Without jitter every chunk arrives one fixed delay after its send,
+        # so per-stream order holds by itself.  With it, never deliver
+        # before a chunk sent earlier on the same stream, and never before
+        # the send instant itself.
+        if self._jitter:
+            arrival += self._rng.uniform(-self._jitter, self._jitter)
+            arrival = max(arrival, self._last_arrival.get(stream_id, 0.0), now)
+            if fin:
+                self._last_arrival.pop(stream_id, None)  # nothing follows fin
+            else:
+                self._last_arrival[stream_id] = arrival
+        heapq.heappush(net._heap, (arrival, net._seq, deliver))
+        net._seq += 1
 
     def _check_open(self) -> None:
         if self.closed:
@@ -351,7 +335,7 @@ class Session:
             if self._on_stream is not None:
                 self._on_stream(stream)
         if fin:
-            # _Direction keeps arrival order per stream, so nothing follows fin.
+            # _transmit keeps arrival order per stream, so nothing follows fin.
             del streams[stream_id]
         if stream._on_data is not None:
             stream._on_data(data, fin)

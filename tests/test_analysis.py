@@ -25,7 +25,7 @@ from moqgate.media import (
     encode_frame_payload,
     generate_groups,
 )
-from moqgate.transport import Link, SimNetwork
+from moqgate.transport import SimNetwork
 from moqgate.wire import Category
 
 
@@ -65,7 +65,7 @@ def rises(prev: bytes, cur: bytes, w: int, h: int, cfg: StrobeConfig) -> bool:
 def analyzer_for(categories, **kwargs) -> AnalyzerClient:
     """An analyzer on an unconnected session; feed it with `verdicts`."""
     net = SimNetwork()
-    session, _ = net.connect(Link(delay_ms=0.0), "an", "relay")
+    session, _ = net.connect("an", "relay", 0.0, 0.0)
     return AnalyzerClient(net, session, "cam", tuple(categories), 1, **kwargs)
 
 
@@ -159,6 +159,12 @@ class TestSampleLuma:
             detector.analyze_group(Group(0, (uniform_frame(0, 0, w=8, h=4),)))
         with pytest.raises(ValueError):
             StrobeConfig(grid_dim=0)
+        with pytest.raises(ValueError, match="pixel_delta_threshold must be non-negative"):
+            StrobeConfig(pixel_delta_threshold=-1)
+        with pytest.raises(ValueError, match="changed_fraction_threshold must be within"):
+            StrobeConfig(changed_fraction_threshold=1.5)
+        with pytest.raises(ValueError, match="max_interchange_gap_ms must be non-negative"):
+            StrobeConfig(max_interchange_gap_ms=-1)
         StrobeDetector(StrobeConfig(grid_dim=4)).analyze_group(
             Group(0, (uniform_frame(0, 0, w=8, h=4),))
         )

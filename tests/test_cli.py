@@ -75,6 +75,11 @@ class TestValidate:
         assert rc == 2
         assert "paper_replication" in capsys.readouterr().err
 
+    def test_missing_path_is_invalid(self, tmp_path, capsys):
+        path = str(tmp_path / "nowhere" / "scenario.json")
+        assert main(["validate", path]) == 2
+        assert capsys.readouterr().err == f"error: scenario file not found: {path}\n"
+
     def test_invalid_utf8_is_invalid(self, tmp_path, capsys):
         path = tmp_path / "scenario.json"
         path.write_bytes(b'{"name": "\xff"}')

@@ -32,7 +32,7 @@ from moqgate.media import (
     generate_groups,
 )
 from moqgate.relay import RelayServer
-from moqgate.transport import Link, SimNetwork, SimTimeoutError
+from moqgate.transport import SimNetwork, SimTimeoutError
 from moqgate.wire import Category
 
 STROBE, SMOKING = Category.STROBE, Category.SMOKING
@@ -62,7 +62,7 @@ class Rig:
         self.server = RelayServer(self.net, log=EventLog(lambda: self.net.now))
 
     def analyzer(self, cats, sub_id=2, delay=0.0, analysis=0.0, detector=StrobeConfig(), name="an"):
-        local, remote = self.net.connect(Link(delay_ms=delay), name, "relay")
+        local, remote = self.net.connect(name, "relay", delay, delay)
         self.server.attach(name, remote)
         client = AnalyzerClient(
             self.net, local, "cam", tuple(cats), sub_id,
@@ -72,7 +72,7 @@ class Rig:
         return client
 
     def subscriber(self, cats=None, sub_id=3, delay=0.0, name="sub"):
-        local, remote = self.net.connect(Link(delay_ms=delay), name, "relay")
+        local, remote = self.net.connect(name, "relay", delay, delay)
         self.server.attach(name, remote)
         client = SubscriberClient(
             self.net, local, "cam", sub_id,
@@ -82,7 +82,7 @@ class Rig:
         return client
 
     def publisher(self, groups, epoch=0.0, delay=0.0):
-        local, remote = self.net.connect(Link(delay_ms=delay), "pub", "relay")
+        local, remote = self.net.connect("pub", "relay", delay, delay)
         self.server.attach("pub", remote)
         client = PublisherClient(self.net, local, encode_publication("cam", groups), epoch_ms=epoch)
         client.start()
@@ -92,7 +92,7 @@ class Rig:
 class TestPublisherPacing:
     def test_frames_sent_at_epoch_plus_capture_ts(self):
         net = SimNetwork()
-        a, b = net.connect(Link(delay_ms=0.0), "pub", "peer")
+        a, b = net.connect("pub", "peer", 0.0, 0.0)
         groups = generate_groups(const_source(fps=10, seconds=1))
         received = Recorder(net, b)
         PublisherClient(net, a, encode_publication("cam", groups), epoch_ms=50.0).start()
@@ -105,7 +105,7 @@ class TestPublisherPacing:
 
     def test_each_group_gets_its_own_stream(self):
         net = SimNetwork()
-        a, b = net.connect(Link(delay_ms=0.0), "pub", "peer")
+        a, b = net.connect("pub", "peer", 0.0, 0.0)
         groups = generate_groups(const_source(fps=10, seconds=2))
         received = Recorder(net, b)
         PublisherClient(net, a, encode_publication("cam", groups), epoch_ms=0.0).start()
@@ -121,7 +121,7 @@ class TestPublisherPacing:
         """Arrivals over a zero-delay link from a publisher of one group at
         10 fps, with ``schedule_other(net, session)`` called after ``start``."""
         net = SimNetwork()
-        a, b = net.connect(Link(delay_ms=0.0), "pub", "peer")
+        a, b = net.connect("pub", "peer", 0.0, 0.0)
         arrivals = []
         b.set_on_control(lambda data: arrivals.append((data, net.now)))
         b.set_on_stream(
@@ -151,7 +151,7 @@ class TestPublisherPacing:
 
     def test_one_pending_event_after_start_and_after_every_chunk(self):
         net = SimNetwork()
-        a, _ = net.connect(Link(delay_ms=0.0), "pub", "peer")
+        a, _ = net.connect("pub", "peer", 0.0, 0.0)
         publication = encode_publication("cam", generate_groups(const_source(fps=10, seconds=2)))
         PublisherClient(net, a, publication).start()
 
@@ -167,7 +167,7 @@ class TestPublisherPacing:
 
     def test_run_cut_short_leaves_nothing_for_the_cyclic_collector(self):
         net = SimNetwork()
-        a, _ = net.connect(Link(delay_ms=0.0), "pub", "peer")
+        a, _ = net.connect("pub", "peer", 0.0, 0.0)
         publication = encode_publication("cam", generate_groups(const_source(fps=10, seconds=2)))
         publisher = PublisherClient(net, a, publication)
         publisher.start()
@@ -184,7 +184,7 @@ class TestPublisherPacing:
 
     def test_capture_time_going_back_raises_at_that_chunk(self):
         net = SimNetwork()
-        a, _ = net.connect(Link(delay_ms=0.0), "pub", "peer")
+        a, _ = net.connect("pub", "peer", 0.0, 0.0)
         publication = encode_publication("cam", generate_groups(const_source(fps=10, seconds=2)))
         publication[1] = publication[1]._replace(capture_ts=(500,) + publication[1].capture_ts[1:])
         PublisherClient(net, a, publication).start()
@@ -195,7 +195,7 @@ class TestPublisherPacing:
 
     def test_each_group_is_dropped_once_its_last_chunk_is_sent(self):
         net = SimNetwork()
-        a, _ = net.connect(Link(delay_ms=0.0), "pub", "peer")
+        a, _ = net.connect("pub", "peer", 0.0, 0.0)
         publication = encode_publication("cam", generate_groups(const_source(fps=10, seconds=3)))
         publisher = PublisherClient(net, a, publication)
         publisher.start()
@@ -208,7 +208,7 @@ class TestPublisherPacing:
 
     def test_single_frame_group_is_one_burst(self):
         net = SimNetwork()
-        a, b = net.connect(Link(delay_ms=0.0), "pub", "peer")
+        a, b = net.connect("pub", "peer", 0.0, 0.0)
         groups = generate_groups(
             SourceConfig(4, 4, 1, 1000, (Constant(9, 1000),))
         )
@@ -358,7 +358,7 @@ class TestMalformedGroup:
         rig = Rig()
         sub = rig.subscriber(name="plain")
         analyzer = rig.analyzer([STROBE])
-        pub, remote = rig.net.connect(Link(delay_ms=0.0), "pub", "relay")
+        pub, remote = rig.net.connect("pub", "relay", 0.0, 0.0)
         rig.server.attach("pub", remote)
         rig.net.at(10, lambda: pub.open_stream().end(encode_group_header("cam", 0, 0)))
         rig.net.run_until_idle(max_virtual_ms=30_000)
@@ -375,7 +375,7 @@ class TestMalformedGroup:
         analyzer = rig.analyzer([STROBE])
         gated = rig.subscriber([STROBE], sub_id=3, name="gated")
         plain = rig.subscriber(sub_id=4, name="plain")
-        pub, remote = rig.net.connect(Link(delay_ms=0.0), "pub", "relay")
+        pub, remote = rig.net.connect("pub", "relay", 0.0, 0.0)
         rig.server.attach("pub", remote)
         stream = encode_group_header("cam", 0, len(payloads)) + b"".join(
             encode_frame_chunk(p) for p in payloads

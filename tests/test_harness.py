@@ -201,6 +201,10 @@ class TestScenarioLoading:
             sc = load_scenario(bundled_scenario_path(name))
             assert sc.name == name
 
+    def test_unreadable_scenario_file_rejected(self, tmp_path):
+        with pytest.raises(ScenarioError, match="^cannot read scenario file: "):
+            load_scenario(tmp_path / "missing.json")
+
     def test_filter_without_covering_analyzer_rejected(self):
         data = mini_scenario()
         data["clients"][1]["filter"] = ["strobe", "smoking"]
@@ -414,6 +418,48 @@ LOADER_MESSAGES = {
     "stub_verdict_not_bool": (
         _set(("stub_verdicts",), {"smoking": 0}),
         "scenario.stub_verdicts.smoking: expected true/false",
+    ),
+    "section_not_object": (
+        _set(("source",), [16, 16]),
+        "scenario.source: expected an object, got list",
+    ),
+    "empty_string": (_set(("track",), ""), "scenario.track: expected a non-empty string"),
+    "category_neither_name_nor_code": (
+        _set(("clients", 0, "analyze"), [1.5]),
+        "scenario.clients[0].analyze: expected a category name or code, got 1.5",
+    ),
+    "duplicate_category": (
+        _set(("clients", 0, "analyze"), ["strobe", "strobe"]),
+        "scenario.clients[0].analyze: duplicate category 'strobe'",
+    ),
+    "empty_segments": (
+        _set(("source", "segments"), []),
+        "scenario.source.segments: expected a non-empty list",
+    ),
+    "segment_without_kind": (
+        _drop(("source", "segments", 0, "kind")),
+        "scenario.source.segments[0]: expected an object with a 'kind'",
+    ),
+    "band_not_a_pair": (
+        _set(("checks", "added_latency_band_ms"), [890.0]),
+        "scenario.checks.added_latency_band_ms: expected [low, high]",
+    ),
+    "client_links_not_object": (
+        _set(("links", "clients"), []),
+        "scenario.links.clients: expected an object",
+    ),
+    "clients_empty": (_set(("clients",), []), "scenario.clients: expected a non-empty list"),
+    "analysis_time_on_viewer": (
+        _set(("clients", 2, "analysis_time_ms"), 5.0),
+        "scenario.clients[2]: analysis_time_ms only applies to analyzers",
+    ),
+    "detector_on_viewer": (
+        _set(("clients", 2, "detector"), {"grid_dim": 2}),
+        "scenario.clients[2]: detector overrides only apply to analyzers",
+    ),
+    "detector_grid_above_frame": (
+        _set(("clients", 0, "detector"), {"grid_dim": 17}),
+        "scenario.clients[0].detector: grid_dim 17 exceeds frame dimensions 16x16",
     ),
 }
 
@@ -1277,6 +1323,20 @@ class TestReportJson:
 
         data = {"category": Category.STROBE, "text": Text("x"), "empty": ([], {})}
         assert Report(data).to_json() == json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+    def test_row_fields_of_a_float_subclass_print_as_floats(self):
+        class Milliseconds(float):
+            pass
+
+        row = RecordRow(group_id=7, **dict(_RECORD, e2e_ms=Milliseconds(12.5)))
+        want = json.dumps({"row": dict(row)}, sort_keys=True, indent=2) + "\n"
+        assert Report({"row": row}).to_json() == want
+        assert '"e2e_ms": 12.5' in want
+        assert repr(row) == f"RecordRow({dict(row)!r})"
+
+    @pytest.mark.parametrize("value", [None, True, 7, 2.5, "x"])
+    def test_a_scalar_report_prints_as_json_prints_it(self, value):
+        assert Report(value).to_json() == json.dumps(value) + "\n"
 
     @pytest.mark.parametrize("data", [{1: "a"}, {"a": {None: 1}}, {"a": [{2.5: 1}]}])
     def test_non_str_key_is_type_error(self, data):

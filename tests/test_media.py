@@ -9,6 +9,7 @@ ramp interpolates linearly across its frames.
 from __future__ import annotations
 
 import struct
+import types
 
 import pytest
 from hypothesis import example, given, settings
@@ -107,6 +108,25 @@ class TestValidation:
             "group duration 250 ms at 30 fps does not hold a whole number of frames; "
             "segment 0: duration must be positive: 0; segment 0: level out of range: 300"
         )
+
+    def test_rates_below_one_are_named(self):
+        with pytest.raises(ValueError) as info:
+            SourceConfig(4, 3, 0, 0, ())
+        assert str(info.value) == (
+            "fps must be positive: 0; group duration must be positive: 0"
+        )
+
+    def test_flash_rate_too_low_to_render(self):
+        with pytest.raises(ValueError, match="^segment 0: flash rate too low to render: 5e-324$"):
+            SourceConfig(4, 3, 30, 1000, (Strobe(16, 240, 5e-324, 1000),))
+
+    def test_unknown_segment_kind_is_named(self):
+        # Duck-typed like a segment, but of no known kind.
+        seg = types.SimpleNamespace(duration_ms=100)
+        with pytest.raises(ValueError, match="^segment 0: unknown segment kind: namespace"):
+            SourceConfig(4, 3, 30, 1000, (seg,))
+        with pytest.raises(TypeError, match="^unknown segment kind: namespace"):
+            media._segment_levels(seg, 30, 3)
 
     def test_frame_shape_enforced(self):
         with pytest.raises(ValueError):

@@ -37,10 +37,12 @@ from moqgate.relay import (
     RelayServer,
     SkipGroups,
 )
-from moqgate.transport import DisconnectedError, Link, SimNetwork
+from moqgate.transport import DisconnectedError, SimNetwork
 from moqgate.wire import (
+    ANALYZE_PARAM,
     Approve,
     Category,
+    Parameter,
     Subscribe,
     SubscribeUpdate,
     analyze_parameter,
@@ -96,6 +98,15 @@ class TestSubscribeValidation:
         )
         with pytest.raises(ProtocolError):
             core.handle_subscribe("s", msg)
+        msg = Subscribe(1, "cam", 0, (filter_parameter([STROBE]), filter_parameter([SMOKING])))
+        with pytest.raises(ProtocolError, match="^repeated filter parameter$"):
+            core.handle_subscribe("s", msg)
+
+    def test_undecodable_role_payload_rejected(self):
+        # A set length of 5 with one byte after it.
+        msg = Subscribe(1, "cam", 0, (Parameter(ANALYZE_PARAM, bytes([0x05, 0x01])),))
+        with pytest.raises(ProtocolError, match="^bad analyze parameter payload: "):
+            RelayCore().handle_subscribe("s", msg)
 
     def test_empty_category_set_rejected(self):
         core = RelayCore()
@@ -296,6 +307,10 @@ class TestGating:
 
 
 class TestRetention:
+    def test_retention_below_one_group_rejected(self):
+        with pytest.raises(ValueError, match="retention must be at least 1 group"):
+            RelayCore(retention=0)
+
     def test_old_groups_evicted_and_late_approval_ignored(self):
         log = EventLog()
         core = RelayCore(retention=4, log=log)
@@ -724,13 +739,13 @@ class ServerRig:
     def __init__(self, roles, pub_delay=10.0, sub_delay=5.0):
         self.net = SimNetwork()
         self.server = RelayServer(self.net, log=EventLog(lambda: self.net.now))
-        pub_local, pub_remote = self.net.connect(Link(delay_ms=pub_delay), "pub", "relay")
+        pub_local, pub_remote = self.net.connect("pub", "relay", pub_delay, pub_delay)
         self.publisher = pub_local
         self.server.attach("pub", pub_remote)
         self.clients = {}
         self.received = {}
         for name, msg in roles.items():
-            local, remote = self.net.connect(Link(delay_ms=sub_delay), name, "relay")
+            local, remote = self.net.connect(name, "relay", sub_delay, sub_delay)
             self.server.attach(name, remote)
             self.clients[name] = local
             self.received[name] = Recorder(self.net, local)
@@ -899,7 +914,7 @@ class TestRelayServer:
         rig.net.at(0, lambda: stream.send(header + c0))
         rig.net.at(100, lambda: stream.end(c1))
         # Joins at t=50: header+frame0 already passed through the relay.
-        local, remote = rig.net.connect(Link(delay_ms=5.0), "late", "relay")
+        local, remote = rig.net.connect("late", "relay", 5.0, 5.0)
         received = Recorder(rig.net, local)
         rig.net.at(50, lambda: rig.server.attach("late", remote))
         rig.net.at(50, lambda: local.send_control(encode_message(plain(sub_id=9))))
@@ -922,7 +937,7 @@ class TestRelayServer:
         else:
             rig.net.at(50, lambda: stream.send(c1))
             rig.net.at(60, rig.publisher.close)
-        local, remote = rig.net.connect(Link(delay_ms=5.0), "late", "relay")
+        local, remote = rig.net.connect("late", "relay", 5.0, 5.0)
         received = Recorder(rig.net, local)
         rig.net.at(100, lambda: rig.server.attach("late", remote))
         rig.net.at(100, lambda: local.send_control(encode_message(plain(sub_id=9))))
@@ -951,7 +966,7 @@ class TestRelayServer:
         # fin at 70 and group 1's at 90.  SUBSCRIBEs land at 45 and 80.
         received = {}
         for name, at in (("early", 40), ("late", 75)):
-            local, remote = rig.net.connect(Link(delay_ms=5.0), name, "relay")
+            local, remote = rig.net.connect(name, "relay", 5.0, 5.0)
             received[name] = Recorder(rig.net, local)
             rig.net.at(at, lambda remote=remote, name=name: rig.server.attach(name, remote))
             rig.net.at(at, lambda local=local: local.send_control(encode_message(plain(sub_id=9))))
@@ -966,7 +981,7 @@ class TestRelayServer:
 
     def test_invalid_subscribe_closes_session(self):
         rig = ServerRig({})
-        local, remote = rig.net.connect(Link(delay_ms=5.0), "bad", "relay")
+        local, remote = rig.net.connect("bad", "relay", 5.0, 5.0)
         rig.server.attach("bad", remote)
         closed = []
         local.set_on_close(lambda: closed.append(rig.net.now))
@@ -978,6 +993,25 @@ class TestRelayServer:
         assert "unsupported analyze categories" in error.detail["reason"]
         assert rig.server.core.session("bad") is None
         assert closed == [10.0]
+
+    def test_subscriber_publishing_into_its_track_is_refused(self):
+        # The rogue's group 0 reaches the relay at 6 ms, the publisher's at
+        # 12 ms: the relay fails the rogue and keeps the publisher.
+        rig = ServerRig({"p": plain(1), "rogue": plain(2)})
+        rogue_blob = encode_group_stream("cam", Group(0, (frame(0, 0, 99),)))
+        blob = encode_group_stream("cam", two_frame_group())
+        rogue, stream = rig.clients["rogue"].open_stream(), rig.publisher.open_stream()
+        rig.net.at(1, lambda: rogue.end(rogue_blob))
+        rig.net.at(2, lambda: stream.end(blob))
+        rig.net.run_until_idle()
+        (error,) = rig.server.log.filter(kind="protocol_error")
+        assert error.detail == {
+            "sid": "rogue",
+            "reason": "subscriber of track 'cam' cannot publish into it",
+        }
+        assert rig.server.core.session("rogue") is None
+        assert [joined(s) for s in rig.received["p"].by_stream()] == [blob]
+        assert [e.detail["group_id"] for e in rig.server.log.filter(kind="group_stored")] == [0]
 
     def test_future_approval_closes_analyzer_session(self):
         rig = ServerRig({"an": analyzer([STROBE], sub_id=2), "f": filterer([STROBE], sub_id=3)})
@@ -1023,7 +1057,7 @@ class TestRelayServer:
         )
         filtered = {}
         for name, delay in (("f1", 3.0), ("f2", 40.0)):
-            local, remote = rig.net.connect(Link(delay_ms=delay), name, "relay")
+            local, remote = rig.net.connect(name, "relay", delay, delay)
             rig.server.attach(name, remote)
             local.send_control(encode_message(filterer([STROBE], sub_id=3)))
             filtered[name] = Recorder(rig.net, local)
@@ -1061,7 +1095,7 @@ class TestRelayServer:
         group_bytes = 10 * 10_000
         net = SimNetwork()
         server = RelayServer(net, retention=1)
-        pub, remote = net.connect(Link(delay_ms=1), "pub", "relay")
+        pub, remote = net.connect("pub", "relay", 1, 1)
         server.attach("pub", remote)
 
         def publish(gid):
@@ -1100,7 +1134,7 @@ class TestDuplicateGroup:
         server = RelayServer(net)
 
         def connect(name):
-            local, remote = net.connect(Link(delay_ms=5.0), name, "relay")
+            local, remote = net.connect(name, "relay", 5.0, 5.0)
             server.attach(name, remote)
             return local
 
@@ -1300,7 +1334,7 @@ class TestBoundedState:
         sessions = []
 
         def connect(name, delay):
-            local, remote = net.connect(Link(delay_ms=delay, jitter_ms=1.0, seed=3), name, "relay")
+            local, remote = net.connect(name, "relay", delay, delay, jitter_ms=1.0, seed=3)
             server.attach(name, remote)
             sessions.extend([local, remote])
             return local
@@ -1319,12 +1353,12 @@ class TestBoundedState:
             # every stream has finished, so none is held
             assert session._recv_streams == {}, session.name
             # only the never-ending control stream keeps an arrival clamp
-            assert set(session._outgoing._last_arrival) <= {0}, session.name
+            assert set(session._last_arrival) <= {0}, session.name
         track = server.core._tracks["cam"]
         assert track.live == {}
         assert len(track.held) <= self.RETENTION
         return (
-            [(len(s._recv_streams), set(s._outgoing._last_arrival)) for s in sessions],
+            [(len(s._recv_streams), set(s._last_arrival)) for s in sessions],
             len(track.live),
             [len(group.approved) for group in track.held.values()],
         )

@@ -7,15 +7,17 @@ from recording import Recorder
 
 from moqgate.transport import (
     DisconnectedError,
-    Link,
     SimNetwork,
     SimTimeoutError,
     derive_seed,
 )
 
 
-def make_pair(net, **kwargs):
-    return net.connect(Link(**kwargs), "alpha", "beta")
+def make_pair(net, delay_ms, reverse_delay_ms=None, jitter_ms=0.0, seed=0):
+    """Connect alpha to beta; the way back takes ``delay_ms`` unless given."""
+    if reverse_delay_ms is None:
+        reverse_delay_ms = delay_ms
+    return net.connect("alpha", "beta", delay_ms, reverse_delay_ms, jitter_ms, seed)
 
 
 class TestScheduler:
@@ -59,6 +61,13 @@ class TestScheduler:
         with pytest.raises(ValueError):
             net.at(10, lambda: None)
 
+    def test_nan_time_rejected(self):
+        # NaN compares false with everything; accepted, it would sit in the
+        # heap out of order and let later events run back in time.
+        net = SimNetwork()
+        with pytest.raises(ValueError):
+            net.at(float("nan"), lambda: None)
+
     def test_virtual_time_cap(self):
         net = SimNetwork()
 
@@ -78,6 +87,15 @@ class TestScheduler:
         net.at(net.now, loop)
         with pytest.raises(SimTimeoutError):
             net.run_until_idle(max_events=500)
+
+
+class TestConnect:
+    @pytest.mark.parametrize("bad", [-1.0, float("nan")])
+    @pytest.mark.parametrize("field", ["delay_ms", "reverse_delay_ms", "jitter_ms"])
+    def test_bad_delay_or_jitter_rejected(self, field, bad):
+        values = {"delay_ms": 1.0, "reverse_delay_ms": 1.0, "jitter_ms": 0.0, field: bad}
+        with pytest.raises(ValueError):
+            SimNetwork().connect("alpha", "beta", **values)
 
 
 class TestControlChannel:
@@ -171,6 +189,8 @@ class TestStreams:
         s.end()
         with pytest.raises(ValueError):
             s.send(b"late")
+        with pytest.raises(ValueError):
+            s.end()
 
     def test_two_streams_do_not_blend(self):
         net = SimNetwork()
@@ -205,7 +225,7 @@ class TestStreams:
         assert all([(d, fin) for d, fin, _ in s] == [(b"x", False), (b"y", True)] for s in streams)
         assert received.control == [b"hello"]
         # only the never-ending control stream keeps an arrival clamp
-        assert set(a._outgoing._last_arrival) == {0}
+        assert set(a._last_arrival) == {0}
         assert b._recv_streams == {}
 
 
@@ -267,8 +287,8 @@ class TestJitter:
         net = SimNetwork()
         plain, _ = make_pair(net, delay_ms=10)
         jittered, _ = make_pair(net, delay_ms=10, jitter_ms=2)
-        assert plain._outgoing._rng is None
-        assert jittered._outgoing._rng is not None
+        assert plain._rng is None
+        assert jittered._rng is not None
 
     def test_different_seed_changes_timing(self):
         assert self._arrivals(123) != self._arrivals(124)
@@ -320,6 +340,19 @@ class TestClose:
         a.close()
         net.run_until_idle()
         assert events == [("ctrl", b"last words"), ("close", b"")]
+
+    def test_closes_that_cross_notify_neither_side(self):
+        # Each close reaches a session that has already closed itself.
+        net = SimNetwork()
+        a, b = make_pair(net, delay_ms=5)
+        closed = []
+        a.set_on_close(lambda: closed.append("a"))
+        b.set_on_close(lambda: closed.append("b"))
+        a.close()
+        net.at(1, b.close)
+        net.run_until_idle()
+        assert closed == []
+        assert not a._peer_closed and not b._peer_closed
 
     def test_close_is_idempotent(self):
         net = SimNetwork()

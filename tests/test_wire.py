@@ -146,6 +146,11 @@ class TestCategorySet:
         assert type(wire.category_code("smoking")) is int
         assert wire.CATEGORIES == {1, 2, 3} == set(Category)
 
+    def test_code_out_of_range_and_unknown_code_name(self):
+        with pytest.raises(ValueError, match="category code out of range: -1"):
+            wire.category_code(-1)
+        assert wire.category_name(0x7E) == "0x7e"
+
     def test_unknown_codes_round_trip(self):
         encoded = encode_category_set([0x7E, 0x1234])
         cats, _ = decode_category_set(encoded)
@@ -167,6 +172,9 @@ class TestCategorySet:
         # Declares 3 inner bytes but the count ends the content after 2.
         with pytest.raises(LengthMismatchError):
             decode_category_set(bytes([0x03, 0x01, 0x01, 0x00]))
+        # Declares 2 inner bytes but the one code starts a 2-byte varint.
+        with pytest.raises(LengthMismatchError):
+            decode_category_set(bytes([0x02, 0x01, 0x40, 0x01]))
 
     def test_truncated_set_is_incomplete(self):
         with pytest.raises(IncompleteError):
@@ -283,6 +291,10 @@ class TestMessages:
         assert first == Approve(1, 7, (Category.STROBE,))
         assert second == SubscribeUpdate(2, (filter_parameter([Category.SMOKING, Category.ALCOHOL]),))
         assert used + used2 == len(buf)
+
+    def test_encoding_a_non_message_is_type_error(self):
+        with pytest.raises(TypeError, match="not a control message"):
+            encode_message(b"\x03")
 
     def test_bad_utf8_track_name_is_wire_error(self):
         good = encode_message(Subscribe(1, "ab", 0, ()))
