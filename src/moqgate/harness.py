@@ -368,9 +368,7 @@ def _check_realtime(scenario: Scenario, runs: list[_RunResult]) -> dict:
                 continue
             by_group = {r.group_id: r for r in run.records[spec.name]}
             for time_ms, group_id, _ in run.approvals_sent[spec.name]:
-                record = by_group.get(group_id)
-                if record is None:
-                    continue
+                record = by_group[group_id]
                 expected = record.complete_arrival_ms + spec.analysis_time_ms
                 if abs(time_ms - expected) > 1e-6:
                     failures.append(

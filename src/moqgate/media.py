@@ -185,12 +185,11 @@ def _segment_levels(seg: PatternSegment, fps: int, n_frames: int) -> list[int]:
     if isinstance(seg, Strobe):
         half = strobe_half_period_frames(fps, seg.flash_hz)
         return [seg.low if (j // half) % 2 == 0 else seg.high for j in range(n_frames)]
-    if isinstance(seg, Ramp):
-        if n_frames <= 1:
-            return [seg.start_level] * n_frames
-        start, end = seg.start_level, seg.end_level
-        return [round(start + (end - start) * j / (n_frames - 1)) for j in range(n_frames)]
-    raise TypeError(f"unknown segment kind: {seg!r}")
+    # A Ramp: SourceConfig refuses any other kind when it is built.
+    if n_frames <= 1:
+        return [seg.start_level] * n_frames
+    start, end = seg.start_level, seg.end_level
+    return [round(start + (end - start) * j / (n_frames - 1)) for j in range(n_frames)]
 
 
 def iter_frame_levels(config: SourceConfig) -> list[tuple[int, int, int]]:

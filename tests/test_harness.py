@@ -1334,10 +1334,6 @@ class TestReportJson:
         assert '"e2e_ms": 12.5' in want
         assert repr(row) == f"RecordRow({dict(row)!r})"
 
-    @pytest.mark.parametrize("value", [None, True, 7, 2.5, "x"])
-    def test_a_scalar_report_prints_as_json_prints_it(self, value):
-        assert Report(value).to_json() == json.dumps(value) + "\n"
-
     @pytest.mark.parametrize("data", [{1: "a"}, {"a": {None: 1}}, {"a": [{2.5: 1}]}])
     def test_non_str_key_is_type_error(self, data):
         with pytest.raises(TypeError, match="report keys must be str"):

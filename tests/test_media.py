@@ -125,8 +125,6 @@ class TestValidation:
         seg = types.SimpleNamespace(duration_ms=100)
         with pytest.raises(ValueError, match="^segment 0: unknown segment kind: namespace"):
             SourceConfig(4, 3, 30, 1000, (seg,))
-        with pytest.raises(TypeError, match="^unknown segment kind: namespace"):
-            media._segment_levels(seg, 30, 3)
 
     def test_frame_shape_enforced(self):
         with pytest.raises(ValueError):

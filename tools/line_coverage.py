@@ -9,15 +9,18 @@ A statement counts by the line it starts on, and an ``if``, ``elif`` or
 ``while`` by the line its test starts on.  Statements that compile to no
 code (``nonlocal``, a function's docstring) do not count.
 
-``TestRunCheckCost`` is deselected: it bounds a run time, and tracing
-slows the code it times several-fold.  Hypothesis runs at a fixed seed, so
+Two tests bound a wall-clock time.  ``TestRunCheckCost`` compares two
+parsers' best times and is deselected, since tracing slows the code it
+times several-fold.  ``test_criterion_1`` must simulate
+``paper_replication`` in under 5 s; traced, under ``-X dev``, it takes
+about 0.5 s on a 2-vCPU VM, so it stays.  Hypothesis runs at a fixed seed, so
 a line that only a lucky random example reaches cannot pass one run and
 fail the next.
 
 Usage, from the repository root (the CLI tests start ``python -m moqgate``
 in subprocesses, which find the package through ``PYTHONPATH``)::
 
-    PYTHONPATH=src python tools/line_coverage.py [extra pytest arguments]
+    PYTHONPATH=src python -X dev tools/line_coverage.py
 """
 
 from __future__ import annotations
@@ -46,10 +49,12 @@ ALLOWED = [
     ("relay.py", "RelayServer._join", "except DisconnectedError:", _UNREACHABLE_DISCONNECT),
     ("relay.py", "RelayServer._execute", "except DisconnectedError:", _UNREACHABLE_DISCONNECT),
     (
-        "harness.py",
-        "_check_realtime",
-        "if record is None:",
-        "an analyzer sends APPROVE only for a group it has recorded",
+        "report.py",
+        "_write_json",
+        "out.append(scalar(value))",
+        "the exact-type scalar branch runs only when a report's whole data is "
+        "a scalar, which no caller builds; a nested scalar is written by its "
+        "container's writer",
     ),
 ]
 
@@ -117,7 +122,7 @@ def run_traced(pytest_args: list[str]) -> tuple[int, set[tuple[str, int]]]:
     return int(status), hits
 
 
-def main(argv: list[str]) -> int:
+def main() -> int:
     sys.path.insert(0, str(PACKAGE.parent))
     status, hits = run_traced(
         [
@@ -127,7 +132,6 @@ def main(argv: list[str]) -> int:
             "--hypothesis-seed=0",
             "--deselect",
             "tests/test_framing.py::TestRunCheckCost",
-            *argv,
         ]
     )
     imported = Path(sys.modules["moqgate"].__file__).resolve().parent
@@ -173,4 +177,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
