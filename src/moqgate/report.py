@@ -84,9 +84,12 @@ class Report:
     def to_json(self) -> str:
         """The report as ``json.dumps(data, sort_keys=True, indent=2)``
         writes it, plus a final newline, with each :class:`RecordRow`
-        written as ``json.dumps`` writes ``dict(row)``."""
+        written as ``json.dumps`` writes ``dict(row)``.  Raises
+        :class:`TypeError` unless ``data`` is a dict."""
+        if not isinstance(self.data, dict):
+            raise TypeError(f"a report is a dict, not {type(self.data).__name__}")
         out: list[str] = []
-        _write_json(self.data, out, "\n")
+        _write_json_dict(self.data, out, "\n")
         out.append("\n")
         return "".join(out)
 
@@ -174,19 +177,17 @@ _SCALAR_TEXT = {
 def _write_json(value: Any, out: list[str], newline: str) -> None:
     """Append ``value`` to ``out`` as ``json.dumps(value, sort_keys=True,
     indent=2)`` writes it, a :class:`RecordRow` as it writes ``dict(row)``;
-    ``newline`` is a line break plus the current indentation.  Exact scalar
-    types and rows are found by exact type, not by ``isinstance``, which
-    against an ABC costs more and fills its caches; anything else is matched
-    in ``json.encoder``'s isinstance order, so subclasses (``Category``)
-    print as ``json`` prints them.  Keys must be strings (``TypeError``
-    otherwise).  Each container is written into a list of its own and
-    appended to ``out`` as one string once it is complete, so the pieces
-    held at any moment are those of the containers still open: a whole
-    report's peak is its finished text plus the final joined copy."""
-    scalar = _SCALAR_TEXT.get(type(value))
-    if scalar is not None:
-        out.append(scalar(value))
-    elif type(value) is RecordRow:
+    ``newline`` is a line break plus the current indentation.  Its callers
+    write the exact scalar types themselves, and rows are found by exact
+    type, not by ``isinstance``, which against an ABC costs more and fills
+    its caches; anything else is matched in ``json.encoder``'s isinstance
+    order, so subclasses (``Category``) print as ``json`` prints them.  Keys
+    must be strings (``TypeError`` otherwise).  Each container is written
+    into a list of its own and appended to ``out`` as one string once it is
+    complete, so the pieces held at any moment are those of the containers
+    still open: a whole report's peak is its finished text plus the final
+    joined copy."""
+    if type(value) is RecordRow:
         out.append(_row_text(value, newline))
     elif isinstance(value, str):
         out.append(_quote(value))

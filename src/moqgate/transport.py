@@ -26,10 +26,14 @@ a given seed: a session with jitter draws from its own generator, seeded
 from a hash of the connection seed and its direction, never from
 interpreter-dependent state; a session without jitter builds no generator.
 
-A chunk is handed to the sender's ``_transmit`` as the receiving session's
+Each send is one heap event that runs, on arrival, the receiving session's
 handler for its kind (``_receive_data``, ``_receive_control`` or
-``_receive_close``) with the chunk bound to it, and runs as one heap event
-on arrival.
+``_receive_close``) with the chunk bound to it.  The sender's ``_transmit``
+schedules it, with the delay, the jitter draw and the per-stream order
+clamp, except in the commonest case: a data chunk on a session without
+jitter, which :meth:`SendStream.send` pushes onto the heap itself, one
+fixed delay on and in the same sequence as every other event, to the
+handler the stream bound when it was opened.
 
 Connected sessions point at each other and their callbacks at the objects
 that registered them, so a run's graph is cyclic.  :meth:`SimNetwork.shutdown`
@@ -195,6 +199,9 @@ class SendStream:
         self._session = session
         self.stream_id = stream_id
         self.ended = False
+        # The peer's handler, bound once: a session keeps its peer until
+        # teardown, and every send checks the session is open first.
+        self._receive = session._peer._receive_data
 
     def send(self, data: bytes) -> None:
         if self.ended:
@@ -204,8 +211,16 @@ class SendStream:
             session._check_open()
         if data:
             stream_id = self.stream_id
-            receive = partial(session._peer._receive_data, stream_id, bytes(data), False)
-            session._transmit(stream_id, False, receive)
+            receive = partial(self._receive, stream_id, bytes(data), False)
+            if session._jitter:
+                session._transmit(stream_id, False, receive)
+            else:
+                # Without jitter a chunk arrives one fixed delay after its
+                # send, as _transmit would compute; pushing it here saves
+                # the commonest hop a Python frame (measured inline copy).
+                net = session._net
+                heapq.heappush(net._heap, (net._now + session._delay, net._seq, receive))
+                net._seq += 1
 
     def end(self, data: bytes = b"") -> None:
         """Send any final bytes and mark the stream finished."""
@@ -215,7 +230,7 @@ class SendStream:
         session._check_open()
         self.ended = True
         stream_id = self.stream_id
-        receive = partial(session._peer._receive_data, stream_id, bytes(data), True)
+        receive = partial(self._receive, stream_id, bytes(data), True)
         session._transmit(stream_id, True, receive)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 import time
 import tracemalloc
 from itertools import cycle, islice
@@ -485,6 +486,101 @@ class TestMatchesReferenceWalk:
                 assert parse_all(pieces, collect, GroupStreamParser) == parse_all(
                     pieces, collect, ReferenceGroupParser
                 )
+
+
+def _frame(length: int, width: int | None = None) -> bytes:
+    """A frame of ``length`` bytes with a ``width``-byte length prefix
+    (minimal when not given)."""
+    payload = bytes((k * 7) & 0xFF for k in range(length))
+    return (encode_varint(length) if width is None else varint(length, width)) + payload
+
+
+def _one_frame_cases() -> dict[str, list[bytes]]:
+    """Chunk lists around ``feed``'s short path (a chunk of one whole frame
+    with a 1- or 2-byte length prefix) and the shapes next to it."""
+    header = encode_group_header("t", 1, 3)
+    by_prefix = {"1-byte": _frame(5), "2-byte": _frame(300), "4-byte": _frame(20_000)}
+    cases = {}
+    for name, f in by_prefix.items():
+        cases[f"one-frame chunks, {name} prefixes"] = [header + f, f, f]
+        cases[f"header alone, then one-frame chunks, {name} prefixes"] = [header, f, f, f]
+        cases[f"fin one frame early, {name} prefixes"] = [header + f, f]
+        cases[f"held tail completed by a one-frame chunk, {name} prefixes"] = [
+            header + f[:1], f[1:], f, f
+        ]
+        cases[f"two frames ending at the chunk's end, {name} prefixes"] = [header + f, f + f]
+        cases[f"a chunk after the final frame, {name} prefixes"] = [header + f, f, f, f]
+        cases[f"data after the final frame in its chunk, {name} prefixes"] = [
+            header + f, f, f + b"\x00"
+        ]
+        cases[f"a frame and a part, {name} prefixes"] = [header + f, f + f[:2], f[2:]]
+    short, wide = _frame(5), _frame(300)
+    cases["non-minimal 2- and 4-byte prefixes"] = [header + _frame(5, 2), _frame(5, 2), _frame(5, 4)]
+    cases["zero-length frames"] = [header + _frame(0), _frame(0), _frame(0)]
+    cases["a one-byte chunk of a 2-byte prefix"] = [header + wide, wide[:1], wide[1:], wide]
+    cases["a chunk one byte short of a frame"] = [header + short, short[:-1], short[-1:] + short]
+    cases["an empty chunk between frames"] = [header + short, b"", short, short]
+    return cases
+
+
+ONE_FRAME_CASES = _one_frame_cases()
+
+
+class TestShortPath:
+    """``feed`` parses a chunk of one whole frame with a 1- or 2-byte length
+    prefix, on a stream with its header parsed and nothing held, on a short
+    path of its own.  Every count, span, payload, error and parser field
+    must still be what the per-frame walk gives, for chunks of that shape
+    and for those next to it."""
+
+    @pytest.mark.parametrize("pieces", ONE_FRAME_CASES.values(), ids=ONE_FRAME_CASES.keys())
+    @pytest.mark.parametrize("collect", [False, True], ids=["counted", "collected"])
+    def test_matches_the_walk(self, pieces, collect):
+        assert parse_all(pieces, collect, GroupStreamParser) == parse_all(
+            pieces, collect, ReferenceGroupParser
+        )
+
+    def test_a_one_frame_chunk_is_its_own_span_and_its_payload_one_slice(self):
+        header = encode_group_header("t", 1, 2)
+        chunk = _frame(300)
+        parser = GroupStreamParser()
+        parser.feed(header + chunk)
+        payloads = []
+        assert parser.feed(chunk, fin=True, payloads=payloads) == 1
+        assert parser.span is chunk
+        assert payloads == [chunk[2:]] and type(payloads[0]) is bytes
+        assert parser.complete and parser._wanted == 0
+
+    @pytest.mark.skipif(
+        sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+        reason="opcode counts depend on the bytecode; they are pinned on CPython 3.11",
+    )
+    def test_a_one_frame_feed_costs_at_most_75_opcodes(self):
+        # The per-frame walk takes 130 for this chunk.
+        parser = GroupStreamParser()
+        parser.feed(encode_group_header("t", 1, 3) + _frame(264))
+        chunk = _frame(264)
+        count = 0
+
+        def count_opcodes(frame, event, arg):
+            nonlocal count
+            count += event == "opcode"
+            return count_opcodes
+
+        def trace_feed(frame, event, arg):
+            if frame.f_code is GroupStreamParser.feed.__code__:
+                frame.f_trace_opcodes = True
+                return count_opcodes
+            return None
+
+        outer = sys.gettrace()
+        sys.settrace(trace_feed)
+        try:
+            completed = parser.feed(chunk)
+        finally:
+            sys.settrace(outer)
+        assert completed == 1 and parser.span is chunk
+        assert count <= 75
 
 
 class TestRunCheckCost:

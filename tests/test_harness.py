@@ -643,6 +643,20 @@ class TestRunScenario:
         assert gated[1]["group_id"] == 2
         assert gated[1]["complete_arrival_ms"] == 2967.0
 
+    def test_oracle_reads_the_covering_analyzers_detector(self):
+        # A blind strobe analyzer (no pixel delta reaches 255) flags no
+        # group of strobe_impulse, so "gated" gets every group.  The other
+        # clients keep the default detector, which flags groups 4 and 5; an
+        # oracle that read theirs would expect those two skipped.
+        data = json.loads(bundled_scenario_path("strobe_impulse").read_text(encoding="utf-8"))
+        data["clients"][0]["detector"] = {"pixel_delta_threshold": 255}
+        report = run_report(data)
+        assert report.passed is True
+        run = report.data["runs"][0]
+        assert run["delivered"]["gated"] == list(range(10))
+        assert run["skipped"]["gated"] == []
+        assert checks_by_name(report)["gating_safety"] is True
+
     def test_realtime_violation_fails_report(self):
         data = mini_scenario()
         data["checks"] = {}
@@ -1337,6 +1351,11 @@ class TestReportJson:
     @pytest.mark.parametrize("data", [{1: "a"}, {"a": {None: 1}}, {"a": [{2.5: 1}]}])
     def test_non_str_key_is_type_error(self, data):
         with pytest.raises(TypeError, match="report keys must be str"):
+            Report(data).to_json()
+
+    @pytest.mark.parametrize("data", [5, None, True])
+    def test_a_report_that_is_not_a_dict_is_type_error(self, data):
+        with pytest.raises(TypeError, match="a report is a dict"):
             Report(data).to_json()
 
     def test_unserializable_value_is_type_error(self):

@@ -1027,6 +1027,45 @@ class TestRelayServer:
         assert rig.server.log.filter(kind="approve_recorded") == []
         assert rig.received["f"].chunks == []
 
+    @staticmethod
+    def _one_control_chunk(rig, messages):
+        """Connect session "an" and send ``messages`` in one control chunk
+        at 20 ms."""
+        local, remote = rig.net.connect("an", "relay", 5.0, 5.0)
+        rig.server.attach("an", remote)
+        chunk = b"".join(encode_message(msg) for msg in messages)
+        rig.net.at(20, lambda: local.send_control(chunk))
+
+    def test_every_message_of_one_control_chunk_is_applied(self):
+        # SUBSCRIBE then APPROVE of the stored group 0, in one chunk: the
+        # relay applies both, so the filtered viewer gets the group.
+        rig = ServerRig({"f": filterer([STROBE], sub_id=3)})
+        blob = encode_group_stream("cam", two_frame_group())
+        stream = rig.publisher.open_stream()
+        rig.net.at(0, lambda: stream.end(blob))
+        self._one_control_chunk(rig, [analyzer([STROBE], sub_id=2), Approve(2, 0, (STROBE,))])
+        rig.net.run_until_idle(max_virtual_ms=60_000)
+        assert rig.server.log.filter(kind="protocol_error") == []
+        assert rig.server.core.session("an").subscribe_id == 2
+        (approve,) = rig.server.log.filter(kind="approve_recorded")
+        assert approve.detail["sid"] == "an"
+        # chunk sent at 20, at the relay at 25, released to "f" at 30
+        assert rig.received["f"].by_stream() == [[(blob, True, 30.0)]]
+
+    def test_a_refused_message_fails_the_session_once_and_ends_its_chunk(self):
+        # APPROVE before SUBSCRIBE, in one chunk: the APPROVE fails the
+        # session, and the SUBSCRIBE after it is not applied.
+        rig = ServerRig({"f": filterer([STROBE], sub_id=3)})
+        stream = rig.publisher.open_stream()
+        rig.net.at(0, lambda: stream.end(encode_group_stream("cam", two_frame_group())))
+        self._one_control_chunk(rig, [Approve(2, 0, (STROBE,)), analyzer([STROBE], sub_id=2)])
+        rig.net.run_until_idle(max_virtual_ms=60_000)
+        (error,) = rig.server.log.filter(kind="protocol_error")
+        assert error.detail["sid"] == "an"
+        assert rig.server.core.session("an") is None
+        assert [e.detail["sid"] for e in rig.server.log.filter(kind="subscribed")] == ["f"]
+        assert rig.received["f"].chunks == []
+
     def test_analyzer_disconnect_logged(self):
         rig = ServerRig({"an": analyzer([STROBE], sub_id=2)})
         rig.net.at(10, rig.clients["an"].close)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from recording import Recorder
 
@@ -227,6 +229,75 @@ class TestStreams:
         # only the never-ending control stream keeps an arrival clamp
         assert set(a._last_arrival) == {0}
         assert b._recv_streams == {}
+
+
+class TestLiveHop:
+    """One chunk to one receiver: the simulator's commonest unit of work."""
+
+    def test_an_unjittered_send_reaches_on_data_in_three_python_calls(self):
+        net = SimNetwork()
+        a, b = make_pair(net, delay_ms=5)
+        got = []
+
+        def on_data(data, fin):
+            got.append(data)
+
+        b.set_on_stream(lambda rs: rs.set_on_data(on_data))
+        stream = a.open_stream()
+        stream.send(b"first")  # opens the receiving stream
+        net.run_until_idle()
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls.append(frame.f_code.co_name)
+
+        outer = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            stream.send(b"second")
+            net.run_until_idle()
+        finally:
+            sys.setprofile(outer)
+        assert got == [b"first", b"second"]
+        # The send pushes its delivery onto the heap itself; the event loop
+        # that pops it is not part of the hop.
+        assert [name for name in calls if name != "run_until_idle"] == [
+            "send",
+            "_receive_data",
+            "on_data",
+        ]
+
+    @pytest.mark.parametrize("jitter_ms", [0.0, 1e-12])
+    def test_same_instant_sends_arrive_in_send_order(self, jitter_ms):
+        # The unjittered send pushes onto the heap itself, and everything
+        # else goes through _transmit; both take the one sequence number, so
+        # sends that arrive at one instant arrive in send order.  At a
+        # 2^19 ms delay a 1e-12 ms draw is below the arrival time's
+        # resolution: the jittered path draws and clamps for every send,
+        # yet every arrival lands on the same instant.
+        net = SimNetwork()
+        a, b = make_pair(net, delay_ms=float(2**19), jitter_ms=jitter_ms)
+        events = []
+        b.set_on_stream(
+            lambda rs: rs.set_on_data(lambda d, fin: events.append(("data", d, net.now)))
+        )
+        b.set_on_control(lambda d: events.append(("control", d, net.now)))
+        b.set_on_close(lambda: events.append(("close", b"", net.now)))
+        stream = a.open_stream()
+        stream.send(b"d1")
+        a.send_control(b"c")
+        stream.send(b"d2")
+        a.close()
+        net.run_until_idle()
+        at = float(2**19)
+        assert events == [
+            ("data", b"d1", at),
+            ("control", b"c", at),
+            ("data", b"d2", at),
+            ("close", b"", at),
+        ]
+        assert (a._rng is not None) == bool(jitter_ms)
 
 
 class TestJitter:

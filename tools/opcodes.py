@@ -1,0 +1,134 @@
+"""Exact opcode counts per module and per function of ``src/moqgate``.
+
+Runs one untraced pass of each named benchmark workload to warm it, then
+counts the opcodes ``src/moqgate`` executes over two more passes, under
+:func:`sys.settrace` with ``frame.f_trace_opcodes`` set.  A pass is what
+``perfbench/run.py`` times: ``run_scenario`` and ``Report.to_json`` for
+each of the workload's scenarios at seed 0.  Prints the counts per module,
+then per function, and exits 1 unless both passes agree exactly.
+
+A count is a measure of work that repeats exactly where wall time does not,
+with two limits.  One opcode may be a C call of any size, so memcpy-bound
+work (``big_groups``' framing of large buffers) barely shows.  Counts
+depend on the interpreter's bytecode, so compare figures from one Python
+version only.  Tracing makes a pass about 50 times slower.
+
+Usage, from the repository root (workloads: bundled, live_fanout,
+gated_fanout, big_groups)::
+
+    python tools/opcodes.py live_fanout [more workloads]
+"""
+
+from __future__ import annotations
+
+import gc
+import platform
+import sys
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "moqgate"
+
+
+def count_opcodes(run) -> Counter:
+    """Opcodes each code object of ``src/moqgate`` executed during ``run()``."""
+    prefix = str(PACKAGE) + "/"
+    counts: Counter = Counter()
+
+    def trace_opcodes(frame, event, arg):
+        if event == "opcode":
+            counts[frame.f_code] += 1
+        return trace_opcodes
+
+    def trace_calls(frame, event, arg):
+        if frame.f_code.co_filename.startswith(prefix):
+            frame.f_trace_opcodes = True
+            return trace_opcodes
+        return None
+
+    gc.collect()
+    sys.settrace(trace_calls)
+    try:
+        run()
+    finally:
+        sys.settrace(None)
+    return counts
+
+
+def by_function(counts: Counter) -> Counter:
+    """``counts`` keyed by ``module.qualified name:first line``."""
+    out: Counter = Counter()
+    for code, n in counts.items():
+        name = getattr(code, "co_qualname", code.co_name)
+        out[f"{Path(code.co_filename).stem}.{name}:{code.co_firstlineno}"] += n
+    return out
+
+
+def by_module(functions: Counter) -> Counter:
+    out: Counter = Counter()
+    for name, n in functions.items():
+        out[name.split(".", 1)[0]] += n
+    return out
+
+
+def measure(workload: str) -> tuple[Counter, Counter]:
+    """Per-function opcode counts of two traced passes of ``workload``,
+    after one untraced pass."""
+    import workloads
+
+    from moqgate.harness import run_scenario
+
+    scenarios = workloads.load(workload, workloads.DEFAULT_SEED)
+
+    def one_pass() -> None:
+        for scenario in scenarios:
+            run_scenario(scenario).to_json()
+
+    one_pass()
+    first = by_function(count_opcodes(one_pass))
+    second = by_function(count_opcodes(one_pass))
+    return first, second
+
+
+def report(workload: str, first: Counter, second: Counter) -> bool:
+    """Print the counts; returns whether the two passes agree."""
+    print(f"{workload}: opcodes of src/moqgate per pass, {platform.python_implementation()} "
+          f"{platform.python_version()}")
+    modules = by_module(first)
+    for module, n in modules.most_common():
+        print(f"  {module:<12} {n:>12,}")
+    print(f"  {'total':<12} {sum(modules.values()):>12,}")
+    print(f"{workload}: per function")
+    for name, n in first.most_common():
+        print(f"  {n:>12,}  {name}")
+    if first == second:
+        print(f"{workload}: both traced passes agree")
+        return True
+    for name in sorted(first.keys() | second.keys()):
+        if first[name] != second[name]:
+            print(f"{workload}: passes differ: {name}: {first[name]:,} != {second[name]:,}")
+    return False
+
+
+def main(names: list[str]) -> int:
+    sys.path[:0] = [str(PACKAGE.parent), str(ROOT / "perfbench")]
+    import workloads
+
+    import moqgate
+
+    imported = Path(moqgate.__file__).resolve().parent
+    if imported != PACKAGE:
+        print(f"opcodes: moqgate was imported from {imported}, not {PACKAGE}")
+        return 1
+    unknown = [name for name in names if name not in workloads.WORKLOADS]
+    if not names or unknown:
+        print(f"usage: opcodes.py WORKLOAD [...]; workloads: {', '.join(workloads.WORKLOADS)}")
+        return 2
+    agree = [report(name, *measure(name)) for name in names]
+    print("limits: one opcode may be a C call of any size, and counts differ between Python versions")
+    return 0 if all(agree) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
