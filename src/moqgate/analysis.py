@@ -4,24 +4,29 @@ The strobe detector downsamples each frame on a fixed grid, flags frames
 whose sampled luma rises sharply versus the previous frame, and declares a
 group risky when two such rises land close enough together in time to imply
 a flash rate in the photosensitive range.  `StrobeDetector` holds its config
-and the memory it carries from group to group (the previous frame's samples
-and the time of the last rise), so flashes that straddle two groups are
-still caught.
+and the memory it carries from group to group (the previous frame's samples,
+their lanes and the time of the last rise), so flashes that straddle two
+groups are still caught.
 
 `StrobeDetector.analyze_group` is the one detector loop.  Per frame it reads
-the grid's samples with one `operator.itemgetter` built once per frame size
-(when the grid covers every pixel the pixels are the samples), and counts
-the samples with ``cur - prev > t`` by SWAR (SIMD within a register): the
+the grid's samples with a sampler built once per frame size: when the grid
+covers every pixel the pixels are the samples; when grid_dim divides both
+sides the centers fall at regular steps and a strided slice reads them;
+otherwise one `operator.itemgetter` does.  A frame whose samples equal the
+previous frame's rises nowhere, for any threshold and fraction, so it costs
+one compare and leaves the memory as it is.  Otherwise the loop counts the
+samples with ``cur - prev > t`` by SWAR (SIMD within a register): the
 samples are spread into one big integer of 16-bit lanes, sample ``i`` in the
 low byte of lane ``i`` counted from the least significant end.  Adding
 ``511 - t`` to every lane of ``cur`` and subtracting ``prev`` leaves each
 lane in [1, 766], so no lane borrows from its neighbour, and bit 9 of a lane
 is set exactly when ``cur - prev > t``; one mask and `int.bit_count` count
 them.  A byte rises by at most 255, so a threshold above 255 means no rise.
-The memory keeps the previous frame's lanes, so each frame is spread once,
-and is written back only after the whole group is analyzed: a group that
-raises leaves it as it was, and the next group is judged against the last
-group analyzed in full (the analyzer's fail-closed rule).
+The memory keeps the previous frame's samples and lanes, so each frame is
+spread at most once, and is written back only after the whole group is
+analyzed: a group that raises leaves it as it was, and the next group is
+judged against the last group analyzed in full (the analyzer's fail-closed
+rule).
 
 Strobe is the only category with a detector; the other categories,
 `STUB_CATEGORIES`, are stubs whose fixed verdicts the analyzer client
@@ -76,16 +81,24 @@ def _grid_sampler(width: int, height: int, grid_dim: int) -> Callable[[bytes], b
         raise ValueError(
             f"grid_dim {grid_dim} exceeds frame dimensions {width}x{height}"
         )
+    if width == height == grid_dim:
+        return bytes
+    dx, x_rest = divmod(width, grid_dim)
+    dy, y_rest = divmod(height, grid_dim)
+    if not x_rest and not y_rest:
+        # The centers fall every dx pixels across and every dy rows down:
+        # take every dx-th pixel from the first center to the last center's
+        # row, which leaves grid_dim samples per row, and keep every dy-th row.
+        rows = (grid_dim - 1) * dy + 1
+        start = (dy // 2) * width + dx // 2
+        stop = start + rows * width
+        return lambda pixels: (
+            memoryview(pixels[start:stop:dx]).cast("B", (rows, grid_dim))[::dy].tobytes()
+        )
     xs = [((2 * i + 1) * width) // (2 * grid_dim) for i in range(grid_dim)]
     ys = [((2 * j + 1) * height) // (2 * grid_dim) for j in range(grid_dim)]
-    indices = [y * width + x for y in ys for x in xs]
-    if indices == list(range(width * height)):
-        return bytes
-    if len(indices) > 1:
-        getter = operator.itemgetter(*indices)
-    else:
-        # itemgetter of one index returns an int; a one-item slice does not.
-        getter = operator.itemgetter(slice(indices[0], indices[0] + 1))
+    # grid_dim 1 divides every size, so there are at least two indices here.
+    getter = operator.itemgetter(*[y * width + x for y in ys for x in xs])
     return lambda pixels: bytes(getter(pixels))
 
 
@@ -98,11 +111,12 @@ def _rise_constants(count: int, threshold: float) -> tuple[int, int]:
 
 class StrobeDetector:
     """The strobe detector: one config and the memory it carries across
-    groups, the previous frame's lanes and the capture time of the last rise
-    (each None until there is one)."""
+    groups, the previous frame's samples and lanes and the capture time of
+    the last rise (each None until there is one)."""
 
     def __init__(self, config: StrobeConfig = StrobeConfig()) -> None:
         self.config = config
+        self.prev_samples: bytes | None = None
         self.prev_lanes: int | None = None
         self.last_change_ts: int | None = None
 
@@ -120,7 +134,7 @@ class StrobeDetector:
         gap = config.max_interchange_gap_ms
         # No byte rises by more than 255: above that, a zero mask counts nothing.
         offset, mask = _rise_constants(count, threshold) if threshold <= 255 else (0, 0)
-        prev_lanes = self.prev_lanes
+        prev_samples, prev_lanes = self.prev_samples, self.prev_lanes
         last_change = self.last_change_ts
         samplers: dict[tuple[int, int], Callable[[bytes], bytes]] = {}
         buf = bytearray(2 * count)
@@ -130,7 +144,12 @@ class StrobeDetector:
             sampler = samplers.get(size)
             if sampler is None:
                 sampler = samplers[size] = _grid_sampler(*size, grid_dim)
-            buf[::2] = sampler(frame.pixels)
+            samples = sampler(frame.pixels)
+            if samples == prev_samples:
+                # No sample rose, for any threshold or fraction, and the
+                # lanes stay as they are.
+                continue
+            buf[::2] = samples
             lanes = int.from_bytes(buf, "little")
             if (
                 prev_lanes is not None
@@ -140,8 +159,8 @@ class StrobeDetector:
                 if last_change is not None and ts - last_change <= gap:
                     risk = True
                 last_change = ts
-            prev_lanes = lanes
-        self.prev_lanes = prev_lanes
+            prev_samples, prev_lanes = samples, lanes
+        self.prev_samples, self.prev_lanes = prev_samples, prev_lanes
         self.last_change_ts = last_change
         return risk
 

@@ -530,11 +530,8 @@ class RelayServer:
     def _join(self, live: _LiveGroup, sid: object, session: Session) -> None:
         """Open a stream of ``live`` to ``sid`` and send it the spans
         forwarded so far (none when the group has just started)."""
-        try:
-            stream = session.open_stream()
-            stream.send(b"".join(live.spans))
-        except DisconnectedError:
-            return
+        stream = session.open_stream()
+        stream.send(b"".join(live.spans))
         live.fanout[sid] = stream
 
     # -- action execution ----------------------------------------------------------
@@ -548,11 +545,7 @@ class RelayServer:
                 self._join(action.handle, action.sid, session)
                 continue
             assert isinstance(action.payload, bytes)
-            try:
-                session.open_stream().end(action.payload)
-            except DisconnectedError:
-                self._on_close(action.sid)
-                continue
+            session.open_stream().end(action.payload)
             self.log.emit(
                 "relay",
                 "group_delivered",

@@ -8,12 +8,13 @@ uniform), so it shares nothing with the sampling / comparison code under test.
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from moqgate.analysis import StrobeConfig, StrobeDetector, predict_risky_groups
+from moqgate.analysis import StrobeConfig, StrobeDetector, _grid_sampler, predict_risky_groups
 from moqgate.client import AnalyzerClient, LatencyRecord
 from moqgate.media import (
     Constant,
@@ -40,9 +41,9 @@ def group_of_levels(group_id: int, levels: list[int], ts0: int, spacing: int = 3
     return Group(group_id, frames)
 
 
-def memory(detector: StrobeDetector) -> tuple[int | None, int | None]:
+def memory(detector: StrobeDetector) -> tuple[bytes | None, int | None, int | None]:
     """What the detector carries into its next group."""
-    return detector.prev_lanes, detector.last_change_ts
+    return detector.prev_samples, detector.prev_lanes, detector.last_change_ts
 
 
 def risky_groups(groups: list[Group], cfg: StrobeConfig) -> set[int]:
@@ -169,6 +170,17 @@ class TestSampleLuma:
             Group(0, (uniform_frame(0, 0, w=8, h=4),))
         )
 
+    def test_sampler_matches_reference_grid_at_every_small_size(self):
+        # Every w, h <= 40 and every grid that fits: full grids, grids that
+        # divide both sides (strided slices) and all others (itemgetter).
+        rng = random.Random(0x6121D)
+        for w in range(1, 41):
+            for h in range(1, 41):
+                pixels = rng.randbytes(w * h)
+                for grid_dim in range(1, min(w, h) + 1):
+                    want = bytes(pixels[i] for i in reference_grid(w, h, grid_dim))
+                    assert _grid_sampler(w, h, grid_dim)(pixels) == want, (w, h, grid_dim)
+
     def test_row_major_order(self):
         # 2x2 frame, grid 2: the samples are the four pixels in row order.
         detector = StrobeDetector(StrobeConfig(grid_dim=2))
@@ -256,10 +268,10 @@ class TestMatchesReference:
         assert together.analyze_group(Group(0, (prev_frame, cur_frame))) is False
         apart = StrobeDetector(cfg)
         assert apart.analyze_group(Group(0, (prev_frame,))) is False
-        assert memory(apart) == (reference_lanes(prev), None)
+        assert memory(apart) == (prev, reference_lanes(prev), None)
         assert apart.analyze_group(Group(1, (cur_frame,))) is False
         for detector in (together, apart):
-            assert memory(detector) == (reference_lanes(cur), 33 if want else None)
+            assert memory(detector) == (cur, reference_lanes(cur), 33 if want else None)
 
     @pytest.mark.parametrize("t", [255, 256, 10**6])
     def test_threshold_at_or_above_255_never_rises(self, t):
@@ -307,6 +319,32 @@ class TestGapRule:
         assert StrobeDetector(StrobeConfig()).analyze_group(g) is False
 
 
+class TestUnchangedFrames:
+    def test_equal_frames_are_not_spread_into_lanes(self):
+        # After one frame at level 16, thirty frames at level 240 spread one
+        # frame into lanes: the other 29 equal the frame before them.
+        detector = StrobeDetector(StrobeConfig())
+        detector.analyze_group(group_of_levels(0, [16], ts0=0))
+        group = group_of_levels(1, [240] * 30, ts0=33)
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "c_call" and getattr(arg, "__self__", None) is int:
+                calls.append(arg.__name__)
+
+        outer = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            risk = detector.analyze_group(group)
+        finally:
+            sys.setprofile(outer)
+        assert risk is False
+        assert calls.count("from_bytes") <= 1
+        assert memory(detector) == (
+            bytes([240]) * 256, reference_lanes(bytes([240]) * 256), 33
+        )
+
+
 class TestStateCarry:
     def test_flash_pair_across_boundary_detected_with_carry(self):
         a = group_of_levels(0, [16, 16, 240], ts0=0)      # increase at ts 66
@@ -325,7 +363,7 @@ class TestFailClosedMemory:
         detector = StrobeDetector(StrobeConfig())
         assert detector.analyze_group(group_of_levels(0, [16, 16], ts0=0)) is False
         before = memory(detector)
-        assert before == (reference_lanes(bytes([16]) * 256), None)
+        assert before == (bytes([16]) * 256, reference_lanes(bytes([16]) * 256), None)
         # A rise on frame 2, then a frame 3 the 16x16 grid does not fit.
         bad = Group(
             1,
@@ -421,18 +459,19 @@ def fold_group(
 
 
 def fold_outcome(frames, state: FoldState, config: StrobeConfig):
-    """(risk, prev_lanes, last_change_ts) after the fold, or its ValueError text."""
+    """(risk, prev_samples, prev_lanes, last_change_ts) after the fold, or its
+    ValueError text."""
     try:
         risk, (samples, last_change) = fold_group(frames, state, config)
     except ValueError as exc:
         return str(exc)
-    return risk, None if samples is None else reference_lanes(samples), last_change
+    return risk, samples, None if samples is None else reference_lanes(samples), last_change
 
 
 def detector_outcome(detector: StrobeDetector, group: Group):
-    """(risk, prev_lanes, last_change_ts) after the detector's loop over the
-    group, or its ValueError text; a group that raises leaves the memory
-    as it was."""
+    """(risk, prev_samples, prev_lanes, last_change_ts) after the detector's
+    loop over the group, or its ValueError text; a group that raises leaves
+    the memory as it was."""
     before = memory(detector)
     try:
         risk = detector.analyze_group(group)
@@ -491,6 +530,24 @@ class TestOneDetectorLoop:
             Group(0, (uniform_frame(0, 0), uniform_frame(0, 1, w=3, h=9))),
             None,
             StrobeConfig(4),
+        )
+    )
+    # Equal frames on both sides of the boundary into a group that raises:
+    # the group skips its first frames, rises, then raises, and must leave
+    # the samples, lanes and rise time of the group before it.
+    @example(
+        case=(
+            Group(
+                1,
+                (
+                    uniform_frame(9, 200, w=4, h=4),
+                    uniform_frame(9, 201, w=4, h=4),
+                    uniform_frame(240, 202, w=4, h=4),
+                    uniform_frame(240, 203, w=3, h=3),
+                ),
+            ),
+            Group(0, (uniform_frame(0, 0, w=4, h=4), uniform_frame(9, 1, w=4, h=4))),
+            StrobeConfig(4, pixel_delta_threshold=5, changed_fraction_threshold=0.0),
         )
     )
     def test_group_loop_and_push_frame_match_the_fold(self, case):
@@ -622,7 +679,7 @@ class TestRegistryAndVerdicts:
         # A category that fails on its first group keeps the initial memory.
         analyzer = analyzer_for((Category.SMOKING, Category.STROBE))
         verdicts(analyzer, small)
-        assert memory(analyzer.strobe) == (None, None)
+        assert memory(analyzer.strobe) == (None, None, None)
 
     def test_unsupported_category_is_value_error(self):
         with pytest.raises(ValueError):
@@ -637,7 +694,7 @@ class TestRegistryAndVerdicts:
 
     def test_strobe_detector_keeps_its_memory(self):
         det = StrobeDetector(StrobeConfig())
-        assert memory(det) == (None, None)
+        assert memory(det) == (None, None, None)
         cfg = SourceConfig(16, 16, 30, 1000, (Strobe(16, 240, 15.0, 1000),))
         (g,) = generate_groups(cfg)
         assert det.analyze_group(g) is True

@@ -1067,6 +1067,65 @@ class TestFailingChecks:
         }
 
 
+class TestCheckBoundaries:
+    """Each check on its own boundary, on the mini scenario: every filtered
+    delivery adds 900 ms with an e2e of 900 ms against a 1000 ms bound, and
+    a group lasts 1000 ms."""
+
+    @pytest.mark.parametrize("band", [[900.0, 910.0], [890.0, 900.0]])
+    def test_added_latency_on_either_end_of_the_band_passes(self, band):
+        data = mini_scenario()
+        data["checks"] = {"added_latency_band_ms": band}
+        check = check_named(run_report(data), "added_latency_band")
+        assert check["passed"] is True
+        assert check["detail"] == f"2 filtered deliveries within [{band[0]}, {band[1]}] ms"
+
+    def test_e2e_exactly_at_the_bound_plus_margin_passes(self, monkeypatch):
+        monkeypatch.setattr(moqgate.harness, "BOUND_EPSILON_MS", -100.0)
+        check = check_named(run_report(mini_scenario()), "latency_bound")
+        assert check["passed"] is True
+
+    def test_analysis_of_exactly_one_group_fails_realtime(self):
+        data = mini_scenario()
+        data["checks"] = {}
+        data["clients"][0]["analysis_time_ms"] = 1000.0
+        assert check_named(run_report(data), "realtime_analysis") == {
+            "name": "realtime_analysis",
+            "passed": False,
+            "detail": "analyzer0: analysis 1000.0 ms >= group 1000.0 ms",
+        }
+
+    def test_a_protocol_error_in_a_run_with_right_deliveries_passes_gating(self, monkeypatch):
+        # The relay fails the plain viewer, which no filter covers: the run
+        # logs a protocol error, and every filtered client still gets
+        # exactly the approved groups.
+        class UnknownMessageViewer(moqgate.client.SubscriberClient):
+            def start(self):
+                super().start()
+                if self.name == "plain":
+                    self.session.send_control(bytes([0x04, 0x02, 0x01]))
+
+        monkeypatch.setattr(moqgate.harness, "SubscriberClient", UnknownMessageViewer)
+        runs = []
+        run_once = moqgate.harness._run_once
+
+        def recording_run_once(*args):
+            runs.append(run_once(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(moqgate.harness, "_run_once", recording_run_once)
+        report = run_report(mini_scenario())
+        assert [run.protocol_errors for run in runs] == [
+            [("plain", "undecodable control bytes: unknown message type 0x04")]
+        ]
+        assert report.data["runs"][0]["delivered"]["gated"] == [0, 1]
+        assert check_named(report, "gating_safety") == {
+            "name": "gating_safety",
+            "passed": True,
+            "detail": "every filtered client received exactly the approved groups, in order",
+        }
+
+
 # ---------------------------------------------------------------------------
 # bundled fixtures
 # ---------------------------------------------------------------------------

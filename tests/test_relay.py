@@ -1066,6 +1066,20 @@ class TestRelayServer:
         assert [e.detail["sid"] for e in rig.server.log.filter(kind="subscribed")] == ["f"]
         assert rig.received["f"].chunks == []
 
+    def test_failing_a_forgotten_session_again_only_logs(self):
+        # The second failure finds no session to close: it is logged like
+        # the first, and nothing is closed twice.
+        rig = ServerRig({"p": plain(sub_id=6)})
+        rig.net.run_until_idle()
+        rig.server._fail_session("p", "first")
+        rig.server._fail_session("p", "second")
+        errors = rig.server.log.filter(kind="protocol_error")
+        assert [e.detail for e in errors] == [
+            {"sid": "p", "reason": "first"},
+            {"sid": "p", "reason": "second"},
+        ]
+        assert rig.server.core.session("p") is None
+
     def test_analyzer_disconnect_logged(self):
         rig = ServerRig({"an": analyzer([STROBE], sub_id=2)})
         rig.net.at(10, rig.clients["an"].close)

@@ -2,8 +2,8 @@
 
 Runs the tier-1 suite in this process under :func:`sys.settrace`, records
 every line of ``src/moqgate`` that runs, and fails when a statement line
-never ran, unless an entry of ``ALLOWED`` covers it and gives its reason.
-An entry that covers no unrun line fails too, so the list stays exact.
+never ran, unless ``ALLOWED`` names its file and gives the reason.  A
+named file with no unrun line fails too, so the list stays exact.
 
 A statement counts by the line it starts on, and an ``if``, ``elif`` or
 ``while`` by the line its test starts on.  Statements that compile to no
@@ -36,19 +36,10 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "moqgate"
 
-_UNREACHABLE_DISCONNECT = (
-    "error handling that cannot run: _forget detaches a session before close() "
-    "and on every peer close, so no attached session is closed"
-)
-
-#: (file, qualified name of the enclosing function or None for the whole
-#: file, first line of the statement or ``except`` clause whose lines may
-#: stay unrun, reason)
-ALLOWED = [
-    ("__main__.py", None, None, "runs only as `python -m moqgate`, in a process of its own"),
-    ("relay.py", "RelayServer._join", "except DisconnectedError:", _UNREACHABLE_DISCONNECT),
-    ("relay.py", "RelayServer._execute", "except DisconnectedError:", _UNREACHABLE_DISCONNECT),
-]
+#: file whose lines may stay unrun -> reason
+ALLOWED = {
+    "__main__.py": "runs only as `python -m moqgate`, in a process of its own",
+}
 
 
 def statement_lines(source: str, filename: str) -> set[int]:
@@ -66,28 +57,6 @@ def statement_lines(source: str, filename: str) -> set[int]:
         elif isinstance(node, ast.stmt):
             lines.add(node.lineno)
     return lines & code_lines
-
-
-def allowed_spans(tree: ast.Module, lines: list[str], qualname: str, anchor: str) -> list[range]:
-    """Line spans of the statements and ``except`` clauses directly inside
-    function ``qualname`` whose first line reads ``anchor``."""
-    spans = []
-
-    def visit(node: ast.AST, scope: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, f"{scope}.{child.name}" if scope else child.name)
-                continue
-            if (
-                scope == qualname
-                and isinstance(child, (ast.stmt, ast.ExceptHandler))
-                and lines[child.lineno - 1].strip() == anchor
-            ):
-                spans.append(range(child.lineno, child.end_lineno + 1))
-            visit(child, scope)
-
-    visit(tree, "")
-    return spans
 
 
 def run_traced(pytest_args: list[str]) -> tuple[int, set[tuple[str, int]]]:
@@ -132,34 +101,21 @@ def main() -> int:
         return 1
 
     failures = [] if status == 0 else [f"the traced suite failed (pytest exit status {status})"]
-    for name in {entry[0] for entry in ALLOWED} - {path.name for path in PACKAGE.glob("*.py")}:
+    for name in ALLOWED.keys() - {path.name for path in PACKAGE.glob("*.py")}:
         failures.append(f"{name}: allow-list entry for a file that does not exist")
     total = run = 0
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text(encoding="utf-8")
         lines = source.splitlines()
-        tree = ast.parse(source)
         statements = statement_lines(source, str(path))
         unrun = {line for line in statements if (str(path), line) not in hits}
         total += len(statements)
         run += len(statements) - len(unrun)
-        for name, qualname, anchor, reason in ALLOWED:
-            if name != path.name:
-                continue
-            where = f"{name}: {qualname or 'the whole file'}"
-            if qualname is None:
-                covered = statements
-            else:
-                spans = allowed_spans(tree, lines, qualname, anchor)
-                if len(spans) != 1:
-                    failures.append(f"{where}: {anchor!r} starts {len(spans)} statements, not 1")
-                    continue
-                covered = set(spans[0])
-            allowed = unrun & covered
-            if not allowed:
-                failures.append(f"{where}: the allow-list entry covers no unrun line")
-            print(f"allowed: {where}: {len(allowed)} unrun lines: {reason}")
-            unrun -= covered
+        if path.name in ALLOWED:
+            if not unrun:
+                failures.append(f"{path.name}: the allow-list entry covers no unrun line")
+            print(f"allowed: {path.name}: {len(unrun)} unrun lines: {ALLOWED[path.name]}")
+            unrun = set()
         for line in sorted(unrun):
             failures.append(f"src/moqgate/{path.name}:{line}: never ran: {lines[line - 1].strip()}")
     print(f"line coverage: {run} of {total} statement lines ran ({100 * run / total:.1f}%)")
