@@ -13,12 +13,10 @@ Gating is head-of-line free: when a later group becomes fully approved while
 earlier ones are still unapproved, the earlier groups are skipped permanently
 for that subscriber (live playback favors fresh content over stale).
 
-SUBSCRIBE and SUBSCRIBE_UPDATE assign roles the same way.  A role change
-takes effect at the first group the relay has not started forwarding to the
-session, and no group ever reaches a session twice: a session that turns
-filtered keeps the live groups it is already in and is gated from the next
-one; a session that leaves the filtered role first gets every held group it
-has not had, oldest first, even unapproved ones, then joins the live groups.
+A session's SUBSCRIBE fixes its roles for its whole life.  A filtered
+session is gated from the first group the relay has not yet ingested; any
+other session joins every live group at once, and every later one at its
+header.
 
 The relay models the paper's gating extensions, not MoQT session setup: it
 sends no control message.  A refused SUBSCRIBE, or control bytes of a type
@@ -27,13 +25,15 @@ the codec does not know, close the session with a named protocol error.
 :class:`RelayCore` is the one state machine that decides who gets every
 group, live or gated, with no knowledge of transport: its handlers return
 :data:`Action` lists.  Per track it holds the live groups (each group whose
-header has arrived and which has not ended: its publisher, the server's
-opaque handle and the sessions receiving it) and the held groups (the last
+header has arrived and which has not ended: the server's opaque handle and
+the sessions receiving it) and the held groups (the last
 ``retention`` ingested ids, each with its bytes and the categories approved
-so far).  A group header whose id is already live or already ingested, or
-that a subscriber of its track sends, is refused before any byte of it is
-forwarded.  Only approvals and role changes
-release groups: an ingested group has no approvals yet.
+so far).  A track is bound to the first session whose group header it
+accepts, until that session is removed; that session may not subscribe to
+it.  A group header whose id is already live or already ingested, or that a
+subscriber of its track or a session other than its publisher sends, is
+refused before any byte of it is forwarded.  Only approvals release groups:
+an ingested group has no approvals yet.
 
 :class:`RelayServer` only moves bytes over transport sessions and a
 :class:`~moqgate.transport.Clock`: it parses every publisher chunk, to
@@ -64,7 +64,6 @@ from .wire import (
     ControlMessage,
     Parameter,
     Subscribe,
-    SubscribeUpdate,
     WireError,
     parameter_categories,
 )
@@ -145,10 +144,14 @@ class _TrackState:
     # Group id -> held group, in ingest order: the last ``retention``
     # ingested ids, consecutive and ascending.
     held: dict[int, _Held] = field(default_factory=dict)
-    # Group id -> (publisher sid, server handle, receiving sids) for every
-    # group whose header has arrived and which has not ended, in arrival order.
-    live: dict[int, tuple[object, object, list]] = field(default_factory=dict)
+    # Group id -> (server handle, receiving sids) for every group whose
+    # header has arrived and which has not ended, in arrival order.
+    live: dict[int, tuple[object, list]] = field(default_factory=dict)
     next_expected: int | None = None
+    # The session whose group header the track first accepted: the only
+    # one that may publish into it, and so of every live group, until it
+    # is removed.
+    publisher: object = None
 
 
 class RelayCore:
@@ -209,74 +212,44 @@ class RelayCore:
         return categories
 
     def handle_subscribe(self, sid: object, msg: Subscribe) -> list[Action]:
+        """Record a new session with the roles its parameters name, for its
+        whole life.  A filtered session is gated from the first group not
+        yet ingested; any other session joins every live group.  A track's
+        publisher may not subscribe to it."""
         if sid in self._sessions:
             raise ProtocolError(f"session {sid!r} is already subscribed")
-        state = SessionState(sid, msg.subscribe_id, msg.track_name)
-        return self._assign_roles(state, msg.parameters, "subscribed")
-
-    def handle_subscribe_update(self, sid: object, msg: SubscribeUpdate) -> list[Action]:
-        state = self._subscription(sid, msg.subscribe_id, "update")
-        return self._assign_roles(state, msg.parameters, "subscription_updated")
-
-    def _subscription(self, sid: object, subscribe_id: int, what: str) -> SessionState:
-        state = self._sessions.get(sid)
-        if state is None:
-            raise ProtocolError(f"{what} from unknown session {sid!r}")
-        if subscribe_id != state.subscribe_id:
-            raise ProtocolError(
-                f"{what} names subscription {subscribe_id}, "
-                f"session holds {state.subscribe_id}"
-            )
-        return state
-
-    def _assign_roles(
-        self, state: SessionState, parameters: tuple[Parameter, ...], event: str
-    ) -> list[Action]:
-        """Give a new or subscribed session the roles ``parameters`` name.
-
-        A session that turns filtered is gated from the first group not yet
-        ingested and not live to it; one that leaves the filtered role gets
-        every held group it has not had, oldest first, approved or not.  A
-        session that receives live joins every live group it is not yet in.
-        """
-        analyze, filter_ = self._parse_roles(parameters)
-        was_filter = state.filter is not None
-        state.analyze, state.filter = analyze, filter_
-        self._sessions[state.sid] = state
-        track = self._track(state.track)
-        if not was_filter:
-            state.next_deliver = track.next_expected or 0
-        actions: list[Action] = []
-        if filter_ is not None:
-            actions.extend(self._gate_one(track, state))
-        elif was_filter:
-            actions.extend(self._release(track, state, gid) for gid in _undelivered(track, state))
-        for gid, (_, handle, receivers) in track.live.items():
-            if state.sid in receivers:
-                if filter_ is not None:
-                    state.next_deliver = max(state.next_deliver, gid + 1)
-            elif filter_ is None:
-                receivers.append(state.sid)
-                actions.append(JoinLive(state.sid, handle))
+        analyze, filter_ = self._parse_roles(msg.parameters)
+        track = self._track(msg.track_name)
+        if track.publisher == sid:
+            raise ProtocolError(f"publisher of track {msg.track_name!r} cannot subscribe to it")
+        self._sessions[sid] = SessionState(
+            sid, msg.subscribe_id, msg.track_name, analyze, filter_, track.next_expected or 0
+        )
         self.log.emit(
             "relay",
-            event,
-            sid=str(state.sid),
-            track=state.track,
+            "subscribed",
+            sid=str(sid),
+            track=msg.track_name,
             analyze=list(analyze or ()),
             filter=list(filter_ or ()),
         )
+        actions: list[Action] = []
+        if filter_ is None:
+            for handle, receivers in track.live.values():
+                receivers.append(sid)
+                actions.append(JoinLive(sid, handle))
         return actions
 
     def remove_session(self, sid: object) -> None:
         """Forget a session, and every live group it publishes: those can
-        never end."""
+        never end.  A track it publishes takes a new publisher."""
         self._sessions.pop(sid, None)
         for track in self._tracks.values():
-            for gid, (publisher, _, receivers) in list(track.live.items()):
-                if publisher == sid:
-                    del track.live[gid]
-                elif sid in receivers:
+            if track.publisher == sid:
+                track.publisher = None
+                track.live.clear()
+            for _, receivers in track.live.values():
+                if sid in receivers:
                     receivers.remove(sid)
 
     # -- media ingest ---------------------------------------------------------
@@ -292,16 +265,22 @@ class RelayCore:
     ) -> list[Action]:
         """A group's header has arrived: every session without a filter
         joins it live.  ``handle`` is the caller's, returned in each join.
-        A session may not publish into the track it subscribes to."""
+        A session may not publish into the track it subscribes to, nor into
+        one another session publishes."""
         subscription = self._sessions.get(publisher)
         if subscription is not None and subscription.track == track_name:
             raise ProtocolError(f"subscriber of track {track_name!r} cannot publish into it")
         track = self._track(track_name)
+        if track.publisher not in (None, publisher):
+            raise ProtocolError(
+                f"track {track_name!r} is published by {track.publisher!r}, not {publisher!r}"
+            )
         if group_id in track.live or group_id < (track.next_expected or 0):
             state = "live" if group_id in track.live else "ingested"
             raise MonotonicityError(f"track {track_name!r} group {group_id} is already {state}")
+        track.publisher = publisher
         receivers = [s.sid for s in self.sessions_of(track_name) if s.filter is None]
-        track.live[group_id] = (publisher, handle, receivers)
+        track.live[group_id] = (handle, receivers)
         return [JoinLive(sid, handle) for sid in receivers]
 
     def ingest_group(self, track_name: str, group_id: int, payload: object) -> list[Action]:
@@ -330,7 +309,14 @@ class RelayCore:
     # -- approval -------------------------------------------------------------
 
     def handle_approve(self, sid: object, msg: Approve) -> list[Action]:
-        state = self._subscription(sid, msg.subscribe_id, "approval")
+        state = self._sessions.get(sid)
+        if state is None:
+            raise ProtocolError(f"approval from unknown session {sid!r}")
+        if msg.subscribe_id != state.subscribe_id:
+            raise ProtocolError(
+                f"approval names subscription {msg.subscribe_id}, "
+                f"session holds {state.subscribe_id}"
+            )
         if state.analyze is None:
             raise ProtocolError("approval from a session without the analyzer role")
         extra = [cat for cat in msg.categories if cat not in state.analyze]
@@ -382,13 +368,15 @@ class RelayCore:
         return actions
 
     def _gate_one(self, track: _TrackState, state: SessionState) -> list[Action]:
-        """Release, oldest first, every held group whose filter categories
-        are all approved; the unapproved groups before each release are
-        skipped for good."""
-        assert state.filter is not None
+        """Release, oldest first, every held group not yet given to the
+        session whose filter categories are all approved; the unapproved
+        groups before each release are skipped for good.  Reached only
+        after an approval, so the track has ingested a group."""
+        assert state.filter is not None and track.next_expected is not None
         actions: list[Action] = []
         held = track.held
-        for gid in _undelivered(track, state):
+        first = max(track.next_expected - len(held), state.next_deliver)
+        for gid in range(first, track.next_expected):
             if not held[gid].approved.issuperset(state.filter):
                 continue
             if gid > state.next_deliver:
@@ -401,24 +389,12 @@ class RelayCore:
                     track=track.name,
                     group_ids=list(skipped),
                 )
-            actions.append(self._release(track, state, gid))
+            state.next_deliver = gid + 1
+            self.log.emit(
+                "relay", "group_released", sid=str(state.sid), track=track.name, group_id=gid
+            )
+            actions.append(DeliverGroup(state.sid, track.name, gid, held[gid].payload))
         return actions
-
-    def _release(self, track: _TrackState, state: SessionState, gid: int) -> DeliverGroup:
-        """Give the session held group ``gid``, its next group from now on."""
-        state.next_deliver = gid + 1
-        self.log.emit(
-            "relay", "group_released", sid=str(state.sid), track=track.name, group_id=gid
-        )
-        return DeliverGroup(state.sid, track.name, gid, track.held[gid].payload)
-
-
-def _undelivered(track: _TrackState, state: SessionState) -> range:
-    """Held group ids not yet given to the session, ascending."""
-    if track.next_expected is None:
-        return range(0)
-    first = track.next_expected - len(track.held)
-    return range(max(first, state.next_deliver), track.next_expected)
 
 
 class _LiveGroup:
@@ -464,8 +440,6 @@ class RelayServer:
     def _dispatch(self, sid: object, msg: ControlMessage) -> list[Action]:
         if isinstance(msg, Subscribe):
             return self.core.handle_subscribe(sid, msg)
-        if isinstance(msg, SubscribeUpdate):
-            return self.core.handle_subscribe_update(sid, msg)
         return self.core.handle_approve(sid, msg)
 
     def _apply(self, sid: object, handler, *args) -> bool:

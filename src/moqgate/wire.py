@@ -7,13 +7,12 @@ always emits the shortest form; the decoder also accepts non-minimal forms.
 
 Message layouts (every integer field is a varint unless noted):
 
-    SUBSCRIBE        0x03 | Length | Subscribe ID | Track Name Length |
-                     Track Name (UTF-8 bytes) | Priority | Param Count | Params
-    SUBSCRIBE_UPDATE 0x02 | Length | Subscribe ID | Param Count | Params
-    APPROVE          0x41 | Length | Subscribe ID | Group ID | Category Set
+    SUBSCRIBE      0x03 | Length | Subscribe ID | Track Name Length |
+                   Track Name (UTF-8 bytes) | Priority | Param Count | Params
+    APPROVE        0x41 | Length | Subscribe ID | Group ID | Category Set
 
-    Parameter        Param Type | Payload Length | Payload bytes
-    Category Set     Set Length | Category Count | Category Type ...
+    Parameter      Param Type | Payload Length | Payload bytes
+    Category Set   Set Length | Category Count | Category Type ...
 
 ``Length`` counts every byte that follows the message type tag, *including
 the Length field's own encoding*, and is at most ``MAX_MESSAGE_LENGTH``
@@ -38,7 +37,6 @@ VARINT_MAX = (1 << 62) - 1
 MAX_MESSAGE_LENGTH = 0xFFFF
 
 SUBSCRIBE_TYPE = 0x03
-SUBSCRIBE_UPDATE_TYPE = 0x02
 APPROVE_TYPE = 0x41
 
 ANALYZE_PARAM = 0x05
@@ -255,25 +253,13 @@ class Subscribe:
 
 
 @dataclass(frozen=True)
-class SubscribeUpdate:
-    subscribe_id: int
-    parameters: tuple[Parameter, ...] = field(default_factory=tuple)
-
-
-@dataclass(frozen=True)
 class Approve:
     subscribe_id: int
     group_id: int
     categories: tuple[int, ...] = field(default_factory=tuple)
 
 
-ControlMessage = Subscribe | SubscribeUpdate | Approve
-
-
-def _encode_params(parameters: tuple[Parameter, ...]) -> bytes:
-    return encode_varint(len(parameters)) + b"".join(
-        _encode_parameter(p) for p in parameters
-    )
+ControlMessage = Subscribe | Approve
 
 
 def _encode_body(msg: ControlMessage) -> tuple[int, bytes]:
@@ -284,13 +270,10 @@ def _encode_body(msg: ControlMessage) -> tuple[int, bytes]:
             + encode_varint(len(name))
             + name
             + encode_varint(msg.priority)
-            + _encode_params(msg.parameters)
+            + encode_varint(len(msg.parameters))
+            + b"".join(_encode_parameter(p) for p in msg.parameters)
         )
         return SUBSCRIBE_TYPE, body
-    if isinstance(msg, SubscribeUpdate):
-        return SUBSCRIBE_UPDATE_TYPE, encode_varint(msg.subscribe_id) + _encode_params(
-            msg.parameters
-        )
     if isinstance(msg, Approve):
         cats = tuple(msg.categories)
         return APPROVE_TYPE, (
@@ -361,16 +344,6 @@ def decode_message(data: bytes, offset: int = 0) -> tuple[ControlMessage, int]:
     return msg, end - offset
 
 
-def _decode_params(data: bytes, pos: int) -> tuple[tuple[Parameter, ...], int]:
-    count, n = decode_varint(data, pos)
-    pos += n
-    params = []
-    for _ in range(count):
-        param, pos = _decode_parameter(data, pos)
-        params.append(param)
-    return tuple(params), pos
-
-
 def _parse_subscribe(data: bytes, pos: int) -> tuple[Subscribe, int]:
     sub_id, n = decode_varint(data, pos)
     pos += n
@@ -387,14 +360,13 @@ def _parse_subscribe(data: bytes, pos: int) -> tuple[Subscribe, int]:
     pos += name_len
     priority, n = decode_varint(data, pos)
     pos += n
-    params, pos = _decode_params(data, pos)
-    return Subscribe(sub_id, track, priority, params), pos
-
-
-def _parse_subscribe_update(data: bytes, pos: int) -> tuple[SubscribeUpdate, int]:
-    sub_id, n = decode_varint(data, pos)
-    params, pos = _decode_params(data, pos + n)
-    return SubscribeUpdate(sub_id, params), pos
+    count, n = decode_varint(data, pos)
+    pos += n
+    params = []
+    for _ in range(count):
+        param, pos = _decode_parameter(data, pos)
+        params.append(param)
+    return Subscribe(sub_id, track, priority, tuple(params)), pos
 
 
 def _parse_approve(data: bytes, pos: int) -> tuple[Approve, int]:
@@ -408,6 +380,5 @@ def _parse_approve(data: bytes, pos: int) -> tuple[Approve, int]:
 
 _BODY_PARSERS = {
     SUBSCRIBE_TYPE: _parse_subscribe,
-    SUBSCRIBE_UPDATE_TYPE: _parse_subscribe_update,
     APPROVE_TYPE: _parse_approve,
 }

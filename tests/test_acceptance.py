@@ -22,7 +22,6 @@ from moqgate.wire import (
     Approve,
     Parameter,
     Subscribe,
-    SubscribeUpdate,
     WireError,
     analyze_parameter,
     decode_message,
@@ -342,12 +341,9 @@ def _random_message(rng: random.Random):
             choices.append(Parameter(rng.choice((0x20, 0x7F)), rng.randbytes(rng.randint(0, 10))))
         return tuple(choices)
 
-    kind = rng.randint(0, 2)
-    if kind == 0:
-        track = "".join(rng.choice("abcxyz/0123✓動") for _ in range(rng.randint(1, 12)))
+    if rng.randint(0, 2) < 2:
+        track = "".join(rng.choice("abcxyz/0123✓動") for _ in range(rng.randint(0, 12)))
         return Subscribe(rng.randint(0, 2**30), track, rng.randint(0, 255), params())
-    if kind == 1:
-        return SubscribeUpdate(rng.randint(0, 2**30), params())
     return Approve(
         rng.randint(0, 2**30),
         rng.randint(0, 2**40),

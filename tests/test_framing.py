@@ -28,7 +28,6 @@ from moqgate.wire import (
     MalformedError,
     Parameter,
     Subscribe,
-    SubscribeUpdate,
     WireError,
     encode_message,
     encode_varint,
@@ -620,7 +619,7 @@ def test_feed_closes_over_none_of_its_locals():
 class TestControlStreamDecoder:
     def test_500_messages_whole_and_split_at_every_byte(self):
         messages = [
-            SubscribeUpdate(i, ()) if i % 3 else Approve(i, 1000 + i, (Category.STROBE,))
+            Subscribe(i, "t") if i % 3 else Approve(i, 1000 + i, (Category.STROBE,))
             for i in range(500)
         ]
         first = encode_message(messages[0])
@@ -637,18 +636,18 @@ class TestControlStreamDecoder:
         assert bytewise.feed(first) == messages[:1]
 
     def test_two_messages_split_across_feeds(self):
-        blob = encode_message(SubscribeUpdate(4, ())) + encode_message(
+        blob = encode_message(Subscribe(4, "t")) + encode_message(
             Approve(6, 7, (Category.STROBE,))
         )
         decoder = ControlStreamDecoder()
-        # The first message is 4 bytes: the split falls inside the second.
-        got = decoder.feed(blob[:5])
-        got += decoder.feed(blob[5:])
-        assert got == [SubscribeUpdate(4, ()), Approve(6, 7, (Category.STROBE,))]
+        # The first message is 7 bytes: the split falls inside the second.
+        got = decoder.feed(blob[:8])
+        got += decoder.feed(blob[8:])
+        assert got == [Subscribe(4, "t"), Approve(6, 7, (Category.STROBE,))]
 
     def test_whole_messages(self):
         decoder = ControlStreamDecoder()
-        assert decoder.feed(encode_message(SubscribeUpdate(1, ()))) == [SubscribeUpdate(1, ())]
+        assert decoder.feed(encode_message(Subscribe(1, "t"))) == [Subscribe(1, "t")]
         assert decoder.feed(b"") == []
 
     def test_oversized_length_is_refused_on_the_first_feed(self):

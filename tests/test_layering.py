@@ -5,18 +5,24 @@ more of a clock than that protocol and never name the simulated network;
 the relay's core names no transport type and its server keeps no session
 roles; the report writers depend on nothing else in the package, and the
 scenario loader on neither the relay nor the clients.  Every
-name a module imports is used there or exported through its ``__all__``.
+name a module imports is used there or exported through its ``__all__``,
+and every control message the codec carries is built by some module other
+than the codec.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import typing
 from pathlib import Path
 
 import pytest
 
+from moqgate import wire
 from moqgate.transport import Clock
+
+PACKAGE = Path(importlib.import_module("moqgate").__file__).parent
 
 
 def _tree(module: str) -> ast.Module:
@@ -123,7 +129,7 @@ def test_scenario_loader_imports_no_relay_or_client():
 
 @pytest.mark.parametrize(
     "path",
-    sorted(Path(importlib.import_module("moqgate").__file__).parent.glob("*.py")),
+    sorted(PACKAGE.glob("*.py")),
     ids=lambda path: path.stem,
 )
 def test_every_imported_name_is_used_or_exported(path):
@@ -149,3 +155,18 @@ def test_every_imported_name_is_used_or_exported(path):
                 if "# noqa: F401" not in lines[alias.lineno - 1]
             )
     assert sorted(imported - used - exported) == []
+
+
+def test_every_control_message_is_built_outside_the_codec():
+    """A message type that only the codec's parser builds has no sender in
+    the system: only tests reach its handling."""
+    built: set[str] = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.stem != "wire":
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    built.add(func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", ""))
+    carried = {message.__name__ for message in typing.get_args(wire.ControlMessage)}
+    assert carried, "the check must see the codec's messages"
+    assert sorted(carried - built) == []

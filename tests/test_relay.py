@@ -9,7 +9,7 @@ from functools import partial
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from recording import Recorder, ended, joined
+from recording import Recorder, joined
 from streams import encode_group_stream
 
 from moqgate.client import AnalyzerClient, PublisherClient, SubscriberClient, encode_publication
@@ -44,7 +44,6 @@ from moqgate.wire import (
     Category,
     Parameter,
     Subscribe,
-    SubscribeUpdate,
     analyze_parameter,
     encode_message,
     encode_varint,
@@ -127,6 +126,17 @@ class TestSubscribeValidation:
         core.handle_subscribe("s", plain())
         with pytest.raises(ProtocolError):
             core.handle_subscribe("s", plain(sub_id=9))
+
+    def test_publisher_cannot_subscribe_to_its_track(self):
+        # Else it would join its own live group and be refused at its next
+        # header as a subscriber of the track.
+        core = RelayCore()
+        core.start_group("pub", "cam", 0, "H0")
+        with pytest.raises(ProtocolError, match="^publisher of track 'cam' cannot subscribe to it$"):
+            core.handle_subscribe("pub", plain())
+        assert core.session("pub") is None
+        assert core._tracks["cam"].live == {0: ("H0", [])}
+        assert core.handle_subscribe("pub", plain(track="other")) == []
 
 
 class TestIngestMonotonicity:
@@ -294,6 +304,25 @@ class TestGating:
         assert DeliverGroup("f2", "cam", 1, "G1") in actions
         assert DeliverGroup("f", "cam", 1, "G1") in actions
 
+    def test_late_filtered_subscriber_never_gets_earlier_groups(self):
+        # "f2" subscribes after groups 0 and 1 are ingested, unapproved: it
+        # is gated from group 2, so approving 1 releases nothing to it and
+        # approving 2 skips nothing for it.
+        core = self._core()
+        core.ingest_group("cam", 0, "G0")
+        core.ingest_group("cam", 1, "G1")
+        assert core.handle_subscribe("f2", filterer([STROBE], sub_id=9)) == []
+        assert core.session("f2").next_deliver == 2
+        core.ingest_group("cam", 2, "G2")
+        assert core.handle_approve("an", Approve(2, 1, (STROBE,))) == [
+            SkipGroups("f", "cam", (0,)),
+            DeliverGroup("f", "cam", 1, "G1"),
+        ]
+        assert core.handle_approve("an", Approve(2, 2, (STROBE,))) == [
+            DeliverGroup("f", "cam", 2, "G2"),
+            DeliverGroup("f2", "cam", 2, "G2"),
+        ]
+
     def test_delivery_and_skip_records(self):
         core = self._core()
         for gid in (0, 1, 2):
@@ -326,70 +355,6 @@ class TestRetention:
             SkipGroups("f", "cam", (0, 1)),
             DeliverGroup("f", "cam", 2, "G2"),
         ]
-
-
-class TestSubscribeUpdate:
-    def _core(self):
-        core = RelayCore()
-        core.handle_subscribe("an", analyzer([STROBE, SMOKING], sub_id=2))
-        core.handle_subscribe("f", filterer([STROBE, SMOKING], sub_id=3))
-        return core
-
-    def test_update_requires_matching_id(self):
-        core = self._core()
-        with pytest.raises(ProtocolError):
-            core.handle_subscribe_update("f", SubscribeUpdate(99, ()))
-        with pytest.raises(ProtocolError):
-            core.handle_subscribe_update("ghost", SubscribeUpdate(3, ()))
-
-    def test_narrowing_filter_rechecks_gate(self):
-        core = self._core()
-        for gid in (0, 1, 2):
-            core.ingest_group("cam", gid, f"G{gid}")
-        core.handle_approve("an", Approve(2, 0, (STROBE,)))
-        core.handle_approve("an", Approve(2, 1, (STROBE,)))
-        actions = core.handle_subscribe_update(
-            "f", SubscribeUpdate(3, (filter_parameter([STROBE]),))
-        )
-        assert actions == [
-            DeliverGroup("f", "cam", 0, "G0"),
-            DeliverGroup("f", "cam", 1, "G1"),
-        ]
-
-    def test_dropping_filter_releases_pending_in_order(self):
-        core = self._core()
-        for gid in (0, 1, 2):
-            core.ingest_group("cam", gid, f"G{gid}")
-        actions = core.handle_subscribe_update("f", SubscribeUpdate(3, ()))
-        assert actions == [
-            DeliverGroup("f", "cam", 0, "G0"),
-            DeliverGroup("f", "cam", 1, "G1"),
-            DeliverGroup("f", "cam", 2, "G2"),
-        ]
-        assert core.session("f").filter is None
-
-    def test_becoming_filter_starts_at_next_group(self):
-        core = self._core()
-        core.handle_subscribe("p", plain(sub_id=8))
-        core.ingest_group("cam", 0, "G0")
-        core.handle_subscribe_update("p", SubscribeUpdate(8, (filter_parameter([STROBE]),)))
-        core.ingest_group("cam", 1, "G1")
-        actions = core.handle_approve("an", Approve(2, 1, (STROBE,)))
-        assert DeliverGroup("p", "cam", 1, "G1") in actions
-        assert not any(
-            isinstance(a, DeliverGroup) and a.sid == "p" and a.group_id == 0
-            for a in actions
-        )
-
-    def test_update_validation_matches_subscribe(self):
-        core = self._core()
-        with pytest.raises(ProtocolError):
-            core.handle_subscribe_update(
-                "f",
-                SubscribeUpdate(3, (analyze_parameter([STROBE]), filter_parameter([SMOKING]))),
-            )
-        with pytest.raises(ProtocolError):
-            core.handle_subscribe_update("f", SubscribeUpdate(3, (filter_parameter([9]),)))
 
 
 class TestSessionRemoval:
@@ -441,20 +406,40 @@ class TestLiveGroups:
         core.handle_subscribe("p", plain(sub_id=1))
         core.start_group("pub", "cam", 0, "H0")
         core.remove_session("p")
-        assert core._tracks["cam"].live == {0: ("pub", "H0", [])}
+        assert core._tracks["cam"].live == {0: ("H0", [])}
 
-    def test_turning_filtered_mid_group_never_gives_that_group_twice(self):
+    def test_a_track_takes_headers_from_its_first_publisher_only(self):
+        core = RelayCore()
+        core.ingest_group("cam", 0, "G0")
+        # A refused header binds nothing.
+        with pytest.raises(MonotonicityError):
+            core.start_group("late", "cam", 0, "L0")
+        core.start_group("pub", "cam", 1, "H1")
+        with pytest.raises(ProtocolError, match="^track 'cam' is published by 'pub', not 'evil'$"):
+            core.start_group("evil", "cam", 2, "E2")
+        assert list(core._tracks["cam"].live) == [1]
+        core.start_group("pub", "cam", 2, "H2")
+        # Once its publisher is removed, the track takes another.
+        core.remove_session("pub")
+        core.start_group("next", "cam", 3, "N3")
+        assert core._tracks["cam"].publisher == "next"
+
+    def test_a_filtered_session_is_never_a_live_receiver(self):
+        # "f" subscribes while groups 0 and 1 are live: it joins neither,
+        # nor group 2 at its header, and is gated from group 0.
         core = RelayCore()
         core.handle_subscribe("an", analyzer([STROBE], sub_id=2))
-        core.handle_subscribe("p", plain(sub_id=1))
-        assert JoinLive("p", "H0") in core.start_group("pub", "cam", 0, "H0")
-        core.handle_subscribe_update("p", SubscribeUpdate(1, (filter_parameter([STROBE]),)))
-        assert core.session("p").next_deliver == 1
+        core.start_group("pub", "cam", 0, "H0")
+        core.start_group("pub", "cam", 1, "H1")
+        assert core.handle_subscribe("f", filterer([STROBE], sub_id=3)) == []
+        assert core.start_group("pub", "cam", 2, "H2") == [JoinLive("an", "H2")]
+        live = core._tracks["cam"].live
+        assert {gid: sids for gid, (_, sids) in live.items()} == {0: ["an"], 1: ["an"], 2: ["an"]}
+        assert core.session("f").next_deliver == 0
         core.ingest_group("cam", 0, "G0")
-        assert core.handle_approve("an", Approve(2, 0, (STROBE,))) == []
-        assert core.start_group("pub", "cam", 1, "H1") == [JoinLive("an", "H1")]
-        core.ingest_group("cam", 1, "G1")
-        assert core.handle_approve("an", Approve(2, 1, (STROBE,))) == [DeliverGroup("p", "cam", 1, "G1")]
+        assert core.handle_approve("an", Approve(2, 0, (STROBE,))) == [
+            DeliverGroup("f", "cam", 0, "G0")
+        ]
 
 
 class ReferenceGate:
@@ -467,8 +452,8 @@ class ReferenceGate:
 
     Every session without a filter, analyzers included, is in every live
     group: those present at a group's header join it then, and one that
-    arrives or drops its filter later joins it at once.  A session that
-    turns filtered is gated from after the newest live group it is in.
+    arrives later joins it at once.  A filtered session is never in a live
+    group: it is gated from the first group not yet ingested.
     """
 
     def __init__(self, retention, filters):
@@ -517,48 +502,22 @@ class ReferenceGate:
         return self.gate_all() if new_coverage else []
 
     def subscribe(self, sid, cats):
-        """A new session, or ProtocolError for a known one."""
+        """A new session's joins, or ProtocolError for a known one."""
         if sid in self.filters:
             return ProtocolError
         self.filters[sid] = cats
         self.next_deliver[sid] = self.next_expected or 0
-        actions = self.gate(sid) if cats is not None else []
-        return actions + self.meet_live(sid)
-
-    def update(self, sid, cats):
-        """The actions, or ProtocolError from a session not subscribed."""
-        if sid not in self.filters:
-            return ProtocolError
-        was_filter = self.filters[sid] is not None
-        self.filters[sid] = cats
-        actions = []
-        if was_filter and cats is None:
-            for gid in sorted(self.stored):
-                if gid >= self.next_deliver[sid]:
-                    actions.append(DeliverGroup(sid, "cam", gid, self.stored[gid]))
-                    self.next_deliver[sid] = gid + 1
-        elif cats is not None:
-            if not was_filter:
-                self.next_deliver[sid] = self.next_expected or 0
-            actions += self.gate(sid)
-        return actions + self.meet_live(sid)
+        if cats is not None:
+            return self.gate(sid)
+        for sids in self.live.values():
+            sids.append(sid)
+        return [JoinLive(sid, f"H{gid}") for gid in self.live]
 
     def remove(self, sid):
         del self.filters[sid], self.next_deliver[sid]
         for sids in self.live.values():
             if sid in sids:
                 sids.remove(sid)
-
-    def meet_live(self, sid):
-        """Fit a session's roles to the live groups; returns its joins."""
-        mine = [gid for gid, sids in self.live.items() if sid in sids]
-        if self.filters[sid] is not None:
-            self.next_deliver[sid] = max([self.next_deliver[sid]] + [gid + 1 for gid in mine])
-            return []
-        joins = [gid for gid in self.live if gid not in mine]
-        for gid in joins:
-            self.live[gid].append(sid)
-        return [JoinLive(sid, f"H{gid}") for gid in joins]
 
     def gate_all(self):
         return [a for sid, cats in self.filters.items() if cats is not None for a in self.gate(sid)]
@@ -596,7 +555,6 @@ gate_ops = st.one_of(
         st.integers(-5, 1),  # group id relative to the next one to ingest
         st.lists(st.sampled_from([STROBE, SMOKING, ALCOHOL]), max_size=3, unique=True),
     ),
-    st.tuples(st.just("update"), st.sampled_from(sorted(FILTERED | LATE)), st.sampled_from(ROLES)),
     st.tuples(st.just("subscribe"), st.sampled_from(sorted(LATE)), st.sampled_from(ROLES)),
     st.tuples(st.just("remove"), st.sampled_from(sorted(LATE))),
     st.just(("drop",)),  # the publisher fails
@@ -618,17 +576,18 @@ class TestGateMatchesReference:
         filters=st.lists(st.sampled_from(ROLES), min_size=3, max_size=3),
         ops=st.lists(gate_ops, max_size=40),
     )
-    # Overlapping live groups, a role change mid-group, receiver removal,
-    # refused duplicate headers and a failed publisher, every run.
+    # Overlapping live groups, a filtered session subscribing mid-group,
+    # receiver removal, refused duplicate headers, a failed publisher and a
+    # track whose first group is not 0, every run.
     @example(
         retention=2,
-        first_gid=0,
+        first_gid=1,
         filters=[None, (STROBE,), (SMOKING,)],
         ops=[
             ("start", 0),
             ("start", 1),
             ("subscribe", "g0", None),
-            ("update", "f0", (STROBE,)),
+            ("subscribe", "g1", (STROBE,)),
             ("remove", "g0"),
             ("ingest",),
             ("approve", "a1", -1, [STROBE]),
@@ -692,21 +651,15 @@ class TestGateMatchesReference:
                 core.remove_session(sid)
                 got = want = []
             else:
-                kind, sid, cats = op
-                sub_id = (FILTERED | LATE)[sid]
-                if kind == "subscribe":
-                    msg = plain(sub_id) if cats is None else filterer(cats, sub_id=sub_id)
-                    handle, want = core.handle_subscribe, model.subscribe(sid, cats)
-                else:
-                    params = () if cats is None else (filter_parameter(cats),)
-                    msg = SubscribeUpdate(sub_id, params)
-                    handle, want = core.handle_subscribe_update, model.update(sid, cats)
+                _, sid, cats = op
+                msg = plain(LATE[sid]) if cats is None else filterer(cats, sub_id=LATE[sid])
+                want = model.subscribe(sid, cats)
                 if want is ProtocolError:
                     with pytest.raises(ProtocolError):
-                        handle(sid, msg)
+                        core.handle_subscribe(sid, msg)
                     continue
-                received.setdefault(sid, set())
-                got = handle(sid, msg)
+                received[sid] = set()
+                got = core.handle_subscribe(sid, msg)
             assert got == want, op
             for action in got:
                 gid = group_of(action)
@@ -718,7 +671,7 @@ class TestGateMatchesReference:
             held = list(core._tracks["cam"].held)
             assert held == list(range(max(first_gid, next_gid - retention), next_gid)), op
             live = core._tracks["cam"].live
-            assert {gid: sids for gid, (_, _, sids) in live.items()} == model.live, op
+            assert {gid: sids for gid, (_, sids) in live.items()} == model.live, op
             # Each filtered session waits for the group the model says.
             for sid, cats in model.filters.items():
                 if cats is not None:
@@ -786,17 +739,19 @@ class TestRelayServer:
             name: [] for name in roles
         }
 
-    def test_unknown_control_type_closes_session(self):
-        # 0x04 is MoQT's SUBSCRIBE_OK tag: not a message the relay accepts.
+    @pytest.mark.parametrize("tag", [0x02, 0x04], ids=["0x02", "0x04"])
+    def test_unknown_control_type_closes_session(self, tag):
+        # MoQT's SUBSCRIBE_UPDATE (0x02) and SUBSCRIBE_OK (0x04) tags: not
+        # messages the relay accepts.
         rig = ServerRig({"p": plain(sub_id=6)})
         closed = []
         rig.clients["p"].set_on_close(lambda: closed.append(rig.net.now))
-        rig.net.at(10, lambda: rig.clients["p"].send_control(bytes([0x04, 0x02, 0x01])))
+        rig.net.at(10, lambda: rig.clients["p"].send_control(bytes([tag, 0x02, 0x01])))
         rig.net.run_until_idle()
         (error,) = rig.server.log.filter(kind="protocol_error")
         assert error.detail == {
             "sid": "p",
-            "reason": "undecodable control bytes: unknown message type 0x04",
+            "reason": f"undecodable control bytes: unknown message type 0x{tag:02x}",
         }
         assert rig.server.core.session("p") is None
         assert closed == [20.0]
@@ -1013,6 +968,55 @@ class TestRelayServer:
         assert [joined(s) for s in rig.received["p"].by_stream()] == [blob]
         assert [e.detail["group_id"] for e in rig.server.log.filter(kind="group_stored")] == [0]
 
+    def test_publisher_subscribing_to_its_track_is_refused(self):
+        # Group 0 is stored at 60 ms; the publisher's SUBSCRIBE reaches the
+        # relay at 80 ms.  The relay fails it before any group is echoed
+        # back, and the track takes a new publisher.
+        rig = ServerRig({"p": plain(sub_id=1)})
+        closed, streams = [], []
+        rig.publisher.set_on_close(lambda: closed.append(rig.net.now))
+        rig.publisher.set_on_stream(streams.append)
+        blob = encode_group_stream("cam", two_frame_group())
+        stream = rig.publisher.open_stream()
+        rig.net.at(0, lambda: stream.end(blob))
+        rig.net.at(70, lambda: rig.publisher.send_control(encode_message(plain(sub_id=7))))
+        rig.net.run_until_idle()
+        (error,) = rig.server.log.filter(kind="protocol_error")
+        assert error.detail == {"sid": "pub", "reason": "publisher of track 'cam' cannot subscribe to it"}
+        assert closed == [90.0]
+        assert streams == []
+        assert rig.server.core.session("pub") is None
+        assert rig.server.core._tracks["cam"].publisher is None
+        assert [joined(s) for s in rig.received["p"].by_stream()] == [blob]
+
+    @pytest.mark.parametrize(
+        "message, reason",
+        [
+            (encode_message(filterer([STROBE], sub_id=1)), "session 'a' is already subscribed"),
+            (bytes([0x02, 0x02, 0x01, 0x00]), "undecodable control bytes: unknown message type 0x02"),
+        ],
+        ids=["second_subscribe", "update_tag"],
+    )
+    def test_a_session_cannot_change_its_role_mid_group(self, message, reason):
+        # Plain viewer "a" asks at 20 ms, inside live group 0, to be
+        # filtered: by a second SUBSCRIBE, or by MoQT's SUBSCRIBE_UPDATE
+        # tag.  Either fails it; the rest of group 0 and all of group 1 go
+        # to "b" only.
+        rig = ServerRig({"a": plain(sub_id=1), "b": plain(sub_id=2)})
+        rig.net.at(20, lambda: rig.clients["a"].send_control(message))
+        groups = [two_frame_group(0), two_frame_group(1)]
+        first_chunk = self._publish_frame_by_frame(rig, groups[0], 0)
+        self._publish_frame_by_frame(rig, groups[1], 100)
+        rig.net.run_until_idle()
+        (error,) = rig.server.log.filter(kind="protocol_error")
+        assert error.detail == {"sid": "a", "reason": reason}
+        assert rig.server.core.session("a") is None
+        assert [e.detail["sid"] for e in rig.server.log.filter(kind="subscribed")] == ["a", "b"]
+        assert [joined(s) for s in rig.received["a"].by_stream()] == [first_chunk]
+        assert [joined(s) for s in rig.received["b"].by_stream()] == [
+            encode_group_stream("cam", g) for g in groups
+        ]
+
     def test_future_approval_closes_analyzer_session(self):
         rig = ServerRig({"an": analyzer([STROBE], sub_id=2), "f": filterer([STROBE], sub_id=3)})
         an = rig.clients["an"]
@@ -1080,22 +1084,88 @@ class TestRelayServer:
         ]
         assert rig.server.core.session("p") is None
 
-    def test_analyzer_disconnect_logged(self):
-        rig = ServerRig({"an": analyzer([STROBE], sub_id=2)})
-        rig.net.at(10, rig.clients["an"].close)
-        rig.net.run_until_idle()
-        assert rig.server.log.filter(kind="session_closed") != []
-
     @staticmethod
     def _publish_frame_by_frame(rig, group, at):
-        from moqgate.framing import encode_frame_chunk, encode_group_header
-        from moqgate.media import encode_frame_payload
-
+        """Send ``group``'s header and first frame at ``at``, its second
+        frame and fin 50 ms later; returns the first chunk."""
         stream = rig.publisher.open_stream()
         header = encode_group_header("cam", group.group_id, len(group.frames))
         chunks = [encode_frame_chunk(encode_frame_payload(f)) for f in group.frames]
         rig.net.at(at, lambda: stream.send(header + chunks[0]))
         rig.net.at(at + 50, lambda: stream.end(chunks[1]))
+        return header + chunks[0]
+
+    def test_viewers_that_leave_are_forgotten(self):
+        # Group g is live at the relay from 100g + 10 to 100g + 60 ms.
+        # "p_leave" closes at 120 (the relay learns at 125, inside group 1);
+        # "f_leave" closes at 220, while groups 0 and 1 are held for it
+        # unapproved.  The analyzer approves every group from 400 ms.
+        roles = {
+            "an": analyzer([STROBE], sub_id=2),
+            "p_stay": plain(sub_id=1),
+            "p_leave": plain(sub_id=1),
+            "f_stay": filterer([STROBE], sub_id=3),
+            "f_leave": filterer([STROBE], sub_id=3),
+        }
+        rig = ServerRig(roles)
+        groups = [two_frame_group(gid) for gid in range(3)]
+        first_chunks = [self._publish_frame_by_frame(rig, g, 100 * g.group_id) for g in groups]
+        for gid in range(3):
+            msg = encode_message(Approve(2, gid, (STROBE,)))
+            rig.net.at(400 + gid, lambda msg=msg: rig.clients["an"].send_control(msg))
+        rig.net.at(120, rig.clients["p_leave"].close)
+        rig.net.at(220, rig.clients["f_leave"].close)
+        live = []  # (probe time, group id, live group, receivers)
+
+        def probe():
+            for gid, (handle, receivers) in rig.server.core._tracks["cam"].live.items():
+                live.append((rig.net.now, gid, handle, set(receivers)))
+
+        for at in (130, 230):
+            rig.net.at(at, probe)
+        rig.net.run_until_idle()
+
+        log = rig.server.log
+        assert [e.detail["sid"] for e in log.filter(kind="session_closed")] == ["p_leave", "f_leave"]
+        assert log.filter(kind="protocol_error") == []
+        for sid in ("p_leave", "f_leave"):
+            assert rig.server.core.session(sid) is None
+        stayers = {"an", "p_stay"}
+        assert [(at, gid, r) for at, gid, _, r in live] == [(130, 1, stayers), (230, 2, stayers)]
+        # Each live group's sends dropped the leaver by its end.
+        assert [set(handle.fanout) for _, _, handle, _ in live] == [stayers, stayers]
+        blobs = [encode_group_stream("cam", g) for g in groups]
+        assert [joined(s) for s in rig.received["p_leave"].by_stream()] == [blobs[0], first_chunks[1]]
+        assert rig.received["f_leave"].chunks == []
+        for name in ("an", "p_stay", "f_stay"):
+            assert [joined(s) for s in rig.received[name].by_stream()] == blobs, name
+        assert [e.detail["sid"] for e in log.filter(kind="group_delivered")] == ["f_stay"] * 3
+
+    def test_a_second_publisher_of_a_track_is_refused(self):
+        # "pub"'s group 0 is live at the relay from 10 to 60 ms.  "evil",
+        # which never subscribed, sends a header for group 1 that lands at
+        # 20 ms, before the publisher's own group 1 at 40 ms: the relay
+        # fails "evil" and keeps "pub".
+        rig = ServerRig({"p": plain(sub_id=1)})
+        evil, remote = rig.net.connect("evil", "relay", 5.0, 5.0)
+        rig.server.attach("evil", remote)
+        closed = []
+        evil.set_on_close(lambda: closed.append(rig.net.now))
+        evil_stream = evil.open_stream()
+        rogue = encode_group_header("cam", 1, 2) + encode_frame_chunk(b"x")
+        rig.net.at(15, lambda: evil_stream.send(rogue))
+        groups = [two_frame_group(0), two_frame_group(1)]
+        for at, group in zip((0, 30), groups):
+            self._publish_frame_by_frame(rig, group, at)
+        rig.net.run_until_idle()
+        (error,) = rig.server.log.filter(kind="protocol_error")
+        assert error.detail == {"sid": "evil", "reason": "track 'cam' is published by 'pub', not 'evil'"}
+        assert closed == [25.0]
+        assert rig.server.core._tracks["cam"].publisher == "pub"
+        assert [joined(s) for s in rig.received["p"].by_stream()] == [
+            encode_group_stream("cam", g) for g in groups
+        ]
+        assert [e.detail["group_id"] for e in rig.server.log.filter(kind="group_stored")] == [0, 1]
 
     def test_filtered_sessions_share_one_encoded_group(self):
         rig = ServerRig({"an": analyzer([STROBE], sub_id=2)})
@@ -1128,18 +1198,6 @@ class TestRelayServer:
         # Each group is encoded once and that object goes to every session.
         for s1, s2 in zip(streams["f1"], streams["f2"]):
             assert s1[0][0] is s2[0][0]
-
-    def test_dropping_filter_delivers_held_groups_as_encoded(self):
-        rig = ServerRig({"f": filterer([STROBE], sub_id=3)})
-        groups = [two_frame_group(0), two_frame_group(1)]
-        for group in groups:
-            self._publish_frame_by_frame(rig, group, 100 * group.group_id)
-        f = rig.clients["f"]
-        rig.net.at(300, lambda: f.send_control(encode_message(SubscribeUpdate(3, ()))))
-        rig.net.run_until_idle(max_virtual_ms=60_000)
-        streams = rig.received["f"].by_stream()
-        assert [joined(s) for s in streams] == [encode_group_stream("cam", g) for g in groups]
-        assert all(ended(s) for s in streams)
 
     def test_finished_groups_held_once_within_retention(self):
         # 20 groups of 100 kB through a relay that keeps one: what stays
@@ -1220,93 +1278,6 @@ class TestDuplicateGroup:
         (error,) = server.log.filter(kind="protocol_error")
         assert error.detail == {"sid": "pub", "reason": f"track 'cam' group 0 is already {state}"}
         assert server.core._tracks["cam"].live == {}
-
-
-class TestRoleChange:
-    """SUBSCRIBE_UPDATE through the server: a role change takes effect at the
-    first group not yet forwarded to the session, and no group arrives twice."""
-
-    @staticmethod
-    def _publish(rig, gid, start):
-        """Group ``gid`` as four one-byte frames, one every 10 ms from
-        ``start``; returns the chunks as sent."""
-        chunks = [encode_frame_chunk(bytes([k])) for k in range(4)]
-        chunks[0] = encode_group_header("cam", gid, 4) + chunks[0]
-        stream = rig.publisher.open_stream()
-        for k, chunk in enumerate(chunks):
-            send = stream.end if k == 3 else stream.send
-            rig.net.at(start + 10 * k, lambda send=send, chunk=chunk: send(chunk))
-        return chunks
-
-    @staticmethod
-    def _update(rig, name, sub_id, at, cats):
-        params = () if cats is None else (filter_parameter(cats),)
-        msg = encode_message(SubscribeUpdate(sub_id, params))
-        rig.net.at(at, lambda: rig.clients[name].send_control(msg))
-
-    @staticmethod
-    def _approve_all(rig, n_groups, at):
-        an = rig.clients["an"]
-        for gid in range(n_groups):
-            msg = encode_message(Approve(2, gid, (STROBE,)))
-            rig.net.at(at + gid, lambda msg=msg: an.send_control(msg))
-
-    @staticmethod
-    def _group_ids(streams):
-        ids = []
-        for stream in streams:
-            parser = GroupStreamParser()
-            parser.feed(joined(stream), ended(stream))
-            ids.append(parser.group_id)
-        return ids
-
-    def test_turning_filtered_mid_group_keeps_that_group_live_only(self):
-        # Links of 1 ms; groups start at 10, 50 and 90 ms.  The update
-        # reaches the relay at 56 ms, while group 1 is being forwarded.
-        rig = ServerRig({"p": plain(sub_id=1), "an": analyzer([STROBE], sub_id=2)}, 1.0, 1.0)
-        sent = [self._publish(rig, gid, 10 + 40 * gid) for gid in range(3)]
-        self._update(rig, "p", 1, 55, [STROBE])
-        self._approve_all(rig, 3, 200)
-        rig.net.run_until_idle()
-        streams = rig.received["p"].by_stream()
-        assert self._group_ids(streams) == [0, 1, 2]
-        # Group 1 ends live, as it started; group 2 waits for its approval,
-        # which reaches the relay at 203 ms.
-        assert streams[1] == [(c, k == 3, 52.0 + 10 * k) for k, c in enumerate(sent[1])]
-        assert streams[2] == [(b"".join(sent[2]), True, 204.0)]
-        assert rig.server.core.session("p").next_deliver == 3
-
-    def test_turning_filtered_in_overlapping_groups_gates_after_both(self):
-        rig = ServerRig({"p": plain(sub_id=1), "an": analyzer([STROBE], sub_id=2)}, 1.0, 1.0)
-        # Groups 0 and 1 overlap at the relay from 21 to 41 ms; the update
-        # lands at 26 ms.
-        sent = [self._publish(rig, gid, start) for gid, start in ((0, 10), (1, 20), (2, 60))]
-        self._update(rig, "p", 1, 25, [STROBE])
-        self._approve_all(rig, 3, 200)
-        rig.net.run_until_idle()
-        streams = rig.received["p"].by_stream()
-        assert self._group_ids(streams) == [0, 1, 2]
-        assert [joined(s) for s in streams[:2]] == [b"".join(c) for c in sent[:2]]
-        assert [len(s) for s in streams[:2]] == [4, 4]  # both forwarded live
-        assert streams[2] == [(b"".join(sent[2]), True, 204.0)]
-        assert rig.server.log.filter(kind="groups_skipped") == []
-
-    def test_leaving_filtered_mid_group_releases_held_then_joins_live(self):
-        rig = ServerRig({"f": filterer([STROBE], sub_id=3)}, 1.0, 1.0)
-        sent = [self._publish(rig, gid, 10 + 40 * gid) for gid in range(3)]
-        # Groups 0 and 1 are held unapproved; the update lands at 106 ms,
-        # after two of group 2's frames.
-        self._update(rig, "f", 3, 105, None)
-        rig.net.run_until_idle(max_virtual_ms=60_000)
-        streams = rig.received["f"].by_stream()
-        c = sent[2]
-        assert streams == [
-            [(b"".join(sent[0]), True, 107.0)],
-            [(b"".join(sent[1]), True, 107.0)],
-            [(c[0] + c[1], False, 107.0), (c[2], False, 112.0), (c[3], True, 122.0)],
-        ]
-        released = rig.server.log.filter(kind="group_released")
-        assert [(e.detail["sid"], e.detail["group_id"]) for e in released] == [("f", 0), ("f", 1)]
 
 
 def reencoded_forwarding(pieces):

@@ -22,7 +22,6 @@ from moqgate.wire import (
     MalformedError,
     Parameter,
     Subscribe,
-    SubscribeUpdate,
     UnknownMessageTypeError,
     WireError,
     analyze_parameter,
@@ -65,10 +64,6 @@ FILTER_SET_GOLDEN = bytes([0x03, 0x02, 0x02, 0x03])
 #   body: 05 | 03 "cam" | 01 | 01 | param(type=05 len=03 payload=02 01 01)
 #   body is 12 bytes -> Length = 13 (0x0d)
 SUBSCRIBE_GOLDEN = bytes.fromhex("030d050363616d010105030201 01".replace(" ", ""))
-
-# SubscribeUpdate{id=2, params=[FILTER [SMOKING, ALCOHOL]]}:
-#   body: 02 | 01 | 06 04 03 02 02 03  (8 bytes) -> Length = 9
-SUBSCRIBE_UPDATE_GOLDEN = bytes([0x02, 0x09, 0x02, 0x01, 0x06, 0x04, 0x03, 0x02, 0x02, 0x03])
 
 
 class TestVarint:
@@ -216,16 +211,20 @@ class TestMessages:
         assert encode_message(msg) == SUBSCRIBE_GOLDEN
         assert decode_message(SUBSCRIBE_GOLDEN) == (msg, len(SUBSCRIBE_GOLDEN))
 
-    def test_subscribe_ok_tag_is_unknown(self):
-        # MoQT's SUBSCRIBE_OK{id=1}: no message of this codec has tag 0x04.
+    @pytest.mark.parametrize("tag", [0x02, 0x04], ids=["0x02", "0x04"])
+    def test_subscribe_ok_tag_is_unknown(self, tag):
+        # MoQT's SUBSCRIBE_UPDATE (0x02) and SUBSCRIBE_OK (0x04) with id 1:
+        # no message of this codec has either tag.
         with pytest.raises(UnknownMessageTypeError) as exc:
-            decode_message(bytes([0x04, 0x02, 0x01]))
-        assert exc.value.type_tag == 0x04
+            decode_message(bytes([tag, 0x02, 0x01]))
+        assert exc.value.type_tag == tag
 
-    def test_subscribe_update_golden_vector(self):
-        msg = SubscribeUpdate(2, (filter_parameter([Category.SMOKING, Category.ALCOHOL]),))
-        assert encode_message(msg) == SUBSCRIBE_UPDATE_GOLDEN
-        assert decode_message(SUBSCRIBE_UPDATE_GOLDEN) == (msg, len(SUBSCRIBE_UPDATE_GOLDEN))
+    def test_parameter_payload_past_the_message_is_mismatch(self):
+        # The parameter declares 5 payload bytes where the message holds 2.
+        good = encode_message(Subscribe(1, "t", 0, (Parameter(0x20, b"ab"),)))
+        assert good.endswith(b"\x20\x02ab")
+        with pytest.raises(LengthMismatchError, match="runs past its declared length"):
+            decode_message(good[:-3] + b"\x05ab")
 
     def test_unknown_message_type_carries_tag(self):
         data = encode_varint(0x55) + bytes([0x02, 0x01])
@@ -285,11 +284,11 @@ class TestMessages:
             decode_message(raw)
 
     def test_back_to_back_messages_in_one_buffer(self):
-        buf = APPROVE_GOLDEN + SUBSCRIBE_UPDATE_GOLDEN
+        buf = APPROVE_GOLDEN + SUBSCRIBE_GOLDEN
         first, used = decode_message(buf)
         second, used2 = decode_message(buf, offset=used)
         assert first == Approve(1, 7, (Category.STROBE,))
-        assert second == SubscribeUpdate(2, (filter_parameter([Category.SMOKING, Category.ALCOHOL]),))
+        assert second == Subscribe(5, "cam", 1, (analyze_parameter([Category.STROBE]),))
         assert used + used2 == len(buf)
 
     def test_encoding_a_non_message_is_type_error(self):
@@ -331,11 +330,6 @@ messages_strategy = st.one_of(
         st.integers(min_value=0, max_value=(1 << 62) - 1),
         st.text(max_size=12),
         st.integers(min_value=0, max_value=255),
-        parameters_strategy,
-    ),
-    st.builds(
-        SubscribeUpdate,
-        st.integers(min_value=0, max_value=(1 << 62) - 1),
         parameters_strategy,
     ),
     st.builds(
