@@ -34,12 +34,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
-from .analysis import STUB_CATEGORIES, StrobeConfig, StrobeDetector
+from .analysis import StrobeConfig, StrobeDetector
 from .eventlog import EventLog
 from .framing import GroupStreamParser, encode_group_chunks
 from .media import Group, decode_frame_payload
 from .transport import Clock, DisconnectedError, RecvStream, SendStream, Session
 from .wire import (
+    CATEGORIES,
     Approve,
     Category,
     Subscribe,
@@ -224,7 +225,7 @@ class AnalyzerClient:
         self.session = session
         self.track = track
         self.categories = tuple(categories)
-        unsupported = set(self.categories) - STUB_CATEGORIES - {Category.STROBE}
+        unsupported = set(self.categories) - CATEGORIES
         if unsupported:
             raise ValueError(f"no detector for categories {sorted(unsupported)}")
         self.rejecting_stubs = frozenset(rejecting_stubs)

@@ -8,15 +8,14 @@ A group travels on its own unidirectional stream:
 
 Frame payloads are opaque at this layer (the relay forwards them without
 decoding).  :class:`GroupStreamParser` parses the stream in place from
-arbitrarily split chunks, holds only an incomplete tail, counts the frames
-each chunk completed and records the byte span it completed; it copies a
-frame payload out only for a caller that asks for the payloads.  A chunk
-that carries many frames of one length, such as the whole-group burst the
-relay sends a filtered viewer, has those frames' length prefixes checked a
-column at a time rather than one frame at a time, and a chunk of one whole
-frame, the shape of every live chunk after a group's first, takes a short
-path.  :class:`ControlStreamDecoder` reassembles back-to-back control
-messages.
+arbitrarily split chunks, holds only an incomplete tail and counts the
+frames each chunk completed; it copies a frame payload out only for a
+caller that asks for the payloads.  A chunk that carries many frames of one
+length, such as the whole-group burst the relay sends a filtered viewer, has
+those frames' length prefixes checked a column at a time rather than one
+frame at a time, and a chunk of one whole frame, the shape of every live
+chunk after a group's first, takes a short path.
+:class:`ControlStreamDecoder` reassembles back-to-back control messages.
 """
 
 from __future__ import annotations
@@ -73,18 +72,17 @@ def encode_group_chunks(track: str, group: Group) -> list[bytes]:
 class GroupStreamParser:
     """Incremental parser for one group data stream.
 
-    ``feed`` returns how many frames that chunk completed, appends their
-    payloads to ``payloads`` when a list is given, and sets ``span`` to the
-    stream bytes it completed: the header once it is whole, then each
-    completed frame, exactly as received.  Raises :class:`IncompleteError`
-    if the stream finishes mid-structure and :class:`MalformedError` on a
-    header declaring no frames or on bytes beyond the declared frame count.
+    ``feed`` returns how many frames that chunk completed and appends their
+    payloads to ``payloads`` when a list is given.  Raises
+    :class:`IncompleteError` if the stream finishes mid-structure and
+    :class:`MalformedError` on a header declaring no frames or on bytes
+    beyond the declared frame count.
 
     The parser works in place: with nothing held, a chunk is parsed by
-    offset where it lies, each collected payload is one slice of it, and a
-    chunk that ends on a frame boundary is its own ``span``.  Only an
-    incomplete tail is held, and the next chunk is appended to it, so a
-    group costs time linear in its size however its stream is split.
+    offset where it lies and each collected payload is one slice of it.
+    Only an incomplete tail is held, trimmed in place, and the next chunk is
+    appended to it, so a group costs time linear in its size however its
+    stream is split.
 
     Runs of equal-length frames are checked in bulk.  When a decoded frame
     has the length of the one before it, the next frame begins with its
@@ -106,9 +104,9 @@ class GroupStreamParser:
     A chunk of exactly one whole frame with a 1- or 2-byte length prefix,
     on a stream whose header is parsed and that holds no tail, pays for
     none of this: ``feed`` decodes its prefix inline, checks that the frame
-    ends where the chunk ends and returns, with the same count, span,
-    payload, fields and errors as the loop, in about half the loop's
-    opcodes.  That is every live chunk after a group's first.  Any other
+    ends where the chunk ends and returns, with the same count, payload,
+    fields and errors as the loop, in about half the loop's opcodes.  That
+    is every live chunk after a group's first.  Any other
     chunk (one with the header, one that completes a held tail, a burst of
     several frames, a 4- or 8-byte prefix) takes the loop.
     """
@@ -120,7 +118,6 @@ class GroupStreamParser:
         self.group_id: int | None = None
         self.frame_count: int | None = None
         self.complete = False
-        self.span = b""
 
     def feed(self, data: bytes, fin: bool = False, payloads: list | None = None) -> int:
         # The short path (see the class docstring).  Frames are wanted only
@@ -142,12 +139,10 @@ class GroupStreamParser:
                 wanted -= 1
                 self._wanted = wanted
                 self.complete = not wanted
-                self.span = data
                 if fin and wanted:
                     raise IncompleteError("stream ended before the declared final frame")
                 return 1
         completed = 0
-        self.span = b""
         if data:
             if self.complete:
                 raise MalformedError("data after the declared final frame")
@@ -231,13 +226,9 @@ class GroupStreamParser:
                 self._wanted = wanted
                 self.complete = not wanted
             if buf is tail:
-                self.span = bytes(tail[:pos])
                 del tail[:pos]
             elif pos < size:
-                self.span = data[:pos]
                 tail += memoryview(data)[pos:]
-            else:
-                self.span = data
             if self.complete and pos < size:
                 raise MalformedError("data after the declared final frame")
         if fin and not self.complete:

@@ -24,27 +24,27 @@ the codec does not know, close the session with a named protocol error.
 
 :class:`RelayCore` is the one state machine that decides who gets every
 group, live or gated, with no knowledge of transport: its handlers return
-:data:`Action` lists.  Per track it holds the live groups (each group whose
-header has arrived and which has not ended: the server's opaque handle and
-the sessions receiving it) and the held groups (the last
-``retention`` ingested ids, each with its bytes and the categories approved
-so far).  A track is bound to the first session whose group header it
-accepts, until that session is removed; that session may not subscribe to
-it.  A group header whose id is already live or already ingested, or that a
-subscriber of its track or a session other than its publisher sends, is
-refused before any byte of it is forwarded.  Only approvals release groups:
-an ingested group has no approvals yet.
+:data:`Action` lists.  Per track it holds the live groups (the server's
+opaque handle of each group whose header has arrived and which has not
+ended) and the held groups (the last ``retention`` ingested ids, each with
+its bytes and the categories approved so far).  A track is bound to the
+first session whose group header it accepts, until that session is removed;
+that session may not subscribe to it.  A group header whose id is already
+live or already ingested, or that a subscriber of its track or a session
+other than its publisher sends, is refused before any byte of it is
+forwarded.  Only approvals release groups: an ingested group has no
+approvals yet.
 
 :class:`RelayServer` only moves bytes over transport sessions and a
 :class:`~moqgate.transport.Clock`: it parses every publisher chunk, to
-validate it and to learn the group's header, forwards each chunk's header
-and completed frames as received (for a chunk that ends on a frame boundary,
-the very bytes object that arrived), keeps each live group's forwarded spans
-and send streams, and carries out the core's actions.  A live join is a new
-stream with the spans forwarded so far, then the rest as they arrive.  A
-group is held as the stream forwarded live, and every gated delivery of it
-sends the same object.  The server also schedules log-only stall alarms on
-its clock when gating starves a subscriber.
+validate it and to learn the group's header, and once the header is whole
+passes each chunk on as it arrived, the very bytes object, whole frames or
+not.  It keeps each live group's chunks and send streams (the one record of
+who receives the group) and carries out the core's actions.  A live join is
+a new stream with the chunks received so far, then the rest as they arrive.
+A group is held as the stream received, and every gated delivery of it sends
+the same object.  The server also schedules log-only stall alarms on its
+clock when gating starves a subscriber.
 """
 
 from __future__ import annotations
@@ -144,9 +144,9 @@ class _TrackState:
     # Group id -> held group, in ingest order: the last ``retention``
     # ingested ids, consecutive and ascending.
     held: dict[int, _Held] = field(default_factory=dict)
-    # Group id -> (server handle, receiving sids) for every group whose
-    # header has arrived and which has not ended, in arrival order.
-    live: dict[int, tuple[object, list]] = field(default_factory=dict)
+    # Group id -> server handle for every group whose header has arrived
+    # and which has not ended, in arrival order.
+    live: dict[int, object] = field(default_factory=dict)
     next_expected: int | None = None
     # The session whose group header the track first accepted: the only
     # one that may publish into it, and so of every live group, until it
@@ -233,12 +233,9 @@ class RelayCore:
             analyze=list(analyze or ()),
             filter=list(filter_ or ()),
         )
-        actions: list[Action] = []
-        if filter_ is None:
-            for handle, receivers in track.live.values():
-                receivers.append(sid)
-                actions.append(JoinLive(sid, handle))
-        return actions
+        if filter_ is not None:
+            return []
+        return [JoinLive(sid, handle) for handle in track.live.values()]
 
     def remove_session(self, sid: object) -> None:
         """Forget a session, and every live group it publishes: those can
@@ -248,9 +245,6 @@ class RelayCore:
             if track.publisher == sid:
                 track.publisher = None
                 track.live.clear()
-            for _, receivers in track.live.values():
-                if sid in receivers:
-                    receivers.remove(sid)
 
     # -- media ingest ---------------------------------------------------------
 
@@ -279,9 +273,8 @@ class RelayCore:
             state = "live" if group_id in track.live else "ingested"
             raise MonotonicityError(f"track {track_name!r} group {group_id} is already {state}")
         track.publisher = publisher
-        receivers = [s.sid for s in self.sessions_of(track_name) if s.filter is None]
-        track.live[group_id] = (handle, receivers)
-        return [JoinLive(sid, handle) for sid in receivers]
+        track.live[group_id] = handle
+        return [JoinLive(s.sid, handle) for s in self.sessions_of(track_name) if s.filter is None]
 
     def ingest_group(self, track_name: str, group_id: int, payload: object) -> list[Action]:
         """Store a finished group, which is no longer live.  It has no
@@ -362,8 +355,8 @@ class RelayCore:
 
     def _gate_all(self, track: _TrackState) -> list[Action]:
         actions: list[Action] = []
-        for state in self._sessions.values():
-            if state.track == track.name and state.filter is not None:
+        for state in self.sessions_of(track.name):
+            if state.filter is not None:
                 actions.extend(self._gate_one(track, state))
         return actions
 
@@ -398,12 +391,13 @@ class RelayCore:
 
 
 class _LiveGroup:
-    """The bytes of one publisher group stream passing through the relay;
-    the core holds it as the group's handle."""
+    """One publisher group stream passing through the relay: its chunks
+    and the streams they go on to.  The core holds it as the group's
+    handle."""
 
     def __init__(self) -> None:
         self.parser = GroupStreamParser()
-        self.spans: list[bytes] = []  # forwarded so far, as received
+        self.spans: list[bytes] = []  # every chunk so far, as received
         self.fanout: dict[object, object] = {}  # sid -> SendStream
 
 
@@ -474,36 +468,33 @@ class RelayServer:
 
     def _on_group_data(self, sid: object, live: _LiveGroup, data: bytes, fin: bool) -> None:
         parser = live.parser
+        started = parser.track is not None
         try:
             parser.feed(data, fin)
         except WireError as exc:
             self._fail_session(sid, f"bad group stream: {exc}")
             return
-        track = parser.track
-        if track is None:
-            return  # the header is not complete yet
-        group_id = parser.group_id
-        # A chunk that completes the header starts the group.
-        if not live.spans and not self._apply(sid, self.core.start_group, sid, track, group_id, live):
-            return
-        blob = parser.span
-        if blob:
-            live.spans.append(blob)
-        if blob or fin:
-            for sub_sid, stream in list(live.fanout.items()):
-                try:
-                    if fin:
-                        stream.end(blob)
-                    else:
-                        stream.send(blob)
-                except DisconnectedError:
-                    live.fanout.pop(sub_sid, None)
+        track, group_id = parser.track, parser.group_id
+        # A chunk that completes the header starts the group; its receivers
+        # join with the chunks before it, and until then there are none.
+        if not started and track is not None:
+            if not self._apply(sid, self.core.start_group, sid, track, group_id, live):
+                return
+        for sub_sid, stream in list(live.fanout.items()):
+            try:
+                if fin:
+                    stream.end(data)
+                else:
+                    stream.send(data)
+            except DisconnectedError:
+                live.fanout.pop(sub_sid, None)
+        live.spans.append(data)
         if fin and self._apply(sid, self.core.ingest_group, track, group_id, b"".join(live.spans)):
             self._schedule_stall_checks(track, group_id)
 
     def _join(self, live: _LiveGroup, sid: object, session: Session) -> None:
-        """Open a stream of ``live`` to ``sid`` and send it the spans
-        forwarded so far (none when the group has just started)."""
+        """Open a stream of ``live`` to ``sid`` and send it the chunks
+        received so far, as one; a chunk being forwarded follows on its own."""
         stream = session.open_stream()
         stream.send(b"".join(live.spans))
         live.fanout[sid] = stream

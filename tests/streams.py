@@ -21,11 +21,10 @@ class ReferenceGroupParser(GroupStreamParser):
     """:class:`GroupStreamParser` with the per-frame walk its ``feed`` had
     before runs of equal-length frames were checked in bulk: one length
     prefix decoded per loop turn.  Tests require the two to agree on every
-    count, span, payload, error and parser field."""
+    count, payload, error and parser field."""
 
     def feed(self, data: bytes, fin: bool = False, payloads: list | None = None) -> int:
         completed = 0
-        self.span = b""
         if data:
             if self.complete:
                 raise MalformedError("data after the declared final frame")
@@ -67,13 +66,9 @@ class ReferenceGroupParser(GroupStreamParser):
                 self._wanted = wanted
                 self.complete = not wanted
             if buf is tail:
-                self.span = bytes(tail[:pos])
                 del tail[:pos]
             elif pos < size:
-                self.span = data[:pos]
                 tail += memoryview(data)[pos:]
-            else:
-                self.span = data
             if self.complete and pos < size:
                 raise MalformedError("data after the declared final frame")
         if fin and not self.complete:

@@ -682,7 +682,7 @@ class TestRegistryAndVerdicts:
         assert memory(analyzer.strobe) == (None, None, None)
 
     def test_unsupported_category_is_value_error(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^no detector for categories \[127\]$"):
             analyzer_for((0x7F,))
 
     def test_stub_detectors_configurable(self):

@@ -296,7 +296,6 @@ class TestLongGroup:
             grown = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert parser.span is blob
         assert grown < 64 * 1024
 
     def test_fin_on_empty_chunk_with_held_tail_rejected(self):
@@ -394,16 +393,15 @@ def cut_pieces(data, blob, offsets):
 def feed_pieces(pieces, payloads=None, parser_class=GroupStreamParser):
     """Feed ``pieces`` (fin on the last), collecting payloads into
     ``payloads`` if given; returns the parser, the frame counts the feeds
-    returned and the spans they set, and the wire error raised, if any."""
+    returned and the wire error raised, if any."""
     parser = parser_class()
-    counts, spans = [], []
+    counts = []
     try:
         for i, piece in enumerate(pieces):
             counts.append(parser.feed(piece, i == len(pieces) - 1, payloads))
-            spans.append(parser.span)
     except WireError as exc:
-        return parser, counts, spans, (type(exc), str(exc))
-    return parser, counts, spans, None
+        return parser, counts, (type(exc), str(exc))
+    return parser, counts, None
 
 
 class TestSplitPoints:
@@ -417,35 +415,26 @@ class TestSplitPoints:
         blob, offsets, expected = data.draw(group_streams())
         pieces = cut_pieces(data, blob, offsets)
         whole_payloads, payloads = [], []
-        whole, _, whole_spans, whole_error = feed_pieces([blob], whole_payloads)
-        split, counts, spans, error = feed_pieces(pieces, payloads)
+        whole, _, whole_error = feed_pieces([blob], whole_payloads)
+        split, counts, error = feed_pieces(pieces, payloads)
         assert error == whole_error
         assert (split.group_id, split.frame_count) == (whole.group_id, whole.frame_count)
         assert payloads == whole_payloads
         if expected is not None:
             assert error is None and payloads == expected
         # Counting alone walks the stream the same way.
-        assert feed_pieces(pieces)[1:] == (counts, spans, error)
+        assert feed_pieces(pieces)[1:] == (counts, error)
         if error is None:
             assert sum(counts) == len(payloads)
-            # the spans are the stream, as received, in order
-            assert b"".join(spans) == b"".join(whole_spans) == blob
-
-    def test_unsplit_chunk_on_a_frame_boundary_is_its_own_span(self):
-        blob = encode_group_stream("t", sample_group())
-        parser = GroupStreamParser()
-        parser.feed(blob, fin=True)
-        assert parser.span is blob
 
 
 def parse_all(pieces, collect, parser_class):
-    """Everything one parser reports over ``pieces``: counts, spans,
-    payloads and their types, the error, and the parser's fields."""
+    """Everything one parser reports over ``pieces``: counts, payloads and
+    their types, the error, and the parser's fields."""
     payloads = [] if collect else None
-    parser, counts, spans, error = feed_pieces(pieces, payloads, parser_class)
+    parser, counts, error = feed_pieces(pieces, payloads, parser_class)
     return (
         counts,
-        spans,
         payloads,
         payloads and [type(p) for p in payloads],
         error,
@@ -528,7 +517,7 @@ ONE_FRAME_CASES = _one_frame_cases()
 class TestShortPath:
     """``feed`` parses a chunk of one whole frame with a 1- or 2-byte length
     prefix, on a stream with its header parsed and nothing held, on a short
-    path of its own.  Every count, span, payload, error and parser field
+    path of its own.  Every count, payload, error and parser field
     must still be what the per-frame walk gives, for chunks of that shape
     and for those next to it."""
 
@@ -539,14 +528,13 @@ class TestShortPath:
             pieces, collect, ReferenceGroupParser
         )
 
-    def test_a_one_frame_chunk_is_its_own_span_and_its_payload_one_slice(self):
+    def test_a_one_frame_chunk_gives_its_payload_as_one_slice(self):
         header = encode_group_header("t", 1, 2)
         chunk = _frame(300)
         parser = GroupStreamParser()
         parser.feed(header + chunk)
         payloads = []
         assert parser.feed(chunk, fin=True, payloads=payloads) == 1
-        assert parser.span is chunk
         assert payloads == [chunk[2:]] and type(payloads[0]) is bytes
         assert parser.complete and parser._wanted == 0
 
@@ -578,7 +566,7 @@ class TestShortPath:
             completed = parser.feed(chunk)
         finally:
             sys.settrace(outer)
-        assert completed == 1 and parser.span is chunk
+        assert completed == 1
         assert count <= 75
 
 

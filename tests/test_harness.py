@@ -1012,6 +1012,18 @@ def check_named(report: Report, name: str) -> dict:
     return check
 
 
+def analyzer_late_by(extra_ms: float) -> type:
+    """An analyzer client that takes ``extra_ms`` more than its scenario
+    declares, so each approval leaves that much after complete arrival +
+    analysis time."""
+
+    class LateAnalyzer(moqgate.client.AnalyzerClient):
+        def __init__(self, *args, analysis_time_ms, **kwargs):
+            super().__init__(*args, analysis_time_ms=analysis_time_ms + extra_ms, **kwargs)
+
+    return LateAnalyzer
+
+
 class TestFailingChecks:
     """Each check forced to fail on the mini scenario (2 groups, zero
     delays), with its whole check dict pinned."""
@@ -1052,13 +1064,7 @@ class TestFailingChecks:
         }
 
     def test_realtime_approval_schedule(self, monkeypatch):
-        # The analyzer takes 10 ms more than its scenario declares, so each
-        # approval leaves 10 ms after complete arrival + analysis time.
-        class LateAnalyzer(moqgate.client.AnalyzerClient):
-            def __init__(self, *args, analysis_time_ms, **kwargs):
-                super().__init__(*args, analysis_time_ms=analysis_time_ms + 10.0, **kwargs)
-
-        monkeypatch.setattr(moqgate.harness, "AnalyzerClient", LateAnalyzer)
+        monkeypatch.setattr(moqgate.harness, "AnalyzerClient", analyzer_late_by(10.0))
         assert check_named(run_report(mini_scenario()), "realtime_analysis") == {
             "name": "realtime_analysis",
             "passed": False,
@@ -1093,6 +1099,16 @@ class TestCheckBoundaries:
             "name": "realtime_analysis",
             "passed": False,
             "detail": "analyzer0: analysis 1000.0 ms >= group 1000.0 ms",
+        }
+
+    def test_an_approval_half_a_millisecond_late_fails_realtime(self, monkeypatch):
+        # Late beyond the check's tolerance, by far less than a frame.
+        monkeypatch.setattr(moqgate.harness, "AnalyzerClient", analyzer_late_by(0.5))
+        assert check_named(run_report(mini_scenario()), "realtime_analysis") == {
+            "name": "realtime_analysis",
+            "passed": False,
+            "detail": "run 0 analyzer0 group 0: approval at 900.5 ms, expected 900.0 ms; "
+            "run 0 analyzer0 group 1: approval at 1900.5 ms, expected 1900.0 ms",
         }
 
     def test_a_protocol_error_in_a_run_with_right_deliveries_passes_gating(self, monkeypatch):

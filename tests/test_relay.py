@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import tracemalloc
 from functools import partial
+from itertools import accumulate
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,13 +13,15 @@ from hypothesis import strategies as st
 from recording import Recorder, joined
 from streams import encode_group_stream
 
-from moqgate.client import AnalyzerClient, PublisherClient, SubscriberClient, encode_publication
-from moqgate.eventlog import EventLog
-from moqgate.framing import (
-    GroupStreamParser,
-    encode_frame_chunk,
-    encode_group_header,
+from moqgate.client import (
+    AnalyzerClient,
+    LatencyRecord,
+    PublisherClient,
+    SubscriberClient,
+    encode_publication,
 )
+from moqgate.eventlog import EventLog
+from moqgate.framing import encode_frame_chunk, encode_group_header
 from moqgate.media import (
     Constant,
     Group,
@@ -135,7 +138,7 @@ class TestSubscribeValidation:
         with pytest.raises(ProtocolError, match="^publisher of track 'cam' cannot subscribe to it$"):
             core.handle_subscribe("pub", plain())
         assert core.session("pub") is None
-        assert core._tracks["cam"].live == {0: ("H0", [])}
+        assert core._tracks["cam"].live == {0: "H0"}
         assert core.handle_subscribe("pub", plain(track="other")) == []
 
 
@@ -401,12 +404,13 @@ class TestLiveGroups:
         assert core.handle_subscribe("q", plain(sub_id=2)) == []
         assert core._tracks["cam"].live == {}
 
-    def test_removed_receiver_leaves_every_live_group(self):
+    def test_removed_receiver_joins_no_later_group(self):
         core = RelayCore()
         core.handle_subscribe("p", plain(sub_id=1))
-        core.start_group("pub", "cam", 0, "H0")
+        assert core.start_group("pub", "cam", 0, "H0") == [JoinLive("p", "H0")]
         core.remove_session("p")
-        assert core._tracks["cam"].live == {0: ("H0", [])}
+        assert core.start_group("pub", "cam", 1, "H1") == []
+        assert core._tracks["cam"].live == {0: "H0", 1: "H1"}
 
     def test_a_track_takes_headers_from_its_first_publisher_only(self):
         core = RelayCore()
@@ -433,8 +437,7 @@ class TestLiveGroups:
         core.start_group("pub", "cam", 1, "H1")
         assert core.handle_subscribe("f", filterer([STROBE], sub_id=3)) == []
         assert core.start_group("pub", "cam", 2, "H2") == [JoinLive("an", "H2")]
-        live = core._tracks["cam"].live
-        assert {gid: sids for gid, (_, sids) in live.items()} == {0: ["an"], 1: ["an"], 2: ["an"]}
+        assert core._tracks["cam"].live == {0: "H0", 1: "H1", 2: "H2"}
         assert core.session("f").next_deliver == 0
         core.ingest_group("cam", 0, "G0")
         assert core.handle_approve("an", Approve(2, 0, (STROBE,))) == [
@@ -462,7 +465,7 @@ class ReferenceGate:
         self.next_deliver = dict.fromkeys(self.filters, 0)
         self.stored = {}
         self.approved = {}  # gid -> {category: approving sids}
-        self.live = {}  # gid -> sids in the group, in the order they joined
+        self.live = []  # live group ids, in header order
         self.next_expected = None
         self.evicted_below = None
 
@@ -471,11 +474,12 @@ class ReferenceGate:
         already live or ingested."""
         if gid in self.live or (self.next_expected is not None and gid < self.next_expected):
             return ProtocolError
-        self.live[gid] = [sid for sid, cats in self.filters.items() if cats is None]
-        return [JoinLive(sid, f"H{gid}") for sid in self.live[gid]]
+        self.live.append(gid)
+        return [JoinLive(sid, f"H{gid}") for sid, cats in self.filters.items() if cats is None]
 
     def ingest(self, gid):
-        self.live.pop(gid, None)
+        if gid in self.live:
+            self.live.remove(gid)
         if self.next_expected is None:
             for sid, cats in self.filters.items():
                 if cats is not None and self.next_deliver[sid] < gid:
@@ -509,15 +513,10 @@ class ReferenceGate:
         self.next_deliver[sid] = self.next_expected or 0
         if cats is not None:
             return self.gate(sid)
-        for sids in self.live.values():
-            sids.append(sid)
         return [JoinLive(sid, f"H{gid}") for gid in self.live]
 
     def remove(self, sid):
         del self.filters[sid], self.next_deliver[sid]
-        for sids in self.live.values():
-            if sid in sids:
-                sids.remove(sid)
 
     def gate_all(self):
         return [a for sid, cats in self.filters.items() if cats is not None for a in self.gate(sid)]
@@ -670,8 +669,7 @@ class TestGateMatchesReference:
             # Held ids are the last <= retention ingested, consecutive and ascending.
             held = list(core._tracks["cam"].held)
             assert held == list(range(max(first_gid, next_gid - retention), next_gid)), op
-            live = core._tracks["cam"].live
-            assert {gid: sids for gid, (_, sids) in live.items()} == model.live, op
+            assert core._tracks["cam"].live == {gid: f"H{gid}" for gid in model.live}, op
             # Each filtered session waits for the group the model says.
             for sid, cats in model.filters.items():
                 if cats is not None:
@@ -1115,11 +1113,11 @@ class TestRelayServer:
             rig.net.at(400 + gid, lambda msg=msg: rig.clients["an"].send_control(msg))
         rig.net.at(120, rig.clients["p_leave"].close)
         rig.net.at(220, rig.clients["f_leave"].close)
-        live = []  # (probe time, group id, live group, receivers)
+        live = []  # (probe time, group id, live group)
 
         def probe():
-            for gid, (handle, receivers) in rig.server.core._tracks["cam"].live.items():
-                live.append((rig.net.now, gid, handle, set(receivers)))
+            for gid, handle in rig.server.core._tracks["cam"].live.items():
+                live.append((rig.net.now, gid, handle))
 
         for at in (130, 230):
             rig.net.at(at, probe)
@@ -1130,10 +1128,9 @@ class TestRelayServer:
         assert log.filter(kind="protocol_error") == []
         for sid in ("p_leave", "f_leave"):
             assert rig.server.core.session(sid) is None
-        stayers = {"an", "p_stay"}
-        assert [(at, gid, r) for at, gid, _, r in live] == [(130, 1, stayers), (230, 2, stayers)]
+        assert [(at, gid) for at, gid, _ in live] == [(130, 1), (230, 2)]
         # Each live group's sends dropped the leaver by its end.
-        assert [set(handle.fanout) for _, _, handle, _ in live] == [stayers, stayers]
+        assert [set(handle.fanout) for _, _, handle in live] == [{"an", "p_stay"}] * 2
         blobs = [encode_group_stream("cam", g) for g in groups]
         assert [joined(s) for s in rig.received["p_leave"].by_stream()] == [blobs[0], first_chunks[1]]
         assert rig.received["f_leave"].chunks == []
@@ -1280,28 +1277,10 @@ class TestDuplicateGroup:
         assert server.core._tracks["cam"].live == {}
 
 
-def reencoded_forwarding(pieces):
-    """Reference for what a plain subscriber receives per publisher chunk:
-    the header, re-encoded, on the chunk that completes it, then each frame
-    the chunk completes, re-encoded; nothing for a chunk that completes
-    nothing, unless it ends the stream."""
-    parser = GroupStreamParser()
-    out = []
-    for i, piece in enumerate(pieces):
-        fin = i == len(pieces) - 1
-        had_header = parser.frame_count is not None
-        payloads = []
-        parser.feed(piece, fin, payloads)
-        blob = b"".join(encode_frame_chunk(p) for p in payloads)
-        if not had_header and parser.frame_count is not None:
-            blob = encode_group_header(parser.track, parser.group_id, parser.frame_count) + blob
-        if blob or fin:
-            out.append((blob, fin))
-    return out
-
-
 class TestForwarding:
-    """The relay forwards the publisher's bytes as received."""
+    """The relay passes each publisher chunk on as it arrived, the very
+    bytes object, once the group's header is whole; the chunks before that
+    reach a receiver joined, when it joins the group."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -1309,10 +1288,9 @@ class TestForwarding:
         payloads=st.lists(st.binary(max_size=300), min_size=1, max_size=4),
         data=st.data(),
     )
-    def test_each_chunk_forwards_what_it_completes(self, group_id, payloads, data):
-        blob = encode_group_header("cam", group_id, len(payloads)) + b"".join(
-            encode_frame_chunk(p) for p in payloads
-        )
+    def test_each_chunk_is_forwarded_as_received(self, group_id, payloads, data):
+        header = encode_group_header("cam", group_id, len(payloads))
+        blob = header + b"".join(encode_frame_chunk(p) for p in payloads)
         cuts = sorted(data.draw(st.sets(st.integers(1, len(blob) - 1), max_size=8)))
         pieces = [blob[a:b] for a, b in zip([0] + cuts, cuts + [len(blob)])]
         rig = ServerRig({"p1": plain(), "p2": plain()})
@@ -1321,11 +1299,68 @@ class TestForwarding:
             send = stream.end if i == len(pieces) - 1 else stream.send
             rig.net.at(20 + i, lambda send=send, piece=piece: send(piece))
         rig.net.run_until_idle()
-        expected = reencoded_forwarding(pieces)
+        # Piece k completes the header: the pieces before it go as one.
+        k = next(i for i, end in enumerate(accumulate(map(len, pieces))) if end >= len(header))
+        forwarded = pieces[k:]
+        expected = ([b"".join(pieces[:k])] if k else []) + forwarded
         for name in ("p1", "p2"):
             (chunks,) = rig.received[name].by_stream()
-            assert [(d, fin) for d, fin, _ in chunks] == expected
+            assert [d for d, _, _ in chunks] == expected
+            assert [fin for _, fin, _ in chunks] == [False] * (len(expected) - 1) + [True]
+            tail = chunks[len(expected) - len(forwarded) :]
+            assert all(d is piece for (d, _, _), piece in zip(tail, forwarded))
         assert rig.server.core._tracks["cam"].held[group_id].payload == blob
+
+    def test_a_chunk_ending_mid_frame_reaches_live_receivers_on_arrival(self):
+        # Header and half of frame 0 leave at 20 ms and reach the relay at
+        # 30: each plain subscriber gets that very chunk at 35, not when the
+        # rest of the frame reaches the relay at 60.
+        header = encode_group_header("cam", 0, 2)
+        c0, c1 = (encode_frame_chunk(encode_frame_payload(f)) for f in two_frame_group().frames)
+        first, rest = header + c0[:3], c0[3:] + c1
+        rig = ServerRig({"p1": plain(sub_id=1), "p2": plain(sub_id=2)})
+        stream = rig.publisher.open_stream()
+        rig.net.at(20, lambda: stream.send(first))
+        rig.net.at(50, lambda: stream.end(rest))
+        rig.net.run_until_idle()
+        for name in ("p1", "p2"):
+            (chunks,) = rig.received[name].by_stream()
+            assert chunks == [(first, False, 35.0), (rest, True, 65.0)]
+            assert chunks[0][0] is first and chunks[1][0] is rest
+
+    def test_a_viewer_joining_mid_frame_records_what_an_early_one_does(self):
+        # The relay holds header and half of frame 0 from 10 ms until the
+        # rest arrives at 60.  The late viewers subscribe at 30 (the relay
+        # learns at 35), between the two: each gets the first chunk on
+        # joining, then the rest, and times the group as "early" does.
+        header = encode_group_header("cam", 0, 2)
+        c0, c1 = (encode_frame_chunk(encode_frame_payload(f)) for f in two_frame_group().frames)
+        first, rest = header + c0[:3], c0[3:]
+        net = SimNetwork()
+        server = RelayServer(net)
+
+        def connect(name):
+            local, remote = net.connect(name, "relay", 5.0, 5.0)
+            server.attach(name, remote)
+            return local
+
+        early = SubscriberClient(net, connect("early"), "cam", 1)
+        late = SubscriberClient(net, connect("late"), "cam", 1)
+        late_tap = connect("late_tap")
+        tapped = Recorder(net, late_tap)
+        early.start()
+        net.at(30, late.start)
+        net.at(30, lambda: late_tap.send_control(encode_message(plain())))
+        pub = connect("pub")
+        stream = pub.open_stream()
+        net.at(5, lambda: stream.send(first))
+        net.at(55, lambda: stream.send(rest))
+        net.at(75, lambda: stream.end(c1))
+        net.run_until_idle()
+        (chunks,) = tapped.by_stream()
+        assert chunks == [(first, False, 40.0), (rest, False, 65.0), (c1, True, 85.0)]
+        assert chunks[0][0] is first
+        assert late.records == early.records == [LatencyRecord(0, 65.0, 85.0, 2)]
 
     def test_non_minimal_length_varint_forwarded_as_received(self):
         # A 5-byte frame whose length takes the 8-byte varint form, which a
