@@ -19,7 +19,7 @@
   full.
 * :class:`SubscriberClient` subscribes plain (live frames) or with the
   filter role (gated bursts) and records per-group arrival times without
-  decoding any frame payloads.
+  decoding any frame payloads; it logs nothing.
 * :func:`compute_playback` replays recorded arrivals against a fixed-rate
   playout clock to find stalls; :func:`predict_latency_bound` gives the
   worst-case end-to-end latency a filtered subscriber should ever see.
@@ -302,7 +302,8 @@ class SubscriberClient:
     """Plain (live) or filtered (gated) subscriber with arrival records.
 
     Frames are counted, never copied or decoded — the subscriber's timing
-    must not depend on content.
+    must not depend on content.  Its ``records`` are its whole output: it
+    logs nothing.
     """
 
     def __init__(
@@ -312,8 +313,6 @@ class SubscriberClient:
         track: str,
         subscribe_id: int,
         filter_categories: tuple[int, ...] | None = None,
-        log: EventLog | None = None,
-        name: str = "subscriber",
     ) -> None:
         self.session = session
         self.track = track
@@ -321,8 +320,6 @@ class SubscriberClient:
         self.filter_categories = (
             tuple(filter_categories) if filter_categories else None
         )
-        self.name = name
-        self.log = log if log is not None else EventLog(lambda: clock.now)
         self.records: list[LatencyRecord] = []
         _receive_groups(clock, session, self._on_group)
 
@@ -335,12 +332,6 @@ class SubscriberClient:
 
     def _on_group(self, record: LatencyRecord, payloads: None) -> None:
         self.records.append(record)
-        self.log.emit(
-            self.name,
-            "group_received",
-            group_id=record.group_id,
-            frame_count=record.frame_count,
-        )
 
 
 def compute_playback(

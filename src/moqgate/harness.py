@@ -196,8 +196,6 @@ def _run_once(
                 scenario.track,
                 sub_id,
                 filter_categories=spec.filter or None,
-                log=log,
-                name=spec.name,
             )
         client.start()
         clients[spec.name] = client

@@ -159,7 +159,8 @@ class RelayCore:
 
     Every handler either raises :class:`ProtocolError` (the caller should
     drop the offending session) or returns the list of actions the relay
-    must carry out, in order.
+    must carry out, in order.  The actions are the core's decisions, so its
+    log holds only what it is told: subscriptions, ingests and approvals.
     """
 
     def __init__(self, retention: int = 64, log: EventLog | None = None) -> None:
@@ -375,17 +376,7 @@ class RelayCore:
             if gid > state.next_deliver:
                 skipped = tuple(range(state.next_deliver, gid))
                 actions.append(SkipGroups(state.sid, track.name, skipped))
-                self.log.emit(
-                    "relay",
-                    "groups_skipped",
-                    sid=str(state.sid),
-                    track=track.name,
-                    group_ids=list(skipped),
-                )
             state.next_deliver = gid + 1
-            self.log.emit(
-                "relay", "group_released", sid=str(state.sid), track=track.name, group_id=gid
-            )
             actions.append(DeliverGroup(state.sid, track.name, gid, held[gid].payload))
         return actions
 

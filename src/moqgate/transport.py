@@ -29,11 +29,11 @@ interpreter-dependent state; a session without jitter builds no generator.
 Each send is one heap event that runs, on arrival, the receiving session's
 handler for its kind (``_receive_data``, ``_receive_control`` or
 ``_receive_close``) with the chunk bound to it.  The sender's ``_transmit``
-schedules it, with the delay, the jitter draw and the per-stream order
-clamp, except in the commonest case: a data chunk on a session without
-jitter, which :meth:`SendStream.send` pushes onto the heap itself, one
-fixed delay on and in the same sequence as every other event, to the
-handler the stream bound when it was opened.
+schedules it through :meth:`SimNetwork.at`, with the delay, the jitter draw
+and the per-stream order clamp, except in the commonest case: a data chunk
+on a session without jitter, which :meth:`SendStream.send` pushes onto the
+heap itself, one fixed delay on and in the same sequence as every other
+event, to the handler the stream bound when it was opened.
 
 Connected sessions point at each other and their callbacks at the objects
 that registered them, so a run's graph is cyclic.  :meth:`SimNetwork.shutdown`
@@ -320,8 +320,7 @@ class Session:
                 self._last_arrival.pop(stream_id, None)  # nothing follows fin
             else:
                 self._last_arrival[stream_id] = arrival
-        heapq.heappush(net._heap, (arrival, net._seq, deliver))
-        net._seq += 1
+        net.at(arrival, deliver)
 
     def _check_open(self) -> None:
         if self.closed:

@@ -76,7 +76,7 @@ class Rig:
         self.server.attach(name, remote)
         client = SubscriberClient(
             self.net, local, "cam", sub_id,
-            filter_categories=tuple(cats) if cats else None, name=name,
+            filter_categories=tuple(cats) if cats else None,
         )
         client.start()
         return client

@@ -11,10 +11,10 @@ class TestEventLog:
         log = EventLog(lambda: t[0])
         log.emit("relay", "group_stored", group_id=3, track="cam")
         t[0] = 12.5
-        log.emit("relay", "group_released", group_id=3)
+        log.emit("relay", "group_delivered", group_id=3)
         assert log.events == [
             Event(0.0, "relay", "group_stored", {"group_id": 3, "track": "cam"}),
-            Event(12.5, "relay", "group_released", {"group_id": 3}),
+            Event(12.5, "relay", "group_delivered", {"group_id": 3}),
         ]
 
     def test_filter_by_kind_and_source(self):
@@ -60,7 +60,7 @@ class TestEventLog:
         seen = []
         log = EventLog(clock, folds={"approve_sent": lambda *event: seen.append(event)})
         for _ in range(3):
-            log.emit("relay", "group_released", group_id=0)
+            log.emit("relay", "group_delivered", group_id=0)
         assert reads == 0
         log.emit("analyzer", "approve_sent", group_id=0)
         log.emit("relay", "group_delivered", group_id=0)

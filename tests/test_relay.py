@@ -854,6 +854,27 @@ class TestRelayServer:
         stalls = rig.server.log.filter(kind="gating_stalled")
         assert stalls and stalls[0].detail["sid"] == "f"
 
+    def test_stall_alarm_only_for_the_filter_still_waiting(self):
+        # Group 0 is ingested at 10 ms and its strobe approval arrives at 105:
+        # "served" gets the group, "starved" (smoking) never does.  Each
+        # alarm fires at 10_010 ms; only the starved one logs.
+        roles = {
+            "an": analyzer([STROBE], sub_id=2),
+            "served": filterer([STROBE], sub_id=3),
+            "starved": filterer([SMOKING], sub_id=3),
+        }
+        rig = ServerRig(roles)
+        stream = rig.publisher.open_stream()
+        rig.net.at(0, lambda: stream.end(encode_group_stream("cam", two_frame_group())))
+        approve = encode_message(Approve(2, 0, (STROBE,)))
+        rig.net.at(100, lambda: rig.clients["an"].send_control(approve))
+        rig.net.run_until_idle(max_virtual_ms=60_000)
+        assert [joined(s) for s in rig.received["served"].by_stream()] == [
+            encode_group_stream("cam", two_frame_group())
+        ]
+        stalls = rig.server.log.filter(kind="gating_stalled")
+        assert [(e.detail["sid"], e.detail["group_id"]) for e in stalls] == [("starved", 0)]
+
     def test_mid_group_joiner_gets_catch_up_burst(self):
         rig = ServerRig({})
         from moqgate.framing import encode_frame_chunk, encode_group_header
