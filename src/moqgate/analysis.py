@@ -9,12 +9,13 @@ their lanes and the time of the last rise), so flashes that straddle two
 groups are still caught.
 
 `StrobeDetector.analyze_group` is the one detector loop.  Per frame it reads
-the grid's samples with a sampler built once per frame size: when the grid
-covers every pixel the pixels are the samples; when grid_dim divides both
-sides the centers fall at regular steps and a strided slice reads them;
-otherwise one `operator.itemgetter` does.  A frame whose samples equal the
-previous frame's rises nowhere, for any threshold and fraction, so it costs
-one compare and leaves the memory as it is.  Otherwise the loop counts the
+the grid's samples in place, from the payload at the pixels' offset, with a
+sampler built once per frame size and offset: when the grid covers every
+pixel the pixels are the samples; when grid_dim divides both sides the
+centers fall at regular steps and a strided slice reads them; otherwise one
+`operator.itemgetter` does.  A frame whose samples equal the previous
+frame's rises nowhere, for any threshold and fraction, so it costs one
+compare and leaves the memory as it is.  Otherwise the loop counts the
 samples with ``cur - prev > t`` by SWAR (SIMD within a register): the
 samples are spread into one big integer of 16-bit lanes, sample ``i`` in the
 low byte of lane ``i`` counted from the least significant end.  Adding
@@ -39,12 +40,12 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
-from .media import Group, SourceConfig, iter_frame_levels
+from .media import SourceConfig, iter_frame_levels
 from .wire import CATEGORIES, Category
 
-__all__ = ["STUB_CATEGORIES", "StrobeConfig", "StrobeDetector", "predict_risky_groups"]
+__all__ = ["STUB_CATEGORIES", "PayloadGroup", "StrobeConfig", "StrobeDetector", "predict_risky_groups"]
 
 #: The categories without a detector: each takes a fixed verdict.
 STUB_CATEGORIES = CATEGORIES - {Category.STROBE}
@@ -70,10 +71,17 @@ class StrobeConfig:
             raise ValueError("max_interchange_gap_ms must be non-negative")
 
 
+class PayloadGroup(NamedTuple):
+    """A received group: each frame's header, as `decode_frame_payload` reads it, and payload."""
+
+    frames: list[tuple[int, int, int, int, int]]
+    payloads: list[bytes]
+
+
 @lru_cache(maxsize=64)
-def _grid_sampler(width: int, height: int, grid_dim: int) -> Callable[[bytes], bytes]:
-    """The function that reads a frame's samples at the centers of a
-    grid_dim x grid_dim grid, row-major (top row first).
+def _grid_sampler(width: int, height: int, grid_dim: int, offset: int) -> Callable[[bytes], bytes]:
+    """The function that reads a payload's samples, its pixels from
+    ``offset`` on, at the centers of a grid_dim x grid_dim grid, row-major.
 
     Raises ValueError when the grid does not fit a width x height frame.
     """
@@ -82,7 +90,7 @@ def _grid_sampler(width: int, height: int, grid_dim: int) -> Callable[[bytes], b
             f"grid_dim {grid_dim} exceeds frame dimensions {width}x{height}"
         )
     if width == height == grid_dim:
-        return bytes
+        return operator.itemgetter(slice(offset, None))
     dx, x_rest = divmod(width, grid_dim)
     dy, y_rest = divmod(height, grid_dim)
     if not x_rest and not y_rest:
@@ -90,16 +98,16 @@ def _grid_sampler(width: int, height: int, grid_dim: int) -> Callable[[bytes], b
         # take every dx-th pixel from the first center to the last center's
         # row, which leaves grid_dim samples per row, and keep every dy-th row.
         rows = (grid_dim - 1) * dy + 1
-        start = (dy // 2) * width + dx // 2
+        start = offset + (dy // 2) * width + dx // 2
         stop = start + rows * width
-        return lambda pixels: (
-            memoryview(pixels[start:stop:dx]).cast("B", (rows, grid_dim))[::dy].tobytes()
+        return lambda payload: (
+            memoryview(payload[start:stop:dx]).cast("B", (rows, grid_dim))[::dy].tobytes()
         )
     xs = [((2 * i + 1) * width) // (2 * grid_dim) for i in range(grid_dim)]
     ys = [((2 * j + 1) * height) // (2 * grid_dim) for j in range(grid_dim)]
     # grid_dim 1 divides every size, so there are at least two indices here.
-    getter = operator.itemgetter(*[y * width + x for y in ys for x in xs])
-    return lambda pixels: bytes(getter(pixels))
+    getter = operator.itemgetter(*[offset + y * width + x for y in ys for x in xs])
+    return lambda payload: bytes(getter(payload))
 
 
 @lru_cache(maxsize=64)
@@ -120,7 +128,7 @@ class StrobeDetector:
         self.prev_lanes: int | None = None
         self.last_change_ts: int | None = None
 
-    def analyze_group(self, group: Group) -> bool:
+    def analyze_group(self, group: PayloadGroup) -> bool:
         """True when a frame of the group triggered the gap rule (reject it).
 
         Raises ValueError at the first frame the grid does not fit, and then
@@ -136,15 +144,10 @@ class StrobeDetector:
         offset, mask = _rise_constants(count, threshold) if threshold <= 255 else (0, 0)
         prev_samples, prev_lanes = self.prev_samples, self.prev_lanes
         last_change = self.last_change_ts
-        samplers: dict[tuple[int, int], Callable[[bytes], bytes]] = {}
         buf = bytearray(2 * count)
         risk = False
-        for frame in group.frames:
-            size = (frame.width, frame.height)
-            sampler = samplers.get(size)
-            if sampler is None:
-                sampler = samplers[size] = _grid_sampler(*size, grid_dim)
-            samples = sampler(frame.pixels)
+        for (width, height, _, ts, pixels_at), payload in zip(group.frames, group.payloads):
+            samples = _grid_sampler(width, height, grid_dim, pixels_at)(payload)
             if samples == prev_samples:
                 # No sample rose, for any threshold or fraction, and the
                 # lanes stay as they are.
@@ -155,7 +158,6 @@ class StrobeDetector:
                 prev_lanes is not None
                 and ((lanes + offset - prev_lanes) & mask).bit_count() / count > fraction
             ):
-                ts = frame.capture_ts
                 if last_change is not None and ts - last_change <= gap:
                     risk = True
                 last_change = ts

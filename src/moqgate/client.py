@@ -9,8 +9,9 @@
   once the group's last chunk has been sent, so a run holds only the groups
   still to be sent.
 * :class:`AnalyzerClient` subscribes with the analyze role, receives frames
-  live and, when a group completes, works out one verdict per category:
-  strobe from :class:`~moqgate.analysis.StrobeDetector`, the stub categories
+  live and, when a group completes, reads its frames' headers in place and
+  works out one verdict per category: strobe from the payloads by
+  :class:`~moqgate.analysis.StrobeDetector`, the stub categories
   (:data:`~moqgate.analysis.STUB_CATEGORIES`) from their fixed verdicts.  It
   sends one APPROVE naming the approved subset (nothing when it is empty).
   A detector that throws, or a group that does not decode, fails closed: the
@@ -34,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
-from .analysis import StrobeConfig, StrobeDetector
+from .analysis import PayloadGroup, StrobeConfig, StrobeDetector
 from .eventlog import EventLog
 from .framing import GroupStreamParser, encode_group_chunks
 from .media import Group, decode_frame_payload
@@ -246,9 +247,12 @@ class AnalyzerClient:
     def _on_group(self, record: LatencyRecord, payloads: list[bytes]) -> None:
         group_id = record.group_id
         self.records.append(record)
-        try:
-            frames = tuple(map(decode_frame_payload, payloads))
-            group = Group(group_id, frames)
+        try:  # every frame's header is read, in place, before any is analyzed
+            headers = list(map(decode_frame_payload, payloads))
+            stamps = [header[3] for header in headers]
+            if stamps != sorted(stamps):
+                raise ValueError("frame capture timestamps must be non-decreasing")
+            group = PayloadGroup(headers, payloads)
         except ValueError as exc:  # undecodable group: every category fails closed
             group, failure = None, str(exc)
         approved: list[int] = []

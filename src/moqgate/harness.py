@@ -59,8 +59,8 @@ class ScenarioTimeoutError(RuntimeError):
 
 def _bound_for(scenario: Scenario, spec: ClientSpec, links: Mapping[str, LinkSpec]) -> float:
     """The client's latency bound: the run's links fed to LatencyModel."""
-    wanted = set(spec.filter)
-    covering = [a for a in scenario.clients if a.analyze and not wanted.isdisjoint(a.analyze)]
+    # An analyzer of two filtered categories is listed twice: the maxima hold.
+    covering = [a for code in spec.filter for a in scenario.analyzers.get(code, ())]
     pub = links["publisher"]
     model = LatencyModel(
         gop_duration_ms=float(scenario.source.gop_duration_ms),
@@ -249,7 +249,7 @@ def _expected_deliveries(scenario: Scenario, n_groups: int) -> dict[str, list[in
             continue
         blocked: set[int] = set()
         for code in spec.filter:
-            covering = [a for a in scenario.clients if code in a.analyze]
+            covering = scenario.analyzers.get(code, ())
             if code == Category.STROBE:
                 # blocked only if every covering analyzer flags the group
                 risky_sets = [risky(a.detector) for a in covering]

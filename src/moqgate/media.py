@@ -14,8 +14,8 @@ Frame payload layout:
     pixels (width * height raw bytes, row-major)
 
 A frame has one constructor, the validating one of the slotted
-:class:`LuminanceFrame`, and the generator and the payload decoder both call
-it.  The decoder reads both varints through :func:`wire.decode_varint`.
+:class:`LuminanceFrame`, which the generator calls.  The payload reader builds
+none: it reads the header in place (varints by :func:`wire.decode_varint`).
 """
 
 from __future__ import annotations
@@ -69,9 +69,6 @@ class Group:
     def __post_init__(self) -> None:
         if not self.frames:
             raise ValueError("a group must contain at least one frame")
-        ts = [f.capture_ts for f in self.frames]
-        if any(b < a for a, b in zip(ts, ts[1:])):
-            raise ValueError("frame capture timestamps must be non-decreasing")
 
 
 @dataclass(frozen=True)
@@ -265,7 +262,8 @@ def encode_frame_payload(frame: LuminanceFrame) -> bytes:
     )
 
 
-def decode_frame_payload(data: bytes) -> LuminanceFrame:
+def decode_frame_payload(data: bytes) -> tuple[int, int, int, int, int]:
+    """``(width, height, frame_index, capture_ts, offset of the pixels)``."""
     size = len(data)
     if size < 4:
         raise IncompleteError(f"frame payload: header needs 4 bytes, got {size}")
@@ -277,8 +275,8 @@ def decode_frame_payload(data: bytes) -> LuminanceFrame:
     capture_ts, n = decode_varint(data, pos)
     pos += n
     need = width * height
-    if size - pos < need:
-        raise IncompleteError(f"frame payload: {need} pixel bytes declared, {size - pos} present")
-    if size - pos > need:
+    if size - pos != need:
+        if size - pos < need:
+            raise IncompleteError(f"frame payload: {need} pixel bytes declared, {size - pos} present")
         raise MalformedError(f"frame payload has {size - pos - need} trailing bytes")
-    return LuminanceFrame(width, height, frame_index, capture_ts, bytes(data[pos:]))
+    return width, height, frame_index, capture_ts, pos

@@ -10,6 +10,7 @@ the bundled scenarios are found by name.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -76,6 +77,11 @@ class Scenario:
     rejected_stubs: frozenset[int] = frozenset()  # the stubs set false in "stub_verdicts"
     checks: Checks = Checks()
     delay_draws: DelayDraws | None = None
+
+    @functools.cached_property
+    def analyzers(self) -> dict[int, tuple[ClientSpec, ...]]:
+        """Each category's analyzers, in client order: indexed once per scenario."""
+        return {code: tuple(s for s in self.clients if code in s.analyze) for code in CATEGORIES}
 
 
 def _fields(data: Any, table: Mapping[str, tuple], where: str) -> dict[str, Any]:

@@ -13,6 +13,8 @@ import random
 import time
 from collections import defaultdict
 
+from payloads import received
+
 from moqgate.analysis import StrobeConfig, StrobeDetector
 from moqgate.harness import run_scenario
 from moqgate.media import Constant, Group, Ramp, SourceConfig, Strobe, generate_groups
@@ -241,7 +243,7 @@ def _detector_risky_groups(groups, config):
     detector = StrobeDetector(config)
     risky = set()
     for group in groups:
-        if detector.analyze_group(group):
+        if detector.analyze_group(received(group)):
             risky.add(group.group_id)
     return risky
 

@@ -8,11 +8,13 @@ uniform), so it shares nothing with the sampling / comparison code under test.
 from __future__ import annotations
 
 import random
+import struct
 import sys
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from payloads import received, varint_values
 
 from moqgate.analysis import StrobeConfig, StrobeDetector, _grid_sampler, predict_risky_groups
 from moqgate.client import AnalyzerClient, LatencyRecord
@@ -23,11 +25,12 @@ from moqgate.media import (
     Ramp,
     SourceConfig,
     Strobe,
+    decode_frame_payload,
     encode_frame_payload,
     generate_groups,
 )
 from moqgate.transport import SimNetwork
-from moqgate.wire import Category
+from moqgate.wire import Category, encode_varint
 
 
 def uniform_frame(level: int, ts: int, w: int = 16, h: int = 16, index: int = 0) -> LuminanceFrame:
@@ -49,7 +52,7 @@ def memory(detector: StrobeDetector) -> tuple[bytes | None, int | None, int | No
 def risky_groups(groups: list[Group], cfg: StrobeConfig) -> set[int]:
     """The ids of the groups one detector flags, fed in order."""
     detector = StrobeDetector(cfg)
-    return {g.group_id for g in groups if detector.analyze_group(g)}
+    return {g.group_id for g in groups if detector.analyze_group(received(g))}
 
 
 def rises(prev: bytes, cur: bytes, w: int, h: int, cfg: StrobeConfig) -> bool:
@@ -58,7 +61,7 @@ def rises(prev: bytes, cur: bytes, w: int, h: int, cfg: StrobeConfig) -> bool:
     time equal to the second frame's timestamp."""
     detector = StrobeDetector(cfg)
     group = Group(0, (LuminanceFrame(w, h, 0, 0, prev), LuminanceFrame(w, h, 1, 33, cur)))
-    assert detector.analyze_group(group) is False  # one rise is never a flash pair
+    assert detector.analyze_group(received(group)) is False  # one rise is never a flash pair
     assert detector.last_change_ts in (None, 33)
     return detector.last_change_ts == 33
 
@@ -139,7 +142,7 @@ class TestSampleLuma:
         assert [i for i in range(16) if rises(bytes(16), lit[i], 4, 4, cfg)] == [5, 7, 13, 15]
         # Pixels that are their own row-major index leave those samples.
         detector = StrobeDetector(cfg)
-        detector.analyze_group(Group(0, (LuminanceFrame(4, 4, 0, 0, bytes(range(16))),)))
+        detector.analyze_group(received(Group(0, (LuminanceFrame(4, 4, 0, 0, bytes(range(16))),))))
         assert detector.prev_lanes == reference_lanes(bytes([5, 7, 13, 15]))
 
     def test_sample_count_is_grid_squared(self):
@@ -157,7 +160,7 @@ class TestSampleLuma:
     def test_grid_must_fit_frame(self):
         detector = StrobeDetector(StrobeConfig(grid_dim=5))
         with pytest.raises(ValueError, match="exceeds frame dimensions 8x4"):
-            detector.analyze_group(Group(0, (uniform_frame(0, 0, w=8, h=4),)))
+            detector.analyze_group(received(Group(0, (uniform_frame(0, 0, w=8, h=4),))))
         with pytest.raises(ValueError):
             StrobeConfig(grid_dim=0)
         with pytest.raises(ValueError, match="pixel_delta_threshold must be non-negative"):
@@ -167,7 +170,7 @@ class TestSampleLuma:
         with pytest.raises(ValueError, match="max_interchange_gap_ms must be non-negative"):
             StrobeConfig(max_interchange_gap_ms=-1)
         StrobeDetector(StrobeConfig(grid_dim=4)).analyze_group(
-            Group(0, (uniform_frame(0, 0, w=8, h=4),))
+            received(Group(0, (uniform_frame(0, 0, w=8, h=4),)))
         )
 
     def test_sampler_matches_reference_grid_at_every_small_size(self):
@@ -179,12 +182,12 @@ class TestSampleLuma:
                 pixels = rng.randbytes(w * h)
                 for grid_dim in range(1, min(w, h) + 1):
                     want = bytes(pixels[i] for i in reference_grid(w, h, grid_dim))
-                    assert _grid_sampler(w, h, grid_dim)(pixels) == want, (w, h, grid_dim)
+                    assert _grid_sampler(w, h, grid_dim, 0)(pixels) == want, (w, h, grid_dim)
 
     def test_row_major_order(self):
         # 2x2 frame, grid 2: the samples are the four pixels in row order.
         detector = StrobeDetector(StrobeConfig(grid_dim=2))
-        detector.analyze_group(Group(0, (LuminanceFrame(2, 2, 0, 0, bytes([1, 2, 3, 4])),)))
+        detector.analyze_group(received(Group(0, (LuminanceFrame(2, 2, 0, 0, bytes([1, 2, 3, 4])),))))
         assert detector.prev_lanes == reference_lanes(bytes([1, 2, 3, 4]))
 
 
@@ -216,7 +219,7 @@ class TestIncreaseRule:
         for level, want in ((20, None), (21, 33)):
             detector = StrobeDetector(cfg)
             group = Group(0, (uniform_frame(0, 0), uniform_frame(level, 33, w=32, h=24)))
-            assert detector.analyze_group(group) is False
+            assert detector.analyze_group(received(group)) is False
             assert detector.last_change_ts == want
 
 
@@ -265,11 +268,11 @@ class TestMatchesReference:
         want = reference_is_significant_increase(prev, cur, cfg)
         # The pair as one group, and as two groups with the memory carried.
         together = StrobeDetector(cfg)
-        assert together.analyze_group(Group(0, (prev_frame, cur_frame))) is False
+        assert together.analyze_group(received(Group(0, (prev_frame, cur_frame)))) is False
         apart = StrobeDetector(cfg)
-        assert apart.analyze_group(Group(0, (prev_frame,))) is False
+        assert apart.analyze_group(received(Group(0, (prev_frame,)))) is False
         assert memory(apart) == (prev, reference_lanes(prev), None)
-        assert apart.analyze_group(Group(1, (cur_frame,))) is False
+        assert apart.analyze_group(received(Group(1, (cur_frame,)))) is False
         for detector in (together, apart):
             assert memory(detector) == (cur, reference_lanes(cur), 33 if want else None)
 
@@ -278,7 +281,7 @@ class TestMatchesReference:
         cfg = StrobeConfig(pixel_delta_threshold=t, changed_fraction_threshold=0.0)
         assert rises(bytes(256), bytes([255] * 256), 16, 16, cfg) is False
         detector = StrobeDetector(cfg)
-        risk = detector.analyze_group(group_of_levels(0, [0, 255, 0, 255], ts0=0))
+        risk = detector.analyze_group(received(group_of_levels(0, [0, 255, 0, 255], ts0=0)))
         assert (risk, detector.last_change_ts) == (False, None)
 
     def test_threshold_254_counts_a_full_swing(self):
@@ -289,22 +292,66 @@ class TestMatchesReference:
         assert rises(bytes([1, 0, 0, 0]), bytes([255, 0, 0, 0]), 2, 2, cfg) is False
 
 
+@st.composite
+def sampled_frames(draw):
+    """A frame whose index and capture time take any of the four varint
+    forms, and a grid of each sampler shape: the frame's own size, a grid
+    that divides both sides, or one that does not divide the width."""
+    shape = draw(st.sampled_from(["whole", "divided", "itemgetter"]))
+    if shape == "whole":
+        w = h = grid_dim = draw(st.integers(1, 8))
+    elif shape == "divided":
+        grid_dim = draw(st.integers(1, 6))
+        w, h = grid_dim * draw(st.integers(1, 5)), grid_dim * draw(st.integers(2, 5))
+    else:
+        grid_dim = draw(st.integers(2, 6))
+        w = grid_dim * draw(st.integers(1, 4)) + draw(st.integers(1, grid_dim - 1))
+        h = draw(st.integers(grid_dim, 30))
+    pixels = draw(st.binary(min_size=w * h, max_size=w * h))
+    return LuminanceFrame(w, h, draw(varint_values), draw(varint_values), pixels), grid_dim
+
+
+class TestPayloadOffsets:
+    """The reader's pixel offset, and the samplers reading at it, for header
+    varints of every length: no bundled source has a capture time of
+    16,384 ms or more (a 4-byte varint), and none has an 8-byte one."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=sampled_frames())
+    @example(case=(LuminanceFrame(4, 4, 0, 16_384, bytes(range(16))), 4))
+    @example(case=(LuminanceFrame(6, 4, 1 << 30, 1 << 14, bytes(range(24))), 2))
+    @example(case=(LuminanceFrame(7, 5, 70, 1 << 61, bytes(range(35))), 3))
+    def test_in_place_samples_match_the_copied_pixels(self, case):
+        frame, grid_dim = case
+        payload = encode_frame_payload(frame)
+        header = (
+            struct.pack(">HH", frame.width, frame.height)
+            + encode_varint(frame.frame_index)
+            + encode_varint(frame.capture_ts)
+        )
+        assert payload == header + frame.pixels
+        fields = (frame.width, frame.height, frame.frame_index, frame.capture_ts)
+        assert decode_frame_payload(payload) == (*fields, len(header))
+        sampler = _grid_sampler(frame.width, frame.height, grid_dim, len(header))
+        assert sampler(payload) == reference_sample_luma(frame, grid_dim)
+
+
 class TestGapRule:
     def test_15hz_at_30fps_is_risky(self):
         cfg = SourceConfig(16, 16, 30, 1000, (Strobe(16, 240, 15.0, 1000),))
         (g,) = generate_groups(cfg)
-        assert StrobeDetector(StrobeConfig()).analyze_group(g) is True
+        assert StrobeDetector(StrobeConfig()).analyze_group(received(g)) is True
 
     def test_5hz_at_30fps_is_not_risky(self):
         cfg = SourceConfig(16, 16, 30, 1000, (Strobe(16, 240, 5.0, 1000),))
         (g,) = generate_groups(cfg)
-        assert StrobeDetector(StrobeConfig()).analyze_group(g) is False
+        assert StrobeDetector(StrobeConfig()).analyze_group(received(g)) is False
 
     def test_gap_boundary_inclusive(self):
         cfg = StrobeConfig()
         # Two bright flashes whose increase events are exactly 100 ms apart.
         g = group_of_levels(0, [0, 240, 0, 240], ts0=0, spacing=50)
-        assert StrobeDetector(cfg).analyze_group(g) is True
+        assert StrobeDetector(cfg).analyze_group(received(g)) is True
         # 101 ms apart: below the 10 Hz equivalent rate, no risk.
         frames = (
             uniform_frame(0, 0, index=0),
@@ -312,11 +359,11 @@ class TestGapRule:
             uniform_frame(0, 60, index=2),
             uniform_frame(240, 111, index=3),
         )
-        assert StrobeDetector(cfg).analyze_group(Group(0, frames)) is False
+        assert StrobeDetector(cfg).analyze_group(received(Group(0, frames))) is False
 
     def test_single_flash_is_not_risky(self):
         g = group_of_levels(0, [0, 240, 240, 240], ts0=0)
-        assert StrobeDetector(StrobeConfig()).analyze_group(g) is False
+        assert StrobeDetector(StrobeConfig()).analyze_group(received(g)) is False
 
 
 class TestUnchangedFrames:
@@ -324,8 +371,8 @@ class TestUnchangedFrames:
         # After one frame at level 16, thirty frames at level 240 spread one
         # frame into lanes: the other 29 equal the frame before them.
         detector = StrobeDetector(StrobeConfig())
-        detector.analyze_group(group_of_levels(0, [16], ts0=0))
-        group = group_of_levels(1, [240] * 30, ts0=33)
+        detector.analyze_group(received(group_of_levels(0, [16], ts0=0)))
+        group = received(group_of_levels(1, [240] * 30, ts0=33))
         calls = []
 
         def profile(frame, event, arg):
@@ -350,18 +397,18 @@ class TestStateCarry:
         a = group_of_levels(0, [16, 16, 240], ts0=0)      # increase at ts 66
         b = group_of_levels(1, [16, 240, 16], ts0=99)     # increase at ts 132
         detector = StrobeDetector(StrobeConfig())
-        assert detector.analyze_group(a) is False
-        assert detector.analyze_group(b) is True
+        assert detector.analyze_group(received(a)) is False
+        assert detector.analyze_group(received(b)) is True
 
     def test_flash_pair_across_boundary_missed_without_carry(self):
         b = group_of_levels(1, [16, 240, 16], ts0=99)
-        assert StrobeDetector(StrobeConfig()).analyze_group(b) is False
+        assert StrobeDetector(StrobeConfig()).analyze_group(received(b)) is False
 
 
 class TestFailClosedMemory:
     def test_raising_group_leaves_memory_as_it_was(self):
         detector = StrobeDetector(StrobeConfig())
-        assert detector.analyze_group(group_of_levels(0, [16, 16], ts0=0)) is False
+        assert detector.analyze_group(received(group_of_levels(0, [16, 16], ts0=0))) is False
         before = memory(detector)
         assert before == (bytes([16]) * 256, reference_lanes(bytes([16]) * 256), None)
         # A rise on frame 2, then a frame 3 the 16x16 grid does not fit.
@@ -374,13 +421,13 @@ class TestFailClosedMemory:
             ),
         )
         with pytest.raises(ValueError, match="exceeds frame dimensions 4x4"):
-            detector.analyze_group(bad)
+            detector.analyze_group(received(bad))
         assert memory(detector) == before
         # Judged against the last good group there is one rise (at 198) and
         # no flash pair.  Memory written frame by frame would hold the bad
         # group's rise at 99 and its bright frame, so 240 -> 16 -> 240 would
         # be a second rise 99 ms after it: a flash pair.
-        assert detector.analyze_group(group_of_levels(2, [16, 240], ts0=165)) is False
+        assert detector.analyze_group(received(group_of_levels(2, [16, 240], ts0=165))) is False
         assert detector.last_change_ts == 198
 
 
@@ -411,10 +458,10 @@ class TestIncrementalEquivalence:
         batch = StrobeDetector(StrobeConfig())
         pushed = StrobeDetector(StrobeConfig())
         for g in generate_groups(cfg):
-            risk_batch = batch.analyze_group(g)
+            risk_batch = batch.analyze_group(received(g))
             risk_inc = False
             for frame in g.frames:
-                hit = pushed.analyze_group(Group(g.group_id, (frame,)))
+                hit = pushed.analyze_group(received(Group(g.group_id, (frame,))))
                 risk_inc = risk_inc or hit
             assert risk_inc == risk_batch
         assert memory(pushed) == memory(batch)
@@ -474,7 +521,7 @@ def detector_outcome(detector: StrobeDetector, group: Group):
     the memory as it was."""
     before = memory(detector)
     try:
-        risk = detector.analyze_group(group)
+        risk = detector.analyze_group(received(group))
     except ValueError as exc:
         assert memory(detector) == before
         return str(exc)
@@ -516,7 +563,10 @@ def detector_cases(draw):
     )
     kind = draw(st.sampled_from(["fresh", "carried"]))
     before = draw(detector_groups(grid_dim)) if kind == "carried" else None
-    return draw(detector_groups(grid_dim, ts0=200)), before, cfg
+    # Capture times from 200 ms take 2-byte varints; the later starts take
+    # the 4- and 8-byte forms, so the pixels start further into the payload.
+    ts0 = draw(st.sampled_from([200, 20_000, 1 << 40]))
+    return draw(detector_groups(grid_dim, ts0=ts0)), before, cfg
 
 
 class TestOneDetectorLoop:
@@ -681,6 +731,43 @@ class TestRegistryAndVerdicts:
         verdicts(analyzer, small)
         assert memory(analyzer.strobe) == (None, None, None)
 
+    @pytest.mark.parametrize(
+        "frames, cut, error",
+        [
+            # The grid fits no 4x4 frame, and frame 1 is cut short: every
+            # frame is read before any is analyzed, so the read fails it.
+            (
+                [uniform_frame(16, 0, w=4, h=4), uniform_frame(16, 33, index=1)],
+                1,
+                "frame payload: 256 pixel bytes declared, 255 present",
+            ),
+            (
+                [uniform_frame(16, 500), uniform_frame(16, 100, index=1)],
+                None,
+                "frame capture timestamps must be non-decreasing",
+            ),
+            # Capture times fall and frame 2 is cut short: the read error wins.
+            (
+                [uniform_frame(16, 500), uniform_frame(16, 100, index=1), uniform_frame(16, 133, index=2)],
+                2,
+                "frame payload: 256 pixel bytes declared, 255 present",
+            ),
+        ],
+    )
+    def test_group_that_does_not_read_fails_every_category(self, frames, cut, error):
+        payloads = [encode_frame_payload(f) for f in frames]
+        if cut is not None:
+            payloads[cut] = payloads[cut][:-1]
+        categories = (Category.SMOKING, Category.STROBE, Category.ALCOHOL)
+        analyzer = analyzer_for(categories)
+        analyzer._on_group(LatencyRecord(0, 0.0, 0.0, len(payloads)), payloads)
+        assert verdicts(analyzer) == [([], list(categories))]
+        errors = analyzer.log.filter(kind="detector_error")
+        assert [(e.detail["category"], e.detail["error"]) for e in errors] == [
+            (code, error) for code in categories
+        ]
+        assert memory(analyzer.strobe) == (None, None, None)
+
     def test_unsupported_category_is_value_error(self):
         with pytest.raises(ValueError, match=r"^no detector for categories \[127\]$"):
             analyzer_for((0x7F,))
@@ -697,7 +784,7 @@ class TestRegistryAndVerdicts:
         assert memory(det) == (None, None, None)
         cfg = SourceConfig(16, 16, 30, 1000, (Strobe(16, 240, 15.0, 1000),))
         (g,) = generate_groups(cfg)
-        assert det.analyze_group(g) is True
+        assert det.analyze_group(received(g)) is True
         last = g.frames[-1]
         assert det.prev_lanes == reference_lanes(reference_sample_luma(last, 16))
         assert det.last_change_ts is not None and det.last_change_ts <= last.capture_ts

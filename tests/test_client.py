@@ -25,6 +25,7 @@ from moqgate.eventlog import EventLog
 from moqgate.framing import encode_frame_chunk, encode_group_header
 from moqgate.media import (
     Constant,
+    Group,
     LuminanceFrame,
     SourceConfig,
     Strobe,
@@ -307,6 +308,41 @@ class TestAnalyzerClient:
         rig.publisher(generate_groups(src))
         rig.net.run_until_idle(max_virtual_ms=60_000)
         assert analyzed(analyzer) == {0: ([], [STROBE]), 1: ([], [STROBE])}
+
+    def test_no_frame_or_group_is_built_on_the_analyzer_path(self, monkeypatch):
+        # The publication is built first; after that, building a frame or a
+        # group anywhere in a run is recorded and refused.
+        src = SourceConfig(
+            16, 16, 30, 1000,
+            (Constant(128, 1000), Strobe(16, 240, 15.0, 1000), Constant(128, 1000)),
+        )
+        publication = encode_publication("cam", generate_groups(src))
+
+        def run():
+            rig = Rig()
+            analyzer = rig.analyzer([STROBE, SMOKING])
+            local, remote = rig.net.connect("pub", "relay", 0.0, 0.0)
+            rig.server.attach("pub", remote)
+            PublisherClient(rig.net, local, publication.copy()).start()
+            rig.net.run_until_idle(max_virtual_ms=60_000)
+            approvals = rig.server.log.filter(kind="approve_recorded")
+            return analyzed(analyzer), [(e.detail["group_id"], e.detail["categories"]) for e in approvals]
+
+        want = run()
+        assert want == (
+            {0: ([STROBE, SMOKING], []), 1: ([SMOKING], [STROBE]), 2: ([STROBE, SMOKING], [])},
+            [(0, [STROBE, SMOKING]), (1, [SMOKING]), (2, [STROBE, SMOKING])],
+        )
+        built = []
+
+        def refuse(obj):
+            built.append(type(obj).__name__)
+            raise AssertionError(f"{type(obj).__name__} built during a run")
+
+        monkeypatch.setattr(LuminanceFrame, "__post_init__", refuse)
+        monkeypatch.setattr(Group, "__post_init__", refuse)
+        assert run() == want
+        assert built == []
 
 
 class TestSubscriberClient:

@@ -25,6 +25,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from payloads import received
 
 import moqgate.client
 import moqgate.framing
@@ -563,7 +564,7 @@ def test_accepted_scenario_source_and_detectors_run(data):
     for spec in analyzers:
         detector = StrobeDetector(spec.detector)
         for group in groups:
-            detector.analyze_group(group)
+            detector.analyze_group(received(group))
 
 
 # ---------------------------------------------------------------------------
@@ -656,6 +657,18 @@ class TestRunScenario:
         assert run["delivered"]["gated"] == list(range(10))
         assert run["skipped"]["gated"] == []
         assert checks_by_name(report)["gating_safety"] is True
+
+    def test_oracle_reads_only_the_analyzers_detectors(self):
+        # At 5 Hz the rises are 200 ms apart: the default detector, which
+        # every non-analyzer client carries too, flags nothing, and the
+        # analyzer's 250 ms window flags group 1.  An oracle that also read
+        # the other clients' detectors would expect group 1 delivered.
+        data = impulse_scenario()
+        data["source"]["segments"][1]["flash_hz"] = 5.0
+        data["clients"][0]["detector"] = {"max_interchange_gap_ms": 250}
+        report = run_report(data)
+        assert report.passed is True
+        assert report.data["runs"][0]["delivered"]["gated"] == [0, 2]
 
     def test_realtime_violation_fails_report(self):
         data = mini_scenario()
