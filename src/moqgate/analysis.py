@@ -9,11 +9,11 @@ their lanes and the time of the last rise), so flashes that straddle two
 groups are still caught.
 
 `StrobeDetector.analyze_group` is the one detector loop.  Per frame it reads
-the grid's samples in place, from the payload at the pixels' offset, with a
-sampler built once per frame size and offset: when the grid covers every
-pixel the pixels are the samples; when grid_dim divides both sides the
-centers fall at regular steps and a strided slice reads them; otherwise one
-`operator.itemgetter` does.  A frame whose samples equal the previous
+the grid's samples in place, from the chunk the frame arrived in at its
+pixels' offset, with a sampler built once per frame size and offset: when
+the grid covers every pixel the pixels are the samples; when grid_dim
+divides both sides the centers fall at regular steps and a strided slice
+reads them; otherwise one `operator.itemgetter` does.  A frame whose samples equal the previous
 frame's rises nowhere, for any threshold and fraction, so it costs one
 compare and leaves the memory as it is.  Otherwise the loop counts the
 samples with ``cur - prev > t`` by SWAR (SIMD within a register): the
@@ -72,16 +72,18 @@ class StrobeConfig:
 
 
 class PayloadGroup(NamedTuple):
-    """A received group: each frame's header, as `decode_frame_payload` reads it, and payload."""
+    """A received group: each frame's header, as `decode_frame_payload` reads
+    it, and the buffer that header's pixel offset points into."""
 
     frames: list[tuple[int, int, int, int, int]]
-    payloads: list[bytes]
+    buffers: list[bytes]
 
 
 @lru_cache(maxsize=64)
 def _grid_sampler(width: int, height: int, grid_dim: int, offset: int) -> Callable[[bytes], bytes]:
-    """The function that reads a payload's samples, its pixels from
-    ``offset`` on, at the centers of a grid_dim x grid_dim grid, row-major.
+    """The function that reads a frame's samples, from the width x height
+    pixels at ``offset`` in its buffer, at the centers of a grid_dim x
+    grid_dim grid, row-major; it reads no byte outside those pixels.
 
     Raises ValueError when the grid does not fit a width x height frame.
     """
@@ -90,7 +92,7 @@ def _grid_sampler(width: int, height: int, grid_dim: int, offset: int) -> Callab
             f"grid_dim {grid_dim} exceeds frame dimensions {width}x{height}"
         )
     if width == height == grid_dim:
-        return operator.itemgetter(slice(offset, None))
+        return operator.itemgetter(slice(offset, offset + width * height))
     dx, x_rest = divmod(width, grid_dim)
     dy, y_rest = divmod(height, grid_dim)
     if not x_rest and not y_rest:
@@ -100,14 +102,14 @@ def _grid_sampler(width: int, height: int, grid_dim: int, offset: int) -> Callab
         rows = (grid_dim - 1) * dy + 1
         start = offset + (dy // 2) * width + dx // 2
         stop = start + rows * width
-        return lambda payload: (
-            memoryview(payload[start:stop:dx]).cast("B", (rows, grid_dim))[::dy].tobytes()
+        return lambda buffer: (
+            memoryview(buffer[start:stop:dx]).cast("B", (rows, grid_dim))[::dy].tobytes()
         )
     xs = [((2 * i + 1) * width) // (2 * grid_dim) for i in range(grid_dim)]
     ys = [((2 * j + 1) * height) // (2 * grid_dim) for j in range(grid_dim)]
     # grid_dim 1 divides every size, so there are at least two indices here.
     getter = operator.itemgetter(*[offset + y * width + x for y in ys for x in xs])
-    return lambda payload: bytes(getter(payload))
+    return lambda buffer: bytes(getter(buffer))
 
 
 @lru_cache(maxsize=64)
@@ -146,8 +148,8 @@ class StrobeDetector:
         last_change = self.last_change_ts
         buf = bytearray(2 * count)
         risk = False
-        for (width, height, _, ts, pixels_at), payload in zip(group.frames, group.payloads):
-            samples = _grid_sampler(width, height, grid_dim, pixels_at)(payload)
+        for (width, height, _, ts, pixels_at), buffer in zip(group.frames, group.buffers):
+            samples = _grid_sampler(width, height, grid_dim, pixels_at)(buffer)
             if samples == prev_samples:
                 # No sample rose, for any threshold or fraction, and the
                 # lanes stay as they are.

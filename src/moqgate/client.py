@@ -1,7 +1,8 @@
 """Client roles: publisher, analyzer, subscriber — plus latency accounting.
 
-* :func:`encode_publication` encodes a source's groups once;
-  :class:`PublisherClient` paces their chunks, one per frame, onto
+* :class:`PublisherClient` paces a publication's chunks (the
+  :class:`~moqgate.media.EncodedGroup` list that
+  :func:`~moqgate.media.generate_groups` renders once), one per frame, onto
   per-group streams at their capture instants (epoch + capture timestamp)
   on its clock.  It takes ownership of the publication list and schedules
   each chunk when it sends the one before it, so it keeps one pending event
@@ -9,8 +10,9 @@
   once the group's last chunk has been sent, so a run holds only the groups
   still to be sent.
 * :class:`AnalyzerClient` subscribes with the analyze role, receives frames
-  live and, when a group completes, reads its frames' headers in place and
-  works out one verdict per category: strobe from the payloads by
+  live and, when a group completes, reads its frames' headers in place,
+  inside the chunks they arrived in, and works out one verdict per
+  category: strobe from the pixels, read at their offset in those chunks, by
   :class:`~moqgate.analysis.StrobeDetector`, the stub categories
   (:data:`~moqgate.analysis.STUB_CATEGORIES`) from their fixed verdicts.  It
   sends one APPROVE naming the approved subset (nothing when it is empty).
@@ -33,12 +35,14 @@ group, in the order the groups' streams completed, timed by their clock.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple
+from itertools import starmap
+from operator import itemgetter
+from typing import Callable, Iterable
 
 from .analysis import PayloadGroup, StrobeConfig, StrobeDetector
 from .eventlog import EventLog
-from .framing import GroupStreamParser, encode_group_chunks
-from .media import Group, decode_frame_payload
+from .framing import GroupStreamParser
+from .media import EncodedGroup, decode_frame_payload
 from .transport import Clock, DisconnectedError, RecvStream, SendStream, Session
 from .wire import (
     CATEGORIES,
@@ -51,8 +55,6 @@ from .wire import (
 )
 
 __all__ = [
-    "EncodedGroup",
-    "encode_publication",
     "LatencyRecord",
     "PlaybackStats",
     "PublisherClient",
@@ -81,27 +83,6 @@ class PlaybackStats:
     start_ms: float | None
     stalls: tuple[tuple[float, float], ...]  # (scheduled time, stall length)
     total_stall_ms: float
-
-
-class EncodedGroup(NamedTuple):
-    """One group as its publisher sends it: each frame's capture timestamp
-    and wire chunk, with the group header on chunk 0."""
-
-    group_id: int
-    capture_ts: tuple[int, ...]
-    chunks: tuple[bytes, ...]
-
-
-def encode_publication(track: str, groups: Iterable[Group]) -> list[EncodedGroup]:
-    """Encode every group once; runs then share the bytes, not the frames."""
-    return [
-        EncodedGroup(
-            group.group_id,
-            tuple(frame.capture_ts for frame in group.frames),
-            tuple(encode_group_chunks(track, group)),
-        )
-        for group in groups
-    ]
 
 
 class PublisherClient:
@@ -171,30 +152,31 @@ class PublisherClient:
 def _receive_groups(
     clock: Clock,
     session: Session,
-    on_group: Callable[[LatencyRecord, list[bytes] | None], None],
+    on_group: Callable[[LatencyRecord, list[tuple[bytes, int, int]] | None], None],
     collect: bool = False,
 ) -> None:
     """Receive path shared by the receiving clients: parse every incoming
     stream of ``session`` and, as each finishes, call
-    ``on_group(record, payloads)`` with when its first frame and its end
-    arrived.  ``payloads`` is the group's frame payloads if ``collect`` is
-    set, else None: frames are only counted."""
+    ``on_group(record, frames)`` with when its first frame and its end
+    arrived.  ``frames`` is the group's frame payloads as the parser gives
+    them, ``(buffer, start, end)`` each, if ``collect`` is set, else None:
+    frames are only counted."""
 
     def on_stream(rs: RecvStream) -> None:
         parser = GroupStreamParser()
-        payloads: list[bytes] | None = [] if collect else None
+        frames: list[tuple[bytes, int, int]] | None = [] if collect else None
         first_arrival: float | None = None
 
         def on_data(data: bytes, fin: bool) -> None:
             nonlocal first_arrival
-            if parser.feed(data, fin, payloads) and first_arrival is None:
+            if parser.feed(data, fin, frames) and first_arrival is None:
                 first_arrival = clock.now
             if fin:
                 assert parser.group_id is not None and first_arrival is not None
                 record = LatencyRecord(
                     parser.group_id, first_arrival, clock.now, parser.frame_count
                 )
-                on_group(record, payloads)
+                on_group(record, frames)
 
         rs.set_on_data(on_data)
 
@@ -244,15 +226,15 @@ class AnalyzerClient:
         )
         self.session.send_control(encode_message(msg))
 
-    def _on_group(self, record: LatencyRecord, payloads: list[bytes]) -> None:
+    def _on_group(self, record: LatencyRecord, frames: list[tuple[bytes, int, int]]) -> None:
         group_id = record.group_id
         self.records.append(record)
         try:  # every frame's header is read, in place, before any is analyzed
-            headers = list(map(decode_frame_payload, payloads))
-            stamps = [header[3] for header in headers]
+            headers = list(starmap(decode_frame_payload, frames))
+            stamps = list(map(itemgetter(3), headers))
             if stamps != sorted(stamps):
                 raise ValueError("frame capture timestamps must be non-decreasing")
-            group = PayloadGroup(headers, payloads)
+            group = PayloadGroup(headers, list(map(itemgetter(0), frames)))
         except ValueError as exc:  # undecodable group: every category fails closed
             group, failure = None, str(exc)
         approved: list[int] = []
@@ -334,7 +316,7 @@ class SubscriberClient:
         msg = Subscribe(self.subscribe_id, self.track, 0, params)
         self.session.send_control(encode_message(msg))
 
-    def _on_group(self, record: LatencyRecord, payloads: None) -> None:
+    def _on_group(self, record: LatencyRecord, frames: None) -> None:
         self.records.append(record)
 
 

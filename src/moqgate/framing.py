@@ -7,20 +7,23 @@ A group travels on its own unidirectional stream:
     frame_count x ( [payload length varint][frame payload bytes] )
 
 Frame payloads are opaque at this layer (the relay forwards them without
-decoding).  :class:`GroupStreamParser` parses the stream in place from
-arbitrarily split chunks, holds only an incomplete tail and counts the
-frames each chunk completed; it copies a frame payload out only for a
-caller that asks for the payloads.  A chunk that carries many frames of one
-length, such as the whole-group burst the relay sends a filtered viewer, has
-those frames' length prefixes checked a column at a time rather than one
-frame at a time, and a chunk of one whole frame, the shape of every live
-chunk after a group's first, takes a short path.
+decoding); the publisher's chunks are rendered by
+:func:`moqgate.media.generate_groups`, one per frame.
+:class:`GroupStreamParser` parses the stream in place from arbitrarily
+split chunks, holds only an incomplete tail and counts the frames each
+chunk completed; for a caller that asks for them it gives each frame as
+``(buffer, start, end)``, where the buffer is the very chunk the frame
+arrived in, and a copy only for a frame assembled in the held tail.  A
+chunk that carries many frames of one length, such as the whole-group
+burst the relay sends a filtered viewer, has those frames' length prefixes
+checked a column at a time rather than one frame at a time, and a chunk of
+one whole frame, the shape of every live chunk after a group's first,
+takes a short path.
 :class:`ControlStreamDecoder` reassembles back-to-back control messages.
 """
 
 from __future__ import annotations
 
-from .media import Group, encode_frame_payload
 from .wire import (
     MAX_MESSAGE_LENGTH,
     ControlMessage,
@@ -39,8 +42,6 @@ _BYTES = [bytes((value,)) for value in range(256)]
 
 __all__ = [
     "encode_group_header",
-    "encode_frame_chunk",
-    "encode_group_chunks",
     "GroupStreamParser",
     "ControlStreamDecoder",
 ]
@@ -56,33 +57,22 @@ def encode_group_header(track: str, group_id: int, frame_count: int) -> bytes:
     )
 
 
-def encode_frame_chunk(payload: bytes) -> bytes:
-    """One frame's length-prefixed payload."""
-    return encode_varint(len(payload)) + payload
-
-
-def encode_group_chunks(track: str, group: Group) -> list[bytes]:
-    """The group's stream as its publisher sends it: one chunk per frame,
-    with the group header in front of frame 0's."""
-    chunks = [encode_frame_chunk(encode_frame_payload(frame)) for frame in group.frames]
-    chunks[0] = encode_group_header(track, group.group_id, len(chunks)) + chunks[0]
-    return chunks
-
-
 class GroupStreamParser:
     """Incremental parser for one group data stream.
 
-    ``feed`` returns how many frames that chunk completed and appends their
-    payloads to ``payloads`` when a list is given.  Raises
+    ``feed`` returns how many frames that chunk completed and, when a list
+    is given, appends each one's payload to ``frames`` as ``(buffer, start,
+    end)``: ``buffer[start:end]`` is the payload.  Raises
     :class:`IncompleteError` if the stream finishes mid-structure and
     :class:`MalformedError` on a header declaring no frames or on bytes
     beyond the declared frame count.
 
     The parser works in place: with nothing held, a chunk is parsed by
-    offset where it lies and each collected payload is one slice of it.
-    Only an incomplete tail is held, trimmed in place, and the next chunk is
-    appended to it, so a group costs time linear in its size however its
-    stream is split.
+    offset where it lies and each collected frame's buffer is that chunk,
+    so no payload byte is copied.  Only an incomplete tail is held, trimmed
+    in place, and the next chunk is appended to it, so a group costs time
+    linear in its size however its stream is split; a frame completed in
+    the tail is collected as a ``bytes`` copy of its payload, at offset 0.
 
     Runs of equal-length frames are checked in bulk.  When a decoded frame
     has the length of the one before it, the next frame begins with its
@@ -104,7 +94,7 @@ class GroupStreamParser:
     A chunk of exactly one whole frame with a 1- or 2-byte length prefix,
     on a stream whose header is parsed and that holds no tail, pays for
     none of this: ``feed`` decodes its prefix inline, checks that the frame
-    ends where the chunk ends and returns, with the same count, payload,
+    ends where the chunk ends and returns, with the same count, frame,
     fields and errors as the loop, in about half the loop's opcodes.  That
     is every live chunk after a group's first.  Any other
     chunk (one with the header, one that completes a held tail, a burst of
@@ -119,7 +109,7 @@ class GroupStreamParser:
         self.frame_count: int | None = None
         self.complete = False
 
-    def feed(self, data: bytes, fin: bool = False, payloads: list | None = None) -> int:
+    def feed(self, data: bytes, fin: bool = False, frames: list | None = None) -> int:
         # The short path (see the class docstring).  Frames are wanted only
         # once the header is parsed and until the last frame.
         wanted = self._wanted
@@ -134,8 +124,8 @@ class GroupStreamParser:
             else:
                 start = end = 0
             if end == len(data):
-                if payloads is not None:
-                    payloads.append(data[start:])
+                if frames is not None:
+                    frames.append((data, start, end))
                 wanted -= 1
                 self._wanted = wanted
                 self.complete = not wanted
@@ -182,9 +172,10 @@ class GroupStreamParser:
                     end = start + length
                     if end > size:
                         break
-                    if payloads is not None:
-                        payload = buf[start:end]
-                        payloads.append(payload if buf is data else bytes(payload))
+                    if frames is not None:
+                        frames.append(
+                            (data, start, end) if buf is data else (bytes(buf[start:end]), 0, length)
+                        )
                     wanted -= 1
                     if end < size:
                         # A run of equal-length frames may follow (see the
@@ -214,10 +205,14 @@ class GroupStreamParser:
                                 column = buf[end + j : stop : stride]
                                 run -= len(column.lstrip(_BYTES[buf[pos + j]]))
                                 stop = end + run * stride
-                            if payloads is not None:
+                            if frames is not None:
                                 for frame in range(end, stop, stride):
-                                    payload = buf[frame + width : frame + stride]
-                                    payloads.append(payload if buf is data else bytes(payload))
+                                    at = frame + width
+                                    frames.append(
+                                        (data, at, at + length)
+                                        if buf is data
+                                        else (bytes(buf[at : at + length]), 0, length)
+                                    )
                             wanted -= run
                             end = stop
                         last = length

@@ -1,19 +1,24 @@
-"""Test helpers: a group as the analyzer reads it, and varint values of
-every encoded length.
+"""Test helpers: a group as the analyzer reads it, a standalone payload's
+header, and varint values of every encoded length.
 
-:func:`received` encodes each frame of a :class:`~moqgate.media.Group`
-with :func:`~moqgate.media.encode_frame_payload` and reads every header
-back with :func:`~moqgate.media.decode_frame_payload`, as
-``AnalyzerClient`` does, into the :class:`~moqgate.analysis.PayloadGroup`
-that :meth:`~moqgate.analysis.StrobeDetector.analyze_group` takes.
+:func:`received` feeds a reference :class:`~frames.Group`'s whole stream to
+a :class:`~moqgate.framing.GroupStreamParser` as one chunk and reads every
+frame's header with :func:`~moqgate.media.decode_frame_payload` inside that
+chunk, as ``AnalyzerClient`` does, into the
+:class:`~moqgate.analysis.PayloadGroup` that
+:meth:`~moqgate.analysis.StrobeDetector.analyze_group` takes: each frame's
+pixels lie between other bytes of the stream.
 """
 
 from __future__ import annotations
 
+from frames import Group
 from hypothesis import strategies as st
+from streams import encode_group_stream
 
 from moqgate.analysis import PayloadGroup
-from moqgate.media import Group, decode_frame_payload, encode_frame_payload
+from moqgate.framing import GroupStreamParser
+from moqgate.media import decode_frame_payload
 
 # Values whose varints take 1, 2, 4 and 8 bytes.
 varint_values = st.one_of(
@@ -24,7 +29,19 @@ varint_values = st.one_of(
 )
 
 
+def read_payload(payload: bytes) -> tuple[int, int, int, int, int]:
+    """The header of a payload that is a whole buffer of its own."""
+    return decode_frame_payload(payload, 0, len(payload))
+
+
+def received_frames(group: Group) -> list[tuple[bytes, int, int]]:
+    """The group's frames as one chunk of its whole stream delivers them."""
+    frames: list[tuple[bytes, int, int]] = []
+    GroupStreamParser().feed(encode_group_stream("cam", group), True, frames)
+    return frames
+
+
 def received(group: Group) -> PayloadGroup:
-    """The group's frames as payloads, with their headers read in place."""
-    payloads = [encode_frame_payload(frame) for frame in group.frames]
-    return PayloadGroup(list(map(decode_frame_payload, payloads)), payloads)
+    """The group's frames as one chunk delivers them, headers read in place."""
+    frames = received_frames(group)
+    return PayloadGroup([decode_frame_payload(*f) for f in frames], [f[0] for f in frames])

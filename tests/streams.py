@@ -1,14 +1,16 @@
 """Test helpers: a group's stream as one bytes object, and a reference
 group stream parser.
 
-The publisher sends a group as per-frame chunks (``encode_group_chunks``);
-tests that feed, compare or send a whole stream at once join them here.
+The publisher sends a group as per-frame chunks (the reference encoder's
+``frames.encode_group_chunks``); tests that feed, compare or send a whole
+stream at once join them here.
 """
 
 from __future__ import annotations
 
-from moqgate.framing import GroupStreamParser, encode_group_chunks
-from moqgate.media import Group
+from frames import Group, encode_group_chunks
+
+from moqgate.framing import GroupStreamParser
 from moqgate.wire import IncompleteError, MalformedError, decode_varint
 
 
@@ -20,8 +22,9 @@ def encode_group_stream(track: str, group: Group) -> bytes:
 class ReferenceGroupParser(GroupStreamParser):
     """:class:`GroupStreamParser` with the per-frame walk its ``feed`` had
     before runs of equal-length frames were checked in bulk: one length
-    prefix decoded per loop turn.  Tests require the two to agree on every
-    count, payload, error and parser field."""
+    prefix decoded per loop turn, and each completed frame collected as its
+    payload's bytes rather than as ``(buffer, start, end)``.  Tests require
+    the two to agree on every count, payload, error and parser field."""
 
     def feed(self, data: bytes, fin: bool = False, payloads: list | None = None) -> int:
         completed = 0

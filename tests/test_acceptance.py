@@ -13,11 +13,12 @@ import random
 import time
 from collections import defaultdict
 
+from frames import rendered_groups
 from payloads import received
 
 from moqgate.analysis import StrobeConfig, StrobeDetector
 from moqgate.harness import run_scenario
-from moqgate.media import Constant, Group, Ramp, SourceConfig, Strobe, generate_groups
+from moqgate.media import Constant, Ramp, SourceConfig, Strobe
 from moqgate.relay import DeliverGroup, ProtocolError, RelayCore, SkipGroups
 from moqgate.scenario import Checks, bundled_scenario_path, load_scenario
 from moqgate.wire import (
@@ -277,7 +278,7 @@ def test_criterion_5_flash_truth_table_and_oracle_agreement():
     for hz, approved in [(2.0, True), (5.0, True), (9.0, True),
                          (10.0, False), (12.0, False), (15.0, False)]:
         source = SourceConfig(16, 16, 30, 1000, (Strobe(16, 240, hz, 2000),))
-        groups = generate_groups(source)
+        groups = rendered_groups(source)
         risky = _detector_risky_groups(groups, config)
         if approved and risky:
             failures.append(f"{hz} Hz flagged {sorted(risky)}; expected clean")
@@ -286,7 +287,7 @@ def test_criterion_5_flash_truth_table_and_oracle_agreement():
 
     # steady and ramping content is always approved
     for segment in (Constant(128, 2000), Ramp(0, 255, 2000)):
-        groups = generate_groups(SourceConfig(16, 16, 30, 1000, (segment,)))
+        groups = rendered_groups(SourceConfig(16, 16, 30, 1000, (segment,)))
         risky = _detector_risky_groups(groups, config)
         if risky:
             failures.append(f"{segment!r} flagged {sorted(risky)}")
@@ -311,7 +312,7 @@ def test_criterion_5_flash_truth_table_and_oracle_agreement():
             else:
                 segments.append(Ramp(rng.randint(0, 255), rng.randint(0, 255), duration))
         source = SourceConfig(16, 16, fps, 500, tuple(segments))
-        groups = generate_groups(source)
+        groups = rendered_groups(source)
         detector_view = _detector_risky_groups(groups, config)
         oracle_view = _pixel_trace_risky_groups(groups, config)
         if detector_view != oracle_view:

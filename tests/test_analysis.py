@@ -14,21 +14,12 @@ import sys
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from payloads import received, varint_values
+from frames import Group, LuminanceFrame, encode_frame_payload, rendered_groups
+from payloads import read_payload, received, received_frames, varint_values
 
 from moqgate.analysis import StrobeConfig, StrobeDetector, _grid_sampler, predict_risky_groups
 from moqgate.client import AnalyzerClient, LatencyRecord
-from moqgate.media import (
-    Constant,
-    Group,
-    LuminanceFrame,
-    Ramp,
-    SourceConfig,
-    Strobe,
-    decode_frame_payload,
-    encode_frame_payload,
-    generate_groups,
-)
+from moqgate.media import Constant, Ramp, SourceConfig, Strobe, decode_frame_payload
 from moqgate.transport import SimNetwork
 from moqgate.wire import Category, encode_varint
 
@@ -78,7 +69,7 @@ def verdicts(analyzer: AnalyzerClient, *groups: Group) -> list[tuple[list[int], 
     rejected) for every group it has analyzed so far."""
     for g in groups:
         record = LatencyRecord(g.group_id, 0.0, 0.0, len(g.frames))
-        analyzer._on_group(record, [encode_frame_payload(f) for f in g.frames])
+        analyzer._on_group(record, received_frames(g))
     return [
         (e.detail["approved"], e.detail["rejected"])
         for e in analyzer.log.filter(kind="group_analyzed")
@@ -331,20 +322,26 @@ class TestPayloadOffsets:
         )
         assert payload == header + frame.pixels
         fields = (frame.width, frame.height, frame.frame_index, frame.capture_ts)
-        assert decode_frame_payload(payload) == (*fields, len(header))
+        assert read_payload(payload) == (*fields, len(header))
         sampler = _grid_sampler(frame.width, frame.height, grid_dim, len(header))
         assert sampler(payload) == reference_sample_luma(frame, grid_dim)
+        # Inside a buffer, between other bytes: the offset moves with the
+        # payload, and the samplers take no byte past its pixels.
+        buffer = b"\xff" * 5 + payload + bytes(range(256))
+        assert decode_frame_payload(buffer, 5, 5 + len(payload)) == (*fields, 5 + len(header))
+        sampler = _grid_sampler(frame.width, frame.height, grid_dim, 5 + len(header))
+        assert sampler(buffer) == reference_sample_luma(frame, grid_dim)
 
 
 class TestGapRule:
     def test_15hz_at_30fps_is_risky(self):
         cfg = SourceConfig(16, 16, 30, 1000, (Strobe(16, 240, 15.0, 1000),))
-        (g,) = generate_groups(cfg)
+        (g,) = rendered_groups(cfg)
         assert StrobeDetector(StrobeConfig()).analyze_group(received(g)) is True
 
     def test_5hz_at_30fps_is_not_risky(self):
         cfg = SourceConfig(16, 16, 30, 1000, (Strobe(16, 240, 5.0, 1000),))
-        (g,) = generate_groups(cfg)
+        (g,) = rendered_groups(cfg)
         assert StrobeDetector(StrobeConfig()).analyze_group(received(g)) is False
 
     def test_gap_boundary_inclusive(self):
@@ -435,18 +432,18 @@ class TestTruthTable:
     @pytest.mark.parametrize("hz", [2.0, 5.0, 9.0])
     def test_safe_rates_approved(self, hz):
         cfg = SourceConfig(16, 16, 30, 1000, (Strobe(16, 240, hz, 3000),))
-        risky = risky_groups(generate_groups(cfg), StrobeConfig())
+        risky = risky_groups(rendered_groups(cfg), StrobeConfig())
         assert not risky, f"{hz} Hz should be safe, risky groups {risky}"
 
     @pytest.mark.parametrize("hz", [10.0, 12.0, 15.0])
     def test_fast_rates_rejected(self, hz):
         cfg = SourceConfig(16, 16, 30, 1000, (Strobe(16, 240, hz, 3000),))
-        assert risky_groups(generate_groups(cfg), StrobeConfig()), f"{hz} Hz should be flagged"
+        assert risky_groups(rendered_groups(cfg), StrobeConfig()), f"{hz} Hz should be flagged"
 
     def test_constant_and_ramp_approved(self):
         for segments in ((Constant(128, 2000),), (Ramp(0, 255, 2000),)):
             cfg = SourceConfig(16, 16, 30, 1000, segments)
-            assert risky_groups(generate_groups(cfg), StrobeConfig()) == set()
+            assert risky_groups(rendered_groups(cfg), StrobeConfig()) == set()
 
 
 class TestIncrementalEquivalence:
@@ -457,7 +454,7 @@ class TestIncrementalEquivalence:
         )
         batch = StrobeDetector(StrobeConfig())
         pushed = StrobeDetector(StrobeConfig())
-        for g in generate_groups(cfg):
+        for g in rendered_groups(cfg):
             risk_batch = batch.analyze_group(received(g))
             risk_inc = False
             for frame in g.frames:
@@ -649,7 +646,7 @@ class TestRandomizedAgainstReplay:
         det_cfg = StrobeConfig(grid_dim=8)
         for _ in range(40):
             src = self._random_source(rng)
-            groups = generate_groups(src)
+            groups = rendered_groups(src)
             expected = replay_risky_groups(groups, det_cfg)
             assert risky_groups(groups, det_cfg) == expected
 
@@ -657,7 +654,7 @@ class TestRandomizedAgainstReplay:
         rng = random.Random(0xBEEF)
         for _ in range(30):
             src = self._random_source(rng)
-            groups = generate_groups(src)
+            groups = rendered_groups(src)
             strict = StrobeConfig(
                 grid_dim=8,
                 pixel_delta_threshold=rng.randrange(10, 60),
@@ -693,14 +690,14 @@ class TestPredictRiskyGroups:
         helper = TestRandomizedAgainstReplay()
         for _ in range(25):
             src = helper._random_source(rng)
-            detected = risky_groups(generate_groups(src), det_cfg)
+            detected = risky_groups(rendered_groups(src), det_cfg)
             assert predict_risky_groups(src, det_cfg) == detected
 
 
 class TestRegistryAndVerdicts:
     def test_analyze_partitions_categories(self):
         cfg = SourceConfig(16, 16, 30, 1000, (Strobe(16, 240, 15.0, 1000),))
-        (g,) = generate_groups(cfg)
+        (g,) = rendered_groups(cfg)
         analyzer = analyzer_for((Category.STROBE, Category.SMOKING))
         assert verdicts(analyzer, g) == [([Category.SMOKING], [Category.STROBE])]
         ((approved, rejected),) = verdicts(analyzer)
@@ -760,7 +757,9 @@ class TestRegistryAndVerdicts:
             payloads[cut] = payloads[cut][:-1]
         categories = (Category.SMOKING, Category.STROBE, Category.ALCOHOL)
         analyzer = analyzer_for(categories)
-        analyzer._on_group(LatencyRecord(0, 0.0, 0.0, len(payloads)), payloads)
+        analyzer._on_group(
+            LatencyRecord(0, 0.0, 0.0, len(payloads)), [(p, 0, len(p)) for p in payloads]
+        )
         assert verdicts(analyzer) == [([], list(categories))]
         errors = analyzer.log.filter(kind="detector_error")
         assert [(e.detail["category"], e.detail["error"]) for e in errors] == [
@@ -783,7 +782,7 @@ class TestRegistryAndVerdicts:
         det = StrobeDetector(StrobeConfig())
         assert memory(det) == (None, None, None)
         cfg = SourceConfig(16, 16, 30, 1000, (Strobe(16, 240, 15.0, 1000),))
-        (g,) = generate_groups(cfg)
+        (g,) = rendered_groups(cfg)
         assert det.analyze_group(received(g)) is True
         last = g.frames[-1]
         assert det.prev_lanes == reference_lanes(reference_sample_luma(last, 16))

@@ -4,9 +4,11 @@ playback reconstruction, and the end-to-end latency bound model."""
 from __future__ import annotations
 
 import gc
+import tracemalloc
 import weakref
 
 import pytest
+from frames import LuminanceFrame, encode_frame_chunk, encode_frame_payload, reference_groups
 from recording import Recorder, ended, joined, times
 from streams import encode_group_stream
 
@@ -18,20 +20,11 @@ from moqgate.client import (
     PublisherClient,
     SubscriberClient,
     compute_playback,
-    encode_publication,
     predict_latency_bound,
 )
 from moqgate.eventlog import EventLog
-from moqgate.framing import encode_frame_chunk, encode_group_header
-from moqgate.media import (
-    Constant,
-    Group,
-    LuminanceFrame,
-    SourceConfig,
-    Strobe,
-    encode_frame_payload,
-    generate_groups,
-)
+from moqgate.framing import encode_group_header
+from moqgate.media import Constant, SourceConfig, Strobe, generate_groups
 from moqgate.relay import RelayServer
 from moqgate.transport import SimNetwork, SimTimeoutError
 from moqgate.wire import Category
@@ -82,10 +75,10 @@ class Rig:
         client.start()
         return client
 
-    def publisher(self, groups, epoch=0.0, delay=0.0):
+    def publisher(self, source, epoch=0.0, delay=0.0):
         local, remote = self.net.connect("pub", "relay", delay, delay)
         self.server.attach("pub", remote)
-        client = PublisherClient(self.net, local, encode_publication("cam", groups), epoch_ms=epoch)
+        client = PublisherClient(self.net, local, generate_groups(source, "cam"), epoch_ms=epoch)
         client.start()
         return client
 
@@ -94,28 +87,28 @@ class TestPublisherPacing:
     def test_frames_sent_at_epoch_plus_capture_ts(self):
         net = SimNetwork()
         a, b = net.connect("pub", "peer", 0.0, 0.0)
-        groups = generate_groups(const_source(fps=10, seconds=1))
+        source = const_source(fps=10, seconds=1)
         received = Recorder(net, b)
-        PublisherClient(net, a, encode_publication("cam", groups), epoch_ms=50.0).start()
+        PublisherClient(net, a, generate_groups(source, "cam"), epoch_ms=50.0).start()
         net.run_until_idle()
         (chunks,) = received.by_stream()
         # Header travels with frame 0; one chunk arrival per frame.
         assert times(chunks) == [50.0 + 100.0 * k for k in range(10)]
         assert ended(chunks)
-        assert joined(chunks) == encode_group_stream("cam", groups[0])
+        assert joined(chunks) == encode_group_stream("cam", reference_groups(source)[0])
 
     def test_each_group_gets_its_own_stream(self):
         net = SimNetwork()
         a, b = net.connect("pub", "peer", 0.0, 0.0)
-        groups = generate_groups(const_source(fps=10, seconds=2))
+        source = const_source(fps=10, seconds=2)
         received = Recorder(net, b)
-        PublisherClient(net, a, encode_publication("cam", groups), epoch_ms=0.0).start()
+        PublisherClient(net, a, generate_groups(source, "cam"), epoch_ms=0.0).start()
         net.run_until_idle()
         streams = received.by_stream()
         assert len(streams) == 2
         assert times(streams[0]) == [100.0 * k for k in range(10)]
         assert times(streams[1]) == [1000.0 + 100.0 * k for k in range(10)]
-        assert joined(streams[1]) == encode_group_stream("cam", groups[1])
+        assert joined(streams[1]) == encode_group_stream("cam", reference_groups(source)[1])
 
     @staticmethod
     def tie_run(schedule_other):
@@ -128,8 +121,7 @@ class TestPublisherPacing:
         b.set_on_stream(
             lambda rs: rs.set_on_data(lambda data, fin: arrivals.append(("chunk", net.now)))
         )
-        groups = generate_groups(const_source(fps=10, seconds=1))
-        PublisherClient(net, a, encode_publication("cam", groups)).start()
+        PublisherClient(net, a, generate_groups(const_source(fps=10, seconds=1), "cam")).start()
         schedule_other(net, a)
         net.run_until_idle()
         return arrivals[:3]
@@ -153,7 +145,7 @@ class TestPublisherPacing:
     def test_one_pending_event_after_start_and_after_every_chunk(self):
         net = SimNetwork()
         a, _ = net.connect("pub", "peer", 0.0, 0.0)
-        publication = encode_publication("cam", generate_groups(const_source(fps=10, seconds=2)))
+        publication = generate_groups(const_source(fps=10, seconds=2), "cam")
         PublisherClient(net, a, publication).start()
 
         def probe():
@@ -169,7 +161,7 @@ class TestPublisherPacing:
     def test_run_cut_short_leaves_nothing_for_the_cyclic_collector(self):
         net = SimNetwork()
         a, _ = net.connect("pub", "peer", 0.0, 0.0)
-        publication = encode_publication("cam", generate_groups(const_source(fps=10, seconds=2)))
+        publication = generate_groups(const_source(fps=10, seconds=2), "cam")
         publisher = PublisherClient(net, a, publication)
         publisher.start()
         alive = weakref.ref(publisher)
@@ -186,7 +178,7 @@ class TestPublisherPacing:
     def test_capture_time_going_back_raises_at_that_chunk(self):
         net = SimNetwork()
         a, _ = net.connect("pub", "peer", 0.0, 0.0)
-        publication = encode_publication("cam", generate_groups(const_source(fps=10, seconds=2)))
+        publication = generate_groups(const_source(fps=10, seconds=2), "cam")
         publication[1] = publication[1]._replace(capture_ts=(500,) + publication[1].capture_ts[1:])
         PublisherClient(net, a, publication).start()
         with pytest.raises(ValueError, match="cannot schedule at 500"):
@@ -197,7 +189,7 @@ class TestPublisherPacing:
     def test_each_group_is_dropped_once_its_last_chunk_is_sent(self):
         net = SimNetwork()
         a, _ = net.connect("pub", "peer", 0.0, 0.0)
-        publication = encode_publication("cam", generate_groups(const_source(fps=10, seconds=3)))
+        publication = generate_groups(const_source(fps=10, seconds=3), "cam")
         publisher = PublisherClient(net, a, publication)
         publisher.start()
         held = []
@@ -210,12 +202,10 @@ class TestPublisherPacing:
     def test_single_frame_group_is_one_burst(self):
         net = SimNetwork()
         a, b = net.connect("pub", "peer", 0.0, 0.0)
-        groups = generate_groups(
-            SourceConfig(4, 4, 1, 1000, (Constant(9, 1000),))
-        )
-        assert len(groups[0].frames) == 1
+        publication = generate_groups(SourceConfig(4, 4, 1, 1000, (Constant(9, 1000),)), "cam")
+        assert len(publication[0].chunks) == 1
         received = Recorder(net, b)
-        PublisherClient(net, a, encode_publication("cam", groups), epoch_ms=5.0).start()
+        PublisherClient(net, a, publication, epoch_ms=5.0).start()
         net.run_until_idle()
         (chunks,) = received.by_stream()
         assert times(chunks) == [5.0]
@@ -228,7 +218,7 @@ class TestPublisherPacing:
         # even open) logs publish_failed; nothing raises, no stream is kept.
         rig = Rig()
         sub = rig.subscriber(name="plain")
-        pub = rig.publisher(generate_groups(const_source(fps=10, seconds=3)))
+        pub = rig.publisher(const_source(fps=10, seconds=3))
         rig.net.at(1500, lambda: rig.server._fail_session("pub", "forced"))
         rig.net.run_until_idle(max_virtual_ms=30_000)
         failed = [(e.time_ms, e.detail["group_id"]) for e in pub.log.filter(kind="publish_failed")]
@@ -243,7 +233,7 @@ class TestAnalyzerClient:
     def test_approves_safe_group_after_analysis_time(self):
         rig = Rig()
         analyzer = rig.analyzer([STROBE], analysis=40.0)
-        rig.publisher(generate_groups(const_source(fps=10)))
+        rig.publisher(const_source(fps=10))
         rig.net.run_until_idle()
         (approve,) = rig.server.log.filter(kind="approve_recorded")
         assert approve.detail["group_id"] == 0
@@ -259,7 +249,7 @@ class TestAnalyzerClient:
         # relay fails the analyzer in between, so the send is refused.
         rig = Rig()
         analyzer = rig.analyzer([STROBE], analysis=40.0)
-        rig.publisher(generate_groups(const_source(fps=10)))
+        rig.publisher(const_source(fps=10))
         rig.net.at(920, lambda: rig.server._fail_session("an", "forced"))
         rig.net.run_until_idle()
         assert analyzed(analyzer) == {0: ([STROBE], [])}
@@ -272,7 +262,7 @@ class TestAnalyzerClient:
         rig = Rig()
         analyzer = rig.analyzer([STROBE])
         src = SourceConfig(16, 16, 30, 1000, (Strobe(16, 240, 15.0, 1000),))
-        rig.publisher(generate_groups(src))
+        rig.publisher(src)
         rig.net.run_until_idle(max_virtual_ms=30_000)
         assert rig.server.log.filter(kind="approve_recorded") == []
         assert analyzed(analyzer)[0] == ([], [STROBE])
@@ -281,7 +271,7 @@ class TestAnalyzerClient:
         rig = Rig()
         rig.analyzer([STROBE, SMOKING])
         src = SourceConfig(16, 16, 30, 1000, (Strobe(16, 240, 15.0, 1000),))
-        rig.publisher(generate_groups(src))
+        rig.publisher(src)
         rig.net.run_until_idle(max_virtual_ms=30_000)
         (approve,) = rig.server.log.filter(kind="approve_recorded")
         assert approve.detail["categories"] == [2]  # smoking stub approves
@@ -290,7 +280,7 @@ class TestAnalyzerClient:
         # 4x4 frames do not fit the 16x16 grid: the strobe detector raises.
         rig = Rig()
         analyzer = rig.analyzer([STROBE, SMOKING], detector=StrobeConfig(grid_dim=16))
-        rig.publisher(generate_groups(SourceConfig(4, 4, 10, 1000, (Constant(128, 1000),))))
+        rig.publisher(SourceConfig(4, 4, 10, 1000, (Constant(128, 1000),)))
         rig.net.run_until_idle(max_virtual_ms=30_000)
         (approve,) = rig.server.log.filter(kind="approve_recorded")
         assert approve.detail["categories"] == [2]  # smoking fine, strobe failed closed
@@ -305,51 +295,55 @@ class TestAnalyzerClient:
         rig = Rig()
         analyzer = rig.analyzer([STROBE])
         src = SourceConfig(16, 16, 30, 1000, (Strobe(16, 240, 15.0, 2000),))
-        rig.publisher(generate_groups(src))
+        rig.publisher(src)
         rig.net.run_until_idle(max_virtual_ms=60_000)
         assert analyzed(analyzer) == {0: ([], [STROBE]), 1: ([], [STROBE])}
 
-    def test_no_frame_or_group_is_built_on_the_analyzer_path(self, monkeypatch):
-        # The publication is built first; after that, building a frame or a
-        # group anywhere in a run is recorded and refused.
+    def test_verdicts_of_a_rendered_publication(self):
         src = SourceConfig(
             16, 16, 30, 1000,
             (Constant(128, 1000), Strobe(16, 240, 15.0, 1000), Constant(128, 1000)),
         )
-        publication = encode_publication("cam", generate_groups(src))
+        rig = Rig()
+        analyzer = rig.analyzer([STROBE, SMOKING])
+        rig.publisher(src)
+        rig.net.run_until_idle(max_virtual_ms=60_000)
+        approvals = rig.server.log.filter(kind="approve_recorded")
+        assert analyzed(analyzer) == {
+            0: ([STROBE, SMOKING], []), 1: ([SMOKING], [STROBE]), 2: ([STROBE, SMOKING], [])
+        }
+        assert [(e.detail["group_id"], e.detail["categories"]) for e in approvals] == [
+            (0, [STROBE, SMOKING]), (1, [SMOKING]), (2, [STROBE, SMOKING])
+        ]
 
-        def run():
-            rig = Rig()
-            analyzer = rig.analyzer([STROBE, SMOKING])
-            local, remote = rig.net.connect("pub", "relay", 0.0, 0.0)
-            rig.server.attach("pub", remote)
-            PublisherClient(rig.net, local, publication.copy()).start()
-            rig.net.run_until_idle(max_virtual_ms=60_000)
-            approvals = rig.server.log.filter(kind="approve_recorded")
-            return analyzed(analyzer), [(e.detail["group_id"], e.detail["categories"]) for e in approvals]
-
-        want = run()
-        assert want == (
-            {0: ([STROBE, SMOKING], []), 1: ([SMOKING], [STROBE]), 2: ([STROBE, SMOKING], [])},
-            [(0, [STROBE, SMOKING]), (1, [SMOKING]), (2, [STROBE, SMOKING])],
-        )
-        built = []
-
-        def refuse(obj):
-            built.append(type(obj).__name__)
-            raise AssertionError(f"{type(obj).__name__} built during a run")
-
-        monkeypatch.setattr(LuminanceFrame, "__post_init__", refuse)
-        monkeypatch.setattr(Group, "__post_init__", refuse)
-        assert run() == want
-        assert built == []
+    def test_the_analyzer_path_copies_no_pixels(self):
+        # A publisher's 30 fps strobe of 64x64 frames goes straight to an
+        # analyzer, whose frames stay in the chunks they arrived in: while a
+        # group is analyzed, the run holds less than one frame's pixels
+        # (4,096 bytes) per frame more than the publication itself.
+        src = SourceConfig(64, 64, 30, 1000, (Strobe(16, 240, 15.0, 1000),))
+        publication = generate_groups(src, "cam")
+        net = SimNetwork()
+        pub, an = net.connect("pub", "an", 0.0, 0.0)
+        analyzer = AnalyzerClient(net, an, "cam", (STROBE,), 1)
+        analyzer.start()
+        PublisherClient(net, pub, publication.copy()).start()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            net.run_until_idle()
+            grown = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert analyzed(analyzer) == {0: ([], [STROBE])}
+        assert grown < 30 * 64 * 64
 
 
 class TestSubscriberClient:
     def test_live_subscriber_records_per_frame_arrivals(self):
         rig = Rig()
         sub = rig.subscriber()
-        rig.publisher(generate_groups(const_source(fps=10)))
+        rig.publisher(const_source(fps=10))
         rig.net.run_until_idle()
         rec = sub.records[0]
         assert rec.first_arrival_ms == 0.0
@@ -361,7 +355,7 @@ class TestSubscriberClient:
         rig = Rig()
         rig.analyzer([STROBE], analysis=40.0)
         sub = rig.subscriber(cats=[STROBE])
-        rig.publisher(generate_groups(const_source(fps=10)))
+        rig.publisher(const_source(fps=10))
         rig.net.run_until_idle(max_virtual_ms=30_000)
         rec = sub.records[0]
         assert rec.first_arrival_ms == rec.complete_arrival_ms == 940.0
@@ -371,7 +365,7 @@ class TestSubscriberClient:
         rig = Rig()
         analyzer = rig.analyzer([STROBE])
         sub = rig.subscriber(cats=[STROBE])
-        rig.publisher(generate_groups(const_source(fps=10)))
+        rig.publisher(const_source(fps=10))
         rig.net.run_until_idle(max_virtual_ms=30_000)
         added = sub.records[0].complete_arrival_ms - analyzer.records[0].first_arrival_ms
         assert added == 900.0  # gop 1000 ms minus one 100 ms frame interval
@@ -384,7 +378,7 @@ class TestSubscriberClient:
             16, 16, 30, 1000,
             (Constant(128, 1000), Strobe(16, 240, 15.0, 1000), Constant(128, 1000)),
         )
-        rig.publisher(generate_groups(src))
+        rig.publisher(src)
         rig.net.run_until_idle(max_virtual_ms=60_000)
         assert group_ids(sub) == [0, 2]
 

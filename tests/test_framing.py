@@ -11,16 +11,16 @@ from itertools import cycle, islice
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from frames import (
+    Group,
+    LuminanceFrame,
+    encode_frame_chunk,
+    encode_frame_payload,
+    encode_group_chunks,
+)
 from streams import ReferenceGroupParser, encode_group_stream
 
-from moqgate.framing import (
-    ControlStreamDecoder,
-    GroupStreamParser,
-    encode_frame_chunk,
-    encode_group_chunks,
-    encode_group_header,
-)
-from moqgate.media import LuminanceFrame, encode_frame_payload, Group
+from moqgate.framing import ControlStreamDecoder, GroupStreamParser, encode_group_header
 from moqgate.wire import (
     Approve,
     Category,
@@ -112,12 +112,17 @@ class TestGroupChunks:
         assert chunks == [header + frame_chunks[0]] + frame_chunks[1:]
 
 
+def payloads_of(frames):
+    """Each collected ``(buffer, start, end)`` frame's payload."""
+    return [buffer[start:end] for buffer, start, end in frames]
+
+
 def feed_collect(parser, data, fin=False):
-    """``parser.feed`` with a payload list: the payloads the chunk
-    completed, checked against the frame count ``feed`` returns."""
-    payloads = []
-    assert parser.feed(data, fin, payloads) == len(payloads)
-    return payloads
+    """``parser.feed`` with a frame list: the payloads of the frames the
+    chunk completed, checked against the frame count ``feed`` returns."""
+    frames = []
+    assert parser.feed(data, fin, frames) == len(frames)
+    return payloads_of(frames)
 
 
 class TestGroupStreamParser:
@@ -298,6 +303,27 @@ class TestLongGroup:
             tracemalloc.stop()
         assert grown < 64 * 1024
 
+    def test_one_chunk_group_is_collected_inside_that_chunk(self):
+        # The same 2 MB chunk with its frames collected: each frame is a
+        # (chunk, start, end) triple on the chunk itself, so the parser
+        # keeps about 130 bytes a frame (the triple, its two offsets and a
+        # list slot) and no payload byte.
+        blob = encode_group_header(self.TRACK, 0, 500) + b"".join(
+            encode_frame_chunk(bytes([i % 256]) * 4096) for i in range(500)
+        )
+        parser = GroupStreamParser()
+        frames = []
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert parser.feed(blob, True, frames) == 500
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 500 * 256
+        assert all(buffer is blob for buffer, _, _ in frames)
+        assert payloads_of(frames) == [bytes([i % 256]) * 4096 for i in range(500)]
+
     def test_fin_on_empty_chunk_with_held_tail_rejected(self):
         blob = encode_group_stream(self.TRACK, long_group())
         parser = GroupStreamParser()
@@ -390,15 +416,15 @@ def cut_pieces(data, blob, offsets):
     return [blob[a:b] for a, b in zip([0] + cuts, cuts + [len(blob)])]
 
 
-def feed_pieces(pieces, payloads=None, parser_class=GroupStreamParser):
-    """Feed ``pieces`` (fin on the last), collecting payloads into
-    ``payloads`` if given; returns the parser, the frame counts the feeds
+def feed_pieces(pieces, collected=None, parser_class=GroupStreamParser):
+    """Feed ``pieces`` (fin on the last), collecting frames into
+    ``collected`` if given; returns the parser, the frame counts the feeds
     returned and the wire error raised, if any."""
     parser = parser_class()
     counts = []
     try:
         for i, piece in enumerate(pieces):
-            counts.append(parser.feed(piece, i == len(pieces) - 1, payloads))
+            counts.append(parser.feed(piece, i == len(pieces) - 1, collected))
     except WireError as exc:
         return parser, counts, (type(exc), str(exc))
     return parser, counts, None
@@ -414,9 +440,10 @@ class TestSplitPoints:
     def test_any_chunking_matches_one_whole_feed(self, data):
         blob, offsets, expected = data.draw(group_streams())
         pieces = cut_pieces(data, blob, offsets)
-        whole_payloads, payloads = [], []
-        whole, _, whole_error = feed_pieces([blob], whole_payloads)
-        split, counts, error = feed_pieces(pieces, payloads)
+        whole_frames, frames = [], []
+        whole, _, whole_error = feed_pieces([blob], whole_frames)
+        split, counts, error = feed_pieces(pieces, frames)
+        whole_payloads, payloads = payloads_of(whole_frames), payloads_of(frames)
         assert error == whole_error
         assert (split.group_id, split.frame_count) == (whole.group_id, whole.frame_count)
         assert payloads == whole_payloads
@@ -430,13 +457,24 @@ class TestSplitPoints:
 
 def parse_all(pieces, collect, parser_class):
     """Everything one parser reports over ``pieces``: counts, payloads and
-    their types, the error, and the parser's fields."""
-    payloads = [] if collect else None
-    parser, counts, error = feed_pieces(pieces, payloads, parser_class)
+    the types of the buffers they were collected in, the error, and the
+    parser's fields.
+
+    ``GroupStreamParser``'s frames are materialized from their buffers, and
+    each buffer must be one of ``pieces`` itself or a copy of just the
+    payload; ``ReferenceGroupParser`` collects the payloads as such.
+    """
+    payloads = collected = [] if collect else None
+    parser, counts, error = feed_pieces(pieces, collected, parser_class)
+    if collect and parser_class is GroupStreamParser:
+        for buffer, start, end in collected:
+            assert any(buffer is piece for piece in pieces) or (start, end) == (0, len(buffer))
+        payloads = payloads_of(collected)
+        collected = [buffer for buffer, _, _ in collected]
     return (
         counts,
         payloads,
-        payloads and [type(p) for p in payloads],
+        collected and [type(p) for p in collected],
         error,
         parser.track,
         parser.group_id,
@@ -528,14 +566,15 @@ class TestShortPath:
             pieces, collect, ReferenceGroupParser
         )
 
-    def test_a_one_frame_chunk_gives_its_payload_as_one_slice(self):
+    def test_a_one_frame_chunk_is_collected_as_that_chunk(self):
         header = encode_group_header("t", 1, 2)
         chunk = _frame(300)
         parser = GroupStreamParser()
         parser.feed(header + chunk)
-        payloads = []
-        assert parser.feed(chunk, fin=True, payloads=payloads) == 1
-        assert payloads == [chunk[2:]] and type(payloads[0]) is bytes
+        frames = []
+        assert parser.feed(chunk, fin=True, frames=frames) == 1
+        assert frames == [(chunk, 2, len(chunk))] and frames[0][0] is chunk
+        assert payloads_of(frames) == [chunk[2:]]
         assert parser.complete and parser._wanted == 0
 
     @pytest.mark.skipif(

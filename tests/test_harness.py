@@ -25,6 +25,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from frames import rendered_groups
 from payloads import received
 
 import moqgate.client
@@ -33,7 +34,7 @@ import moqgate.harness
 from moqgate.analysis import StrobeDetector
 from moqgate.eventlog import EventLog
 from moqgate.harness import ScenarioTimeoutError, predict_bounds, run_scenario
-from moqgate.media import encode_frame_payload, generate_groups
+from moqgate.media import generate_groups
 from moqgate.relay import RelayServer
 from moqgate.report import RecordRow, Report
 from moqgate.scenario import (
@@ -560,7 +561,7 @@ def test_accepted_scenario_source_and_detectors_run(data):
     n_frames = sum(seg.duration_ms for seg in source.segments) * source.fps // 1000
     if n_frames > RENDER_LIMIT_FRAMES:
         return
-    groups = generate_groups(source)
+    groups = rendered_groups(source)
     for spec in analyzers:
         detector = StrobeDetector(spec.detector)
         for group in groups:
@@ -908,6 +909,25 @@ class TestRunScenario:
         assert partial.data["timeout"] is True
         assert partial.passed is False
 
+    def test_a_timed_out_report_names_what_it_had_not_done(self):
+        # At 500 ms no group is complete: the checks run over the partial
+        # run, and gating_safety names the groups the filtered client never
+        # got.  The report still does not pass.
+        data = mini_scenario()
+        data["duration_ms"] = 500.0
+        with pytest.raises(ScenarioTimeoutError) as ei:
+            run_report(data)
+        partial = ei.value.report
+        assert [c["name"] for c in partial.data["checks"]] == [
+            "added_latency_band", "latency_bound", "gating_safety", "approval_audit", "realtime_analysis"
+        ]
+        assert check_named(partial, "gating_safety") == {
+            "name": "gating_safety",
+            "passed": False,
+            "detail": "run 0 gated: delivered [], expected [0, 1]",
+        }
+        assert partial.data["timeout"] is True and partial.passed is False
+
     def test_delay_draws_stop_at_the_first_run_that_times_out(self):
         data = mini_scenario()
         data["duration_ms"] = 500.0
@@ -1229,21 +1249,19 @@ class TestBundledFixtures:
             assert bounds["predicted_ms"] - bounds["max_observed_e2e_ms"] == 8.0
 
     def test_random_delays_encodes_each_frame_once(self, monkeypatch):
-        # The 20 delay draws all send the publication encoded up front: 625
-        # frame encodings (5 s at 125 fps), not 625 per draw.
-        calls = 0
+        # The 20 delay draws all send the publication rendered up front: one
+        # render of 625 frame chunks (5 s at 125 fps), not one per draw.
+        renders = []
 
-        def counting_encode(frame):
-            nonlocal calls
-            calls += 1
-            return encode_frame_payload(frame)
+        def counting_render(source, track):
+            renders.append(generate_groups(source, track))
+            return renders[-1]
 
-        for module in (moqgate.client, moqgate.framing):
-            if hasattr(module, "encode_frame_payload"):  # wherever it is looked up
-                monkeypatch.setattr(module, "encode_frame_payload", counting_encode)
+        monkeypatch.setattr(moqgate.harness, "generate_groups", counting_render)
         report = run_scenario(load_scenario(bundled_scenario_path("random_delays")))
         assert len(report.data["runs"]) == 20
-        assert calls == 625
+        assert len(renders) == 1
+        assert sum(len(group.chunks) for group in renders[0]) == 625
 
     def test_runs_leave_no_relay_for_the_cyclic_collector(self, monkeypatch):
         # Sessions point at each other and their callbacks at the relay and

@@ -1,4 +1,4 @@
-"""Synthetic source and frame payload codec tests.
+"""Synthetic source, publication renderer and frame payload reader tests.
 
 Expected values are computed by hand from the pattern definitions: frame k
 is captured at round-half-up(k * 1000 / fps) ms, a flash segment toggles
@@ -13,20 +13,25 @@ import types
 
 import pytest
 from hypothesis import example, given, settings
+from frames import (
+    Group,
+    LuminanceFrame,
+    encode_frame_payload,
+    encode_publication,
+    reference_groups,
+    rendered_groups,
+)
 from hypothesis import strategies as st
-from payloads import varint_values
+from payloads import read_payload, varint_values
 from schedules import reference_frame_levels
 
 from moqgate import media
 from moqgate.media import (
     Constant,
-    Group,
-    LuminanceFrame,
     Ramp,
     SourceConfig,
     Strobe,
     decode_frame_payload,
-    encode_frame_payload,
     frame_capture_ts,
     generate_groups,
     iter_frame_levels,
@@ -42,7 +47,7 @@ FRAME_PAYLOAD_GOLDEN = bytes([0x00, 0x02, 0x00, 0x01, 0x00, 0x00, 0x07, 0x09])
 def assert_reads_back(payload: bytes, frame: LuminanceFrame) -> None:
     """The reader gives every header field of ``frame``, and the payload
     holds its pixels from the offset the reader gives to its end."""
-    width, height, frame_index, capture_ts, offset = decode_frame_payload(payload)
+    width, height, frame_index, capture_ts, offset = read_payload(payload)
     assert (width, height, frame_index, capture_ts) == (
         frame.width, frame.height, frame.frame_index, frame.capture_ts
     )
@@ -139,21 +144,23 @@ class TestValidation:
             SourceConfig(4, 3, 30, 1000, (seg,))
 
     def test_frame_shape_enforced(self):
+        # The reference frame's checks, which keep the reference encoder's
+        # frames well formed.
         with pytest.raises(ValueError):
             LuminanceFrame(2, 2, 0, 0, b"\x00" * 3)
         with pytest.raises(ValueError):
             LuminanceFrame(0, 2, 0, 0, b"")
 
     def test_group_requires_frames(self):
-        # Capture times that fall are refused where a group is received
-        # (test_analysis, TestRegistryAndVerdicts).
+        # The reference group's check; capture times that fall are refused
+        # where a group is received (test_analysis, TestRegistryAndVerdicts).
         with pytest.raises(ValueError):
             Group(0, ())
 
 
 class TestGenerate:
     def test_constant_single_group(self):
-        groups = generate_groups(constant_source(level=128, duration=1000, fps=10))
+        groups = rendered_groups(constant_source(level=128, duration=1000, fps=10))
         assert len(groups) == 1
         (g,) = groups
         assert g.group_id == 0
@@ -164,26 +171,26 @@ class TestGenerate:
 
     def test_two_segments_two_groups(self):
         cfg = SourceConfig(4, 3, 10, 1000, (Constant(10, 1000), Constant(20, 1000)))
-        groups = generate_groups(cfg)
+        groups = rendered_groups(cfg)
         assert [g.group_id for g in groups] == [0, 1]
         assert set(groups[0].frames[0].pixels) == {10}
         assert set(groups[1].frames[0].pixels) == {20}
 
     def test_group_ids_increase_by_one(self):
         cfg = constant_source(duration=5000, fps=20, gop=1000)
-        groups = generate_groups(cfg)
+        groups = rendered_groups(cfg)
         assert [g.group_id for g in groups] == [0, 1, 2, 3, 4]
 
     def test_strobe_toggles_every_three_frames_at_5hz_30fps(self):
         cfg = SourceConfig(4, 3, 30, 1000, (Strobe(16, 240, 5.0, 1000),))
-        (g,) = generate_groups(cfg)
+        (g,) = rendered_groups(cfg)
         levels = [f.pixels[0] for f in g.frames]
         expected = [(16 if (k // 3) % 2 == 0 else 240) for k in range(30)]
         assert levels == expected
 
     def test_strobe_phase_starts_low(self):
         cfg = SourceConfig(4, 3, 30, 1000, (Strobe(16, 240, 15.0, 1000),))
-        (g,) = generate_groups(cfg)
+        (g,) = rendered_groups(cfg)
         assert g.frames[0].pixels[0] == 16
         assert g.frames[1].pixels[0] == 240
 
@@ -192,39 +199,39 @@ class TestGenerate:
             4, 3, 30, 1000,
             (Constant(128, 1000), Strobe(16, 240, 15.0, 1000)),
         )
-        groups = generate_groups(cfg)
+        groups = rendered_groups(cfg)
         assert groups[1].frames[0].pixels[0] == 16
 
     def test_ramp_hits_both_endpoints(self):
         cfg = SourceConfig(4, 3, 10, 1000, (Ramp(0, 90, 1000),))
-        (g,) = generate_groups(cfg)
+        (g,) = rendered_groups(cfg)
         levels = [f.pixels[0] for f in g.frames]
         assert levels == [0, 10, 20, 30, 40, 50, 60, 70, 80, 90]
 
     def test_partial_last_group(self):
         cfg = constant_source(duration=1500, fps=10, gop=1000)
-        groups = generate_groups(cfg)
+        groups = rendered_groups(cfg)
         assert [len(g.frames) for g in groups] == [10, 5]
 
     def test_empty_source_yields_no_groups(self):
         cfg = SourceConfig(4, 3, 10, 1000, ())
-        assert generate_groups(cfg) == []
+        assert generate_groups(cfg, "cam") == []
 
     def test_frames_global_timestamps_cross_groups(self):
         cfg = constant_source(duration=2000, fps=10, gop=1000)
-        groups = generate_groups(cfg)
+        groups = rendered_groups(cfg)
         assert groups[1].frames[0].capture_ts == 1000
         assert groups[1].frames[0].frame_index == 0
 
-    def test_frames_at_one_level_share_one_pixel_block(self):
+    def test_frames_at_one_level_carry_one_pixel_block(self):
         cfg = SourceConfig(
             4, 3, 30, 1000,
             (Constant(128, 1000), Strobe(16, 240, 5.0, 1000), Constant(128, 1000)),
         )
-        frames = [f for g in generate_groups(cfg) for f in g.frames]
+        frames = [f for g in rendered_groups(cfg) for f in g.frames]
         blocks = {}
         for frame in frames:
-            assert blocks.setdefault(frame.pixels[0], frame.pixels) is frame.pixels
+            assert blocks.setdefault(frame.pixels[0], frame.pixels) == frame.pixels
         assert sorted(blocks) == [16, 128, 240]
         assert all(block == bytes((level,)) * 12 for level, block in blocks.items())
 
@@ -233,7 +240,7 @@ class TestFramePayloadCodec:
     def test_golden_vector(self):
         frame = LuminanceFrame(2, 1, 0, 0, bytes([7, 9]))
         assert encode_frame_payload(frame) == FRAME_PAYLOAD_GOLDEN
-        assert decode_frame_payload(FRAME_PAYLOAD_GOLDEN) == (2, 1, 0, 0, 6)
+        assert read_payload(FRAME_PAYLOAD_GOLDEN) == (2, 1, 0, 0, 6)
         assert_reads_back(FRAME_PAYLOAD_GOLDEN, frame)
 
     def test_oversized_dimensions_rejected(self):
@@ -248,7 +255,7 @@ class TestFramePayloadCodec:
 
     def test_truncated_pixels_incomplete(self):
         with pytest.raises(IncompleteError):
-            decode_frame_payload(FRAME_PAYLOAD_GOLDEN[:-1])
+            read_payload(FRAME_PAYLOAD_GOLDEN[:-1])
 
     @pytest.mark.parametrize(
         "cut, message",
@@ -265,22 +272,29 @@ class TestFramePayloadCodec:
         payload = encode_frame_payload(LuminanceFrame(2, 1, 100, 1000, b"\x07\x09"))
         assert payload.hex() == "00020001406443e80709"
         with pytest.raises(IncompleteError) as excinfo:
-            decode_frame_payload(payload[:cut])
+            read_payload(payload[:cut])
+        assert str(excinfo.value) == message
+        # The same cut inside a buffer, before the rest of the payload and a
+        # second frame: nothing at or past the cut is read.
+        buffer = b"\xff" * 3 + payload + payload
+        with pytest.raises(IncompleteError) as excinfo:
+            decode_frame_payload(buffer, 3, 3 + cut)
         assert str(excinfo.value) == message
 
     def test_frames_carry_no_instance_dict(self):
         frame = LuminanceFrame(2, 1, 0, 0, bytes([7, 9]))
         assert not hasattr(frame, "__dict__")
-        assert not hasattr(decode_frame_payload(FRAME_PAYLOAD_GOLDEN), "__dict__")
+        # The reader builds no frame object, not even a named tuple.
+        assert type(read_payload(FRAME_PAYLOAD_GOLDEN)) is tuple
 
     def test_trailing_bytes_rejected(self):
         with pytest.raises(MalformedError):
-            decode_frame_payload(FRAME_PAYLOAD_GOLDEN + b"\x00")
+            read_payload(FRAME_PAYLOAD_GOLDEN + b"\x00")
 
     def test_zero_dimension_rejected(self):
         bad = bytes([0x00, 0x00, 0x00, 0x01, 0x00, 0x00])
         with pytest.raises(MalformedError):
-            decode_frame_payload(bad)
+            read_payload(bad)
 
     @given(
         st.integers(min_value=1, max_value=8),
@@ -314,25 +328,25 @@ class TestFramePayloadProperty:
         header = struct.pack(">HH", frame.width, frame.height)
         fields = encode_varint(frame.frame_index) + encode_varint(frame.capture_ts)
         assert payload == header + fields + frame.pixels
-        assert decode_frame_payload(payload) == (
+        assert read_payload(payload) == (
             frame.width, frame.height, frame.frame_index, frame.capture_ts, len(header + fields)
         )
         assert_reads_back(payload, frame)
 
         with pytest.raises(IncompleteError) as info:
-            decode_frame_payload(payload[:cut])
+            read_payload(payload[:cut])
         assert str(info.value) == f"frame payload: header needs 4 bytes, got {cut}"
 
         need = frame.width * frame.height
         short = min(extra, need)
         with pytest.raises(IncompleteError) as info:
-            decode_frame_payload(payload[:-short])
+            read_payload(payload[:-short])
         assert str(info.value) == (
             f"frame payload: {need} pixel bytes declared, {need - short} present"
         )
 
         with pytest.raises(MalformedError) as info:
-            decode_frame_payload(payload + bytes(extra))
+            read_payload(payload + bytes(extra))
         assert str(info.value) == f"frame payload has {extra} trailing bytes"
 
         for zeroed, shown in (
@@ -340,8 +354,94 @@ class TestFramePayloadProperty:
             (payload[:2] + b"\x00\x00" + payload[4:], f"{frame.width}x0"),
         ):
             with pytest.raises(MalformedError) as info:
-                decode_frame_payload(zeroed)
+                read_payload(zeroed)
             assert str(info.value) == f"frame dimensions must be positive: {shown}"
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        frame=codec_frames(),
+        lead=st.binary(max_size=3),
+        follow=st.sampled_from([b"\x00" * 9, b"\x40" * 9, b"\xff" * 9]),
+    )
+    def test_a_payload_inside_a_buffer_reads_as_it_does_alone(self, frame, lead, follow):
+        # Bytes before and after the payload, which would read as varints
+        # of every width: the reader gives the same header, the offset in
+        # the buffer, and, cut at each header byte and inside the pixels,
+        # the error the payload alone gives.
+        payload = encode_frame_payload(frame)
+        buffer = lead + payload + follow
+        start = len(lead)
+        header = read_payload(payload)
+        assert decode_frame_payload(buffer, start, start + len(payload)) == (
+            *header[:4], start + header[4]
+        )
+        for cut in [*range(header[4] + 1), len(payload) - 1]:
+            with pytest.raises(IncompleteError) as alone:
+                read_payload(payload[:cut])
+            with pytest.raises(IncompleteError) as inside:
+                decode_frame_payload(buffer, start, start + cut)
+            assert str(inside.value) == str(alone.value)
+
+
+@st.composite
+def rendered_sources(draw):
+    """Small sources of any group length, frame rate and segment mix."""
+    fps = draw(st.sampled_from([1, 2, 5, 10, 25, 30, 64, 100, 125]))
+    gop = draw(st.sampled_from([1000, 2000, 3000]))
+    segments = []
+    for _ in range(draw(st.integers(0, 3))):
+        duration = draw(st.integers(1, 3000))
+        kind = draw(st.sampled_from((Constant, Strobe, Ramp)))
+        if kind is Constant:
+            segments.append(Constant(draw(luma_levels), duration))
+        elif kind is Strobe:
+            low = draw(st.integers(0, 254))
+            segments.append(Strobe(low, draw(st.integers(low + 1, 255)), fps / 2, duration))
+        else:
+            segments.append(Ramp(draw(luma_levels), draw(luma_levels), duration))
+    return SourceConfig(draw(st.integers(1, 9)), draw(st.integers(1, 9)), fps, gop, tuple(segments))
+
+
+class TestRenderer:
+    """``generate_groups`` renders every chunk in one join; each must equal
+    what the reference encoder (``frames``) builds field by field from
+    reference frames, for every varint width the renderer writes."""
+
+    @staticmethod
+    def assert_matches_reference(config: SourceConfig, track: str = "cam") -> None:
+        publication = generate_groups(config, track)
+        assert publication == encode_publication(track, reference_groups(config))
+        assert all(type(chunk) is bytes for g in publication for chunk in g.chunks)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rendered_sources(), st.text(max_size=70))
+    def test_random_sources_match_the_reference(self, config, track):
+        self.assert_matches_reference(config, track)
+
+    def test_capture_times_of_four_byte_varints(self):
+        # 20 s at 10 fps: capture times from 16,400 ms on take 4 bytes.
+        config = constant_source(duration=20_000, fps=10)
+        assert frame_capture_ts(199, 10) >= 1 << 14
+        self.assert_matches_reference(config)
+
+    def test_group_ids_and_long_names_of_two_byte_varints(self):
+        # 70 one-frame groups at 1 fps: group ids from 64 on take 2 bytes,
+        # as does a 64-byte track name's length.
+        self.assert_matches_reference(constant_source(duration=70_000, fps=1), "n" * 64)
+
+    def test_two_byte_frame_counts_and_a_short_last_group(self):
+        # 100 frames a group (indices from 64 on and the count take 2
+        # bytes), then a last group of 50.
+        config = SourceConfig(
+            2, 2, 100, 1000, (Strobe(16, 240, 50.0, 1000), Ramp(0, 255, 500))
+        )
+        assert [len(g.chunks) for g in generate_groups(config, "cam")] == [100, 50]
+        self.assert_matches_reference(config)
+
+    def test_payload_lengths_of_four_byte_varints(self):
+        # A 128x128 frame's payload is over 16,383 bytes.
+        self.assert_matches_reference(constant_source(duration=300, fps=10, w=128, h=128))
 
 
 class TestInterToggleProperty:
@@ -351,7 +451,7 @@ class TestInterToggleProperty:
         if hz > fps / 2:
             pytest.skip("above the Nyquist cap")
         cfg = SourceConfig(4, 3, fps, 1000, (Strobe(16, 240, hz, 3000),))
-        frames = [f for g in generate_groups(cfg) for f in g.frames]
+        frames = [f for g in rendered_groups(cfg) for f in g.frames]
         levels = [f.pixels[0] for f in frames]
         toggles = [k for k in range(1, len(levels)) if levels[k] != levels[k - 1]]
         gaps = {b - a for a, b in zip(toggles, toggles[1:])}

@@ -11,26 +11,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from recording import Recorder, joined
+from frames import Group, LuminanceFrame, encode_frame_chunk, encode_frame_payload
 from streams import encode_group_stream
 
-from moqgate.client import (
-    AnalyzerClient,
-    LatencyRecord,
-    PublisherClient,
-    SubscriberClient,
-    encode_publication,
-)
+from moqgate.client import AnalyzerClient, LatencyRecord, PublisherClient, SubscriberClient
 from moqgate.eventlog import EventLog
-from moqgate.framing import encode_frame_chunk, encode_group_header
-from moqgate.media import (
-    Constant,
-    Group,
-    LuminanceFrame,
-    SourceConfig,
-    Strobe,
-    encode_frame_payload,
-    generate_groups,
-)
+from moqgate.framing import encode_group_header
+from moqgate.media import Constant, SourceConfig, Strobe, generate_groups
 from moqgate.relay import (
     DeliverGroup,
     JoinLive,
@@ -805,9 +792,6 @@ class TestRelayServer:
         group = two_frame_group()
         stream = rig.publisher.open_stream()
         # Send header+frame0 at t=20, frame1 at t=60.
-        from moqgate.framing import encode_frame_chunk, encode_group_header
-        from moqgate.media import encode_frame_payload
-
         header = encode_group_header("cam", 0, 2)
         c0 = encode_frame_chunk(encode_frame_payload(group.frames[0]))
         c1 = encode_frame_chunk(encode_frame_payload(group.frames[1]))
@@ -877,9 +861,6 @@ class TestRelayServer:
 
     def test_mid_group_joiner_gets_catch_up_burst(self):
         rig = ServerRig({})
-        from moqgate.framing import encode_frame_chunk, encode_group_header
-        from moqgate.media import encode_frame_payload
-
         group = two_frame_group()
         header = encode_group_header("cam", 0, 2)
         c0 = encode_frame_chunk(encode_frame_payload(group.frames[0]))
@@ -899,8 +880,6 @@ class TestRelayServer:
 
     @pytest.mark.parametrize("ending", ["fin_early", "close"])
     def test_group_of_a_failed_publisher_is_not_caught_up(self, ending):
-        from moqgate.media import encode_frame_payload
-
         rig = ServerRig({})
         c0, c1 = (encode_frame_chunk(encode_frame_payload(f)) for f in two_frame_group().frames)
         stream = rig.publisher.open_stream()
@@ -924,8 +903,6 @@ class TestRelayServer:
         assert received.chunks == []
 
     def test_overlapping_groups_each_reach_live_joiners(self):
-        from moqgate.media import encode_frame_payload
-
         rig = ServerRig({})
         encoded = {}
         for gid, start, end in ((0, 0, 60), (1, 20, 80)):
@@ -1254,7 +1231,7 @@ class TestDuplicateGroup:
     @staticmethod
     def _group_zero(segment):
         source = SourceConfig(16, 16, 30, 1000, (segment,))
-        (group,) = encode_publication("cam", generate_groups(source))
+        (group,) = generate_groups(source, "cam")
         return group.chunks
 
     @pytest.mark.parametrize("state", ["ingested", "live"])
@@ -1423,7 +1400,7 @@ class TestBoundedState:
         SubscriberClient(net, connect("plain", 2.0), "cam", 3).start()
         SubscriberClient(net, connect("gated", 6.0), "cam", 4, filter_categories=(STROBE,)).start()
         source = SourceConfig(16, 16, 10, 1000, (Constant(128, n_groups * 1000),))
-        publication = encode_publication("cam", generate_groups(source))
+        publication = generate_groups(source, "cam")
         PublisherClient(net, connect("pub", 5.0), publication).start()
         net.run_until_idle()
         delivered = server.log.filter(kind="group_delivered")
