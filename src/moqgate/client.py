@@ -17,9 +17,9 @@
   (:data:`~moqgate.analysis.STUB_CATEGORIES`) from their fixed verdicts.  It
   sends one APPROVE naming the approved subset (nothing when it is empty).
   A detector that throws, or a group that does not decode, fails closed: the
-  category is withheld, and a detector that throws leaves its memory as it
-  was, so the next group is judged against the last group it analyzed in
-  full.
+  category is withheld and a ``detector_error`` logged, and a detector that
+  throws leaves its memory as it was, so the next group is judged against
+  the last group it analyzed in full.
 * :class:`SubscriberClient` subscribes plain (live frames) or with the
   filter role (gated bursts) and records per-group arrival times without
   decoding any frame payloads; it logs nothing.
@@ -238,7 +238,6 @@ class AnalyzerClient:
         except ValueError as exc:  # undecodable group: every category fails closed
             group, failure = None, str(exc)
         approved: list[int] = []
-        rejected: list[int] = []
         for category in self.categories:
             error = None
             if group is None:
@@ -258,14 +257,8 @@ class AnalyzerClient:
                     category=category,
                     error=error,
                 )
-            (rejected if risk else approved).append(category)
-        self.log.emit(
-            self.name,
-            "group_analyzed",
-            group_id=group_id,
-            approved=approved,
-            rejected=rejected,
-        )
+            if not risk:
+                approved.append(category)
         if approved:
             msg = Approve(self.subscribe_id, group_id, tuple(approved))
             self.clock.at(self.clock.now + self.analysis_time_ms, lambda: self._send_approve(msg))

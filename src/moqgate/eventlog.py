@@ -23,15 +23,16 @@ Fold = Callable[[float, str, dict], None]
 class EventLog:
     """Append-only log; ``clock`` supplies the timestamp for each emit.
 
-    Events are per group, session or control message (a refused publish,
-    per chunk), so a log grows with a run's groups and clients, not its
-    frame rate.
+    Events are per group or control message (a refused publish, per
+    chunk), so a log grows with a run's groups and clients, not its frame
+    rate.
 
     A log built with ``folds`` keeps no events: each emit of a kind in
     ``folds`` goes straight to that kind's fold, and any other kind costs
     one dict lookup, with no clock read and no :class:`Event`.  The harness
-    folds each run's log this way into the few facts its checks read.  A
-    log built without ``folds`` keeps every event in ``events``.
+    folds each run's log this way into the facts its checks read and the
+    faults its report lists.  A log built without ``folds`` keeps every
+    event in ``events``.
     """
 
     clock: Callable[[], float] = lambda: 0.0

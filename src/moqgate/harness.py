@@ -41,6 +41,9 @@ __all__ = ["ScenarioTimeoutError", "predict_bounds", "run_scenario"]
 #: Tolerance when comparing measured latencies against the predicted bound.
 BOUND_EPSILON_MS = 2.0
 
+#: Event kinds of a peer's failure to do its part; each run's report lists them.
+FAULT_KINDS = ("detector_error", "approve_failed", "approve_ignored", "publish_failed")
+
 
 class ScenarioTimeoutError(RuntimeError):
     """The virtual-time or event budget ran out; carries the partial report."""
@@ -114,6 +117,7 @@ class _RunResult:
     approved_at: dict[tuple[int, int], float]  # (group, category) -> first approve_recorded
     gated_deliveries: list[tuple[float, str, int]]  # (time, filtered client, group)
     protocol_errors: list[tuple[str, str]]  # (session the relay failed, reason)
+    faults: list[list]  # [time, source, kind, detail] of each FAULT_KINDS event
     end_time_ms: float
     timeout: str = ""  # why the run stopped early: the SimTimeoutError text
 
@@ -132,6 +136,7 @@ def _run_once(
     approved_at: dict[tuple[int, int], float] = {}
     gated: list[tuple[float, str, int]] = []
     errors: list[tuple[str, str]] = []
+    faults: list[list] = []
     filtered = {spec.name for spec in scenario.clients if spec.filter}
 
     def approve_sent(time_ms: float, source: str, detail: dict) -> None:
@@ -150,6 +155,9 @@ def _run_once(
     def protocol_error(time_ms: float, source: str, detail: dict) -> None:
         errors.append((detail["sid"], detail["reason"]))
 
+    def fault(kind: str, time_ms: float, source: str, detail: dict) -> None:
+        faults.append([time_ms, source, kind, detail])
+
     net = SimNetwork()
     log = EventLog(
         lambda: net.now,
@@ -158,6 +166,7 @@ def _run_once(
             "approve_recorded": approve_recorded,
             "group_delivered": group_delivered,
             "protocol_error": protocol_error,
+            **{kind: functools.partial(fault, kind) for kind in FAULT_KINDS},
         },
     )
     server = RelayServer(net, scenario.retention_groups, log)
@@ -222,7 +231,7 @@ def _run_once(
         for name, c in clients.items()
     }
 
-    return _RunResult(index, dict(links), records, sent, approved_at, gated, errors, end_time, timeout)
+    return _RunResult(index, dict(links), records, sent, approved_at, gated, errors, faults, end_time, timeout)
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +444,7 @@ def _run_to_dict(scenario: Scenario, run: _RunResult, n_groups: int) -> dict:
                 "max_added_ms": max(addeds) if addeds else None,
             }
 
+    faults = {"faults": run.faults} if run.faults else {}
     return {
         "run": run.index,
         "links": {
@@ -452,6 +462,7 @@ def _run_to_dict(scenario: Scenario, run: _RunResult, n_groups: int) -> dict:
         "playback": playback_out,
         "bounds": bounds_out,
         "end_time_ms": run.end_time_ms,
+        **faults,
     }
 
 

@@ -43,8 +43,9 @@ not.  It keeps each live group's chunks and send streams (the one record of
 who receives the group) and carries out the core's actions.  A live join is
 a new stream with the chunks received so far, then the rest as they arrive.
 A group is held as the stream received, and every gated delivery of it sends
-the same object.  The server also schedules log-only stall alarms on its
-clock when gating starves a subscriber.
+the same object.  A session that closes is forgotten.  The server also
+schedules log-only stall alarms on its clock when gating starves a
+subscriber.
 """
 
 from __future__ import annotations
@@ -159,8 +160,9 @@ class RelayCore:
 
     Every handler either raises :class:`ProtocolError` (the caller should
     drop the offending session) or returns the list of actions the relay
-    must carry out, in order.  The actions are the core's decisions, so its
-    log holds only what it is told: subscriptions, ingests and approvals.
+    must carry out, in order.  Its sessions and tracks hold what it was
+    told, so its log holds only approvals: each one recorded, or ignored
+    because its group was evicted.
     """
 
     def __init__(self, retention: int = 64, log: EventLog | None = None) -> None:
@@ -226,14 +228,6 @@ class RelayCore:
         self._sessions[sid] = SessionState(
             sid, msg.subscribe_id, msg.track_name, analyze, filter_, track.next_expected or 0
         )
-        self.log.emit(
-            "relay",
-            "subscribed",
-            sid=str(sid),
-            track=msg.track_name,
-            analyze=list(analyze or ()),
-            filter=list(filter_ or ()),
-        )
         if filter_ is not None:
             return []
         return [JoinLive(sid, handle) for handle in track.live.values()]
@@ -297,7 +291,6 @@ class RelayCore:
         held[group_id] = _Held(payload)
         if len(held) > self.retention:
             del held[next(iter(held))]
-        self.log.emit("relay", "group_stored", track=track_name, group_id=group_id)
         return []
 
     # -- approval -------------------------------------------------------------
@@ -408,7 +401,7 @@ class RelayServer:
         self._sessions[sid] = session
         session.set_on_control(partial(self._on_control, sid, ControlStreamDecoder()))
         session.set_on_stream(lambda rs: rs.set_on_data(partial(self._on_group_data, sid, _LiveGroup())))
-        session.set_on_close(lambda: self._on_close(sid))
+        session.set_on_close(partial(self._forget, sid))
 
     # -- control path ----------------------------------------------------------
 
@@ -443,10 +436,6 @@ class RelayServer:
         session = self._forget(sid)
         if session is not None and not session.closed:
             session.close()
-
-    def _on_close(self, sid: object) -> None:
-        self.log.emit("relay", "session_closed", sid=str(sid))
-        self._forget(sid)
 
     def _forget(self, sid: object) -> Session | None:
         """Drop every trace of a session, including any group it was

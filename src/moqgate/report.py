@@ -145,6 +145,9 @@ class Report:
                     f"run {run['run']} {name}: bound {bounds['predicted_ms']} ms,"
                     f" worst observed {bounds['max_observed_e2e_ms']} ms"
                 )
+            for time_ms, source, kind, detail in run.get("faults", ()):
+                facts = " ".join(f"{key}={value}" for key, value in detail.items())
+                lines.append(f"run {run['run']} {source} {kind} at {time_ms} ms: {facts}")
         lines.append("checks:")
         for check in data["checks"]:
             tag = "PASS" if check["passed"] else "FAIL"

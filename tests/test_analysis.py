@@ -65,15 +65,20 @@ def analyzer_for(categories, **kwargs) -> AnalyzerClient:
 
 
 def verdicts(analyzer: AnalyzerClient, *groups: Group) -> list[tuple[list[int], list[int]]]:
-    """Hand each group to the analyzer as received; return (approved,
-    rejected) for every group it has analyzed so far."""
+    """Hand each group to the analyzer as received and run its clock;
+    return (approved, rejected) for every group it has analyzed so far:
+    approved as its sent APPROVE names them, rejected the rest of its
+    categories."""
     for g in groups:
         record = LatencyRecord(g.group_id, 0.0, 0.0, len(g.frames))
         analyzer._on_group(record, received_frames(g))
-    return [
-        (e.detail["approved"], e.detail["rejected"])
-        for e in analyzer.log.filter(kind="group_analyzed")
-    ]
+    analyzer.clock.run_until_idle()
+    sent = {e.detail["group_id"]: e.detail["categories"] for e in analyzer.log.filter(kind="approve_sent")}
+    result = []
+    for record in analyzer.records:
+        approved = sent.get(record.group_id, [])
+        result.append((approved, [c for c in analyzer.categories if c not in approved]))
+    return result
 
 
 def reference_grid(w: int, h: int, grid_dim: int) -> list[int]:

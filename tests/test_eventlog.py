@@ -9,11 +9,11 @@ class TestEventLog:
     def test_emit_records_time_source_kind_detail(self):
         t = [0.0]
         log = EventLog(lambda: t[0])
-        log.emit("relay", "group_stored", group_id=3, track="cam")
+        log.emit("relay", "approve_ignored", group_id=3, sid="an")
         t[0] = 12.5
         log.emit("relay", "group_delivered", group_id=3)
         assert log.events == [
-            Event(0.0, "relay", "group_stored", {"group_id": 3, "track": "cam"}),
+            Event(0.0, "relay", "approve_ignored", {"group_id": 3, "sid": "an"}),
             Event(12.5, "relay", "group_delivered", {"group_id": 3}),
         ]
 
@@ -33,9 +33,9 @@ class TestEventLog:
 
     def test_emit_appends_the_event_it_records(self):
         log = EventLog(lambda: 4.5)
-        log.emit("relay", "group_stored", group_id=3, track="cam")
+        log.emit("relay", "approve_ignored", group_id=3, sid="an")
         event = log.events[-1]
-        assert event == Event(4.5, "relay", "group_stored", {"group_id": 3, "track": "cam"})
+        assert event == Event(4.5, "relay", "approve_ignored", {"group_id": 3, "sid": "an"})
         assert log.events == [event]
 
     def test_detail_is_a_fresh_dict(self):

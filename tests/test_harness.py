@@ -622,7 +622,10 @@ class TestRunScenario:
         assert playback["stalls"] == []
 
     def test_band_check_fails_when_out_of_band(self):
+        # All 7 groups reach "gated" 900 ms after the analyzer: the detail
+        # names the first five, in order, and no more.
         data = mini_scenario()
+        data["source"]["segments"][0]["duration_ms"] = 7000
         data["checks"] = {"added_latency_band_ms": [0.0, 10.0]}
         report = run_report(data)
         assert report.passed is False
@@ -630,6 +633,10 @@ class TestRunScenario:
         assert verdicts["added_latency_band"] is False
         assert verdicts["gating_safety"] is True
         assert verdicts["latency_bound"] is True
+        assert check_named(report, "added_latency_band")["detail"] == (
+            "outside [0.0, 10.0] ms: "
+            + "; ".join(f"run 0 gated group {g}: 900.0" for g in range(5))
+        )
 
     def test_impulse_gating_and_skip(self):
         report = run_report(impulse_scenario())
@@ -803,10 +810,10 @@ class TestRunScenario:
         assert again.to_json() == report.to_json()
 
     def test_event_log_grows_with_groups_not_frames(self, monkeypatch):
-        # Every logged event is per group (ingest, analysis, approval,
-        # delivery) or per session, so 200 fps logs exactly what 30 fps
-        # does.  The kinds are pinned, so a new kind, or one that comes back
-        # to restate what a record or an action already holds, fails here.
+        # Every logged event is per group (approval, delivery), so 200 fps
+        # logs exactly what 30 fps does.  The kinds are pinned, so a new
+        # kind, or one that comes back to restate what a record or the
+        # relay's state already holds, fails here.
         kinds: list[str] = []
         emit = EventLog.emit
 
@@ -826,15 +833,8 @@ class TestRunScenario:
             kinds.clear()
             assert run_report(data).passed is True
             logged.append(Counter(kinds))
-        assert logged[0]["group_stored"] == 10
-        assert set(logged[0]) == {
-            "subscribed",
-            "group_stored",
-            "group_analyzed",
-            "approve_sent",
-            "approve_recorded",
-            "group_delivered",
-        }
+        assert logged[0]["approve_sent"] == 10
+        assert set(logged[0]) == {"approve_sent", "approve_recorded", "group_delivered"}
         assert logged[0] == logged[1]
 
     def test_event_heap_does_not_grow_with_run_length(self, monkeypatch):
@@ -964,6 +964,7 @@ def _scan(scenario: Scenario, events: list[tuple]) -> tuple:
     approved_at: dict[tuple[int, int], float] = {}
     gated = []
     errors = []
+    faults = []
     filtered = {spec.name for spec in scenario.clients if spec.filter}
     for time_ms, source, kind, detail in events:
         if kind == "approve_sent":
@@ -975,7 +976,9 @@ def _scan(scenario: Scenario, events: list[tuple]) -> tuple:
             gated.append((time_ms, detail["sid"], detail["group_id"]))
         elif kind == "protocol_error":
             errors.append((detail["sid"], detail["reason"]))
-    return sent, approved_at, gated, errors
+        elif kind in ("detector_error", "approve_failed", "approve_ignored", "publish_failed"):
+            faults.append([time_ms, source, kind, detail])
+    return sent, approved_at, gated, errors, faults
 
 
 def _bundled(name: str) -> Scenario:
@@ -1041,13 +1044,72 @@ class TestRunLedger:
         run_scenario(scenario)
         assert len(results) == (scenario.delay_draws.count if scenario.delay_draws else 1)
         for result, events in zip(results, full_logs):
-            sent, approved_at, gated, errors = _scan(scenario, events)
+            sent, approved_at, gated, errors, faults = _scan(scenario, events)
             assert result.approvals_sent == sent
             assert result.approved_at == approved_at
             assert result.gated_deliveries == gated
             assert result.protocol_errors == errors
+            assert result.faults == faults
             assert approved_at and gated
             assert bool(errors) is fails_sessions
+
+
+class TestFaults:
+    """Each run's report lists the faults its peers hit, in order, under
+    ``faults``, and the text report prints each one."""
+
+    def test_approvals_of_evicted_groups_are_listed(self):
+        # Retention 1, and an analyzer 300 ms away that takes 500 ms: group
+        # g's approval reaches the relay at 1000g + 2000 ms, after group
+        # g + 1 ended at 1000g + 1900 and evicted it.  Only the last group's
+        # approval finds it held.
+        data = mini_scenario()
+        data["source"]["segments"][0]["duration_ms"] = 4000
+        data["retention_groups"] = 1
+        data["links"]["clients"]["analyzer0"] = {"to_relay_ms": 300.0, "from_relay_ms": 300.0, "jitter_ms": 0.0}
+        data["clients"][0]["analysis_time_ms"] = 500.0
+        data["checks"] = {}
+        report = run_report(data)
+        assert report.data["runs"][0]["faults"] == [
+            [1000.0 * g + 2000.0, "relay", "approve_ignored",
+             {"sid": "analyzer0", "group_id": g, "reason": "group evicted"}]
+            for g in range(3)
+        ]
+        assert check_named(report, "gating_safety") == {
+            "name": "gating_safety",
+            "passed": False,
+            "detail": "run 0 gated: delivered [3], expected [0, 1, 2, 3]",
+        }
+        assert (
+            "run 0 relay approve_ignored at 2000.0 ms: sid=analyzer0 group_id=0 reason=group evicted\n"
+            in report.to_text()
+        )
+
+    def test_a_detector_error_is_listed_and_printed(self, monkeypatch):
+        analyze_group = StrobeDetector.analyze_group
+
+        def failing_on_group_1(detector, group):
+            if group.frames[0][3] == 1000:  # group 1's first capture time
+                raise RuntimeError("lens cap on")
+            return analyze_group(detector, group)
+
+        monkeypatch.setattr(StrobeDetector, "analyze_group", failing_on_group_1)
+        report = run_report(mini_scenario())
+        fault = [1900.0, "analyzer0", "detector_error",
+                 {"group_id": 1, "category": Category.STROBE, "error": "lens cap on"}]
+        assert report.data["runs"][0]["faults"] == [fault]
+        assert json.loads(report.to_json())["runs"][0]["faults"] == [fault]
+        assert (
+            "run 0 analyzer0 detector_error at 1900.0 ms: group_id=1 category=1 error=lens cap on\n"
+            in report.to_text()
+        )
+        assert report.data["runs"][0]["delivered"]["gated"] == [0]  # group 1 failed closed
+
+    def test_a_run_without_faults_has_no_faults_key(self):
+        report = run_report(mini_scenario())
+        assert report.passed is True
+        assert "faults" not in report.data["runs"][0]
+        assert "faults" not in report.to_json()
 
 
 def check_named(report: Report, name: str) -> dict:

@@ -6,8 +6,9 @@ the relay's core names no transport type and its server keeps no session
 roles; the report writers depend on nothing else in the package, and the
 scenario loader on neither the relay nor the clients.  Every
 name a module imports is used there or exported through its ``__all__``,
-and every control message the codec carries is built by some module other
-than the codec.
+every control message the codec carries is built by some module other
+than the codec, and every event kind the package emits is one that a
+scenario run's log folds.
 """
 
 from __future__ import annotations
@@ -19,7 +20,10 @@ from pathlib import Path
 
 import pytest
 
+import moqgate.harness
 from moqgate import wire
+from moqgate.eventlog import EventLog
+from moqgate.scenario import bundled_scenario_path, load_scenario
 from moqgate.transport import Clock
 
 PACKAGE = Path(importlib.import_module("moqgate").__file__).parent
@@ -170,3 +174,44 @@ def test_every_control_message_is_built_outside_the_codec():
     carried = {message.__name__ for message in typing.get_args(wire.ControlMessage)}
     assert carried, "the check must see the codec's messages"
     assert sorted(carried - built) == []
+
+
+#: Event kinds the package emits that no run reads yet, each with its reason.
+UNREAD_KINDS = {
+    "gating_stalled": "ROADMAP item 1: stall alarms that do not keep the run alive",
+}
+
+
+def _emitted_kinds() -> set[str]:
+    """The kind of every ``.emit(source, kind, ...)`` call in the package,
+    each of which must be a string literal."""
+    kinds: set[str] = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "emit":
+                kind = node.args[1]
+                assert isinstance(kind, ast.Constant) and isinstance(kind.value, str), (
+                    f"{path.name}:{node.lineno}: the kind is not a literal"
+                )
+                kinds.add(kind.value)
+    return kinds
+
+
+def test_every_emitted_kind_is_folded_by_a_run(monkeypatch):
+    """A kind that no run folds is dropped as it is emitted, so a new kind
+    without a reader, or a typo in one, fails here; so does a fold for a
+    kind the package never emits."""
+    folds: list[set[str]] = []
+
+    def recording_log(*args, **kwargs):
+        log = EventLog(*args, **kwargs)
+        folds.append(set(log.folds))
+        return log
+
+    monkeypatch.setattr(moqgate.harness, "EventLog", recording_log)
+    moqgate.harness.run_scenario(load_scenario(bundled_scenario_path("strobe_impulse")))
+    emitted = _emitted_kinds()
+    (folded,) = folds
+    assert emitted, "the check must see the package's emits"
+    assert sorted(emitted - folded) == sorted(UNREAD_KINDS)
+    assert sorted(folded - emitted) == []
