@@ -15,7 +15,8 @@
   category: strobe from the pixels, read at their offset in those chunks, by
   :class:`~moqgate.analysis.StrobeDetector`, the stub categories
   (:data:`~moqgate.analysis.STUB_CATEGORIES`) from their fixed verdicts.  It
-  sends one APPROVE naming the approved subset (nothing when it is empty).
+  sends one APPROVE naming the approved subset (nothing when it is empty)
+  and keeps each one sent in ``approvals``.
   A detector that throws, or a group that does not decode, fails closed: the
   category is withheld and a ``detector_error`` logged, and a detector that
   throws leaves its memory as it was, so the next group is judged against
@@ -27,9 +28,10 @@
   playout clock to find stalls; :func:`predict_latency_bound` gives the
   worst-case end-to-end latency a filtered subscriber should ever see.
 
-Every client runs on a session and a :class:`~moqgate.transport.Clock`.
-Both receiving clients keep ``records``: one :class:`LatencyRecord` per
-group, in the order the groups' streams completed, timed by their clock.
+Every client runs on a session and a :class:`~moqgate.transport.Clock`,
+and logs under the session's name.  Both receiving clients keep
+``records``: one :class:`LatencyRecord` per group, in the order the
+groups' streams completed, timed by their clock.
 """
 
 from __future__ import annotations
@@ -104,13 +106,11 @@ class PublisherClient:
         publication: list[EncodedGroup],
         epoch_ms: float = 0.0,
         log: EventLog | None = None,
-        name: str = "publisher",
     ) -> None:
         self.clock = clock
         self.session = session
         self.publication = publication
         self.epoch_ms = epoch_ms
-        self.name = name
         self.log = log if log is not None else EventLog(lambda: clock.now)
         self._stream: SendStream | None = None  # publication[0]'s, once open
         self._index = 0  # publication[0]'s next chunk
@@ -139,7 +139,7 @@ class PublisherClient:
             else:
                 self._stream.send(chunk)
         except DisconnectedError:
-            self.log.emit(self.name, "publish_failed", group_id=group.group_id)
+            self.log.emit(self.session.name, "publish_failed", group_id=group.group_id)
         if last:
             self._stream = None
             self._index = 0
@@ -202,7 +202,6 @@ class AnalyzerClient:
         rejecting_stubs: Iterable[int] = (),
         analysis_time_ms: float = 0.0,
         log: EventLog | None = None,
-        name: str = "analyzer",
     ) -> None:
         self.clock = clock
         self.session = session
@@ -215,9 +214,9 @@ class AnalyzerClient:
         self.subscribe_id = subscribe_id
         self.strobe = StrobeDetector(detector)
         self.analysis_time_ms = analysis_time_ms
-        self.name = name
         self.log = log if log is not None else EventLog(lambda: clock.now)
         self.records: list[LatencyRecord] = []
+        self.approvals: list[tuple[float, int, list[int]]] = []  # (time, group, categories) sent
         _receive_groups(clock, session, self._on_group, collect=True)
 
     def start(self) -> None:
@@ -251,7 +250,7 @@ class AnalyzerClient:
                 risk = category in self.rejecting_stubs
             if error is not None:
                 self.log.emit(
-                    self.name,
+                    self.session.name,
                     "detector_error",
                     group_id=group_id,
                     category=category,
@@ -267,14 +266,9 @@ class AnalyzerClient:
         try:
             self.session.send_control(encode_message(msg))
         except DisconnectedError:
-            self.log.emit(self.name, "approve_failed", group_id=msg.group_id)
+            self.log.emit(self.session.name, "approve_failed", group_id=msg.group_id)
             return
-        self.log.emit(
-            self.name,
-            "approve_sent",
-            group_id=msg.group_id,
-            categories=list(msg.categories),
-        )
+        self.approvals.append((self.clock.now, msg.group_id, list(msg.categories)))
 
 
 class SubscriberClient:

@@ -31,8 +31,9 @@ class EventLog:
     ``folds`` goes straight to that kind's fold, and any other kind costs
     one dict lookup, with no clock read and no :class:`Event`.  The harness
     folds each run's log this way into the facts its checks read and the
-    faults its report lists.  A log built without ``folds`` keeps every
-    event in ``events``.
+    faults its report lists; what a client or the relay core keeps is read
+    from it, not logged.  A log built without ``folds`` keeps every event
+    in ``events``.
     """
 
     clock: Callable[[], float] = lambda: 0.0

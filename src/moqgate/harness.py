@@ -3,9 +3,10 @@
 ``run_scenario`` replays a :class:`~moqgate.scenario.Scenario` on the
 simulated network (once, or once per delay draw) and produces a
 :class:`~moqgate.report.Report` with per-group latency records, delivery
-and skip lists, playback stall analysis, latency-bound comparisons, and a
-list of named pass/fail checks.  Reports are deterministic: the same
-scenario always renders to byte-identical JSON.
+and skip lists, playback stall analysis, latency-bound comparisons, each
+run's faults (the relay's refusals among them) and a list of named
+pass/fail checks.  Reports are deterministic: the same scenario always
+renders to byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ __all__ = ["ScenarioTimeoutError", "predict_bounds", "run_scenario"]
 #: Tolerance when comparing measured latencies against the predicted bound.
 BOUND_EPSILON_MS = 2.0
 
-#: Event kinds of a peer's failure to do its part; each run's report lists them.
-FAULT_KINDS = ("detector_error", "approve_failed", "approve_ignored", "publish_failed")
+#: Event kinds of a peer's failure, or of the relay's refusal of a peer; each run's report lists them.
+FAULT_KINDS = ("detector_error", "approve_failed", "approve_ignored", "publish_failed", "protocol_error")
 
 
 class ScenarioTimeoutError(RuntimeError):
@@ -107,8 +108,8 @@ def _drawn_links(scenario: Scenario, rng: random.Random) -> dict[str, LinkSpec]:
 
 @dataclass
 class _RunResult:
-    """One run's records plus the facts its checks read, folded from the
-    run's events as they were emitted."""
+    """One run's facts, each from one source: records and sent approvals
+    from its clients, the rest folded from its events as they were emitted."""
 
     index: int
     links: dict[str, LinkSpec]
@@ -116,7 +117,6 @@ class _RunResult:
     approvals_sent: dict[str, list[tuple[float, int, list[int]]]]  # (time, group, categories)
     approved_at: dict[tuple[int, int], float]  # (group, category) -> first approve_recorded
     gated_deliveries: list[tuple[float, str, int]]  # (time, filtered client, group)
-    protocol_errors: list[tuple[str, str]]  # (session the relay failed, reason)
     faults: list[list]  # [time, source, kind, detail] of each FAULT_KINDS event
     end_time_ms: float
     timeout: str = ""  # why the run stopped early: the SimTimeoutError text
@@ -130,17 +130,9 @@ def _run_once(
 ) -> _RunResult:
     # The run's ledger: each fact the checks read is folded in as its event
     # is emitted, and the log keeps no events.
-    sent: dict[str, list[tuple[float, int, list[int]]]] = {
-        spec.name: [] for spec in scenario.clients if spec.analyze
-    }
     approved_at: dict[tuple[int, int], float] = {}
     gated: list[tuple[float, str, int]] = []
-    errors: list[tuple[str, str]] = []
     faults: list[list] = []
-    filtered = {spec.name for spec in scenario.clients if spec.filter}
-
-    def approve_sent(time_ms: float, source: str, detail: dict) -> None:
-        sent[source].append((time_ms, detail["group_id"], detail["categories"]))
 
     def approve_recorded(time_ms: float, source: str, detail: dict) -> None:
         group_id = detail["group_id"]
@@ -148,12 +140,7 @@ def _run_once(
             approved_at.setdefault((group_id, code), time_ms)
 
     def group_delivered(time_ms: float, source: str, detail: dict) -> None:
-        sid = detail["sid"]
-        if sid in filtered:
-            gated.append((time_ms, sid, detail["group_id"]))
-
-    def protocol_error(time_ms: float, source: str, detail: dict) -> None:
-        errors.append((detail["sid"], detail["reason"]))
+        gated.append((time_ms, detail["sid"], detail["group_id"]))
 
     def fault(kind: str, time_ms: float, source: str, detail: dict) -> None:
         faults.append([time_ms, source, kind, detail])
@@ -162,10 +149,8 @@ def _run_once(
     log = EventLog(
         lambda: net.now,
         folds={
-            "approve_sent": approve_sent,
             "approve_recorded": approve_recorded,
             "group_delivered": group_delivered,
-            "protocol_error": protocol_error,
             **{kind: functools.partial(fault, kind) for kind in FAULT_KINDS},
         },
     )
@@ -194,7 +179,6 @@ def _run_once(
                 rejecting_stubs=scenario.rejected_stubs,
                 analysis_time_ms=spec.analysis_time_ms,
                 log=log,
-                name=spec.name,
             )
         else:
             client = SubscriberClient(
@@ -213,7 +197,6 @@ def _run_once(
         publication,
         epoch_ms=scenario.publish_epoch_ms,
         log=log,
-        name="publisher",
     )
     publisher.start()
 
@@ -230,8 +213,8 @@ def _run_once(
         name: sorted(c.records, key=lambda r: r.group_id) if isinstance(c, AnalyzerClient) else c.records
         for name, c in clients.items()
     }
-
-    return _RunResult(index, dict(links), records, sent, approved_at, gated, errors, faults, end_time, timeout)
+    sent = {name: c.approvals for name, c in clients.items() if isinstance(c, AnalyzerClient)}
+    return _RunResult(index, dict(links), records, sent, approved_at, gated, faults, end_time, timeout)
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +311,9 @@ def _check_gating_safety(
                     f"run {run.index} {name}: delivered {actual}, expected {expected_delivered}"
                 )
         if len(failures) > before:
-            for sid, reason in run.protocol_errors:
-                failures.append(f"run {run.index} relay failed {sid}: {reason}")
+            for _, _, kind, detail in run.faults:
+                if kind == "protocol_error":
+                    failures.append(f"run {run.index} relay failed {detail['sid']}: {detail['reason']}")
     return _check_result(
         "gating_safety",
         "",

@@ -101,7 +101,6 @@ class MonotonicityError(ProtocolError):
 @dataclass(frozen=True)
 class DeliverGroup:
     sid: object
-    track: str
     group_id: int
     payload: object
 
@@ -109,7 +108,6 @@ class DeliverGroup:
 @dataclass(frozen=True)
 class SkipGroups:
     sid: object
-    track: str
     group_ids: tuple[int, ...]
 
 
@@ -149,6 +147,7 @@ class _TrackState:
     # and which has not ended, in arrival order.
     live: dict[int, object] = field(default_factory=dict)
     next_expected: int | None = None
+    first: int = 0  # the first ingested id, once there is one
     # The session whose group header the track first accepted: the only
     # one that may publish into it, and so of every live group, until it
     # is removed.
@@ -162,7 +161,7 @@ class RelayCore:
     drop the offending session) or returns the list of actions the relay
     must carry out, in order.  Its sessions and tracks hold what it was
     told, so its log holds only approvals: each one recorded, or ignored
-    because its group was evicted.
+    because its group was evicted or came before the track's first.
     """
 
     def __init__(self, retention: int = 64, log: EventLog | None = None) -> None:
@@ -278,6 +277,7 @@ class RelayCore:
         track.live.pop(group_id, None)
         if track.next_expected is None:
             # First group establishes the base id for the track.
+            track.first = group_id
             for state in self.sessions_of(track_name):
                 if state.filter is not None and state.next_deliver < group_id:
                     state.next_deliver = group_id
@@ -322,13 +322,12 @@ class RelayCore:
             )
         group = track.held.get(msg.group_id)
         if group is None:
-            # Evicted, or before the track's first group.
             self.log.emit(
                 "relay",
                 "approve_ignored",
                 sid=str(sid),
                 group_id=msg.group_id,
-                reason="group evicted",
+                reason="group evicted" if msg.group_id >= track.first else f"track starts at group {track.first}",
             )
             return []
         coverage_changed = not group.approved.issuperset(msg.categories)
@@ -339,7 +338,6 @@ class RelayCore:
             sid=str(sid),
             group_id=msg.group_id,
             categories=list(msg.categories),
-            new_coverage=coverage_changed,
         )
         if not coverage_changed:
             return []
@@ -368,9 +366,9 @@ class RelayCore:
                 continue
             if gid > state.next_deliver:
                 skipped = tuple(range(state.next_deliver, gid))
-                actions.append(SkipGroups(state.sid, track.name, skipped))
+                actions.append(SkipGroups(state.sid, skipped))
             state.next_deliver = gid + 1
-            actions.append(DeliverGroup(state.sid, track.name, gid, held[gid].payload))
+            actions.append(DeliverGroup(state.sid, gid, held[gid].payload))
         return actions
 
 
@@ -495,7 +493,6 @@ class RelayServer:
                 "relay",
                 "group_delivered",
                 sid=str(action.sid),
-                track=action.track,
                 group_id=action.group_id,
             )
 

@@ -73,7 +73,7 @@ def verdicts(analyzer: AnalyzerClient, *groups: Group) -> list[tuple[list[int], 
         record = LatencyRecord(g.group_id, 0.0, 0.0, len(g.frames))
         analyzer._on_group(record, received_frames(g))
     analyzer.clock.run_until_idle()
-    sent = {e.detail["group_id"]: e.detail["categories"] for e in analyzer.log.filter(kind="approve_sent")}
+    sent = {group_id: categories for _, group_id, categories in analyzer.approvals}
     result = []
     for record in analyzer.records:
         approved = sent.get(record.group_id, [])

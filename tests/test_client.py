@@ -41,7 +41,7 @@ def analyzed(analyzer):
     received, once its clock has run: approved as its sent APPROVE names
     them, rejected the rest of its categories."""
     analyzer.clock.run_until_idle()
-    sent = {e.detail["group_id"]: e.detail["categories"] for e in analyzer.log.filter(kind="approve_sent")}
+    sent = {group_id: categories for _, group_id, categories in analyzer.approvals}
     verdicts = {}
     for record in analyzer.records:
         approved = sent.get(record.group_id, [])
@@ -65,7 +65,7 @@ class Rig:
         self.server.attach(name, remote)
         client = AnalyzerClient(
             self.net, local, "cam", tuple(cats), sub_id,
-            detector=detector, analysis_time_ms=analysis, name=name,
+            detector=detector, analysis_time_ms=analysis,
         )
         client.start()
         return client
@@ -259,7 +259,7 @@ class TestAnalyzerClient:
         rig.net.run_until_idle()
         failed = [(e.time_ms, e.detail) for e in analyzer.log.filter(kind="approve_failed")]
         assert failed == [(940.0, {"group_id": 0})]
-        assert analyzer.log.filter(kind="approve_sent") == []
+        assert analyzer.approvals == []
         assert rig.server.log.filter(kind="approve_recorded") == []
 
     def test_risky_group_sends_nothing(self):
@@ -417,7 +417,7 @@ class TestMalformedGroup:
         rig.net.at(10, lambda: pub.open_stream().end(stream))
         rig.net.run_until_idle(max_virtual_ms=30_000)
         assert rig.server.log.filter(kind="approve_recorded") == []
-        assert analyzer.log.filter(kind="approve_sent") == []
+        assert analyzer.approvals == []
         assert gated.records == []
         assert group_ids(plain) == [0]
         assert analyzed(analyzer) == {0: ([], [STROBE])}

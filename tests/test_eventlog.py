@@ -58,13 +58,13 @@ class TestEventLog:
             return 2.5 * reads
 
         seen = []
-        log = EventLog(clock, folds={"approve_sent": lambda *event: seen.append(event)})
+        log = EventLog(clock, folds={"approve_recorded": lambda *event: seen.append(event)})
         for _ in range(3):
             log.emit("relay", "group_delivered", group_id=0)
         assert reads == 0
-        log.emit("analyzer", "approve_sent", group_id=0)
+        log.emit("relay", "approve_recorded", group_id=0)
         log.emit("relay", "group_delivered", group_id=0)
-        log.emit("analyzer", "approve_sent", group_id=1)
+        log.emit("relay", "approve_recorded", group_id=1)
         assert reads == 2
-        assert seen == [(2.5, "analyzer", {"group_id": 0}), (5.0, "analyzer", {"group_id": 1})]
+        assert seen == [(2.5, "relay", {"group_id": 0}), (5.0, "relay", {"group_id": 1})]
         assert log.events == []

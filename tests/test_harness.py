@@ -833,8 +833,8 @@ class TestRunScenario:
             kinds.clear()
             assert run_report(data).passed is True
             logged.append(Counter(kinds))
-        assert logged[0]["approve_sent"] == 10
-        assert set(logged[0]) == {"approve_sent", "approve_recorded", "group_delivered"}
+        assert logged[0]["approve_recorded"] == 10
+        assert set(logged[0]) == {"approve_recorded", "group_delivered"}
         assert logged[0] == logged[1]
 
     def test_event_heap_does_not_grow_with_run_length(self, monkeypatch):
@@ -959,26 +959,24 @@ class TestRunScenario:
 
 def _scan(scenario: Scenario, events: list[tuple]) -> tuple:
     """The facts the checks read, taken from a run's full event list in one
-    pass once the run is over."""
-    sent: dict[str, list] = {spec.name: [] for spec in scenario.clients if spec.analyze}
+    pass once the run is over, and each analyzer's recorded approvals as
+    ``(group, categories)`` in order."""
+    recorded: dict[str, list] = {spec.name: [] for spec in scenario.clients if spec.analyze}
     approved_at: dict[tuple[int, int], float] = {}
     gated = []
-    errors = []
     faults = []
     filtered = {spec.name for spec in scenario.clients if spec.filter}
+    fault_kinds = ("detector_error", "approve_failed", "approve_ignored", "publish_failed", "protocol_error")
     for time_ms, source, kind, detail in events:
-        if kind == "approve_sent":
-            sent[source].append((time_ms, detail["group_id"], detail["categories"]))
-        elif kind == "approve_recorded":
+        if kind == "approve_recorded":
+            recorded[detail["sid"]].append((detail["group_id"], detail["categories"]))
             for code in detail["categories"]:
                 approved_at.setdefault((detail["group_id"], code), time_ms)
         elif kind == "group_delivered" and detail["sid"] in filtered:
             gated.append((time_ms, detail["sid"], detail["group_id"]))
-        elif kind == "protocol_error":
-            errors.append((detail["sid"], detail["reason"]))
-        elif kind in ("detector_error", "approve_failed", "approve_ignored", "publish_failed"):
+        elif kind in fault_kinds:
             faults.append([time_ms, source, kind, detail])
-    return sent, approved_at, gated, errors, faults
+    return recorded, approved_at, gated, faults
 
 
 def _bundled(name: str) -> Scenario:
@@ -1009,7 +1007,7 @@ class TestRunLedger:
         report = run_scenario(_bundled("random_delays"))
         assert report.passed is True
         assert len(logs) == len(report.data["runs"]) == 20
-        assert emitted > 20 * 10  # every run logged its groups
+        assert emitted == 20 * 2 * 5  # every run recorded and delivered each of its 5 groups
         assert [log.events for log in logs] == [[]] * 20
 
     @pytest.mark.parametrize(
@@ -1044,14 +1042,24 @@ class TestRunLedger:
         run_scenario(scenario)
         assert len(results) == (scenario.delay_draws.count if scenario.delay_draws else 1)
         for result, events in zip(results, full_logs):
-            sent, approved_at, gated, errors, faults = _scan(scenario, events)
-            assert result.approvals_sent == sent
+            recorded, approved_at, gated, faults = _scan(scenario, events)
             assert result.approved_at == approved_at
             assert result.gated_deliveries == gated
-            assert result.protocol_errors == errors
             assert result.faults == faults
             assert approved_at and gated
-            assert bool(errors) is fails_sessions
+            refused = [detail for _, _, kind, detail in faults if kind == "protocol_error"]
+            assert bool(refused) is fails_sessions
+            # Each analyzer's approvals are the ones the relay recorded, in
+            # order, then the one the relay refused as it failed the analyzer.
+            assert list(result.approvals_sent) == list(recorded)
+            for name, approvals in result.approvals_sent.items():
+                sent = [(group_id, categories) for _, group_id, categories in approvals]
+                assert sent[: len(recorded[name])] == recorded[name]
+                unrecorded = sent[len(recorded[name]) :]
+                reasons = [d["reason"] for d in refused if d["sid"] == name]
+                assert len(unrecorded) == len(reasons)
+                for (group_id, _), reason in zip(unrecorded, reasons):
+                    assert reason.startswith(f"approval for group {group_id} of track")
 
 
 class TestFaults:
@@ -1217,9 +1225,9 @@ class TestCheckBoundaries:
         }
 
     def test_a_protocol_error_in_a_run_with_right_deliveries_passes_gating(self, monkeypatch):
-        # The relay fails the plain viewer, which no filter covers: the run
-        # logs a protocol error, and every filtered client still gets
-        # exactly the approved groups.
+        # The relay fails the plain viewer, which no filter covers: the run's
+        # report lists the refusal as a fault, and every filtered client
+        # still gets exactly the approved groups.
         class UnknownMessageViewer(moqgate.client.SubscriberClient):
             def start(self):
                 super().start()
@@ -1227,18 +1235,17 @@ class TestCheckBoundaries:
                     self.session.send_control(bytes([0x04, 0x02, 0x01]))
 
         monkeypatch.setattr(moqgate.harness, "SubscriberClient", UnknownMessageViewer)
-        runs = []
-        run_once = moqgate.harness._run_once
-
-        def recording_run_once(*args):
-            runs.append(run_once(*args))
-            return runs[-1]
-
-        monkeypatch.setattr(moqgate.harness, "_run_once", recording_run_once)
         report = run_report(mini_scenario())
-        assert [run.protocol_errors for run in runs] == [
-            [("plain", "undecodable control bytes: unknown message type 0x04")]
-        ]
+        fault = [0.0, "relay", "protocol_error",
+                 {"reason": "undecodable control bytes: unknown message type 0x04", "sid": "plain"}]
+        assert report.data["runs"][0]["faults"] == [fault]
+        assert (
+            "run 0 relay protocol_error at 0.0 ms: sid=plain "
+            "reason=undecodable control bytes: unknown message type 0x04\n"
+        ) in report.to_text()
+        text = report.to_json()
+        assert json.loads(text)["runs"][0]["faults"] == [fault]
+        assert json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n" == text
         assert report.data["runs"][0]["delivered"]["gated"] == [0, 1]
         assert check_named(report, "gating_safety") == {
             "name": "gating_safety",

@@ -205,10 +205,10 @@ class TestGating:
         core = self._core()
         assert core.ingest_group("cam", 0, "G0") == []
         actions = core.handle_approve("an", Approve(2, 0, (STROBE,)))
-        assert actions == [DeliverGroup("f", "cam", 0, "G0")]
+        assert actions == [DeliverGroup("f", 0, "G0")]
         core.ingest_group("cam", 1, "G1")
         assert core.handle_approve("an", Approve(2, 1, (STROBE,))) == [
-            DeliverGroup("f", "cam", 1, "G1")
+            DeliverGroup("f", 1, "G1")
         ]
 
     def test_duplicate_approve_is_idempotent(self):
@@ -223,8 +223,8 @@ class TestGating:
             core.ingest_group("cam", gid, f"G{gid}")
         actions = core.handle_approve("an", Approve(2, 2, (STROBE,)))
         assert actions == [
-            SkipGroups("f", "cam", (0, 1)),
-            DeliverGroup("f", "cam", 2, "G2"),
+            SkipGroups("f", (0, 1)),
+            DeliverGroup("f", 2, "G2"),
         ]
         # A straggler approval for a skipped group changes nothing.
         assert core.handle_approve("an", Approve(2, 0, (STROBE,))) == []
@@ -234,7 +234,7 @@ class TestGating:
         core.ingest_group("cam", 0, "G0")
         assert core.handle_approve("an", Approve(2, 0, (STROBE,))) == []
         actions = core.handle_approve("an", Approve(2, 0, (SMOKING,)))
-        assert actions == [DeliverGroup("f", "cam", 0, "G0")]
+        assert actions == [DeliverGroup("f", 0, "G0")]
 
     def test_approvals_combine_across_analyzers(self):
         core = self._core(filter_cats=(STROBE, SMOKING))
@@ -242,7 +242,7 @@ class TestGating:
         core.ingest_group("cam", 0, "G0")
         assert core.handle_approve("an", Approve(2, 0, (STROBE,))) == []
         actions = core.handle_approve("an2", Approve(5, 0, (SMOKING,)))
-        assert actions == [DeliverGroup("f", "cam", 0, "G0")]
+        assert actions == [DeliverGroup("f", 0, "G0")]
 
     def test_subscribers_gate_independently(self):
         core = RelayCore()
@@ -251,7 +251,7 @@ class TestGating:
         core.handle_subscribe("f_smoke", filterer([SMOKING], sub_id=4))
         core.ingest_group("cam", 0, "G0")
         actions = core.handle_approve("an", Approve(2, 0, (SMOKING,)))
-        assert actions == [DeliverGroup("f_smoke", "cam", 0, "G0")]
+        assert actions == [DeliverGroup("f_smoke", 0, "G0")]
 
     def test_approval_before_ingest_is_protocol_error(self):
         core = self._core()
@@ -263,8 +263,8 @@ class TestGating:
         # The refused approvals left nothing behind: group 0 still waits.
         assert core.ingest_group("cam", 1, "G1") == []
         assert core.handle_approve("an", Approve(2, 1, (STROBE,))) == [
-            SkipGroups("f", "cam", (0,)),
-            DeliverGroup("f", "cam", 1, "G1"),
+            SkipGroups("f", (0,)),
+            DeliverGroup("f", 1, "G1"),
         ]
 
     def test_approval_ledger_holds_only_stored_groups(self):
@@ -291,8 +291,8 @@ class TestGating:
         core.handle_subscribe("f2", filterer([STROBE], sub_id=9))
         core.ingest_group("cam", 1, "G1")
         actions = core.handle_approve("an", Approve(2, 1, (STROBE,)))
-        assert DeliverGroup("f2", "cam", 1, "G1") in actions
-        assert DeliverGroup("f", "cam", 1, "G1") in actions
+        assert DeliverGroup("f2", 1, "G1") in actions
+        assert DeliverGroup("f", 1, "G1") in actions
 
     def test_late_filtered_subscriber_never_gets_earlier_groups(self):
         # "f2" subscribes after groups 0 and 1 are ingested, unapproved: it
@@ -305,12 +305,12 @@ class TestGating:
         assert core.session("f2").next_deliver == 2
         core.ingest_group("cam", 2, "G2")
         assert core.handle_approve("an", Approve(2, 1, (STROBE,))) == [
-            SkipGroups("f", "cam", (0,)),
-            DeliverGroup("f", "cam", 1, "G1"),
+            SkipGroups("f", (0,)),
+            DeliverGroup("f", 1, "G1"),
         ]
         assert core.handle_approve("an", Approve(2, 2, (STROBE,))) == [
-            DeliverGroup("f", "cam", 2, "G2"),
-            DeliverGroup("f2", "cam", 2, "G2"),
+            DeliverGroup("f", 2, "G2"),
+            DeliverGroup("f2", 2, "G2"),
         ]
 
     def test_delivery_and_skip_records(self):
@@ -319,8 +319,8 @@ class TestGating:
             core.ingest_group("cam", gid, f"G{gid}")
         actions = core.handle_approve("an", Approve(2, 2, (STROBE,)))
         assert actions == [
-            SkipGroups("f", "cam", (0, 1)),
-            DeliverGroup("f", "cam", 2, "G2"),
+            SkipGroups("f", (0, 1)),
+            DeliverGroup("f", 2, "G2"),
         ]
         assert core.session("f").next_deliver == 3
 
@@ -342,8 +342,20 @@ class TestRetention:
         assert log.filter(kind="approve_ignored") != []
         actions = core.handle_approve("an", Approve(2, 2, (STROBE,)))
         assert actions == [
-            SkipGroups("f", "cam", (0, 1)),
-            DeliverGroup("f", "cam", 2, "G2"),
+            SkipGroups("f", (0, 1)),
+            DeliverGroup("f", 2, "G2"),
+        ]
+
+    def test_an_approval_before_the_first_group_names_that_cause(self):
+        # The track's first group is 5: group 2 was never held, so it was
+        # never evicted either.
+        log = EventLog()
+        core = RelayCore(retention=4, log=log)
+        core.handle_subscribe("an", analyzer([STROBE], sub_id=2))
+        core.ingest_group("cam", 5, "G5")
+        assert core.handle_approve("an", Approve(2, 2, (STROBE,))) == []
+        assert [e.detail for e in log.filter(kind="approve_ignored")] == [
+            {"sid": "an", "group_id": 2, "reason": "track starts at group 5"}
         ]
 
 
@@ -428,7 +440,7 @@ class TestLiveGroups:
         assert core.session("f").next_deliver == 0
         core.ingest_group("cam", 0, "G0")
         assert core.handle_approve("an", Approve(2, 0, (STROBE,))) == [
-            DeliverGroup("f", "cam", 0, "G0")
+            DeliverGroup("f", 0, "G0")
         ]
 
 
@@ -521,8 +533,8 @@ class ReferenceGate:
                 return actions
             gid = ready[0]
             if gid > self.next_deliver[sid]:
-                actions.append(SkipGroups(sid, "cam", tuple(range(self.next_deliver[sid], gid))))
-            actions.append(DeliverGroup(sid, "cam", gid, self.stored[gid]))
+                actions.append(SkipGroups(sid, tuple(range(self.next_deliver[sid], gid))))
+            actions.append(DeliverGroup(sid, gid, self.stored[gid]))
             self.next_deliver[sid] = gid + 1
 
 
@@ -1266,7 +1278,7 @@ class TestDuplicateGroup:
         net.run_until_idle()
 
         assert gated.records == []
-        assert an.log.filter(kind="approve_sent") == []
+        assert an.approvals == []
         assert [r.group_id for r in an.records] == ([0] if state == "ingested" else [])
         (error,) = server.log.filter(kind="protocol_error")
         assert error.detail == {"sid": "pub", "reason": f"track 'cam' group 0 is already {state}"}
