@@ -68,7 +68,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class LatencyRecord:
     """Arrival bookkeeping for one group at one client."""
 

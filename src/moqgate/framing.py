@@ -75,14 +75,14 @@ class GroupStreamParser:
     the tail is collected as a ``bytes`` copy of its payload, at offset 0.
 
     Runs of equal-length frames are checked in bulk.  When a decoded frame
-    has the length of the one before it, the next frame begins with its
-    length prefix (all of a 1- or 2-byte prefix is compared) and the frame
-    after that begins with the same first byte, ``feed`` counts how many of
-    the next frames repeat the prefix, up to ``_RUN_WINDOW`` frames that
-    fit in the chunk and are still wanted.  For each prefix byte it slices
-    that byte of every frame in the window as one column
-    (``buf[end + j : stop : stride]``), and ``lstrip`` counts the column's
-    leading matches.  The run, the least of those counts, is consumed
+    is the chunk's first or has the length of the one before it, the next
+    frame begins with its length prefix (all of a 1- or 2-byte prefix is
+    compared) and the frame after that begins with the same first byte,
+    ``feed`` counts how many of the next frames repeat the prefix, up to
+    ``_RUN_WINDOW`` frames that fit in the chunk and are still wanted.  For
+    each prefix byte it slices that byte of every frame in the window as one
+    column (``buf[end + j : stop : stride]``), and ``lstrip`` counts the
+    column's leading matches.  The run, the least of those counts, is consumed
     whole: each of its frames begins with the same prefix bytes and so has
     the same length, and every prefix byte is still compared.  At most one
     such check follows each frame decoded on its own, and a check reads at
@@ -148,7 +148,7 @@ class GroupStreamParser:
                 pos = self._parse_header(buf)
             if self.frame_count is not None:
                 wanted = self._wanted
-                last = -1  # the length of the frame before, in this chunk
+                last = -1  # the length of the frame before, in this chunk; -1 at its first
                 while pos < size and wanted:
                     # Lengths under 16 KiB (1- and 2-byte varints) inline:
                     # a decode_varint call per frame made feed 32% slower on
@@ -184,7 +184,7 @@ class GroupStreamParser:
                         # nested scope here would make the loop's locals
                         # cell variables and every feed slower.
                         if (
-                            length == last
+                            (length == last or last == -1)
                             and 2 * end - pos < size
                             and buf[2 * end - pos] == first
                             and buf[end] == first
@@ -234,20 +234,48 @@ class GroupStreamParser:
         """Parse the header if ``buf`` holds all of it; returns the offset
         just past it, or 0 when more bytes are needed.  A track name longer
         than a SUBSCRIBE can carry is refused as soon as its length is read,
-        so a hostile header cannot make the tail grow until ``fin``."""
+        so a hostile header cannot make the tail grow until ``fin``.
+
+        Its three varints are read inline in their 1- and 2-byte forms, as
+        ``feed`` reads frame lengths, and through :func:`decode_varint`
+        otherwise; a varint cut short by the end of ``buf`` raises
+        :class:`IndexError` inline or :class:`IncompleteError` there, and
+        either means more bytes are needed."""
         try:
-            name_len, pos = decode_varint(buf)
+            first = buf[0]
+            if first < 0x40:
+                name_len, pos = first, 1
+            elif first < 0x80:
+                name_len, pos = (first & 0x3F) << 8 | buf[1], 2
+            else:
+                name_len, pos = decode_varint(buf)
             if name_len > MAX_MESSAGE_LENGTH:
                 raise MalformedError(f"track name length {name_len} exceeds {MAX_MESSAGE_LENGTH}")
             if len(buf) < pos + name_len:
                 return 0
             raw_name = buf[pos : pos + name_len]
             pos += name_len
-            group_id, n = decode_varint(buf, pos)
-            pos += n
-            frame_count, n = decode_varint(buf, pos)
-            pos += n
-        except IncompleteError:
+            first = buf[pos]
+            if first < 0x40:
+                group_id = first
+                pos += 1
+            elif first < 0x80:
+                group_id = (first & 0x3F) << 8 | buf[pos + 1]
+                pos += 2
+            else:
+                group_id, n = decode_varint(buf, pos)
+                pos += n
+            first = buf[pos]
+            if first < 0x40:
+                frame_count = first
+                pos += 1
+            elif first < 0x80:
+                frame_count = (first & 0x3F) << 8 | buf[pos + 1]
+                pos += 2
+            else:
+                frame_count, n = decode_varint(buf, pos)
+                pos += n
+        except (IncompleteError, IndexError):
             return 0
         if frame_count == 0:
             raise MalformedError("a group must contain at least one frame")

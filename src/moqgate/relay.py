@@ -98,20 +98,20 @@ class MonotonicityError(ProtocolError):
     of the last one."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DeliverGroup:
     sid: object
     group_id: int
     payload: object
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SkipGroups:
     sid: object
     group_ids: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class JoinLive:
     sid: object
     handle: object
@@ -347,9 +347,10 @@ class RelayCore:
 
     def _gate_all(self, track: _TrackState) -> list[Action]:
         actions: list[Action] = []
-        for state in self.sessions_of(track.name):
-            if state.filter is not None:
-                actions.extend(self._gate_one(track, state))
+        name = track.name
+        for state in self._sessions.values():
+            if state.filter is not None and state.track == name:
+                actions += self._gate_one(track, state)
         return actions
 
     def _gate_one(self, track: _TrackState, state: SessionState) -> list[Action]:
@@ -499,10 +500,10 @@ class RelayServer:
     # -- stall alarms ------------------------------------------------------------
 
     def _schedule_stall_checks(self, track: str, group_id: int) -> None:
+        due = self.clock.now + STALL_ALARM_MS
         for state in self.core.sessions_of(track):
             if state.filter is not None:
-                check = partial(self._check_stall, state.sid, track, group_id)
-                self.clock.at(self.clock.now + STALL_ALARM_MS, check)
+                self.clock.at(due, partial(self._check_stall, state.sid, track, group_id))
 
     def _check_stall(self, sid: object, track: str, group_id: int) -> None:
         state = self.core.session(sid)

@@ -227,11 +227,19 @@ class SendStream:
         if self.ended:
             raise ValueError(f"stream {self.stream_id} already ended")
         session = self._session
-        session._check_open()
+        if session.closed or session._peer_closed:
+            session._check_open()
         self.ended = True
         stream_id = self.stream_id
         receive = partial(self._receive, stream_id, bytes(data), True)
-        session._transmit(stream_id, True, receive)
+        if session._jitter:
+            session._transmit(stream_id, True, receive)
+        else:
+            # As in send: the arrival _transmit would compute, pushed here
+            # (measured inline copy; every gated delivery is one end).
+            net = session._net
+            heapq.heappush(net._heap, (net._now + session._delay, net._seq, receive))
+            net._seq += 1
 
 
 class Session:
@@ -285,7 +293,8 @@ class Session:
     # -- sending -----------------------------------------------------------
 
     def open_stream(self) -> SendStream:
-        self._check_open()
+        if self.closed or self._peer_closed:
+            self._check_open()
         stream_id = self._next_stream_id
         self._next_stream_id += 1
         return SendStream(self, stream_id)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from frames import Group, encode_group_chunks
 
 from moqgate.framing import GroupStreamParser
-from moqgate.wire import IncompleteError, MalformedError, decode_varint
+from moqgate.wire import MAX_MESSAGE_LENGTH, IncompleteError, MalformedError, decode_varint
 
 
 def encode_group_stream(track: str, group: Group) -> bytes:
@@ -23,8 +23,10 @@ class ReferenceGroupParser(GroupStreamParser):
     """:class:`GroupStreamParser` with the per-frame walk its ``feed`` had
     before runs of equal-length frames were checked in bulk: one length
     prefix decoded per loop turn, and each completed frame collected as its
-    payload's bytes rather than as ``(buffer, start, end)``.  Tests require
-    the two to agree on every count, payload, error and parser field."""
+    payload's bytes rather than as ``(buffer, start, end)``; and with the
+    header parse it had before its varints were read inline, one
+    ``decode_varint`` call per field.  Tests require the two to agree on
+    every count, payload, error and parser field."""
 
     def feed(self, data: bytes, fin: bool = False, payloads: list | None = None) -> int:
         completed = 0
@@ -77,3 +79,28 @@ class ReferenceGroupParser(GroupStreamParser):
         if fin and not self.complete:
             raise IncompleteError("stream ended before the declared final frame")
         return completed
+
+    def _parse_header(self, buf: bytes | bytearray) -> int:
+        try:
+            name_len, pos = decode_varint(buf)
+            if name_len > MAX_MESSAGE_LENGTH:
+                raise MalformedError(f"track name length {name_len} exceeds {MAX_MESSAGE_LENGTH}")
+            if len(buf) < pos + name_len:
+                return 0
+            raw_name = buf[pos : pos + name_len]
+            pos += name_len
+            group_id, n = decode_varint(buf, pos)
+            pos += n
+            frame_count, n = decode_varint(buf, pos)
+            pos += n
+        except IncompleteError:
+            return 0
+        if frame_count == 0:
+            raise MalformedError("a group must contain at least one frame")
+        try:
+            self.track = raw_name.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedError(f"track name is not valid UTF-8: {exc}") from None
+        self.group_id = group_id
+        self.frame_count = self._wanted = frame_count
+        return pos

@@ -7,6 +7,7 @@ import sys
 import time
 import tracemalloc
 from itertools import cycle, islice
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from streams import ReferenceGroupParser, encode_group_stream
 
 from moqgate.framing import ControlStreamDecoder, GroupStreamParser, encode_group_header
 from moqgate.wire import (
+    MAX_MESSAGE_LENGTH,
     Approve,
     Category,
     IncompleteError,
@@ -32,6 +34,8 @@ from moqgate.wire import (
     encode_message,
     encode_varint,
 )
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 # Header for track "cam", group 7, 2 frames: all values take 1-byte varints.
 HEADER_GOLDEN = bytes([0x03, 0x63, 0x61, 0x6D, 0x07, 0x02])
@@ -635,6 +639,80 @@ class TestRunCheckCost:
                 best[parser_class] = min(best[parser_class], time.perf_counter() - start)
                 assert count == self.N_FRAMES
         assert best[GroupStreamParser] <= 3 * best[ReferenceGroupParser]
+
+
+def _header_cases() -> dict[str, bytes]:
+    """Group streams whose header fields take each varint width, and the
+    headers ``_parse_header`` refuses."""
+    frames = _frame(5) + _frame(5)
+    widest = {1: 0x3F, 2: 0x3FFF, 4: 0x3FFF_FFFF, 8: 2**62 - 1}
+    cases = {}
+    for width in (1, 2, 4, 8):
+        name = b"cam" if width == 1 else b"c" * 300
+        cases[f"{width}-byte name length"] = varint(len(name), width) + name + b"\x07\x02" + frames
+        for value in (7, widest[width]):
+            cases[f"{width}-byte group id {value}"] = b"\x03cam" + varint(value, width) + b"\x02" + frames
+        for value in (2, widest[width]):
+            cases[f"{width}-byte frame count {value}"] = b"\x03cam\x07" + varint(value, width) + frames
+    cases["zero frame count"] = b"\x03cam\x07\x00" + frames
+    cases["invalid UTF-8 name"] = b"\x02\xff\xfe\x07\x02" + frames
+    cases["name one over the longest"] = varint(MAX_MESSAGE_LENGTH + 1, 4) + b"cam\x07\x02"
+    cases["the longest name"] = varint(MAX_MESSAGE_LENGTH, 4) + b"c" * MAX_MESSAGE_LENGTH + b"\x07\x02" + frames
+    return cases
+
+
+HEADER_CASES = _header_cases()
+
+
+class TestHeader:
+    """``_parse_header`` reads its 1- and 2-byte varints inline; for every
+    width of every field, and for each header it refuses, it must report
+    what one ``decode_varint`` call per field reported
+    (``streams.ReferenceGroupParser``), whole or cut at any byte."""
+
+    @pytest.mark.parametrize("stream", HEADER_CASES.values(), ids=HEADER_CASES.keys())
+    def test_matches_decode_varint_whole_and_split_at_every_byte(self, stream):
+        cuts = range(len(stream) + 1)
+        if len(stream) > 1000:  # the longest name: its length, and its end
+            cuts = [*cuts[:10], *cuts[-30:]]
+        for cut in cuts:
+            pieces = [stream[:cut], stream[cut:]]
+            assert parse_all(pieces, True, GroupStreamParser) == parse_all(
+                pieces, True, ReferenceGroupParser
+            ), cut
+
+    def test_cases_cover_each_outcome(self):
+        outcomes = {
+            name: parse_all([stream], False, GroupStreamParser)[3]
+            for name, stream in HEADER_CASES.items()
+        }
+        assert outcomes["1-byte name length"] is None
+        assert outcomes["8-byte group id 4611686018427387903"] is None
+        assert outcomes["2-byte frame count 16383"][0] is IncompleteError
+        assert outcomes["zero frame count"] == (MalformedError, "a group must contain at least one frame")
+        assert outcomes["invalid UTF-8 name"][1].startswith("track name is not valid UTF-8")
+        assert outcomes["name one over the longest"] == (
+            MalformedError,
+            f"track name length {MAX_MESSAGE_LENGTH + 1} exceeds {MAX_MESSAGE_LENGTH}",
+        )
+        assert outcomes["the longest name"] is None
+
+    @pytest.mark.skipif(
+        sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+        reason="opcode counts depend on the bytecode; they are pinned on CPython 3.11",
+    )
+    def test_a_whole_group_burst_costs_at_most_406_opcodes(self, monkeypatch):
+        # A filtered viewer's burst: a header of 1-byte varints and 30
+        # frames of 263 bytes.  With one decode_varint call per header
+        # field, and the bulk check after the second frame, it took 514.
+        monkeypatch.syspath_prepend(str(TOOLS))
+        import opcodes
+
+        burst = encode_group_header("cam", 7, 30) + _frame(263) * 30
+        parser = GroupStreamParser()
+        counts = opcodes.count_opcodes(lambda: parser.feed(burst, True))
+        assert parser.complete
+        assert sum(counts.values()) <= 406
 
 
 def test_feed_closes_over_none_of_its_locals():

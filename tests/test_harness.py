@@ -17,6 +17,7 @@ import hashlib
 import heapq
 import json
 import random
+import sys
 import tracemalloc
 import weakref
 from collections import Counter
@@ -1508,6 +1509,34 @@ JSON_ROW_TREES = st.recursive(
 )
 
 
+class _Milliseconds(float):
+    pass
+
+
+def _row_cases() -> dict[str, dict]:
+    """Row fields, over :data:`_RECORD`, at the edges of the fast path."""
+    cases = {}
+    for field in ("first_arrival_ms", "complete_arrival_ms", "e2e_ms", "added_ms"):
+        for value in (float("nan"), float("inf"), -float("inf")):
+            cases[f"{field} {value}"] = {field: value}
+        cases[f"{field} a float subclass"] = {field: _Milliseconds(12.5)}
+    cases["added_ms None"] = {"added_ms": None}
+    cases["added_ms a float"] = {"added_ms": 3.25}
+    cases["added_ms an int"] = {"added_ms": 3}
+    for field in ("group_id", "frame_count"):
+        cases[f"{field} a bool"] = {field: True}
+        cases[f"{field} a Category"] = {field: Category.STROBE}
+    cases["finite floats whose sum overflows"] = {
+        "first_arrival_ms": 1e308, "complete_arrival_ms": 1e308, "e2e_ms": -0.0
+    }
+    cases["the least float and an int past 64 bits"] = {"e2e_ms": 5e-324, "frame_count": 2**80}
+    return cases
+
+
+ROW_CASES = _row_cases()
+_TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
 class TestReportJson:
     """``Report.to_json`` writes what ``json.dumps`` writes."""
 
@@ -1576,6 +1605,43 @@ class TestReportJson:
     )
     def test_rows_print_as_json_prints_their_dicts(self, tree):
         assert Report(tree).to_json() == json.dumps(_plain(tree), sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("fields", ROW_CASES.values(), ids=ROW_CASES.keys())
+    def test_rows_at_the_edges_of_the_fast_path_print_as_json_prints_their_dicts(self, fields):
+        # A row takes one f-string of reprs only when its arrival fields are
+        # exact finite floats, its ids exact ints and added_ms None or an
+        # exact finite float; each case sits on one side of that line.
+        row = RecordRow(**{**_RECORD, "group_id": 7, **fields})
+        data = {"rows": [row, [row]], "row": row}
+        want = json.dumps(_plain(data), sort_keys=True, indent=2) + "\n"
+        assert Report(data).to_json() == want
+
+    @pytest.mark.parametrize(
+        "items",
+        [[], [0, -1, 2**80], (3, 4), [1, True, 3], [True], [Category.STROBE, 2], [1, 2.5], [1, None]],
+        ids=repr,
+    )
+    def test_lists_print_as_json_prints_them(self, items):
+        # A list of exact ints only is written in one join.
+        data = {"list": items, "nested": [items, [items], {"k": items}]}
+        assert Report(data).to_json() == json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.skipif(
+        sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+        reason="opcode counts depend on the bytecode; they are pinned on CPython 3.11",
+    )
+    def test_a_row_costs_at_most_128_opcodes(self, monkeypatch):
+        # Written value by value through _item_text, the row took 229.
+        monkeypatch.syspath_prepend(str(_TOOLS))
+        import opcodes
+
+        from moqgate.report import _row_text
+
+        row = RecordRow(group_id=7, **_RECORD)
+        text = []
+        counts = opcodes.count_opcodes(lambda: text.append(_row_text(row, "\n")))
+        assert text == [json.dumps(dict(row), sort_keys=True, indent=2)]
+        assert sum(counts.values()) <= 128
 
     def test_row_is_a_read_only_mapping_of_six_sorted_keys(self):
         row = RecordRow(group_id=7, **_RECORD)

@@ -1,0 +1,28 @@
+"""The opcode counter (tools/opcodes.py) counts every code object that runs
+in a module of the package, including the methods ``dataclasses``
+generates, whose ``co_filename`` is ``<string>``."""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+from moqgate.client import LatencyRecord
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def test_a_dataclass_generated_init_counts_under_its_class(monkeypatch):
+    monkeypatch.syspath_prepend(str(TOOLS))
+    import opcodes
+
+    records = []
+    outer = sys.gettrace()
+    counts = opcodes.by_function(
+        opcodes.count_opcodes(lambda: records.append(LatencyRecord(0, 1.0, 2.0, 3)))
+    )
+    assert sys.gettrace() is outer
+    assert records == [LatencyRecord(0, 1.0, 2.0, 3)]
+    inits = [n for name, n in counts.items() if name.startswith("client.LatencyRecord.__init__:")]
+    assert len(inits) == 1 and inits[0] > 0
+    assert opcodes.by_module(counts) == {"client": inits[0]}

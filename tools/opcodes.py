@@ -2,7 +2,10 @@
 
 Runs one untraced pass of each named benchmark workload to warm it, then
 counts the opcodes ``src/moqgate`` executes over two more passes, under
-:func:`sys.settrace` with ``frame.f_trace_opcodes`` set.  A pass is what
+:func:`sys.settrace` with ``frame.f_trace_opcodes`` set.  Code counts as
+the package's when its frame runs in the globals of a ``moqgate`` module,
+so the methods ``dataclasses`` generates count too, under their class
+(``client.LatencyRecord.__init__``).  A pass is what
 ``perfbench/run.py`` times: ``run_scenario`` and ``Report.to_json`` for
 each of the workload's scenarios at seed 0.  Prints the counts per module,
 then per function, and exits 1 unless both passes agree exactly.
@@ -32,9 +35,13 @@ PACKAGE = ROOT / "src" / "moqgate"
 
 
 def count_opcodes(run) -> Counter:
-    """Opcodes each code object of ``src/moqgate`` executed during ``run()``."""
-    prefix = str(PACKAGE) + "/"
+    """Opcodes each code object of the ``moqgate`` package executed during
+    ``run()``, keyed by ``(module name, code)``.  A code object belongs to
+    the module whose globals its frames run in, so the methods
+    ``dataclasses`` generates (``co_filename`` ``<string>``) count under
+    the module of their class."""
     counts: Counter = Counter()
+    modules: dict = {}
 
     def trace_opcodes(frame, event, arg):
         if event == "opcode":
@@ -42,26 +49,49 @@ def count_opcodes(run) -> Counter:
         return trace_opcodes
 
     def trace_calls(frame, event, arg):
-        if frame.f_code.co_filename.startswith(prefix):
+        module = frame.f_globals.get("__name__")
+        if type(module) is str and module.partition(".")[0] == "moqgate":
+            modules[frame.f_code] = module
             frame.f_trace_opcodes = True
             return trace_opcodes
         return None
 
     gc.collect()
+    outer = sys.gettrace()
     sys.settrace(trace_calls)
     try:
         run()
     finally:
-        sys.settrace(None)
-    return counts
+        sys.settrace(outer)
+    return Counter({(modules[code], code): n for code, n in counts.items()})
+
+
+def _generated_names(module_name: str) -> dict:
+    """Code object -> qualified name of each method on a class of
+    ``module_name``, for code whose own ``co_qualname`` names the function
+    that built it (``dataclasses``' ``__create_fn__.<locals>.__init__``)."""
+    names = {}
+    for cls in vars(sys.modules[module_name]).values():
+        if isinstance(cls, type) and cls.__module__ == module_name:
+            for attr in vars(cls).values():
+                code = getattr(attr, "__code__", None)
+                if code is not None:
+                    names[code] = attr.__qualname__
+    return names
 
 
 def by_function(counts: Counter) -> Counter:
-    """``counts`` keyed by ``module.qualified name:first line``."""
+    """``counts`` keyed by ``module.qualified name:first line``, the module
+    named within the package (``client``, ``relay``)."""
     out: Counter = Counter()
-    for code, n in counts.items():
+    generated: dict = {}
+    for (module, code), n in counts.items():
         name = getattr(code, "co_qualname", code.co_name)
-        out[f"{Path(code.co_filename).stem}.{name}:{code.co_firstlineno}"] += n
+        if code.co_filename == "<string>":
+            if module not in generated:
+                generated[module] = _generated_names(module)
+            name = generated[module].get(code, name)
+        out[f"{module.rpartition('.')[2]}.{name}:{code.co_firstlineno}"] += n
     return out
 
 
