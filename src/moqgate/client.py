@@ -22,8 +22,10 @@
   throws leaves its memory as it was, so the next group is judged against
   the last group it analyzed in full.
 * :class:`SubscriberClient` subscribes plain (live frames) or with the
-  filter role (gated bursts) and records per-group arrival times without
-  decoding any frame payloads; it logs nothing.
+  filter role (gated bursts) and records per-group arrival times, counting
+  frames without decoding any payload; a run's subscribers share one
+  :class:`CheckedBurst`, so a burst the relay releases to many of them is
+  parsed once.  It logs nothing.
 * :func:`compute_playback` replays recorded arrivals against a fixed-rate
   playout clock to find stalls; :func:`predict_latency_bound` gives the
   worst-case end-to-end latency a filtered subscriber should ever see.
@@ -61,6 +63,7 @@ __all__ = [
     "PlaybackStats",
     "PublisherClient",
     "AnalyzerClient",
+    "CheckedBurst",
     "SubscriberClient",
     "compute_playback",
     "LatencyModel",
@@ -149,22 +152,86 @@ class PublisherClient:
         self._schedule_next()
 
 
-def _receive_groups(
-    clock: Clock,
-    session: Session,
-    on_group: Callable[[LatencyRecord, list[tuple[bytes, int, int]] | None], None],
-    collect: bool = False,
+class CheckedBurst:
+    """The group stream that a run's counting receivers last got whole, in
+    one chunk, and parsed without error: the chunk, its group id and its
+    frame count.
+
+    The relay sends a released group to each filtered viewer as the very
+    same ``bytes`` object, so a receiver whose chunk ``is`` that object
+    takes the remembered verdict instead of parsing it again.  The match is
+    by identity only: a ``bytes`` object cannot change, and while this
+    record holds it its id cannot be reused.  A run shares one record among
+    its subscribers and drops it with them.
+    """
+
+    __slots__ = ("burst", "group_id", "frame_count")
+
+    def __init__(self) -> None:
+        self.burst: bytes | None = None
+        self.group_id = 0
+        self.frame_count = 0
+
+
+def _count_groups(
+    clock: Clock, session: Session, records: list[LatencyRecord], checked: CheckedBurst
 ) -> None:
-    """Receive path shared by the receiving clients: parse every incoming
-    stream of ``session`` and, as each finishes, call
-    ``on_group(record, frames)`` with when its first frame and its end
-    arrived.  ``frames`` is the group's frame payloads as the parser gives
-    them, ``(buffer, start, end)`` each, if ``collect`` is set, else None:
-    frames are only counted."""
+    """Receive path of a counting receiver: parse every incoming stream of
+    ``session`` and, as each finishes, append to ``records`` when its first
+    frame and its end arrived; frames are only counted.  A stream whose
+    first chunk carries all of it and ``is`` ``checked.burst`` is not parsed:
+    it is recorded from ``checked``, which a successful parse of any other
+    such stream updates.  A stream of more than one chunk is parsed."""
 
     def on_stream(rs: RecvStream) -> None:
         parser = GroupStreamParser()
-        frames: list[tuple[bytes, int, int]] | None = [] if collect else None
+        first_arrival: float | None = None
+        fresh = True  # no chunk yet; read only until the first whole frame
+
+        def on_data(data: bytes, fin: bool) -> None:
+            nonlocal first_arrival, fresh
+            # A chunk after the first whole frame takes the last branch
+            # with no test but this one: the live hop costs what it did.
+            if first_arrival is None:
+                if fin and fresh:  # the whole stream in this chunk
+                    now = clock.now
+                    if data is not checked.burst:
+                        parser.feed(data, True)
+                        checked.burst = data
+                        checked.group_id = parser.group_id
+                        checked.frame_count = parser.frame_count
+                    records.append(LatencyRecord(checked.group_id, now, now, checked.frame_count))
+                    return
+                if parser.feed(data, fin):
+                    first_arrival = clock.now
+                else:
+                    fresh = False
+            else:
+                parser.feed(data, fin)
+            if fin:
+                assert parser.group_id is not None and first_arrival is not None
+                records.append(
+                    LatencyRecord(parser.group_id, first_arrival, clock.now, parser.frame_count)
+                )
+
+        rs.set_on_data(on_data)
+
+    session.set_on_stream(on_stream)
+
+
+def _collect_groups(
+    clock: Clock,
+    session: Session,
+    on_group: Callable[[LatencyRecord, list[tuple[bytes, int, int]]], None],
+) -> None:
+    """Receive path of an analyzing receiver: parse every incoming stream
+    of ``session`` and, as each finishes, call ``on_group(record, frames)``
+    with when its first frame and its end arrived and its frame payloads
+    as the parser gives them, ``(buffer, start, end)`` each."""
+
+    def on_stream(rs: RecvStream) -> None:
+        parser = GroupStreamParser()
+        frames: list[tuple[bytes, int, int]] = []
         first_arrival: float | None = None
 
         def on_data(data: bytes, fin: bool) -> None:
@@ -217,7 +284,7 @@ class AnalyzerClient:
         self.log = log if log is not None else EventLog(lambda: clock.now)
         self.records: list[LatencyRecord] = []
         self.approvals: list[tuple[float, int, list[int]]] = []  # (time, group, categories) sent
-        _receive_groups(clock, session, self._on_group, collect=True)
+        _collect_groups(clock, session, self._on_group)
 
     def start(self) -> None:
         msg = Subscribe(
@@ -275,8 +342,11 @@ class SubscriberClient:
     """Plain (live) or filtered (gated) subscriber with arrival records.
 
     Frames are counted, never copied or decoded — the subscriber's timing
-    must not depend on content.  Its ``records`` are its whole output: it
-    logs nothing.
+    must not depend on content.  A group whose stream arrives whole in one
+    chunk that ``is`` ``checked.burst`` is recorded from ``checked``, not
+    parsed again; a run hands all its subscribers one
+    :class:`CheckedBurst`, and a subscriber built without one makes its
+    own.  Its ``records`` are its whole output: it logs nothing.
     """
 
     def __init__(
@@ -286,6 +356,7 @@ class SubscriberClient:
         track: str,
         subscribe_id: int,
         filter_categories: tuple[int, ...] | None = None,
+        checked: CheckedBurst | None = None,
     ) -> None:
         self.session = session
         self.track = track
@@ -294,7 +365,9 @@ class SubscriberClient:
             tuple(filter_categories) if filter_categories else None
         )
         self.records: list[LatencyRecord] = []
-        _receive_groups(clock, session, self._on_group)
+        if checked is None:
+            checked = CheckedBurst()
+        _count_groups(clock, session, self.records, checked)
 
     def start(self) -> None:
         params = ()
@@ -302,9 +375,6 @@ class SubscriberClient:
             params = (filter_parameter(self.filter_categories),)
         msg = Subscribe(self.subscribe_id, self.track, 0, params)
         self.session.send_control(encode_message(msg))
-
-    def _on_group(self, record: LatencyRecord, frames: None) -> None:
-        self.records.append(record)
 
 
 def compute_playback(

@@ -20,6 +20,7 @@ from typing import Mapping
 from .analysis import predict_risky_groups
 from .client import (
     AnalyzerClient,
+    CheckedBurst,
     LatencyModel,
     LatencyRecord,
     PublisherClient,
@@ -164,6 +165,7 @@ def _run_once(
     pub_session, relay_pub = connect("publisher")
     server.attach("publisher", relay_pub)
 
+    checked = CheckedBurst()  # the burst the run's subscribers last parsed
     clients: dict[str, AnalyzerClient | SubscriberClient] = {}
     for sub_id, spec in enumerate(scenario.clients, start=1):
         client_session, relay_session = connect(spec.name)
@@ -187,6 +189,7 @@ def _run_once(
                 scenario.track,
                 sub_id,
                 filter_categories=spec.filter or None,
+                checked=checked,
             )
         client.start()
         clients[spec.name] = client

@@ -4,8 +4,10 @@ playback reconstruction, and the end-to-end latency bound model."""
 from __future__ import annotations
 
 import gc
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import pytest
 from frames import LuminanceFrame, encode_frame_chunk, encode_frame_payload, reference_groups
@@ -15,6 +17,7 @@ from streams import encode_group_stream
 from moqgate.analysis import StrobeConfig
 from moqgate.client import (
     AnalyzerClient,
+    CheckedBurst,
     LatencyModel,
     LatencyRecord,
     PublisherClient,
@@ -23,13 +26,14 @@ from moqgate.client import (
     predict_latency_bound,
 )
 from moqgate.eventlog import EventLog
-from moqgate.framing import encode_group_header
+from moqgate.framing import GroupStreamParser, encode_group_header
 from moqgate.media import Constant, SourceConfig, Strobe, generate_groups
 from moqgate.relay import RelayServer
 from moqgate.transport import SimNetwork, SimTimeoutError
-from moqgate.wire import Category
+from moqgate.wire import Category, MalformedError
 
 STROBE, SMOKING = Category.STROBE, Category.SMOKING
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
 def const_source(fps=10, seconds=1, level=128):
@@ -70,12 +74,13 @@ class Rig:
         client.start()
         return client
 
-    def subscriber(self, cats=None, sub_id=3, delay=0.0, name="sub"):
+    def subscriber(self, cats=None, sub_id=3, delay=0.0, name="sub", checked=None):
         local, remote = self.net.connect(name, "relay", delay, delay)
         self.server.attach(name, remote)
         client = SubscriberClient(
             self.net, local, "cam", sub_id,
             filter_categories=tuple(cats) if cats else None,
+            checked=checked,
         )
         client.start()
         return client
@@ -385,6 +390,151 @@ class TestSubscriberClient:
         rig.publisher(src)
         rig.net.run_until_idle(max_virtual_ms=60_000)
         assert group_ids(sub) == [0, 2]
+
+
+class Endpoint:
+    """Stands in for a session and for each stream it receives: keeps the
+    callbacks a client registers, so a test calls them directly."""
+
+    def set_on_stream(self, fn):
+        self.on_stream = fn
+
+    def set_on_data(self, fn):
+        self.on_data = fn
+
+
+def viewer(clock, checked):
+    """A filtered subscriber on an :class:`Endpoint`, sharing ``checked``
+    (or with a record of its own when None)."""
+    return SubscriberClient(clock, Endpoint(), "cam", 1, (STROBE,), checked=checked)
+
+
+def deliver(client, *chunks):
+    """Open a stream to ``client`` and hand it ``chunks``, the last with
+    ``fin``."""
+    stream = Endpoint()
+    client.session.on_stream(stream)
+    for k, chunk in enumerate(chunks):
+        stream.on_data(chunk, k == len(chunks) - 1)
+
+
+def count_feeds(monkeypatch):
+    """The chunks every GroupStreamParser.feed is given from now on."""
+    fed = []
+    feed = GroupStreamParser.feed
+
+    def counted(parser, data, fin=False, frames=None):
+        fed.append(data)
+        return feed(parser, data, fin, frames)
+
+    monkeypatch.setattr(GroupStreamParser, "feed", counted)
+    return fed
+
+
+#: A 10-frame group's whole stream, as the relay releases it.
+BURST = encode_group_stream("cam", reference_groups(const_source(fps=10))[0])
+
+
+class TestSharedBurstCheck:
+    """Subscribers that share a :class:`CheckedBurst` parse a burst object
+    once; every record equals what a subscriber with a record of its own
+    gets, and anything that is not that same object, whole in one chunk,
+    is parsed."""
+
+    @staticmethod
+    def gated_records(checked):
+        rig = Rig()
+        rig.analyzer([STROBE], analysis=40.0)
+        subs = [
+            rig.subscriber([STROBE], sub_id=3 + k, name=f"sub{k}", checked=checked)
+            for k in range(2)
+        ]
+        rig.publisher(const_source(fps=10, seconds=2))
+        rig.net.run_until_idle(max_virtual_ms=30_000)
+        return [sub.records for sub in subs]
+
+    def test_two_viewers_sharing_a_record_parse_each_burst_once(self, monkeypatch):
+        fed = count_feeds(monkeypatch)
+        unshared = self.gated_records(None)
+        bursts = [data for data in fed if len(data) > 1000]  # not the per-frame live chunks
+        assert len(bursts) == 4 and bursts[0] is bursts[1] and bursts[2] is bursts[3]
+        fed.clear()
+        shared = self.gated_records(CheckedBurst())
+        assert shared == unshared == [
+            [LatencyRecord(0, 940.0, 940.0, 10), LatencyRecord(1, 1940.0, 1940.0, 10)]
+        ] * 2
+        assert [data for data in fed if len(data) > 1000] == [bursts[0], bursts[2]]
+
+    def test_an_equal_copy_is_parsed(self, monkeypatch):
+        net, checked = SimNetwork(), CheckedBurst()
+        first, second = viewer(net, checked), viewer(net, checked)
+        fed = count_feeds(monkeypatch)
+        deliver(first, BURST)
+        copy = bytes(bytearray(BURST))
+        deliver(second, copy)
+        assert len(fed) == 2 and fed[1] is copy
+        assert first.records == second.records == [LatencyRecord(0, 0.0, 0.0, 10)]
+
+    def test_a_malformed_burst_raises_every_time(self):
+        net, checked = SimNetwork(), CheckedBurst()
+        malformed = BURST + b"\x00"
+        for _ in range(2):
+            client = viewer(net, checked)
+            with pytest.raises(MalformedError, match="data after the declared final frame"):
+                deliver(client, malformed)
+            assert client.records == []
+        assert checked.burst is None
+
+    def test_a_stream_with_an_earlier_chunk_is_parsed(self, monkeypatch):
+        # Read after a header declaring group 9 of seven frames, the
+        # remembered one-frame group 0 is those seven frames: "cam", an
+        # empty one (its group id), one holding its frame's length byte,
+        # then four empty ones (its payload's zero bytes).
+        remembered = encode_group_header("cam", 0, 1) + encode_frame_chunk(bytes(4))
+        earlier = encode_group_header("cam", 9, 7)
+        net, checked = SimNetwork(), CheckedBurst()
+        first, second, alone = viewer(net, checked), viewer(net, checked), viewer(net, None)
+        deliver(first, remembered)
+        fed = count_feeds(monkeypatch)
+        deliver(second, earlier, remembered)
+        deliver(alone, earlier, remembered)
+        assert fed == [earlier, remembered] * 2
+        assert first.records == [LatencyRecord(0, 0.0, 0.0, 1)]
+        assert second.records == alone.records == [LatencyRecord(9, 0.0, 0.0, 7)]
+
+    def test_an_analyzer_parses_a_burst_a_viewer_checked(self, monkeypatch):
+        net = SimNetwork()
+        relay, local = net.connect("relay", "an", 0.0, 0.0)
+        analyzer = AnalyzerClient(net, local, "cam", (STROBE,), 1)
+        checked = CheckedBurst()
+        sub = viewer(net, checked)
+        fed = count_feeds(monkeypatch)
+        deliver(sub, BURST)
+        relay.open_stream().end(BURST)
+        net.run_until_idle()
+        assert len(fed) == 2 and fed[0] is fed[1] is BURST
+        assert analyzer.records == sub.records == [LatencyRecord(0, 0.0, 0.0, 10)]
+        assert analyzed(analyzer) == {0: ([STROBE], [])}
+
+    @pytest.mark.skipif(
+        sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+        reason="opcode counts depend on the bytecode; they are pinned on CPython 3.11",
+    )
+    def test_a_remembered_burst_costs_a_second_viewer_at_most_47_opcodes(self, monkeypatch):
+        # The first viewer's on_data parses the burst, in 627 opcodes; the
+        # second's takes the shared record's verdict and leaves its parser
+        # unused.
+        monkeypatch.syspath_prepend(str(TOOLS))
+        import opcodes
+
+        net, checked = SimNetwork(), CheckedBurst()
+        first, second = viewer(net, checked), viewer(net, checked)
+        deliver(first, BURST)
+        stream = Endpoint()
+        second.session.on_stream(stream)
+        counts = opcodes.count_opcodes(lambda: stream.on_data(BURST, True))
+        assert second.records == first.records
+        assert sum(counts.values()) <= 47
 
 
 class TestMalformedGroup:

@@ -1,6 +1,7 @@
 """The opcode counter (tools/opcodes.py) counts every code object that runs
 in a module of the package, including the methods ``dataclasses``
-generates, whose ``co_filename`` is ``<string>``."""
+generates, whose ``co_filename`` is ``<string>``, and the ``__new__`` that
+``typing.NamedTuple`` generates, which runs in globals of its own."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import sys
 from pathlib import Path
 
 from moqgate.client import LatencyRecord
+from moqgate.media import EncodedGroup
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -26,3 +28,17 @@ def test_a_dataclass_generated_init_counts_under_its_class(monkeypatch):
     inits = [n for name, n in counts.items() if name.startswith("client.LatencyRecord.__init__:")]
     assert len(inits) == 1 and inits[0] > 0
     assert opcodes.by_module(counts) == {"client": inits[0]}
+
+
+def test_a_named_tuple_constructor_counts_under_its_class(monkeypatch):
+    monkeypatch.syspath_prepend(str(TOOLS))
+    import opcodes
+
+    groups = []
+    counts = opcodes.by_function(
+        opcodes.count_opcodes(lambda: groups.append(EncodedGroup(0, (), ())))
+    )
+    assert groups == [(0, (), ())]
+    news = [n for name, n in counts.items() if name.startswith("media.EncodedGroup.__new__:")]
+    assert len(news) == 1 and news[0] > 0
+    assert opcodes.by_module(counts) == {"media": news[0]}

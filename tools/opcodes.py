@@ -5,7 +5,9 @@ counts the opcodes ``src/moqgate`` executes over two more passes, under
 :func:`sys.settrace` with ``frame.f_trace_opcodes`` set.  Code counts as
 the package's when its frame runs in the globals of a ``moqgate`` module,
 so the methods ``dataclasses`` generates count too, under their class
-(``client.LatencyRecord.__init__``).  A pass is what
+(``client.LatencyRecord.__init__``), and so does the ``__new__`` that
+``typing.NamedTuple`` generates, under the module of the class it builds
+(``media.EncodedGroup.__new__``).  A pass is what
 ``perfbench/run.py`` times: ``run_scenario`` and ``Report.to_json`` for
 each of the workload's scenarios at seed 0.  Prints the counts per module,
 then per function, and exits 1 unless both passes agree exactly.
@@ -39,7 +41,9 @@ def count_opcodes(run) -> Counter:
     ``run()``, keyed by ``(module name, code)``.  A code object belongs to
     the module whose globals its frames run in, so the methods
     ``dataclasses`` generates (``co_filename`` ``<string>``) count under
-    the module of their class."""
+    the module of their class.  A named tuple's ``__new__`` runs in globals
+    of its own, named ``namedtuple_<Type>``; it counts under the module of
+    the class in its ``_cls`` argument."""
     counts: Counter = Counter()
     modules: dict = {}
 
@@ -50,6 +54,8 @@ def count_opcodes(run) -> Counter:
 
     def trace_calls(frame, event, arg):
         module = frame.f_globals.get("__name__")
+        if type(module) is str and module.startswith("namedtuple_"):
+            module = getattr(frame.f_locals.get("_cls"), "__module__", None)
         if type(module) is str and module.partition(".")[0] == "moqgate":
             modules[frame.f_code] = module
             frame.f_trace_opcodes = True
@@ -69,11 +75,13 @@ def count_opcodes(run) -> Counter:
 def _generated_names(module_name: str) -> dict:
     """Code object -> qualified name of each method on a class of
     ``module_name``, for code whose own ``co_qualname`` names the function
-    that built it (``dataclasses``' ``__create_fn__.<locals>.__init__``)."""
+    that built it (``dataclasses``' ``__create_fn__.<locals>.__init__``, a
+    named tuple's ``<lambda>`` ``__new__``, held as a ``staticmethod``)."""
     names = {}
     for cls in vars(sys.modules[module_name]).values():
         if isinstance(cls, type) and cls.__module__ == module_name:
             for attr in vars(cls).values():
+                attr = getattr(attr, "__func__", attr)
                 code = getattr(attr, "__code__", None)
                 if code is not None:
                     names[code] = attr.__qualname__
