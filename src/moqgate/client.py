@@ -24,8 +24,9 @@
 * :class:`SubscriberClient` subscribes plain (live frames) or with the
   filter role (gated bursts) and records per-group arrival times, counting
   frames without decoding any payload; a run's subscribers share one
-  :class:`CheckedBurst`, so a burst the relay releases to many of them is
-  parsed once.  It logs nothing.
+  :class:`CheckedBurst`, so a burst the relay releases to many of them, and
+  each chunk of a live group it forwards to many of them, is parsed once.
+  It logs nothing.
 * :func:`compute_playback` replays recorded arrivals against a fixed-rate
   playout clock to find stalls; :func:`predict_latency_bound` gives the
   worst-case end-to-end latency a filtered subscriber should ever see.
@@ -153,24 +154,55 @@ class PublisherClient:
 
 
 class CheckedBurst:
-    """The group stream that a run's counting receivers last got whole, in
-    one chunk, and parsed without error: the chunk, its group id and its
-    frame count.
+    """What a run's counting receivers checked once for all of them: the
+    group stream they last got whole, in one chunk, and parsed without
+    error (the chunk, its group id and its frame count), and in ``live``
+    the live group stream being forwarded to them, as a
+    :class:`_LiveCheck`.
 
     The relay sends a released group to each filtered viewer as the very
-    same ``bytes`` object, so a receiver whose chunk ``is`` that object
-    takes the remembered verdict instead of parsing it again.  The match is
-    by identity only: a ``bytes`` object cannot change, and while this
-    record holds it its id cannot be reused.  A run shares one record among
-    its subscribers and drops it with them.
+    same ``bytes`` object, and each chunk of a live group to each plain
+    viewer as the very same object too, so a receiver whose chunk ``is``
+    the remembered one takes the remembered verdict instead of parsing it
+    again.  The match is by identity only: a ``bytes`` object cannot
+    change, and while this record holds it its id cannot be reused.  The
+    two slots are apart, so a live group that starts never evicts a burst
+    being released.  ``live`` is emptied when its leader's stream ends and
+    replaced when another live group starts; a stream still following it
+    keeps it until that stream ends.  A run shares one record among its
+    subscribers and drops it with them.
     """
 
-    __slots__ = ("burst", "group_id", "frame_count")
+    __slots__ = ("burst", "group_id", "frame_count", "live")
 
     def __init__(self) -> None:
         self.burst: bytes | None = None
         self.group_id = 0
         self.frame_count = 0
+        self.live: _LiveCheck | None = None
+
+
+class _LiveCheck:
+    """One live group stream, parsed once for every counting receiver it
+    reaches: ``chunks[k]`` is the chunk the shared ``parser`` was fed at
+    position ``k`` without ``fin``, or ``None`` where the parse stopped,
+    by ``fin`` (then ``last`` is that chunk) or by raising (``last`` stays
+    ``None``); ``first`` is the position where its first frame completed,
+    -1 until then.  It holds no receiver, so no stream's callback is part
+    of a cycle."""
+
+    __slots__ = ("chunks", "parser", "first", "last")
+
+    def __init__(self) -> None:
+        self.chunks: list[bytes | None] = []
+        self.parser = GroupStreamParser()
+        self.first = -1
+        self.last: bytes | None = None
+
+
+#: No chunk is ``None``, so a stream that does not follow a shared parse
+#: never matches at position 0 or -1.
+_NO_MATCH = (None,)
 
 
 def _count_groups(
@@ -178,36 +210,111 @@ def _count_groups(
 ) -> None:
     """Receive path of a counting receiver: parse every incoming stream of
     ``session`` and, as each finishes, append to ``records`` when its first
-    frame and its end arrived; frames are only counted.  A stream whose
-    first chunk carries all of it and ``is`` ``checked.burst`` is not parsed:
-    it is recorded from ``checked``, which a successful parse of any other
-    such stream updates.  A stream of more than one chunk is parsed."""
+    frame and its end arrived; frames are only counted.
+
+    A stream whose first chunk carries all of it and ``is``
+    ``checked.burst`` is not parsed: it is recorded from ``checked``, which
+    a successful parse of any other such stream updates.
+
+    Any other stream is parsed once per run.  If its first chunk ``is`` the
+    first chunk of ``checked.live``, the stream follows that shared parse;
+    otherwise it starts a new one, which replaces ``checked.live``, and
+    leads it: it feeds each of its chunks to the shared parser and records
+    it for the others.  Only the stream that started a shared parse feeds
+    it, so the leader's path holds no position check.  A follower whose
+    chunk at position ``k`` ``is`` ``chunks[k]``, with the same ``fin``,
+    takes the recorded result with no ``feed`` call.  At any divergence
+    (another object, equal or not; a ``fin`` mismatch; a position where the
+    shared parse raised, or that the leader has not reached yet) it parses
+    privately from there on: a new parser is fed the identical prefix
+    ``chunks[:k]``, then its chunk, so its records and errors are exactly
+    those of a parser of its own."""
 
     def on_stream(rs: RecvStream) -> None:
-        parser = GroupStreamParser()
+        parser: GroupStreamParser | None = None  # the one this stream feeds
+        shared: _LiveCheck | None = None  # the parse this stream leads or follows
+        push = None  # shared.chunks.append while leading past the first frame
+        ahead: list | tuple = _NO_MATCH  # shared.chunks while following past it
+        k = 0  # next position while following; -1 while leading or private
         first_arrival: float | None = None
-        fresh = True  # no chunk yet; read only until the first whole frame
 
         def on_data(data: bytes, fin: bool) -> None:
-            nonlocal first_arrival, fresh
-            # A chunk after the first whole frame takes the last branch
-            # with no test but this one: the live hop costs what it did.
-            if first_arrival is None:
-                if fin and fresh:  # the whole stream in this chunk
-                    now = clock.now
-                    if data is not checked.burst:
-                        parser.feed(data, True)
-                        checked.burst = data
-                        checked.group_id = parser.group_id
-                        checked.frame_count = parser.frame_count
-                    records.append(LatencyRecord(checked.group_id, now, now, checked.frame_count))
-                    return
-                if parser.feed(data, fin):
-                    first_arrival = clock.now
+            nonlocal parser, shared, push, ahead, k, first_arrival
+            # A chunk without fin after the first whole frame: the leader
+            # feeds it and records it, a follower matches it by identity.
+            if not fin:
+                if push:
+                    try:
+                        parser.feed(data, False)
+                        push(data)
+                        return
+                    except Exception:
+                        push(None)
+                        push = shared = None
+                        raise
+                try:
+                    if ahead[k] is data:
+                        k += 1
+                        return
+                except IndexError:  # past what the leader has recorded
+                    pass
+            elif not k:  # the whole stream in this chunk
+                now = clock.now
+                if data is not checked.burst:
+                    parser = GroupStreamParser()
+                    parser.feed(data, True)
+                    checked.burst = data
+                    checked.group_id = parser.group_id
+                    checked.frame_count = parser.frame_count
+                records.append(LatencyRecord(checked.group_id, now, now, checked.frame_count))
+                return
+            if parser is None and shared is None:  # the first chunk of a live stream
+                live = checked.live
+                if live is not None and live.chunks[0] is data:
+                    shared = live
                 else:
-                    fresh = False
-            else:
-                parser.feed(data, fin)
+                    shared = checked.live = _LiveCheck()
+                    parser = shared.parser
+                    k = -1
+            if shared is not None:
+                chunks = shared.chunks
+                if k < 0:  # leading: before the first frame, or at fin
+                    try:
+                        completed = parser.feed(data, fin)
+                    except Exception:
+                        chunks.append(None)
+                        push = shared = None
+                        raise
+                    if completed and first_arrival is None:
+                        first_arrival = clock.now
+                        shared.first = len(chunks)
+                        push = chunks.append
+                    if not fin:
+                        chunks.append(data)
+                        return
+                    chunks.append(None)
+                    shared.last = data
+                    if checked.live is shared:
+                        checked.live = None
+                elif k < len(chunks) and (
+                    chunks[k] is data if not fin else chunks[k] is None and data is shared.last
+                ):  # following
+                    if k == shared.first:
+                        first_arrival = clock.now
+                        ahead = chunks
+                    if not fin:
+                        k += 1
+                        return
+                    parser = shared.parser
+                else:  # diverged: parse privately from here
+                    parser = GroupStreamParser()
+                    for chunk in chunks[:k]:
+                        parser.feed(chunk)
+                    shared = None
+                    ahead = _NO_MATCH
+                    k = -1
+            if shared is None and parser.feed(data, fin) and first_arrival is None:
+                first_arrival = clock.now
             if fin:
                 assert parser.group_id is not None and first_arrival is not None
                 records.append(
@@ -344,7 +451,9 @@ class SubscriberClient:
     Frames are counted, never copied or decoded — the subscriber's timing
     must not depend on content.  A group whose stream arrives whole in one
     chunk that ``is`` ``checked.burst`` is recorded from ``checked``, not
-    parsed again; a run hands all its subscribers one
+    parsed again, and a live chunk that ``is`` the one another subscriber
+    got at the same position of the same stream takes that subscriber's
+    parse (see ``_count_groups``); a run hands all its subscribers one
     :class:`CheckedBurst`, and a subscriber built without one makes its
     own.  Its ``records`` are its whole output: it logs nothing.
     """

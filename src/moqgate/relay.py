@@ -459,14 +459,19 @@ class RelayServer:
         if not started and track is not None:
             if not self._apply(sid, self.core.start_group, sid, track, group_id, live):
                 return
-        for sub_sid, stream in list(live.fanout.items()):
+        # A send runs no callback, so the dict cannot change in this loop;
+        # a receiver that refuses the chunk is dropped after it.
+        refused = []
+        for sub_sid, stream in live.fanout.items():
             try:
                 if fin:
                     stream.end(data)
                 else:
                     stream.send(data)
             except DisconnectedError:
-                live.fanout.pop(sub_sid, None)
+                refused.append(sub_sid)
+        for sub_sid in refused:
+            del live.fanout[sub_sid]
         live.spans.append(data)
         if fin and self._apply(sid, self.core.ingest_group, track, group_id, b"".join(live.spans)):
             self._schedule_stall_checks(track, group_id)

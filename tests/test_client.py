@@ -7,12 +7,19 @@ import gc
 import sys
 import tracemalloc
 import weakref
+from functools import partial
 from pathlib import Path
 
 import pytest
-from frames import LuminanceFrame, encode_frame_chunk, encode_frame_payload, reference_groups
+from frames import (
+    LuminanceFrame,
+    encode_frame_chunk,
+    encode_frame_payload,
+    encode_group_chunks,
+    reference_groups,
+)
 from recording import Recorder, ended, joined, times
-from streams import encode_group_stream
+from streams import ReferenceGroupParser, encode_group_stream
 
 from moqgate.analysis import StrobeConfig
 from moqgate.client import (
@@ -30,7 +37,7 @@ from moqgate.framing import GroupStreamParser, encode_group_header
 from moqgate.media import Constant, SourceConfig, Strobe, generate_groups
 from moqgate.relay import RelayServer
 from moqgate.transport import SimNetwork, SimTimeoutError
-from moqgate.wire import Category, MalformedError
+from moqgate.wire import Category, IncompleteError, MalformedError, WireError
 
 STROBE, SMOKING = Category.STROBE, Category.SMOKING
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -535,6 +542,314 @@ class TestSharedBurstCheck:
         counts = opcodes.count_opcodes(lambda: stream.on_data(BURST, True))
         assert second.records == first.records
         assert sum(counts.values()) <= 47
+
+
+class Ticker:
+    """A clock whose time the test sets."""
+
+    now = 0.0
+
+
+def plain_viewer(clock, checked):
+    """A plain subscriber on an :class:`Endpoint`, sharing ``checked`` (or
+    with a record of its own when None)."""
+    return SubscriberClient(clock, Endpoint(), "cam", 1, checked=checked)
+
+
+def alone(stream):
+    """What a plain viewer with a record of its own gets from ``stream``,
+    handed to it as :func:`lockstep` hands it."""
+    clock = Ticker()
+    return lockstep(clock, [plain_viewer(clock, None)], [stream])[0]
+
+
+def lockstep(clock, clients, streams):
+    """Open one stream to each client and hand it its chunks, a list of
+    ``(chunk, fin)`` each, position by position: at position ``k``, time
+    10 k ms, every client in turn gets its chunk ``k``.  A client whose
+    ``on_data`` raises gets nothing more.  Returns each client's outcome:
+    its records, or what it raised as ``(type, message)``."""
+    ends = [None] * len(clients)
+    handlers = []
+    for client in clients:
+        handlers.append(Endpoint())
+        client.session.on_stream(handlers[-1])
+    for k in range(max(map(len, streams))):
+        clock.now = 10.0 * k
+        for i, (handler, chunks) in enumerate(zip(handlers, streams)):
+            if k < len(chunks) and ends[i] is None:
+                try:
+                    handler.on_data(*chunks[k])
+                except WireError as exc:
+                    ends[i] = (type(exc), str(exc))
+    return [end or client.records for end, client in zip(ends, clients)]
+
+
+#: Groups 0 and 1 of a 10 fps source as the publisher sends them, one
+#: chunk per frame, and group 0's stream as ``(chunk, fin)`` pairs.
+CHUNKS, OTHER = (
+    encode_group_chunks("cam", group) for group in reference_groups(const_source(fps=10, seconds=2))
+)
+LIVE = [(chunk, False) for chunk in CHUNKS[:-1]] + [(CHUNKS[-1], True)]
+
+
+def diverging(kind, k):
+    """``LIVE`` as a second receiver gets it when it diverges at position
+    ``k``: an equal copy of chunk ``k``, group 1's chunk ``k``, chunk ``k``
+    with ``fin`` (which ends the stream), or the last chunk without ``fin``
+    followed by an empty ``fin`` chunk or by one chunk too many."""
+    stream = list(LIVE)
+    chunk, fin = stream[k]
+    if kind == "copy":
+        stream[k] = (bytes(bytearray(chunk)), fin)
+    elif kind == "other":
+        stream[k] = (OTHER[k], fin)
+    elif kind == "fin":
+        stream[k:] = [(chunk, True)]
+    elif kind == "no_fin_then_end":
+        stream[k:] = [(chunk, False), (b"", True)]
+    else:
+        stream[k:] = [(chunk, False), (OTHER[1], True)]
+    return stream
+
+
+class TestSharedLiveCheck:
+    """Subscribers that share a :class:`CheckedBurst` parse each live chunk
+    once: the first to reach a position feeds it, and a later one whose
+    chunk there ``is`` that chunk, with the same ``fin``, takes the result.
+    Any other chunk is parsed privately, from the shared prefix on, so
+    every record and error equals what a subscriber with a record of its
+    own gets."""
+
+    @staticmethod
+    def live_records(checked):
+        rig = Rig()
+        subs = [
+            rig.subscriber(sub_id=3 + k, name=f"p{k}", delay=float(k % 3), checked=checked)
+            for k in range(4)
+        ]
+        rig.publisher(const_source(fps=10, seconds=3))
+        rig.net.run_until_idle()
+        return [sub.records for sub in subs]
+
+    def test_viewers_sharing_a_record_parse_each_live_chunk_once(self, monkeypatch):
+        fed = count_feeds(monkeypatch)
+        unshared = self.live_records(None)
+        assert len(fed) == 30 + 4 * 30  # the relay's feeds, then the viewers'
+        fed.clear()
+        shared = self.live_records(CheckedBurst())
+        assert shared == unshared
+        assert len(fed) == 30 + 30
+        want = []
+        for group in reference_groups(const_source(fps=10, seconds=3)):
+            parser = ReferenceGroupParser()
+            parser.feed(encode_group_stream("cam", group), True)
+            want.append((parser.group_id, parser.frame_count))
+        assert want == [(0, 10), (1, 10), (2, 10)]
+        # A viewer d ms away subscribes at 0 and joins group 0 at d ms, when
+        # the relay sends it the one chunk so far; the relay's join of one
+        # chunk is that very object, so it is shared too.
+        for k, records in enumerate(shared):
+            d = k % 3
+            assert [(r.group_id, r.frame_count) for r in records] == want
+            assert [r.first_arrival_ms for r in records] == [2.0 * d, 1000.0 + d, 2000.0 + d]
+
+    @pytest.mark.parametrize(
+        "kind, k",
+        [(kind, k) for kind in ("copy", "other") for k in range(len(CHUNKS))]
+        + [("fin", k) for k in range(len(CHUNKS) - 1)]
+        + [("no_fin_then_end", len(CHUNKS) - 1), ("no_fin_then_more", len(CHUNKS) - 1)],
+    )
+    def test_a_divergence_gets_the_private_result_or_error(self, monkeypatch, kind, k):
+        stream = diverging(kind, k)
+        private = alone(stream)
+        clock, checked = Ticker(), CheckedBurst()
+        first, second = plain_viewer(clock, checked), plain_viewer(clock, checked)
+        fed = count_feeds(monkeypatch)
+        got = lockstep(clock, [first, second], [LIVE, stream])
+        assert got == [[LatencyRecord(0, 0.0, 90.0, 10)], private]
+        # Before k the second receiver feeds nothing; at k its own parser
+        # takes the shared prefix again, then its chunk.
+        want = []
+        for j in range(max(len(stream), len(CHUNKS))):
+            want += CHUNKS[j : j + 1]
+            if j == k:
+                want += CHUNKS[:k] + [stream[k][0]]
+            elif k < j < len(stream):
+                want.append(stream[j][0])
+        assert fed == want
+        if kind == "fin":
+            assert private == (IncompleteError, "stream ended before the declared final frame")
+        elif kind == "no_fin_then_more":
+            assert private == (MalformedError, "data after the declared final frame")
+        else:
+            group_id = 1 if (kind, k) == ("other", 0) else 0
+            end = 100.0 if kind == "no_fin_then_end" else 90.0
+            assert private == [LatencyRecord(group_id, 0.0, end, 10)]
+
+    @pytest.mark.parametrize("k", [1, 5, len(CHUNKS) - 1])
+    def test_a_follower_ahead_of_the_leader_parses_privately(self, monkeypatch, k):
+        # Only the viewer that started a shared parse feeds it: a follower
+        # whose chunk k arrives first parses privately from k on.
+        clock, checked = Ticker(), CheckedBurst()
+        lead, follow = plain_viewer(clock, checked), plain_viewer(clock, checked)
+        handlers = [Endpoint(), Endpoint()]
+        lead.session.on_stream(handlers[0])
+        follow.session.on_stream(handlers[1])
+        fed = count_feeds(monkeypatch)
+        for j, (chunk, fin) in enumerate(LIVE):
+            clock.now = 10.0 * j
+            for handler in handlers[::-1] if j == k else handlers:
+                handler.on_data(chunk, fin)
+        assert fed == CHUNKS[:k] + CHUNKS[: k + 1] + [c for c in CHUNKS[k:] for _ in (0, 1)][1:]
+        assert lead.records == follow.records == alone(LIVE) == [LatencyRecord(0, 0.0, 90.0, 10)]
+
+    def test_a_first_frame_after_the_first_chunk_is_timed_as_alone(self, monkeypatch):
+        # Group 0's header arrives alone at 0 ms and its first frame at 10:
+        # one viewer leads, one follows, and one gets a copy of the frame,
+        # so its own parser completes it.
+        header = encode_group_header("cam", 0, len(CHUNKS))
+        frame = CHUNKS[0][len(header) :]
+        stream = [(header, False), (frame, False)] + LIVE[1:]
+        copied = [stream[0], (bytes(bytearray(frame)), False)] + stream[2:]
+        clock, checked = Ticker(), CheckedBurst()
+        viewers = [plain_viewer(clock, checked) for _ in range(3)]
+        fed = count_feeds(monkeypatch)
+        got = lockstep(clock, viewers, [stream, stream, copied])
+        lead = [chunk for chunk, _ in stream]
+        assert fed == lead[:2] + [header, copied[1][0]] + [c for c in lead[2:] for _ in (0, 1)]
+        assert got == [alone(stream)] * 3 == [[LatencyRecord(0, 10.0, 100.0, 10)]] * 3
+
+    @pytest.mark.parametrize("at", [0, 4, len(CHUNKS) - 1])
+    def test_a_malformed_chunk_raises_at_every_receiver_that_reaches_it(self, at):
+        # At 0 a header declares no frames; later a chunk completes the
+        # group and carries one frame more.
+        if at == 0:
+            bad = encode_group_header("cam", 0, 0) + CHUNKS[0]
+        else:
+            bad = b"".join(CHUNKS[at:]) + CHUNKS[at]
+        stream = LIVE[:at] + [(bad, at == len(CHUNKS) - 1)]
+        private = alone(stream)
+        assert private[0] is MalformedError
+        clock, checked = Ticker(), CheckedBurst()
+        viewers = [plain_viewer(clock, checked) for _ in range(4)]
+        got = lockstep(clock, viewers, [stream] * 3 + [LIVE[:at]])
+        assert got == [private] * 3 + [[]]
+
+    def test_a_late_joiners_prefix_is_parsed_privately(self, monkeypatch):
+        # "late" subscribes at 450 ms, after five chunks of group 0: the
+        # relay sends it those five joined as one, then the rest.
+        def run(checked):
+            rig = Rig()
+            subs = [rig.subscriber(sub_id=3 + k, name=f"p{k}", checked=checked) for k in range(2)]
+            late = partial(rig.subscriber, sub_id=9, name="late", checked=checked)
+            rig.net.at(450, lambda: subs.append(late()))
+            rig.publisher(const_source(fps=10, seconds=2))
+            rig.net.run_until_idle()
+            return [sub.records for sub in subs]
+
+        fed = count_feeds(monkeypatch)
+        unshared = run(None)
+        assert len(fed) == 20 + 10 + 10 + 6 + 3 * 10  # the relay's 20 feeds first
+        fed.clear()
+        shared = run(CheckedBurst())
+        assert shared == unshared
+        assert shared[2] == [
+            LatencyRecord(0, 450.0, 900.0, 10), LatencyRecord(1, 1000.0, 1900.0, 10)
+        ]
+        # Group 0: "p0" feeds its ten chunks and "late" its prefix and its
+        # five chunks after; group 1: "p0" feeds its ten for all three.
+        prefix = b"".join(CHUNKS[:5])
+        assert [data for data in fed if data == prefix] == [prefix]
+        assert len(fed) == 20 + 10 + 6 + 10
+
+    def test_a_live_group_starting_between_two_bursts_does_not_evict_it(self, monkeypatch):
+        net, checked = SimNetwork(), CheckedBurst()
+        first, second = viewer(net, checked), viewer(net, checked)
+        plain = plain_viewer(net, checked)
+        fed = count_feeds(monkeypatch)
+        deliver(first, BURST)
+        stream = Endpoint()
+        plain.session.on_stream(stream)
+        stream.on_data(CHUNKS[0], False)
+        deliver(second, BURST)
+        assert fed == [BURST, CHUNKS[0]] and fed[0] is BURST
+        assert first.records == second.records == [LatencyRecord(0, 0.0, 0.0, 10)]
+
+    def test_a_finished_live_group_leaves_nothing_for_the_cyclic_collector(self):
+        # At 450 ms group 0 is live: its shared parse and both viewers'
+        # stream callbacks must be freed by reference counting once it ends.
+        rig, checked = Rig(), CheckedBurst()
+        subs = [rig.subscriber(sub_id=3 + k, name=f"p{k}", checked=checked) for k in range(2)]
+        rig.publisher(const_source(fps=10, seconds=2))
+        held = []
+
+        def probe():
+            held.append(weakref.ref(checked.live.parser))
+            for sub in subs:
+                held.extend(weakref.ref(rs._on_data) for rs in sub.session._recv_streams.values())
+
+        rig.net.at(450, probe)
+        gc.disable()
+        try:
+            rig.net.run_until_idle()
+            assert len(held) == 3 and [ref() for ref in held] == [None] * 3
+        finally:
+            gc.enable()
+        assert checked.live is None
+        assert [group_ids(sub) for sub in subs] == [[0, 1]] * 2
+
+    @staticmethod
+    def past_the_first_frame():
+        """Two plain viewers sharing a record, each given the first five
+        chunks of ``LIVE``, then the first given the sixth; returns both
+        streams' handlers and the record."""
+        clock, checked = Ticker(), CheckedBurst()
+        handlers = [Endpoint(), Endpoint()]
+        for handler in handlers:
+            plain_viewer(clock, checked).session.on_stream(handler)
+        for chunk, _ in LIVE[:5]:
+            for handler in handlers:
+                handler.on_data(chunk, False)
+        return handlers, checked
+
+    @pytest.mark.skipif(
+        sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+        reason="opcode counts depend on the bytecode; they are pinned on CPython 3.11",
+    )
+    def test_a_shared_live_chunk_costs_a_follower_at_most_17_opcodes(self, monkeypatch):
+        # Parsed by its own parser, a chunk cost each viewer 81 opcodes:
+        # 15 in on_data and 66 in feed.
+        monkeypatch.syspath_prepend(str(TOOLS))
+        import opcodes
+
+        (lead, follow), checked = self.past_the_first_frame()
+        lead.on_data(CHUNKS[5], False)
+        counts = opcodes.by_function(
+            opcodes.count_opcodes(lambda: follow.on_data(CHUNKS[5], False))
+        )
+        assert [name.partition(":")[0] for name in counts] == [
+            "client._count_groups.<locals>.on_stream.<locals>.on_data"
+        ]
+        assert sum(counts.values()) <= 17
+
+    @pytest.mark.skipif(
+        sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+        reason="opcode counts depend on the bytecode; they are pinned on CPython 3.11",
+    )
+    def test_leading_a_live_chunk_costs_at_most_7_opcodes_more(self, monkeypatch):
+        # The first viewer to reach a chunk feeds it as a viewer of its own
+        # did, in on_data's 15 opcodes and feed's, and records it for the
+        # others in at most 7 more.
+        monkeypatch.syspath_prepend(str(TOOLS))
+        import opcodes
+
+        (lead, _), checked = self.past_the_first_frame()
+        counts = opcodes.by_function(opcodes.count_opcodes(lambda: lead.on_data(CHUNKS[5], False)))
+        assert checked.live.chunks[5] is CHUNKS[5]
+        own = {name.partition(":")[0].rpartition(".")[2]: n for name, n in counts.items()}
+        assert own.keys() == {"on_data", "feed"}
+        assert own["on_data"] <= 15 + 7
 
 
 class TestMalformedGroup:

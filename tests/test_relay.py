@@ -797,6 +797,37 @@ class TestRelayServer:
         assert rig.received["b"].by_stream() == [[(header + c0, False, 35.0), (c1, True, 75.0)]]
         assert rig.server.core._tracks["cam"].live == {}
 
+    def test_a_viewer_that_closes_mid_group_is_dropped_at_its_next_chunk(self):
+        # The group's chunks reach the relay at 30, 50 and 70 ms.  "p1",
+        # second of three in the fan-out, closes at 40; the relay learns at
+        # 45, and the send of the chunk at 50 drops it.  The viewers before
+        # and after it get every chunk, in order.
+        rig = ServerRig({"p0": plain(sub_id=1), "p1": plain(sub_id=1), "p2": plain(sub_id=1)})
+        frames = (frame(0, 0, 10), frame(1, 50, 20), frame(2, 100, 30))
+        c0, c1, c2 = (encode_frame_chunk(encode_frame_payload(f)) for f in frames)
+        first = encode_group_header("cam", 0, 3) + c0
+        stream = rig.publisher.open_stream()
+        rig.net.at(20, lambda: stream.send(first))
+        rig.net.at(40, lambda: stream.send(c1))
+        rig.net.at(60, lambda: stream.end(c2))
+        rig.net.at(40, rig.clients["p1"].close)
+        fanouts = []
+
+        def probe():
+            (handle,) = rig.server.core._tracks["cam"].live.values()
+            fanouts.append(list(handle.fanout))
+
+        for at in (48, 52):
+            rig.net.at(at, probe)
+        rig.net.run_until_idle()
+        assert fanouts == [["p0", "p1", "p2"], ["p0", "p2"]]
+        assert rig.server.log.filter(kind="protocol_error") == []
+        assert rig.received["p1"].by_stream() == [[(first, False, 35.0)]]
+        for name in ("p0", "p2"):
+            assert rig.received[name].by_stream() == [
+                [(first, False, 35.0), (c1, False, 55.0), (c2, True, 75.0)]
+            ], name
+
     def test_live_forwarding_to_plain_and_analyzer(self):
         rig = ServerRig({"p": plain(), "an": analyzer([STROBE], sub_id=2)})
         group = two_frame_group()

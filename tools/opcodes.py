@@ -10,7 +10,9 @@ so the methods ``dataclasses`` generates count too, under their class
 (``media.EncodedGroup.__new__``).  A pass is what
 ``perfbench/run.py`` times: ``run_scenario`` and ``Report.to_json`` for
 each of the workload's scenarios at seed 0.  Prints the counts per module,
-then per function, and exits 1 unless both passes agree exactly.
+then per function with its calls and its opcodes per call (a unit cost,
+such as ``feed`` per chunk), and exits 1 unless both passes' opcode counts
+agree exactly.
 
 A count is a measure of work that repeats exactly where wall time does not,
 with two limits.  One opcode may be a C call of any size, so memcpy-bound
@@ -36,15 +38,18 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "moqgate"
 
 
-def count_opcodes(run) -> Counter:
+def count_opcodes(run, calls: Counter | None = None) -> Counter:
     """Opcodes each code object of the ``moqgate`` package executed during
-    ``run()``, keyed by ``(module name, code)``.  A code object belongs to
-    the module whose globals its frames run in, so the methods
-    ``dataclasses`` generates (``co_filename`` ``<string>``) count under
-    the module of their class.  A named tuple's ``__new__`` runs in globals
-    of its own, named ``namedtuple_<Type>``; it counts under the module of
-    the class in its ``_cls`` argument."""
+    ``run()``, keyed by ``(module name, code)``; when ``calls`` is given,
+    it gets how many times each was entered, keyed alike (a call, or a
+    generator's resume).  A code object belongs to the module whose
+    globals its frames run in, so the methods ``dataclasses`` generates
+    (``co_filename`` ``<string>``) count under the module of their class.
+    A named tuple's ``__new__`` runs in globals of its own, named
+    ``namedtuple_<Type>``; it counts under the module of the class in its
+    ``_cls`` argument."""
     counts: Counter = Counter()
+    frames: Counter = Counter()
     modules: dict = {}
 
     def trace_opcodes(frame, event, arg):
@@ -58,6 +63,7 @@ def count_opcodes(run) -> Counter:
             module = getattr(frame.f_locals.get("_cls"), "__module__", None)
         if type(module) is str and module.partition(".")[0] == "moqgate":
             modules[frame.f_code] = module
+            frames[frame.f_code] += 1
             frame.f_trace_opcodes = True
             return trace_opcodes
         return None
@@ -69,6 +75,8 @@ def count_opcodes(run) -> Counter:
         run()
     finally:
         sys.settrace(outer)
+    if calls is not None:
+        calls.update({(modules[code], code): n for code, n in frames.items()})
     return Counter({(modules[code], code): n for code, n in counts.items()})
 
 
@@ -110,9 +118,9 @@ def by_module(functions: Counter) -> Counter:
     return out
 
 
-def measure(workload: str) -> tuple[Counter, Counter]:
+def measure(workload: str) -> tuple[Counter, Counter, Counter]:
     """Per-function opcode counts of two traced passes of ``workload``,
-    after one untraced pass."""
+    after one untraced pass, and the first pass's calls per function."""
     import workloads
 
     from moqgate.harness import run_scenario
@@ -124,22 +132,24 @@ def measure(workload: str) -> tuple[Counter, Counter]:
             run_scenario(scenario).to_json()
 
     one_pass()
-    first = by_function(count_opcodes(one_pass))
+    calls: Counter = Counter()
+    first = by_function(count_opcodes(one_pass, calls))
     second = by_function(count_opcodes(one_pass))
-    return first, second
+    return first, second, by_function(calls)
 
 
-def report(workload: str, first: Counter, second: Counter) -> bool:
-    """Print the counts; returns whether the two passes agree."""
+def report(workload: str, first: Counter, second: Counter, calls: Counter) -> bool:
+    """Print the counts, each function's with its calls and its opcodes
+    per call; returns whether the two passes' opcode counts agree."""
     print(f"{workload}: opcodes of src/moqgate per pass, {platform.python_implementation()} "
           f"{platform.python_version()}")
     modules = by_module(first)
     for module, n in modules.most_common():
         print(f"  {module:<12} {n:>12,}")
     print(f"  {'total':<12} {sum(modules.values()):>12,}")
-    print(f"{workload}: per function")
+    print(f"{workload}: per function: opcodes, calls, opcodes per call")
     for name, n in first.most_common():
-        print(f"  {n:>12,}  {name}")
+        print(f"  {n:>12,} {calls[name]:>10,} {n / calls[name]:>10,.1f}  {name}")
     if first == second:
         print(f"{workload}: both traced passes agree")
         return True
