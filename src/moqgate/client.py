@@ -23,10 +23,7 @@
   the last group it analyzed in full.
 * :class:`SubscriberClient` subscribes plain (live frames) or with the
   filter role (gated bursts) and records per-group arrival times, counting
-  frames without decoding any payload; a run's subscribers share one
-  :class:`CheckedBurst`, so a burst the relay releases to many of them, and
-  each chunk of a live group it forwards to many of them, is parsed once.
-  It logs nothing.
+  frames without decoding any payload.  It logs nothing.
 * :func:`compute_playback` replays recorded arrivals against a fixed-rate
   playout clock to find stalls; :func:`predict_latency_bound` gives the
   worst-case end-to-end latency a filtered subscriber should ever see.
@@ -34,7 +31,13 @@
 Every client runs on a session and a :class:`~moqgate.transport.Clock`,
 and logs under the session's name.  Both receiving clients keep
 ``records``: one :class:`LatencyRecord` per group, in the order the
-groups' streams completed, timed by their clock.
+groups' streams completed, timed by their clock.  They parse nothing the
+run has parsed already: a run hands its relay and its receivers one
+:class:`~moqgate.framing.SharedParses`.  The relay parses every live chunk
+before it forwards it, and a receiver whose chunks are the very objects
+the relay parsed follows that parse, an analyzer taking the relay's
+frames; a burst the relay releases to many filtered viewers is parsed by
+the first of them.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from typing import Callable, Iterable
 
 from .analysis import PayloadGroup, StrobeConfig, StrobeDetector
 from .eventlog import EventLog
-from .framing import GroupStreamParser
+from .framing import GroupParse, GroupStreamParser, SharedParses
 from .media import EncodedGroup, decode_frame_payload
 from .transport import Clock, DisconnectedError, RecvStream, SendStream, Session
 from .wire import (
@@ -64,7 +67,6 @@ __all__ = [
     "PlaybackStats",
     "PublisherClient",
     "AnalyzerClient",
-    "CheckedBurst",
     "SubscriberClient",
     "compute_playback",
     "LatencyModel",
@@ -153,204 +155,107 @@ class PublisherClient:
         self._schedule_next()
 
 
-class CheckedBurst:
-    """What a run's counting receivers checked once for all of them: the
-    group stream they last got whole, in one chunk, and parsed without
-    error (the chunk, its group id and its frame count), and in ``live``
-    the live group stream being forwarded to them, as a
-    :class:`_LiveCheck`.
-
-    The relay sends a released group to each filtered viewer as the very
-    same ``bytes`` object, and each chunk of a live group to each plain
-    viewer as the very same object too, so a receiver whose chunk ``is``
-    the remembered one takes the remembered verdict instead of parsing it
-    again.  The match is by identity only: a ``bytes`` object cannot
-    change, and while this record holds it its id cannot be reused.  The
-    two slots are apart, so a live group that starts never evicts a burst
-    being released.  ``live`` is emptied when its leader's stream ends and
-    replaced when another live group starts; a stream still following it
-    keeps it until that stream ends.  A run shares one record among its
-    subscribers and drops it with them.
-    """
-
-    __slots__ = ("burst", "group_id", "frame_count", "live")
-
-    def __init__(self) -> None:
-        self.burst: bytes | None = None
-        self.group_id = 0
-        self.frame_count = 0
-        self.live: _LiveCheck | None = None
-
-
-class _LiveCheck:
-    """One live group stream, parsed once for every counting receiver it
-    reaches: ``chunks[k]`` is the chunk the shared ``parser`` was fed at
-    position ``k`` without ``fin``, or ``None`` where the parse stopped,
-    by ``fin`` (then ``last`` is that chunk) or by raising (``last`` stays
-    ``None``); ``first`` is the position where its first frame completed,
-    -1 until then.  It holds no receiver, so no stream's callback is part
-    of a cycle."""
-
-    __slots__ = ("chunks", "parser", "first", "last")
-
-    def __init__(self) -> None:
-        self.chunks: list[bytes | None] = []
-        self.parser = GroupStreamParser()
-        self.first = -1
-        self.last: bytes | None = None
-
-
-#: No chunk is ``None``, so a stream that does not follow a shared parse
-#: never matches at position 0 or -1.
+#: No chunk is ``None``, so a stream that does not follow a parse never
+#: matches at position 0 or -1.
 _NO_MATCH = (None,)
 
 
-def _count_groups(
-    clock: Clock, session: Session, records: list[LatencyRecord], checked: CheckedBurst
+def _receive_groups(
+    clock: Clock,
+    session: Session,
+    shared: SharedParses,
+    records: list[LatencyRecord],
+    analyze: Callable[[int, list[tuple[bytes, int, int]]], None] | None = None,
 ) -> None:
-    """Receive path of a counting receiver: parse every incoming stream of
-    ``session`` and, as each finishes, append to ``records`` when its first
-    frame and its end arrived; frames are only counted.
+    """Receive path of both receiving clients: take in every incoming
+    stream of ``session`` and, as each finishes, append to ``records`` when
+    its first frame and its end arrived.  An analyzing receiver then calls
+    ``analyze(group_id, frames)`` with the group's frame payloads as the
+    parser gives them, ``(buffer, start, end)`` each; a counting one
+    (``analyze`` None) only counts frames.
 
-    A stream whose first chunk carries all of it and ``is``
-    ``checked.burst`` is not parsed: it is recorded from ``checked``, which
-    a successful parse of any other such stream updates.
+    A stream whose first chunk carries all of it is no live group the relay
+    still parses.  A counting receiver takes it from ``shared`` when it
+    ``is`` ``shared.burst``, and otherwise parses it and remembers it there
+    for the run's others.  An analyzer parses it, since it needs the
+    frames.
 
-    Any other stream is parsed once per run.  If its first chunk ``is`` the
-    first chunk of ``checked.live``, the stream follows that shared parse;
-    otherwise it starts a new one, which replaces ``checked.live``, and
-    leads it: it feeds each of its chunks to the shared parser and records
-    it for the others.  Only the stream that started a shared parse feeds
-    it, so the leader's path holds no position check.  A follower whose
-    chunk at position ``k`` ``is`` ``chunks[k]``, with the same ``fin``,
-    takes the recorded result with no ``feed`` call.  At any divergence
-    (another object, equal or not; a ``fin`` mismatch; a position where the
-    shared parse raised, or that the leader has not reached yet) it parses
-    privately from there on: a new parser is fed the identical prefix
-    ``chunks[:k]``, then its chunk, so its records and errors are exactly
-    those of a parser of its own."""
+    Any other stream follows the relay's parse when its first chunk ``is``
+    the first chunk of ``shared.live``: a chunk at position ``k`` that
+    ``is`` the relay's chunk ``k`` (with ``fin`` only where the relay had
+    ``fin``) takes the recorded result with no ``feed`` call, and at the
+    end the record is made from the relay's parser and an analyzer reads
+    the relay's frames.  A receiver gets each chunk only after the relay
+    has parsed it, so this holds under link jitter too.  At any divergence
+    (another object, equal or not; a ``fin`` mismatch; a position the relay
+    did not record) the stream parses privately from there on: a new parser
+    is fed the identical prefix ``chunks[:k]``, then its chunk, so its
+    records, frames and errors are exactly those of a parser of its own."""
+    # An analyzer needs each group's frames, so it takes no remembered burst.
+    bursts = shared if analyze is None else SharedParses()
 
     def on_stream(rs: RecvStream) -> None:
-        parser: GroupStreamParser | None = None  # the one this stream feeds
-        shared: _LiveCheck | None = None  # the parse this stream leads or follows
-        push = None  # shared.chunks.append while leading past the first frame
-        ahead: list | tuple = _NO_MATCH  # shared.chunks while following past it
-        k = 0  # next position while following; -1 while leading or private
+        parse: GroupParse | None = None  # the relay's, while this stream follows it
+        parser: GroupStreamParser | None = None  # this stream's state, once it has one
+        frames: list | None = None if analyze is None else []
+        ahead: list | tuple = _NO_MATCH  # parse.chunks once past its first frame
+        k = 0  # next position while following; -1 while parsing privately
         first_arrival: float | None = None
 
         def on_data(data: bytes, fin: bool) -> None:
-            nonlocal parser, shared, push, ahead, k, first_arrival
-            # A chunk without fin after the first whole frame: the leader
-            # feeds it and records it, a follower matches it by identity.
+            nonlocal parse, parser, frames, ahead, k, first_arrival
+            # A chunk without fin after the first whole frame, matched by identity.
             if not fin:
-                if push:
-                    try:
-                        parser.feed(data, False)
-                        push(data)
-                        return
-                    except Exception:
-                        push(None)
-                        push = shared = None
-                        raise
                 try:
                     if ahead[k] is data:
                         k += 1
                         return
-                except IndexError:  # past what the leader has recorded
+                except IndexError:  # past what the relay has recorded
                     pass
             elif not k:  # the whole stream in this chunk
-                now = clock.now
-                if data is not checked.burst:
-                    parser = GroupStreamParser()
-                    parser.feed(data, True)
-                    checked.burst = data
-                    checked.group_id = parser.group_id
-                    checked.frame_count = parser.frame_count
-                records.append(LatencyRecord(checked.group_id, now, now, checked.frame_count))
-                return
-            if parser is None and shared is None:  # the first chunk of a live stream
-                live = checked.live
-                if live is not None and live.chunks[0] is data:
-                    shared = live
+                if data is bursts.burst:
+                    now = clock.now
+                    records.append(LatencyRecord(bursts.group_id, now, now, bursts.frame_count))
+                    return
+                parser = GroupStreamParser()
+            if parser is None:
+                if parse is None:  # the first chunk of a live stream
+                    parse = shared.live
+                if parse is not None:
+                    chunks = parse.chunks
+                    if k < len(chunks) and chunks[k] is data and (not fin or k == parse.fin):
+                        if k == parse.first:
+                            first_arrival = clock.now
+                            ahead = chunks
+                        if not fin:
+                            k += 1
+                            return
+                        parser = parse.parser
+                        if frames is not None:
+                            frames = parse.frames  # read only
+                    else:  # diverged: parse privately from here
+                        parser = GroupStreamParser()
+                        for chunk in chunks[:k]:
+                            parser.feed(chunk, False, frames)
+                        parse = None
                 else:
-                    shared = checked.live = _LiveCheck()
-                    parser = shared.parser
-                    k = -1
-            if shared is not None:
-                chunks = shared.chunks
-                if k < 0:  # leading: before the first frame, or at fin
-                    try:
-                        completed = parser.feed(data, fin)
-                    except Exception:
-                        chunks.append(None)
-                        push = shared = None
-                        raise
-                    if completed and first_arrival is None:
-                        first_arrival = clock.now
-                        shared.first = len(chunks)
-                        push = chunks.append
-                    if not fin:
-                        chunks.append(data)
-                        return
-                    chunks.append(None)
-                    shared.last = data
-                    if checked.live is shared:
-                        checked.live = None
-                elif k < len(chunks) and (
-                    chunks[k] is data if not fin else chunks[k] is None and data is shared.last
-                ):  # following
-                    if k == shared.first:
-                        first_arrival = clock.now
-                        ahead = chunks
-                    if not fin:
-                        k += 1
-                        return
-                    parser = shared.parser
-                else:  # diverged: parse privately from here
                     parser = GroupStreamParser()
-                    for chunk in chunks[:k]:
-                        parser.feed(chunk)
-                    shared = None
+                if parse is None:
                     ahead = _NO_MATCH
                     k = -1
-            if shared is None and parser.feed(data, fin) and first_arrival is None:
+            if parse is None and parser.feed(data, fin, frames) and first_arrival is None:
                 first_arrival = clock.now
             if fin:
                 assert parser.group_id is not None and first_arrival is not None
                 records.append(
                     LatencyRecord(parser.group_id, first_arrival, clock.now, parser.frame_count)
                 )
-
-        rs.set_on_data(on_data)
-
-    session.set_on_stream(on_stream)
-
-
-def _collect_groups(
-    clock: Clock,
-    session: Session,
-    on_group: Callable[[LatencyRecord, list[tuple[bytes, int, int]]], None],
-) -> None:
-    """Receive path of an analyzing receiver: parse every incoming stream
-    of ``session`` and, as each finishes, call ``on_group(record, frames)``
-    with when its first frame and its end arrived and its frame payloads
-    as the parser gives them, ``(buffer, start, end)`` each."""
-
-    def on_stream(rs: RecvStream) -> None:
-        parser = GroupStreamParser()
-        frames: list[tuple[bytes, int, int]] = []
-        first_arrival: float | None = None
-
-        def on_data(data: bytes, fin: bool) -> None:
-            nonlocal first_arrival
-            if parser.feed(data, fin, frames) and first_arrival is None:
-                first_arrival = clock.now
-            if fin:
-                assert parser.group_id is not None and first_arrival is not None
-                record = LatencyRecord(
-                    parser.group_id, first_arrival, clock.now, parser.frame_count
-                )
-                on_group(record, frames)
+                if frames is not None:
+                    analyze(parser.group_id, frames)
+                elif not k:  # a whole stream, parsed: remembered for the run's others
+                    bursts.burst = data
+                    bursts.group_id = parser.group_id
+                    bursts.frame_count = parser.frame_count
 
         rs.set_on_data(on_data)
 
@@ -362,7 +267,10 @@ class AnalyzerClient:
 
     Strobe is judged by a :class:`StrobeDetector` built from ``detector``;
     a stub category approves every group unless it is in
-    ``rejecting_stubs``.
+    ``rejecting_stubs``.  A live group whose chunks are the very ones the
+    relay parsed is analyzed from the relay's frames in ``shared.live``
+    (see ``_receive_groups``); an analyzer built without ``shared`` makes
+    its own, and parses every group.
     """
 
     def __init__(
@@ -376,6 +284,7 @@ class AnalyzerClient:
         rejecting_stubs: Iterable[int] = (),
         analysis_time_ms: float = 0.0,
         log: EventLog | None = None,
+        shared: SharedParses | None = None,
     ) -> None:
         self.clock = clock
         self.session = session
@@ -391,7 +300,8 @@ class AnalyzerClient:
         self.log = log if log is not None else EventLog(lambda: clock.now)
         self.records: list[LatencyRecord] = []
         self.approvals: list[tuple[float, int, list[int]]] = []  # (time, group, categories) sent
-        _collect_groups(clock, session, self._on_group)
+        shared = shared if shared is not None else SharedParses()
+        _receive_groups(clock, session, shared, self.records, self._analyze)
 
     def start(self) -> None:
         msg = Subscribe(
@@ -399,9 +309,7 @@ class AnalyzerClient:
         )
         self.session.send_control(encode_message(msg))
 
-    def _on_group(self, record: LatencyRecord, frames: list[tuple[bytes, int, int]]) -> None:
-        group_id = record.group_id
-        self.records.append(record)
+    def _analyze(self, group_id: int, frames: list[tuple[bytes, int, int]]) -> None:
         try:  # every frame's header is read, in place, before any is analyzed
             headers = list(starmap(decode_frame_payload, frames))
             stamps = list(map(itemgetter(3), headers))
@@ -450,12 +358,13 @@ class SubscriberClient:
 
     Frames are counted, never copied or decoded — the subscriber's timing
     must not depend on content.  A group whose stream arrives whole in one
-    chunk that ``is`` ``checked.burst`` is recorded from ``checked``, not
-    parsed again, and a live chunk that ``is`` the one another subscriber
-    got at the same position of the same stream takes that subscriber's
-    parse (see ``_count_groups``); a run hands all its subscribers one
-    :class:`CheckedBurst`, and a subscriber built without one makes its
-    own.  Its ``records`` are its whole output: it logs nothing.
+    chunk that ``is`` ``shared.burst`` is recorded from ``shared``, not
+    parsed again, and a live group whose chunks are the very ones the
+    relay parsed follows the relay's parse in ``shared.live`` (see
+    ``_receive_groups``); a run hands its relay and all its receivers one
+    :class:`~moqgate.framing.SharedParses`, and a subscriber built without
+    one makes its own.  Its ``records`` are its whole output: it logs
+    nothing.
     """
 
     def __init__(
@@ -465,7 +374,7 @@ class SubscriberClient:
         track: str,
         subscribe_id: int,
         filter_categories: tuple[int, ...] | None = None,
-        checked: CheckedBurst | None = None,
+        shared: SharedParses | None = None,
     ) -> None:
         self.session = session
         self.track = track
@@ -474,9 +383,8 @@ class SubscriberClient:
             tuple(filter_categories) if filter_categories else None
         )
         self.records: list[LatencyRecord] = []
-        if checked is None:
-            checked = CheckedBurst()
-        _count_groups(clock, session, self.records, checked)
+        shared = shared if shared is not None else SharedParses()
+        _receive_groups(clock, session, shared, self.records)
 
     def start(self) -> None:
         params = ()

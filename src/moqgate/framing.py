@@ -19,6 +19,9 @@ burst the relay sends a filtered viewer, has those frames' length prefixes
 checked a column at a time rather than one frame at a time, and a chunk of
 one whole frame, the shape of every live chunk after a group's first,
 takes a short path.
+:class:`GroupParse` records the relay's parse of a live group for every
+receiver of the very same chunks to follow, and :class:`SharedParses` is
+a run's slot for what it parses once for all its receivers.
 :class:`ControlStreamDecoder` reassembles back-to-back control messages.
 """
 
@@ -43,6 +46,8 @@ _BYTES = [bytes((value,)) for value in range(256)]
 __all__ = [
     "encode_group_header",
     "GroupStreamParser",
+    "GroupParse",
+    "SharedParses",
     "ControlStreamDecoder",
 ]
 
@@ -286,6 +291,57 @@ class GroupStreamParser:
         self.group_id = group_id
         self.frame_count = self._wanted = frame_count
         return pos
+
+
+class GroupParse:
+    """One group stream as one parser read it: ``chunks`` in the order
+    :meth:`feed` got them, the positions of the chunk fed with ``fin`` and
+    of the one that completed the first frame (-1 until then), ``parser``
+    after the last chunk and ``frames`` as its ``feed`` collected them.  A
+    chunk whose parse raised is not recorded, and the record is fed no
+    more.  It holds no stream or receiver, so no callback is part of a
+    cycle through it."""
+
+    __slots__ = ("chunks", "parser", "frames", "first", "fin")
+
+    def __init__(self) -> None:
+        self.chunks: list[bytes] = []
+        self.parser = GroupStreamParser()
+        self.frames: list[tuple[bytes, int, int]] = []
+        self.first = -1
+        self.fin = -1
+
+    def feed(self, data: bytes, fin: bool = False) -> None:
+        chunks = self.chunks
+        if self.parser.feed(data, fin, self.frames) and self.first < 0:
+            self.first = len(chunks)
+        if fin:
+            self.fin = len(chunks)
+        chunks.append(data)
+
+
+class SharedParses:
+    """What a run parses once for all its receivers: in ``live`` the
+    :class:`GroupParse` of the live group the relay last started, from its
+    whole header to its end, and in ``burst`` the group stream a counting
+    receiver last got whole, in one chunk, and parsed without error, with
+    its ``group_id`` and ``frame_count``.
+
+    The relay sends a released group to each filtered viewer as the same
+    ``bytes`` object, and each live chunk as the very object it parsed, so
+    a receiver whose chunk ``is`` the remembered one takes the remembered
+    parse.  The match is by identity only: a ``bytes`` object cannot
+    change, and while a record holds it its id cannot be reused.  The two
+    slots are apart, so a live group never evicts a burst being released.
+    """
+
+    __slots__ = ("burst", "group_id", "frame_count", "live")
+
+    def __init__(self) -> None:
+        self.burst: bytes | None = None
+        self.group_id = 0
+        self.frame_count = 0
+        self.live: GroupParse | None = None
 
 
 class ControlStreamDecoder:

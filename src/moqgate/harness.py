@@ -20,7 +20,6 @@ from typing import Mapping
 from .analysis import predict_risky_groups
 from .client import (
     AnalyzerClient,
-    CheckedBurst,
     LatencyModel,
     LatencyRecord,
     PublisherClient,
@@ -29,6 +28,7 @@ from .client import (
     predict_latency_bound,
 )
 from .eventlog import EventLog
+from .framing import SharedParses
 from .media import EncodedGroup, generate_groups
 from .relay import RelayServer
 from .report import RecordRow, Report
@@ -155,7 +155,8 @@ def _run_once(
             **{kind: functools.partial(fault, kind) for kind in FAULT_KINDS},
         },
     )
-    server = RelayServer(net, scenario.retention_groups, log)
+    shared = SharedParses()  # what the relay and the receivers parse once for all
+    server = RelayServer(net, scenario.retention_groups, log, shared)
 
     def connect(name: str) -> tuple[Session, Session]:
         link = links[name]
@@ -165,7 +166,6 @@ def _run_once(
     pub_session, relay_pub = connect("publisher")
     server.attach("publisher", relay_pub)
 
-    checked = CheckedBurst()  # the burst the run's subscribers last parsed
     clients: dict[str, AnalyzerClient | SubscriberClient] = {}
     for sub_id, spec in enumerate(scenario.clients, start=1):
         client_session, relay_session = connect(spec.name)
@@ -181,6 +181,7 @@ def _run_once(
                 rejecting_stubs=scenario.rejected_stubs,
                 analysis_time_ms=spec.analysis_time_ms,
                 log=log,
+                shared=shared,
             )
         else:
             client = SubscriberClient(
@@ -189,7 +190,7 @@ def _run_once(
                 scenario.track,
                 sub_id,
                 filter_categories=spec.filter or None,
-                checked=checked,
+                shared=shared,
             )
         client.start()
         clients[spec.name] = client

@@ -39,9 +39,13 @@ approvals yet.
 :class:`~moqgate.transport.Clock`: it parses every publisher chunk, to
 validate it and to learn the group's header, and once the header is whole
 passes each chunk on as it arrived, the very bytes object, whole frames or
-not.  It keeps each live group's chunks and send streams (the one record of
-who receives the group) and carries out the core's actions.  A live join is
-a new stream with the chunks received so far, then the rest as they arrive.
+not.  It publishes that parse, a :class:`~moqgate.framing.GroupParse`, in
+the run's :class:`~moqgate.framing.SharedParses` from the group's whole
+header to its end, for every live receiver, which gets each chunk only
+after the relay parsed it, to follow.  It keeps each live group's parse
+and send streams (the one record of who receives the group) and carries
+out the core's actions.  A live join is a new stream with the chunks
+forwarded so far, then the rest as they arrive.
 A group is held as the stream received, and every gated delivery of it sends
 the same object.  A session that closes is forgotten.  The server also
 schedules log-only stall alarms on its clock when gating starves a
@@ -55,7 +59,7 @@ from functools import partial
 from typing import Union
 
 from .eventlog import EventLog
-from .framing import ControlStreamDecoder, GroupStreamParser
+from .framing import ControlStreamDecoder, GroupParse, SharedParses
 from .transport import Clock, DisconnectedError, Session
 from .wire import (
     ANALYZE_PARAM,
@@ -374,25 +378,32 @@ class RelayCore:
 
 
 class _LiveGroup:
-    """One publisher group stream passing through the relay: its chunks
-    and the streams they go on to.  The core holds it as the group's
+    """One publisher group stream passing through the relay: its parse,
+    every chunk so far included, whether the core has started it, and the
+    streams its chunks go on to.  The core holds it as the group's
     handle."""
 
     def __init__(self) -> None:
-        self.parser = GroupStreamParser()
-        self.spans: list[bytes] = []  # every chunk so far, as received
+        self.parse = GroupParse()
+        self.started = False
         self.fanout: dict[object, object] = {}  # sid -> SendStream
 
 
 class RelayServer:
-    """Runs a :class:`RelayCore` over transport sessions and a clock."""
+    """Runs a :class:`RelayCore` over transport sessions and a clock; its
+    parse of each live group goes in ``shared``, or in a slot of its own."""
 
     def __init__(
-        self, clock: Clock, retention: int = 64, log: EventLog | None = None
+        self,
+        clock: Clock,
+        retention: int = 64,
+        log: EventLog | None = None,
+        shared: SharedParses | None = None,
     ) -> None:
         self.clock = clock
         self.log = log if log is not None else EventLog(lambda: clock.now)
         self.core = RelayCore(retention, self.log)
+        self.shared = shared if shared is not None else SharedParses()
         self._sessions: dict[object, Session] = {}
 
     def attach(self, sid: object, session: Session) -> None:
@@ -446,19 +457,21 @@ class RelayServer:
     # -- publisher data path -----------------------------------------------------
 
     def _on_group_data(self, sid: object, live: _LiveGroup, data: bytes, fin: bool) -> None:
-        parser = live.parser
-        started = parser.track is not None
+        parse = live.parse
         try:
-            parser.feed(data, fin)
+            parse.feed(data, fin)
         except WireError as exc:
             self._fail_session(sid, f"bad group stream: {exc}")
             return
+        parser = parse.parser
         track, group_id = parser.track, parser.group_id
         # A chunk that completes the header starts the group; its receivers
         # join with the chunks before it, and until then there are none.
-        if not started and track is not None:
+        if not live.started and track is not None:
             if not self._apply(sid, self.core.start_group, sid, track, group_id, live):
                 return
+            live.started = True
+            self.shared.live = parse
         # A send runs no callback, so the dict cannot change in this loop;
         # a receiver that refuses the chunk is dropped after it.
         refused = []
@@ -472,15 +485,19 @@ class RelayServer:
                 refused.append(sub_sid)
         for sub_sid in refused:
             del live.fanout[sub_sid]
-        live.spans.append(data)
-        if fin and self._apply(sid, self.core.ingest_group, track, group_id, b"".join(live.spans)):
-            self._schedule_stall_checks(track, group_id)
+        if fin:
+            if self.shared.live is parse:
+                self.shared.live = None
+            if self._apply(sid, self.core.ingest_group, track, group_id, b"".join(parse.chunks)):
+                self._schedule_stall_checks(track, group_id)
 
     def _join(self, live: _LiveGroup, sid: object, session: Session) -> None:
         """Open a stream of ``live`` to ``sid`` and send it the chunks
-        received so far, as one; a chunk being forwarded follows on its own."""
+        forwarded so far, as one: while the group starts, every chunk but
+        the one being forwarded, which follows on its own."""
+        chunks = live.parse.chunks
         stream = session.open_stream()
-        stream.send(b"".join(live.spans))
+        stream.send(b"".join(chunks if live.started else chunks[:-1]))
         live.fanout[sid] = stream
 
     # -- action execution ----------------------------------------------------------

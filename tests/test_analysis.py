@@ -70,8 +70,8 @@ def verdicts(analyzer: AnalyzerClient, *groups: Group) -> list[tuple[list[int], 
     approved as its sent APPROVE names them, rejected the rest of its
     categories."""
     for g in groups:
-        record = LatencyRecord(g.group_id, 0.0, 0.0, len(g.frames))
-        analyzer._on_group(record, received_frames(g))
+        analyzer.records.append(LatencyRecord(g.group_id, 0.0, 0.0, len(g.frames)))
+        analyzer._analyze(g.group_id, received_frames(g))
     analyzer.clock.run_until_idle()
     sent = {group_id: categories for _, group_id, categories in analyzer.approvals}
     result = []
@@ -762,9 +762,8 @@ class TestRegistryAndVerdicts:
             payloads[cut] = payloads[cut][:-1]
         categories = (Category.SMOKING, Category.STROBE, Category.ALCOHOL)
         analyzer = analyzer_for(categories)
-        analyzer._on_group(
-            LatencyRecord(0, 0.0, 0.0, len(payloads)), [(p, 0, len(p)) for p in payloads]
-        )
+        analyzer.records.append(LatencyRecord(0, 0.0, 0.0, len(payloads)))
+        analyzer._analyze(0, [(p, 0, len(p)) for p in payloads])
         assert verdicts(analyzer) == [([], list(categories))]
         errors = analyzer.log.filter(kind="detector_error")
         assert [(e.detail["category"], e.detail["error"]) for e in errors] == [

@@ -24,7 +24,6 @@ from streams import ReferenceGroupParser, encode_group_stream
 from moqgate.analysis import StrobeConfig
 from moqgate.client import (
     AnalyzerClient,
-    CheckedBurst,
     LatencyModel,
     LatencyRecord,
     PublisherClient,
@@ -33,9 +32,9 @@ from moqgate.client import (
     predict_latency_bound,
 )
 from moqgate.eventlog import EventLog
-from moqgate.framing import GroupStreamParser, encode_group_header
+from moqgate.framing import GroupParse, GroupStreamParser, SharedParses, encode_group_header
 from moqgate.media import Constant, SourceConfig, Strobe, generate_groups
-from moqgate.relay import RelayServer
+from moqgate.relay import RelayCore, RelayServer
 from moqgate.transport import SimNetwork, SimTimeoutError
 from moqgate.wire import Category, IncompleteError, MalformedError, WireError
 
@@ -65,35 +64,38 @@ def group_ids(client):
 
 
 class Rig:
-    """Relay plus clients over zero-or-given-delay links."""
+    """Relay plus clients over zero-or-given-delay links.  With ``shared``
+    the relay and every client share it, as in a scenario run; without,
+    each makes its own, and every client parses what it receives."""
 
-    def __init__(self):
+    def __init__(self, shared=None):
         self.net = SimNetwork()
-        self.server = RelayServer(self.net, log=EventLog(lambda: self.net.now))
+        self.shared = shared
+        self.server = RelayServer(self.net, log=EventLog(lambda: self.net.now), shared=shared)
 
     def analyzer(self, cats, sub_id=2, delay=0.0, analysis=0.0, detector=StrobeConfig(), name="an"):
         local, remote = self.net.connect(name, "relay", delay, delay)
         self.server.attach(name, remote)
         client = AnalyzerClient(
             self.net, local, "cam", tuple(cats), sub_id,
-            detector=detector, analysis_time_ms=analysis,
+            detector=detector, analysis_time_ms=analysis, shared=self.shared,
         )
         client.start()
         return client
 
-    def subscriber(self, cats=None, sub_id=3, delay=0.0, name="sub", checked=None):
-        local, remote = self.net.connect(name, "relay", delay, delay)
+    def subscriber(self, cats=None, sub_id=3, delay=0.0, name="sub", jitter=0.0):
+        local, remote = self.net.connect(name, "relay", delay, delay, jitter, sub_id)
         self.server.attach(name, remote)
         client = SubscriberClient(
             self.net, local, "cam", sub_id,
             filter_categories=tuple(cats) if cats else None,
-            checked=checked,
+            shared=self.shared,
         )
         client.start()
         return client
 
-    def publisher(self, source, epoch=0.0, delay=0.0):
-        local, remote = self.net.connect("pub", "relay", delay, delay)
+    def publisher(self, source, epoch=0.0, delay=0.0, jitter=0.0):
+        local, remote = self.net.connect("pub", "relay", delay, delay, jitter)
         self.server.attach("pub", remote)
         client = PublisherClient(self.net, local, generate_groups(source, "cam"), epoch_ms=epoch)
         client.start()
@@ -410,10 +412,10 @@ class Endpoint:
         self.on_data = fn
 
 
-def viewer(clock, checked):
-    """A filtered subscriber on an :class:`Endpoint`, sharing ``checked``
-    (or with a record of its own when None)."""
-    return SubscriberClient(clock, Endpoint(), "cam", 1, (STROBE,), checked=checked)
+def viewer(clock, shared):
+    """A filtered subscriber on an :class:`Endpoint`, sharing ``shared``
+    (or with a slot of its own when None)."""
+    return SubscriberClient(clock, Endpoint(), "cam", 1, (STROBE,), shared=shared)
 
 
 def deliver(client, *chunks):
@@ -443,19 +445,16 @@ BURST = encode_group_stream("cam", reference_groups(const_source(fps=10))[0])
 
 
 class TestSharedBurstCheck:
-    """Subscribers that share a :class:`CheckedBurst` parse a burst object
-    once; every record equals what a subscriber with a record of its own
+    """Subscribers that share a :class:`SharedParses` parse a burst object
+    once; every record equals what a subscriber with a slot of its own
     gets, and anything that is not that same object, whole in one chunk,
     is parsed."""
 
     @staticmethod
-    def gated_records(checked):
-        rig = Rig()
+    def gated_records(shared):
+        rig = Rig(shared)
         rig.analyzer([STROBE], analysis=40.0)
-        subs = [
-            rig.subscriber([STROBE], sub_id=3 + k, name=f"sub{k}", checked=checked)
-            for k in range(2)
-        ]
+        subs = [rig.subscriber([STROBE], sub_id=3 + k, name=f"sub{k}") for k in range(2)]
         rig.publisher(const_source(fps=10, seconds=2))
         rig.net.run_until_idle(max_virtual_ms=30_000)
         return [sub.records for sub in subs]
@@ -466,15 +465,15 @@ class TestSharedBurstCheck:
         bursts = [data for data in fed if len(data) > 1000]  # not the per-frame live chunks
         assert len(bursts) == 4 and bursts[0] is bursts[1] and bursts[2] is bursts[3]
         fed.clear()
-        shared = self.gated_records(CheckedBurst())
+        shared = self.gated_records(SharedParses())
         assert shared == unshared == [
             [LatencyRecord(0, 940.0, 940.0, 10), LatencyRecord(1, 1940.0, 1940.0, 10)]
         ] * 2
         assert [data for data in fed if len(data) > 1000] == [bursts[0], bursts[2]]
 
     def test_an_equal_copy_is_parsed(self, monkeypatch):
-        net, checked = SimNetwork(), CheckedBurst()
-        first, second = viewer(net, checked), viewer(net, checked)
+        net, shared = SimNetwork(), SharedParses()
+        first, second = viewer(net, shared), viewer(net, shared)
         fed = count_feeds(monkeypatch)
         deliver(first, BURST)
         copy = bytes(bytearray(BURST))
@@ -483,14 +482,14 @@ class TestSharedBurstCheck:
         assert first.records == second.records == [LatencyRecord(0, 0.0, 0.0, 10)]
 
     def test_a_malformed_burst_raises_every_time(self):
-        net, checked = SimNetwork(), CheckedBurst()
+        net, shared = SimNetwork(), SharedParses()
         malformed = BURST + b"\x00"
         for _ in range(2):
-            client = viewer(net, checked)
+            client = viewer(net, shared)
             with pytest.raises(MalformedError, match="data after the declared final frame"):
                 deliver(client, malformed)
             assert client.records == []
-        assert checked.burst is None
+        assert shared.burst is None
 
     def test_a_stream_with_an_earlier_chunk_is_parsed(self, monkeypatch):
         # Read after a header declaring group 9 of seven frames, the
@@ -499,8 +498,8 @@ class TestSharedBurstCheck:
         # then four empty ones (its payload's zero bytes).
         remembered = encode_group_header("cam", 0, 1) + encode_frame_chunk(bytes(4))
         earlier = encode_group_header("cam", 9, 7)
-        net, checked = SimNetwork(), CheckedBurst()
-        first, second, alone = viewer(net, checked), viewer(net, checked), viewer(net, None)
+        net, shared = SimNetwork(), SharedParses()
+        first, second, alone = viewer(net, shared), viewer(net, shared), viewer(net, None)
         deliver(first, remembered)
         fed = count_feeds(monkeypatch)
         deliver(second, earlier, remembered)
@@ -510,11 +509,11 @@ class TestSharedBurstCheck:
         assert second.records == alone.records == [LatencyRecord(9, 0.0, 0.0, 7)]
 
     def test_an_analyzer_parses_a_burst_a_viewer_checked(self, monkeypatch):
-        net = SimNetwork()
+        # It needs the frames, which the slot does not keep.
+        net, shared = SimNetwork(), SharedParses()
         relay, local = net.connect("relay", "an", 0.0, 0.0)
-        analyzer = AnalyzerClient(net, local, "cam", (STROBE,), 1)
-        checked = CheckedBurst()
-        sub = viewer(net, checked)
+        analyzer = AnalyzerClient(net, local, "cam", (STROBE,), 1, shared=shared)
+        sub = viewer(net, shared)
         fed = count_feeds(monkeypatch)
         deliver(sub, BURST)
         relay.open_stream().end(BURST)
@@ -522,6 +521,7 @@ class TestSharedBurstCheck:
         assert len(fed) == 2 and fed[0] is fed[1] is BURST
         assert analyzer.records == sub.records == [LatencyRecord(0, 0.0, 0.0, 10)]
         assert analyzed(analyzer) == {0: ([STROBE], [])}
+        assert shared.burst is BURST
 
     @pytest.mark.skipif(
         sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
@@ -529,13 +529,12 @@ class TestSharedBurstCheck:
     )
     def test_a_remembered_burst_costs_a_second_viewer_at_most_47_opcodes(self, monkeypatch):
         # The first viewer's on_data parses the burst, in 627 opcodes; the
-        # second's takes the shared record's verdict and leaves its parser
-        # unused.
+        # second's takes the shared slot's verdict and makes no parser.
         monkeypatch.syspath_prepend(str(TOOLS))
         import opcodes
 
-        net, checked = SimNetwork(), CheckedBurst()
-        first, second = viewer(net, checked), viewer(net, checked)
+        net, shared = SimNetwork(), SharedParses()
+        first, second = viewer(net, shared), viewer(net, shared)
         deliver(first, BURST)
         stream = Endpoint()
         second.session.on_stream(stream)
@@ -550,23 +549,53 @@ class Ticker:
     now = 0.0
 
 
-def plain_viewer(clock, checked):
-    """A plain subscriber on an :class:`Endpoint`, sharing ``checked`` (or
-    with a record of its own when None)."""
-    return SubscriberClient(clock, Endpoint(), "cam", 1, checked=checked)
+def plain_viewer(clock, shared):
+    """A plain subscriber on an :class:`Endpoint`, sharing ``shared`` (or
+    with a slot of its own when None)."""
+    return SubscriberClient(clock, Endpoint(), "cam", 1, shared=shared)
+
+
+class RelayPlayer:
+    """Plays the relay's part in ``shared``: feeds each chunk of its stream
+    to a :class:`GroupParse` through the record's own ``feed``, publishes
+    the record once its header is parsed and clears the slot at ``fin``,
+    as ``RelayServer`` does; a chunk whose parse raises ends its part."""
+
+    def __init__(self, shared, stream):
+        self.shared = shared
+        self.stream = stream
+        self.parse = GroupParse()
+        self.failed = False
+
+    def at(self, k):
+        if self.failed or k >= len(self.stream):
+            return
+        parse, shared = self.parse, self.shared
+        chunk, fin = self.stream[k]
+        started = parse.parser.track is not None
+        try:
+            parse.feed(chunk, fin)
+        except WireError:
+            self.failed = True
+            return
+        if not started and parse.parser.track is not None:
+            shared.live = parse
+        if fin and shared.live is parse:
+            shared.live = None
 
 
 def alone(stream):
-    """What a plain viewer with a record of its own gets from ``stream``,
+    """What a plain viewer with a slot of its own gets from ``stream``,
     handed to it as :func:`lockstep` hands it."""
     clock = Ticker()
     return lockstep(clock, [plain_viewer(clock, None)], [stream])[0]
 
 
-def lockstep(clock, clients, streams):
+def lockstep(clock, clients, streams, relay=None):
     """Open one stream to each client and hand it its chunks, a list of
     ``(chunk, fin)`` each, position by position: at position ``k``, time
-    10 k ms, every client in turn gets its chunk ``k``.  A client whose
+    10 k ms, ``relay`` (a :class:`RelayPlayer`) parses its chunk ``k``
+    first, then every client in turn gets its chunk ``k``.  A client whose
     ``on_data`` raises gets nothing more.  Returns each client's outcome:
     its records, or what it raised as ``(type, message)``."""
     ends = [None] * len(clients)
@@ -576,6 +605,8 @@ def lockstep(clock, clients, streams):
         client.session.on_stream(handlers[-1])
     for k in range(max(map(len, streams))):
         clock.now = 10.0 * k
+        if relay is not None:
+            relay.at(k)
         for i, (handler, chunks) in enumerate(zip(handlers, streams)):
             if k < len(chunks) and ends[i] is None:
                 try:
@@ -594,10 +625,11 @@ LIVE = [(chunk, False) for chunk in CHUNKS[:-1]] + [(CHUNKS[-1], True)]
 
 
 def diverging(kind, k):
-    """``LIVE`` as a second receiver gets it when it diverges at position
-    ``k``: an equal copy of chunk ``k``, group 1's chunk ``k``, chunk ``k``
-    with ``fin`` (which ends the stream), or the last chunk without ``fin``
-    followed by an empty ``fin`` chunk or by one chunk too many."""
+    """``LIVE`` as a receiver gets it when it diverges from the relay's
+    stream at position ``k``: an equal copy of chunk ``k``, group 1's chunk
+    ``k``, chunk ``k`` with ``fin`` (which ends the stream), or the last
+    chunk without ``fin`` followed by an empty ``fin`` chunk or by one
+    chunk too many."""
     stream = list(LIVE)
     chunk, fin = stream[k]
     if kind == "copy":
@@ -614,32 +646,30 @@ def diverging(kind, k):
 
 
 class TestSharedLiveCheck:
-    """Subscribers that share a :class:`CheckedBurst` parse each live chunk
-    once: the first to reach a position feeds it, and a later one whose
-    chunk there ``is`` that chunk, with the same ``fin``, takes the result.
-    Any other chunk is parsed privately, from the shared prefix on, so
-    every record and error equals what a subscriber with a record of its
-    own gets."""
+    """Live receivers follow the relay's parse: the relay parses each chunk
+    before it forwards it and publishes its record in the run's
+    :class:`SharedParses`, and a receiver whose chunk at a position ``is``
+    the relay's chunk there, with ``fin`` only where the relay had it,
+    takes the recorded result.  Any other chunk is parsed privately, from
+    the identical prefix on, so every record, frame and error equals what
+    a receiver with a slot of its own gets."""
 
     @staticmethod
-    def live_records(checked):
-        rig = Rig()
-        subs = [
-            rig.subscriber(sub_id=3 + k, name=f"p{k}", delay=float(k % 3), checked=checked)
-            for k in range(4)
-        ]
+    def live_records(shared):
+        rig = Rig(shared)
+        subs = [rig.subscriber(sub_id=3 + k, name=f"p{k}", delay=float(k % 3)) for k in range(4)]
         rig.publisher(const_source(fps=10, seconds=3))
         rig.net.run_until_idle()
         return [sub.records for sub in subs]
 
-    def test_viewers_sharing_a_record_parse_each_live_chunk_once(self, monkeypatch):
+    def test_viewers_sharing_a_record_parse_no_live_chunk(self, monkeypatch):
         fed = count_feeds(monkeypatch)
         unshared = self.live_records(None)
         assert len(fed) == 30 + 4 * 30  # the relay's feeds, then the viewers'
         fed.clear()
-        shared = self.live_records(CheckedBurst())
+        shared = self.live_records(SharedParses())
         assert shared == unshared
-        assert len(fed) == 30 + 30
+        assert len(fed) == 30
         want = []
         for group in reference_groups(const_source(fps=10, seconds=3)):
             parser = ReferenceGroupParser()
@@ -648,7 +678,7 @@ class TestSharedLiveCheck:
         assert want == [(0, 10), (1, 10), (2, 10)]
         # A viewer d ms away subscribes at 0 and joins group 0 at d ms, when
         # the relay sends it the one chunk so far; the relay's join of one
-        # chunk is that very object, so it is shared too.
+        # chunk is that very object, so it follows too.
         for k, records in enumerate(shared):
             d = k % 3
             assert [(r.group_id, r.frame_count) for r in records] == want
@@ -663,19 +693,23 @@ class TestSharedLiveCheck:
     def test_a_divergence_gets_the_private_result_or_error(self, monkeypatch, kind, k):
         stream = diverging(kind, k)
         private = alone(stream)
-        clock, checked = Ticker(), CheckedBurst()
-        first, second = plain_viewer(clock, checked), plain_viewer(clock, checked)
+        clock, shared = Ticker(), SharedParses()
+        first, second = plain_viewer(clock, shared), plain_viewer(clock, shared)
         fed = count_feeds(monkeypatch)
-        got = lockstep(clock, [first, second], [LIVE, stream])
+        got = lockstep(clock, [first, second], [LIVE, stream], RelayPlayer(shared, LIVE))
         assert got == [[LatencyRecord(0, 0.0, 90.0, 10)], private]
-        # Before k the second receiver feeds nothing; at k its own parser
-        # takes the shared prefix again, then its chunk.
+        # The relay feeds chunk j at position j.  Before the divergence the
+        # second receiver feeds nothing; there its own parser takes the
+        # relay's prefix again, then its chunk.  The last chunk without
+        # fin is still the relay's chunk, fed alike, so those two kinds
+        # diverge one position later.
+        at = k + 1 if kind.startswith("no_fin") else k
         want = []
         for j in range(max(len(stream), len(CHUNKS))):
             want += CHUNKS[j : j + 1]
-            if j == k:
-                want += CHUNKS[:k] + [stream[k][0]]
-            elif k < j < len(stream):
+            if j == at:
+                want += CHUNKS[:at] + [stream[at][0]]
+            elif at < j < len(stream):
                 want.append(stream[j][0])
         assert fed == want
         if kind == "fin":
@@ -688,34 +722,38 @@ class TestSharedLiveCheck:
             assert private == [LatencyRecord(group_id, 0.0, end, 10)]
 
     @pytest.mark.parametrize("k", [1, 5, len(CHUNKS) - 1])
-    def test_a_follower_ahead_of_the_leader_parses_privately(self, monkeypatch, k):
-        # Only the viewer that started a shared parse feeds it: a follower
-        # whose chunk k arrives first parses privately from k on.
-        clock, checked = Ticker(), CheckedBurst()
-        lead, follow = plain_viewer(clock, checked), plain_viewer(clock, checked)
-        handlers = [Endpoint(), Endpoint()]
-        lead.session.on_stream(handlers[0])
-        follow.session.on_stream(handlers[1])
+    def test_a_receiver_ahead_of_the_relays_parse_parses_privately(self, monkeypatch, k):
+        # The relay parses a chunk before it forwards it, so this needs a
+        # chunk from elsewhere: one that reaches a follower at k before the
+        # record has it is parsed privately, from k on.
+        clock, shared = Ticker(), SharedParses()
+        follow = plain_viewer(clock, shared)
+        relay = RelayPlayer(shared, LIVE)
+        handler = Endpoint()
+        follow.session.on_stream(handler)
         fed = count_feeds(monkeypatch)
         for j, (chunk, fin) in enumerate(LIVE):
             clock.now = 10.0 * j
-            for handler in handlers[::-1] if j == k else handlers:
-                handler.on_data(chunk, fin)
+            if j != k:
+                relay.at(j)
+            handler.on_data(chunk, fin)
+            if j == k:
+                relay.at(j)
         assert fed == CHUNKS[:k] + CHUNKS[: k + 1] + [c for c in CHUNKS[k:] for _ in (0, 1)][1:]
-        assert lead.records == follow.records == alone(LIVE) == [LatencyRecord(0, 0.0, 90.0, 10)]
+        assert follow.records == alone(LIVE) == [LatencyRecord(0, 0.0, 90.0, 10)]
 
     def test_a_first_frame_after_the_first_chunk_is_timed_as_alone(self, monkeypatch):
         # Group 0's header arrives alone at 0 ms and its first frame at 10:
-        # one viewer leads, one follows, and one gets a copy of the frame,
-        # so its own parser completes it.
+        # two viewers follow, and one gets a copy of the frame, so its own
+        # parser completes it.
         header = encode_group_header("cam", 0, len(CHUNKS))
         frame = CHUNKS[0][len(header) :]
         stream = [(header, False), (frame, False)] + LIVE[1:]
         copied = [stream[0], (bytes(bytearray(frame)), False)] + stream[2:]
-        clock, checked = Ticker(), CheckedBurst()
-        viewers = [plain_viewer(clock, checked) for _ in range(3)]
+        clock, shared = Ticker(), SharedParses()
+        viewers = [plain_viewer(clock, shared) for _ in range(3)]
         fed = count_feeds(monkeypatch)
-        got = lockstep(clock, viewers, [stream, stream, copied])
+        got = lockstep(clock, viewers, [stream, stream, copied], RelayPlayer(shared, stream))
         lead = [chunk for chunk, _ in stream]
         assert fed == lead[:2] + [header, copied[1][0]] + [c for c in lead[2:] for _ in (0, 1)]
         assert got == [alone(stream)] * 3 == [[LatencyRecord(0, 10.0, 100.0, 10)]] * 3
@@ -723,7 +761,8 @@ class TestSharedLiveCheck:
     @pytest.mark.parametrize("at", [0, 4, len(CHUNKS) - 1])
     def test_a_malformed_chunk_raises_at_every_receiver_that_reaches_it(self, at):
         # At 0 a header declares no frames; later a chunk completes the
-        # group and carries one frame more.
+        # group and carries one frame more.  The relay records no chunk
+        # whose parse raised, so every receiver parses it privately.
         if at == 0:
             bad = encode_group_header("cam", 0, 0) + CHUNKS[0]
         else:
@@ -731,18 +770,20 @@ class TestSharedLiveCheck:
         stream = LIVE[:at] + [(bad, at == len(CHUNKS) - 1)]
         private = alone(stream)
         assert private[0] is MalformedError
-        clock, checked = Ticker(), CheckedBurst()
-        viewers = [plain_viewer(clock, checked) for _ in range(4)]
-        got = lockstep(clock, viewers, [stream] * 3 + [LIVE[:at]])
+        clock, shared = Ticker(), SharedParses()
+        relay = RelayPlayer(shared, stream)
+        viewers = [plain_viewer(clock, shared) for _ in range(4)]
+        got = lockstep(clock, viewers, [stream] * 3 + [LIVE[:at]], relay)
+        assert relay.failed and len(relay.parse.chunks) == at
         assert got == [private] * 3 + [[]]
 
     def test_a_late_joiners_prefix_is_parsed_privately(self, monkeypatch):
         # "late" subscribes at 450 ms, after five chunks of group 0: the
         # relay sends it those five joined as one, then the rest.
-        def run(checked):
-            rig = Rig()
-            subs = [rig.subscriber(sub_id=3 + k, name=f"p{k}", checked=checked) for k in range(2)]
-            late = partial(rig.subscriber, sub_id=9, name="late", checked=checked)
+        def run(shared):
+            rig = Rig(shared)
+            subs = [rig.subscriber(sub_id=3 + k, name=f"p{k}") for k in range(2)]
+            late = partial(rig.subscriber, sub_id=9, name="late")
             rig.net.at(450, lambda: subs.append(late()))
             rig.publisher(const_source(fps=10, seconds=2))
             rig.net.run_until_idle()
@@ -752,40 +793,45 @@ class TestSharedLiveCheck:
         unshared = run(None)
         assert len(fed) == 20 + 10 + 10 + 6 + 3 * 10  # the relay's 20 feeds first
         fed.clear()
-        shared = run(CheckedBurst())
+        shared = run(SharedParses())
         assert shared == unshared
         assert shared[2] == [
             LatencyRecord(0, 450.0, 900.0, 10), LatencyRecord(1, 1000.0, 1900.0, 10)
         ]
-        # Group 0: "p0" feeds its ten chunks and "late" its prefix and its
-        # five chunks after; group 1: "p0" feeds its ten for all three.
+        # The relay feeds its 20 chunks, and "late" its prefix and the five
+        # chunks of group 0 after it; every other chunk is followed.
         prefix = b"".join(CHUNKS[:5])
         assert [data for data in fed if data == prefix] == [prefix]
-        assert len(fed) == 20 + 10 + 6 + 10
+        assert len(fed) == 20 + 6
 
     def test_a_live_group_starting_between_two_bursts_does_not_evict_it(self, monkeypatch):
-        net, checked = SimNetwork(), CheckedBurst()
-        first, second = viewer(net, checked), viewer(net, checked)
-        plain = plain_viewer(net, checked)
+        net, shared = SimNetwork(), SharedParses()
+        first, second = viewer(net, shared), viewer(net, shared)
+        plain = plain_viewer(net, shared)
         fed = count_feeds(monkeypatch)
         deliver(first, BURST)
+        relay = RelayPlayer(shared, LIVE)
+        relay.at(0)
         stream = Endpoint()
         plain.session.on_stream(stream)
         stream.on_data(CHUNKS[0], False)
         deliver(second, BURST)
         assert fed == [BURST, CHUNKS[0]] and fed[0] is BURST
+        assert shared.live is relay.parse and shared.burst is BURST
         assert first.records == second.records == [LatencyRecord(0, 0.0, 0.0, 10)]
 
     def test_a_finished_live_group_leaves_nothing_for_the_cyclic_collector(self):
-        # At 450 ms group 0 is live: its shared parse and both viewers'
-        # stream callbacks must be freed by reference counting once it ends.
-        rig, checked = Rig(), CheckedBurst()
-        subs = [rig.subscriber(sub_id=3 + k, name=f"p{k}", checked=checked) for k in range(2)]
+        # At 450 ms group 0 is live: the relay's record of it and both
+        # viewers' stream callbacks must be freed by reference counting
+        # once it ends.
+        shared = SharedParses()
+        rig = Rig(shared)
+        subs = [rig.subscriber(sub_id=3 + k, name=f"p{k}") for k in range(2)]
         rig.publisher(const_source(fps=10, seconds=2))
         held = []
 
         def probe():
-            held.append(weakref.ref(checked.live.parser))
+            held.append(weakref.ref(shared.live.parser))
             for sub in subs:
                 held.extend(weakref.ref(rs._on_data) for rs in sub.session._recv_streams.values())
 
@@ -796,60 +842,135 @@ class TestSharedLiveCheck:
             assert len(held) == 3 and [ref() for ref in held] == [None] * 3
         finally:
             gc.enable()
-        assert checked.live is None
+        assert shared.live is None
         assert [group_ids(sub) for sub in subs] == [[0, 1]] * 2
 
-    @staticmethod
-    def past_the_first_frame():
-        """Two plain viewers sharing a record, each given the first five
-        chunks of ``LIVE``, then the first given the sixth; returns both
-        streams' handlers and the record."""
-        clock, checked = Ticker(), CheckedBurst()
-        handlers = [Endpoint(), Endpoint()]
-        for handler in handlers:
-            plain_viewer(clock, checked).session.on_stream(handler)
-        for chunk, _ in LIVE[:5]:
-            for handler in handlers:
-                handler.on_data(chunk, False)
-        return handlers, checked
+    def test_a_viewer_on_a_jittered_link_parses_nothing(self, monkeypatch):
+        # Up to 300 ms of jitter each way on the viewer's link: it still
+        # gets each chunk after the relay parsed it, so it follows every
+        # group.  The publisher starts at 500 ms, after the subscription.
+        def run(shared):
+            rig = Rig(shared)
+            sub = rig.subscriber(name="plain", delay=10.0, jitter=300.0)
+            rig.publisher(const_source(fps=10, seconds=3), epoch=500.0)
+            rig.net.run_until_idle()
+            return sub.records
+
+        fed = count_feeds(monkeypatch)
+        unshared = run(None)
+        assert len(fed) == 30 + 30
+        fed.clear()
+        shared = run(SharedParses())
+        assert shared == unshared and group_ids_of(shared) == [0, 1, 2]
+        assert len(fed) == 30  # the relay's
+
+    def test_an_analyzer_that_follows_gets_what_a_private_parse_gives(self, monkeypatch):
+        # Strobe groups 1 and 3 are rejected and the others approved; the
+        # followed analyzer reads the relay's frames list, the same frames
+        # its own parse collects.
+        source = SourceConfig(
+            16, 16, 30, 1000,
+            (
+                Constant(128, 1000), Strobe(16, 240, 15.0, 1000),
+                Constant(128, 1000), Strobe(16, 240, 15.0, 1000),
+            ),
+        )
+        got_frames = {}
+        analyze = AnalyzerClient._analyze
+
+        def kept(analyzer, group_id, frames):
+            got_frames.setdefault(id(analyzer), []).append(list(frames))
+            analyze(analyzer, group_id, frames)
+
+        monkeypatch.setattr(AnalyzerClient, "_analyze", kept)
+
+        def run(shared):
+            rig = Rig(shared)
+            analyzer = rig.analyzer([STROBE, SMOKING], delay=5.0)
+            rig.publisher(source)
+            rig.net.run_until_idle()
+            return analyzer
+
+        fed = count_feeds(monkeypatch)
+        private = run(None)
+        assert len(fed) == 2 * 120
+        fed.clear()
+        followed = run(SharedParses())
+        assert len(fed) == 120  # the relay's
+        assert followed.records == private.records
+        assert followed.approvals == private.approvals
+        assert analyzed(followed) == {
+            g: ([STROBE, SMOKING], []) if g % 2 == 0 else ([SMOKING], [STROBE]) for g in range(4)
+        }
+        assert got_frames[id(followed)] == got_frames[id(private)]
+        assert [len(frames) for frames in got_frames[id(followed)]] == [30] * 4
+
+    def test_publisher_jitter_that_replaces_the_slot_mid_group_stays_exact(self, monkeypatch):
+        # With 300 ms of jitter on the publisher's link, a group's first
+        # chunk can reach the relay before the last chunks of the group
+        # before it, so the relay publishes a new record while receivers
+        # still follow the old one.
+        starts = []
+        start_group = RelayCore.start_group
+
+        def counted(core, publisher, track, group_id, handle):
+            starts.append(len(core._track(track).live))
+            return start_group(core, publisher, track, group_id, handle)
+
+        monkeypatch.setattr(RelayCore, "start_group", counted)
+
+        def run(shared):
+            rig = Rig(shared)
+            analyzer = rig.analyzer([STROBE], delay=20.0)
+            subs = [rig.subscriber(sub_id=3 + k, name=f"p{k}", delay=float(40 * k)) for k in range(3)]
+            late = partial(rig.subscriber, sub_id=9, name="late", jitter=100.0)
+            rig.net.at(650, lambda: subs.append(late()))
+            rig.publisher(const_source(fps=10, seconds=4), delay=5.0, jitter=300.0)
+            rig.net.run_until_idle()
+            return [analyzer.records, analyzer.approvals] + [sub.records for sub in subs]
+
+        fed = count_feeds(monkeypatch)
+        unshared = run(None)
+        private_feeds = len(fed)
+        assert any(starts)
+        starts.clear()
+        fed.clear()
+        shared = run(SharedParses())
+        assert shared == unshared
+        assert [group_ids_of(records) for records in shared[2:]] == [[0, 1, 2, 3]] * 4
+        assert any(starts) and len(fed) < private_feeds
+
 
     @pytest.mark.skipif(
         sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
         reason="opcode counts depend on the bytecode; they are pinned on CPython 3.11",
     )
-    def test_a_shared_live_chunk_costs_a_follower_at_most_17_opcodes(self, monkeypatch):
-        # Parsed by its own parser, a chunk cost each viewer 81 opcodes:
-        # 15 in on_data and 66 in feed.
+    def test_a_followed_live_chunk_costs_at_most_17_opcodes(self, monkeypatch):
+        # Parsed by its own parser, a chunk cost a viewer 81 opcodes: 15 in
+        # on_data and 66 in feed.  Past the first frame a follower only
+        # matches the relay's chunk.
         monkeypatch.syspath_prepend(str(TOOLS))
         import opcodes
 
-        (lead, follow), checked = self.past_the_first_frame()
-        lead.on_data(CHUNKS[5], False)
+        clock, shared = Ticker(), SharedParses()
+        relay = RelayPlayer(shared, LIVE)
+        handler = Endpoint()
+        plain_viewer(clock, shared).session.on_stream(handler)
+        for k, (chunk, _) in enumerate(LIVE[:5]):
+            relay.at(k)
+            handler.on_data(chunk, False)
+        relay.at(5)
         counts = opcodes.by_function(
-            opcodes.count_opcodes(lambda: follow.on_data(CHUNKS[5], False))
+            opcodes.count_opcodes(lambda: handler.on_data(CHUNKS[5], False))
         )
         assert [name.partition(":")[0] for name in counts] == [
-            "client._count_groups.<locals>.on_stream.<locals>.on_data"
+            "client._receive_groups.<locals>.on_stream.<locals>.on_data"
         ]
         assert sum(counts.values()) <= 17
 
-    @pytest.mark.skipif(
-        sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
-        reason="opcode counts depend on the bytecode; they are pinned on CPython 3.11",
-    )
-    def test_leading_a_live_chunk_costs_at_most_7_opcodes_more(self, monkeypatch):
-        # The first viewer to reach a chunk feeds it as a viewer of its own
-        # did, in on_data's 15 opcodes and feed's, and records it for the
-        # others in at most 7 more.
-        monkeypatch.syspath_prepend(str(TOOLS))
-        import opcodes
 
-        (lead, _), checked = self.past_the_first_frame()
-        counts = opcodes.by_function(opcodes.count_opcodes(lambda: lead.on_data(CHUNKS[5], False)))
-        assert checked.live.chunks[5] is CHUNKS[5]
-        own = {name.partition(":")[0].rpartition(".")[2]: n for name, n in counts.items()}
-        assert own.keys() == {"on_data", "feed"}
-        assert own["on_data"] <= 15 + 7
+def group_ids_of(records):
+    return [r.group_id for r in records]
 
 
 class TestMalformedGroup:

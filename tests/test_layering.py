@@ -3,8 +3,10 @@
 The relay and the clients keep time through ``transport.Clock``, use no
 more of a clock than that protocol and never name the simulated network;
 the relay's core names no transport type and its server keeps no session
-roles; the report writers depend on nothing else in the package, and the
-scenario loader on neither the relay nor the clients.  Every
+roles; the relay and the clients import nothing from each other, and
+share each group's parse through the framing layer's records; the report
+writers depend on nothing else in the package, and the scenario loader on
+neither the relay nor the clients.  Every
 name a module imports is used there or exported through its ``__all__``,
 every control message the codec carries is built by some module other
 than the codec, and every event kind the package emits is one that a
@@ -117,6 +119,25 @@ def _imported_modules(module: str) -> list[str]:
         elif isinstance(node, ast.Import):
             imported.extend(alias.name for alias in node.names)
     return imported
+
+
+@pytest.mark.parametrize("module, other", [("relay", "client"), ("client", "relay")])
+def test_relay_and_clients_import_nothing_from_each_other(module, other):
+    """The relay and the receivers share each group's parse through a
+    record of the framing layer, not through each other's code."""
+    imported = {m.lstrip(".").removeprefix("moqgate.") for m in _imported_modules(module)}
+    assert "framing" in imported, "the check must see the module's imports"
+    assert other not in imported
+
+
+def test_the_shared_parse_records_are_defined_in_framing():
+    from moqgate import client, framing, harness, relay
+
+    for name in ("SharedParses", "GroupParse"):
+        assert [n.name for n in _tree("framing").body if getattr(n, "name", None) == name] == [name]
+        assert getattr(framing, name).__module__ == "moqgate.framing"
+    assert relay.SharedParses is client.SharedParses is harness.SharedParses is framing.SharedParses
+    assert relay.GroupParse is client.GroupParse is framing.GroupParse
 
 
 def test_report_imports_no_moqgate_module():

@@ -20,22 +20,33 @@ work (``big_groups``' framing of large buffers) barely shows.  Counts
 depend on the interpreter's bytecode, so compare figures from one Python
 version only.  Tracing makes a pass about 50 times slower.
 
+With ``--against DIR``, it also counts the same workloads in the source
+tree at ``DIR`` (a checkout of another commit), in a child process that
+imports that tree's ``moqgate`` and ``perfbench/workloads.py`` and counts
+them the same way, and prints this tree's change per module and per
+function that moved.  Those functions are keyed by module and qualified
+name, without line numbers, so that a function that only moved within its
+file shows no change; functions that share a qualified name (two lambdas
+in one scope) count as one.
+
 Usage, from the repository root (workloads: bundled, live_fanout,
 gated_fanout, big_groups)::
 
-    python tools/opcodes.py live_fanout [more workloads]
+    python tools/opcodes.py live_fanout [more workloads] [--against DIR]
 """
 
 from __future__ import annotations
 
+import argparse
 import gc
+import json
 import platform
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-PACKAGE = ROOT / "src" / "moqgate"
 
 
 def count_opcodes(run, calls: Counter | None = None) -> Counter:
@@ -159,21 +170,97 @@ def report(workload: str, first: Counter, second: Counter, calls: Counter) -> bo
     return False
 
 
-def main(names: list[str]) -> int:
-    sys.path[:0] = [str(PACKAGE.parent), str(ROOT / "perfbench")]
-    import workloads
+def by_name(functions: Counter) -> Counter:
+    """``functions`` (from :func:`by_function`) keyed by module and
+    qualified name only, the line number dropped."""
+    out: Counter = Counter()
+    for name, n in functions.items():
+        out[name.rpartition(":")[0]] += n
+    return out
 
+
+def use_tree(root: Path) -> str | None:
+    """Put the tree at ``root`` first on ``sys.path`` and import its
+    ``moqgate``; returns why that failed, or None."""
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import moqgate
 
     imported = Path(moqgate.__file__).resolve().parent
-    if imported != PACKAGE:
-        print(f"opcodes: moqgate was imported from {imported}, not {PACKAGE}")
+    if imported != (root / "src" / "moqgate").resolve():
+        return f"moqgate was imported from {imported}, not {root / 'src' / 'moqgate'}"
+    return None
+
+
+def tree_counts(root: str, names: list[str]) -> dict:
+    """Each workload's first traced pass per function in the tree at
+    ``root``, and whether its two passes agree; run in a process of its
+    own, since a process imports one ``moqgate``."""
+    problem = use_tree(Path(root))
+    if problem is not None:
+        raise SystemExit(f"opcodes: {problem}")
+    counts = {}
+    for name in names:
+        first, second, _ = measure(name)
+        counts[name] = {"functions": dict(first), "agree": first == second}
+    return counts
+
+
+def count_tree(root: Path, names: list[str]) -> dict:
+    """:func:`tree_counts` of the tree at ``root``, counted by this tool in
+    a child process."""
+    code = (
+        f"import json, sys; sys.path.insert(0, {str(Path(__file__).resolve().parent)!r}); "
+        f"import opcodes; print(json.dumps(opcodes.tree_counts({str(root)!r}, {names!r})))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, cwd=root
+    )
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def report_delta(workload: str, this: Counter, other: Counter, against: str) -> None:
+    """Print this tree's change against the other per module, then per
+    function that moved, the largest change first; both are per-function
+    counts from :func:`by_function`."""
+    this, other = by_name(this), by_name(other)
+    print(f"{workload}: opcodes per pass, this tree and {against}: this, other, change")
+    here, there = by_module(this), by_module(other)
+    rows = sorted(here.keys() | there.keys(), key=lambda m: (-here[m], m))
+    for module in rows + ["total"]:
+        a = sum(here.values()) if module == "total" else here[module]
+        b = sum(there.values()) if module == "total" else there[module]
+        print(f"  {module:<12} {a:>12,} {b:>12,} {a - b:>+12,}")
+    moved = [name for name in this.keys() | other.keys() if this[name] != other[name]]
+    print(f"{workload}: per function that moved, by qualified name: this, other, change")
+    for name in sorted(moved, key=lambda name: (-abs(this[name] - other[name]), name)):
+        print(f"  {this[name]:>12,} {other[name]:>12,} {this[name] - other[name]:>+12,}  {name}")
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("workloads", nargs="*")
+    parser.add_argument("--against", metavar="DIR", type=Path, help="another source tree to compare")
+    args = parser.parse_args(argv)
+    problem = use_tree(ROOT)
+    if problem is not None:
+        print(f"opcodes: {problem}")
         return 1
+    import workloads
+
+    names = args.workloads
     unknown = [name for name in names if name not in workloads.WORKLOADS]
     if not names or unknown:
-        print(f"usage: opcodes.py WORKLOAD [...]; workloads: {', '.join(workloads.WORKLOADS)}")
+        print(f"usage: opcodes.py WORKLOAD [...] [--against DIR]; workloads: {', '.join(workloads.WORKLOADS)}")
         return 2
-    agree = [report(name, *measure(name)) for name in names]
+    counted = {name: measure(name) for name in names}
+    agree = [report(name, *counts) for name, counts in counted.items()]
+    if args.against is not None:
+        other = count_tree(args.against.resolve(), names)
+        for name in names:
+            report_delta(name, counted[name][0], Counter(other[name]["functions"]), str(args.against))
+            if not other[name]["agree"]:
+                print(f"{name}: the two traced passes of {args.against} differ")
+                agree.append(False)
     print("limits: one opcode may be a C call of any size, and counts differ between Python versions")
     return 0 if all(agree) else 1
 
