@@ -32,7 +32,7 @@ Every client runs on a session and a :class:`~moqgate.transport.Clock`,
 and logs under the session's name.  Both receiving clients keep
 ``records``: one :class:`LatencyRecord` per group, in the order the
 groups' streams completed, timed by their clock.  They parse nothing the
-run has parsed already: a run hands its relay and its receivers one
+run has parsed already: a run hands every receiver its relay's
 :class:`~moqgate.framing.SharedParses`.  The relay parses every live chunk
 before it forwards it, and a receiver whose chunks are the very objects
 the relay parsed follows that parse, an analyzer taking the relay's
@@ -361,7 +361,7 @@ class SubscriberClient:
     chunk that ``is`` ``shared.burst`` is recorded from ``shared``, not
     parsed again, and a live group whose chunks are the very ones the
     relay parsed follows the relay's parse in ``shared.live`` (see
-    ``_receive_groups``); a run hands its relay and all its receivers one
+    ``_receive_groups``); a run hands every receiver its relay's
     :class:`~moqgate.framing.SharedParses`, and a subscriber built without
     one makes its own.  Its ``records`` are its whole output: it logs
     nothing.

@@ -28,7 +28,6 @@ from .client import (
     predict_latency_bound,
 )
 from .eventlog import EventLog
-from .framing import SharedParses
 from .media import EncodedGroup, generate_groups
 from .relay import RelayServer
 from .report import RecordRow, Report
@@ -155,8 +154,8 @@ def _run_once(
             **{kind: functools.partial(fault, kind) for kind in FAULT_KINDS},
         },
     )
-    shared = SharedParses()  # what the relay and the receivers parse once for all
-    server = RelayServer(net, scenario.retention_groups, log, shared)
+    server = RelayServer(net, scenario.retention_groups, log)
+    shared = server.shared  # what the relay and the receivers parse once for all
 
     def connect(name: str) -> tuple[Session, Session]:
         link = links[name]

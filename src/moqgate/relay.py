@@ -40,12 +40,12 @@ approvals yet.
 validate it and to learn the group's header, and once the header is whole
 passes each chunk on as it arrived, the very bytes object, whole frames or
 not.  It publishes that parse, a :class:`~moqgate.framing.GroupParse`, in
-the run's :class:`~moqgate.framing.SharedParses` from the group's whole
-header to its end, for every live receiver, which gets each chunk only
-after the relay parsed it, to follow.  It keeps each live group's parse
-and send streams (the one record of who receives the group) and carries
-out the core's actions.  A live join is a new stream with the chunks
-forwarded so far, then the rest as they arrive.
+its :class:`~moqgate.framing.SharedParses`, which a run hands every live
+receiver to follow, from the group's whole header to its end; a receiver
+gets each chunk only after the relay parsed it.  It keeps each live
+group's parse and send streams (the one record of who receives the
+group) and carries out the core's actions.  A live join is a new stream
+with the chunks forwarded so far, then the rest as they arrive.
 A group is held as the stream received, and every gated delivery of it sends
 the same object.  A session that closes is forgotten.  The server also
 schedules log-only stall alarms on its clock when gating starves a
@@ -391,19 +391,13 @@ class _LiveGroup:
 
 class RelayServer:
     """Runs a :class:`RelayCore` over transport sessions and a clock; its
-    parse of each live group goes in ``shared``, or in a slot of its own."""
+    parse of each live group goes in ``shared``, for receivers to follow."""
 
-    def __init__(
-        self,
-        clock: Clock,
-        retention: int = 64,
-        log: EventLog | None = None,
-        shared: SharedParses | None = None,
-    ) -> None:
+    def __init__(self, clock: Clock, retention: int = 64, log: EventLog | None = None) -> None:
         self.clock = clock
         self.log = log if log is not None else EventLog(lambda: clock.now)
         self.core = RelayCore(retention, self.log)
-        self.shared = shared if shared is not None else SharedParses()
+        self.shared = SharedParses()
         self._sessions: dict[object, Session] = {}
 
     def attach(self, sid: object, session: Session) -> None:

@@ -65,13 +65,13 @@ def group_ids(client):
 
 class Rig:
     """Relay plus clients over zero-or-given-delay links.  With ``shared``
-    the relay and every client share it, as in a scenario run; without,
+    every client shares the relay's record, as in a scenario run; without,
     each makes its own, and every client parses what it receives."""
 
-    def __init__(self, shared=None):
+    def __init__(self, shared=False):
         self.net = SimNetwork()
-        self.shared = shared
-        self.server = RelayServer(self.net, log=EventLog(lambda: self.net.now), shared=shared)
+        self.server = RelayServer(self.net, log=EventLog(lambda: self.net.now))
+        self.shared = self.server.shared if shared else None
 
     def analyzer(self, cats, sub_id=2, delay=0.0, analysis=0.0, detector=StrobeConfig(), name="an"):
         local, remote = self.net.connect(name, "relay", delay, delay)
@@ -461,11 +461,11 @@ class TestSharedBurstCheck:
 
     def test_two_viewers_sharing_a_record_parse_each_burst_once(self, monkeypatch):
         fed = count_feeds(monkeypatch)
-        unshared = self.gated_records(None)
+        unshared = self.gated_records(False)
         bursts = [data for data in fed if len(data) > 1000]  # not the per-frame live chunks
         assert len(bursts) == 4 and bursts[0] is bursts[1] and bursts[2] is bursts[3]
         fed.clear()
-        shared = self.gated_records(SharedParses())
+        shared = self.gated_records(True)
         assert shared == unshared == [
             [LatencyRecord(0, 940.0, 940.0, 10), LatencyRecord(1, 1940.0, 1940.0, 10)]
         ] * 2
@@ -664,10 +664,10 @@ class TestSharedLiveCheck:
 
     def test_viewers_sharing_a_record_parse_no_live_chunk(self, monkeypatch):
         fed = count_feeds(monkeypatch)
-        unshared = self.live_records(None)
+        unshared = self.live_records(False)
         assert len(fed) == 30 + 4 * 30  # the relay's feeds, then the viewers'
         fed.clear()
-        shared = self.live_records(SharedParses())
+        shared = self.live_records(True)
         assert shared == unshared
         assert len(fed) == 30
         want = []
@@ -790,10 +790,10 @@ class TestSharedLiveCheck:
             return [sub.records for sub in subs]
 
         fed = count_feeds(monkeypatch)
-        unshared = run(None)
+        unshared = run(False)
         assert len(fed) == 20 + 10 + 10 + 6 + 3 * 10  # the relay's 20 feeds first
         fed.clear()
-        shared = run(SharedParses())
+        shared = run(True)
         assert shared == unshared
         assert shared[2] == [
             LatencyRecord(0, 450.0, 900.0, 10), LatencyRecord(1, 1000.0, 1900.0, 10)
@@ -824,8 +824,8 @@ class TestSharedLiveCheck:
         # At 450 ms group 0 is live: the relay's record of it and both
         # viewers' stream callbacks must be freed by reference counting
         # once it ends.
-        shared = SharedParses()
-        rig = Rig(shared)
+        rig = Rig(shared=True)
+        shared = rig.shared
         subs = [rig.subscriber(sub_id=3 + k, name=f"p{k}") for k in range(2)]
         rig.publisher(const_source(fps=10, seconds=2))
         held = []
@@ -857,10 +857,10 @@ class TestSharedLiveCheck:
             return sub.records
 
         fed = count_feeds(monkeypatch)
-        unshared = run(None)
+        unshared = run(False)
         assert len(fed) == 30 + 30
         fed.clear()
-        shared = run(SharedParses())
+        shared = run(True)
         assert shared == unshared and group_ids_of(shared) == [0, 1, 2]
         assert len(fed) == 30  # the relay's
 
@@ -892,10 +892,10 @@ class TestSharedLiveCheck:
             return analyzer
 
         fed = count_feeds(monkeypatch)
-        private = run(None)
+        private = run(False)
         assert len(fed) == 2 * 120
         fed.clear()
-        followed = run(SharedParses())
+        followed = run(True)
         assert len(fed) == 120  # the relay's
         assert followed.records == private.records
         assert followed.approvals == private.approvals
@@ -930,12 +930,12 @@ class TestSharedLiveCheck:
             return [analyzer.records, analyzer.approvals] + [sub.records for sub in subs]
 
         fed = count_feeds(monkeypatch)
-        unshared = run(None)
+        unshared = run(False)
         private_feeds = len(fed)
         assert any(starts)
         starts.clear()
         fed.clear()
-        shared = run(SharedParses())
+        shared = run(True)
         assert shared == unshared
         assert [group_ids_of(records) for records in shared[2:]] == [[0, 1, 2, 3]] * 4
         assert any(starts) and len(fed) < private_feeds

@@ -131,12 +131,12 @@ def test_relay_and_clients_import_nothing_from_each_other(module, other):
 
 
 def test_the_shared_parse_records_are_defined_in_framing():
-    from moqgate import client, framing, harness, relay
+    from moqgate import client, framing, relay
 
     for name in ("SharedParses", "GroupParse"):
         assert [n.name for n in _tree("framing").body if getattr(n, "name", None) == name] == [name]
         assert getattr(framing, name).__module__ == "moqgate.framing"
-    assert relay.SharedParses is client.SharedParses is harness.SharedParses is framing.SharedParses
+    assert relay.SharedParses is client.SharedParses is framing.SharedParses
     assert relay.GroupParse is client.GroupParse is framing.GroupParse
 
 

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import gc
+import sys
 import tracemalloc
 from functools import partial
 from itertools import accumulate
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -827,6 +829,39 @@ class TestRelayServer:
             assert rig.received[name].by_stream() == [
                 [(first, False, 35.0), (c1, False, 55.0), (c2, True, 75.0)]
             ], name
+
+    @pytest.mark.skipif(
+        sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+        reason="opcode counts depend on the bytecode; they are pinned on CPython 3.11",
+    )
+    def test_forwarding_a_live_chunk_costs_the_relay_at_most_82_opcodes(self, monkeypatch):
+        # Past a group's first frame the relay records the chunk in the
+        # group's GroupParse (28 opcodes besides the parser's feed) and
+        # sends it to each receiver (54 in _on_group_data for one).
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "tools"))
+        import opcodes
+
+        rig = ServerRig({"p": plain(sub_id=6)})
+        chunks = [encode_frame_chunk(encode_frame_payload(frame(i, 50 * i, 10))) for i in range(7)]
+        stream = rig.publisher.open_stream()
+        stream.send(encode_group_header("cam", 0, 7) + chunks[0])
+        for chunk in chunks[1:5]:
+            stream.send(chunk)
+        rig.net.run_until_idle()
+        (live,) = rig.server.core._tracks["cam"].live.values()
+        assert list(live.fanout) == ["p"]
+        counts = opcodes.by_function(
+            opcodes.count_opcodes(lambda: rig.server._on_group_data("pub", live, chunks[5], False))
+        )
+        own = {name.partition(":")[0]: n for name, n in counts.items()}
+        assert own.keys() == {
+            "relay.RelayServer._on_group_data",
+            "framing.GroupParse.feed",
+            "framing.GroupStreamParser.feed",
+            "transport.SendStream.send",
+        }
+        assert own["relay.RelayServer._on_group_data"] + own["framing.GroupParse.feed"] <= 82
+        assert live.parse.chunks[5] is chunks[5]
 
     def test_live_forwarding_to_plain_and_analyzer(self):
         rig = ServerRig({"p": plain(), "an": analyzer([STROBE], sub_id=2)})
